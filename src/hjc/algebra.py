@@ -14,10 +14,18 @@ Coefficients are plain double-precision floats.  The octonion basis is
 whatever the recursion produces; no attempt is made to match a particular
 published multiplication table, only the structural invariants (norm
 multiplicativity, alternativity, a non-vanishing associator) matter.
+
+The recursion ``_mul_coeffs`` is the one definition of the product.  The
+products actually evaluated go through the dim x dim x dim structure-constant
+tensor ``T`` with ``k_a k_b = sum_c T[a, b, c] k_c``, derived once per
+algebra by applying the recursion to every pair of basis elements
+(:func:`structure_constants`); :func:`product_coeffs` contracts stacked
+coefficient arrays with it in one call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +39,9 @@ __all__ = [
     "scalar",
     "basis",
     "random_element",
+    "conj_coeffs",
+    "structure_constants",
+    "product_coeffs",
 ]
 
 
@@ -47,9 +58,11 @@ class AlgebraTag(Enum):
         return self.value
 
 
-def _conj_coeffs(v: np.ndarray) -> np.ndarray:
+def conj_coeffs(v: np.ndarray) -> np.ndarray:
+    """Conjugate coefficient arrays of shape (..., dim): negate every
+    coefficient except the scalar one."""
     out = v.copy()
-    out[1:] = -out[1:]
+    out[..., 1:] = -out[..., 1:]
     return out
 
 
@@ -62,9 +75,37 @@ def _mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     h = n // 2
     a, b = x[:h], x[h:]
     c, d = y[:h], y[h:]
-    lo = _mul_coeffs(a, c) - _mul_coeffs(_conj_coeffs(d), b)
-    hi = _mul_coeffs(d, a) + _mul_coeffs(b, _conj_coeffs(c))
+    lo = _mul_coeffs(a, c) - _mul_coeffs(conj_coeffs(d), b)
+    hi = _mul_coeffs(d, a) + _mul_coeffs(b, conj_coeffs(c))
     return np.concatenate((lo, hi))
+
+
+@functools.cache
+def structure_constants(tag: AlgebraTag) -> np.ndarray:
+    """Read-only tensor ``T`` of shape (dim, dim, dim) with
+    ``k_a k_b = sum_c T[a, b, c] k_c``.
+
+    Row (a, b) is the recursive product of the basis elements k_a and k_b,
+    so every entry is 0 or +-1 and the tensor reproduces the recursion
+    exactly on basis pairs.
+    """
+    basis_coeffs = np.eye(tag.dim)
+    t = np.array([[_mul_coeffs(x, y) for y in basis_coeffs] for x in basis_coeffs])
+    t.flags.writeable = False
+    return t
+
+
+def product_coeffs(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the products x y for coefficient arrays of shape
+    (..., dim), broadcast over the leading axes.
+
+    Each product is one contraction with :func:`structure_constants`: the
+    left-multiplication matrix of x (row b holds x k_b) applied to y.  It
+    sums the same coefficient products as the recursion, in another order.
+    """
+    n = tag.dim
+    left = (x @ structure_constants(tag).reshape(n, n * n)).reshape(x.shape[:-1] + (n, n))
+    return (y[..., None, :] @ left)[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +150,7 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_tag(other)
-            return AlgebraElement(self.tag, _mul_coeffs(self.coeffs, other.coeffs))
+            return AlgebraElement(self.tag, product_coeffs(self.tag, self.coeffs, other.coeffs))
         if isinstance(other, (int, float)):
             return AlgebraElement(self.tag, self.coeffs * float(other))
         return NotImplemented
@@ -127,7 +168,7 @@ class AlgebraElement:
 
     def conjugate(self) -> "AlgebraElement":
         """Negate every coefficient except the scalar one."""
-        return AlgebraElement(self.tag, _conj_coeffs(self.coeffs))
+        return AlgebraElement(self.tag, conj_coeffs(self.coeffs))
 
     def norm_sq(self) -> float:
         """Squared norm, the sum of squared coefficients.
@@ -144,7 +185,7 @@ class AlgebraElement:
         n2 = self.norm_sq()
         if n2 <= 0.0:
             raise ZeroDivisionError("zero element has no inverse")
-        return AlgebraElement(self.tag, _conj_coeffs(self.coeffs) / n2)
+        return AlgebraElement(self.tag, conj_coeffs(self.coeffs) / n2)
 
     def to_json(self) -> dict:
         return {"tag": self.tag.name, "coeffs": [float(c) for c in self.coeffs]}

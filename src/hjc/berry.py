@@ -8,10 +8,19 @@ Those half-axes are the Dirac strings; the transition function relating
 the two charts lives on ||w|| > 0 only, while the spectral projector is
 defined globally away from the origin.
 
-Matrix entries are :class:`~hjc.algebra.AlgebraElement` values.  Every
-entry of every matrix built here lies in the (commutative, associative)
-subalgebra generated by a single element w, so the fixed left-to-right
-evaluation order of matrix products is immaterial even for octonions.
+A :class:`Matrix2K` is stored as one (2, 2, dim) coefficient array:
+``coeffs[i, j]`` holds the dim real coefficients of entry (i, j), and
+:meth:`Matrix2K.entry` views one entry as an
+:class:`~hjc.algebra.AlgebraElement`.  Matrix products contract that array
+with the algebra's structure-constant tensor, which is derived from the
+Cayley-Dickson recursion (see :mod:`hjc.algebra`).  Every entry of every
+matrix built here lies in the (commutative, associative) subalgebra
+generated by a single element w, so the fixed left-to-right evaluation
+order of matrix products is immaterial even for octonions.
+
+The sums r + z and r - z vanish on the lower and upper string.  On the
+side where one of them cancels it is evaluated as ||w||^2 / (r -+ z),
+which keeps charts unitary arbitrarily close to a string.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraTag, one, scalar, zero
+from .algebra import AlgebraElement, AlgebraTag, conj_coeffs, one, product_coeffs, scalar, zero
 from .config import DEFAULT, Tolerances
 
 __all__ = [
@@ -65,27 +74,50 @@ class DiracStringError(Exception):
         super().__init__(message or f"operation undefined at {point_class.value} point")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Matrix2K:
-    """2x2 matrix with entries in a single division algebra."""
+    """2x2 matrix with entries in a single division algebra.
 
-    entries: tuple
+    Built from a 2x2 layout of :class:`AlgebraElement` values sharing one
+    tag; held as the read-only (2, 2, dim) array ``coeffs``.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+    tag: AlgebraTag
+    coeffs: np.ndarray
+
+    def __init__(self, entries):
+        rows = tuple(tuple(row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("expected a 2x2 layout")
         tags = {e.tag for row in rows for e in row}
         if len(tags) != 1:
             raise ValueError("mixed algebra tags in matrix")
-        object.__setattr__(self, "entries", rows)
+        self._store(tags.pop(), np.array([[e.coeffs for e in row] for row in rows]))
+
+    def _store(self, tag: AlgebraTag, coeffs: np.ndarray) -> None:
+        if not np.isfinite(coeffs).all():
+            raise ValueError("non-finite coefficients")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, tag: AlgebraTag, coeffs: np.ndarray) -> "Matrix2K":
+        """Take ownership of a fresh (2, 2, dim) coefficient array."""
+        m = object.__new__(cls)
+        m._store(tag, coeffs)
+        return m
+
+    def _check_tag(self, other: "Matrix2K") -> None:
+        if self.tag is not other.tag:
+            raise ValueError(f"algebra mismatch: {self.tag.name} vs {other.tag.name}")
 
     @property
-    def tag(self) -> AlgebraTag:
-        return self.entries[0][0].tag
+    def entries(self) -> tuple:
+        return tuple(tuple(AlgebraElement(self.tag, c) for c in row) for row in self.coeffs)
 
     def entry(self, i: int, j: int) -> AlgebraElement:
-        return self.entries[i][j]
+        return AlgebraElement(self.tag, self.coeffs[i, j])
 
     @classmethod
     def identity(cls, tag: AlgebraTag) -> "Matrix2K":
@@ -97,51 +129,30 @@ class Matrix2K:
         return cls(((a, z), (z, b)))
 
     def __add__(self, other: "Matrix2K") -> "Matrix2K":
-        return Matrix2K(
-            tuple(
-                tuple(self.entries[i][j] + other.entries[i][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        self._check_tag(other)
+        return Matrix2K._of(self.tag, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Matrix2K") -> "Matrix2K":
-        return Matrix2K(
-            tuple(
-                tuple(self.entries[i][j] - other.entries[i][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        self._check_tag(other)
+        return Matrix2K._of(self.tag, self.coeffs - other.coeffs)
 
     def __matmul__(self, other: "Matrix2K") -> "Matrix2K":
-        rows = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                row.append(
-                    self.entries[i][0] * other.entries[0][j]
-                    + self.entries[i][1] * other.entries[1][j]
-                )
-            rows.append(tuple(row))
-        return Matrix2K(tuple(rows))
+        self._check_tag(other)
+        # products[i, k, j] = self[i, k] * other[k, j]
+        products = product_coeffs(self.tag, self.coeffs[:, :, None, :], other.coeffs[None, :, :, :])
+        return Matrix2K._of(self.tag, products[:, 0] + products[:, 1])
 
     def dagger(self) -> "Matrix2K":
         """Conjugate transpose with the algebra's conjugation."""
-        e = self.entries
-        return Matrix2K(
-            (
-                (e[0][0].conjugate(), e[1][0].conjugate()),
-                (e[0][1].conjugate(), e[1][1].conjugate()),
-            )
-        )
+        return Matrix2K._of(self.tag, conj_coeffs(self.coeffs.transpose(1, 0, 2)))
 
     def scale(self, c: float) -> "Matrix2K":
-        return Matrix2K(
-            tuple(tuple(self.entries[i][j] * c for j in range(2)) for i in range(2))
-        )
+        return Matrix2K._of(self.tag, self.coeffs * float(c))
 
     def max_abs(self) -> float:
         """Largest entry norm."""
-        return max(e.norm() for row in self.entries for e in row)
+        c = self.coeffs
+        return float(np.sqrt(np.max(np.sum(c * c, axis=-1))))
 
     def to_json(self) -> list:
         return [[e.to_json() for e in row] for row in self.entries]
@@ -219,6 +230,15 @@ def hamiltonian(p: BasePoint) -> Matrix2K:
     )
 
 
+def _radius_sum(norm_w: float, z: float, r: float, s: float) -> float:
+    """r + s z with r = hypot(||w||, z), without cancellation: where s z < 0
+    it is evaluated as ||w||^2 / (r - s z)."""
+    sz = s * z
+    if sz >= 0.0:
+        return r + sz
+    return norm_w * norm_w / (r - sz)
+
+
 def conditioning(p: BasePoint, chart: ChartTag) -> float:
     """Normalization prefactor 1/sqrt(2r(r +- z)) of the chart unitary.
 
@@ -227,7 +247,7 @@ def conditioning(p: BasePoint, chart: ChartTag) -> float:
     themselves stay bounded by 1).  Returns ``inf`` on the string.
     """
     s = 1.0 if chart is ChartTag.I else -1.0
-    den = 2.0 * p.r * (p.r + s * p.z)
+    den = 2.0 * p.r * _radius_sum(p.norm_w, p.z, p.r, s)
     if den <= 0.0:
         return math.inf
     return 1.0 / math.sqrt(den)
@@ -242,24 +262,24 @@ def chart_unitary(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> M
     """
     _require_chart(p, chart, tol)
     tag = p.tag
-    r, z = p.r, p.z
+    r = p.r
     if chart is ChartTag.I:
-        f = 1.0 / math.sqrt(2.0 * r * (r + z))
+        q = _radius_sum(p.norm_w, p.z, r, 1.0)
         m = Matrix2K(
             (
-                (scalar(tag, r + z), -p.w.conjugate()),
-                (p.w, scalar(tag, r + z)),
+                (scalar(tag, q), -p.w.conjugate()),
+                (p.w, scalar(tag, q)),
             )
         )
     else:
-        f = 1.0 / math.sqrt(2.0 * r * (r - z))
+        q = _radius_sum(p.norm_w, p.z, r, -1.0)
         m = Matrix2K(
             (
-                (p.w.conjugate(), scalar(tag, z - r)),
-                (scalar(tag, r - z), p.w),
+                (p.w.conjugate(), scalar(tag, -q)),
+                (scalar(tag, q), p.w),
             )
         )
-    return m.scale(f)
+    return m.scale(1.0 / math.sqrt(2.0 * r * q))
 
 
 def chart_decompose(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
@@ -291,8 +311,8 @@ def projector(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
     tag = p.tag
     m = Matrix2K(
         (
-            (scalar(tag, p.r + p.z), p.w.conjugate()),
-            (p.w, scalar(tag, p.r - p.z)),
+            (scalar(tag, _radius_sum(p.norm_w, p.z, p.r, 1.0)), p.w.conjugate()),
+            (p.w, scalar(tag, _radius_sum(p.norm_w, p.z, p.r, -1.0))),
         )
     )
     return m.scale(1.0 / (2.0 * p.r))
@@ -333,7 +353,8 @@ def middle_diagonalize(
         raise ValueError("norm_w must be non-negative")
     r = math.hypot(norm_w, z)
     s = 1.0 if chart is ChartTag.I else -1.0
-    den = 2.0 * r * (r + s * z)
+    q = _radius_sum(norm_w, z, r, s)
+    den = 2.0 * r * q
     if den <= tol.singular_threshold:
         if r <= tol.string_threshold:
             raise DiracStringError(PointClass.ORIGIN)
@@ -341,8 +362,8 @@ def middle_diagonalize(
         raise DiracStringError(cls, f"chart {chart.value} undefined: 2r(r{'+' if s > 0 else '-'}z) = {den:.3e}")
     f = 1.0 / math.sqrt(den)
     if chart is ChartTag.I:
-        u = f * np.array([[r + z, -norm_w], [norm_w, r + z]])
+        u = f * np.array([[q, -norm_w], [norm_w, q]])
     else:
-        u = f * np.array([[norm_w, z - r], [r - z, norm_w]])
+        u = f * np.array([[norm_w, -q], [q, norm_w]])
     d = np.diag([r, -r])
     return ChartDecomposition(u, d, chart, f)

@@ -27,8 +27,6 @@ __all__ = [
     "restrict",
     "unit_lowering",
     "unit_raising",
-    "operator_to_json",
-    "operator_from_json",
 ]
 
 
@@ -139,25 +137,3 @@ def unit_raising(d: int) -> np.ndarray:
     _check_dim(d)
     return np.eye(d, k=-1, dtype=complex)
 
-
-def operator_to_json(op: np.ndarray) -> dict:
-    """Row-major {dim, real, imag} serialization for dump/diff tooling."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    if op.shape != (d, d):
-        raise ValueError(f"expected a square operator, got shape {op.shape}")
-    flat = op.reshape(-1)
-    return {
-        "dim": d,
-        "real": [float(x) for x in flat.real],
-        "imag": [float(x) for x in flat.imag],
-    }
-
-
-def operator_from_json(payload: dict) -> np.ndarray:
-    d = int(payload["dim"])
-    real = np.asarray(payload["real"], dtype=float)
-    imag = np.asarray(payload["imag"], dtype=float)
-    if real.size != d * d or imag.size != d * d:
-        raise ValueError(f"payload length does not match dim {d}")
-    return (real + 1j * imag).reshape(d, d)

@@ -25,7 +25,7 @@ import numpy as np
 from . import fock
 from .berry import ChartTag, DiracStringError, PointClass
 from .config import DEFAULT, Tolerances
-from .jc import BlockOperator, JCParams, SectorStatus, SingularSectorError, radius_diag
+from .jc import BlockOperator, JCParams, SectorStatus, SingularSectorError, radius_sum
 
 __all__ = [
     "LocalCoordinate",
@@ -56,9 +56,7 @@ class LocalCoordinate:
 
 
 def _denominators(p: JCParams):
-    r0 = radius_diag(p.dim, p.theta, 0)
-    r1 = radius_diag(p.dim, p.theta, 1)
-    return r0 + p.theta, r1 + p.theta
+    return radius_sum(p.dim, p.theta, 0, 1.0), radius_sum(p.dim, p.theta, 1, 1.0)
 
 
 def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):

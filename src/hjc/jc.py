@@ -15,7 +15,9 @@ globally defined projector and a closed-form propagator.
 Chart denominators 2 R(n) (R(n) +- theta) vanish only at the ground level
 n = 0 (chart I for theta < 0, chart II for theta > 0, both at resonance),
 which is the quantum remnant of the classical Dirac string: it lives
-purely in states containing the ground level.
+purely in states containing the ground level.  The sums R(n) +- theta are
+evaluated as n / (R(n) -+ theta) on the side where they would cancel
+(:func:`radius_sum`), so no other level turns singular at large |theta|.
 
 Flattening convention: the atom index is major, so a block operator maps
 component vectors (upper, lower) of length d each, and flattened index
@@ -42,6 +44,7 @@ __all__ = [
     "block_diag",
     "block_residual",
     "radius_diag",
+    "radius_sum",
     "hamiltonian",
     "full_hamiltonian",
     "two_step_factors",
@@ -216,6 +219,20 @@ def radius_diag(d: int, theta: float, shift: int = 0) -> np.ndarray:
     return out
 
 
+def radius_sum(d: int, theta: float, shift: int, sign: float) -> np.ndarray:
+    """Level values of R(N + shift) + sign * theta, without cancellation.
+
+    Where sign * theta < 0 the difference is evaluated as
+    (n + shift) / (R(N + shift) - sign * theta), so it vanishes only at
+    n + shift = 0 and keeps full relative accuracy for every |theta|.
+    """
+    r = radius_diag(d, theta, shift)
+    st = sign * theta
+    if st >= 0.0:
+        return r + st
+    return (np.arange(d, dtype=float) + shift) / (r - st)
+
+
 def _diag(values: np.ndarray) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=complex))
 
@@ -289,7 +306,8 @@ def middle_unitary(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> B
     d, th = p.dim, p.theta
     s = 1.0 if chart is ChartTag.I else -1.0
     r1 = radius_diag(d, th, 1)
-    den = 2.0 * r1 * (r1 + s * th)
+    q1 = radius_sum(d, th, 1, s)
+    den = 2.0 * r1 * q1
     bad = np.nonzero(den <= tol.singular_threshold)[0]
     if bad.size:
         report = singular_sectors(p, tol)
@@ -297,9 +315,9 @@ def middle_unitary(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> B
     f = 1.0 / np.sqrt(den)
     sq = np.sqrt(np.arange(d, dtype=float) + 1.0)
     if chart is ChartTag.I:
-        u = ((f * (r1 + th), -f * sq), (f * sq, f * (r1 + th)))
+        u = ((f * q1, -f * sq), (f * sq, f * q1))
     else:
-        u = ((f * sq, f * (th - r1)), (f * (r1 - th), f * sq))
+        u = ((f * sq, -f * q1), (f * q1, f * sq))
     return BlockOperator(tuple(tuple(_diag(v) for v in row) for row in u))
 
 
@@ -389,8 +407,7 @@ def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
     entries = []
     for chart, s in ((ChartTag.I, 1.0), (ChartTag.II, -1.0)):
         for row, shift in ((1, 1), (2, 0)):
-            r = radius_diag(d, th, shift)
-            den = 2.0 * r * (r + s * th)
+            den = 2.0 * radius_diag(d, th, shift) * radius_sum(d, th, shift, s)
             for level in range(d):
                 v = float(den[level])
                 if v <= tol.singular_threshold:
@@ -412,19 +429,19 @@ def _chart_pieces(p: JCParams, chart: ChartTag, tol: Tolerances):
     matrix; raises on vanishing denominators."""
     d, th = p.dim, p.theta
     s = 1.0 if chart is ChartTag.I else -1.0
-    r1 = radius_diag(d, th, 1)
-    r0 = radius_diag(d, th, 0)
-    den1 = 2.0 * r1 * (r1 + s * th)
-    den2 = 2.0 * r0 * (r0 + s * th)
+    q1 = radius_sum(d, th, 1, s)
+    q0 = radius_sum(d, th, 0, s)
+    den1 = 2.0 * radius_diag(d, th, 1) * q1
+    den2 = 2.0 * radius_diag(d, th, 0) * q0
     if np.any(den1 <= tol.singular_threshold) or np.any(den2 <= tol.singular_threshold):
         report = singular_sectors(p, tol)
         raise SingularSectorError(chart, report.for_chart(chart, singular_only=True), report)
     a = fock.annihilation(d)
     ad = fock.creation(d)
     if chart is ChartTag.I:
-        core = BlockOperator(((_diag(r1 + th), -a), (ad, _diag(r0 + th))))
+        core = BlockOperator(((_diag(q1), -a), (ad, _diag(q0))))
     else:
-        core = BlockOperator(((a, _diag(th - r1)), (_diag(r0 - th), ad)))
+        core = BlockOperator(((a, _diag(-q1)), (_diag(q0), ad)))
     return 1.0 / np.sqrt(den1), 1.0 / np.sqrt(den2), core
 
 
@@ -506,7 +523,7 @@ def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) 
     p2[keep] = 1.0 / (2.0 * r0[keep])
     a = fock.annihilation(d)
     ad = fock.creation(d)
-    core = BlockOperator(((_diag(r1 + th), a), (ad, _diag(r0 - th))))
+    core = BlockOperator(((_diag(radius_sum(d, th, 1, 1.0)), a), (ad, _diag(radius_sum(d, th, 0, -1.0)))))
     norm = block_diag(_diag(p1), _diag(p2))
     return norm @ core if normalizer == "left" else core @ norm
 

@@ -175,3 +175,33 @@ def test_single_octonion_subalgebra_is_commutative_associative(rng):
         lhs = (u * v) * x
         rhs = u * (v * x)
         assert (lhs - rhs).norm() <= 1e-12 * max(1.0, u.norm() * v.norm() * x.norm())
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_structure_constants_equal_recursion_on_basis_pairs(tag):
+    t = al.structure_constants(tag)
+    assert t.shape == (tag.dim,) * 3
+    for a, b in itertools.product(range(tag.dim), repeat=2):
+        ref = al._mul_coeffs(al.basis(tag, a).coeffs, al.basis(tag, b).coeffs)
+        assert np.array_equal(t[a, b], ref)
+        assert np.array_equal((al.basis(tag, a) * al.basis(tag, b)).coeffs, ref)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_tensor_product_matches_recursion(tag, rng):
+    for _ in range(200):
+        x = rng.standard_normal(tag.dim) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.standard_normal(tag.dim) * 10.0 ** rng.uniform(-3, 3)
+        ref = al._mul_coeffs(x, y)
+        got = (AlgebraElement(tag, x) * AlgebraElement(tag, y)).coeffs
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+def test_product_coeffs_broadcasts_over_leading_axes(rng):
+    tag = AlgebraTag.O
+    x = rng.standard_normal((3, 1, tag.dim))
+    y = rng.standard_normal((1, 4, tag.dim))
+    got = al.product_coeffs(tag, x, y)
+    assert got.shape == (3, 4, tag.dim)
+    for i, j in itertools.product(range(3), range(4)):
+        assert np.array_equal(got[i, j], al.product_coeffs(tag, x[i, 0], y[0, j]))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjc import algebra as al
 from hjc import berry
 from hjc.algebra import AlgebraTag
 from hjc.berry import BasePoint, ChartTag, DiracStringError, Matrix2K, PointClass
+from hjc.config import DEFAULT
 
 TAGS = list(AlgebraTag)
 
@@ -336,3 +339,71 @@ def test_matrix2k_rejects_mixed_tags():
     with pytest.raises(ValueError):
         Matrix2K(((al.one(AlgebraTag.C), al.one(AlgebraTag.C)),
                   (al.one(AlgebraTag.C), al.one(AlgebraTag.H))))
+
+
+def random_matrix(tag, rng):
+    return Matrix2K(tuple(tuple(al.random_element(tag, rng) for _ in range(2)) for _ in range(2)))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_matmul_matches_entrywise_reference(tag, rng):
+    # sum_k a[i, k] b[k, j], every product taken by the recursive definition
+    for _ in range(20):
+        a, b = random_matrix(tag, rng), random_matrix(tag, rng)
+        got = a @ b
+        for i in range(2):
+            for j in range(2):
+                ref = sum(
+                    al._mul_coeffs(a.entry(i, k).coeffs, b.entry(k, j).coeffs) for k in range(2)
+                )
+                assert np.linalg.norm(got.entry(i, j).coeffs - ref) <= 1e-14 * a.max_abs() * b.max_abs()
+
+
+def test_matrix2k_array_layout():
+    tag = AlgebraTag.H
+    e = [[al.basis(tag, 2 * i + j) for j in range(2)] for i in range(2)]
+    m = Matrix2K(e)
+    assert m.coeffs.shape == (2, 2, tag.dim)
+    assert np.array_equal(m.coeffs, np.array([[x.coeffs for x in row] for row in e]))
+    assert np.array_equal(m.dagger().entry(0, 1).coeffs, e[1][0].conjugate().coeffs)
+    assert all(x.tag is tag for row in m.entries for x in row)
+    with pytest.raises(ValueError):
+        m.coeffs[0, 0, 0] = 2.0
+
+
+def test_matrix2k_rejects_non_finite_and_tag_mismatch():
+    big = Matrix2K.identity(AlgebraTag.C).scale(1e300)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        big.scale(1e10)
+    with pytest.raises(ValueError, match="mismatch"):
+        Matrix2K.identity(AlgebraTag.C) @ Matrix2K.identity(AlgebraTag.H)
+
+
+def test_chart_near_lower_string_has_no_division_by_zero():
+    # r + z = 0 in floating point at ||w|| = 1e-9, z = -1
+    p = cpoint(1e-9, 0.0, -1.0)
+    u = berry.chart_unitary(p, ChartTag.I)
+    assert berry.residual(u.dagger() @ u, Matrix2K.identity(AlgebraTag.C)) <= 1e-12
+    assert berry.conditioning(p, ChartTag.I) == pytest.approx(1e9, rel=1e-12)
+    proj = berry.projector(p)
+    assert proj.entry(0, 0).coeffs[0] == pytest.approx(0.25e-18, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_w=st.floats(-150.0, 150.0),
+    log_z=st.floats(-150.0, 150.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    tag=st.sampled_from(TAGS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_allowed_charts_unitary_over_wide_range(log_w, log_z, sign, tag, seed):
+    rng = np.random.default_rng(seed)
+    u = al.random_element(tag, rng)
+    w = u * (10.0 ** log_w / u.norm())
+    p = BasePoint(w, sign * 10.0 ** log_z)
+    if berry.classify_point(p) is not PointClass.REGULAR:
+        return
+    for chart in ChartTag:
+        v = berry.chart_unitary(p, chart)
+        assert berry.residual(v.dagger() @ v, Matrix2K.identity(tag)) <= DEFAULT.algebraic

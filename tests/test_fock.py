@@ -162,18 +162,3 @@ def test_restrict():
     with pytest.raises(ValueError):
         fock.restrict(m, -1)
 
-
-def test_operator_json_roundtrip():
-    op = fock.annihilation(4) + 1j * fock.number(4)
-    payload = fock.operator_to_json(op)
-    assert payload["dim"] == 4
-    assert len(payload["real"]) == 16 and len(payload["imag"]) == 16
-    assert payload["real"][1] == 1.0  # row-major (0,1) entry of a
-    assert np.array_equal(fock.operator_from_json(payload), op)
-
-
-def test_operator_json_guards():
-    with pytest.raises(ValueError):
-        fock.operator_to_json(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        fock.operator_from_json({"dim": 3, "real": [0.0], "imag": [0.0]})

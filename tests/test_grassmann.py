@@ -31,7 +31,7 @@ def test_coordinate_explicit_values():
     assert np.max(np.abs(sub - expected)) <= 1e-15
 
 
-@pytest.mark.parametrize("theta", [-0.5, 0.0])
+@pytest.mark.parametrize("theta", [-0.5, 0.0, -1e8, -1e12])
 def test_coordinate_singular_at_ground(theta):
     with pytest.raises(SingularSectorError) as err:
         grassmann.local_coordinate(JCParams(theta=theta, dim=8))

@@ -354,6 +354,27 @@ def test_string_localization_property(mag, sign):
     assert s.chart is (ChartTag.II if theta > 0 else ChartTag.I)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    log_mag=st.floats(-8.0, 12.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    d=st.integers(2, 40),
+)
+def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
+    # R(n) +- theta is formed without cancellation, so no excited level
+    # turns singular at large |theta|.  Below |theta| ~ 5e-8 both charts'
+    # ground denominators 4 theta^2 fall under the singular threshold.
+    theta = sign * 10.0 ** log_mag
+    p = JCParams(theta=theta, dim=d)
+    sing = jc.singular_sectors(p).singular()
+    assert {(s.row, s.level) for s in sing} == {(2, 0)}
+    assert (ChartTag.II if theta > 0 else ChartTag.I) in {s.chart for s in sing}
+    chart = ChartTag.I if theta > 0 else ChartTag.II
+    if all(s.chart is not chart for s in sing):
+        v = jc.chart_unitary(p, chart)
+        assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d), margin=1) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # transition operator
 
