@@ -199,10 +199,14 @@ def classify_point(p: BasePoint, tol: Tolerances = DEFAULT) -> PointClass:
     on ||w||; nearby points remain formally regular (use
     :func:`conditioning` to see how badly a chart behaves there).
     """
-    if p.norm_w <= tol.string_threshold:
-        if abs(p.z) <= tol.string_threshold:
+    return _classify(p.norm_w, p.z, tol)
+
+
+def _classify(norm_w: float, z: float, tol: Tolerances) -> PointClass:
+    if norm_w <= tol.string_threshold:
+        if abs(z) <= tol.string_threshold:
             return PointClass.ORIGIN
-        return PointClass.LOWER_STRING if p.z < 0 else PointClass.UPPER_STRING
+        return PointClass.LOWER_STRING if z < 0 else PointClass.UPPER_STRING
     return PointClass.REGULAR
 
 
@@ -212,8 +216,8 @@ _FORBIDDEN = {
 }
 
 
-def _require_chart(p: BasePoint, chart: ChartTag, tol: Tolerances) -> None:
-    cls = classify_point(p, tol)
+def _require_chart(norm_w: float, z: float, chart: ChartTag, tol: Tolerances) -> None:
+    cls = _classify(norm_w, z, tol)
     if cls in _FORBIDDEN[chart]:
         raise DiracStringError(cls, f"chart {chart.value} undefined at {cls.value} point")
 
@@ -260,7 +264,7 @@ def chart_unitary(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> M
     1/sqrt(2r(r+z)); chart II uses 1/sqrt(2r(r-z)).  Raises
     :class:`DiracStringError` on the chart's string and at the origin.
     """
-    _require_chart(p, chart, tol)
+    _require_chart(p.norm_w, p.z, chart, tol)
     tag = p.tag
     r = p.r
     if chart is ChartTag.I:
@@ -346,21 +350,18 @@ def middle_diagonalize(
     """Real orthogonal diagonalization of [[z, m], [m, -z]], m = ||w||.
 
     This is the matrix that actually carries the Dirac strings: the
-    chart-I factor needs r + z > 0, chart II needs r - z > 0.  Factors are
-    plain numpy arrays.
+    chart-I factor needs r + z > 0, chart II needs r - z > 0.  A point is
+    refused by the criterion of :func:`classify_point`, so this factor
+    exists exactly where :func:`chart_unitary` does.  Factors are plain
+    numpy arrays.
     """
     if norm_w < 0.0:
         raise ValueError("norm_w must be non-negative")
+    _require_chart(norm_w, z, chart, tol)
     r = math.hypot(norm_w, z)
     s = 1.0 if chart is ChartTag.I else -1.0
     q = _radius_sum(norm_w, z, r, s)
-    den = 2.0 * r * q
-    if den <= tol.singular_threshold:
-        if r <= tol.string_threshold:
-            raise DiracStringError(PointClass.ORIGIN)
-        cls = PointClass.LOWER_STRING if z < 0 else PointClass.UPPER_STRING
-        raise DiracStringError(cls, f"chart {chart.value} undefined: 2r(r{'+' if s > 0 else '-'}z) = {den:.3e}")
-    f = 1.0 / math.sqrt(den)
+    f = 1.0 / math.sqrt(2.0 * r * q)
     if chart is ChartTag.I:
         u = f * np.array([[q, -norm_w], [norm_w, q]])
     else:

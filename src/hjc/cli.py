@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import algebra, berry, fock, grassmann, jc, oracle
+from . import algebra, berry, grassmann, jc, oracle
 from .config import DEFAULT, Tolerances
 
 SCHEMA_VERSION = 1
@@ -429,18 +429,15 @@ def cmd_jc(cfg: RunConfig):
     herm = jc.block_residual(proj.dagger(), proj)
     order = jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj)
     form = None
+    p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
     for chart_name, chart in (("I", jc.ChartTag.I), ("II", jc.ChartTag.II)):
         if charts[chart_name]["admissible"]:
             v = jc.chart_unitary(p, chart, tol=tol)
-            p0 = jc.block_diag(np.eye(p.dim), np.zeros((p.dim, p.dim)))
             form_res = jc.block_residual((v @ p0) @ v.dagger(), proj, margin=1)
             form = form_res if form is None else max(form, form_res)
     plus, minus = jc.spectral_decomposition(p, tol=tol)
     spectral = jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2)
-    lam = jc.block_diag(
-        np.diag(jc.radius_diag(p.dim, p.theta, 1)).astype(complex),
-        np.diag(jc.radius_diag(p.dim, p.theta, 0)).astype(complex),
-    )
+    lam = jc.block_diag(jc.radius_diag(p.dim, p.theta, 1), jc.radius_diag(p.dim, p.theta, 0))
     comm = jc.block_residual(lam @ proj, proj @ lam)
     checks = [
         charts["I"]["pass"],
@@ -503,6 +500,14 @@ def cmd_strings(cfg: RunConfig):
     return {"thetas": list(cfg.thetas), "dim": cfg.dim}, records
 
 
+def _blockwise_max_abs(m: np.ndarray, margin: int) -> float:
+    """Largest entry modulus of a flattened 2d x 2d block matrix over the
+    leading (d - margin) square of each block, as in
+    :meth:`hjc.jc.BlockOperator.max_abs`."""
+    d = m.shape[0] // 2
+    return float(np.max(np.abs(m.reshape(2, d, 2, d)[:, : d - margin, :, : d - margin])))
+
+
 def cmd_evolve(cfg: RunConfig):
     # with omega/delta supplied the full split propagator is checked,
     # otherwise the bare interaction one; <sigma3> is identical either way
@@ -520,16 +525,15 @@ def cmd_evolve(cfg: RunConfig):
     d = cfg.dim
     if not 0 <= cfg.n0 < d:
         raise ConfigError(f"initial level n0={cfg.n0} outside 0..{d - 1}")
-    psi0 = np.zeros(2 * d, dtype=complex)
-    psi0[cfg.n0] = 1.0  # excited atom, field level n0
     ident = jc.BlockOperator.identity(d)
     records = []
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
         u = evolve(p, float(t))
         u_oracle = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
-        res = jc.block_residual(u, jc.BlockOperator.from_full(u_oracle), margin=2)
+        u_full = u.full()
+        res = _blockwise_max_abs(u_full - u_oracle, margin=2)
         unit = jc.block_residual(u.dagger() @ u, ident, margin=1)
-        psi = u.full() @ psi0
+        psi = u_full[:, cfg.n0]  # the evolved |excited, n0>
         sigma3 = float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2))
         records.append(
             {
@@ -577,11 +581,11 @@ def cmd_grassmann(cfg: RunConfig):
         forms = float(np.max(np.abs(left - shifted)))
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p, tol))
         roundtrip = jc.block_residual(proj, jc.projector(p, tol=tol), margin=1)
+        # the upper-left block (1 + Z+Z)^-1 against its closed form
         r1 = jc.radius_diag(cfg.dim, theta, 1)
-        expected = np.diag(((r1 + theta) / (2.0 * r1)).astype(complex))
-        inter = float(
-            np.max(np.abs(fock.restrict(proj.blocks[0][0] - expected, 1)))
-        )
+        upper_left = jc.BlockOperator.from_diagonals(cfg.dim, ((proj.diags[0][0], {}), ({}, {})))
+        expected = jc.block_diag((r1 + theta) / (2.0 * r1), np.zeros(cfg.dim))
+        inter = jc.block_residual(upper_left, expected, margin=1)
         rec["forms_residual"] = forms
         rec["roundtrip_residual"] = roundtrip
         rec["intermediate_identity_residual"] = inter
@@ -797,8 +801,24 @@ def _write(out: str, text: str) -> None:
             fh.write(text)
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite ``--theta -1,0.5`` as ``--theta=-1,0.5``.
+
+    argparse reads a value that starts with a minus sign as an option
+    unless it is a plain negative number, so detuning lists such as
+    "-1,-0.5" or "-1e8" would otherwise be refused.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--theta" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--theta={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_negative_values(list(sys.argv[1:] if argv is None else argv))
     if "--command" in argv:
         i = argv.index("--command")
         if i + 1 >= len(argv):

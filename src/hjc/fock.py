@@ -1,7 +1,8 @@
 """Ladder-operator matrices on a truncated Fock space.
 
 All operators are dense complex matrices over the number basis
-|0>, ..., |d-1>.  Truncation convention: the creation operator is the
+|0>, ..., |d-1>; they are the dense reference for the level-vector
+operators of :mod:`hjc.jc`.  Truncation convention: the creation operator is the
 exact conjugate transpose of the annihilation operator, so it annihilates
 the top level instead of leaving the space.  Identities that the
 truncation breaks at the top are therefore asserted only on the leading
@@ -20,7 +21,6 @@ __all__ = [
     "annihilation",
     "creation",
     "number",
-    "identity",
     "func_of_number",
     "pseudo_diag_inverse",
     "shift_identity_check",
@@ -62,10 +62,6 @@ def number(d: int) -> np.ndarray:
     """diag(0, 1, ..., d-1)."""
     _check_dim(d)
     return np.diag(np.arange(d, dtype=float)).astype(complex)
-
-
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
 
 
 def func_of_number(d: int, f: Callable[[int], float]) -> np.ndarray:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .berry import ChartTag, DiracStringError, PointClass
+from .algebra import AlgebraElement, AlgebraTag
+from .berry import BasePoint, ChartTag, DiracStringError, PointClass, _radius_sum, classify_point
 from .config import DEFAULT, Tolerances
 from .jc import BlockOperator, JCParams, SectorStatus, SingularSectorError, radius_sum
 
@@ -98,12 +99,18 @@ def projector_from_coordinate(z) -> BlockOperator:
 
 
 def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT) -> complex:
-    """Scalar limit (x + iy)/(r + z); blows up on the lower string."""
-    r = float(np.sqrt(x * x + y * y + z * z))
-    if r + z <= tol.singular_threshold:
-        cls = PointClass.ORIGIN if r <= tol.string_threshold else PointClass.LOWER_STRING
+    """Scalar limit (x + iy)/(r + z); blows up on the lower string.
+
+    Refused exactly where :func:`hjc.berry.classify_point` puts the point
+    on the lower string or at the origin; r + z is formed without
+    cancellation, so the coordinate is finite arbitrarily close to the
+    string.
+    """
+    point = BasePoint(AlgebraElement(AlgebraTag.C, [x, y]), z)
+    cls = classify_point(point, tol)
+    if cls in (PointClass.LOWER_STRING, PointClass.ORIGIN):
         raise DiracStringError(cls, "classical coordinate undefined where r + z = 0")
-    return complex(x, y) / (r + z)
+    return complex(x, y) / _radius_sum(point.norm_w, point.z, point.r, 1.0)
 
 
 def classical_projector_from_coordinate(zc: complex) -> np.ndarray:

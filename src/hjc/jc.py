@@ -22,16 +22,26 @@ evaluated as n / (R(n) -+ theta) on the side where they would cancel
 Flattening convention: the atom index is major, so a block operator maps
 component vectors (upper, lower) of length d each, and flattened index
 j = atom * d + level with the excited state as component 0.
+
+Representation: H conserves the excitation number, pairing |e,n> only
+with |g,n+1>, so every operator built here has blocks made of one or two
+shifted diagonals of level functions.  A :class:`BlockOperator` stores
+block (i, j) as ``diags[i][j]``, a map from offset k to the level vector
+of length d - |k| on the k-th diagonal (``numpy.diag(v, k)`` layout).
+Products, sums and adjoints act on these vectors elementwise with a
+shift, so every closed form here costs O(d) time and memory, against the
+O(d^3) of the dense oracle.  :meth:`BlockOperator.full` is the only dense
+export; the dense constructor and :meth:`BlockOperator.from_full` extract
+the diagonals losslessly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import fock
 from .berry import ChartDecomposition, ChartTag
 from .config import DEFAULT, Tolerances
 
@@ -94,35 +104,75 @@ class JCParams:
         return cls(theta=(delta - omega) / (2.0 * g), dim=dim, g=g, omega=omega, delta=delta)
 
 
-@dataclass(frozen=True, eq=False)
+def _dense_diagonals(b: np.ndarray) -> dict:
+    """Every diagonal of a dense block holding a nonzero bit (-0.0 included,
+    so the block round-trips bitwise through :meth:`BlockOperator.full`)."""
+    rows, cols = np.nonzero((b != 0) | np.signbit(b.real) | np.signbit(b.imag))
+    return {int(k): np.diagonal(b, k).copy() for k in np.unique(cols - rows)}
+
+
+def _block_product(d: int, x: dict, y: dict, out: dict) -> None:
+    """Accumulate the product of blocks ``x`` and ``y`` into ``out``.
+
+    Offsets add: row i of the product's diagonal p + q is row i of x's
+    diagonal p times row i + p of y's diagonal q.
+    """
+    for p, a in x.items():
+        for q, b in y.items():
+            k = p + q
+            lo, hi = max(0, -p, -k), min(d, d - p, d - k)  # rows i, i + p, i + p + q in range
+            if lo < hi:
+                c = out.setdefault(k, np.zeros(d - abs(k), dtype=complex))
+                c[lo - max(0, -k) : hi - max(0, -k)] += (
+                    a[lo - max(0, -p) : hi - max(0, -p)] * b[lo + p - max(0, -q) : hi + p - max(0, -q)]
+                )
+
+
 class BlockOperator:
-    """2x2 block matrix of equal-size Fock operators."""
+    """2x2 block operator on C^2 (x) F_d, each block a sum of shifted
+    level diagonals (see the module docstring).
 
-    blocks: tuple
+    ``BlockOperator(blocks)`` takes a 2x2 layout of dense d x d blocks;
+    :meth:`from_diagonals` takes the level vectors directly.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(np.asarray(b, dtype=complex) for b in row) for row in self.blocks)
+    __slots__ = ("dim", "diags")
+
+    def __init__(self, blocks):
+        rows = [[np.asarray(b, dtype=complex) for b in row] for row in blocks]
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("expected a 2x2 block layout")
         d = rows[0][0].shape[0]
-        for row in rows:
-            for b in row:
-                if b.shape != (d, d):
-                    raise ValueError("inconsistent block shapes")
-        object.__setattr__(self, "blocks", rows)
+        if any(b.shape != (d, d) for row in rows for b in row):
+            raise ValueError("inconsistent block shapes")
+        self.dim = d
+        self.diags = tuple(tuple(_dense_diagonals(b) for b in row) for row in rows)
 
-    @property
-    def dim(self) -> int:
-        return self.blocks[0][0].shape[0]
+    @classmethod
+    def from_diagonals(cls, d: int, diags) -> "BlockOperator":
+        """Operator from a 2x2 layout of {offset: level vector} maps."""
+        op = object.__new__(cls)
+        op.dim = d
+        op.diags = tuple(tuple({k: np.asarray(v, dtype=complex) for k, v in b.items()} for b in row) for row in diags)
+        if any(v.shape != (d - abs(k),) for row in op.diags for b in row for k, v in b.items()):
+            raise ValueError("the level vector on offset k needs length d - |k|")
+        return op
 
     @classmethod
     def identity(cls, d: int) -> "BlockOperator":
-        z = np.zeros((d, d), dtype=complex)
-        return cls(((np.eye(d, dtype=complex), z), (z, np.eye(d, dtype=complex))))
+        return block_diag(np.ones(d), np.ones(d))
 
     def full(self) -> np.ndarray:
         """Flatten to a 2d x 2d matrix, atom index major."""
-        return np.block([list(row) for row in self.blocks])
+        d = self.dim
+        out = np.zeros((2 * d, 2 * d), dtype=complex)
+        flat = out.reshape(-1)
+        for i, row in enumerate(self.diags):
+            for j, block in enumerate(row):
+                for k, v in block.items():
+                    start = (i * d + max(0, -k)) * 2 * d + j * d + max(0, k)
+                    flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v
+        return out
 
     @classmethod
     def from_full(cls, m: np.ndarray) -> "BlockOperator":
@@ -130,76 +180,72 @@ class BlockOperator:
         if m.shape != (n, n) or n % 2:
             raise ValueError("expected an even-dimensional square matrix")
         d = n // 2
-        return cls(
-            (
-                (m[:d, :d], m[:d, d:]),
-                (m[d:, :d], m[d:, d:]),
-            )
-        )
+        return cls(((m[:d, :d], m[:d, d:]), (m[d:, :d], m[d:, d:])))
+
+    def _check_dim(self, other: "BlockOperator") -> None:
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def dagger(self) -> "BlockOperator":
-        b = self.blocks
-        return BlockOperator(
-            (
-                (b[0][0].conj().T, b[1][0].conj().T),
-                (b[0][1].conj().T, b[1][1].conj().T),
-            )
-        )
+        b = self.diags
+        adj = [[{-k: v.conj() for k, v in b[j][i].items()} for j in range(2)] for i in range(2)]
+        return BlockOperator.from_diagonals(self.dim, adj)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        a, b = self.blocks, other.blocks
-        return BlockOperator(
-            tuple(
-                tuple(a[i][0] @ b[0][j] + a[i][1] @ b[1][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        self._check_dim(other)
+        d, a, b = self.dim, self.diags, other.diags
+        out = [[{}, {}], [{}, {}]]
+        for i in range(2):
+            for j in range(2):
+                for m in range(2):
+                    _block_product(d, a[i][m], b[m][j], out[i][j])
+        return BlockOperator.from_diagonals(d, out)
+
+    def _combine(self, other: "BlockOperator", ufunc) -> "BlockOperator":
+        self._check_dim(other)
+        out = [[dict(x) for x in row] for row in self.diags]
+        for row_out, row_b in zip(out, other.diags):
+            for block, y in zip(row_out, row_b):
+                for k, v in y.items():
+                    block[k] = ufunc(block.get(k, 0.0), v)
+        return BlockOperator.from_diagonals(self.dim, out)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
-            tuple(
-                tuple(self.blocks[i][j] + other.blocks[i][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(
-            tuple(
-                tuple(self.blocks[i][j] - other.blocks[i][j] for j in range(2))
-                for i in range(2)
-            )
-        )
+        return self._combine(other, np.subtract)
 
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
-            return BlockOperator(
-                tuple(tuple(self.blocks[i][j] * c for j in range(2)) for i in range(2))
-            )
+            return BlockOperator.from_diagonals(self.dim, [[{k: v * c for k, v in b.items()} for b in row] for row in self.diags])
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "BlockOperator":
-        return self * (-1.0)
-
     def restrict(self, margin: int) -> "BlockOperator":
         """Compress every block to its leading (d - margin) square."""
-        return BlockOperator(
-            tuple(
-                tuple(fock.restrict(self.blocks[i][j], margin) for j in range(2))
-                for i in range(2)
-            )
-        )
+        if not 0 <= margin < self.dim:
+            raise ValueError(f"margin {margin} out of range for dimension {self.dim}")
+        n = self.dim - margin
+        kept = [[{k: v[: n - abs(k)] for k, v in b.items() if abs(k) < n} for b in row] for row in self.diags]
+        return BlockOperator.from_diagonals(n, kept)
 
     def max_abs(self, margin: int = 0) -> float:
+        """Largest entry modulus over the leading (d - margin) square of
+        every block."""
         op = self.restrict(margin) if margin else self
-        return float(max(np.max(np.abs(b)) for row in op.blocks for b in row))
+        return float(np.max([np.max(np.abs(v)) for row in op.diags for b in row for v in b.values()], initial=0.0))
 
 
-def block_diag(b00: np.ndarray, b11: np.ndarray) -> BlockOperator:
-    z = np.zeros_like(np.asarray(b00, dtype=complex))
-    return BlockOperator(((b00, z), (z, b11)))
+def block_diag(b00, b11) -> BlockOperator:
+    """diag(B00, B11) from two level vectors (the main diagonals) or from
+    two dense d x d blocks."""
+    b00, b11 = np.asarray(b00, dtype=complex), np.asarray(b11, dtype=complex)
+    if b00.ndim == 2:
+        z = np.zeros_like(b00)
+        return BlockOperator(((b00, z), (z, b11)))
+    return BlockOperator.from_diagonals(b00.shape[0], (({0: b00}, {}), ({}, {0: b11})))
 
 
 def block_residual(a: BlockOperator, b: BlockOperator, margin: int = 0) -> float:
@@ -233,8 +279,16 @@ def radius_sum(d: int, theta: float, shift: int, sign: float) -> np.ndarray:
     return (np.arange(d, dtype=float) + shift) / (r - st)
 
 
-def _diag(values: np.ndarray) -> np.ndarray:
-    return np.diag(np.asarray(values, dtype=complex))
+def _ladder(d: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(d-1): the superdiagonal of a and the subdiagonal
+    of its exact adjoint a+, which annihilates the top level."""
+    return np.sqrt(np.arange(1.0, d))
+
+
+def _sectors(d: int, upper, lowering, raising, lower) -> BlockOperator:
+    """[[diag(upper), diag(lowering, 1)], [diag(raising, -1), diag(lower)]]:
+    the layout of every operator that pairs |e,n> with |g,n+1>."""
+    return BlockOperator.from_diagonals(d, (({0: upper}, {1: lowering}), ({-1: raising}, {0: lower})))
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +298,8 @@ def _diag(values: np.ndarray) -> np.ndarray:
 def hamiltonian(p: JCParams) -> BlockOperator:
     """The scaled interaction Hamiltonian [[theta, a], [a+, -theta]]."""
     d = p.dim
-    i = np.eye(d)
-    return BlockOperator(
-        (
-            (p.theta * i, fock.annihilation(d)),
-            (fock.creation(d), -p.theta * i),
-        )
-    )
+    sq = _ladder(d)
+    return _sectors(d, np.full(d, p.theta), sq, sq, np.full(d, -p.theta))
 
 
 def full_hamiltonian(p: JCParams):
@@ -259,15 +308,15 @@ def full_hamiltonian(p: JCParams):
     H1 = omega (1 (x) N) + (omega/2) (sigma3 (x) 1) is block diagonal;
     H2 = g * [[theta, a], [a+, -theta]].  Requires omega, delta, g.
     """
+    return block_diag(*_free_levels(p)), p.g * hamiltonian(p)
+
+
+def _free_levels(p: JCParams):
+    """Level energies of H1 in the excited and the ground block."""
     if p.omega is None or p.delta is None:
-        raise ValueError("full Hamiltonian needs omega and delta")
-    if p.g == 0.0:
-        raise ValueError("coupling g = 0 leaves the detuning ratio undefined")
-    d = p.dim
-    n = np.arange(d, dtype=float)
-    h1 = block_diag(_diag(p.omega * n + p.omega / 2.0), _diag(p.omega * n - p.omega / 2.0))
-    h2 = p.g * hamiltonian(p)
-    return h1, h2
+        raise ValueError("the full model needs omega and delta")
+    n = np.arange(p.dim, dtype=float)
+    return p.omega * n + p.omega / 2.0, p.omega * n - p.omega / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,38 +336,30 @@ def two_step_factors(p: JCParams):
     bitwise; L+ L = diag(1, 1 - |d-1><d-1|) from the truncation.
     """
     d = p.dim
-    i = np.eye(d, dtype=complex)
-    z = np.zeros((d, d), dtype=complex)
-    left = BlockOperator(((i, z), (z, fock.unit_raising(d))))
-    sqrt_shift = _diag(np.sqrt(np.arange(d, dtype=float) + 1.0))
-    mid = BlockOperator(((p.theta * i, sqrt_shift), (sqrt_shift, -p.theta * i)))
+    left = BlockOperator.from_diagonals(d, (({0: np.ones(d)}, {}), ({}, {-1: np.ones(d - 1)})))
+    sq, th = _ladder(d + 1), np.full(d, p.theta)
+    mid = BlockOperator.from_diagonals(d, (({0: th}, {0: sq}), ({0: sq}, {0: -th})))
     return left, mid, left.dagger()
 
 
-def middle_unitary(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> BlockOperator:
+def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     """Diagonalizing unitary of the middle matrix M.
 
-    Both charts use R(N+1) throughout, so the denominators
-    2 R(n+1) (R(n+1) +- theta) never vanish for finite theta; the check is
-    kept defensively.  M = U diag(R(N+1), -R(N+1)) U+ exactly on the full
-    space (everything is diagonal per level).
+    Both charts use R(N+1) throughout, so for every theta the denominators
+    2 R(n+1) (R(n+1) +- theta) are at least n + 1 and both charts exist.
+    M = U diag(R(N+1), -R(N+1)) U+ exactly on the full space (everything
+    is diagonal per level).
     """
     d, th = p.dim, p.theta
     s = 1.0 if chart is ChartTag.I else -1.0
-    r1 = radius_diag(d, th, 1)
     q1 = radius_sum(d, th, 1, s)
-    den = 2.0 * r1 * q1
-    bad = np.nonzero(den <= tol.singular_threshold)[0]
-    if bad.size:
-        report = singular_sectors(p, tol)
-        raise SingularSectorError(chart, report.for_chart(chart, singular_only=True), report)
-    f = 1.0 / np.sqrt(den)
-    sq = np.sqrt(np.arange(d, dtype=float) + 1.0)
+    f = 1.0 / np.sqrt(2.0 * radius_diag(d, th, 1) * q1)
+    sq = _ladder(d + 1)
     if chart is ChartTag.I:
         u = ((f * q1, -f * sq), (f * sq, f * q1))
     else:
         u = ((f * sq, -f * q1), (f * q1, f * sq))
-    return BlockOperator(tuple(tuple(_diag(v) for v in row) for row in u))
+    return BlockOperator.from_diagonals(d, tuple(tuple({0: v} for v in row) for row in u))
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +395,6 @@ class SectorReport:
     def singular(self):
         return tuple(e for e in self.entries if e.singular)
 
-    def for_chart(self, chart: ChartTag, singular_only: bool = False):
-        out = tuple(e for e in self.entries if e.chart is chart)
-        if singular_only:
-            out = tuple(e for e in out if e.singular)
-        return out
-
     def lattice(self):
         """Level-pair grid in the style of the string map: a basis pair is
         black iff it touches the ground level, where the strings live."""
@@ -371,26 +406,16 @@ class SectorReport:
         return cells
 
     def to_records(self):
-        return [
-            {
-                "chart": e.chart.value,
-                "row": e.row,
-                "level": e.level,
-                "denominator": e.denominator,
-                "status": e.status,
-            }
-            for e in self.entries
-        ]
+        return [{**asdict(e), "chart": e.chart.value} for e in self.entries]
 
 
 class SingularSectorError(Exception):
     """A chart operator was requested for a theta whose denominator chain
     vanishes somewhere (the quantum Dirac string)."""
 
-    def __init__(self, chart: ChartTag, sectors, report: SectorReport = None):
+    def __init__(self, chart: ChartTag, sectors):
         self.chart = chart
         self.sectors = tuple(sectors)
-        self.report = report
         where = ", ".join(f"(row {s.row}, level {s.level})" for s in self.sectors) or "?"
         super().__init__(f"chart {chart.value} singular at {where}")
 
@@ -410,12 +435,11 @@ def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
             den = 2.0 * radius_diag(d, th, shift) * radius_sum(d, th, shift, s)
             for level in range(d):
                 v = float(den[level])
-                if v <= tol.singular_threshold:
-                    status = "singular"
-                elif v < tol.ill_conditioned:
-                    status = "ill_conditioned"
-                else:
-                    status = "regular"
+                status = (
+                    "singular" if v <= tol.singular_threshold
+                    else "ill_conditioned" if v < tol.ill_conditioned
+                    else "regular"
+                )
                 entries.append(SectorStatus(chart, row, level, v, status))
     return SectorReport(th, d, tuple(entries))
 
@@ -434,14 +458,13 @@ def _chart_pieces(p: JCParams, chart: ChartTag, tol: Tolerances):
     den1 = 2.0 * radius_diag(d, th, 1) * q1
     den2 = 2.0 * radius_diag(d, th, 0) * q0
     if np.any(den1 <= tol.singular_threshold) or np.any(den2 <= tol.singular_threshold):
-        report = singular_sectors(p, tol)
-        raise SingularSectorError(chart, report.for_chart(chart, singular_only=True), report)
-    a = fock.annihilation(d)
-    ad = fock.creation(d)
+        raise SingularSectorError(chart, [e for e in singular_sectors(p, tol).singular() if e.chart is chart])
+    sq = _ladder(d)
     if chart is ChartTag.I:
-        core = BlockOperator(((_diag(q1), -a), (ad, _diag(q0))))
+        core = _sectors(d, q1, -sq, sq, q0)
     else:
-        core = BlockOperator(((a, _diag(-q1)), (_diag(q0), ad)))
+        # [[a, -R(N+1) + theta], [R(N) - theta, a+]]
+        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -q1}), ({0: q0}, {-1: sq})))
     return 1.0 / np.sqrt(den1), 1.0 / np.sqrt(den2), core
 
 
@@ -463,13 +486,10 @@ def chart_unitary(
         raise ValueError("normalizer must be 'left' or 'right'")
     f1, f2, core = _chart_pieces(p, chart, tol)
     if normalizer == "left":
-        norm = block_diag(_diag(f1), _diag(f2))
-        return norm @ core
+        return block_diag(f1, f2) @ core
     if chart is ChartTag.I:
-        norm = block_diag(_diag(f1), _diag(f2))
-    else:
-        norm = block_diag(_diag(f2), _diag(f1))
-    return core @ norm
+        return core @ block_diag(f1, f2)
+    return core @ block_diag(f2, f1)
 
 
 def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
@@ -478,8 +498,8 @@ def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
     r1 = radius_diag(p.dim, p.theta, 1)
     r0 = radius_diag(p.dim, p.theta, 0)
     if chart is ChartTag.I:
-        return block_diag(_diag(r1), _diag(-r0))
-    return block_diag(_diag(r0), _diag(-r1))
+        return block_diag(r1, -r0)
+    return block_diag(r0, -r1)
 
 
 def chart_decompose(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
@@ -500,7 +520,9 @@ def transition_operator(d: int) -> BlockOperator:
     The kernel-convention forms a (1/sqrt(N)) and (1/sqrt(N)) a+ agree
     exactly (see :func:`hjc.fock.pseudo_diag_inverse`).
     """
-    return block_diag(fock.unit_lowering(d), fock.unit_raising(d))
+    if d < 2:
+        raise ValueError(f"Fock truncation needs d >= 2, got {d}")
+    return BlockOperator.from_diagonals(d, (({1: np.ones(d - 1)}, {}), ({}, {-1: np.ones(d - 1)})))
 
 
 def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) -> BlockOperator:
@@ -515,16 +537,12 @@ def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) 
     if normalizer not in ("left", "right"):
         raise ValueError("normalizer must be 'left' or 'right'")
     d, th = p.dim, p.theta
-    r1 = radius_diag(d, th, 1)
     r0 = radius_diag(d, th, 0)
-    p1 = 1.0 / (2.0 * r1)
-    p2 = np.zeros(d)
-    keep = 2.0 * r0 > tol.singular_threshold
-    p2[keep] = 1.0 / (2.0 * r0[keep])
-    a = fock.annihilation(d)
-    ad = fock.creation(d)
-    core = BlockOperator(((_diag(radius_sum(d, th, 1, 1.0)), a), (ad, _diag(radius_sum(d, th, 0, -1.0)))))
-    norm = block_diag(_diag(p1), _diag(p2))
+    p1 = 1.0 / (2.0 * radius_diag(d, th, 1))
+    p2 = np.divide(1.0, 2.0 * r0, out=np.zeros(d), where=2.0 * r0 > tol.singular_threshold)
+    sq = _ladder(d)
+    core = _sectors(d, radius_sum(d, th, 1, 1.0), sq, sq, radius_sum(d, th, 0, -1.0))
+    norm = block_diag(p1, p2)
     return norm @ core if normalizer == "left" else core @ norm
 
 
@@ -532,12 +550,9 @@ def spectral_decomposition(p: JCParams, tol: Tolerances = DEFAULT):
     """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) with
     Lambda = diag(R(N+1), R(N)); the parts sum back to the Hamiltonian and
     Lambda commutes with P."""
-    d = p.dim
-    lam = block_diag(_diag(radius_diag(d, p.theta, 1)), _diag(radius_diag(d, p.theta, 0)))
+    lam = block_diag(radius_diag(p.dim, p.theta, 1), radius_diag(p.dim, p.theta, 0))
     proj = projector(p, tol=tol)
-    plus = lam @ proj
-    minus = -(lam @ (BlockOperator.identity(d) - proj))
-    return plus, minus
+    return lam @ proj, lam @ (proj - BlockOperator.identity(p.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -557,35 +572,21 @@ def propagator(p: JCParams, t: float) -> BlockOperator:
     d, th = p.dim, p.theta
     tg = p.g * t
 
-    def sin_ratio(r: np.ndarray) -> np.ndarray:
-        out = np.full_like(r, tg)
-        nz = r != 0.0
-        out[nz] = np.sin(tg * r[nz]) / r[nz]
-        return out
-
     r1 = radius_diag(d, th, 1)
     r0 = radius_diag(d, th, 0)
-    s1, s0 = sin_ratio(r1), sin_ratio(r0)
-    c1, c0 = np.cos(tg * r1), np.cos(tg * r0)
-    a = fock.annihilation(d)
-    ad = fock.creation(d)
-    return BlockOperator(
-        (
-            (_diag(c1 - 1j * th * s1), -1j * (_diag(s1) @ a)),
-            (-1j * (_diag(s0) @ ad), _diag(c0 + 1j * th * s0)),
-        )
+    s1, s0 = (np.divide(np.sin(tg * r), r, out=np.full_like(r, tg), where=r != 0.0) for r in (r1, r0))
+    sq = _ladder(d)
+    return _sectors(
+        d,
+        np.cos(tg * r1) - 1j * th * s1,
+        -1j * (s1[:-1] * sq),
+        -1j * (s0[1:] * sq),
+        np.cos(tg * r0) + 1j * th * s0,
     )
 
 
 def full_propagator(p: JCParams, t: float) -> BlockOperator:
     """exp(-i t H_full) as the product of the diagonal free part and the
     closed-form interaction propagator (the two parts commute)."""
-    if p.omega is None or p.delta is None:
-        raise ValueError("full propagator needs omega and delta")
-    d = p.dim
-    n = np.arange(d, dtype=float)
-    u1 = block_diag(
-        _diag(np.exp(-1j * t * (p.omega * n + p.omega / 2.0))),
-        _diag(np.exp(-1j * t * (p.omega * n - p.omega / 2.0))),
-    )
-    return u1 @ propagator(p, t)
+    upper, lower = _free_levels(p)
+    return block_diag(np.exp(-1j * t * upper), np.exp(-1j * t * lower)) @ propagator(p, t)

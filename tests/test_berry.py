@@ -282,6 +282,26 @@ def test_middle_diagonalize_string():
         berry.middle_diagonalize(0.0, 1.0, ChartTag.II)
 
 
+@pytest.mark.parametrize("z", [-1.0, -1e-8, 1e-8, 1.0])
+@pytest.mark.parametrize("norm_w", [0.0, 1e-16, 1e-14, 1.1e-14, 1e-12, 1e-9, 1e-8, 1e-4])
+@pytest.mark.parametrize("chart", list(ChartTag))
+def test_middle_diagonalize_admissible_where_chart_unitary_is(chart, norm_w, z):
+    # one string criterion for both: near a string, regular points keep
+    # their chart even where 2r(r +- z) is far below 1e-14
+    try:
+        berry.chart_unitary(cpoint(norm_w, 0.0, z), chart)
+        chart_ok = True
+    except DiracStringError:
+        chart_ok = False
+    try:
+        u = berry.middle_diagonalize(norm_w, z, chart).unitary
+    except DiracStringError:
+        assert not chart_ok
+        return
+    assert chart_ok
+    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
+
+
 def test_middle_diagonalize_reconstruction(rng):
     for _ in range(20):
         m = abs(rng.standard_normal())

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -173,3 +175,33 @@ def test_csv_formats_for_json_commands(tmp_path):
         assert proc.returncode == 0, proc.stderr
         header = next(l for l in proc.stdout.splitlines() if not l.startswith("#"))
         assert header == ",".join(cli.CSV_COLUMNS[command])
+
+
+README_COMMANDS = [
+    line.strip()
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    if line.startswith("hjc ")
+]
+
+
+def test_readme_lists_commands():
+    assert {shlex.split(line)[1] for line in README_COMMANDS} == set(DEFAULT_RUNS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_lines_run(line, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hjc.cli", *shlex.split(line)[1:]],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["strings", "grassmann"])
+def test_negative_leading_theta_list(command):
+    proc = run_cli(command, "--theta", "-1,-0.5,0.5,1", "--dim", "8", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert [r["theta"] for r in json.loads(proc.stdout)["records"]] == [-1.0, -0.5, 0.5, 1.0]

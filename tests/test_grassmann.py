@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjc import algebra as al
 from hjc import berry, grassmann, jc
@@ -67,7 +69,7 @@ def test_resolvent_block_closed_form():
     expected = np.diag(((r1 + theta) / (2 * r1)).astype(complex))
     from hjc.fock import restrict
 
-    assert np.max(np.abs(restrict(proj.blocks[0][0] - expected, 1))) <= 1e-12
+    assert np.max(np.abs(restrict(proj.full()[:d, :d] - expected, 1))) <= 1e-12
 
 
 def test_inversion_identity():
@@ -110,3 +112,36 @@ def test_classical_consistency_with_chart_projector(rng):
                 c = chart_form.entry(i, j).coeffs
                 reference[i, j] = c[0] + 1j * c[1]
         assert np.max(np.abs(scalar_form - reference)) <= 1e-12
+
+
+def test_classical_coordinate_near_lower_string():
+    # r + z = 0 in floating point here, yet the point is regular
+    assert berry.classify_point(BasePoint(al.AlgebraElement(AlgebraTag.C, [1e-9, 0.0]), -1.0)) is (
+        berry.PointClass.REGULAR
+    )
+    zc = grassmann.classical_coordinate(1e-9, 0.0, -1.0)
+    assert zc == pytest.approx(2e9, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_w=st.floats(-150.0, 150.0),
+    log_z=st.floats(-150.0, 150.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    phase=st.floats(0.0, 2.0 * math.pi),
+)
+def test_classical_coordinate_finite_at_regular_points(log_w, log_z, sign, phase):
+    norm_w, z = 10.0**log_w, sign * 10.0**log_z
+    x, y = norm_w * math.cos(phase), norm_w * math.sin(phase)
+    point = BasePoint(al.AlgebraElement(AlgebraTag.C, [x, y]), z)
+    if berry.classify_point(point) is not berry.PointClass.REGULAR:
+        return
+    zc = grassmann.classical_coordinate(x, y, z)
+    assert math.isfinite(zc.real) and math.isfinite(zc.imag)
+    if abs(zc) >= 1e150:
+        return  # |Z|^2 overflows in the rank-one chart
+    chart_form = berry.projector(point)
+    reference = np.array(
+        [[complex(*chart_form.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
+    )
+    assert np.max(np.abs(grassmann.classical_projector_from_coordinate(zc) - reference)) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ def kron_full_hamiltonian(omega, delta, g, d):
         + 0.5 * delta * np.kron(s3, np.eye(d))
         + g * (np.kron(sp, fock.annihilation(d)) + np.kron(sm, fock.creation(d)))
     )
+
+
+def block(op, i, j):
+    # dense (i, j) block, sliced from the flattened export
+    d = op.dim
+    return op.full()[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
 def radius_block(p, upper_shift, lower_shift):
@@ -77,9 +84,9 @@ def test_hamiltonian_d2_flattened():
 
 def test_hamiltonian_resonance_blocks():
     h = jc.hamiltonian(JCParams(theta=0.0, dim=2))
-    assert np.max(np.abs(h.blocks[0][0])) == 0.0
-    assert np.max(np.abs(h.blocks[1][1])) == 0.0
-    assert np.array_equal(h.blocks[0][1], fock.annihilation(2))
+    assert np.max(np.abs(block(h, 0, 0))) == 0.0
+    assert np.max(np.abs(block(h, 1, 1))) == 0.0
+    assert np.array_equal(block(h, 0, 1), fock.annihilation(2))
 
 
 def test_hamiltonian_hermitian_exactly(rng):
@@ -169,9 +176,9 @@ def test_eigenvalue_multiset():
 def test_two_step_resonance_middle():
     _, mid, _ = jc.two_step_factors(JCParams(theta=0.0, dim=3))
     sq = np.diag(np.sqrt([1.0, 2.0, 3.0])).astype(complex)
-    assert np.max(np.abs(mid.blocks[0][1] - sq)) == 0.0
-    assert np.max(np.abs(mid.blocks[1][0] - sq)) == 0.0
-    assert np.max(np.abs(mid.blocks[0][0])) == 0.0
+    assert np.max(np.abs(block(mid, 0, 1) - sq)) == 0.0
+    assert np.max(np.abs(block(mid, 1, 0) - sq)) == 0.0
+    assert np.max(np.abs(block(mid, 0, 0))) == 0.0
 
 
 def test_two_step_partial_isometries():
@@ -215,7 +222,7 @@ def test_middle_unitary_diagonalizes(theta, chart):
     assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-12
     _, mid, _ = jc.two_step_factors(p)
     lam = radius_block(p, 1, 1)
-    lam = jc.block_diag(lam.blocks[0][0], -lam.blocks[1][1])
+    lam = jc.block_diag(block(lam, 0, 0), -block(lam, 1, 1))
     assert jc.block_residual((u @ lam) @ u.dagger(), mid) <= 1e-12
 
 
@@ -274,10 +281,10 @@ def test_chart_reconstruction(theta, chart):
 def test_chart_diagonal_layout():
     p = JCParams(theta=0.5, dim=6)
     d1 = jc.chart_diagonal(p, ChartTag.I)
-    assert np.allclose(np.diag(d1.blocks[0][0]).real, jc.radius_diag(6, 0.5, 1), atol=0, rtol=0)
-    assert np.allclose(np.diag(d1.blocks[1][1]).real, -jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
+    assert np.allclose(np.diag(block(d1, 0, 0)).real, jc.radius_diag(6, 0.5, 1), atol=0, rtol=0)
+    assert np.allclose(np.diag(block(d1, 1, 1)).real, -jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
     d2 = jc.chart_diagonal(p, ChartTag.II)
-    assert np.allclose(np.diag(d2.blocks[0][0]).real, jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
+    assert np.allclose(np.diag(block(d2, 0, 0)).real, jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
 
 
 def test_chart_eigenvalues_against_oracle():
@@ -382,9 +389,9 @@ def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
 def test_transition_shift_blocks():
     phi = jc.transition_operator(3)
     assert np.array_equal(
-        phi.blocks[0][0], np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+        block(phi, 0, 0), np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
     )
-    assert np.array_equal(phi.blocks[1][1], phi.blocks[0][0].conj().T)
+    assert np.array_equal(block(phi, 1, 1), block(phi, 0, 0).conj().T)
 
 
 def test_transition_pinv_forms_agree_exactly():
@@ -398,8 +405,8 @@ def test_transition_pinv_forms_agree_exactly():
     assert np.array_equal(upper, shifted_upper)
     assert np.array_equal(lower, shifted_lower)
     phi = jc.transition_operator(d)
-    assert np.max(np.abs(phi.blocks[0][0] - upper)) <= 2 * np.finfo(float).eps
-    assert np.max(np.abs(phi.blocks[1][1] - lower)) <= 2 * np.finfo(float).eps
+    assert np.max(np.abs(block(phi, 0, 0) - upper)) <= 2 * np.finfo(float).eps
+    assert np.max(np.abs(block(phi, 1, 1) - lower)) <= 2 * np.finfo(float).eps
 
 
 def test_transition_partial_isometry():
@@ -470,7 +477,7 @@ def test_projector_classical_limit_scaling():
     theta, d = 0.5, 64
     proj = jc.projector(JCParams(theta=theta, dim=d))
     for n in (40, 50, 60):
-        quantum = proj.blocks[1][1][n, n].real  # (R(n) - theta)/(2 R(n))
+        quantum = block(proj, 1, 1)[n, n].real  # (R(n) - theta)/(2 R(n))
         r = math.sqrt(n)
         classical = (r - theta) / (2 * r)
         assert abs(quantum - classical) <= 2e-3  # theta^2/n corrections
@@ -511,8 +518,8 @@ def test_propagator_resonance_rabi_form():
     d, g, t = 12, 1.0, 1.7
     u = jc.propagator(JCParams(theta=0.0, dim=d, g=g), t)
     n = np.arange(d)
-    assert np.max(np.abs(np.diag(u.blocks[0][0]) - np.cos(t * g * np.sqrt(n + 1)))) <= 1e-14
-    assert np.max(np.abs(np.diag(u.blocks[1][1]) - np.cos(t * g * np.sqrt(n)))) <= 1e-14
+    assert np.max(np.abs(np.diag(block(u, 0, 0)) - np.cos(t * g * np.sqrt(n + 1)))) <= 1e-14
+    assert np.max(np.abs(np.diag(block(u, 1, 1)) - np.cos(t * g * np.sqrt(n)))) <= 1e-14
 
 
 def test_propagator_against_oracle():
@@ -567,3 +574,67 @@ def test_block_full_roundtrip(rng):
     op = BlockOperator.from_full(m)
     assert np.array_equal(op.full(), m)
     assert np.array_equal(op.restrict(1).full().shape, (6, 6))
+
+
+def _random_operator(rng, d, dense):
+    # dense: every entry random, with exact zeros and -0.0 sprinkled in;
+    # structured: up to three random offsets per block
+    if dense:
+        m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+        m[rng.random(m.shape) < 0.2] = 0.0
+        m[rng.random(m.shape) < 0.1] = complex(-0.0, -0.0)
+        return BlockOperator.from_full(m)
+    diags = []
+    for _ in range(2):
+        row = []
+        for _ in range(2):
+            offsets = rng.choice(np.arange(1 - d, d), size=rng.integers(0, 4), replace=False)
+            row.append({
+                int(k): rng.standard_normal(d - abs(k)) + 1j * rng.standard_normal(d - abs(k))
+                for k in offsets
+            })
+        diags.append(row)
+    return BlockOperator.from_diagonals(d, diags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 40),
+    dense=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_operator_algebra_matches_dense(d, dense, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _random_operator(rng, d, dense[0]), _random_operator(rng, d, dense[1])
+    af, bf = a.full(), b.full()
+    # the product: summation error stays under 1e-13 of |A| |B| entrywise
+    assert np.all(np.abs((a @ b).full() - af @ bf) <= 1e-13 * (np.abs(af) @ np.abs(bf)))
+    assert np.array_equal((a + b).full(), af + bf)
+    assert np.array_equal((a - b).full(), af - bf)
+    assert np.array_equal(a.dagger().full(), af.conj().T)
+    # the dense export and import are lossless, signed zeros included
+    assert np.array_equal(BlockOperator.from_full(af).full().view(np.uint64), af.view(np.uint64))
+    margin = int(rng.integers(0, d))
+    k = d - margin
+    blocks = af.reshape(2, d, 2, d)[:, :k, :, :k]
+    assert a.max_abs(margin) == np.max(np.abs(blocks))
+
+
+def test_closed_forms_are_linear_in_memory():
+    # a dense d x d block alone would take 160 GB at this size
+    d = 100_000
+    p = JCParams(theta=0.5, dim=d)
+    tracemalloc.start()
+    try:
+        u = jc.propagator(p, 1.3)
+        dec = jc.chart_decompose(p, ChartTag.I)
+        proj = jc.projector(p)
+        plus, minus = jc.spectral_decomposition(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d), margin=1) <= 1e-10
+    assert jc.block_residual(dec.unitary.dagger() @ dec.unitary, BlockOperator.identity(d), margin=1) <= 1e-12
+    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
+    assert jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2) <= 1e-10
