@@ -386,7 +386,7 @@ def cmd_berry(cfg: RunConfig):
     return {"algebra": cfg.algebra, "grid": cfg.grid, "samples": cfg.samples}, records
 
 
-def _jc_chart_record(p, chart, tol):
+def _jc_chart_record(p, chart, tol, scale):
     try:
         dec = jc.chart_decompose(p, chart, tol)
     except jc.SingularSectorError as err:
@@ -404,7 +404,7 @@ def _jc_chart_record(p, chart, tol):
     unit = jc.block_residual(v.dagger() @ v, jc.BlockOperator.identity(p.dim), margin=1)
     other = jc.chart_unitary(p, chart, normalizer="right", tol=tol)
     orders = jc.block_residual(v, other)
-    ok = recon <= tol.reconstruction and unit <= tol.algebraic and orders <= tol.strict
+    ok = recon <= tol.reconstruction * scale and unit <= tol.algebraic and orders <= tol.strict
     return {
         "admissible": True,
         "singular_levels": [],
@@ -418,11 +418,13 @@ def _jc_chart_record(p, chart, tol):
 def cmd_jc(cfg: RunConfig):
     p = jc.JCParams(theta=cfg.theta, dim=cfg.dim, g=cfg.g)
     tol = cfg.tol
-    charts = {c.value: _jc_chart_record(p, c, tol) for c in (jc.ChartTag.I, jc.ChartTag.II)}
+    radii = jc.radius_diag(p.dim, p.theta, 0)
+    # residuals of H itself scale with ||H|| = max R(n): a backward-stable
+    # eigensolver or product is off by about eps ||H|| (see README)
+    scale = max(1.0, float(np.max(radii)))
+    charts = {c.value: _jc_chart_record(p, c, tol, scale) for c in (jc.ChartTag.I, jc.ChartTag.II)}
     evals, _ = oracle.eig_hermitian(jc.hamiltonian(p).full())
-    pattern = np.sort(
-        np.concatenate([jc.radius_diag(p.dim, p.theta, 0), -jc.radius_diag(p.dim, p.theta, 0)])
-    )
+    pattern = np.sort(np.concatenate([radii, -radii]))
     eig_dev = float(np.max(np.abs(np.sort(evals) - pattern)))
     proj = jc.projector(p, tol=tol)
     idem = jc.block_residual(proj @ proj, proj, margin=1)
@@ -442,12 +444,12 @@ def cmd_jc(cfg: RunConfig):
     checks = [
         charts["I"]["pass"],
         charts["II"]["pass"],
-        eig_dev <= tol.reconstruction,
+        eig_dev <= tol.reconstruction * scale,
         idem <= tol.algebraic,
         herm <= tol.algebraic,
         order <= tol.strict,
         form is None or form <= tol.algebraic,
-        spectral <= tol.reconstruction,
+        spectral <= tol.reconstruction * scale,
         comm <= tol.algebraic,
     ]
     record = {
@@ -529,9 +531,8 @@ def cmd_evolve(cfg: RunConfig):
     records = []
     for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
         u = evolve(p, float(t))
-        u_oracle = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
         u_full = u.full()
-        res = _blockwise_max_abs(u_full - u_oracle, margin=2)
+        res = _blockwise_max_abs(u_full - oracle.expm_from_eig(evals, evecs, t), margin=2)
         unit = jc.block_residual(u.dagger() @ u, ident, margin=1)
         psi = u_full[:, cfg.n0]  # the evolved |excited, n0>
         sigma3 = float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2))

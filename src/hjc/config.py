@@ -11,7 +11,8 @@ class Tolerances:
 
     ``algebraic`` covers unitarity/idempotency/cocycle style identities,
     ``strict`` the identities that hold up to a few ulps, ``reconstruction``
-    the chart reconstructions of a Hamiltonian, and ``propagator`` the
+    the chart reconstructions of a Hamiltonian (``hjc jc`` multiplies it by
+    max(1, max R(n)), the size of H), and ``propagator`` the
     closed-form evolution against the eigendecomposition oracle.
     ``string_threshold`` decides membership of the w = 0 axis,
     ``singular_threshold`` decides when a sector denominator counts as

@@ -14,6 +14,10 @@ The coordinate exists whenever R(n) + theta stays away from zero, which
 fails exactly at the ground level for theta <= 0 -- the string's shadow in
 the coordinate chart.  The classical limit of Z is the familiar scalar
 stereographic coordinate (x + iy)/(r + z), undefined on the lower string.
+
+Z is one subdiagonal and 1 + Z+Z is diagonal, so Z is kept as its
+subdiagonal level vector and P(Z) is built elementwise as a
+:class:`hjc.jc.BlockOperator`: both cost O(d).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .algebra import AlgebraElement, AlgebraTag
 from .berry import BasePoint, ChartTag, DiracStringError, PointClass, _radius_sum, classify_point
 from .config import DEFAULT, Tolerances
@@ -42,18 +45,24 @@ __all__ = [
 class LocalCoordinate:
     """Operator coordinate for the projector chart.
 
-    ``matrix`` is the regular (shifted) form a+ (1/(R(N+1)+theta)); only
-    the first subdiagonal is populated.  ``singular_levels`` records the
-    levels where R(n) + theta fell below threshold (construction refuses
-    such parameters, so this is empty on returned values)."""
+    Z has one nonzero diagonal, the first subdiagonal, and ``levels``
+    holds it: Z|n> = levels[n] |n+1> with levels[n] = sqrt(n+1)/(R(n+1)+theta)
+    for n = 0 .. d-2.  ``singular_levels`` records the levels where
+    R(n) + theta fell below threshold (construction refuses such
+    parameters, so this is empty on returned values)."""
 
-    matrix: np.ndarray
+    levels: np.ndarray
     theta: float
     singular_levels: tuple = ()
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.levels.shape[0] + 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense d x d export of Z."""
+        return np.diag(self.levels, k=-1)
 
 
 def _denominators(p: JCParams):
@@ -62,7 +71,8 @@ def _denominators(p: JCParams):
 
 def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):
     """Both closed forms of Z, (1/(R(N)+theta)) a+ and
-    a+ (1/(R(N+1)+theta)); they agree identically."""
+    a+ (1/(R(N+1)+theta)), as subdiagonal level vectors; they agree
+    identically."""
     den0, den1 = _denominators(p)
     bad = np.nonzero(den0 <= tol.singular_threshold)[0]
     if bad.size:
@@ -71,10 +81,8 @@ def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):
             for n in bad
         )
         raise SingularSectorError(ChartTag.I, sectors)
-    ad = fock.creation(p.dim)
-    left = np.diag((1.0 / den0).astype(complex)) @ ad
-    shifted = ad @ np.diag((1.0 / den1).astype(complex))
-    return left, shifted
+    sq = np.sqrt(np.arange(1.0, p.dim))  # the subdiagonal of a+
+    return sq / den0[1:], sq / den1[:-1]
 
 
 def local_coordinate(p: JCParams, tol: Tolerances = DEFAULT) -> LocalCoordinate:
@@ -85,17 +93,21 @@ def local_coordinate(p: JCParams, tol: Tolerances = DEFAULT) -> LocalCoordinate:
 
 
 def projector_from_coordinate(z) -> BlockOperator:
-    """Rank-one Grassmannian projector P(Z) of a coordinate operator.
+    """Rank-one Grassmannian projector P(Z) of a coordinate, given as a
+    :class:`LocalCoordinate` or its subdiagonal level vector.
 
-    (1 + Z+Z) is Hermitian positive definite, so the resolvent block is a
-    plain dense solve.
+    Z is one subdiagonal, so 1 + Z+Z is the diagonal 1 + |levels|^2
+    (1 on the top level) and every block of P(Z) is one level vector.
     """
-    m = z.matrix if isinstance(z, LocalCoordinate) else np.asarray(z, dtype=complex)
-    d = m.shape[0]
-    gram = np.eye(d, dtype=complex) + m.conj().T @ m
-    res = np.linalg.solve(gram, np.eye(d, dtype=complex))
-    zres = m @ res
-    return BlockOperator(((res, res @ m.conj().T), (zres, zres @ m.conj().T)))
+    z = np.asarray(z.levels if isinstance(z, LocalCoordinate) else z, dtype=complex)
+    if z.ndim != 1:
+        raise ValueError(f"expected a subdiagonal level vector, got shape {z.shape}")
+    a2 = np.abs(z) ** 2
+    inner = 1.0 / (1.0 + a2)  # (1 + Z+Z)^-1 below the top level, where it is 1
+    res, lower = np.append(inner, 1.0), np.append(0.0, a2 * inner)  # lower: Z (1 + Z+Z)^-1 Z+
+    return BlockOperator.from_diagonals(
+        z.shape[0] + 1, (({0: res}, {1: z.conj() * inner}), ({-1: z * inner}, {0: lower}))
+    )
 
 
 def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT) -> complex:
@@ -115,7 +127,15 @@ def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT
 
 def classical_projector_from_coordinate(zc: complex) -> np.ndarray:
     """Scalar version of the rank-one chart,
-    (1/(1+|Z|^2)) [[1, conj(Z)], [Z, |Z|^2]]."""
+    (1/(1+|Z|^2)) [[1, conj(Z)], [Z, |Z|^2]].
+
+    For |Z| > 1 it is evaluated through u = 1/Z as
+    (1/(1+|u|^2)) [[|u|^2, u], [conj(u), 1]], so |Z|^2 never overflows.
+    """
     zc = complex(zc)
-    a2 = abs(zc) ** 2
-    return np.array([[1.0, zc.conjugate()], [zc, a2]], dtype=complex) / (1.0 + a2)
+    if abs(zc) <= 1.0:
+        a2 = abs(zc) ** 2
+        return np.array([[1.0, zc.conjugate()], [zc, a2]], dtype=complex) / (1.0 + a2)
+    u = 1.0 / zc
+    b2 = abs(u) ** 2
+    return np.array([[b2, u], [u.conjugate(), 1.0]], dtype=complex) / (1.0 + b2)

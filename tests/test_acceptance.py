@@ -251,7 +251,7 @@ def test_08_propagator():
     worst_res = worst_unit = worst_full = 0.0
     for t in np.linspace(0.0, 10.0, 50):
         u = jc.propagator(p, float(t))
-        u_oracle = (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+        u_oracle = oracle.expm_from_eig(evals, evecs, t)
         worst_res = max(
             worst_res, jc.block_residual(u, BlockOperator.from_full(u_oracle), margin=2)
         )
@@ -259,7 +259,7 @@ def test_08_propagator():
             worst_unit, jc.block_residual(u.dagger() @ u, ident, margin=1)
         )
         uf = jc.full_propagator(p, float(t))
-        uf_oracle = (evecs_f * np.exp(-1j * t * evals_f)) @ evecs_f.conj().T
+        uf_oracle = oracle.expm_from_eig(evals_f, evecs_f, t)
         worst_full = max(
             worst_full, jc.block_residual(uf, BlockOperator.from_full(uf_oracle), margin=2)
         )

@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from hjc import cli
+from hjc import cli, jc, oracle
 
 
 def run_cli(*args):
@@ -205,3 +206,55 @@ def test_negative_leading_theta_list(command):
     proc = run_cli(command, "--theta", "-1,-0.5,0.5,1", "--dim", "8", "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     assert [r["theta"] for r in json.loads(proc.stdout)["records"]] == [-1.0, -0.5, 0.5, 1.0]
+
+
+def _jc_record(capsys, theta, dim=8):
+    code = cli.main(["jc", f"--theta={theta!r}", f"--dim={dim}"])
+    return code, json.loads(capsys.readouterr().out)["records"][0]
+
+
+@pytest.mark.parametrize("theta", [1e8, -1e8])
+def test_jc_passes_at_large_theta(theta, capsys):
+    # eigh is off by ~eps ||H|| ~ 1e-8 here, far above the absolute 1e-10
+    code, rec = _jc_record(capsys, theta)
+    assert code == 0 and rec["pass"]
+    # the record reports the residual itself, not the scaled one
+    p = jc.JCParams(theta=theta, dim=8)
+    radii = jc.radius_diag(8, theta, 0)
+    evals, _ = oracle.eig_hermitian(jc.hamiltonian(p).full())
+    assert rec["eigenvalue_max_dev"] == np.max(np.abs(np.sort(evals) - np.sort(np.concatenate([radii, -radii]))))
+
+
+def _shift_chart_diagonal(mp, shift):
+    orig = jc.chart_diagonal
+    mp.setattr(jc, "chart_diagonal", lambda p, chart: orig(p, chart) + shift * jc.BlockOperator.identity(p.dim))
+
+
+def _shift_spectral(mp, shift):
+    orig = jc.spectral_decomposition
+
+    def shifted(p, tol=None):
+        plus, minus = orig(p, tol=tol)
+        return plus + shift * jc.BlockOperator.identity(p.dim), minus
+
+    mp.setattr(jc, "spectral_decomposition", shifted)
+
+
+def _shift_eigenvalues(mp, shift):
+    orig = oracle.eig_hermitian
+
+    def shifted(m):
+        w, v = orig(m)
+        return w + shift, v
+
+    mp.setattr(oracle, "eig_hermitian", shifted)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1e8, -1e8])
+@pytest.mark.parametrize("perturb", [_shift_chart_diagonal, _shift_spectral, _shift_eigenvalues])
+def test_jc_scaled_checks_still_catch_errors(theta, perturb, capsys, monkeypatch):
+    # a closed form off by 1e-6 * max R(n) fails, however large theta is
+    scale = max(1.0, float(np.max(jc.radius_diag(8, theta, 0))))
+    perturb(monkeypatch, 1e-6 * scale)
+    code, rec = _jc_record(capsys, theta)
+    assert code == 1 and not rec["pass"]

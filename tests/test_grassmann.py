@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,9 +42,38 @@ def test_coordinate_singular_at_ground(theta):
 
 
 def test_projector_of_zero_coordinate():
-    p = grassmann.projector_from_coordinate(np.zeros((5, 5)))
+    p = grassmann.projector_from_coordinate(np.zeros(4))
     expected = jc.block_diag(np.eye(5, dtype=complex), np.zeros((5, 5), dtype=complex))
     assert np.max(np.abs(p.full() - expected.full())) == 0.0
+    with pytest.raises(ValueError, match="level vector"):
+        grassmann.projector_from_coordinate(np.zeros((5, 5)))
+
+
+def test_projector_matches_dense_rank_one_chart(rng):
+    # the dense chart formula with a solve is the reference for the level-vector build
+    for d, scale in ((2, 1.0), (7, 1.0), (12, 1e3), (12, 1e-3)):
+        z = scale * (rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1))
+        m = np.diag(z, k=-1)
+        res = np.linalg.solve(np.eye(d) + m.conj().T @ m, np.eye(d))
+        dense = np.block([[res, res @ m.conj().T], [m @ res, m @ res @ m.conj().T]])
+        assert np.max(np.abs(grassmann.projector_from_coordinate(z).full() - dense)) <= 1e-14
+
+
+def test_coordinate_and_projector_are_linear_in_memory():
+    # a dense d x d Z alone would take 80 GB at this size
+    d = 100_000
+    p = JCParams(theta=0.5, dim=d)
+    tracemalloc.start()
+    try:
+        left, shifted = grassmann.local_coordinate_forms(p)
+        proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(left, shifted)
+    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
+    assert jc.block_residual(proj, jc.projector(p), margin=1) <= 1e-10
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])
@@ -123,6 +153,19 @@ def test_classical_coordinate_near_lower_string():
     assert zc == pytest.approx(2e9, rel=1e-12)
 
 
+def test_classical_projector_at_huge_coordinate():
+    # |Z|^2 would overflow here; the chart is evaluated through 1/Z
+    zc = grassmann.classical_coordinate(1e-13, 0.0, -1e150)
+    assert abs(zc) > 1e163
+    proj = grassmann.classical_projector_from_coordinate(zc)
+    assert np.all(np.isfinite(proj))
+    assert np.max(np.abs(proj - np.diag([0.0, 1.0]))) <= 1e-150
+    for zc in (1.5 - 2j, 1e200j, -1e308):
+        proj = grassmann.classical_projector_from_coordinate(zc)
+        assert np.max(np.abs(proj @ proj - proj)) <= 1e-15
+        assert np.max(np.abs(proj.conj().T - proj)) == 0.0
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     log_w=st.floats(-150.0, 150.0),
@@ -138,8 +181,6 @@ def test_classical_coordinate_finite_at_regular_points(log_w, log_z, sign, phase
         return
     zc = grassmann.classical_coordinate(x, y, z)
     assert math.isfinite(zc.real) and math.isfinite(zc.imag)
-    if abs(zc) >= 1e150:
-        return  # |Z|^2 overflows in the rank-one chart
     chart_form = berry.projector(point)
     reference = np.array(
         [[complex(*chart_form.entry(i, j).coeffs) for j in range(2)] for i in range(2)]

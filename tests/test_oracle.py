@@ -6,14 +6,61 @@ import pytest
 from hjc import fock, oracle
 
 
-def kron_jc_hamiltonian(theta, d):
+def kron_jc_hamiltonian(theta, d, phase=0.0):
+    # a coupling phase exp(i phase) makes the matrix genuinely complex
     sp = np.array([[0, 1], [0, 0]], dtype=complex)
     s3 = np.diag([1.0, -1.0]).astype(complex)
+    c = np.exp(1j * phase)
     return (
-        np.kron(sp, fock.annihilation(d))
-        + np.kron(sp.T, fock.creation(d))
+        c * np.kron(sp, fock.annihilation(d))
+        + np.conj(c) * np.kron(sp.T, fock.creation(d))
         + theta * np.kron(s3, np.eye(d))
     )
+
+
+def random_hermitian(rng, n, complex_part):
+    a = rng.standard_normal((n, n)) + complex_part * 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+def reference_eig(m):
+    """The complex path: complex eigh of the input cast to complex."""
+    return np.linalg.eigh(np.asarray(m, dtype=complex))
+
+
+# real, complex with every imaginary part zero, genuinely complex
+INPUT_KINDS = ["real", "complex_zero_imag", "complex"]
+
+
+def make_input(kind, rng, n):
+    m = random_hermitian(rng, n, 1.0 if kind == "complex" else 0.0)
+    return m.real.copy() if kind == "real" else m.astype(complex)
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_eig_paths_match_complex_reference(kind, n, rng):
+    m = make_input(kind, rng, n)
+    w, v = oracle.eig_hermitian(m)
+    w_ref, v_ref = reference_eig(m)
+    norm = np.max(np.abs(m))
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * norm
+    # a 1 x 1 Hermitian matrix is real whatever its dtype
+    assert v.dtype == (np.float64 if kind != "complex" or n == 1 else np.complex128)
+    for t in (0.0, 0.3, -2.1):
+        u_ref = (v_ref * np.exp(-1j * t * w_ref)) @ v_ref.conj().T
+        u = oracle.expm_from_eig(w, v, t)
+        assert u.dtype == np.complex128 and u.shape == (n, n)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+
+def test_eig_real_path_keeps_integer_and_signed_zero_input_real():
+    w, v = oracle.eig_hermitian(np.array([[2, 1], [1, 2]]))
+    assert v.dtype == np.float64 and np.allclose(w, [1.0, 3.0], rtol=0, atol=1e-15)
+    m = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+    m.imag[0, 1] = m.imag[1, 0] = -0.0
+    assert np.signbit(m.imag).any() and not np.any(m.imag)
+    assert oracle.eig_hermitian(m)[1].dtype == np.float64
 
 
 def test_eig_diagonal_input():
@@ -43,25 +90,58 @@ def test_eig_jc_pattern():
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        oracle.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for m in (
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # real, not symmetric
+        np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+        np.array([[0.0, 1j], [1j, 0.0]]),  # complex symmetric, not Hermitian
+    ):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle.eig_hermitian(m)
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_eig_self_check_catches_bad_vectors(kind, rng, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        w, v = eigh(a)
+        return w, v + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ArithmeticError, match="reconstruction residual"):
+        oracle.eig_hermitian(make_input(kind, rng, 6))
+
+
+# a real JC matrix (real path) and one with a complex coupling phase (complex path)
+PHASES = [0.0, 0.9]
 
 
 def test_expm_at_zero():
-    m = kron_jc_hamiltonian(0.5, 4)
-    assert np.max(np.abs(oracle.expm_hermitian(m, 0.0) - np.eye(8))) <= 1e-14
+    for phase in PHASES:
+        m = kron_jc_hamiltonian(0.5, 4, phase)
+        assert np.max(np.abs(oracle.expm_hermitian(m, 0.0) - np.eye(8))) <= 1e-14
 
 
 def test_expm_group_law():
-    m = kron_jc_hamiltonian(0.4, 6)
-    lhs = oracle.expm_hermitian(m, 1.1) @ oracle.expm_hermitian(m, 2.3)
-    rhs = oracle.expm_hermitian(m, 3.4)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-11
+    for phase in PHASES:
+        m = kron_jc_hamiltonian(0.4, 6, phase)
+        lhs = oracle.expm_hermitian(m, 1.1) @ oracle.expm_hermitian(m, 2.3)
+        rhs = oracle.expm_hermitian(m, 3.4)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-11
 
 
 def test_expm_unitary():
-    u = oracle.expm_hermitian(kron_jc_hamiltonian(0.7, 8), 5.0)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-11
+    for phase in PHASES:
+        u = oracle.expm_hermitian(kron_jc_hamiltonian(0.7, 8, phase), 5.0)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-11
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_expm_from_eig_is_expm_hermitian(phase):
+    m = kron_jc_hamiltonian(0.3, 5, phase)
+    w, v = oracle.eig_hermitian(m)
+    assert v.dtype == (np.float64 if phase == 0.0 else np.complex128)
+    assert np.array_equal(oracle.expm_from_eig(w, v, 1.7), oracle.expm_hermitian(m, 1.7))
 
 
 def test_residual_restriction():
