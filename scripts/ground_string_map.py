@@ -6,15 +6,17 @@ touching the ground level, where strings can appear; . = string-free).
 """
 
 import argparse
+import sys
 
 from hjc import jc
+from hjc.cli import _attach_negative_values
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--thetas", default="-1,-0.25,0.25,1")
     ap.add_argument("--dim", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(_attach_negative_values(sys.argv[1:]))
 
     for theta in (float(t) for t in args.thetas.split(",")):
         p = jc.JCParams(theta=theta, dim=args.dim)

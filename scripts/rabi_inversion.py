@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from hjc import jc
+from hjc.cli import _attach_negative_values
 
 
 def main():
@@ -21,7 +22,7 @@ def main():
     ap.add_argument("--g", type=float, default=1.0)
     ap.add_argument("--t-max", type=float, default=12.0, dest="t_max")
     ap.add_argument("--t-steps", type=int, default=121, dest="t_steps")
-    args = ap.parse_args()
+    args = ap.parse_args(_attach_negative_values(sys.argv[1:]))
 
     thetas = [float(t) for t in args.thetas.split(",")]
     d = args.dim

@@ -12,6 +12,12 @@ is still written), 2 usage or configuration error.  Output is JSON
 (``"schema": 1`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (env fallback
 ``HJC_SEED``).
+
+Each command's record is declared once, in ``RECORDS``: every field with
+its JSON type, whether it may be null, the ``Tolerances`` field that
+judges it when it is a residual, and its CSV column.  The JSON schemas
+(``SCHEMAS``), the CSV columns (``CSV_COLUMNS``) and rows, and every
+record's ``pass`` are derived from that declaration.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,201 +39,236 @@ from .config import DEFAULT, Tolerances
 SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
-# JSON report schemas (validated by the test suite)
+# Report declarations
 
-_NUMBER_OR_NULL = {"type": ["number", "null"]}
 
-_ENVELOPE = {
-    "type": "object",
-    "required": ["schema", "command", "seed", "params", "records", "summary"],
-    "properties": {
-        "schema": {"const": SCHEMA_VERSION},
-        "command": {"type": "string"},
-        "seed": {"type": "integer"},
-        "params": {"type": "object"},
-        "records": {"type": "array"},
-        "summary": {
-            "type": "object",
-            "required": ["passed", "records", "failures"],
-            "properties": {
-                "passed": {"type": "boolean"},
-                "records": {"type": "integer"},
-                "failures": {"type": "integer"},
-            },
-        },
-    },
+class Record:
+    """A JSON object made of declared :class:`Field` s."""
+
+    def __init__(self, *fields: "Field"):
+        self.fields = fields
+
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """One report field.
+
+    ``kind`` is a JSON type name, a tuple of allowed values, ``[item]`` for
+    an array of ``item``, or a :class:`Record`.  ``null`` lets the value be
+    null (a check that does not apply).  A residual names the
+    :class:`~hjc.config.Tolerances` field it must stay within (``tol``);
+    ``ok`` is a structural verdict on the value.  ``csv`` is the CSV column,
+    or the column prefix of a nested record: True uses the field name
+    (``name_`` as a prefix), False leaves the field out.  With ``rows``
+    every item of the field becomes one CSV row after the record's own
+    columns; the items of a record are keyed by field name in the column
+    ``csv``.  ``get`` derives a CSV-only column from the enclosing object.
+    """
+
+    name: str
+    kind: object
+    null: bool = False
+    tol: Optional[str] = None
+    ok: Optional[Callable] = None
+    csv: object = True
+    rows: bool = False
+    get: Optional[Callable] = None
+
+
+NUM, INT, BOOL = "number", "integer", "boolean"
+_CHARTS = tuple(c.value for c in jc.ChartTag)
+_PASS = Field("pass", BOOL)
+# a singular set other than the ground level contradicts the paper
+_SINGULAR_LEVELS = Field("singular_levels", [INT], ok=lambda levels: levels in ([], [0]))
+
+_CHART_CHECK = Record(
+    Field("reconstruction", NUM, tol="algebraic"),
+    Field("unitarity", NUM, tol="algebraic"),
+    Field("conditioning", NUM, null=True),
+)
+_JC_CHART = Record(
+    Field("admissible", BOOL),
+    Field("reconstruction", NUM, null=True, tol="reconstruction"),
+    Field("unitarity", NUM, null=True, tol="algebraic"),
+    Field("ordering_agreement", NUM, null=True, tol="strict"),
+    _SINGULAR_LEVELS,
+    _PASS,
+)
+_SECTOR = (Field("chart", _CHARTS), Field("row", INT), Field("level", INT))
+
+RECORDS = {
+    "berry": Record(
+        Field("index", INT),
+        Field("kind", ("grid", "sample")),
+        Field(
+            "point",
+            Record(
+                Field(
+                    "w",
+                    Record(Field("tag", tuple(algebra.AlgebraTag.__members__)), Field("coeffs", [NUM], csv=False)),
+                    csv="",
+                ),
+                Field("z", NUM),
+                Field("norm_w", NUM, get=lambda point: float(np.linalg.norm(point["w"]["coeffs"]))),
+            ),
+            csv="",
+        ),
+        Field("class", tuple(c.value for c in berry.PointClass)),
+        Field("charts", Record(*(Field(c, _CHART_CHECK, null=True) for c in _CHARTS)), csv="chart_"),
+        Field("cocycle", NUM, null=True, tol="algebraic"),
+        Field(
+            "projector",
+            Record(
+                Field("idempotency", NUM, tol="algebraic"),
+                Field("hermiticity", NUM, tol="algebraic"),
+                Field("chart_agreement", NUM, null=True, tol="algebraic"),
+            ),
+            null=True,
+        ),
+        _PASS,
+    ),
+    "jc": Record(
+        Field("theta", NUM),
+        Field("dim", INT),
+        Field("charts", Record(*(Field(c, _JC_CHART) for c in _CHARTS)), csv="chart", rows=True),
+        Field("eigenvalue_max_dev", NUM, tol="reconstruction", csv=False),
+        Field(
+            "projector",
+            Record(
+                Field("idempotency", NUM, tol="algebraic"),
+                Field("hermiticity", NUM, tol="algebraic"),
+                Field("form_agreement", NUM, null=True, tol="algebraic"),
+                Field("ordering_agreement", NUM, tol="strict"),
+            ),
+            csv=False,
+        ),
+        Field(
+            "spectral",
+            Record(Field("reconstruction", NUM, tol="reconstruction"), Field("commutator", NUM, tol="algebraic")),
+            csv=False,
+        ),
+        Field("pass", BOOL, csv=False),
+    ),
+    "strings": Record(
+        Field("theta", NUM),
+        Field("dim", INT, csv=False),
+        Field(
+            "sectors",
+            [Record(*_SECTOR, Field("denominator", NUM), Field("status", ("regular", "ill_conditioned", "singular")))],
+            rows=True,
+        ),
+        Field("singular", [Record(*_SECTOR)], csv=False),
+        Field("ground_only", BOOL, ok=bool, csv=False),
+        Field("lattice", [Record(Field("level_pair", [INT]), Field("color", ("black", "white")))], csv=False),
+        Field("pass", BOOL, csv=False),
+    ),
+    "evolve": Record(
+        Field("t", NUM),
+        Field("closed_vs_oracle_residual", NUM, tol="propagator"),
+        Field("unitarity", NUM, tol="propagator"),
+        Field("sigma3", NUM),
+        Field("pass", BOOL, csv=False),
+    ),
+    "grassmann": Record(
+        Field("theta", NUM),
+        Field("dim", INT),
+        _SINGULAR_LEVELS,
+        Field("forms_residual", NUM, null=True, tol="strict"),
+        Field("roundtrip_residual", NUM, null=True, tol="reconstruction"),
+        Field("intermediate_identity_residual", NUM, null=True, tol="algebraic"),
+        _PASS,
+    ),
 }
 
 
-def _envelope_with(record_schema: dict) -> dict:
-    out = json.loads(json.dumps(_ENVELOPE))
-    out["properties"]["records"] = {"type": "array", "items": record_schema}
+def _schema(kind, null: bool = False) -> dict:
+    """JSON schema of a declared kind; every field of a record is required."""
+    if isinstance(kind, Record):
+        props = {f.name: _schema(f.kind, f.null) for f in kind.fields if f.get is None}
+        out = {"type": "object", "required": list(props), "properties": props}
+    elif isinstance(kind, list):
+        out = {"type": "array", "items": _schema(kind[0])}
+    elif isinstance(kind, tuple):
+        return {"enum": list(kind) + [None] * null}
+    else:
+        out = {"type": kind}
+    if null:
+        out["type"] = [out["type"], "null"]
     return out
 
 
-_CHART_CHECK = {
-    "type": ["object", "null"],
-    "required": ["reconstruction", "unitarity", "conditioning"],
-    "properties": {
-        "reconstruction": {"type": "number"},
-        "unitarity": {"type": "number"},
-        "conditioning": _NUMBER_OR_NULL,
-    },
-}
+def _cells(rec: Record, obj, prefix: str = "") -> list:
+    """(column, value) pairs of ``obj`` in a CSV row; ``obj`` None (a null
+    or absent object) gives empty cells."""
+    out = []
+    for f in rec.fields:
+        if f.csv is False or f.rows:
+            continue
+        v = None if obj is None else f.get(obj) if f.get else obj[f.name]
+        name = prefix + (f.name if f.csv is True else f.csv)
+        if isinstance(f.kind, Record):
+            out += _cells(f.kind, v, name + "_" if f.csv is True else name)
+        else:
+            out.append((name, v))
+    return out
+
+
+def _rows(rec: Record, records: list):
+    """The CSV rows of ``records``, each a list of (column, value) pairs;
+    ``[None]`` gives one row of the column names."""
+    expand = next((f for f in rec.fields if f.rows), None)
+    for r in records:
+        head = _cells(rec, r)
+        if expand is None:
+            yield head
+            continue
+        items = None if r is None else r[expand.name]
+        if isinstance(expand.kind, Record):
+            for f in expand.kind.fields:
+                yield head + [(expand.csv, f.name)] + _cells(f.kind, None if items is None else items[f.name])
+        else:
+            for item in [None] if items is None else items:
+                yield head + _cells(expand.kind[0], item)
+
+
+def _judge(rec: Record, obj: dict, tol: Tolerances) -> bool:
+    """Whether every non-null residual of ``obj`` is within its tolerance
+    and every verdict and nested record passes; stores the answer in
+    ``obj["pass"]`` where the record declares one."""
+    ok = True
+    for f in rec.fields:
+        v = obj.get(f.name)
+        if v is None:
+            continue
+        if f.tol is not None:
+            ok &= bool(v <= getattr(tol, f.tol))
+        if f.ok is not None:
+            ok &= bool(f.ok(v))
+        if isinstance(f.kind, Record):
+            ok &= _judge(f.kind, v, tol)
+    if any(f.name == "pass" for f in rec.fields):
+        obj["pass"] = ok
+    return ok
+
+
+_SUMMARY = Record(Field("passed", BOOL), Field("records", INT), Field("failures", INT))
 
 SCHEMAS = {
-    "berry": _envelope_with(
-        {
-            "type": "object",
-            "required": ["index", "kind", "point", "class", "charts", "cocycle", "projector", "pass"],
-            "properties": {
-                "index": {"type": "integer"},
-                "kind": {"enum": ["grid", "sample"]},
-                "point": {
-                    "type": "object",
-                    "required": ["w", "z"],
-                    "properties": {
-                        "w": {
-                            "type": "object",
-                            "required": ["tag", "coeffs"],
-                            "properties": {
-                                "tag": {"enum": ["R", "C", "H", "O"]},
-                                "coeffs": {"type": "array", "items": {"type": "number"}},
-                            },
-                        },
-                        "z": {"type": "number"},
-                    },
-                },
-                "class": {"enum": ["regular", "lower_string", "upper_string", "origin"]},
-                "charts": {
-                    "type": "object",
-                    "required": ["I", "II"],
-                    "properties": {"I": _CHART_CHECK, "II": _CHART_CHECK},
-                },
-                "cocycle": _NUMBER_OR_NULL,
-                "projector": {
-                    "type": ["object", "null"],
-                    "required": ["idempotency", "hermiticity", "chart_agreement"],
-                    "properties": {
-                        "idempotency": {"type": "number"},
-                        "hermiticity": {"type": "number"},
-                        "chart_agreement": _NUMBER_OR_NULL,
-                    },
-                },
-                "pass": {"type": "boolean"},
-            },
-        }
-    ),
-    "jc": _envelope_with(
-        {
-            "type": "object",
-            "required": ["theta", "dim", "charts", "eigenvalue_max_dev", "projector", "spectral", "pass"],
-            "properties": {
-                "theta": {"type": "number"},
-                "dim": {"type": "integer"},
-                "charts": {"type": "object"},
-                "eigenvalue_max_dev": {"type": "number"},
-                "projector": {
-                    "type": "object",
-                    "required": ["idempotency", "hermiticity", "form_agreement", "ordering_agreement"],
-                },
-                "spectral": {
-                    "type": "object",
-                    "required": ["reconstruction", "commutator"],
-                },
-                "pass": {"type": "boolean"},
-            },
-        }
-    ),
-    "strings": _envelope_with(
-        {
-            "type": "object",
-            "required": ["theta", "dim", "sectors", "singular", "ground_only", "lattice", "pass"],
-            "properties": {
-                "theta": {"type": "number"},
-                "dim": {"type": "integer"},
-                "sectors": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["chart", "row", "level", "denominator", "status"],
-                    },
-                },
-                "singular": {"type": "array"},
-                "ground_only": {"type": "boolean"},
-                "lattice": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["level_pair", "color"],
-                        "properties": {
-                            "level_pair": {"type": "array"},
-                            "color": {"enum": ["black", "white"]},
-                        },
-                    },
-                },
-                "pass": {"type": "boolean"},
-            },
-        }
-    ),
-    "evolve": _envelope_with(
-        {
-            "type": "object",
-            "required": ["t", "closed_vs_oracle_residual", "unitarity", "sigma3", "pass"],
-            "properties": {
-                "t": {"type": "number"},
-                "closed_vs_oracle_residual": {"type": "number"},
-                "unitarity": {"type": "number"},
-                "sigma3": {"type": "number"},
-                "pass": {"type": "boolean"},
-            },
-        }
-    ),
-    "grassmann": _envelope_with(
-        {
-            "type": "object",
-            "required": [
-                "theta",
-                "dim",
-                "singular_levels",
-                "forms_residual",
-                "roundtrip_residual",
-                "intermediate_identity_residual",
-                "pass",
-            ],
-            "properties": {
-                "theta": {"type": "number"},
-                "dim": {"type": "integer"},
-                "singular_levels": {"type": "array", "items": {"type": "integer"}},
-                "forms_residual": _NUMBER_OR_NULL,
-                "roundtrip_residual": _NUMBER_OR_NULL,
-                "intermediate_identity_residual": _NUMBER_OR_NULL,
-                "pass": {"type": "boolean"},
-            },
-        }
-    ),
+    command: _schema(
+        Record(
+            Field("schema", (SCHEMA_VERSION,)),
+            Field("command", (command,)),
+            Field("seed", INT),
+            Field("params", "object"),
+            Field("records", [rec]),
+            Field("summary", _SUMMARY),
+        )
+    )
+    for command, rec in RECORDS.items()
 }
 
-# CSV columns per command, fixed and documented in the README.
-CSV_COLUMNS = {
-    "berry": [
-        "index", "kind", "tag", "z", "norm_w", "class",
-        "chart_I_reconstruction", "chart_I_unitarity", "chart_I_conditioning",
-        "chart_II_reconstruction", "chart_II_unitarity", "chart_II_conditioning",
-        "cocycle", "projector_idempotency", "projector_hermiticity",
-        "projector_chart_agreement", "pass",
-    ],
-    "jc": [
-        "theta", "dim", "chart", "admissible", "reconstruction", "unitarity",
-        "ordering_agreement", "singular_levels", "pass",
-    ],
-    "strings": ["theta", "chart", "row", "level", "denominator", "status"],
-    "evolve": ["t", "closed_vs_oracle_residual", "unitarity", "sigma3"],
-    "grassmann": [
-        "theta", "dim", "singular_levels", "forms_residual",
-        "roundtrip_residual", "intermediate_identity_residual", "pass",
-    ],
-}
+# CSV columns per command, documented in the README.
+CSV_COLUMNS = {command: [c for c, _ in next(_rows(rec, [None]))] for command, rec in RECORDS.items()}
 
 
 class ConfigError(ValueError):
@@ -234,27 +277,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config
-
-
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    seed: int
-    fmt: str
-    out: str
-    tol: Tolerances
-    algebra: str = "C"
-    grid: str = "z=-2:2:9,w=0:1:3"
-    samples: int = 100
-    theta: float = 0.5
-    thetas: tuple = ()
-    dim: int = 32
-    g: float = 1.0
-    omega: float = None
-    delta: float = None
-    t_max: float = 10.0
-    t_steps: int = 50
-    n0: int = 0
 
 
 def _parse_axis(token: str):
@@ -299,7 +321,8 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Command implementations: each returns (params, records, tolerances the
+# records are judged by); ``pass`` is added by ``_judge``.
 
 
 def _finite(x: float) -> float:
@@ -317,9 +340,7 @@ def _berry_point_record(index, kind, point, tol):
         "charts": {"I": None, "II": None},
         "cocycle": None,
         "projector": None,
-        "pass": True,
     }
-    checks = []
     ham = berry.hamiltonian(point)
     ident = berry.Matrix2K.identity(tag)
     units = {}
@@ -329,45 +350,34 @@ def _berry_point_record(index, kind, point, tol):
         except berry.DiracStringError:
             continue
         u, d = dec.unitary, dec.diagonal
-        recon = berry.residual((u @ d) @ u.dagger(), ham)
-        unit = berry.residual(u.dagger() @ u, ident)
         rec["charts"][chart.value] = {
-            "reconstruction": recon,
-            "unitarity": unit,
+            "reconstruction": berry.residual((u @ d) @ u.dagger(), ham),
+            "unitarity": berry.residual(u.dagger() @ u, ident),
             "conditioning": _finite(dec.conditioning),
         }
         units[chart] = u
-        checks += [recon <= tol.algebraic, unit <= tol.algebraic]
     if cls is berry.PointClass.REGULAR:
         phi = berry.transition_function(point, tol)
-        coc = berry.residual(units[berry.ChartTag.I] @ phi, units[berry.ChartTag.II])
-        rec["cocycle"] = coc
-        checks.append(coc <= tol.algebraic)
+        rec["cocycle"] = berry.residual(units[berry.ChartTag.I] @ phi, units[berry.ChartTag.II])
     if cls is not berry.PointClass.ORIGIN:
         proj = berry.projector(point, tol)
-        idem = berry.residual(proj @ proj, proj)
-        herm = berry.residual(proj.dagger(), proj)
-        agree = None
+        rec["projector"] = {
+            "idempotency": berry.residual(proj @ proj, proj),
+            "hermiticity": berry.residual(proj.dagger(), proj),
+            "chart_agreement": None,
+        }
         if units:
             p0 = berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag))
-            agree = max(
+            rec["projector"]["chart_agreement"] = max(
                 berry.residual((u @ p0) @ u.dagger(), proj) for u in units.values()
             )
-            checks.append(agree <= tol.algebraic)
-        rec["projector"] = {
-            "idempotency": idem,
-            "hermiticity": herm,
-            "chart_agreement": agree,
-        }
-        checks += [idem <= tol.algebraic, herm <= tol.algebraic]
-    rec["pass"] = all(checks)
     return rec
 
 
-def cmd_berry(cfg: RunConfig):
-    tag = algebra.AlgebraTag[cfg.algebra]
-    wscales, zvals = parse_grid(cfg.grid)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_berry(args):
+    tag = algebra.AlgebraTag[args.algebra]
+    wscales, zvals = parse_grid(args.grid)
+    rng = np.random.default_rng(args.seed)
     direction = algebra.random_element(tag, rng)
     if direction.norm() == 0.0:  # pragma: no cover - measure zero
         direction = algebra.one(tag)
@@ -377,59 +387,46 @@ def cmd_berry(cfg: RunConfig):
     for s in wscales:
         for z in zvals:
             point = berry.BasePoint(direction * float(s), float(z))
-            records.append(_berry_point_record(index, "grid", point, cfg.tol))
+            records.append(_berry_point_record(index, "grid", point, args.tol))
             index += 1
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         point = berry.BasePoint(algebra.random_element(tag, rng), float(rng.standard_normal()))
-        records.append(_berry_point_record(index, "sample", point, cfg.tol))
+        records.append(_berry_point_record(index, "sample", point, args.tol))
         index += 1
-    return {"algebra": cfg.algebra, "grid": cfg.grid, "samples": cfg.samples}, records
+    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, records, args.tol
 
 
-def _jc_chart_record(p, chart, tol, scale):
+def _jc_chart_record(p, chart, tol):
     try:
         dec = jc.chart_decompose(p, chart, tol)
     except jc.SingularSectorError as err:
-        levels = sorted({s.level for s in err.sectors})
         return {
             "admissible": False,
-            "singular_levels": levels,
+            "singular_levels": sorted({s.level for s in err.sectors}),
             "reconstruction": None,
             "unitarity": None,
             "ordering_agreement": None,
-            "pass": levels == [0],
         }
     v, d = dec.unitary, dec.diagonal
-    recon = jc.block_residual((v @ d) @ v.dagger(), jc.hamiltonian(p), margin=2)
-    unit = jc.block_residual(v.dagger() @ v, jc.BlockOperator.identity(p.dim), margin=1)
     other = jc.chart_unitary(p, chart, normalizer="right", tol=tol)
-    orders = jc.block_residual(v, other)
-    ok = recon <= tol.reconstruction * scale and unit <= tol.algebraic and orders <= tol.strict
     return {
         "admissible": True,
         "singular_levels": [],
-        "reconstruction": recon,
-        "unitarity": unit,
-        "ordering_agreement": orders,
-        "pass": ok,
+        "reconstruction": jc.block_residual((v @ d) @ v.dagger(), jc.hamiltonian(p), margin=2),
+        "unitarity": jc.block_residual(v.dagger() @ v, jc.BlockOperator.identity(p.dim), margin=1),
+        "ordering_agreement": jc.block_residual(v, other),
     }
 
 
-def cmd_jc(cfg: RunConfig):
-    p = jc.JCParams(theta=cfg.theta, dim=cfg.dim, g=cfg.g)
-    tol = cfg.tol
+def cmd_jc(args):
+    p = jc.JCParams(theta=args.theta, dim=args.dim, g=args.g)
+    tol = args.tol
     radii = jc.radius_diag(p.dim, p.theta, 0)
-    # residuals of H itself scale with ||H|| = max R(n): a backward-stable
-    # eigensolver or product is off by about eps ||H|| (see README)
-    scale = max(1.0, float(np.max(radii)))
-    charts = {c.value: _jc_chart_record(p, c, tol, scale) for c in (jc.ChartTag.I, jc.ChartTag.II)}
+    charts = {c.value: _jc_chart_record(p, c, tol) for c in (jc.ChartTag.I, jc.ChartTag.II)}
     evals, _ = oracle.eig_hermitian(jc.hamiltonian(p).full())
     pattern = np.sort(np.concatenate([radii, -radii]))
     eig_dev = float(np.max(np.abs(np.sort(evals) - pattern)))
     proj = jc.projector(p, tol=tol)
-    idem = jc.block_residual(proj @ proj, proj, margin=1)
-    herm = jc.block_residual(proj.dagger(), proj)
-    order = jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj)
     form = None
     p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
     for chart_name, chart in (("I", jc.ChartTag.I), ("II", jc.ChartTag.II)):
@@ -438,68 +435,53 @@ def cmd_jc(cfg: RunConfig):
             form_res = jc.block_residual((v @ p0) @ v.dagger(), proj, margin=1)
             form = form_res if form is None else max(form, form_res)
     plus, minus = jc.spectral_decomposition(p, tol=tol)
-    spectral = jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2)
     lam = jc.block_diag(jc.radius_diag(p.dim, p.theta, 1), jc.radius_diag(p.dim, p.theta, 0))
-    comm = jc.block_residual(lam @ proj, proj @ lam)
-    checks = [
-        charts["I"]["pass"],
-        charts["II"]["pass"],
-        eig_dev <= tol.reconstruction * scale,
-        idem <= tol.algebraic,
-        herm <= tol.algebraic,
-        order <= tol.strict,
-        form is None or form <= tol.algebraic,
-        spectral <= tol.reconstruction * scale,
-        comm <= tol.algebraic,
-    ]
     record = {
-        "theta": cfg.theta,
-        "dim": cfg.dim,
+        "theta": args.theta,
+        "dim": args.dim,
         "charts": charts,
         "eigenvalue_max_dev": eig_dev,
         "projector": {
-            "idempotency": idem,
-            "hermiticity": herm,
+            "idempotency": jc.block_residual(proj @ proj, proj, margin=1),
+            "hermiticity": jc.block_residual(proj.dagger(), proj),
             "form_agreement": form,
-            "ordering_agreement": order,
+            "ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj),
         },
-        "spectral": {"reconstruction": spectral, "commutator": comm},
-        "pass": all(checks),
+        "spectral": {
+            "reconstruction": jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2),
+            "commutator": jc.block_residual(lam @ proj, proj @ lam),
+        },
     }
-    return {"theta": cfg.theta, "dim": cfg.dim, "g": cfg.g}, [record]
+    # residuals of H itself scale with ||H|| = max R(n): a backward-stable
+    # eigensolver or product is off by about eps ||H|| (see README)
+    scaled = dataclasses.replace(tol, reconstruction=tol.reconstruction * max(1.0, float(np.max(radii))))
+    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [record], scaled
 
 
-def cmd_strings(cfg: RunConfig):
+def cmd_strings(args):
     records = []
-    for theta in cfg.thetas:
-        p = jc.JCParams(theta=theta, dim=cfg.dim)
-        report = jc.singular_sectors(p, cfg.tol)
+    for theta in args.thetas:
+        p = jc.JCParams(theta=theta, dim=args.dim)
+        report = jc.singular_sectors(p, args.tol)
         singular = [
             {"chart": s.chart.value, "row": s.row, "level": s.level}
             for s in report.singular()
         ]
-        if theta > 0:
-            expected = [{"chart": "II", "row": 2, "level": 0}]
-        elif theta < 0:
-            expected = [{"chart": "I", "row": 2, "level": 0}]
-        else:
-            expected = [
-                {"chart": "I", "row": 2, "level": 0},
-                {"chart": "II", "row": 2, "level": 0},
-            ]
-        ground_only = sorted(singular, key=str) == sorted(expected, key=str)
+        # chart I is singular at the ground level unless theta > 0, chart II unless theta < 0
+        expected = [
+            {"chart": c, "row": 2, "level": 0} for c, off in (("I", theta > 0), ("II", theta < 0)) if not off
+        ]
         records.append(
             {
                 "theta": theta,
-                "dim": cfg.dim,
+                "dim": args.dim,
                 "sectors": report.to_records(),
                 "singular": singular,
-                "ground_only": ground_only,
+                "ground_only": sorted(singular, key=str) == sorted(expected, key=str),
                 "lattice": report.lattice(),
-                "pass": ground_only,
             }
         )
-    return {"thetas": list(cfg.thetas), "dim": cfg.dim}, records
+    return {"thetas": list(args.thetas), "dim": args.dim}, records, args.tol
 
 
 def _blockwise_max_abs(m: np.ndarray, margin: int) -> float:
@@ -510,93 +492,69 @@ def _blockwise_max_abs(m: np.ndarray, margin: int) -> float:
     return float(np.max(np.abs(m.reshape(2, d, 2, d)[:, : d - margin, :, : d - margin])))
 
 
-def cmd_evolve(cfg: RunConfig):
+def cmd_evolve(args):
     # with omega/delta supplied the full split propagator is checked,
     # otherwise the bare interaction one; <sigma3> is identical either way
     # (the free part only rotates number-basis phases)
-    full = cfg.omega is not None
-    p = jc.JCParams(theta=cfg.theta, dim=cfg.dim, g=cfg.g, omega=cfg.omega, delta=cfg.delta)
-    tol = cfg.tol
-    if full:
+    p, d = args.model, args.dim
+    if args.omega is not None:
         h1, h2 = jc.full_hamiltonian(p)
         evals, evecs = oracle.eig_hermitian((h1 + h2).full())
         evolve = jc.full_propagator
     else:
-        evals, evecs = oracle.eig_hermitian((cfg.g * jc.hamiltonian(p)).full())
+        evals, evecs = oracle.eig_hermitian((args.g * jc.hamiltonian(p)).full())
         evolve = jc.propagator
-    d = cfg.dim
-    if not 0 <= cfg.n0 < d:
-        raise ConfigError(f"initial level n0={cfg.n0} outside 0..{d - 1}")
     ident = jc.BlockOperator.identity(d)
     records = []
-    for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
+    for t in np.linspace(0.0, args.t_max, args.t_steps):
         u = evolve(p, float(t))
         u_full = u.full()
-        res = _blockwise_max_abs(u_full - oracle.expm_from_eig(evals, evecs, t), margin=2)
-        unit = jc.block_residual(u.dagger() @ u, ident, margin=1)
-        psi = u_full[:, cfg.n0]  # the evolved |excited, n0>
-        sigma3 = float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2))
+        psi = u_full[:, args.n0]  # the evolved |excited, n0>
         records.append(
             {
                 "t": float(t),
-                "closed_vs_oracle_residual": res,
-                "unitarity": unit,
-                "sigma3": sigma3,
-                "pass": res <= tol.propagator and unit <= tol.propagator,
+                "closed_vs_oracle_residual": _blockwise_max_abs(
+                    u_full - oracle.expm_from_eig(evals, evecs, t), margin=2
+                ),
+                "unitarity": jc.block_residual(u.dagger() @ u, ident, margin=1),
+                "sigma3": float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2)),
             }
         )
     params = {
-        "theta": cfg.theta,
-        "g": cfg.g,
-        "omega": cfg.omega,
-        "delta": cfg.delta,
-        "dim": cfg.dim,
-        "t_max": cfg.t_max,
-        "t_steps": cfg.t_steps,
-        "n0": cfg.n0,
+        "theta": p.theta, "g": args.g, "omega": args.omega, "delta": args.delta,
+        "dim": d, "t_max": args.t_max, "t_steps": args.t_steps, "n0": args.n0,
     }
-    return params, records
+    return params, records, args.tol
 
 
-def cmd_grassmann(cfg: RunConfig):
+def cmd_grassmann(args):
     records = []
-    tol = cfg.tol
-    for theta in cfg.thetas:
-        p = jc.JCParams(theta=theta, dim=cfg.dim)
+    tol = args.tol
+    for theta in args.thetas:
+        p = jc.JCParams(theta=theta, dim=args.dim)
         rec = {
             "theta": theta,
-            "dim": cfg.dim,
+            "dim": args.dim,
             "singular_levels": [],
             "forms_residual": None,
             "roundtrip_residual": None,
             "intermediate_identity_residual": None,
-            "pass": True,
         }
+        records.append(rec)
         try:
             left, shifted = grassmann.local_coordinate_forms(p, tol)
         except jc.SingularSectorError as err:
             rec["singular_levels"] = sorted({s.level for s in err.sectors})
-            rec["pass"] = rec["singular_levels"] == [0]
-            records.append(rec)
             continue
-        forms = float(np.max(np.abs(left - shifted)))
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p, tol))
-        roundtrip = jc.block_residual(proj, jc.projector(p, tol=tol), margin=1)
         # the upper-left block (1 + Z+Z)^-1 against its closed form
-        r1 = jc.radius_diag(cfg.dim, theta, 1)
-        upper_left = jc.BlockOperator.from_diagonals(cfg.dim, ((proj.diags[0][0], {}), ({}, {})))
-        expected = jc.block_diag((r1 + theta) / (2.0 * r1), np.zeros(cfg.dim))
-        inter = jc.block_residual(upper_left, expected, margin=1)
-        rec["forms_residual"] = forms
-        rec["roundtrip_residual"] = roundtrip
-        rec["intermediate_identity_residual"] = inter
-        rec["pass"] = (
-            forms <= tol.strict
-            and roundtrip <= tol.reconstruction
-            and inter <= tol.algebraic
-        )
-        records.append(rec)
-    return {"thetas": list(cfg.thetas), "dim": cfg.dim}, records
+        r1 = jc.radius_diag(args.dim, theta, 1)
+        upper_left = jc.BlockOperator.from_diagonals(args.dim, ((proj.diags[0][0], {}), ({}, {})))
+        expected = jc.block_diag((r1 + theta) / (2.0 * r1), np.zeros(args.dim))
+        rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
+        rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p, tol=tol), margin=1)
+        rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected, margin=1)
+    return {"thetas": list(args.thetas), "dim": args.dim}, records, tol
 
 
 COMMANDS = {
@@ -640,68 +598,16 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _csv_rows(command: str, records: list):
-    if command == "berry":
-        for r in records:
-            charts = r["charts"]
-            proj = r["projector"] or {}
-            row = {
-                "index": r["index"],
-                "kind": r["kind"],
-                "tag": r["point"]["w"]["tag"],
-                "z": r["point"]["z"],
-                "norm_w": float(np.linalg.norm(r["point"]["w"]["coeffs"])),
-                "class": r["class"],
-                "cocycle": r["cocycle"],
-                "projector_idempotency": proj.get("idempotency"),
-                "projector_hermiticity": proj.get("hermiticity"),
-                "projector_chart_agreement": proj.get("chart_agreement"),
-                "pass": r["pass"],
-            }
-            for c in ("I", "II"):
-                info = charts[c] or {}
-                row[f"chart_{c}_reconstruction"] = info.get("reconstruction")
-                row[f"chart_{c}_unitarity"] = info.get("unitarity")
-                row[f"chart_{c}_conditioning"] = info.get("conditioning")
-            yield row
-    elif command == "jc":
-        for r in records:
-            for chart in ("I", "II"):
-                info = r["charts"][chart]
-                yield {
-                    "theta": r["theta"],
-                    "dim": r["dim"],
-                    "chart": chart,
-                    "admissible": info["admissible"],
-                    "reconstruction": info["reconstruction"],
-                    "unitarity": info["unitarity"],
-                    "ordering_agreement": info["ordering_agreement"],
-                    "singular_levels": info["singular_levels"],
-                    "pass": info["pass"],
-                }
-    elif command == "strings":
-        for r in records:
-            for s in r["sectors"]:
-                yield {"theta": r["theta"], **s}
-    elif command == "evolve":
-        for r in records:
-            yield {k: r[k] for k in CSV_COLUMNS["evolve"]}
-    elif command == "grassmann":
-        for r in records:
-            yield {k: r[k] for k in CSV_COLUMNS["grassmann"]}
-
-
 def render_csv(command: str, payload: dict) -> str:
     lines = [
         f"# schema: {SCHEMA_VERSION}",
         f"# command: {command}",
         f"# seed: {payload['seed']}",
         "# params: " + " ".join(f"{k}={v}" for k, v in sorted(payload["params"].items())),
+        ",".join(CSV_COLUMNS[command]),
     ]
-    cols = CSV_COLUMNS[command]
-    lines.append(",".join(cols))
-    for row in _csv_rows(command, payload["records"]):
-        lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
+    for row in _rows(RECORDS[command], payload["records"]):
+        lines.append(",".join(_csv_cell(v) for _, v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -754,44 +660,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("HJC_SEED", "0"))
-    fmt = args.fmt or ("csv" if args.command == "evolve" else "json")
-    cfg = RunConfig(command=args.command, seed=seed, fmt=fmt, out=args.out, tol=_tolerances(args))
+def _validate(args: argparse.Namespace) -> None:
+    """Check the parsed options and complete them in place: ``seed``,
+    ``fmt``, ``tol``, the detuning list ``thetas`` and the evolve ``model``."""
+    if args.seed is None:
+        args.seed = int(os.environ.get("HJC_SEED", "0"))
+    args.fmt = args.fmt or ("csv" if args.command == "evolve" else "json")
+    args.tol = _tolerances(args)
+    if args.command in ("jc", "evolve") and args.dim < 3:
+        raise ConfigError("dim must be at least 3: the residuals leave out the top two truncation levels")
+    if getattr(args, "dim", 2) < 2:
+        raise ConfigError("dim must be at least 2")
     if args.command == "berry":
-        cfg.algebra = args.algebra
-        cfg.grid = args.grid
         if args.samples < 0:
             raise ConfigError("samples must be non-negative")
-        cfg.samples = args.samples
-        parse_grid(cfg.grid)  # validate early
-    elif args.command == "jc":
-        cfg.theta, cfg.dim, cfg.g = args.theta, args.dim, args.g
-    elif args.command == "strings":
-        cfg.thetas, cfg.dim = parse_float_list(args.theta), args.dim
+        parse_grid(args.grid)
+    elif args.command in ("strings", "grassmann"):
+        args.thetas = parse_float_list(args.theta)
     elif args.command == "evolve":
-        cfg.g, cfg.dim = args.g, args.dim
-        cfg.omega, cfg.delta = args.omega, args.delta
-        if (cfg.omega is None) != (cfg.delta is None):
+        if (args.omega is None) != (args.delta is None):
             raise ConfigError("omega and delta must be supplied together")
-        if args.theta is not None:
-            cfg.theta = args.theta
-        elif cfg.omega is not None:
-            if cfg.g == 0.0:
-                raise ConfigError("coupling g = 0 leaves the detuning ratio undefined")
-            cfg.theta = (cfg.delta - cfg.omega) / (2.0 * cfg.g)
-        else:
-            cfg.theta = 0.25
-        cfg.t_max, cfg.t_steps, cfg.n0 = args.t_max, args.t_steps, args.n0
-        if cfg.t_steps <= 0:
+        if args.t_steps <= 0:
             raise ConfigError("t-steps must be positive")
-    elif args.command == "grassmann":
-        cfg.thetas, cfg.dim = parse_float_list(args.theta), args.dim
-    if getattr(cfg, "dim", 2) < 2:
-        raise ConfigError("dim must be at least 2")
-    return cfg
+        if not 0 <= args.n0 < args.dim:
+            raise ConfigError(f"initial level n0={args.n0} outside 0..{args.dim - 1}")
+        try:
+            if args.theta is None and args.omega is not None:
+                args.model = jc.JCParams.from_physical(args.omega, args.delta, args.g, args.dim)
+            else:
+                theta = 0.25 if args.theta is None else args.theta
+                args.model = jc.JCParams(theta, args.dim, args.g, args.omega, args.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _write(out: str, text: str) -> None:
@@ -803,16 +703,16 @@ def _write(out: str, text: str) -> None:
 
 
 def _attach_negative_values(argv: list) -> list:
-    """Rewrite ``--theta -1,0.5`` as ``--theta=-1,0.5``.
+    """Rewrite ``--name -1,0.5`` as ``--name=-1,0.5``.
 
     argparse reads a value that starts with a minus sign as an option
-    unless it is a plain negative number, so detuning lists such as
+    unless it is a plain negative number, so value lists such as
     "-1,-0.5" or "-1e8" would otherwise be refused.
     """
     out = []
     for tok in argv:
-        if out and out[-1] == "--theta" and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"--theta={tok}"
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[^-]", tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -829,25 +729,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        params, records = COMMANDS[cfg.command](cfg)
+        _validate(args)
     except ConfigError as exc:
         parser.error(str(exc))
-    failures = sum(1 for r in records if not r.get("pass", True))
+    params, records, tol = COMMANDS[args.command](args)
+    failures = sum(not _judge(RECORDS[args.command], r, tol) for r in records)
     payload = {
         "schema": SCHEMA_VERSION,
-        "command": cfg.command,
-        "seed": cfg.seed,
+        "command": args.command,
+        "seed": args.seed,
         "params": params,
         "records": records,
-        "summary": {
-            "passed": failures == 0,
-            "records": len(records),
-            "failures": failures,
-        },
+        "summary": {"passed": failures == 0, "records": len(records), "failures": failures},
     }
-    text = render_json(payload) if cfg.fmt == "json" else render_csv(cfg.command, payload)
-    _write(cfg.out, text)
+    text = render_json(payload) if args.fmt == "json" else render_csv(args.command, payload)
+    _write(args.out, text)
     return 0 if failures == 0 else 1
 
 

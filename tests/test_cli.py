@@ -258,3 +258,156 @@ def test_jc_scaled_checks_still_catch_errors(theta, perturb, capsys, monkeypatch
     perturb(monkeypatch, 1e-6 * scale)
     code, rec = _jc_record(capsys, theta)
     assert code == 1 and not rec["pass"]
+
+
+@pytest.mark.parametrize("command", ["jc", "evolve"])
+def test_dim_below_three_is_usage_error(command):
+    # the jc and evolve residuals leave out the top two truncation levels
+    steps = ["--t-steps", "2"] if command == "evolve" else []
+    small = run_cli(command, "--dim", "2", *steps)
+    assert small.returncode == 2 and "Traceback" not in small.stderr
+    assert "top two truncation levels" in small.stderr
+    proc = run_cli(command, "--dim", "3", *steps)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--dim", "8", "--n0", "8"],
+        ["evolve", "--dim", "8", "--n0", "-1"],
+        ["evolve", "--omega", "1", "--delta", "2", "--g", "0"],
+        ["evolve", "--theta", "0.3", "--omega", "1", "--delta", "2"],  # theta != (delta - omega)/2g
+    ],
+)
+def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError("the oracle ran on refused input")
+
+    monkeypatch.setattr(oracle, "eig_hermitian", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def _report(capsys, command, fmt):
+    argv = DEFAULT_RUNS[command] + ["--format", fmt]
+    code = cli.main(argv)
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def _expected_rows(command, rec):
+    """The README's CSV layout, read off one JSON record."""
+    if command == "jc":
+        return [{"theta": rec["theta"], "dim": rec["dim"], "chart": c, **rec["charts"][c]} for c in ("I", "II")]
+    if command == "strings":
+        return [{"theta": rec["theta"], **s} for s in rec["sectors"]]
+    if command == "berry":
+        point = rec["point"]
+        row = {k: rec[k] for k in ("index", "kind", "class", "cocycle", "pass")}
+        row.update(tag=point["w"]["tag"], z=point["z"], norm_w=float(np.linalg.norm(point["w"]["coeffs"])))
+        parts = {"chart_I": rec["charts"]["I"], "chart_II": rec["charts"]["II"], "projector": rec["projector"]}
+        for prefix, obj in parts.items():
+            row.update({f"{prefix}_{k}": v for k, v in (obj or {}).items()})
+        return [row]
+    return [rec]
+
+
+def _expected_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, list):
+        return ";".join(str(x) for x in v)
+    return str(v)
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_RUNS))
+def test_csv_cells_equal_json_values(command, capsys):
+    payload = json.loads(_report(capsys, command, "json"))
+    lines = [l for l in _report(capsys, command, "csv").splitlines() if not l.startswith("#")]
+    assert lines[0].split(",") == cli.CSV_COLUMNS[command]
+    expected = [row for rec in payload["records"] for row in _expected_rows(command, rec)]
+    assert len(lines) - 1 == len(expected) > 0
+    for line, row in zip(lines[1:], expected):
+        cells = dict(zip(cli.CSV_COLUMNS[command], line.split(",")))
+        assert cells == {c: _expected_cell(row.get(c)) for c in cli.CSV_COLUMNS[command]}
+
+
+def _mutate_jc_chart_pass(payload):
+    del payload["records"][0]["charts"]["I"]["pass"]
+
+
+def _mutate_berry_unitarity(payload):
+    rec = next(r for r in payload["records"] if r["charts"]["I"] is not None)
+    rec["charts"]["I"]["unitarity"] = "small"
+
+
+def _mutate_evolve_sigma3(payload):
+    payload["records"][0]["sigma3"] = None
+
+
+@pytest.mark.parametrize(
+    "command, mutate",
+    [("jc", _mutate_jc_chart_pass), ("berry", _mutate_berry_unitarity), ("evolve", _mutate_evolve_sigma3)],
+)
+def test_mutated_reports_fail_the_derived_schema(command, mutate, capsys):
+    payload = json.loads(_report(capsys, command, "json"))
+    jsonschema.validate(payload, cli.SCHEMAS[command])
+    mutate(payload)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, cli.SCHEMAS[command])
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _residual_paths(rec, obj, path=()):
+    """Paths to every non-null declared residual of ``obj``, with the name
+    of its tolerance."""
+    for f in rec.fields:
+        v = obj.get(f.name)
+        if f.tol is not None and v is not None:
+            yield path + (f.name,), f.tol
+        if isinstance(f.kind, cli.Record) and v is not None:
+            yield from _residual_paths(f.kind, v, path + (f.name,))
+
+
+@pytest.mark.parametrize("command", ["berry", "evolve", "grassmann", "jc"])
+def test_any_residual_above_tolerance_fails_the_record(command, capsys):
+    payload = json.loads(_report(capsys, command, "json"))
+    decl = cli.RECORDS[command]
+    cases = {path: (rec, tol) for rec in payload["records"] for path, tol in _residual_paths(decl, rec)}
+    assert cases
+    for path, (rec, tol_name) in cases.items():
+        tol = getattr(cli.DEFAULT, tol_name)
+        for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False)):
+            mutated = json.loads(json.dumps(rec))
+            _get(mutated, path[:-1])[path[-1]] = float(value)
+            assert cli._judge(decl, mutated, cli.DEFAULT) is verdict, path
+            assert mutated["pass"] is verdict
+            if "pass" in _get(mutated, path[:-1]):  # a jc chart carries its own verdict
+                assert _get(mutated, path[:-1])["pass"] is verdict
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("strings", ("ground_only",), False),
+        ("grassmann", ("singular_levels",), [0, 1]),
+        ("jc", ("charts", "II", "singular_levels"), [1]),  # theta = 0.5: chart II singular at level 0
+    ],
+)
+def test_structural_verdicts_fail_the_record(command, path, value, capsys):
+    rec = json.loads(_report(capsys, command, "json"))["records"][0]
+    assert rec["pass"]
+    _get(rec, path[:-1])[path[-1]] = value
+    assert cli._judge(cli.RECORDS[command], rec, cli.DEFAULT) is False
+    assert rec["pass"] is False and _get(rec, path[:-1])["pass"] is False

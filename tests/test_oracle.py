@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_oracle_module_is_independent():
     import hjc.oracle as mod
 
     assert "hjc.jc" not in {getattr(v, "__name__", "") for v in vars(mod).values()}
-    src = open(mod.__file__).read()
+    src = Path(mod.__file__).read_text()
     assert "import" in src and "jc" not in [
         line.split()[-1] for line in src.splitlines() if line.startswith("from .")
     ]

@@ -21,9 +21,9 @@ def run_script(name, *args):
 
 
 def test_rabi_inversion_csv():
-    lines = run_script("rabi_inversion.py", "--thetas", "0,0.5", "--dim", "6", "--t-max", "2", "--t-steps", "5")
+    lines = run_script("rabi_inversion.py", "--thetas", "-0.5,0", "--dim", "6", "--t-max", "2", "--t-steps", "5")
     rows = list(csv.reader(lines))
-    assert rows[0] == ["t", "sigma3_theta_0", "sigma3_theta_0.5"]
+    assert rows[0] == ["t", "sigma3_theta_-0.5", "sigma3_theta_0"]
     assert len(rows) == 6
     values = [[float(x) for x in row] for row in rows[1:]]
     assert [v[0] for v in values] == [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -32,7 +32,7 @@ def test_rabi_inversion_csv():
 
 
 def test_ground_string_map_table():
-    lines = run_script("ground_string_map.py", "--thetas=-1,1", "--dim", "4")
+    lines = run_script("ground_string_map.py", "--thetas", "-1,1", "--dim", "4")
     assert lines[0] == "theta = -1.000"
     assert lines[3] == "  singular sectors: [('I', 0)]"
     assert lines[4] == "theta = +1.000"
