@@ -8,39 +8,70 @@ Those half-axes are the Dirac strings; the transition function relating
 the two charts lives on ||w|| > 0 only, while the spectral projector is
 defined globally away from the origin.
 
-A :class:`Matrix2K` is stored as one (2, 2, dim) coefficient array:
+Every formula is an array function of :class:`Points`, n base points held
+as an (n, dim) array of w and an (n,) array of z, and returns an
+(n, 2, 2, dim) coefficient array: ``hamiltonian_coeffs``, ``chart_coeffs``,
+``transition_coeffs``, ``projector_coeffs``, with ``classify`` and
+``conditionings`` as vectors.  Batched products, adjoints and residual
+norms (``matmul_coeffs``, ``dagger_coeffs``, ``residual_coeffs``) contract
+the same arrays with the algebra's structure-constant tensor, derived from
+the Cayley-Dickson recursion (see :mod:`hjc.algebra`).
+
+The scalar API -- :class:`BasePoint`, :class:`Matrix2K` and
+``hamiltonian``, ``chart_unitary``, ``chart_decompose``,
+``transition_function``, ``projector``, ``conditioning``,
+``middle_diagonalize`` -- is the n = 1 case of those functions.  A
+:class:`Matrix2K` is one read-only (2, 2, dim) coefficient array:
 ``coeffs[i, j]`` holds the dim real coefficients of entry (i, j), and
 :meth:`Matrix2K.entry` views one entry as an
-:class:`~hjc.algebra.AlgebraElement`.  Matrix products contract that array
-with the algebra's structure-constant tensor, which is derived from the
-Cayley-Dickson recursion (see :mod:`hjc.algebra`).  Every entry of every
-matrix built here lies in the (commutative, associative) subalgebra
-generated by a single element w, so the fixed left-to-right evaluation
-order of matrix products is immaterial even for octonions.
+:class:`~hjc.algebra.AlgebraElement`.  Every entry of every matrix built
+here lies in the (commutative, associative) subalgebra generated by a
+single element w, so the fixed left-to-right evaluation order of matrix
+products is immaterial even for octonions.
 
-The sums r + z and r - z vanish on the lower and upper string.  On the
-side where one of them cancels it is evaluated as ||w||^2 / (r -+ z),
-which keeps charts unitary arbitrarily close to a string.
+Nothing here forms a square or a sum that can overflow or underflow
+before the result does.  Norms are scaled by a power of two (exact)
+before squaring.  The sums r + z and r - z vanish on the lower and upper
+string; of them only h = (r + |z|)/2 is ever formed, from the halves (see
+:func:`half_sum`).  Chart entries are written in half-angle form:
+sqrt(h/r) on the side where r +- z does not cancel, and
+||w|| / sqrt(2r (r + |z|)) = sqrt(h/r) ||w|| / 2h on the side where it
+does, so charts stay unitary arbitrarily close to a string and over the
+whole double range.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraTag, conj_coeffs, one, product_coeffs, scalar, zero
+from .algebra import AlgebraElement, AlgebraTag, conj_coeffs, one, product_coeffs, zero
 from .config import DEFAULT, Tolerances
 
 __all__ = [
     "ChartTag",
     "PointClass",
+    "POINT_CLASSES",
     "DiracStringError",
     "Matrix2K",
+    "Points",
     "BasePoint",
     "ChartDecomposition",
+    "norms",
+    "classify",
+    "admissible",
+    "half_sum",
+    "conditionings",
+    "hamiltonian_coeffs",
+    "chart_coeffs",
+    "transition_coeffs",
+    "projector_coeffs",
+    "eigenvalue_coeffs",
+    "matmul_coeffs",
+    "dagger_coeffs",
+    "residual_coeffs",
     "hamiltonian",
     "classify_point",
     "chart_unitary",
@@ -65,6 +96,11 @@ class PointClass(Enum):
     ORIGIN = "origin"
 
 
+# the class codes returned by :func:`classify` index this tuple
+POINT_CLASSES = tuple(PointClass)
+_CODE = {c: i for i, c in enumerate(POINT_CLASSES)}
+
+
 class DiracStringError(Exception):
     """A chart (or other point-local operation) was requested where it is
     not defined; carries the classification of the offending point."""
@@ -72,6 +108,64 @@ class DiracStringError(Exception):
     def __init__(self, point_class: PointClass, message: str = ""):
         self.point_class = point_class
         super().__init__(message or f"operation undefined at {point_class.value} point")
+
+
+def _finite(coeffs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(coeffs).all():
+        raise ValueError("non-finite coefficients")
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Batched 2x2 matrix arithmetic on (..., 2, 2, dim) coefficient arrays
+
+
+def norms(c: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.
+
+    Each vector is scaled by the power of two at its largest coefficient
+    before squaring, which is exact, so no square overflows or underflows
+    and in-range results equal the unscaled sqrt(sum c^2) bitwise.
+    """
+    _, e = np.frexp(np.max(np.abs(c), axis=-1, keepdims=True))
+    s = np.ldexp(c, -e)
+    return np.ldexp(np.sqrt(np.sum(s * s, axis=-1)), e[..., 0])
+
+
+def matmul_coeffs(tag: AlgebraTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a b of stacked 2x2 matrices, broadcast over the
+    leading axes."""
+    # products[..., i, k, j] = a[..., i, k] b[..., k, j]
+    products = product_coeffs(tag, a[..., :, :, None, :], b[..., None, :, :, :])
+    return products[..., 0, :, :] + products[..., 1, :, :]
+
+
+def dagger_coeffs(c: np.ndarray) -> np.ndarray:
+    """Conjugate transposes with the algebra's conjugation."""
+    return conj_coeffs(np.swapaxes(c, -3, -2))
+
+
+def residual_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest entry norm of each a - b; refuses a non-finite difference."""
+    return np.max(norms(_finite(a - b)), axis=(-2, -1))
+
+
+def _stack(e00, e01, e10, e11) -> np.ndarray:
+    """[[e00, e01], [e10, e11]] from four (..., dim) entry arrays."""
+    return np.stack((np.stack((e00, e01), axis=-2), np.stack((e10, e11), axis=-2)), axis=-3)
+
+
+def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a, b) for (..., dim) entry arrays."""
+    zeros = np.zeros_like(a)
+    return _stack(a, zeros, zeros, b)
+
+
+def _real(x: np.ndarray, dim: int) -> np.ndarray:
+    """(n, dim) coefficients of the real scalars x."""
+    out = np.zeros(x.shape + (dim,))
+    out[..., 0] = x
+    return out
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -95,9 +189,7 @@ class Matrix2K:
         self._store(tags.pop(), np.array([[e.coeffs for e in row] for row in rows]))
 
     def _store(self, tag: AlgebraTag, coeffs: np.ndarray) -> None:
-        if not np.isfinite(coeffs).all():
-            raise ValueError("non-finite coefficients")
-        coeffs.flags.writeable = False
+        _finite(coeffs).flags.writeable = False
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -138,21 +230,18 @@ class Matrix2K:
 
     def __matmul__(self, other: "Matrix2K") -> "Matrix2K":
         self._check_tag(other)
-        # products[i, k, j] = self[i, k] * other[k, j]
-        products = product_coeffs(self.tag, self.coeffs[:, :, None, :], other.coeffs[None, :, :, :])
-        return Matrix2K._of(self.tag, products[:, 0] + products[:, 1])
+        return Matrix2K._of(self.tag, matmul_coeffs(self.tag, self.coeffs, other.coeffs))
 
     def dagger(self) -> "Matrix2K":
         """Conjugate transpose with the algebra's conjugation."""
-        return Matrix2K._of(self.tag, conj_coeffs(self.coeffs.transpose(1, 0, 2)))
+        return Matrix2K._of(self.tag, dagger_coeffs(self.coeffs))
 
     def scale(self, c: float) -> "Matrix2K":
         return Matrix2K._of(self.tag, self.coeffs * float(c))
 
     def max_abs(self) -> float:
         """Largest entry norm."""
-        c = self.coeffs
-        return float(np.sqrt(np.max(np.sum(c * c, axis=-1))))
+        return float(np.max(norms(self.coeffs)))
 
     def to_json(self) -> list:
         return [[e.to_json() for e in row] for row in self.entries]
@@ -162,19 +251,52 @@ def residual(a: Matrix2K, b: Matrix2K) -> float:
     return (a - b).max_abs()
 
 
+# ---------------------------------------------------------------------------
+# Base points
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """n base points (w, z) of K x R: ``w`` is (n, dim), ``z``, ``norm_w``
+    and ``r`` = hypot(||w||, z) are (n,).  Build with :meth:`of`."""
+
+    tag: AlgebraTag
+    w: np.ndarray
+    z: np.ndarray
+    norm_w: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, tag: AlgebraTag, w, z) -> "Points":
+        w = np.asarray(w, dtype=float).reshape(-1, tag.dim)
+        z = np.asarray(z, dtype=float).reshape(-1)
+        if w.shape[0] != z.shape[0]:
+            raise ValueError(f"{w.shape[0]} w rows for {z.shape[0]} z values")
+        norm_w = norms(w)
+        return cls(tag, w, z, norm_w, np.hypot(norm_w, z))
+
+    def take(self, rows) -> "Points":
+        """The points selected by an index, slice or mask."""
+        return Points(self.tag, self.w[rows], self.z[rows], self.norm_w[rows], self.r[rows])
+
+
 @dataclass(frozen=True, eq=False)
 class BasePoint:
-    """A point (w, z) of K x R with its radius cached."""
+    """A point (w, z) of K x R with its radius cached; ``batch`` is the
+    same point as one-row :class:`Points`."""
 
     w: AlgebraElement
     z: float
     norm_w: float = field(init=False)
     r: float = field(init=False)
+    batch: Points = field(init=False, repr=False)
 
     def __post_init__(self):
+        batch = Points.of(self.w.tag, self.w.coeffs, float(self.z))
         object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "norm_w", self.w.norm())
-        object.__setattr__(self, "r", math.hypot(self.norm_w, self.z))
+        object.__setattr__(self, "norm_w", float(batch.norm_w[0]))
+        object.__setattr__(self, "r", float(batch.r[0]))
+        object.__setattr__(self, "batch", batch)
 
     @property
     def tag(self) -> AlgebraTag:
@@ -192,32 +314,126 @@ class ChartDecomposition:
     conditioning: float
 
 
-def classify_point(p: BasePoint, tol: Tolerances = DEFAULT) -> PointClass:
-    """Sort a point into regular / string / origin.
+# ---------------------------------------------------------------------------
+# Array functions: one formula each
+
+
+def classify(pts: Points, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Class code of every point, an index into :data:`POINT_CLASSES`.
 
     Membership of the w = 0 axis is thresholded at ``tol.string_threshold``
     on ||w||; nearby points remain formally regular (use
-    :func:`conditioning` to see how badly a chart behaves there).
+    :func:`conditionings` to see how badly a chart behaves there).
     """
-    return _classify(p.norm_w, p.z, tol)
-
-
-def _classify(norm_w: float, z: float, tol: Tolerances) -> PointClass:
-    if norm_w <= tol.string_threshold:
-        if abs(z) <= tol.string_threshold:
-            return PointClass.ORIGIN
-        return PointClass.LOWER_STRING if z < 0 else PointClass.UPPER_STRING
-    return PointClass.REGULAR
+    thr = tol.string_threshold
+    on_axis = np.where(pts.z < 0.0, _CODE[PointClass.LOWER_STRING], _CODE[PointClass.UPPER_STRING])
+    on_axis = np.where(np.abs(pts.z) <= thr, _CODE[PointClass.ORIGIN], on_axis)
+    return np.where(pts.norm_w <= thr, on_axis, _CODE[PointClass.REGULAR])
 
 
 _FORBIDDEN = {
     ChartTag.I: (PointClass.LOWER_STRING, PointClass.ORIGIN),
     ChartTag.II: (PointClass.UPPER_STRING, PointClass.ORIGIN),
 }
+_ALLOWED = {chart: np.array([c not in bad for c in POINT_CLASSES]) for chart, bad in _FORBIDDEN.items()}
 
 
-def _require_chart(norm_w: float, z: float, chart: ChartTag, tol: Tolerances) -> None:
-    cls = _classify(norm_w, z, tol)
+def admissible(codes: np.ndarray, chart: ChartTag) -> np.ndarray:
+    """Mask of the class codes at which ``chart`` is defined."""
+    return _ALLOWED[chart][codes]
+
+
+def half_sum(pts: Points, chart: ChartTag):
+    """(h, same) of the chart at every point: h = (r + |z|)/2, formed from
+    the halves so that it cannot overflow, and the mask ``same`` where the
+    chart's r +- z (+ for chart I, - for chart II) equals r + |z| = 2h.
+    Elsewhere r +- z cancels and equals ||w||^2 / 2h; callers form it as
+    ||w|| (||w|| / 2h) or never form it at all.
+    """
+    same = (pts.z >= 0.0) if chart is ChartTag.I else (pts.z <= 0.0)
+    return 0.5 * pts.r + 0.5 * np.abs(pts.z), same
+
+
+def _half_angle(pts: Points, chart: ChartTag):
+    """(a, f) of the chart: a = sqrt((r +- z)/2r), the real diagonal entry of
+    its unitary, and f = 1/sqrt(2r(r +- z)), the factor of w.
+
+    With h and ``same`` from :func:`half_sum` and c = sqrt(h/r): where
+    ``same``, a = c and f = c/2h; where r +- z cancels, a = c ||w||/2h and
+    f = c/||w||.  f is inf on the chart's string and at the origin.
+    """
+    half, same = half_sum(pts, chart)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.sqrt(half / pts.r)
+        a = np.where(same, c, c * (0.5 * pts.norm_w / half))
+        return a, np.where(same, 0.5 * c / half, c / pts.norm_w)
+
+
+def conditionings(pts: Points, chart: ChartTag) -> np.ndarray:
+    """Normalization prefactor 1/sqrt(2r(r +- z)) of the chart unitary at
+    every point.
+
+    Diverges like 1/||w|| on approach to the chart's string, which is the
+    numerical signature of the Dirac string (the unitary's entries
+    themselves stay bounded by 1).  ``inf`` on the string and at the origin.
+    """
+    return _half_angle(pts, chart)[1]
+
+
+def hamiltonian_coeffs(pts: Points) -> np.ndarray:
+    """``[[z, conj(w)], [w, -z]]`` at every point."""
+    dim = pts.tag.dim
+    return _finite(_stack(_real(pts.z, dim), conj_coeffs(pts.w), pts.w, _real(-pts.z, dim)))
+
+
+def eigenvalue_coeffs(pts: Points) -> np.ndarray:
+    """The eigenvalue factor diag(r, -r) of every point."""
+    return _diag(_real(pts.r, pts.tag.dim), _real(-pts.r, pts.tag.dim))
+
+
+def chart_coeffs(pts: Points, chart: ChartTag) -> np.ndarray:
+    """Diagonalizing unitary of the chart at every point, all of which must
+    lie in the chart's domain (see :func:`admissible`).
+
+    Chart I is ``[[a, -conj(w) f], [w f, a]]``, chart II
+    ``[[conj(w) f, -a], [a, w f]]``, with a and f from the half-angle form:
+    the columns are the +r / -r eigenvectors scaled by 1/sqrt(2r(r +- z)).
+    """
+    a, f = _half_angle(pts, chart)
+    wf = pts.w * f[:, None]
+    ca = _real(a, pts.tag.dim)
+    if chart is ChartTag.I:
+        return _finite(_stack(ca, -conj_coeffs(wf), wf, ca))
+    return _finite(_stack(conj_coeffs(wf), -ca, ca, wf))
+
+
+def transition_coeffs(pts: Points) -> np.ndarray:
+    """diag(conj(w)/||w||, w/||w||) relating the two charts, at points off
+    the z axis."""
+    u = pts.w / pts.norm_w[:, None]
+    return _finite(_diag(conj_coeffs(u), u))
+
+
+def projector_coeffs(pts: Points) -> np.ndarray:
+    """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]] at
+    points away from the origin, its diagonal the squared chart entries
+    (r +- z)/2r."""
+    wi = pts.w * (0.5 / pts.r)[:, None]
+    plus, minus = (_real(_half_angle(pts, chart)[0] ** 2, pts.tag.dim) for chart in ChartTag)
+    return _finite(_stack(plus, conj_coeffs(wi), wi, minus))
+
+
+# ---------------------------------------------------------------------------
+# The scalar API: the one-point case of the array functions
+
+
+def classify_point(p: BasePoint, tol: Tolerances = DEFAULT) -> PointClass:
+    """Sort a point into regular / string / origin (see :func:`classify`)."""
+    return POINT_CLASSES[classify(p.batch, tol)[0]]
+
+
+def _require_chart(pts: Points, chart: ChartTag, tol: Tolerances) -> None:
+    cls = POINT_CLASSES[classify(pts, tol)[0]]
     if cls in _FORBIDDEN[chart]:
         raise DiracStringError(cls, f"chart {chart.value} undefined at {cls.value} point")
 
@@ -225,72 +441,27 @@ def _require_chart(norm_w: float, z: float, chart: ChartTag, tol: Tolerances) ->
 def hamiltonian(p: BasePoint) -> Matrix2K:
     """``[[z, conj(w)], [w, -z]]``; Hermitian under the K conjugate
     transpose.  Defined for every point, including the origin."""
-    tag = p.tag
-    return Matrix2K(
-        (
-            (scalar(tag, p.z), p.w.conjugate()),
-            (p.w, scalar(tag, -p.z)),
-        )
-    )
-
-
-def _radius_sum(norm_w: float, z: float, r: float, s: float) -> float:
-    """r + s z with r = hypot(||w||, z), without cancellation: where s z < 0
-    it is evaluated as ||w||^2 / (r - s z)."""
-    sz = s * z
-    if sz >= 0.0:
-        return r + sz
-    return norm_w * norm_w / (r - sz)
+    return Matrix2K._of(p.tag, hamiltonian_coeffs(p.batch)[0])
 
 
 def conditioning(p: BasePoint, chart: ChartTag) -> float:
-    """Normalization prefactor 1/sqrt(2r(r +- z)) of the chart unitary.
-
-    Diverges like 1/||w|| on approach to the chart's string, which is the
-    numerical signature of the Dirac string (the unitary's entries
-    themselves stay bounded by 1).  Returns ``inf`` on the string.
-    """
-    s = 1.0 if chart is ChartTag.I else -1.0
-    den = 2.0 * p.r * _radius_sum(p.norm_w, p.z, p.r, s)
-    if den <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(den)
+    """Normalization prefactor 1/sqrt(2r(r +- z)) of the chart unitary; see
+    :func:`conditionings`.  Returns ``inf`` on the string."""
+    return float(conditionings(p.batch, chart)[0])
 
 
 def chart_unitary(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> Matrix2K:
-    """Diagonalizing unitary of the chart.
-
-    Chart I columns are the +r / -r eigenvectors scaled by
-    1/sqrt(2r(r+z)); chart II uses 1/sqrt(2r(r-z)).  Raises
-    :class:`DiracStringError` on the chart's string and at the origin.
-    """
-    _require_chart(p.norm_w, p.z, chart, tol)
-    tag = p.tag
-    r = p.r
-    if chart is ChartTag.I:
-        q = _radius_sum(p.norm_w, p.z, r, 1.0)
-        m = Matrix2K(
-            (
-                (scalar(tag, q), -p.w.conjugate()),
-                (p.w, scalar(tag, q)),
-            )
-        )
-    else:
-        q = _radius_sum(p.norm_w, p.z, r, -1.0)
-        m = Matrix2K(
-            (
-                (p.w.conjugate(), scalar(tag, -q)),
-                (scalar(tag, q), p.w),
-            )
-        )
-    return m.scale(1.0 / math.sqrt(2.0 * r * q))
+    """Diagonalizing unitary of the chart (see :func:`chart_coeffs`).
+    Raises :class:`DiracStringError` on the chart's string and at the
+    origin."""
+    _require_chart(p.batch, chart, tol)
+    return Matrix2K._of(p.tag, chart_coeffs(p.batch, chart)[0])
 
 
 def chart_decompose(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
     """Unitary and eigenvalue factor diag(r, -r) for the chart."""
     u = chart_unitary(p, chart, tol)
-    tag = p.tag
-    d = Matrix2K.diag(scalar(tag, p.r), scalar(tag, -p.r))
+    d = Matrix2K._of(p.tag, eigenvalue_coeffs(p.batch)[0])
     return ChartDecomposition(u, d, chart, conditioning(p, chart))
 
 
@@ -300,8 +471,7 @@ def transition_function(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
     cls = classify_point(p, tol)
     if cls is not PointClass.REGULAR:
         raise DiracStringError(cls, "transition function undefined on the z axis")
-    u = p.w / p.norm_w
-    return Matrix2K.diag(u.conjugate(), u)
+    return Matrix2K._of(p.tag, transition_coeffs(p.batch)[0])
 
 
 def projector(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
@@ -312,14 +482,7 @@ def projector(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
     """
     if p.r <= tol.string_threshold:
         raise DiracStringError(PointClass.ORIGIN, "projector undefined at the origin")
-    tag = p.tag
-    m = Matrix2K(
-        (
-            (scalar(tag, _radius_sum(p.norm_w, p.z, p.r, 1.0)), p.w.conjugate()),
-            (p.w, scalar(tag, _radius_sum(p.norm_w, p.z, p.r, -1.0))),
-        )
-    )
-    return m.scale(1.0 / (2.0 * p.r))
+    return Matrix2K._of(p.tag, projector_coeffs(p.batch)[0])
 
 
 def two_step_factors(p: BasePoint, tol: Tolerances = DEFAULT):
@@ -333,14 +496,9 @@ def two_step_factors(p: BasePoint, tol: Tolerances = DEFAULT):
     if cls is not PointClass.REGULAR:
         raise DiracStringError(cls, "two-step factors need ||w|| > 0")
     tag = p.tag
-    u = p.w / p.norm_w
-    left = Matrix2K.diag(one(tag), u)
-    mid = Matrix2K(
-        (
-            (scalar(tag, p.z), scalar(tag, p.norm_w)),
-            (scalar(tag, p.norm_w), scalar(tag, -p.z)),
-        )
-    )
+    left = Matrix2K.diag(one(tag), p.w / p.norm_w)
+    real = Points.of(tag, _real(np.array(p.norm_w), tag.dim), p.z)
+    mid = Matrix2K._of(tag, hamiltonian_coeffs(real)[0])
     return left, mid, left.dagger()
 
 
@@ -350,21 +508,14 @@ def middle_diagonalize(
     """Real orthogonal diagonalization of [[z, m], [m, -z]], m = ||w||.
 
     This is the matrix that actually carries the Dirac strings: the
-    chart-I factor needs r + z > 0, chart II needs r - z > 0.  A point is
-    refused by the criterion of :func:`classify_point`, so this factor
-    exists exactly where :func:`chart_unitary` does.  Factors are plain
-    numpy arrays.
+    chart-I factor needs r + z > 0, chart II needs r - z > 0.  It is the
+    chart unitary of the real point (m, z), so it exists exactly where
+    :func:`chart_unitary` does.  Factors are plain numpy arrays.
     """
     if norm_w < 0.0:
         raise ValueError("norm_w must be non-negative")
-    _require_chart(norm_w, z, chart, tol)
-    r = math.hypot(norm_w, z)
-    s = 1.0 if chart is ChartTag.I else -1.0
-    q = _radius_sum(norm_w, z, r, s)
-    f = 1.0 / math.sqrt(2.0 * r * q)
-    if chart is ChartTag.I:
-        u = f * np.array([[q, -norm_w], [norm_w, q]])
-    else:
-        u = f * np.array([[norm_w, -q], [q, norm_w]])
-    d = np.diag([r, -r])
-    return ChartDecomposition(u, d, chart, f)
+    pts = Points.of(AlgebraTag.R, norm_w, z)
+    _require_chart(pts, chart, tol)
+    r = float(pts.r[0])
+    u = chart_coeffs(pts, chart)[0, :, :, 0]
+    return ChartDecomposition(u, np.diag([r, -r]), chart, float(conditionings(pts, chart)[0]))

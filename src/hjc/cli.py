@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,10 +44,13 @@ SCHEMA_VERSION = 1
 
 
 class Record:
-    """A JSON object made of declared :class:`Field` s."""
+    """A JSON object made of declared :class:`Field` s.  ``norm`` gives the
+    size of the record's Hamiltonian, ||H||, from the record itself; the
+    residuals declared ``rel`` are held to their tolerance times it."""
 
-    def __init__(self, *fields: "Field"):
+    def __init__(self, *fields: "Field", norm: Optional[Callable] = None):
         self.fields = fields
+        self.norm = norm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,19 +60,23 @@ class Field:
     ``kind`` is a JSON type name, a tuple of allowed values, ``[item]`` for
     an array of ``item``, or a :class:`Record`.  ``null`` lets the value be
     null (a check that does not apply).  A residual names the
-    :class:`~hjc.config.Tolerances` field it must stay within (``tol``);
-    ``ok`` is a structural verdict on the value.  ``csv`` is the CSV column,
-    or the column prefix of a nested record: True uses the field name
-    (``name_`` as a prefix), False leaves the field out.  With ``rows``
-    every item of the field becomes one CSV row after the record's own
-    columns; the items of a record are keyed by field name in the column
-    ``csv``.  ``get`` derives a CSV-only column from the enclosing object.
+    :class:`~hjc.config.Tolerances` field it must stay within (``tol``),
+    times the enclosing record's ||H|| when ``rel`` is set: a residual of H
+    itself, which a backward-stable product or eigensolver leaves at about
+    eps ||H||.  ``ok`` is a structural verdict on the value.  ``csv`` is the
+    CSV column, or the column prefix of a nested record: True uses the
+    field name (``name_`` as a prefix), False leaves the field out.  With
+    ``rows`` every item of the field becomes one CSV row after the record's
+    own columns; the items of a record are keyed by field name in the
+    column ``csv``.  ``get`` derives a CSV-only column from the enclosing
+    object.
     """
 
     name: str
     kind: object
     null: bool = False
     tol: Optional[str] = None
+    rel: bool = False
     ok: Optional[Callable] = None
     csv: object = True
     rows: bool = False
@@ -82,13 +90,13 @@ _PASS = Field("pass", BOOL)
 _SINGULAR_LEVELS = Field("singular_levels", [INT], ok=lambda levels: levels in ([], [0]))
 
 _CHART_CHECK = Record(
-    Field("reconstruction", NUM, tol="algebraic"),
+    Field("reconstruction", NUM, tol="algebraic", rel=True),
     Field("unitarity", NUM, tol="algebraic"),
     Field("conditioning", NUM, null=True),
 )
 _JC_CHART = Record(
     Field("admissible", BOOL),
-    Field("reconstruction", NUM, null=True, tol="reconstruction"),
+    Field("reconstruction", NUM, null=True, tol="reconstruction", rel=True),
     Field("unitarity", NUM, null=True, tol="algebraic"),
     Field("ordering_agreement", NUM, null=True, tol="strict"),
     _SINGULAR_LEVELS,
@@ -109,7 +117,7 @@ RECORDS = {
                     csv="",
                 ),
                 Field("z", NUM),
-                Field("norm_w", NUM, get=lambda point: float(np.linalg.norm(point["w"]["coeffs"]))),
+                Field("norm_w", NUM, get=lambda point: float(berry.norms(np.array(point["w"]["coeffs"])))),
             ),
             csv="",
         ),
@@ -126,12 +134,14 @@ RECORDS = {
             null=True,
         ),
         _PASS,
+        # ||H|| = max(1, r), r = hypot(w, z)
+        norm=lambda rec: max(1.0, math.hypot(*rec["point"]["w"]["coeffs"], rec["point"]["z"])),
     ),
     "jc": Record(
         Field("theta", NUM),
         Field("dim", INT),
         Field("charts", Record(*(Field(c, _JC_CHART) for c in _CHARTS)), csv="chart", rows=True),
-        Field("eigenvalue_max_dev", NUM, tol="reconstruction", csv=False),
+        Field("eigenvalue_max_dev", NUM, tol="reconstruction", rel=True, csv=False),
         Field(
             "projector",
             Record(
@@ -144,10 +154,15 @@ RECORDS = {
         ),
         Field(
             "spectral",
-            Record(Field("reconstruction", NUM, tol="reconstruction"), Field("commutator", NUM, tol="algebraic")),
+            Record(
+                Field("reconstruction", NUM, tol="reconstruction", rel=True),
+                Field("commutator", NUM, tol="algebraic"),
+            ),
             csv=False,
         ),
         Field("pass", BOOL, csv=False),
+        # ||H|| = max(1, max_n R(n)) = max(1, sqrt(d - 1 + theta^2))
+        norm=lambda rec: max(1.0, float(np.max(jc.radius_diag(rec["dim"], rec["theta"], 0)))),
     ),
     "strings": Record(
         Field("theta", NUM),
@@ -231,21 +246,24 @@ def _rows(rec: Record, records: list):
                 yield head + _cells(expand.kind[0], item)
 
 
-def _judge(rec: Record, obj: dict, tol: Tolerances) -> bool:
+def _judge(rec: Record, obj: dict, tol: Tolerances, norm: float = 1.0) -> bool:
     """Whether every non-null residual of ``obj`` is within its tolerance
-    and every verdict and nested record passes; stores the answer in
-    ``obj["pass"]`` where the record declares one."""
+    (times ||H|| where declared ``rel``) and every verdict and nested record
+    passes; stores the answer in ``obj["pass"]`` where the record declares
+    one."""
+    if rec.norm is not None:
+        norm = rec.norm(obj)
     ok = True
     for f in rec.fields:
         v = obj.get(f.name)
         if v is None:
             continue
         if f.tol is not None:
-            ok &= bool(v <= getattr(tol, f.tol))
+            ok &= bool(v <= getattr(tol, f.tol) * (norm if f.rel else 1.0))
         if f.ok is not None:
             ok &= bool(f.ok(v))
         if isinstance(f.kind, Record):
-            ok &= _judge(f.kind, v, tol)
+            ok &= _judge(f.kind, v, tol, norm)
     if any(f.name == "pass" for f in rec.fields):
         obj["pass"] = ok
     return ok
@@ -279,6 +297,12 @@ class ConfigError(ValueError):
 # Config
 
 
+def _finite_value(name: str, v: float) -> float:
+    if not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def _parse_axis(token: str):
     try:
         name, span = token.split("=")
@@ -288,7 +312,11 @@ def _parse_axis(token: str):
         raise ConfigError(f"bad grid token {token!r} (want name=lo:hi:count)") from exc
     if count <= 0:
         raise ConfigError(f"empty grid axis {token!r}")
-    return name, np.linspace(lo, hi, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(_finite_value("grid bound", lo), _finite_value("grid bound", hi), count)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"grid axis {token!r} spans more than the double range")
+    return name, values
 
 
 def parse_grid(spec: str):
@@ -297,6 +325,8 @@ def parse_grid(spec: str):
         raise ConfigError(f"grid {spec!r} needs both z= and w= axes")
     if np.any(axes["w"] < 0):
         raise ConfigError("w axis holds ||w|| values and must be non-negative")
+    if math.hypot(np.max(axes["w"]), np.max(np.abs(axes["z"]))) == math.inf:
+        raise ConfigError(f"grid {spec!r} holds points whose radius hypot(w, z) overflows")
     return axes["w"], axes["z"]
 
 
@@ -307,7 +337,7 @@ def parse_float_list(text: str):
         raise ConfigError(f"bad float list {text!r}") from exc
     if not vals:
         raise ConfigError("empty value list")
-    return vals
+    return tuple(_finite_value("list value", v) for v in vals)
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -321,57 +351,118 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (params, records, tolerances the
-# records are judged by); ``pass`` is added by ``_judge``.
+# Command implementations: each returns (params, records); ``pass`` is
+# added by ``_judge``.
+
+# Points per array pass of ``hjc berry``: bounds the memory of the batched
+# products, whose intermediates hold 2 KB per octonion point.
+BERRY_CHUNK = 1024
 
 
-def _finite(x: float) -> float:
-    return float(x) if math.isfinite(x) else None
+def _field(rec: Record, name: str) -> Field:
+    return next(f for f in rec.fields if f.name == name)
 
 
-def _berry_point_record(index, kind, point, tol):
-    tag = point.tag
-    cls = berry.classify_point(point, tol)
-    rec = {
-        "index": index,
-        "kind": kind,
-        "point": {"w": point.w.to_json(), "z": point.z},
-        "class": cls.value,
-        "charts": {"I": None, "II": None},
-        "cocycle": None,
-        "projector": None,
-    }
-    ham = berry.hamiltonian(point)
-    ident = berry.Matrix2K.identity(tag)
+# The berry pass fills one column per residual and conditioning of the
+# record, named by its path in the declaration: "charts.I.unitarity",
+# "cocycle", "projector.idempotency", ...  _BERRY_NESTED holds the
+# declarations of the nested objects by path.
+_BERRY_NESTED = {
+    **{f"charts.{f.name}": f.kind for f in _field(RECORDS["berry"], "charts").kind.fields},
+    "projector": _field(RECORDS["berry"], "projector").kind,
+}
+_BERRY_COLUMNS = {
+    **{f"{path}.{f.name}": f for path, rec in _BERRY_NESTED.items() for f in rec.fields},
+    "cocycle": _field(RECORDS["berry"], "cocycle"),
+}
+
+
+def _berry_pass(pts: berry.Points, tol: Tolerances, out: dict) -> None:
+    """Classify one chunk of points and write its class codes and every
+    residual and conditioning of the berry record into ``out`` (arrays of
+    the chunk's length, NaN where a check does not apply)."""
+    tag = pts.tag
+    mm = functools.partial(berry.matmul_coeffs, tag)
+    codes = berry.classify(pts, tol)
+    out["class"][:] = codes
+    h = berry.hamiltonian_coeffs(pts)
+    ident = berry.Matrix2K.identity(tag).coeffs
     units = {}
-    for chart in (berry.ChartTag.I, berry.ChartTag.II):
-        try:
-            dec = berry.chart_decompose(point, chart, tol)
-        except berry.DiracStringError:
-            continue
-        u, d = dec.unitary, dec.diagonal
-        rec["charts"][chart.value] = {
-            "reconstruction": berry.residual((u @ d) @ u.dagger(), ham),
-            "unitarity": berry.residual(u.dagger() @ u, ident),
-            "conditioning": _finite(dec.conditioning),
+    for chart in berry.ChartTag:
+        rows = berry.admissible(codes, chart)
+        sub = pts.take(rows)
+        u = berry.chart_coeffs(sub, chart)
+        ud = berry.dagger_coeffs(u)
+        d = berry.eigenvalue_coeffs(sub)
+        out[f"charts.{chart.value}.reconstruction"][rows] = berry.residual_coeffs(mm(mm(u, d), ud), h[rows])
+        out[f"charts.{chart.value}.unitarity"][rows] = berry.residual_coeffs(mm(ud, u), ident)
+        out[f"charts.{chart.value}.conditioning"][rows] = berry.conditionings(sub, chart)
+        units[chart] = rows, u, ud
+    regular = codes == berry.POINT_CLASSES.index(berry.PointClass.REGULAR)
+    rows_i, u_i, _ = units[berry.ChartTag.I]
+    rows_ii, u_ii, _ = units[berry.ChartTag.II]
+    phi = berry.transition_coeffs(pts.take(regular))
+    out["cocycle"][regular] = berry.residual_coeffs(mm(u_i[regular[rows_i]], phi), u_ii[regular[rows_ii]])
+    away = codes != berry.POINT_CLASSES.index(berry.PointClass.ORIGIN)
+    proj = berry.projector_coeffs(pts.take(away))
+    out["projector.idempotency"][away] = berry.residual_coeffs(mm(proj, proj), proj)
+    out["projector.hermiticity"][away] = berry.residual_coeffs(berry.dagger_coeffs(proj), proj)
+    p0 = berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag)).coeffs
+    agreement = np.full(proj.shape[0], np.nan)
+    for rows, u, ud in units.values():
+        # every chart row lies away from the origin
+        sel = rows[away]
+        agreement[sel] = np.fmax(agreement[sel], berry.residual_coeffs(mm(mm(u, p0), ud), proj[sel]))
+    out["projector.chart_agreement"][away] = agreement
+
+
+def berry_columns(pts: berry.Points, tol: Tolerances) -> dict:
+    """Class codes and the berry record's residual and conditioning columns
+    for every point, evaluated ``BERRY_CHUNK`` points at a time."""
+    n = pts.z.shape[0]
+    cols = {"class": np.empty(n, dtype=int), **{k: np.full(n, np.nan) for k in _BERRY_COLUMNS}}
+    for start in range(0, n, BERRY_CHUNK):
+        part = slice(start, start + BERRY_CHUNK)
+        _berry_pass(pts.take(part), tol, {k: v[part] for k, v in cols.items()})
+    return cols
+
+
+def berry_records(pts: berry.Points, kinds: list, tol: Tolerances) -> list:
+    """The berry records of the points (``pass`` not yet judged)."""
+    cols = berry_columns(pts, tol)
+    classes = [berry.POINT_CLASSES[c].value for c in cols.pop("class").tolist()]
+    # NaN: the check does not apply; an infinite value that no tolerance
+    # bounds (a conditioning) is reported as null too
+    cols = {
+        k: [None if v != v or (v == math.inf and f.tol is None) else v for v in cols[k].tolist()]
+        for k, f in _BERRY_COLUMNS.items()
+    }
+
+    def nested(path):
+        # one object per point, null where its first column is
+        names = [f.name for f in _BERRY_NESTED[path].fields]
+        return [
+            None if vals[0] is None else dict(zip(names, vals))
+            for vals in zip(*(cols[f"{path}.{n}"] for n in names))
+        ]
+
+    chart_names = [f.name for f in _field(RECORDS["berry"], "charts").kind.fields]
+    charts = [dict(zip(chart_names, objs)) for objs in zip(*(nested(f"charts.{c}") for c in chart_names))]
+    name = pts.tag.name
+    return [
+        {
+            "index": i,
+            "kind": kind,
+            "point": {"w": {"tag": name, "coeffs": w}, "z": z},
+            "class": cls,
+            "charts": chart,
+            "cocycle": cocycle,
+            "projector": proj,
         }
-        units[chart] = u
-    if cls is berry.PointClass.REGULAR:
-        phi = berry.transition_function(point, tol)
-        rec["cocycle"] = berry.residual(units[berry.ChartTag.I] @ phi, units[berry.ChartTag.II])
-    if cls is not berry.PointClass.ORIGIN:
-        proj = berry.projector(point, tol)
-        rec["projector"] = {
-            "idempotency": berry.residual(proj @ proj, proj),
-            "hermiticity": berry.residual(proj.dagger(), proj),
-            "chart_agreement": None,
-        }
-        if units:
-            p0 = berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag))
-            rec["projector"]["chart_agreement"] = max(
-                berry.residual((u @ p0) @ u.dagger(), proj) for u in units.values()
-            )
-    return rec
+        for i, (w, z, kind, cls, chart, cocycle, proj) in enumerate(
+            zip(pts.w.tolist(), pts.z.tolist(), kinds, classes, charts, cols["cocycle"], nested("projector"))
+        )
+    ]
 
 
 def cmd_berry(args):
@@ -381,19 +472,18 @@ def cmd_berry(args):
     direction = algebra.random_element(tag, rng)
     if direction.norm() == 0.0:  # pragma: no cover - measure zero
         direction = algebra.one(tag)
-    direction = direction / direction.norm()
-    records = []
-    index = 0
-    for s in wscales:
-        for z in zvals:
-            point = berry.BasePoint(direction * float(s), float(z))
-            records.append(_berry_point_record(index, "grid", point, args.tol))
-            index += 1
-    for _ in range(args.samples):
-        point = berry.BasePoint(algebra.random_element(tag, rng), float(rng.standard_normal()))
-        records.append(_berry_point_record(index, "sample", point, args.tol))
-        index += 1
-    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, records, args.tol
+    direction = (direction / direction.norm()).coeffs
+    # one draw per sample of dim + 1 normals, the same stream as drawing w
+    # and then z sample by sample
+    draws = rng.standard_normal((args.samples, tag.dim + 1))
+    grid = len(wscales) * len(zvals)
+    pts = berry.Points.of(
+        tag,
+        np.concatenate((np.repeat(wscales, len(zvals))[:, None] * direction, draws[:, :-1])),
+        np.concatenate((np.tile(zvals, len(wscales)), draws[:, -1])),
+    )
+    records = berry_records(pts, ["grid"] * grid + ["sample"] * args.samples, args.tol)
+    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, records
 
 
 def _jc_chart_record(p, chart, tol):
@@ -452,10 +542,7 @@ def cmd_jc(args):
             "commutator": jc.block_residual(lam @ proj, proj @ lam),
         },
     }
-    # residuals of H itself scale with ||H|| = max R(n): a backward-stable
-    # eigensolver or product is off by about eps ||H|| (see README)
-    scaled = dataclasses.replace(tol, reconstruction=tol.reconstruction * max(1.0, float(np.max(radii))))
-    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [record], scaled
+    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [record]
 
 
 def cmd_strings(args):
@@ -481,7 +568,7 @@ def cmd_strings(args):
                 "lattice": report.lattice(),
             }
         )
-    return {"thetas": list(args.thetas), "dim": args.dim}, records, args.tol
+    return {"thetas": list(args.thetas), "dim": args.dim}, records
 
 
 def _blockwise_max_abs(m: np.ndarray, margin: int) -> float:
@@ -524,7 +611,7 @@ def cmd_evolve(args):
         "theta": p.theta, "g": args.g, "omega": args.omega, "delta": args.delta,
         "dim": d, "t_max": args.t_max, "t_steps": args.t_steps, "n0": args.n0,
     }
-    return params, records, args.tol
+    return params, records
 
 
 def cmd_grassmann(args):
@@ -554,7 +641,7 @@ def cmd_grassmann(args):
         rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p, tol=tol), margin=1)
         rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected, margin=1)
-    return {"thetas": list(args.thetas), "dim": args.dim}, records, tol
+    return {"thetas": list(args.thetas), "dim": args.dim}, records
 
 
 COMMANDS = {
@@ -664,7 +751,16 @@ def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options and complete them in place: ``seed``,
     ``fmt``, ``tol``, the detuning list ``thetas`` and the evolve ``model``."""
     if args.seed is None:
-        args.seed = int(os.environ.get("HJC_SEED", "0"))
+        try:
+            args.seed = int(os.environ.get("HJC_SEED", "0"))
+        except ValueError as exc:
+            raise ConfigError(f"HJC_SEED must be an integer: {exc}") from exc
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    for name in ("theta", "g", "omega", "delta", "t_max"):
+        v = getattr(args, name, None)
+        if isinstance(v, float):
+            _finite_value(name.replace("_", "-"), v)
     args.fmt = args.fmt or ("csv" if args.command == "evolve" else "json")
     args.tol = _tolerances(args)
     if args.command in ("jc", "evolve") and args.dim < 3:
@@ -732,8 +828,8 @@ def main(argv=None) -> int:
         _validate(args)
     except ConfigError as exc:
         parser.error(str(exc))
-    params, records, tol = COMMANDS[args.command](args)
-    failures = sum(not _judge(RECORDS[args.command], r, tol) for r in records)
+    params, records = COMMANDS[args.command](args)
+    failures = sum(not _judge(RECORDS[args.command], r, args.tol) for r in records)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": args.command,

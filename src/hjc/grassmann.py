@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraTag
-from .berry import BasePoint, ChartTag, DiracStringError, PointClass, _radius_sum, classify_point
+from .berry import BasePoint, ChartTag, DiracStringError, PointClass, classify_point, half_sum
 from .config import DEFAULT, Tolerances
 from .jc import BlockOperator, JCParams, SectorStatus, SingularSectorError, radius_sum
 
@@ -114,15 +114,21 @@ def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT
     """Scalar limit (x + iy)/(r + z); blows up on the lower string.
 
     Refused exactly where :func:`hjc.berry.classify_point` puts the point
-    on the lower string or at the origin; r + z is formed without
-    cancellation, so the coordinate is finite arbitrarily close to the
-    string.
+    on the lower string or at the origin.  r + z is never formed: the
+    quotient is taken against h = (r + |z|)/2 of :func:`hjc.berry.half_sum`,
+    as (x + iy)/2h where r + z = 2h and as (x + iy)/||w|| * 2h/||w|| where
+    r + z = ||w||^2/2h cancels, so the coordinate is finite arbitrarily
+    close to the string and over the whole double range.
     """
     point = BasePoint(AlgebraElement(AlgebraTag.C, [x, y]), z)
     cls = classify_point(point, tol)
     if cls in (PointClass.LOWER_STRING, PointClass.ORIGIN):
         raise DiracStringError(cls, "classical coordinate undefined where r + z = 0")
-    return complex(x, y) / _radius_sum(point.norm_w, point.z, point.r, 1.0)
+    half, same = half_sum(point.batch, ChartTag.I)
+    h = float(half[0])
+    if same[0]:
+        return complex(x, y) / h * 0.5
+    return complex(x, y) / point.norm_w * (h / point.norm_w * 2.0)
 
 
 def classical_projector_from_coordinate(zc: complex) -> np.ndarray:

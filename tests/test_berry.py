@@ -411,19 +411,52 @@ def test_chart_near_lower_string_has_no_division_by_zero():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    log_w=st.floats(-150.0, 150.0),
-    log_z=st.floats(-150.0, 150.0),
+    log_w=st.floats(-300.0, 300.0),
+    log_z=st.floats(-300.0, 300.0),
     sign=st.sampled_from([-1.0, 1.0]),
     tag=st.sampled_from(TAGS),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_allowed_charts_unitary_over_wide_range(log_w, log_z, sign, tag, seed):
+    # every admissible chart is unitary and reconstructs H to eps ||H||,
+    # ||H|| = max(1, r), over the double range
     rng = np.random.default_rng(seed)
     u = al.random_element(tag, rng)
     w = u * (10.0 ** log_w / u.norm())
     p = BasePoint(w, sign * 10.0 ** log_z)
-    if berry.classify_point(p) is not PointClass.REGULAR:
+    if berry.classify_point(p) is PointClass.ORIGIN:
         return
+    h = berry.hamiltonian(p)
     for chart in ChartTag:
-        v = berry.chart_unitary(p, chart)
+        try:
+            dec = berry.chart_decompose(p, chart)
+        except DiracStringError:
+            assert berry.classify_point(p) is not PointClass.REGULAR
+            continue
+        v, d = dec.unitary, dec.diagonal
         assert berry.residual(v.dagger() @ v, Matrix2K.identity(tag)) <= DEFAULT.algebraic
+        assert berry.residual((v @ d) @ v.dagger(), h) <= DEFAULT.algebraic * max(1.0, p.r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_scale=st.floats(-100.0, 100.0),
+    tag=st.sampled_from(TAGS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_equal_the_unscaled_norm_in_range(log_scale, tag, seed):
+    # power-of-two scaling is exact, so where no square leaves the double
+    # range the scaled norm is the plain sqrt(sum c^2) bit for bit
+    c = np.random.default_rng(seed).standard_normal((5, tag.dim)) * 10.0**log_scale
+    assert np.array_equal(berry.norms(c), np.sqrt(np.sum(c * c, axis=-1)))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1.5e308 / 3.0, 1e-300, 1e-310])
+@pytest.mark.parametrize("tag", TAGS)
+def test_norms_near_the_ends_of_the_double_range(scale, tag, rng):
+    # c * c overflows or underflows at these scales; the norm does not
+    c = rng.uniform(-1.0, 1.0, (4, tag.dim)) * scale
+    got = berry.norms(c)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    for norm, row in zip(got, c):
+        assert norm == pytest.approx(math.hypot(*row), rel=1e-15, abs=0.0)

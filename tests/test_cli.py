@@ -290,6 +290,44 @@ def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["berry", "--grid", "z=0:1:2,w=0:inf:2", "--samples", "0"],
+        ["berry", "--grid", "z=nan:1:2,w=0:1:2"],
+        ["berry", "--grid", "z=-1e308:1e308:3,w=0:1:2"],  # the axis steps overflow
+        ["berry", "--grid", "z=1.7e308:1.7e308:1,w=1.7e308:1.7e308:1"],  # r overflows
+        ["berry", "--seed", "-1"],
+        ["jc", "--theta", "nan", "--dim", "4"],
+        ["jc", "--g", "inf", "--dim", "4"],
+        ["strings", "--theta=nan,1", "--dim", "4"],
+        ["grassmann", "--theta=0.5,-inf", "--dim", "4"],
+        ["evolve", "--theta", "inf", "--dim", "4"],
+        ["evolve", "--omega", "nan", "--delta", "1", "--dim", "4"],
+        ["evolve", "--omega", "1", "--delta", "-inf", "--dim", "4"],
+        ["evolve", "--t-max", "inf", "--dim", "4"],
+    ],
+)
+def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError("the oracle ran on refused input")
+
+    monkeypatch.setattr(oracle, "eig_hermitian", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["berry", "strings"])
+def test_bad_env_seed_is_a_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setenv("HJC_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--dim=4"] if command == "strings" else [command])
+    assert exc.value.code == 2
+    assert "HJC_SEED" in capsys.readouterr().err
+
+
 def _report(capsys, command, fmt):
     argv = DEFAULT_RUNS[command] + ["--format", fmt]
     code = cli.main(argv)
@@ -335,7 +373,12 @@ def test_csv_cells_equal_json_values(command, capsys):
     assert len(lines) - 1 == len(expected) > 0
     for line, row in zip(lines[1:], expected):
         cells = dict(zip(cli.CSV_COLUMNS[command], line.split(",")))
-        assert cells == {c: _expected_cell(row.get(c)) for c in cli.CSV_COLUMNS[command]}
+        if command == "berry":
+            # the CSV-only norm against an independent reference: the
+            # scaled norm and numpy's unscaled one sum in their own orders
+            norm_w, ref = float(cells.pop("norm_w")), row.pop("norm_w")
+            assert abs(norm_w - ref) <= 2 * np.spacing(ref)
+        assert cells == {c: _expected_cell(row.get(c)) for c in cells}
 
 
 def _mutate_jc_chart_pass(payload):
@@ -370,24 +413,27 @@ def _get(obj, path):
 
 
 def _residual_paths(rec, obj, path=()):
-    """Paths to every non-null declared residual of ``obj``, with the name
-    of its tolerance."""
+    """Paths to every non-null declared residual of ``obj``, with its
+    declaring field."""
     for f in rec.fields:
         v = obj.get(f.name)
         if f.tol is not None and v is not None:
-            yield path + (f.name,), f.tol
+            yield path + (f.name,), f
         if isinstance(f.kind, cli.Record) and v is not None:
             yield from _residual_paths(f.kind, v, path + (f.name,))
 
 
 @pytest.mark.parametrize("command", ["berry", "evolve", "grassmann", "jc"])
 def test_any_residual_above_tolerance_fails_the_record(command, capsys):
+    # the limit is the tolerance, times the record's ||H|| for a residual
+    # of H itself
     payload = json.loads(_report(capsys, command, "json"))
     decl = cli.RECORDS[command]
-    cases = {path: (rec, tol) for rec in payload["records"] for path, tol in _residual_paths(decl, rec)}
+    cases = {path: (rec, f) for rec in payload["records"] for path, f in _residual_paths(decl, rec)}
     assert cases
-    for path, (rec, tol_name) in cases.items():
-        tol = getattr(cli.DEFAULT, tol_name)
+    assert any(f.rel for _, f in cases.values()) == (command in ("berry", "jc"))
+    for path, (rec, f) in cases.items():
+        tol = getattr(cli.DEFAULT, f.tol) * (decl.norm(rec) if f.rel else 1.0)
         for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False)):
             mutated = json.loads(json.dumps(rec))
             _get(mutated, path[:-1])[path[-1]] = float(value)

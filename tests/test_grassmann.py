@@ -186,3 +186,18 @@ def test_classical_coordinate_finite_at_regular_points(log_w, log_z, sign, phase
         [[complex(*chart_form.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
     )
     assert np.max(np.abs(grassmann.classical_projector_from_coordinate(zc) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "z, expected",
+    [
+        # r + z = ||w||^2 / (r + |z|) cancels; r + |z| overflows
+        (-1.7e308, 3.4e8),
+        # r + z itself overflows
+        (1.7e308, 1e300 / 1.7e308 / 2.0),
+    ],
+)
+def test_classical_coordinate_where_r_plus_abs_z_overflows(z, expected):
+    zc = grassmann.classical_coordinate(1e300, 0.0, z)
+    assert zc.imag == 0.0
+    assert zc.real == pytest.approx(expected, rel=1e-14)
