@@ -25,11 +25,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Optional
 
 import numpy as np
@@ -467,7 +467,7 @@ def berry_records(pts: berry.Points, kinds: list, tol: Tolerances) -> list:
 
 def cmd_berry(args):
     tag = algebra.AlgebraTag[args.algebra]
-    wscales, zvals = parse_grid(args.grid)
+    wscales, zvals = args.axes
     rng = np.random.default_rng(args.seed)
     direction = algebra.random_element(tag, rng)
     if direction.norm() == 0.0:  # pragma: no cover - measure zero
@@ -657,20 +657,77 @@ COMMANDS = {
 # Rendering
 
 
-def _json_ready(x):
+# float.__repr__ of the values JSON spells differently
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_write(x, out: list, nl: str) -> None:
+    """Append the JSON text of ``x`` to ``out`` as ``json.dumps(x, indent=2,
+    sort_keys=True)`` writes it, ``nl`` being the newline and indent of the
+    line ``x`` starts on.  Numpy scalars and arrays are written as their
+    ``item()`` / ``tolist()``.  Floats are written in the loops without a
+    call: they are most of every report."""
     if isinstance(x, dict):
-        return {k: _json_ready(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_ready(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_json_ready(v) for v in x.tolist()]
-    return x
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            v = x[k]
+            if type(v) is float:
+                r = float.__repr__(v)
+                out.append(_JSON_FLOATS.get(r, r))
+            else:
+                _json_write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            if type(v) is float:
+                r = float.__repr__(v)
+                out.append(_JSON_FLOATS.get(r, r))
+            else:
+                _json_write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(x, str):
+        out.append(_encode_str(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        r = float.__repr__(x)
+        out.append(_JSON_FLOATS.get(r, r))
+    elif isinstance(x, np.ndarray):
+        _json_write(x.tolist(), out, nl)
+    elif isinstance(x, (np.floating, np.integer)) and isinstance(x.item(), (int, float)):
+        _json_write(x.item(), out, nl)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+    out = []
+    _json_write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_cell(v) -> str:
@@ -702,7 +759,10 @@ def render_csv(command: str, payload: dict) -> str:
 # Entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hjc`` argument parser, built once per process: ``parse_args``
+    returns a fresh namespace each call and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HJC_SEED, then 0)")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
@@ -749,7 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options and complete them in place: ``seed``,
-    ``fmt``, ``tol``, the detuning list ``thetas`` and the evolve ``model``."""
+    ``fmt``, ``tol``, the berry grid ``axes`` (||w|| values, z values), the
+    detuning list ``thetas`` and the evolve ``model``."""
     if args.seed is None:
         try:
             args.seed = int(os.environ.get("HJC_SEED", "0"))
@@ -770,7 +831,7 @@ def _validate(args: argparse.Namespace) -> None:
     if args.command == "berry":
         if args.samples < 0:
             raise ConfigError("samples must be non-negative")
-        parse_grid(args.grid)
+        args.axes = parse_grid(args.grid)
     elif args.command in ("strings", "grassmann"):
         args.thetas = parse_float_list(args.theta)
     elif args.command == "evolve":

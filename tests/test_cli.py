@@ -1,4 +1,6 @@
+import gc
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -7,6 +9,9 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hjc import cli, jc, oracle
 
@@ -457,3 +462,128 @@ def test_structural_verdicts_fail_the_record(command, path, value, capsys):
     _get(rec, path[:-1])[path[-1]] = value
     assert cli._judge(cli.RECORDS[command], rec, cli.DEFAULT) is False
     assert rec["pass"] is False and _get(rec, path[:-1])["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against the stdlib
+
+
+def _stdlib_json(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]
+# keys and strings with escapes, control characters, non-ASCII, astral and
+# lone-surrogate characters, and the empty string
+_TEXT = st.text() | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\U0001f600", "\ud800"])
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.floats()
+    | st.sampled_from(_EDGE_FLOATS)
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_render_json_writes_the_stdlib_bytes(x):
+    assert cli.render_json(x) == _stdlib_json(x)
+
+
+_NUMPY_ARRAYS = hnp.arrays(
+    hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NUMPY_ARRAYS, _JSON_VALUES)
+def test_render_json_writes_numpy_values_as_their_python_values(a, x):
+    scalar = a.reshape(-1)[0] if a.size else a.dtype.type(0)
+    report = {"array": a, "scalar": scalar, "nested": [{"a": a, "x": x}, (scalar,)]}
+    plain = {"array": a.tolist(), "scalar": scalar.item(), "nested": [{"a": a.tolist(), "x": x}, [scalar.item()]]}
+    assert cli.render_json(report) == _stdlib_json(plain)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: 0.5}, {"a": {None: 1}}, {"a": [{2.5: 1}]}, {"a": {1, 2}}, {"a": 1j}, {"a": np.bool_(True)}, [object()]],
+)
+def test_render_json_refuses_non_str_keys_and_non_json_types(value):
+    with pytest.raises(TypeError):
+        cli.render_json(value)
+
+
+def _payloads(monkeypatch):
+    """Collect every payload ``main`` renders as JSON."""
+    seen = []
+    render = cli.render_json
+    monkeypatch.setattr(cli, "render_json", lambda payload: seen.append(payload) or render(payload))
+    return seen
+
+
+_SMALL_RUNS = {
+    "berry": ["berry", "--algebra", "O", "--samples", "20", "--seed", "11"],
+    "jc": ["jc", "--dim", "8", "--seed", "11"],
+    "strings": ["strings", "--theta=-1,0.5", "--dim", "6", "--seed", "11"],
+    "evolve": ["evolve", "--dim", "6", "--t-steps", "3", "--format", "json", "--seed", "11"],
+    "grassmann": ["grassmann", "--dim", "6", "--seed", "11"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_reports_render_as_the_stdlib_does(command, monkeypatch, capsys):
+    seen = _payloads(monkeypatch)
+    assert cli.main(_SMALL_RUNS[command]) == 0
+    (payload,) = seen
+    assert capsys.readouterr().out == _stdlib_json(payload)
+
+
+def test_render_json_leaves_no_reference_cycles(monkeypatch, capsys):
+    # cyclic garbage is freed only by the collector, so a writer that left
+    # it behind would grow the peak memory of a long run of requests
+    seen = _payloads(monkeypatch)
+    cli.main(_SMALL_RUNS["berry"])
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        cli.render_json(seen[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_requests_in_one_process_share_no_parser_state(monkeypatch, capsys):
+    seen = _payloads(monkeypatch)
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["berry", "--samples", "many"])
+    assert exc.value.code == 2
+    assert cli.main(_SMALL_RUNS["jc"]) == 0
+    assert cli.main(["--command", "strings", "--dim", "6"]) == 0
+    assert cli.main(["berry", "--samples", "3"]) == 0
+    assert cli.main(["berry"]) == 0
+    capsys.readouterr()
+    assert [p["command"] for p in seen] == ["jc", "strings", "berry", "berry"]
+    assert [p["params"]["samples"] for p in seen[2:]] == [3, 100]
+    assert seen[3]["summary"]["records"] == 27 + 100
+
+
+def test_berry_parses_its_grid_once(monkeypatch, capsys):
+    calls = []
+    parse = cli.parse_grid
+    monkeypatch.setattr(cli, "parse_grid", lambda spec: calls.append(spec) or parse(spec))
+    assert cli.main(["berry", "--grid", "z=-1:1:3,w=0:1:2", "--samples", "0"]) == 0
+    assert calls == ["z=-1:1:3,w=0:1:2"]
+    assert json.loads(capsys.readouterr().out)["summary"]["records"] == 6
