@@ -26,8 +26,8 @@ def main():
 
     thetas = [float(t) for t in args.thetas.split(",")]
     d = args.dim
-    psi0 = np.zeros(2 * d, dtype=complex)
-    psi0[args.n0] = 1.0
+    psi0 = np.zeros(2 * d)
+    psi0[args.n0] = 1.0  # |excited, n0>
 
     w = sys.stdout.write
     w("t," + ",".join(f"sigma3_theta_{t:g}" for t in thetas) + "\n")
@@ -35,7 +35,7 @@ def main():
         row = [f"{t:.6f}"]
         for theta in thetas:
             u = jc.propagator(jc.JCParams(theta=theta, dim=d, g=args.g), float(t))
-            psi = u.full() @ psi0
+            psi = u.apply(psi0)  # O(d): no dense 2d x 2d matrix
             inv = np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2)
             row.append(f"{inv:.9f}")
         w(",".join(row) + "\n")

@@ -30,9 +30,10 @@ block (i, j) as ``diags[i][j]``, a map from offset k to the level vector
 of length d - |k| on the k-th diagonal (``numpy.diag(v, k)`` layout).
 Products, sums and adjoints act on these vectors elementwise with a
 shift, so every closed form here costs O(d) time and memory, against the
-O(d^3) of the dense oracle.  :meth:`BlockOperator.full` is the only dense
-export; the dense constructor and :meth:`BlockOperator.from_full` extract
-the diagonals losslessly.
+O(d^3) of the dense oracle; :meth:`BlockOperator.apply` multiplies a
+real dense (2d, m) array in O(d m).  :meth:`BlockOperator.full` is the only
+dense export; the dense constructor and :meth:`BlockOperator.from_full`
+extract the diagonals losslessly.
 """
 
 from __future__ import annotations
@@ -173,6 +174,33 @@ class BlockOperator:
                     start = (i * d + max(0, -k)) * 2 * d + j * d + max(0, k)
                     flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v
         return out
+
+    def apply(self, x: np.ndarray, out=None):
+        """The product with a real dense array ``x`` of 2d rows (a vector
+        or a (2d, m) matrix) in O(d m): every stored diagonal scales a
+        shifted slice of the rows of ``x``.  The real and imaginary parts
+        are formed apart, in real arithmetic.
+
+        Returns the complex product.  With ``out``, a pair of real arrays
+        shaped like ``x``, the real and imaginary parts of the product are
+        added to ``out[0]`` and ``out[1]`` in place instead and ``out`` is
+        returned: a caller that wants a difference needs no second pass,
+        and no complex array is formed.
+        """
+        d = self.dim
+        x = np.asarray(x)
+        if x.shape[:1] != (2 * d,) or np.iscomplexobj(x):
+            raise ValueError(f"expected a real array of {2 * d} rows, got {x.dtype} {x.shape}")
+        re, im = (np.zeros(x.shape), np.zeros(x.shape)) if out is None else out
+        for i, row in enumerate(self.diags):
+            for j, block in enumerate(row):
+                for k, v in block.items():
+                    lo, hi = max(0, -k), d - max(0, k)  # rows n with n + k in range
+                    xs = x[j * d + lo + k : j * d + hi + k]
+                    v = v.reshape(v.shape + (1,) * (x.ndim - 1))
+                    re[i * d + lo : i * d + hi] += v.real * xs
+                    im[i * d + lo : i * d + hi] += v.imag * xs
+        return re + 1j * im if out is None else out
 
     @classmethod
     def from_full(cls, m: np.ndarray) -> "BlockOperator":

@@ -1,4 +1,4 @@
-"""Independent verification paths: dense Hermitian eigensolver, the
+"""Independent verification paths: dense Hermitian eigensolvers, the
 eigendecomposition matrix exponential, and residual bookkeeping.
 
 Nothing here touches the closed-form constructions it is used to check;
@@ -9,8 +9,13 @@ exactly zero, as for the Jaynes-Cummings Hamiltonian with real theta and
 g) is real symmetric, so :func:`eig_hermitian` solves it in real
 arithmetic and returns a real orthogonal eigenvector matrix; genuinely
 complex input takes the complex path.  The choice follows from the input
-data alone.  :func:`expm_from_eig` is the one place exp(-i t m) is formed
-from an eigendecomposition.
+data alone.  :func:`eigvals_hermitian` gives the eigenvalues alone, at
+about half the cost.  :func:`expm_from_eig` is the one place exp(-i t m)
+is formed from an eigendecomposition.
+
+Both eigensolvers check their own output before returning it and raise
+:class:`ArithmeticError` when it fails; the check of
+:func:`eigvals_hermitian` needs no eigenvectors.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ResidualReport", "eig_hermitian", "expm_from_eig", "expm_hermitian", "residual"]
+__all__ = ["ResidualReport", "eig_hermitian", "eigvals_hermitian", "expm_from_eig", "expm_hermitian", "residual"]
+
+# Tolerance of the self-checks that grow with the dimension n, in units of
+# n * EPS (times ||m||_F, or its square, where a check compares values of
+# that size).  On JC and random Hermitian input up to n = 640 the largest
+# deviation measured is below one unit.
+CHECK_ULPS = 16
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -34,14 +46,9 @@ class ResidualReport:
         return self.value <= self.tolerance
 
 
-def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10):
-    """Ascending eigenvalues and unitary eigenvector matrix of a
-    Hermitian input.
-
-    Refuses inputs whose Hermiticity residual exceeds ``herm_tol`` and
-    self-checks the reconstruction to 1e-11 * ||m||.  The eigenvectors
-    are real exactly when every entry of ``m`` is real.
-    """
+def _hermitian(m: np.ndarray, herm_tol: float) -> np.ndarray:
+    """``m`` as a float array when every entry is real, else complex;
+    refuses it when its Hermiticity residual exceeds ``herm_tol``."""
     m = np.asarray(m)
     if np.iscomplexobj(m) and not np.any(m.imag):
         m = m.real
@@ -49,12 +56,60 @@ def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10):
     herm = float(np.max(np.abs(m - m.conj().T)))
     if herm > herm_tol:
         raise ValueError(f"input not Hermitian: residual {herm:.3e}")
+    return m
+
+
+def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10):
+    """Ascending eigenvalues and unitary eigenvector matrix of a
+    Hermitian input.
+
+    Refuses inputs whose Hermiticity residual exceeds ``herm_tol``.
+    Self-checks the reconstruction to 1e-11 * max(1, max |m_ij|) and the
+    orthonormality, max |V+ V - I|, to ``CHECK_ULPS`` * n * eps: a lost
+    eigenvector of a null space leaves the reconstruction intact.  The
+    eigenvectors are real exactly when every entry of ``m`` is real.
+    """
+    m = _hermitian(m, herm_tol)
     w, v = np.linalg.eigh(m)
+    n = m.shape[0]
     scale = max(1.0, float(np.max(np.abs(m))))
-    recon = float(np.max(np.abs((v * w) @ v.conj().T - m)))  # conj() of a real array is itself
+    vh = v.conj().T  # conj() of a real array is itself
+    recon = float(np.max(np.abs((v * w) @ vh - m)))
     if recon > 1e-11 * scale:
         raise ArithmeticError(f"eigendecomposition reconstruction residual {recon:.3e}")
+    orth = float(np.max(np.abs(vh @ v - np.eye(n))))
+    if orth > CHECK_ULPS * n * EPS:
+        raise ArithmeticError(f"eigenvector orthonormality residual {orth:.3e}")
     return w, v
+
+
+def eigvals_hermitian(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian input, without eigenvectors.
+
+    Refuses inputs as :func:`eig_hermitian` does.  Self-checks the
+    eigenvalues against two invariants of ``m``: with s = ||m||_F,
+    |sum w - tr m| <= c n eps s and |sum w^2 - ||m||_F^2| <= c n eps s^2,
+    c = ``CHECK_ULPS``.  A backward-stable solver moves each eigenvalue by
+    about eps ||m||_2 <= eps s, so the sums move by about n eps s and
+    2 n eps s^2 at most.  The sums are taken on ``m`` scaled by a power of
+    two (exactly), so no square overflows or underflows.
+    """
+    m = _hermitian(m, herm_tol)
+    w = np.linalg.eigvalsh(m)
+    n = m.shape[0]
+    k = 2.0 ** -np.frexp(np.max(np.abs(m)))[1]
+    ms, ws = m * k, w * k
+    fro2 = float(np.vdot(ms, ms).real)
+    bound = CHECK_ULPS * n * EPS * np.sqrt(fro2)
+    trace_dev = abs(float(np.sum(ws)) - float(np.trace(ms).real))
+    fro_dev = abs(float(ws @ ws) - fro2)
+    # written so that a NaN fails the check
+    if not (trace_dev <= bound and fro_dev <= bound * np.sqrt(fro2)):
+        raise ArithmeticError(
+            f"eigenvalue self-check failed: trace deviation {trace_dev / k:.3e}, "
+            f"squared-norm deviation {fro_dev / (k * k):.3e}"
+        )
+    return w
 
 
 def expm_from_eig(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

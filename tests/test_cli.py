@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hjc import cli, jc, oracle
+from hjc.config import DEFAULT
 
 
 def run_cli(*args):
@@ -160,6 +161,89 @@ def test_evolve_full_hamiltonian_path():
     assert payload["summary"]["passed"] is True
 
 
+def _evolve_records(capsys, *argv):
+    code = cli.main(["evolve", "--t-max=10", "--t-steps=5", "--format=json", *argv])
+    return code, json.loads(capsys.readouterr().out)["records"]
+
+
+@pytest.mark.parametrize("path", ["interaction", "omega_delta"])
+@pytest.mark.parametrize("theta", [0.0, 0.25, -0.25, 3.0, -3.0])
+@pytest.mark.parametrize("d", [3, 12, 48])
+def test_evolve_residual_bounds_the_dense_entrywise_error(d, theta, path, capsys):
+    # the reported residual, a row 2-norm over all columns, is at least the
+    # largest entry of U(t) - exp(-itH) on the margin-2 square of every block
+    if path == "interaction":
+        argv = [f"--theta={theta!r}"]
+        p = jc.JCParams(theta, d)
+        h, evolve = jc.hamiltonian(p), jc.propagator
+    else:
+        argv = ["--omega=1", f"--delta={1 + 2 * theta!r}"]  # theta = (delta - omega) / 2g
+        p = jc.JCParams.from_physical(1.0, 1 + 2 * theta, 1.0, d)
+        h1, h2 = jc.full_hamiltonian(p)
+        h, evolve = h1 + h2, jc.full_propagator
+    code, records = _evolve_records(capsys, f"--dim={d}", *argv)
+    assert code == 0
+    w, v = oracle.eig_hermitian(h.full())
+    # rounding slack: the dense reference V exp(-itW) V^T is itself only
+    # as unitary as V, about 2d eps (measured gaps stay below 0.2 of it)
+    slack = 2 * d * np.finfo(float).eps
+    for rec in records:
+        diff = evolve(p, rec["t"]).full() - oracle.expm_from_eig(w, v, rec["t"])
+        entrywise = np.max(np.abs(diff.reshape(2, d, 2, d)[:, : d - 2, :, : d - 2]))
+        assert rec["closed_vs_oracle_residual"] >= entrywise - slack
+        assert max(rec["closed_vs_oracle_residual"], entrywise) <= DEFAULT.propagator
+
+
+def _perturb_propagator(mp, mutate):
+    orig = jc.propagator
+
+    def perturbed(p, t):
+        u = orig(p, t)
+        mutate(u)
+        return u
+
+    mp.setattr(jc, "propagator", perturbed)
+
+
+def _ground_phase_off(mp):
+    # the ground level |g,0> is a sector of its own: a phase error there
+    # leaves U(t) unitary
+    def mutate(u):
+        u.diags[1][1][0][0] *= np.exp(1e-6j)
+
+    _perturb_propagator(mp, mutate)
+
+
+def _off_sector_entry(mp):
+    # <e,0| U |e,2>: two sectors that U(t) never couples
+    def mutate(u):
+        u.diags[0][0][2] = np.zeros(u.dim - 2, dtype=complex)
+        u.diags[0][0][2][0] = 1e-6
+
+    _perturb_propagator(mp, mutate)
+
+
+def _oracle_eigenvalues_shifted(mp):
+    orig = oracle.eig_hermitian
+
+    def shifted(m):
+        w, v = orig(m)
+        return w + 1e-6, v
+
+    mp.setattr(oracle, "eig_hermitian", shifted)
+
+
+@pytest.mark.parametrize("perturb", [_ground_phase_off, _off_sector_entry, _oracle_eigenvalues_shifted])
+@pytest.mark.parametrize("path", [[], ["--omega=1", "--delta=1.5"]])
+def test_evolve_residual_catches_errors_of_1e_6(perturb, path, capsys, monkeypatch):
+    perturb(monkeypatch)
+    code, records = _evolve_records(capsys, "--dim=8", *path)
+    assert code == 1
+    assert max(rec["closed_vs_oracle_residual"] for rec in records) > 1e-7
+    if perturb is _ground_phase_off:
+        assert all(rec["unitarity"] <= 1e-15 for rec in records)
+
+
 def test_evolve_rejects_lone_omega():
     proc = run_cli("evolve", "--omega", "1.0", "--dim", "8")
     assert proc.returncode == 2
@@ -226,7 +310,7 @@ def test_jc_passes_at_large_theta(theta, capsys):
     # the record reports the residual itself, not the scaled one
     p = jc.JCParams(theta=theta, dim=8)
     radii = jc.radius_diag(8, theta, 0)
-    evals, _ = oracle.eig_hermitian(jc.hamiltonian(p).full())
+    evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
     assert rec["eigenvalue_max_dev"] == np.max(np.abs(np.sort(evals) - np.sort(np.concatenate([radii, -radii]))))
 
 
@@ -246,13 +330,9 @@ def _shift_spectral(mp, shift):
 
 
 def _shift_eigenvalues(mp, shift):
-    orig = oracle.eig_hermitian
-
-    def shifted(m):
-        w, v = orig(m)
-        return w + shift, v
-
-    mp.setattr(oracle, "eig_hermitian", shifted)
+    # the oracle entry hjc jc calls
+    orig = oracle.eigvals_hermitian
+    mp.setattr(oracle, "eigvals_hermitian", lambda m: orig(m) + shift)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1e8, -1e8])
@@ -276,6 +356,15 @@ def test_dim_below_three_is_usage_error(command):
     assert proc.returncode == 0, proc.stderr
 
 
+def _refuse_the_oracle(monkeypatch):
+    # both oracle entries: jc calls eigvals_hermitian, evolve eig_hermitian
+    def refuse(m):
+        raise AssertionError("the oracle ran on refused input")
+
+    for name in ("eig_hermitian", "eigvals_hermitian"):
+        monkeypatch.setattr(oracle, name, refuse)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,10 +375,7 @@ def test_dim_below_three_is_usage_error(command):
     ],
 )
 def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
-    def refuse(m):
-        raise AssertionError("the oracle ran on refused input")
-
-    monkeypatch.setattr(oracle, "eig_hermitian", refuse)
+    _refuse_the_oracle(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -314,10 +400,7 @@ def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
     ],
 )
 def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsys):
-    def refuse(m):
-        raise AssertionError("the oracle ran on refused input")
-
-    monkeypatch.setattr(oracle, "eig_hermitian", refuse)
+    _refuse_the_oracle(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -567,6 +567,9 @@ def test_full_propagator_needs_frequencies():
 def test_block_operator_shape_guard():
     with pytest.raises(ValueError):
         BlockOperator(((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))))
+    for x in (np.ones((6, 2)), np.ones(8, dtype=complex)):
+        with pytest.raises(ValueError, match="expected a real array of 8 rows"):
+            BlockOperator.identity(4).apply(x)
 
 
 def test_block_full_roundtrip(rng):
@@ -618,6 +621,14 @@ def test_block_operator_algebra_matches_dense(d, dense, seed):
     k = d - margin
     blocks = af.reshape(2, d, 2, d)[:, :k, :, :k]
     assert a.max_abs(margin) == np.max(np.abs(blocks))
+    # apply: a vector, a matrix, and the accumulation into a pair of planes
+    x = rng.standard_normal((2 * d, 3))
+    for y in (x[:, 0], x):
+        assert np.all(np.abs(a.apply(y) - af @ y) <= 1e-13 * (np.abs(af) @ np.abs(y)))
+    base = rng.standard_normal((2, 2 * d, 3))
+    re, im = a.apply(x, out=(base[0].copy(), base[1].copy()))
+    bound = 1e-13 * (np.abs(af) @ np.abs(x) + np.abs(base[0] + 1j * base[1]))
+    assert np.all(np.abs(re + 1j * im - (base[0] + 1j * base[1] + af @ x)) <= bound)
 
 
 def test_closed_forms_are_linear_in_memory():
@@ -630,6 +641,9 @@ def test_closed_forms_are_linear_in_memory():
         dec = jc.chart_decompose(p, ChartTag.I)
         proj = jc.projector(p)
         plus, minus = jc.spectral_decomposition(p)
+        start = np.zeros(2 * d)
+        start[3] = 1.0
+        psi = u.apply(start)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -638,3 +652,4 @@ def test_closed_forms_are_linear_in_memory():
     assert jc.block_residual(dec.unitary.dagger() @ dec.unitary, BlockOperator.identity(d), margin=1) <= 1e-12
     assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
     assert jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2) <= 1e-10
+    assert np.array_equal(psi[[3, d + 4]], [u.diags[0][0][0][3], u.diags[1][0][-1][3]])

@@ -46,6 +46,7 @@ def test_eig_paths_match_complex_reference(kind, n, rng):
     w_ref, v_ref = reference_eig(m)
     norm = np.max(np.abs(m))
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * norm
+    assert np.max(np.abs(oracle.eigvals_hermitian(m) - w_ref)) <= 1e-13 * norm
     # a 1 x 1 Hermitian matrix is real whatever its dtype
     assert v.dtype == (np.float64 if kind != "complex" or n == 1 else np.complex128)
     for t in (0.0, 0.3, -2.1):
@@ -96,8 +97,9 @@ def test_eig_rejects_non_hermitian():
         np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
         np.array([[0.0, 1j], [1j, 0.0]]),  # complex symmetric, not Hermitian
     ):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            oracle.eig_hermitian(m)
+        for solve in (oracle.eig_hermitian, oracle.eigvals_hermitian):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                solve(m)
 
 
 @pytest.mark.parametrize("kind", INPUT_KINDS)
@@ -111,6 +113,67 @@ def test_eig_self_check_catches_bad_vectors(kind, rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(ArithmeticError, match="reconstruction residual"):
         oracle.eig_hermitian(make_input(kind, rng, 6))
+
+
+def test_eig_self_check_catches_a_lost_null_vector(monkeypatch):
+    # at resonance the ground and the top level span a null space; an
+    # eigenvector of it zeroed leaves the reconstruction intact
+    m = kron_jc_hamiltonian(0.0, 6)
+    eigh = np.linalg.eigh
+
+    def lossy(a):
+        w, v = eigh(a)
+        v = v.copy()
+        v[:, np.argmin(np.abs(w))] = 0.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", lossy)
+    with pytest.raises(ArithmeticError, match="orthonormality"):
+        oracle.eig_hermitian(m)
+
+
+# real and genuinely complex input, random and JC (at resonance, with its
+# null space, and at a detuning where ||H|| ~ 1e8)
+SELF_CHECK_INPUTS = {
+    "random_real": lambda rng: make_input("real", rng, 40),
+    "random_complex": lambda rng: make_input("complex", rng, 40),
+    "jc_resonance": lambda rng: kron_jc_hamiltonian(0.0, 20),
+    "jc_complex_large_theta": lambda rng: kron_jc_hamiltonian(1e8, 20, phase=0.9),
+}
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("name", SELF_CHECK_INPUTS)
+def test_eigvals_self_check_catches_bad_eigenvalues(name, spread, rng, monkeypatch):
+    # off by 1e-6 of the largest entry of m: the eigenvalue nearest zero,
+    # which leaves sum w^2 all but unchanged, or the two extreme ones moved
+    # apart, which leaves sum w unchanged
+    m = SELF_CHECK_INPUTS[name](rng)
+    eigvalsh = np.linalg.eigvalsh
+    assert oracle.eigvals_hermitian(m).shape == (m.shape[0],)
+
+    def perturbed(a):
+        w = eigvalsh(a).copy()
+        delta = 1e-6 * np.max(np.abs(a))
+        if spread:
+            w[0] -= delta
+            w[-1] += delta
+        else:
+            w[np.argmin(np.abs(w))] += delta
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    with pytest.raises(ArithmeticError, match="eigenvalue self-check"):
+        oracle.eigvals_hermitian(m)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_eigvals_self_check_over_the_double_range(scale):
+    # ||m||_F^2 over- or underflows here; the check is taken on m scaled by
+    # a power of two
+    m = kron_jc_hamiltonian(0.3, 8).real
+    w = oracle.eigvals_hermitian(m * scale)
+    assert np.max(np.abs(w / scale - np.linalg.eigvalsh(m))) <= 1e-14
 
 
 # a real JC matrix (real path) and one with a complex coupling phase (complex path)
