@@ -32,6 +32,8 @@ __all__ = ["ResidualReport", "eig_hermitian", "eigvals_hermitian", "expm_from_ei
 # deviation measured is below one unit.
 CHECK_ULPS = 16
 EPS = np.finfo(float).eps
+# Largest max |m - m+| the eigensolvers accept as Hermitian.
+HERM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,30 +48,30 @@ class ResidualReport:
         return self.value <= self.tolerance
 
 
-def _hermitian(m: np.ndarray, herm_tol: float) -> np.ndarray:
+def _hermitian(m: np.ndarray) -> np.ndarray:
     """``m`` as a float array when every entry is real, else complex;
-    refuses it when its Hermiticity residual exceeds ``herm_tol``."""
+    refuses it when its Hermiticity residual exceeds ``HERM_TOL``."""
     m = np.asarray(m)
     if np.iscomplexobj(m) and not np.any(m.imag):
         m = m.real
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > herm_tol:
+    if herm > HERM_TOL:
         raise ValueError(f"input not Hermitian: residual {herm:.3e}")
     return m
 
 
-def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10):
+def eig_hermitian(m: np.ndarray):
     """Ascending eigenvalues and unitary eigenvector matrix of a
     Hermitian input.
 
-    Refuses inputs whose Hermiticity residual exceeds ``herm_tol``.
+    Refuses inputs whose Hermiticity residual exceeds ``HERM_TOL``.
     Self-checks the reconstruction to 1e-11 * max(1, max |m_ij|) and the
     orthonormality, max |V+ V - I|, to ``CHECK_ULPS`` * n * eps: a lost
     eigenvector of a null space leaves the reconstruction intact.  The
     eigenvectors are real exactly when every entry of ``m`` is real.
     """
-    m = _hermitian(m, herm_tol)
+    m = _hermitian(m)
     w, v = np.linalg.eigh(m)
     n = m.shape[0]
     scale = max(1.0, float(np.max(np.abs(m))))
@@ -83,7 +85,7 @@ def eig_hermitian(m: np.ndarray, herm_tol: float = 1e-10):
     return w, v
 
 
-def eigvals_hermitian(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian input, without eigenvectors.
 
     Refuses inputs as :func:`eig_hermitian` does.  Self-checks the
@@ -94,7 +96,7 @@ def eigvals_hermitian(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
     2 n eps s^2 at most.  The sums are taken on ``m`` scaled by a power of
     two (exactly), so no square overflows or underflows.
     """
-    m = _hermitian(m, herm_tol)
+    m = _hermitian(m)
     w = np.linalg.eigvalsh(m)
     n = m.shape[0]
     k = 2.0 ** -np.frexp(np.max(np.abs(m)))[1]
