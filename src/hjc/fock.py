@@ -4,9 +4,9 @@ All operators are dense complex matrices over the number basis
 |0>, ..., |d-1>; they are the dense reference for the level-vector
 operators of :mod:`hjc.jc`.  Truncation convention: the creation operator is the
 exact conjugate transpose of the annihilation operator, so it annihilates
-the top level instead of leaving the space.  Identities that the
-truncation breaks at the top are therefore asserted only on the leading
-"safe subspace" |0>, ..., |d-1-k> obtained with :func:`restrict`.
+the top level instead of leaving the space, and identities such as
+[a, a+] = 1 take their truncated form at the top level (there
+[a, a+] = -(d-1)).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "func_of_number",
     "pseudo_diag_inverse",
     "shift_identity_check",
-    "restrict",
     "unit_lowering",
     "unit_raising",
 ]
@@ -96,25 +95,17 @@ def pseudo_diag_inverse(op: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray
     return np.diag(out)
 
 
-def restrict(op: np.ndarray, margin: int) -> np.ndarray:
-    """Compress to the leading (d - margin) x (d - margin) block."""
-    d = op.shape[0]
-    if not 0 <= margin < d:
-        raise ValueError(f"margin {margin} out of range for dimension {d}")
-    k = d - margin
-    return op[:k, :k].copy()
-
-
 def shift_identity_check(f: Callable[[int], float], d: int) -> float:
-    """Max-norm of a f(N) - f(N+1) a on the margin-1 safe subspace.
+    """Max-norm of a f(N) - f(N+1) a.
 
-    The identity holds exactly for the truncated matrices (a only moves
-    levels down), so the residual is a pure floating-point figure.
+    The identity holds exactly for the truncated matrices, the top row
+    included (a only moves levels down, and the top row of a is zero), so
+    the residual is a pure floating-point figure.
     """
     a = annihilation(d)
     lhs = a @ func_of_number(d, f)
     rhs = func_of_number(d, lambda n: f(n + 1)) @ a
-    return float(np.max(np.abs(restrict(lhs - rhs, 1))))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def unit_lowering(d: int) -> np.ndarray:

@@ -10,10 +10,12 @@ under the standard rank-one chart of the Grassmannian,
     P(Z) = [[ (1+Z+Z)^-1,      (1+Z+Z)^-1 Z+   ],
             [ Z (1+Z+Z)^-1,    Z (1+Z+Z)^-1 Z+ ]].
 
-The coordinate exists whenever R(n) + theta stays away from zero, which
-fails exactly at the ground level for theta <= 0 -- the string's shadow in
-the coordinate chart.  The classical limit of Z is the familiar scalar
-stereographic coordinate (x + iy)/(r + z), undefined on the lower string.
+The coordinate exists exactly where chart I does: its denominators are
+those of chart I (:func:`hjc.jc.chart_denominators`), whose row 2 entry
+2 R(n) (R(n) + theta) vanishes only at the ground level for theta <= 0 --
+the string's shadow in the coordinate chart.  The classical limit of Z is
+the familiar scalar stereographic coordinate (x + iy)/(r + z), undefined
+on the lower string.
 
 Z is one subdiagonal and 1 + Z+Z is diagonal, so Z is kept as its
 subdiagonal level vector and P(Z) is built elementwise as a
@@ -29,7 +31,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraTag
 from .berry import BasePoint, ChartTag, DiracStringError, PointClass, classify_point, half_sum
 from .config import DEFAULT, Tolerances
-from .jc import BlockOperator, JCParams, SectorStatus, SingularSectorError, radius_sum
+from .jc import BlockOperator, JCParams, admissible_denominators
 
 __all__ = [
     "LocalCoordinate",
@@ -47,9 +49,10 @@ class LocalCoordinate:
 
     Z has one nonzero diagonal, the first subdiagonal, and ``levels``
     holds it: Z|n> = levels[n] |n+1> with levels[n] = sqrt(n+1)/(R(n+1)+theta)
-    for n = 0 .. d-2.  ``singular_levels`` records the levels where
-    R(n) + theta fell below threshold (construction refuses such
-    parameters, so this is empty on returned values)."""
+    for n = 0 .. d-2.  ``singular_levels`` records the levels where the
+    chart I row 2 denominator 2 R(n) (R(n) + theta) fell below threshold
+    (construction refuses such parameters, so this is empty on returned
+    values)."""
 
     levels: np.ndarray
     theta: float
@@ -65,29 +68,19 @@ class LocalCoordinate:
         return np.diag(self.levels, k=-1)
 
 
-def _denominators(p: JCParams):
-    return radius_sum(p.dim, p.theta, 0, 1.0), radius_sum(p.dim, p.theta, 1, 1.0)
-
-
 def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):
     """Both closed forms of Z, (1/(R(N)+theta)) a+ and
     a+ (1/(R(N+1)+theta)), as subdiagonal level vectors; they agree
-    identically."""
-    den0, den1 = _denominators(p)
-    bad = np.nonzero(den0 <= tol.singular_threshold)[0]
-    if bad.size:
-        sectors = tuple(
-            SectorStatus(ChartTag.I, 2, int(n), float(2.0 * abs(den0[n])), "singular")
-            for n in bad
-        )
-        raise SingularSectorError(ChartTag.I, sectors)
+    identically.  Raises :class:`hjc.jc.SingularSectorError` where chart I
+    is singular, as :func:`hjc.jc.singular_sectors` reports it."""
+    (_, shifted, _), (_, plain, _) = admissible_denominators(p, ChartTag.I, tol)
     sq = np.sqrt(np.arange(1.0, p.dim))  # the subdiagonal of a+
-    return sq / den0[1:], sq / den1[:-1]
+    return sq / plain[1:], sq / shifted[:-1]
 
 
 def local_coordinate(p: JCParams, tol: Tolerances = DEFAULT) -> LocalCoordinate:
-    """The regular form of Z; raises :class:`SingularSectorError` when
-    R(n) + theta vanishes at some level (ground level, theta <= 0)."""
+    """The regular form of Z; raises :class:`hjc.jc.SingularSectorError`
+    where chart I is singular (ground level, theta <= 0)."""
     _, shifted = local_coordinate_forms(p, tol)
     return LocalCoordinate(shifted, p.theta)
 

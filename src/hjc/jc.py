@@ -8,16 +8,29 @@ The scaled interaction Hamiltonian on C^2 (x) F is the block operator
 with theta = (Delta - omega) / 2g playing the role of the classical z
 coordinate and a, a+ replacing w, conj(w).  The classical two-chart
 construction carries over with the radius replaced by the operator
-R(N) = sqrt(N + theta^2): each chart has an operator-valued unitary, a
-diagonal factor built from R(N) and R(N+1), a transition operator, a
-globally defined projector and a closed-form propagator.
+sqrt(H^2): each chart has an operator-valued unitary, a diagonal factor
+built from the radius, a transition operator, a globally defined
+projector and a closed-form propagator.
 
-Chart denominators 2 R(n) (R(n) +- theta) vanish only at the ground level
-n = 0 (chart I for theta < 0, chart II for theta > 0, both at resonance),
-which is the quantum remnant of the classical Dirac string: it lives
-purely in states containing the ground level.  The sums R(n) +- theta are
-evaluated as n / (R(n) -+ theta) on the side where they would cancel
-(:func:`radius_sum`), so no other level turns singular at large |theta|.
+Truncation: on C^2 (x) F_d the square H^2 = diag(a a+ + theta^2,
+a+ a + theta^2) holds exactly, so the radius of block row 1 is
+R(N+1) = sqrt(N + 1 + theta^2) below the top level and |theta| at it
+(a+ annihilates |d-1>), and that of row 2 is R(N) = sqrt(N + theta^2)
+(:func:`row_radii`).  H is an exact direct sum of the two-level sectors
+span{|e,n-1>, |g,n>}, n = 1 .. d-1, and two one-level sectors: the ground
+level |g,0> (eigenvalue -theta) and the top level |e,d-1> (eigenvalue
++theta), a pure truncation artifact.  Every closed form here carries the
+row radii, so it is exact on every sector, the top one included.
+
+Chart denominators 2 R (R +- theta) (:func:`chart_denominators`) vanish
+only at the ground level n = 0 (chart I for theta < 0, chart II for
+theta > 0, both at resonance), which is the quantum remnant of the
+classical Dirac string: it lives purely in states containing the ground
+level.  The top level's denominator always equals the ground one, so it
+never decides which chart exists.  The sums R +- theta are evaluated as
+m / (R -+ theta), m the level number, on the side where they would
+cancel, and R as hypot(sqrt(m), theta), so no other level turns singular
+and nothing overflows at large |theta|.
 
 Flattening convention: the atom index is major, so a block operator maps
 component vectors (upper, lower) of length d each, and flattened index
@@ -55,7 +68,9 @@ __all__ = [
     "block_diag",
     "block_residual",
     "radius_diag",
-    "radius_sum",
+    "row_radii",
+    "chart_denominators",
+    "admissible_denominators",
     "hamiltonian",
     "full_hamiltonian",
     "two_step_factors",
@@ -251,19 +266,9 @@ class BlockOperator:
 
     __rmul__ = __mul__
 
-    def restrict(self, margin: int) -> "BlockOperator":
-        """Compress every block to its leading (d - margin) square."""
-        if not 0 <= margin < self.dim:
-            raise ValueError(f"margin {margin} out of range for dimension {self.dim}")
-        n = self.dim - margin
-        kept = [[{k: v[: n - abs(k)] for k, v in b.items() if abs(k) < n} for b in row] for row in self.diags]
-        return BlockOperator.from_diagonals(n, kept)
-
-    def max_abs(self, margin: int = 0) -> float:
-        """Largest entry modulus over the leading (d - margin) square of
-        every block."""
-        op = self.restrict(margin) if margin else self
-        return float(np.max([np.max(np.abs(v)) for row in op.diags for b in row for v in b.values()], initial=0.0))
+    def max_abs(self) -> float:
+        """Largest entry modulus."""
+        return float(np.max([np.max(np.abs(v)) for row in self.diags for b in row for v in b.values()], initial=0.0))
 
 
 def block_diag(b00, b11) -> BlockOperator:
@@ -276,35 +281,60 @@ def block_diag(b00, b11) -> BlockOperator:
     return BlockOperator.from_diagonals(b00.shape[0], (({0: b00}, {}), ({}, {0: b11})))
 
 
-def block_residual(a: BlockOperator, b: BlockOperator, margin: int = 0) -> float:
-    return (a - b).max_abs(margin)
+def block_residual(a: BlockOperator, b: BlockOperator) -> float:
+    return (a - b).max_abs()
 
 
 def radius_diag(d: int, theta: float, shift: int = 0) -> np.ndarray:
-    """Level values of R(N + shift) = sqrt(N + shift + theta^2).
+    """Level values of R(N + shift) = sqrt(N + shift + theta^2), as
+    hypot(sqrt(N + shift), theta): theta^2 is never formed, and the
+    n + shift = 0 entry is |theta| exactly."""
+    return np.hypot(np.sqrt(np.arange(d, dtype=float) + shift), theta)
 
-    The n + shift = 0 entry is |theta| exactly (sqrt of a rounded square
-    can be a ulp off, which would smear the vanishing denominators the
-    string analysis keys on).
+
+def _row_levels(d: int):
+    """Level numbers m of the two block rows, the eigenvalues of a a+
+    (n + 1 below the top level, 0 at it) and of a+ a (n)."""
+    n = np.arange(d, dtype=float)
+    return np.append(n[1:], 0.0), n
+
+
+def _radius_sum(m: np.ndarray, theta: float, sign: float):
+    """R = sqrt(m + theta^2) and R + sign * theta for level numbers m.
+
+    Where sign * theta < 0 the sum is evaluated as m / (R - sign * theta),
+    so it vanishes only at m = 0 and keeps full relative accuracy for
+    every |theta|.
     """
-    n = np.arange(d, dtype=float) + shift
-    out = np.sqrt(n + theta * theta)
-    out[n == 0.0] = abs(theta)
-    return out
-
-
-def radius_sum(d: int, theta: float, shift: int, sign: float) -> np.ndarray:
-    """Level values of R(N + shift) + sign * theta, without cancellation.
-
-    Where sign * theta < 0 the difference is evaluated as
-    (n + shift) / (R(N + shift) - sign * theta), so it vanishes only at
-    n + shift = 0 and keeps full relative accuracy for every |theta|.
-    """
-    r = radius_diag(d, theta, shift)
+    r = np.hypot(np.sqrt(m), theta)
     st = sign * theta
-    if st >= 0.0:
-        return r + st
-    return (np.arange(d, dtype=float) + shift) / (r - st)
+    return r, (r + st if st >= 0.0 else m / (r - st))
+
+
+def row_radii(p: JCParams):
+    """Level values of the radius sqrt(H^2) in each block row:
+    sqrt(a a+ + theta^2), which is R(N+1) below the top level and |theta|
+    at it, and sqrt(a+ a + theta^2) = R(N)."""
+    return tuple(np.hypot(np.sqrt(m), p.theta) for m in _row_levels(p.dim))
+
+
+def chart_denominators(p: JCParams, chart: ChartTag):
+    """Per block row of a chart, the level values of the radius R of
+    :func:`row_radii`, of q = R + s theta and of the denominator 2 R q,
+    with s = +1 for chart I and -1 for chart II.
+
+    The denominator is formed as 2 (R q).  Where q cancels, R q =
+    m R / (R + |theta|) <= m for level number m, so only the other side
+    can exceed the double range, and there it reads inf (never singular).
+    The chart normalizer is 1/(sqrt(2R) sqrt(q)), finite either way.
+    """
+    s = 1.0 if chart is ChartTag.I else -1.0
+    rows = []
+    for m in _row_levels(p.dim):
+        r, q = _radius_sum(m, p.theta, s)
+        with np.errstate(over="ignore"):
+            rows.append((r, q, 2.0 * (r * q)))
+    return rows
 
 
 def _ladder(d: int) -> np.ndarray:
@@ -376,13 +406,13 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     Both charts use R(N+1) throughout, so for every theta the denominators
     2 R(n+1) (R(n+1) +- theta) are at least n + 1 and both charts exist.
     M = U diag(R(N+1), -R(N+1)) U+ exactly on the full space (everything
-    is diagonal per level).
+    is diagonal per level, and M keeps sqrt(N+1) up to the top level, so
+    its radius is the untruncated R(N+1)).
     """
-    d, th = p.dim, p.theta
-    s = 1.0 if chart is ChartTag.I else -1.0
-    q1 = radius_sum(d, th, 1, s)
-    f = 1.0 / np.sqrt(2.0 * radius_diag(d, th, 1) * q1)
+    d = p.dim
     sq = _ladder(d + 1)
+    r1, q1 = _radius_sum(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
+    f = 1.0 / (np.sqrt(2.0 * r1) * np.sqrt(q1))
     if chart is ChartTag.I:
         u = ((f * q1, -f * sq), (f * sq, f * q1))
     else:
@@ -396,18 +426,20 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
 
 @dataclass(frozen=True)
 class SectorStatus:
-    """One (chart, block row, level) denominator with its verdict.
+    """One (chart, block row, level) denominator 2 R (R + s theta) of
+    :func:`chart_denominators` with its verdict.
 
-    Row 1 normalizers carry R(N+1) arguments, row 2 carries R(N); the
-    denominator is 2 R (R + theta) for chart I and 2 R (R - theta) for
-    chart II.
+    The row 1 entry of the top level, 2|theta|(|theta| + s theta), belongs
+    to the one-level truncation sector |e,d-1> and has the status
+    ``truncation``: it always equals the ground entry of row 2, so it never
+    decides whether a chart exists, and it is never ``singular``.
     """
 
     chart: ChartTag
     row: int
     level: int
     denominator: float
-    status: str  # "regular" | "ill_conditioned" | "singular"
+    status: str  # "regular" | "ill_conditioned" | "singular" | "truncation"
 
     @property
     def singular(self) -> bool:
@@ -449,51 +481,68 @@ class SingularSectorError(Exception):
 
 
 def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
-    """Classify every chart denominator 2 R (R +- theta) per block row and
-    level.
+    """Classify every chart denominator per block row and level.
 
     For theta > 0 the singular set is exactly {chart II, row 2, level 0};
     for theta < 0 it is {chart I, row 2, level 0}; at resonance both
-    charts are singular at the ground level.
+    charts are singular at the ground level.  The row 1 entry of the top
+    level is reported as ``truncation`` (see :class:`SectorStatus`).
     """
-    d, th = p.dim, p.theta
+    d = p.dim
     entries = []
-    for chart, s in ((ChartTag.I, 1.0), (ChartTag.II, -1.0)):
-        for row, shift in ((1, 1), (2, 0)):
-            den = 2.0 * radius_diag(d, th, shift) * radius_sum(d, th, shift, s)
-            for level in range(d):
-                v = float(den[level])
+    for chart in (ChartTag.I, ChartTag.II):
+        for row, (_, _, den) in enumerate(chart_denominators(p, chart), start=1):
+            for level, v in enumerate(den.tolist()):
                 status = (
-                    "singular" if v <= tol.singular_threshold
+                    "truncation" if (row, level) == (1, d - 1)
+                    else "singular" if v <= tol.singular_threshold
                     else "ill_conditioned" if v < tol.ill_conditioned
                     else "regular"
                 )
                 entries.append(SectorStatus(chart, row, level, v, status))
-    return SectorReport(th, d, tuple(entries))
+    return SectorReport(p.theta, d, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # Chart operators
 
 
+def admissible_denominators(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT):
+    """The chart's :func:`chart_denominators`; raises
+    :class:`SingularSectorError` naming every singular entry (the
+    top-level entry of row 1 left out: it equals the ground entry of
+    row 2)."""
+    rows = chart_denominators(p, chart)
+    bad = [
+        SectorStatus(chart, row, int(n), float(den[n]), "singular")
+        for row, den in ((1, rows[0][2][:-1]), (2, rows[1][2]))
+        for n in np.flatnonzero(den <= tol.singular_threshold)
+    ]
+    if bad:
+        raise SingularSectorError(chart, bad)
+    return rows
+
+
 def _chart_pieces(p: JCParams, chart: ChartTag, tol: Tolerances):
     """Normalizer level values (row1, row2) and the unnormalized chart
     matrix; raises on vanishing denominators."""
-    d, th = p.dim, p.theta
-    s = 1.0 if chart is ChartTag.I else -1.0
-    q1 = radius_sum(d, th, 1, s)
-    q0 = radius_sum(d, th, 0, s)
-    den1 = 2.0 * radius_diag(d, th, 1) * q1
-    den2 = 2.0 * radius_diag(d, th, 0) * q0
-    if np.any(den1 <= tol.singular_threshold) or np.any(den2 <= tol.singular_threshold):
-        raise SingularSectorError(chart, [e for e in singular_sectors(p, tol).singular() if e.chart is chart])
+    (r1, q1, _), (r2, q2, _) = admissible_denominators(p, chart, tol)
+    d = p.dim
     sq = _ladder(d)
     if chart is ChartTag.I:
-        core = _sectors(d, q1, -sq, sq, q0)
+        core = _sectors(d, q1, -sq, sq, q2)
     else:
-        # [[a, -R(N+1) + theta], [R(N) - theta, a+]]
-        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -q1}), ({0: q0}, {-1: sq})))
-    return 1.0 / np.sqrt(den1), 1.0 / np.sqrt(den2), core
+        # [[a, -(R1 - theta)], [R(N) - theta, a+]]
+        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -q1}), ({0: q2}, {-1: sq})))
+    return 1.0 / (np.sqrt(2.0 * r1) * np.sqrt(q1)), 1.0 / (np.sqrt(2.0 * r2) * np.sqrt(q2)), core
+
+
+def _normalize(chart: ChartTag, normalizer: str, f1, f2, core) -> BlockOperator:
+    if normalizer == "left":
+        return block_diag(f1, f2) @ core
+    if chart is ChartTag.I:
+        return core @ block_diag(f1, f2)
+    return core @ block_diag(f2, f1)
 
 
 def chart_unitary(
@@ -512,39 +561,35 @@ def chart_unitary(
     """
     if normalizer not in ("left", "right"):
         raise ValueError("normalizer must be 'left' or 'right'")
-    f1, f2, core = _chart_pieces(p, chart, tol)
-    if normalizer == "left":
-        return block_diag(f1, f2) @ core
-    if chart is ChartTag.I:
-        return core @ block_diag(f1, f2)
-    return core @ block_diag(f2, f1)
+    return _normalize(chart, normalizer, *_chart_pieces(p, chart, tol))
 
 
 def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Eigenvalue factor: diag(R(N+1), -R(N)) for chart I and
-    diag(R(N), -R(N+1)) for chart II."""
-    r1 = radius_diag(p.dim, p.theta, 1)
-    r0 = radius_diag(p.dim, p.theta, 0)
+    """Eigenvalue factor: diag(R1, -R(N)) for chart I and diag(R(N), -R1)
+    for chart II, R1 the row 1 radius of :func:`row_radii` (R(N+1) below
+    the top level, |theta| at it).  Together the two carry the truncated
+    spectrum {+-R(n) : n = 0 .. d-1} exactly, +-theta included."""
+    r1, r2 = row_radii(p)
     if chart is ChartTag.I:
-        return block_diag(r1, -r0)
-    return block_diag(r0, -r1)
+        return block_diag(r1, -r2)
+    return block_diag(r2, -r1)
 
 
 def chart_decompose(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
-    """Chart unitary and diagonal factor with H = V D V+ on the safe
-    subspace (margin 2 absorbs the top-level truncation artifacts)."""
-    v = chart_unitary(p, chart, tol=tol)
-    d = chart_diagonal(p, chart)
-    f1, f2, _ = _chart_pieces(p, chart, tol)
+    """Chart unitary V and diagonal factor D with H = V D V+ exactly on the
+    whole truncated space, the one-level sectors |g,0> and |e,d-1>
+    included; the conditioning is the largest normalizer."""
+    f1, f2, core = _chart_pieces(p, chart, tol)
     cond = float(max(np.max(f1), np.max(f2)))
-    return ChartDecomposition(v, d, chart, cond)
+    return ChartDecomposition(_normalize(chart, "left", f1, f2, core), chart_diagonal(p, chart), chart, cond)
 
 
 def transition_operator(d: int) -> BlockOperator:
     """diag((1/sqrt(N+1)) a, a+ (1/sqrt(N+1))) -- the exact unit shifts.
 
-    A partial isometry: Phi+ Phi = diag(1 - |0><0|, 1) up to the top
-    truncation level, the ground deficiency being the string's footprint.
+    A partial isometry: Phi+ Phi = diag(1 - |0><0|, 1 - |d-1><d-1|)
+    exactly, the ground deficiency being the string's footprint and the
+    top one the truncation's.
     The kernel-convention forms a (1/sqrt(N)) and (1/sqrt(N)) a+ agree
     exactly (see :func:`hjc.fock.pseudo_diag_inverse`).
     """
@@ -556,29 +601,32 @@ def transition_operator(d: int) -> BlockOperator:
 def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) -> BlockOperator:
     """Globally defined spectral projector
 
-        diag(1/2R(N+1), 1/2R(N)) [[R(N+1)+theta, a], [a+, R(N)-theta]].
+        diag(1/2R1, 1/2R(N)) [[R1 + theta, a], [a+, R(N) - theta]]
 
-    Defined for every theta: at resonance the 1/2R(0) factor is taken with
-    the kernel convention (the level-0 entries it scales vanish anyway).
-    Agrees with V diag(1, 0) V+ for whichever charts exist.
+    with the row radii R1, R(N) of :func:`row_radii`, so its top-level
+    entry is [theta > 0].  Defined for every theta: a factor 1/2R with
+    2R at most ``tol.singular_threshold`` (at resonance, the ground and
+    the top level) is taken with the kernel convention (the entries it
+    scales vanish anyway).  Agrees with V diag(1, 0) V+ for whichever
+    charts exist.
     """
     if normalizer not in ("left", "right"):
         raise ValueError("normalizer must be 'left' or 'right'")
     d, th = p.dim, p.theta
-    r0 = radius_diag(d, th, 0)
-    p1 = 1.0 / (2.0 * radius_diag(d, th, 1))
-    p2 = np.divide(1.0, 2.0 * r0, out=np.zeros(d), where=2.0 * r0 > tol.singular_threshold)
+    m1, m2 = _row_levels(d)
+    (r1, q1), (r2, q2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
+    p1, p2 = (np.divide(0.5, r, out=np.zeros(d), where=r > 0.5 * tol.singular_threshold) for r in (r1, r2))
     sq = _ladder(d)
-    core = _sectors(d, radius_sum(d, th, 1, 1.0), sq, sq, radius_sum(d, th, 0, -1.0))
+    core = _sectors(d, q1, sq, sq, q2)
     norm = block_diag(p1, p2)
     return norm @ core if normalizer == "left" else core @ norm
 
 
 def spectral_decomposition(p: JCParams, tol: Tolerances = DEFAULT):
     """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) with
-    Lambda = diag(R(N+1), R(N)); the parts sum back to the Hamiltonian and
-    Lambda commutes with P."""
-    lam = block_diag(radius_diag(p.dim, p.theta, 1), radius_diag(p.dim, p.theta, 0))
+    Lambda = diag(R1, R(N)), the row radii of :func:`row_radii`; the parts
+    sum back to the Hamiltonian and Lambda commutes with P."""
+    lam = block_diag(*row_radii(p))
     proj = projector(p, tol=tol)
     return lam @ proj, lam @ (proj - BlockOperator.identity(p.dim))
 
@@ -590,26 +638,23 @@ def spectral_decomposition(p: JCParams, tol: Tolerances = DEFAULT):
 def propagator(p: JCParams, t: float) -> BlockOperator:
     """Closed form of exp(-i g t H) built from level functions:
 
-        [[cos(tg R(N+1)) - i theta sin(tg R(N+1))/R(N+1),
-                                -i sin(tg R(N+1))/R(N+1) a],
-         [-i sin(tg R(N))/R(N) a+,
-                                cos(tg R(N)) + i theta sin(tg R(N))/R(N)]]
+        [[cos(tg R1) - i theta sin(tg R1)/R1,   -i sin(tg R1)/R1 a],
+         [-i sin(tg R(N))/R(N) a+,   cos(tg R(N)) + i theta sin(tg R(N))/R(N)]]
 
-    At resonance the level-0 ratio sin(tg R)/R is taken in the limit, tg.
+    with the row radii R1, R(N) of :func:`row_radii`, so the top-level
+    entry is exp(-i g t theta).  Where a radius vanishes (at resonance)
+    the ratio sin(tg R)/R is taken in the limit, tg.
     """
-    d, th = p.dim, p.theta
     tg = p.g * t
-
-    r1 = radius_diag(d, th, 1)
-    r0 = radius_diag(d, th, 0)
+    r1, r0 = row_radii(p)
     s1, s0 = (np.divide(np.sin(tg * r), r, out=np.full_like(r, tg), where=r != 0.0) for r in (r1, r0))
-    sq = _ladder(d)
+    sq = _ladder(p.dim)
     return _sectors(
-        d,
-        np.cos(tg * r1) - 1j * th * s1,
+        p.dim,
+        np.cos(tg * r1) - 1j * p.theta * s1,
         -1j * (s1[:-1] * sq),
         -1j * (s0[1:] * sq),
-        np.cos(tg * r0) + 1j * th * s0,
+        np.cos(tg * r0) + 1j * p.theta * s0,
     )
 
 

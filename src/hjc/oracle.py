@@ -1,5 +1,5 @@
-"""Independent verification paths: dense Hermitian eigensolvers, the
-eigendecomposition matrix exponential, and residual bookkeeping.
+"""Independent verification paths: dense Hermitian eigensolvers and the
+eigendecomposition matrix exponential.
 
 Nothing here touches the closed-form constructions it is used to check;
 the only dependency is the dense linear algebra in numpy.
@@ -20,11 +20,9 @@ Both eigensolvers check their own output before returning it and raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ResidualReport", "eig_hermitian", "eigvals_hermitian", "expm_from_eig", "expm_hermitian", "residual"]
+__all__ = ["eig_hermitian", "eigvals_hermitian", "expm_from_eig", "expm_hermitian"]
 
 # Tolerance of the self-checks that grow with the dimension n, in units of
 # n * EPS (times ||m||_F, or its square, where a check compares values of
@@ -34,18 +32,6 @@ CHECK_ULPS = 16
 EPS = np.finfo(float).eps
 # Largest max |m - m+| the eigensolvers accept as Hermitian.
 HERM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    metric: str  # "max_abs" | "frobenius"
-    value: float
-    margin: int
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.value <= self.tolerance
 
 
 def _hermitian(m: np.ndarray) -> np.ndarray:
@@ -131,30 +117,3 @@ def expm_hermitian(m: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t m) through the eigendecomposition of a Hermitian m."""
     return expm_from_eig(*eig_hermitian(m), t)
 
-
-def residual(
-    a: np.ndarray,
-    b: np.ndarray,
-    margin: int = 0,
-    tolerance: float = 0.0,
-    metric: str = "max_abs",
-) -> ResidualReport:
-    """Difference of two square matrices after dropping ``margin``
-    trailing rows and columns from each."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if margin:
-        if margin >= a.shape[0]:
-            raise ValueError(f"margin {margin} out of range for dimension {a.shape[0]}")
-        a = a[: a.shape[0] - margin, : a.shape[1] - margin]
-        b = b[: b.shape[0] - margin, : b.shape[1] - margin]
-    diff = a - b
-    if metric == "max_abs":
-        value = float(np.max(np.abs(diff))) if diff.size else 0.0
-    elif metric == "frobenius":
-        value = float(np.linalg.norm(diff))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return ResidualReport(metric, value, margin, tolerance)

@@ -167,11 +167,11 @@ def test_05_quantum_decomposition():
         dec = jc.chart_decompose(p, good)
         v, lam = dec.unitary, dec.diagonal
         worst_recon = max(
-            worst_recon, jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p), margin=2)
+            worst_recon, jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p))
         )
         worst_unit = max(
             worst_unit,
-            jc.block_residual(v.dagger() @ v, BlockOperator.identity(d), margin=1),
+            jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)),
         )
         try:
             jc.chart_unitary(p, bad)
@@ -207,16 +207,16 @@ def test_07_projector_and_spectral_decomposition():
         proj = jc.projector(p)
         worst_pp = max(
             worst_pp,
-            jc.block_residual(proj @ proj, proj, margin=1),
+            jc.block_residual(proj @ proj, proj),
             jc.block_residual(proj.dagger(), proj),
         )
         v = jc.chart_unitary(p, chart)
         worst_form = max(
-            worst_form, jc.block_residual((v @ p0) @ v.dagger(), proj, margin=1)
+            worst_form, jc.block_residual((v @ p0) @ v.dagger(), proj)
         )
         plus, minus = jc.spectral_decomposition(p)
         worst_recon = max(
-            worst_recon, jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2)
+            worst_recon, jc.block_residual(plus + minus, jc.hamiltonian(p))
         )
         lam = jc.block_diag(
             np.diag(jc.radius_diag(d, theta, 1)).astype(complex),
@@ -253,15 +253,15 @@ def test_08_propagator():
         u = jc.propagator(p, float(t))
         u_oracle = oracle.expm_from_eig(evals, evecs, t)
         worst_res = max(
-            worst_res, jc.block_residual(u, BlockOperator.from_full(u_oracle), margin=2)
+            worst_res, jc.block_residual(u, BlockOperator.from_full(u_oracle))
         )
         worst_unit = max(
-            worst_unit, jc.block_residual(u.dagger() @ u, ident, margin=1)
+            worst_unit, jc.block_residual(u.dagger() @ u, ident)
         )
         uf = jc.full_propagator(p, float(t))
         uf_oracle = oracle.expm_from_eig(evals_f, evecs_f, t)
         worst_full = max(
-            worst_full, jc.block_residual(uf, BlockOperator.from_full(uf_oracle), margin=2)
+            worst_full, jc.block_residual(uf, BlockOperator.from_full(uf_oracle))
         )
     ok = (
         worst_res <= 1e-8
@@ -286,7 +286,7 @@ def test_09_grassmann_round_trip():
         left, shifted = grassmann.local_coordinate_forms(p)
         worst_forms = max(worst_forms, float(np.max(np.abs(left - shifted))))
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-        worst_trip = max(worst_trip, jc.block_residual(proj, jc.projector(p), margin=1))
+        worst_trip = max(worst_trip, jc.block_residual(proj, jc.projector(p)))
     singular_ok = False
     try:
         grassmann.local_coordinate(JCParams(theta=-0.5, dim=d))

@@ -168,10 +168,10 @@ def _evolve_records(capsys, *argv):
 
 @pytest.mark.parametrize("path", ["interaction", "omega_delta"])
 @pytest.mark.parametrize("theta", [0.0, 0.25, -0.25, 3.0, -3.0])
-@pytest.mark.parametrize("d", [3, 12, 48])
+@pytest.mark.parametrize("d", [2, 3, 12, 48])
 def test_evolve_residual_bounds_the_dense_entrywise_error(d, theta, path, capsys):
     # the reported residual, a row 2-norm over all columns, is at least the
-    # largest entry of U(t) - exp(-itH) on the margin-2 square of every block
+    # largest entry of U(t) - exp(-itH)
     if path == "interaction":
         argv = [f"--theta={theta!r}"]
         p = jc.JCParams(theta, d)
@@ -189,7 +189,7 @@ def test_evolve_residual_bounds_the_dense_entrywise_error(d, theta, path, capsys
     slack = 2 * d * np.finfo(float).eps
     for rec in records:
         diff = evolve(p, rec["t"]).full() - oracle.expm_from_eig(w, v, rec["t"])
-        entrywise = np.max(np.abs(diff.reshape(2, d, 2, d)[:, : d - 2, :, : d - 2]))
+        entrywise = np.max(np.abs(diff))
         assert rec["closed_vs_oracle_residual"] >= entrywise - slack
         assert max(rec["closed_vs_oracle_residual"], entrywise) <= DEFAULT.propagator
 
@@ -214,6 +214,14 @@ def _ground_phase_off(mp):
     _perturb_propagator(mp, mutate)
 
 
+def _top_phase_off(mp):
+    # the top level |e,d-1> is a sector of its own too
+    def mutate(u):
+        u.diags[0][0][0][-1] *= np.exp(1e-6j)
+
+    _perturb_propagator(mp, mutate)
+
+
 def _off_sector_entry(mp):
     # <e,0| U |e,2>: two sectors that U(t) never couples
     def mutate(u):
@@ -233,14 +241,16 @@ def _oracle_eigenvalues_shifted(mp):
     mp.setattr(oracle, "eig_hermitian", shifted)
 
 
-@pytest.mark.parametrize("perturb", [_ground_phase_off, _off_sector_entry, _oracle_eigenvalues_shifted])
+@pytest.mark.parametrize(
+    "perturb", [_ground_phase_off, _top_phase_off, _off_sector_entry, _oracle_eigenvalues_shifted]
+)
 @pytest.mark.parametrize("path", [[], ["--omega=1", "--delta=1.5"]])
 def test_evolve_residual_catches_errors_of_1e_6(perturb, path, capsys, monkeypatch):
     perturb(monkeypatch)
     code, records = _evolve_records(capsys, "--dim=8", *path)
     assert code == 1
     assert max(rec["closed_vs_oracle_residual"] for rec in records) > 1e-7
-    if perturb is _ground_phase_off:
+    if perturb in (_ground_phase_off, _top_phase_off):
         assert all(rec["unitarity"] <= 1e-15 for rec in records)
 
 
@@ -346,14 +356,71 @@ def test_jc_scaled_checks_still_catch_errors(theta, perturb, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("command", ["jc", "evolve"])
-def test_dim_below_three_is_usage_error(command):
-    # the jc and evolve residuals leave out the top two truncation levels
-    steps = ["--t-steps", "2"] if command == "evolve" else []
-    small = run_cli(command, "--dim", "2", *steps)
-    assert small.returncode == 2 and "Traceback" not in small.stderr
-    assert "top two truncation levels" in small.stderr
-    proc = run_cli(command, "--dim", "3", *steps)
+def test_dim_two_passes(command):
+    # every residual covers the whole truncated space, so the smallest
+    # truncation is checked like any other
+    steps = ["--t-steps", "3"] if command == "evolve" else []
+    proc = run_cli(command, "--dim", "2", *steps)
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5, 3.0])
+def test_jc_catches_a_top_level_projector_error_of_1e_6(theta, capsys, monkeypatch):
+    # the top level |e,d-1> is a sector of its own, where P = [theta > 0]
+    orig = jc.projector
+
+    def perturbed(p, *args, **kwargs):
+        proj = orig(p, *args, **kwargs)
+        proj.diags[0][0][0][p.dim - 1] += 1e-6
+        return proj
+
+    monkeypatch.setattr(jc, "projector", perturbed)
+    code, rec = _jc_record(capsys, theta)
+    assert code == 1 and not rec["pass"]
+    assert rec["projector"]["idempotency"] > 1e-7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jc", "--theta=1e200", "--dim=4"],
+        ["jc", "--theta=-1e200", "--dim=4"],
+        ["evolve", "--theta=1e200", "--dim=4", "--t-steps=2", "--format=json"],
+        ["evolve", "--theta=-1e200", "--dim=4", "--t-steps=2", "--format=json"],
+        ["grassmann", "--theta=-1e200,-1e15,1e200", "--dim=4"],
+        ["strings", "--theta=-1e200,1e200", "--dim=4"],
+    ],
+)
+def test_jc_commands_pass_at_extreme_detuning(argv, capsys):
+    # pytest turns any overflow RuntimeWarning into an error
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["passed"]
+
+
+@pytest.mark.parametrize("theta", [-1e12, -1e15, -1e20, -1e200, -0.5, 0.0, 0.5, 1e200])
+def test_grassmann_singular_set_is_the_strings_chart_i_row_2_set(theta, capsys):
+    argv = [f"--theta={theta!r}", "--dim=6"]
+    assert cli.main(["grassmann", *argv]) == 0
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert cli.main(["strings", *argv]) == 0
+    singular = json.loads(capsys.readouterr().out)["records"][0]["singular"]
+    row_2 = [s["level"] for s in singular if (s["chart"], s["row"]) == ("I", 2)]
+    assert rec["singular_levels"] == row_2 == ([0] if theta <= 0 else [])
+    assert rec["pass"]
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-200, 1e-8, -1e-8, 0.5, -3.0, 1e15, -1e200])
+@pytest.mark.parametrize("d", [2, 5])
+def test_strings_edge_entries_are_truncation_and_the_string_is_ground_only(theta, d, capsys):
+    # below |theta| ~ 5e-8 both charts' ground denominators 4 theta^2 are
+    # under the threshold: still the ground sector alone
+    assert cli.main(["strings", f"--theta={theta!r}", f"--dim={d}"]) == 0
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert rec["ground_only"] and rec["pass"]
+    edge = {(s["chart"], s["row"], s["level"]) for s in rec["sectors"] if s["status"] == "truncation"}
+    assert edge == {("I", 1, d - 1), ("II", 1, d - 1)}
+    assert {(s["row"], s["level"]) for s in rec["singular"]} == {(2, 0)}
 
 
 def _refuse_the_oracle(monkeypatch):

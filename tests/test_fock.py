@@ -67,7 +67,7 @@ def test_truncated_ccr(d):
     # identity up to sqrt-rounding in the matrix products; the structure
     # (including the -(d-1) truncation entry) is what matters
     assert np.max(np.abs(comm - expected)) <= 8 * d * MACHINE
-    assert np.max(np.abs(fock.restrict(comm, 1) - np.eye(d - 1))) <= 8 * d * MACHINE
+    assert np.max(np.abs(comm[: d - 1, : d - 1] - np.eye(d - 1))) <= 8 * d * MACHINE
 
 
 def test_func_of_number_identity():
@@ -152,13 +152,3 @@ def test_shift_identity_radius(d):
 def test_shift_identity_random_polynomials(coeffs, d):
     f = lambda n: sum(c * n**k for k, c in enumerate(coeffs))
     assert fock.shift_identity_check(f, d) <= 1e-13 * max(1.0, abs(f(d)))
-
-
-def test_restrict():
-    m = fock.number(6)
-    assert np.array_equal(fock.restrict(m, 2), fock.number(6)[:4, :4])
-    with pytest.raises(ValueError):
-        fock.restrict(m, 6)
-    with pytest.raises(ValueError):
-        fock.restrict(m, -1)
-

@@ -72,34 +72,35 @@ def test_coordinate_and_projector_are_linear_in_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert np.array_equal(left, shifted)
-    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
-    assert jc.block_residual(proj, jc.projector(p), margin=1) <= 1e-10
+    assert jc.block_residual(proj @ proj, proj) <= 1e-12
+    assert jc.block_residual(proj, jc.projector(p)) <= 1e-10
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0])
 def test_roundtrip_matches_projector(theta):
     p = JCParams(theta=theta, dim=24)
     via_coordinate = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-    assert jc.block_residual(via_coordinate, jc.projector(p), margin=1) <= 1e-10
+    assert jc.block_residual(via_coordinate, jc.projector(p)) <= 1e-10
 
 
 def test_roundtrip_projector_is_projector():
     p = JCParams(theta=1.0, dim=16)
     proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
+    assert jc.block_residual(proj @ proj, proj) <= 1e-12
     assert jc.block_residual(proj.dagger(), proj) <= 1e-12
 
 
 def test_resolvent_block_closed_form():
-    # (1 + Z+Z)^-1 is the diagonal (R(N+1)+theta)/(2 R(N+1)) off the top
+    # (1 + Z+Z)^-1 is the diagonal (R1 + theta)/(2 R1) with the row 1 radius
+    # R1: R(N+1) below the top level, |theta| at it, where Z+Z vanishes
     theta, d = 1.0, 24
     p = JCParams(theta=theta, dim=d)
     proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-    r1 = jc.radius_diag(d, theta, 1)
+    r1 = np.append(jc.radius_diag(d, theta, 1)[:-1], theta)
+    assert np.array_equal(jc.row_radii(p)[0], r1)
     expected = np.diag(((r1 + theta) / (2 * r1)).astype(complex))
-    from hjc.fock import restrict
-
-    assert np.max(np.abs(restrict(proj.full()[:d, :d] - expected, 1))) <= 1e-12
+    assert expected[d - 1, d - 1] == 1.0
+    assert np.max(np.abs(proj.full()[:d, :d] - expected)) <= 1e-12
 
 
 def test_inversion_identity():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjc import fock, jc, oracle
+from hjc import fock, grassmann, jc, oracle
 from hjc.berry import ChartTag
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
 
@@ -242,7 +242,7 @@ def test_chart_unitarity_and_orderings(theta, chart):
     d = 24
     p = JCParams(theta=theta, dim=d)
     v = jc.chart_unitary(p, chart)
-    assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d), margin=1) <= 1e-12
+    assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
     other = jc.chart_unitary(p, chart, normalizer="right")
     assert jc.block_residual(v, other) <= 1e-13
 
@@ -275,32 +275,33 @@ def test_chart_reconstruction(theta, chart):
     p = JCParams(theta=theta, dim=d)
     dec = jc.chart_decompose(p, chart)
     v, lam = dec.unitary, dec.diagonal
-    assert jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p), margin=2) <= 1e-10
+    assert jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p)) <= 1e-10
 
 
 def test_chart_diagonal_layout():
+    # row 1 carries R(N+1) below the top level and |theta| at it
     p = JCParams(theta=0.5, dim=6)
+    r1 = np.append(jc.radius_diag(6, 0.5, 1)[:-1], 0.5)
     d1 = jc.chart_diagonal(p, ChartTag.I)
-    assert np.allclose(np.diag(block(d1, 0, 0)).real, jc.radius_diag(6, 0.5, 1), atol=0, rtol=0)
-    assert np.allclose(np.diag(block(d1, 1, 1)).real, -jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
+    assert np.array_equal(np.diag(block(d1, 0, 0)), r1)
+    assert np.array_equal(np.diag(block(d1, 1, 1)), -jc.radius_diag(6, 0.5, 0))
     d2 = jc.chart_diagonal(p, ChartTag.II)
-    assert np.allclose(np.diag(block(d2, 0, 0)).real, jc.radius_diag(6, 0.5, 0), atol=0, rtol=0)
+    assert np.array_equal(np.diag(block(d2, 0, 0)), jc.radius_diag(6, 0.5, 0))
+    assert np.array_equal(np.diag(block(d2, 1, 1)), -r1)
 
 
 def test_chart_eigenvalues_against_oracle():
-    # the diagonal factor carries {R(1..d)} u {-R(0..d-1)}; the truncated
-    # spectrum replaces the untruncated R(d) by +theta (orphaned top state)
-    d, theta = 16, 0.3
-    p = JCParams(theta=theta, dim=d)
-    evals, _ = oracle.eig_hermitian(jc.hamiltonian(p).full())
-    lam_vals = np.sort(np.diag(jc.chart_diagonal(p, ChartTag.I).full()).real)
-    spectrum = np.sort(evals)
-    neg_factor, pos_factor = lam_vals[:d], lam_vals[d:]
-    neg_oracle, pos_oracle = spectrum[:d], spectrum[d:]
-    assert np.max(np.abs(neg_factor - neg_oracle)) <= 1e-10
-    assert abs(pos_oracle[0] - theta) <= 1e-10
-    assert np.max(np.abs(pos_factor[:-1] - pos_oracle[1:])) <= 1e-10
-    assert abs(pos_factor[-1] - math.sqrt(d + theta**2)) <= 1e-12
+    # the diagonal factor carries the truncated spectrum {+-R(n)}, the
+    # one-level sectors' -theta (ground) and +theta (top level) included
+    d = 16
+    for theta in (0.3, -0.3, 0.0, 2.5):
+        p = JCParams(theta=theta, dim=d)
+        r = jc.radius_diag(d, theta, 0)
+        evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
+        for chart in ChartTag:
+            lam_vals = np.sort(np.diag(jc.chart_diagonal(p, chart).full()).real)
+            assert np.array_equal(lam_vals, np.sort(np.concatenate([r, -r])))
+            assert np.max(np.abs(lam_vals - evals)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +324,18 @@ def test_singular_sets(theta, expected):
 
 
 def test_excited_levels_regular():
-    rep = jc.singular_sectors(JCParams(theta=0.5, dim=16))
-    for entry in rep.entries:
-        if entry.level >= 1 or entry.row == 1:
-            assert entry.status == "regular"
+    # the top level's row 1 entry belongs to the truncation sector and
+    # equals the ground entry of row 2
+    d = 16
+    for theta in (0.5, -0.5, 0.0, 1e-300, -1e200):
+        rep = jc.singular_sectors(JCParams(theta=theta, dim=d))
+        by_key = {(s.chart, s.row, s.level): s for s in rep.entries}
+        for (chart, row, level), entry in by_key.items():
+            if (row, level) == (1, d - 1):
+                assert entry.status == "truncation"
+                assert entry.denominator == by_key[(chart, 2, 0)].denominator
+            elif level >= 1 or row == 1:
+                assert entry.status == "regular"
 
 
 def test_sector_denominator_values():
@@ -379,7 +388,7 @@ def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
     chart = ChartTag.I if theta > 0 else ChartTag.II
     if all(s.chart is not chart for s in sing):
         v = jc.chart_unitary(p, chart)
-        assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d), margin=1) <= 1e-12
+        assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +430,19 @@ def test_transition_partial_isometry():
 
 
 def test_quantum_cocycle():
-    # V_II = V_I Phi off the ground column; for theta > 0 the chart-II
-    # object is assembled here with the kernel convention on its singular
-    # ground normalizer
+    # V_II = V_I Phi on the whole truncated space; for theta > 0 the
+    # chart-II object is assembled here with the kernel convention on its
+    # singular normalizers, the ground one of row 2 and the top-level one
+    # of row 1, which zeroes the two columns Phi annihilates
     d, theta = 24, 0.5
     p = JCParams(theta=theta, dim=d)
-    r1 = jc.radius_diag(d, theta, 1)
+    r1 = np.append(jc.radius_diag(d, theta, 1)[:-1], theta)
     r0 = jc.radius_diag(d, theta, 0)
-    den1 = 2 * r1 * (r1 - theta)
-    den2 = 2 * r0 * (r0 - theta)
-    f1 = 1 / np.sqrt(den1)
-    f2 = np.zeros(d)
-    keep = den2 > 1e-14
-    f2[keep] = 1 / np.sqrt(den2[keep])
+    f1, f2 = np.zeros(d), np.zeros(d)
+    for f, den in ((f1, 2 * r1 * (r1 - theta)), (f2, 2 * r0 * (r0 - theta))):
+        keep = den > 1e-14
+        f[keep] = 1 / np.sqrt(den[keep])
+    assert not f1[d - 1] and not f2[0]
     core = BlockOperator(
         (
             (fock.annihilation(d), np.diag((theta - r1).astype(complex))),
@@ -442,10 +451,7 @@ def test_quantum_cocycle():
     )
     v_ii = jc.block_diag(np.diag(f1).astype(complex), np.diag(f2).astype(complex)) @ core
     v_i = jc.chart_unitary(p, ChartTag.I)
-    diff = ((v_i @ jc.transition_operator(d)) - v_ii).restrict(1).full()
-    diff[:, 0] = 0.0
-    diff[:, d - 1] = 0.0  # ground column of each block column
-    assert np.max(np.abs(diff)) <= 1e-12
+    assert jc.block_residual(v_i @ jc.transition_operator(d), v_ii) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +463,7 @@ def test_projector_properties(theta):
     d = 24
     p = JCParams(theta=theta, dim=d)
     proj = jc.projector(p)
-    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
+    assert jc.block_residual(proj @ proj, proj) <= 1e-12
     assert jc.block_residual(proj.dagger(), proj) <= 1e-12
     assert jc.block_residual(jc.projector(p, normalizer="right"), proj) <= 1e-13
 
@@ -468,7 +474,7 @@ def test_projector_chart_form(theta, chart):
     p = JCParams(theta=theta, dim=d)
     v = jc.chart_unitary(p, chart)
     p0 = jc.block_diag(np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex))
-    assert jc.block_residual((v @ p0) @ v.dagger(), jc.projector(p), margin=1) <= 1e-12
+    assert jc.block_residual((v @ p0) @ v.dagger(), jc.projector(p)) <= 1e-12
 
 
 def test_projector_classical_limit_scaling():
@@ -499,7 +505,7 @@ def test_spectral_decomposition(theta):
     d = 32
     p = JCParams(theta=theta, dim=d)
     plus, minus = jc.spectral_decomposition(p)
-    assert jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2) <= 1e-10
+    assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
     lam = radius_block(p, 1, 0)
     proj = jc.projector(p)
     assert jc.block_residual(lam @ proj, proj @ lam) <= 1e-12
@@ -515,10 +521,13 @@ def test_propagator_at_zero_is_identity():
 
 
 def test_propagator_resonance_rabi_form():
+    # the top level |e,d-1> is an eigenvector of eigenvalue theta = 0
     d, g, t = 12, 1.0, 1.7
     u = jc.propagator(JCParams(theta=0.0, dim=d, g=g), t)
     n = np.arange(d)
-    assert np.max(np.abs(np.diag(block(u, 0, 0)) - np.cos(t * g * np.sqrt(n + 1)))) <= 1e-14
+    upper = np.cos(t * g * np.sqrt(np.append(n[1:], 0)))
+    assert upper[d - 1] == 1.0
+    assert np.max(np.abs(np.diag(block(u, 0, 0)) - upper)) <= 1e-14
     assert np.max(np.abs(np.diag(block(u, 1, 1)) - np.cos(t * g * np.sqrt(n)))) <= 1e-14
 
 
@@ -528,14 +537,14 @@ def test_propagator_against_oracle():
     h = (p.g * jc.hamiltonian(p)).full()
     u = jc.propagator(p, 3.7)
     u_oracle = oracle.expm_hermitian(h, 3.7)
-    assert jc.block_residual(u, BlockOperator.from_full(u_oracle), margin=2) <= 1e-8
+    assert jc.block_residual(u, BlockOperator.from_full(u_oracle)) <= 1e-8
 
 
 @pytest.mark.parametrize("theta", [0.25, -0.6, 0.0])
 def test_propagator_unitarity(theta):
     d = 24
     u = jc.propagator(JCParams(theta=theta, dim=d, g=1.0), 2.9)
-    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d), margin=1) <= 1e-10
+    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-10
 
 
 def test_propagator_group_law():
@@ -543,7 +552,7 @@ def test_propagator_group_law():
     u1 = jc.propagator(p, 1.3)
     u2 = jc.propagator(p, 2.1)
     u3 = jc.propagator(p, 3.4)
-    assert jc.block_residual(u1 @ u2, u3, margin=1) <= 1e-12
+    assert jc.block_residual(u1 @ u2, u3) <= 1e-12
 
 
 def test_full_propagator_against_oracle():
@@ -552,7 +561,50 @@ def test_full_propagator_against_oracle():
     t = 4.2
     u = jc.full_propagator(p, t)
     u_oracle = oracle.expm_hermitian((h1 + h2).full(), t)
-    assert jc.block_residual(u, BlockOperator.from_full(u_oracle), margin=2) <= 1e-8
+    assert jc.block_residual(u, BlockOperator.from_full(u_oracle)) <= 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5, 3.0, -4.0, 0.0, 1e-6])
+@pytest.mark.parametrize("d", [2, 3, 12, 48])
+def test_closed_forms_against_the_dense_oracle(d, theta):
+    # every closed form on the whole truncated space, the one-level
+    # sectors |g,0> (eigenvalue -theta) and |e,d-1> (+theta) included
+    p = JCParams(theta=theta, dim=d, g=0.8)
+    h = jc.hamiltonian(p)
+    w, v = oracle.eig_hermitian(h.full())
+    # |H| and the projector onto the positive eigenspace (P = 0 on the
+    # null space at resonance)
+    oracle_abs = BlockOperator.from_full((v * np.abs(w)) @ v.T)
+    oracle_proj = BlockOperator.from_full((v * (w > 1e-9)) @ v.T)
+    # the oracle's eigenvectors are good to about eps ||H|| / gap, the gap
+    # between the two halves of the spectrum being 2|theta| (1 at resonance)
+    proj_tol = 1e-12 / min(1.0, 2 * abs(theta) or 1.0)
+    ident = BlockOperator.identity(d)
+    for chart in ChartTag:
+        try:
+            dec = jc.chart_decompose(p, chart)
+        except SingularSectorError:
+            continue
+        u, lam = dec.unitary, dec.diagonal
+        assert jc.block_residual((u @ lam) @ u.dagger(), h) <= 1e-12 * max(1.0, abs(theta))
+        assert jc.block_residual(u.dagger() @ u, ident) <= 1e-12
+        assert jc.block_residual((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger(), oracle_proj) <= proj_tol
+    proj = jc.projector(p)
+    assert jc.block_residual(proj, oracle_proj) <= proj_tol
+    plus, minus = jc.spectral_decomposition(p)
+    assert jc.block_residual(plus - minus, oracle_abs) <= 1e-12
+    assert jc.block_residual(jc.block_diag(*jc.row_radii(p)), oracle_abs) <= 1e-12
+    if theta > 1e-7:
+        z = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
+        assert jc.block_residual(z, oracle_proj) <= proj_tol
+    for t in (0.3, 2.0, 7.5):
+        u_oracle = BlockOperator.from_full(oracle.expm_from_eig(w, v, p.g * t))
+        assert jc.block_residual(jc.propagator(p, t), u_oracle) <= 1e-12
+    q = JCParams.from_physical(omega=1.1, delta=1.1 + 2 * 0.8 * theta, g=0.8, dim=d)
+    h1, h2 = jc.full_hamiltonian(q)
+    w, v = oracle.eig_hermitian((h1 + h2).full())
+    u_oracle = BlockOperator.from_full(oracle.expm_from_eig(w, v, 2.0))
+    assert jc.block_residual(jc.full_propagator(q, 2.0), u_oracle) <= 1e-12
 
 
 def test_full_propagator_needs_frequencies():
@@ -576,7 +628,6 @@ def test_block_full_roundtrip(rng):
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     op = BlockOperator.from_full(m)
     assert np.array_equal(op.full(), m)
-    assert np.array_equal(op.restrict(1).full().shape, (6, 6))
 
 
 def _random_operator(rng, d, dense):
@@ -617,10 +668,7 @@ def test_block_operator_algebra_matches_dense(d, dense, seed):
     assert np.array_equal(a.dagger().full(), af.conj().T)
     # the dense export and import are lossless, signed zeros included
     assert np.array_equal(BlockOperator.from_full(af).full().view(np.uint64), af.view(np.uint64))
-    margin = int(rng.integers(0, d))
-    k = d - margin
-    blocks = af.reshape(2, d, 2, d)[:, :k, :, :k]
-    assert a.max_abs(margin) == np.max(np.abs(blocks))
+    assert a.max_abs() == np.max(np.abs(af))
     # apply: a vector, a matrix, and the accumulation into a pair of planes
     x = rng.standard_normal((2 * d, 3))
     for y in (x[:, 0], x):
@@ -648,8 +696,8 @@ def test_closed_forms_are_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d), margin=1) <= 1e-10
-    assert jc.block_residual(dec.unitary.dagger() @ dec.unitary, BlockOperator.identity(d), margin=1) <= 1e-12
-    assert jc.block_residual(proj @ proj, proj, margin=1) <= 1e-12
-    assert jc.block_residual(plus + minus, jc.hamiltonian(p), margin=2) <= 1e-10
+    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-10
+    assert jc.block_residual(dec.unitary.dagger() @ dec.unitary, BlockOperator.identity(d)) <= 1e-12
+    assert jc.block_residual(proj @ proj, proj) <= 1e-12
+    assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
     assert np.array_equal(psi[[3, d + 4]], [u.diags[0][0][0][3], u.diags[1][0][-1][3]])

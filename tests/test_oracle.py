@@ -208,26 +208,6 @@ def test_expm_from_eig_is_expm_hermitian(phase):
     assert np.array_equal(oracle.expm_from_eig(w, v, 1.7), oracle.expm_hermitian(m, 1.7))
 
 
-def test_residual_restriction():
-    a = np.arange(16.0).reshape(4, 4)
-    b = a.copy()
-    b[3, 3] += 5.0
-    assert oracle.residual(a, b).value == 5.0
-    rep = oracle.residual(a, b, margin=1, tolerance=1e-12)
-    assert rep.value == 0.0 and rep.passed and rep.margin == 1
-
-
-def test_residual_frobenius():
-    a = np.zeros((2, 2))
-    b = np.ones((2, 2))
-    assert oracle.residual(a, b, metric="frobenius").value == 2.0
-
-
-def test_residual_shape_guard():
-    with pytest.raises(ValueError):
-        oracle.residual(np.eye(2), np.eye(3))
-
-
 def test_oracle_module_is_independent():
     # the verification path must not import the closed-form constructions
     import hjc.oracle as mod
