@@ -29,16 +29,18 @@ def main():
     psi0 = np.zeros(2 * d)
     psi0[args.n0] = 1.0  # |excited, n0>
 
+    ts = np.linspace(0.0, args.t_max, args.t_steps)
+    columns = []
+    for theta in thetas:
+        # one stack of propagators over every t, applied in O(d) per t:
+        # no dense 2d x 2d matrix
+        psi = np.abs(jc.propagator(jc.JCParams(theta=theta, dim=d, g=args.g), ts).apply(psi0)) ** 2
+        columns.append(np.sum(psi[:, :d], axis=-1) - np.sum(psi[:, d:], axis=-1))
+
     w = sys.stdout.write
     w("t," + ",".join(f"sigma3_theta_{t:g}" for t in thetas) + "\n")
-    for t in np.linspace(0.0, args.t_max, args.t_steps):
-        row = [f"{t:.6f}"]
-        for theta in thetas:
-            u = jc.propagator(jc.JCParams(theta=theta, dim=d, g=args.g), float(t))
-            psi = u.apply(psi0)  # O(d): no dense 2d x 2d matrix
-            inv = np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2)
-            row.append(f"{inv:.9f}")
-        w(",".join(row) + "\n")
+    for t, row in zip(ts, zip(*columns)):
+        w(",".join([f"{t:.6f}"] + [f"{inv:.9f}" for inv in row]) + "\n")
 
 
 if __name__ == "__main__":

@@ -576,24 +576,6 @@ def cmd_strings(args):
     return {"thetas": list(args.thetas), "dim": args.dim}, records
 
 
-def _eigenvector_residual(u: jc.BlockOperator, evals: np.ndarray, evecs: np.ndarray, t: float, out) -> float:
-    """Largest row 2-norm of U(t) V - V exp(-itW) for the oracle
-    eigendecomposition H = V W V^T.  ``out`` is a pair of real arrays
-    shaped like V that it overwrites with the real and imaginary parts of
-    that difference.
-
-    V is orthogonal, so row i of (U - V exp(-itW) V^T) V has the 2-norm of
-    row i of U - exp(-itH): this bounds every entry of that row.  V is real
-    (every evolve Hamiltonian is), and with U holding at most two entries
-    per row the cost is O(d^2).
-    """
-    re, im = out
-    np.multiply(evecs, -np.cos(t * evals), out=re)
-    np.multiply(evecs, np.sin(t * evals), out=im)
-    u.apply(evecs, out=out)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))))
-
-
 def cmd_evolve(args):
     # with omega/delta supplied the full split propagator is checked,
     # otherwise the bare interaction one; <sigma3> is identical either way
@@ -605,22 +587,18 @@ def cmd_evolve(args):
     else:
         h, evolve = args.g * jc.hamiltonian(p), jc.propagator
     evals, evecs = oracle.eig_hermitian(h.full())
-    planes = np.empty(evecs.shape), np.empty(evecs.shape)
+    ts = np.linspace(0.0, args.t_max, args.t_steps)
+    u = evolve(p, ts)
     start = np.zeros(2 * d)
     start[args.n0] = 1.0  # |excited, n0>
-    ident = jc.BlockOperator.identity(d)
-    records = []
-    for t in np.linspace(0.0, args.t_max, args.t_steps).tolist():
-        u = evolve(p, t)
-        psi = u.apply(start)
-        records.append(
-            {
-                "t": t,
-                "closed_vs_oracle_residual": _eigenvector_residual(u, evals, evecs, t, planes),
-                "unitarity": jc.block_residual(u.dagger() @ u, ident),
-                "sigma3": float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2)),
-            }
-        )
+    psi = np.abs(u.apply(start)) ** 2
+    columns = {
+        "t": ts,
+        "closed_vs_oracle_residual": jc.eigenbasis_residuals(u, evals, evecs, ts),
+        "unitarity": jc.block_residual(u.dagger() @ u, jc.BlockOperator.identity(d)),
+        "sigma3": np.sum(psi[:, :d], axis=-1) - np.sum(psi[:, d:], axis=-1),
+    }
+    records = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
     params = {
         "theta": p.theta, "g": args.g, "omega": args.omega, "delta": args.delta,
         "dim": d, "t_max": args.t_max, "t_steps": args.t_steps, "n0": args.n0,
@@ -649,10 +627,11 @@ def cmd_grassmann(args):
             continue
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p, tol))
         # the upper-left block (1 + Z+Z)^-1 against its closed form
-        # (R1 + theta) / 2R1, R1 the row 1 radius (theta > 0 here)
+        # (R1 + theta) / 2R1, R1 the row 1 radius (theta > 0 here), from
+        # halves so that R1 + theta is never formed
         r1, _ = jc.row_radii(p)
         upper_left = jc.BlockOperator.from_diagonals(args.dim, ((proj.diags[0][0], {}), ({}, {})))
-        expected = jc.block_diag((r1 + theta) / r1 * 0.5, np.zeros(args.dim))
+        expected = jc.block_diag((0.5 * r1 + 0.5 * theta) / r1, np.zeros(args.dim))
         rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p, tol=tol))
         rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected)

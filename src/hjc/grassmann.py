@@ -74,7 +74,7 @@ def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):
     identically.  Raises :class:`hjc.jc.SingularSectorError` where chart I
     is singular, as :func:`hjc.jc.singular_sectors` reports it."""
     (_, shifted, _), (_, plain, _) = admissible_denominators(p, ChartTag.I, tol)
-    sq = np.sqrt(np.arange(1.0, p.dim))  # the subdiagonal of a+
+    sq = 0.5 * np.sqrt(np.arange(1.0, p.dim))  # half the subdiagonal of a+, over the half sums
     return sq / plain[1:], sq / shifted[:-1]
 
 

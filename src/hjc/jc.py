@@ -27,10 +27,11 @@ only at the ground level n = 0 (chart I for theta < 0, chart II for
 theta > 0, both at resonance), which is the quantum remnant of the
 classical Dirac string: it lives purely in states containing the ground
 level.  The top level's denominator always equals the ground one, so it
-never decides which chart exists.  The sums R +- theta are evaluated as
-m / (R -+ theta), m the level number, on the side where they would
-cancel, and R as hypot(sqrt(m), theta), so no other level turns singular
-and nothing overflows at large |theta|.
+never decides which chart exists.  The sums R +- theta are carried as
+half sums formed from halves, evaluated as m / (2 (R -+ theta)), m the
+level number, on the side where they would cancel, and R as
+hypot(sqrt(m), theta), so no other level turns singular and nothing
+overflows up to the largest |theta| (:func:`_radius_sum`).
 
 Flattening convention: the atom index is major, so a block operator maps
 component vectors (upper, lower) of length d each, and flattened index
@@ -47,6 +48,14 @@ O(d^3) of the dense oracle; :meth:`BlockOperator.apply` multiplies a
 real dense (2d, m) array in O(d m).  :meth:`BlockOperator.full` is the only
 dense export; the dense constructor and :meth:`BlockOperator.from_full`
 extract the diagonals losslessly.
+
+Stacks: a level vector may carry leading batch axes, shape
+``batch + (d - |k|,)``, so one operator holds a stack of operators (the
+batch shapes of its vectors broadcast against each other).  Products,
+sums, adjoints, :meth:`BlockOperator.apply` and
+:meth:`BlockOperator.max_abs` act slice by slice, with the same arithmetic
+as on each slice alone; :func:`propagator` over an array of times returns
+such a stack.  The dense export and import are unbatched.
 """
 
 from __future__ import annotations
@@ -83,7 +92,14 @@ __all__ = [
     "spectral_decomposition",
     "propagator",
     "full_propagator",
+    "eigenbasis_residuals",
 ]
+
+# Elements of one chunk (steps x rows x 2d) of :func:`eigenbasis_residuals`:
+# 256 KB of doubles, so a chunk and the rows of V it reads stay in a core's
+# L2 cache.  Smaller chunks pay more per-call overhead; larger ones spill
+# (on a 2 MB L2, 2**15 was fastest from d = 48 to 320).
+RESIDUAL_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -127,32 +143,47 @@ def _dense_diagonals(b: np.ndarray) -> dict:
     return {int(k): np.diagonal(b, k).copy() for k in np.unique(cols - rows)}
 
 
-def _block_product(d: int, x: dict, y: dict, out: dict) -> None:
-    """Accumulate the product of blocks ``x`` and ``y`` into ``out``.
+def _block_product(d: int, batch: tuple, x: dict, y: dict, out: dict) -> None:
+    """Accumulate the product of blocks ``x`` and ``y`` into ``out``, whose
+    level vectors have the batch shape ``batch``.
 
     Offsets add: row i of the product's diagonal p + q is row i of x's
-    diagonal p times row i + p of y's diagonal q.
+    diagonal p times row i + p of y's diagonal q.  Both factors are
+    broadcast to ``batch`` first: numpy's complex product of arrays of
+    unequal rank may take a loop that rounds differently (without FMA), and
+    a slice of a stack must equal the product of the slices bit for bit.
     """
+    if batch:
+        x, y = ({k: v if v.ndim > len(batch) else np.broadcast_to(v, batch + v.shape) for k, v in z.items()} for z in (x, y))
     for p, a in x.items():
         for q, b in y.items():
             k = p + q
             lo, hi = max(0, -p, -k), min(d, d - p, d - k)  # rows i, i + p, i + p + q in range
             if lo < hi:
-                c = out.setdefault(k, np.zeros(d - abs(k), dtype=complex))
-                c[lo - max(0, -k) : hi - max(0, -k)] += (
-                    a[lo - max(0, -p) : hi - max(0, -p)] * b[lo + p - max(0, -q) : hi + p - max(0, -q)]
+                c = out.setdefault(k, np.zeros(batch + (d - abs(k),), dtype=complex))
+                c[..., lo - max(0, -k) : hi - max(0, -k)] += (
+                    a[..., lo - max(0, -p) : hi - max(0, -p)] * b[..., lo + p - max(0, -q) : hi + p - max(0, -q)]
                 )
+
+
+def _stack_shape(*shapes) -> tuple:
+    """The broadcast of stack shapes (the common case, all equal, without
+    numpy's general rule)."""
+    first = shapes[0]
+    return first if all(s == first for s in shapes) else np.broadcast_shapes(*shapes)
 
 
 class BlockOperator:
     """2x2 block operator on C^2 (x) F_d, each block a sum of shifted
-    level diagonals (see the module docstring).
+    level diagonals, or a stack of such operators (see the module
+    docstring).
 
     ``BlockOperator(blocks)`` takes a 2x2 layout of dense d x d blocks;
-    :meth:`from_diagonals` takes the level vectors directly.
+    :meth:`from_diagonals` takes the level vectors directly.  ``batch`` is
+    the stack shape, () for a single operator.
     """
 
-    __slots__ = ("dim", "diags")
+    __slots__ = ("dim", "diags", "batch")
 
     def __init__(self, blocks):
         rows = [[np.asarray(b, dtype=complex) for b in row] for row in blocks]
@@ -163,15 +194,27 @@ class BlockOperator:
             raise ValueError("inconsistent block shapes")
         self.dim = d
         self.diags = tuple(tuple(_dense_diagonals(b) for b in row) for row in rows)
+        self.batch = ()
 
     @classmethod
-    def from_diagonals(cls, d: int, diags) -> "BlockOperator":
-        """Operator from a 2x2 layout of {offset: level vector} maps."""
+    def from_diagonals(cls, d: int, diags, batch: tuple = ()) -> "BlockOperator":
+        """Operator from a 2x2 layout of {offset: level vector} maps; a
+        vector of shape ``batch + (d - |k|,)`` makes a stack.  The stack
+        shape is ``batch`` broadcast with the vectors' own, so an operator
+        with no stored diagonal keeps it too."""
         op = object.__new__(cls)
         op.dim = d
         op.diags = tuple(tuple({k: np.asarray(v, dtype=complex) for k, v in b.items()} for b in row) for row in diags)
-        if any(v.shape != (d - abs(k),) for row in op.diags for b in row for k, v in b.items()):
-            raise ValueError("the level vector on offset k needs length d - |k|")
+        shapes = {tuple(batch)}
+        for row in op.diags:
+            for b in row:
+                for k, v in b.items():
+                    s = v.shape
+                    if not s or s[-1] != d - abs(k):
+                        raise ValueError("the level vector on offset k needs length d - |k|")
+                    if len(s) > 1:
+                        shapes.add(s[:-1])
+        op.batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         return op
 
     @classmethod
@@ -179,7 +222,10 @@ class BlockOperator:
         return block_diag(np.ones(d), np.ones(d))
 
     def full(self) -> np.ndarray:
-        """Flatten to a 2d x 2d matrix, atom index major."""
+        """Flatten to a 2d x 2d matrix, atom index major (a single
+        operator only)."""
+        if self.batch:
+            raise ValueError(f"a stack of shape {self.batch} has no single dense form")
         d = self.dim
         out = np.zeros((2 * d, 2 * d), dtype=complex)
         flat = out.reshape(-1)
@@ -190,32 +236,28 @@ class BlockOperator:
                     flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v
         return out
 
-    def apply(self, x: np.ndarray, out=None):
-        """The product with a real dense array ``x`` of 2d rows (a vector
-        or a (2d, m) matrix) in O(d m): every stored diagonal scales a
-        shifted slice of the rows of ``x``.  The real and imaginary parts
-        are formed apart, in real arithmetic.
-
-        Returns the complex product.  With ``out``, a pair of real arrays
-        shaped like ``x``, the real and imaginary parts of the product are
-        added to ``out[0]`` and ``out[1]`` in place instead and ``out`` is
-        returned: a caller that wants a difference needs no second pass,
-        and no complex array is formed.
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The complex product with a real dense array ``x`` of 2d rows (a
+        vector or a (2d, m) matrix) in O(d m), shaped ``batch + x.shape``:
+        every stored diagonal scales a shifted slice of the rows of ``x``.
+        The real and imaginary parts are formed apart, in real arithmetic.
         """
         d = self.dim
         x = np.asarray(x)
         if x.shape[:1] != (2 * d,) or np.iscomplexobj(x):
             raise ValueError(f"expected a real array of {2 * d} rows, got {x.dtype} {x.shape}")
-        re, im = (np.zeros(x.shape), np.zeros(x.shape)) if out is None else out
+        re, im = np.zeros(self.batch + x.shape), np.zeros(self.batch + x.shape)
+        stack, tail = (slice(None),) * len(self.batch), (1,) * (x.ndim - 1)
         for i, row in enumerate(self.diags):
             for j, block in enumerate(row):
                 for k, v in block.items():
                     lo, hi = max(0, -k), d - max(0, k)  # rows n with n + k in range
                     xs = x[j * d + lo + k : j * d + hi + k]
-                    v = v.reshape(v.shape + (1,) * (x.ndim - 1))
-                    re[i * d + lo : i * d + hi] += v.real * xs
-                    im[i * d + lo : i * d + hi] += v.imag * xs
-        return re + 1j * im if out is None else out
+                    v = v.reshape(v.shape + tail)
+                    rows = stack + (slice(i * d + lo, i * d + hi),)
+                    re[rows] += v.real * xs
+                    im[rows] += v.imag * xs
+        return re + 1j * im
 
     @classmethod
     def from_full(cls, m: np.ndarray) -> "BlockOperator":
@@ -232,17 +274,18 @@ class BlockOperator:
     def dagger(self) -> "BlockOperator":
         b = self.diags
         adj = [[{-k: v.conj() for k, v in b[j][i].items()} for j in range(2)] for i in range(2)]
-        return BlockOperator.from_diagonals(self.dim, adj)
+        return BlockOperator.from_diagonals(self.dim, adj, self.batch)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         self._check_dim(other)
         d, a, b = self.dim, self.diags, other.diags
+        batch = _stack_shape(self.batch, other.batch)
         out = [[{}, {}], [{}, {}]]
         for i in range(2):
             for j in range(2):
                 for m in range(2):
-                    _block_product(d, a[i][m], b[m][j], out[i][j])
-        return BlockOperator.from_diagonals(d, out)
+                    _block_product(d, batch, a[i][m], b[m][j], out[i][j])
+        return BlockOperator.from_diagonals(d, out, batch)
 
     def _combine(self, other: "BlockOperator", ufunc) -> "BlockOperator":
         self._check_dim(other)
@@ -251,7 +294,7 @@ class BlockOperator:
             for block, y in zip(row_out, row_b):
                 for k, v in y.items():
                     block[k] = ufunc(block.get(k, 0.0), v)
-        return BlockOperator.from_diagonals(self.dim, out)
+        return BlockOperator.from_diagonals(self.dim, out, _stack_shape(self.batch, other.batch))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._combine(other, np.add)
@@ -261,14 +304,21 @@ class BlockOperator:
 
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
-            return BlockOperator.from_diagonals(self.dim, [[{k: v * c for k, v in b.items()} for b in row] for row in self.diags])
+            scaled = [[{k: v * c for k, v in b.items()} for b in row] for row in self.diags]
+            return BlockOperator.from_diagonals(self.dim, scaled, self.batch)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def max_abs(self) -> float:
-        """Largest entry modulus."""
-        return float(np.max([np.max(np.abs(v)) for row in self.diags for b in row for v in b.values()], initial=0.0))
+    def max_abs(self):
+        """Largest entry modulus: a float for a single operator, an array
+        of shape ``batch`` (one value per slice) for a stack."""
+        out = np.zeros(self.batch)
+        for row in self.diags:
+            for b in row:
+                for v in b.values():
+                    np.maximum(out, np.max(np.abs(v), axis=-1, initial=0.0), out=out)
+        return float(out) if not self.batch else out
 
 
 def block_diag(b00, b11) -> BlockOperator:
@@ -300,15 +350,30 @@ def _row_levels(d: int):
 
 
 def _radius_sum(m: np.ndarray, theta: float, sign: float):
-    """R = sqrt(m + theta^2) and R + sign * theta for level numbers m.
+    """R = sqrt(m + theta^2) and the half sum h = (R + sign * theta) / 2
+    for level numbers m.
 
-    Where sign * theta < 0 the sum is evaluated as m / (R - sign * theta),
-    so it vanishes only at m = 0 and keeps full relative accuracy for
-    every |theta|.
+    With h0 = (R + |theta|)/2, h is h0 itself where sign * theta >= 0 and
+    (m/4) / h0 = m / (2 (R + |theta|)) where the sum cancels, so it vanishes
+    only at m = 0 and keeps full relative accuracy for every |theta|.  Above
+    |theta| = 2**1022, where R + |theta| can exceed the double range, h0 is
+    summed from the halves R/2 and |theta|/2 (both normal there, so the
+    halving is exact); below it, (R + |theta|)/2 is exact even for a
+    subnormal theta.  So nothing overflows up to the largest double, and h
+    is exactly half the rounded sum R + sign * theta (or quotient
+    m / (R + |theta|)) wherever h is a normal double.
     """
     r = np.hypot(np.sqrt(m), theta)
-    st = sign * theta
-    return r, (r + st if st >= 0.0 else m / (r - st))
+    a = abs(theta)
+    h0 = 0.5 * r + 0.5 * a if a > 2.0**1022 else 0.5 * (r + a)
+    return r, (h0 if sign * theta >= 0.0 else (0.25 * m) / h0)
+
+
+def _normalizer(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Twice the chart normalizer 1/(sqrt(2R) sqrt(2h)) of radius R and half
+    sum h, formed as 0.5/(sqrt(R/2) sqrt(h/2)): the same value (the halvings
+    are exact) without forming 2R or 2h, which can exceed the double range."""
+    return 0.5 / (np.sqrt(0.5 * r) * np.sqrt(0.5 * h))
 
 
 def row_radii(p: JCParams):
@@ -320,20 +385,22 @@ def row_radii(p: JCParams):
 
 def chart_denominators(p: JCParams, chart: ChartTag):
     """Per block row of a chart, the level values of the radius R of
-    :func:`row_radii`, of q = R + s theta and of the denominator 2 R q,
-    with s = +1 for chart I and -1 for chart II.
+    :func:`row_radii`, of the half sum h = (R + s theta)/2 and of the
+    denominator 2 R (R + s theta), with s = +1 for chart I and -1 for
+    chart II.
 
-    The denominator is formed as 2 (R q).  Where q cancels, R q =
-    m R / (R + |theta|) <= m for level number m, so only the other side
-    can exceed the double range, and there it reads inf (never singular).
-    The chart normalizer is 1/(sqrt(2R) sqrt(q)), finite either way.
+    The denominator is formed as 2 (R (2h)).  Where the sum cancels,
+    R (2h) = m R / (R + |theta|) <= m for level number m, so only the other
+    side can exceed the double range, and there it reads inf (never
+    singular).  h itself never overflows, and the chart normalizer
+    1/(sqrt(2R) sqrt(2h)) is finite either way (:func:`_normalizer`).
     """
     s = 1.0 if chart is ChartTag.I else -1.0
     rows = []
     for m in _row_levels(p.dim):
-        r, q = _radius_sum(m, p.theta, s)
+        r, h = _radius_sum(m, p.theta, s)
         with np.errstate(over="ignore"):
-            rows.append((r, q, 2.0 * (r * q)))
+            rows.append((r, h, 2.0 * (r * (2.0 * h))))
     return rows
 
 
@@ -410,13 +477,13 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     its radius is the untruncated R(N+1)).
     """
     d = p.dim
-    sq = _ladder(d + 1)
-    r1, q1 = _radius_sum(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
-    f = 1.0 / (np.sqrt(2.0 * r1) * np.sqrt(q1))
+    sq = 0.5 * _ladder(d + 1)
+    r1, h1 = _radius_sum(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
+    f = _normalizer(r1, h1)  # twice the normalizer, on the halved entries
     if chart is ChartTag.I:
-        u = ((f * q1, -f * sq), (f * sq, f * q1))
+        u = ((f * h1, -f * sq), (f * sq, f * h1))
     else:
-        u = ((f * sq, -f * q1), (f * q1, f * sq))
+        u = ((f * sq, -f * h1), (f * h1, f * sq))
     return BlockOperator.from_diagonals(d, tuple(tuple({0: v} for v in row) for row in u))
 
 
@@ -524,17 +591,19 @@ def admissible_denominators(p: JCParams, chart: ChartTag, tol: Tolerances = DEFA
 
 
 def _chart_pieces(p: JCParams, chart: ChartTag, tol: Tolerances):
-    """Normalizer level values (row1, row2) and the unnormalized chart
-    matrix; raises on vanishing denominators."""
-    (r1, q1, _), (r2, q2, _) = admissible_denominators(p, chart, tol)
+    """Twice the normalizer level values (row1, row2) and half the
+    unnormalized chart matrix, so that no entry exceeds the double range
+    (their products are the chart's entries exactly); raises on vanishing
+    denominators."""
+    (r1, h1, _), (r2, h2, _) = admissible_denominators(p, chart, tol)
     d = p.dim
-    sq = _ladder(d)
+    sq = 0.5 * _ladder(d)
     if chart is ChartTag.I:
-        core = _sectors(d, q1, -sq, sq, q2)
+        core = _sectors(d, h1, -sq, sq, h2)
     else:
-        # [[a, -(R1 - theta)], [R(N) - theta, a+]]
-        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -q1}), ({0: q2}, {-1: sq})))
-    return 1.0 / (np.sqrt(2.0 * r1) * np.sqrt(q1)), 1.0 / (np.sqrt(2.0 * r2) * np.sqrt(q2)), core
+        # [[a, -(R1 - theta)], [R(N) - theta, a+]] / 2
+        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -h1}), ({0: h2}, {-1: sq})))
+    return _normalizer(r1, h1), _normalizer(r2, h2), core
 
 
 def _normalize(chart: ChartTag, normalizer: str, f1, f2, core) -> BlockOperator:
@@ -580,7 +649,7 @@ def chart_decompose(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> 
     whole truncated space, the one-level sectors |g,0> and |e,d-1>
     included; the conditioning is the largest normalizer."""
     f1, f2, core = _chart_pieces(p, chart, tol)
-    cond = float(max(np.max(f1), np.max(f2)))
+    cond = 0.5 * float(max(np.max(f1), np.max(f2)))
     return ChartDecomposition(_normalize(chart, "left", f1, f2, core), chart_diagonal(p, chart), chart, cond)
 
 
@@ -614,10 +683,11 @@ def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) 
         raise ValueError("normalizer must be 'left' or 'right'")
     d, th = p.dim, p.theta
     m1, m2 = _row_levels(d)
-    (r1, q1), (r2, q2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
-    p1, p2 = (np.divide(0.5, r, out=np.zeros(d), where=r > 0.5 * tol.singular_threshold) for r in (r1, r2))
-    sq = _ladder(d)
-    core = _sectors(d, q1, sq, sq, q2)
+    (r1, h1), (r2, h2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
+    # 1/R on the halved core: the products are the entries exactly
+    p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * tol.singular_threshold) for r in (r1, r2))
+    sq = 0.5 * _ladder(d)
+    core = _sectors(d, h1, sq, sq, h2)
     norm = block_diag(p1, p2)
     return norm @ core if normalizer == "left" else core @ norm
 
@@ -635,7 +705,7 @@ def spectral_decomposition(p: JCParams, tol: Tolerances = DEFAULT):
 # Propagators
 
 
-def propagator(p: JCParams, t: float) -> BlockOperator:
+def propagator(p: JCParams, t) -> BlockOperator:
     """Closed form of exp(-i g t H) built from level functions:
 
         [[cos(tg R1) - i theta sin(tg R1)/R1,   -i sin(tg R1)/R1 a],
@@ -643,23 +713,87 @@ def propagator(p: JCParams, t: float) -> BlockOperator:
 
     with the row radii R1, R(N) of :func:`row_radii`, so the top-level
     entry is exp(-i g t theta).  Where a radius vanishes (at resonance)
-    the ratio sin(tg R)/R is taken in the limit, tg.
+    the ratio sin(tg R)/R is taken in the limit, tg.  A 1-D array of times
+    gives the stack of their propagators, batch shape ``t.shape``.
     """
-    tg = p.g * t
+    tg = p.g * np.asarray(t, dtype=float)[..., None]
     r1, r0 = row_radii(p)
-    s1, s0 = (np.divide(np.sin(tg * r), r, out=np.full_like(r, tg), where=r != 0.0) for r in (r1, r0))
+    s1, s0 = (np.divide(np.sin(tg * r), r, out=tg * np.ones_like(r), where=r != 0.0) for r in (r1, r0))
     sq = _ladder(p.dim)
     return _sectors(
         p.dim,
         np.cos(tg * r1) - 1j * p.theta * s1,
-        -1j * (s1[:-1] * sq),
-        -1j * (s0[1:] * sq),
+        -1j * (s1[..., :-1] * sq),
+        -1j * (s0[..., 1:] * sq),
         np.cos(tg * r0) + 1j * p.theta * s0,
     )
 
 
-def full_propagator(p: JCParams, t: float) -> BlockOperator:
+def full_propagator(p: JCParams, t) -> BlockOperator:
     """exp(-i t H_full) as the product of the diagonal free part and the
-    closed-form interaction propagator (the two parts commute)."""
+    closed-form interaction propagator (the two parts commute); over an
+    array of times, the stack as for :func:`propagator`."""
     upper, lower = _free_levels(p)
-    return block_diag(np.exp(-1j * t * upper), np.exp(-1j * t * lower)) @ propagator(p, t)
+    t = np.asarray(t, dtype=float)[..., None]
+    free = (({0: np.exp(-1j * t * upper)}, {}), ({}, {0: np.exp(-1j * t * lower)}))
+    return BlockOperator.from_diagonals(p.dim, free) @ propagator(p, t[..., 0])
+
+
+def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """For each time t of the 1-D array ``ts``, the largest row 2-norm of
+    U(t) V - V exp(-itW) for a real eigendecomposition H = V W V^T (``evals``
+    W, ``evecs`` V); ``u`` is the stack of the U(t), one per time.
+
+    With V orthogonal, row i of (U - V exp(-itW) V^T) V has the 2-norm of
+    row i of U - exp(-itH): this bounds every entry of that row, so it
+    checks a closed-form propagator against an independent solver.  With U
+    holding at most two entries per row the cost is O(d^2) per step.
+
+    The difference is formed conjugated, conj(U) V - V exp(itW), one real
+    plane at a time, in chunks of (steps, rows, 2d) of at most
+    ``RESIDUAL_CHUNK`` elements; rows are split only when one step exceeds
+    it.  U's main diagonal u0 enters with the oracle phases as
+    (Re u0 - cos tW) V and (-Im u0 - sin tW) V.  Each difference is the
+    product of [part of conj(u0), 1] and [1, -phase]: both terms are exact,
+    so it is the one rounding of the difference, and BLAS writes it faster
+    than a broadcast subtraction.  A real or imaginary part of another
+    stored diagonal that is zero throughout is skipped.
+    """
+    ts, evecs = np.asarray(ts, dtype=float), np.asarray(evecs)
+    if ts.ndim != 1 or u.batch != ts.shape or np.iscomplexobj(evecs):
+        raise ValueError(f"expected a stack of shape {ts.shape} over 1-D times and real V, got {u.batch}, {evecs.dtype}")
+    d, n = u.dim, 2 * u.dim
+    lhs = np.zeros((2,) + u.batch + (n, 2))  # per plane, step and row: [part of conj(u0), 1]
+    lhs[..., 1] = 1.0
+    off = []  # (first row, end row, row shift into V, part, plane) of the other diagonals
+    for i, row in enumerate(u.diags):
+        for j, block in enumerate(row):
+            for k, v in block.items():
+                v = np.broadcast_to(v.conj(), u.batch + v.shape[-1:])
+                lo = i * d + max(0, -k)
+                if i == j and k == 0:
+                    lhs[:, ..., lo : lo + d, 0] = v.real, v.imag
+                    continue
+                parts = enumerate((v.real, v.imag))
+                off += [(lo, lo + v.shape[-1], (j - i) * d + k, part, p) for p, part in parts if np.any(part)]
+    rows = min(n, max(1, RESIDUAL_CHUNK // n))
+    steps = max(1, RESIDUAL_CHUNK // (rows * n))
+    buf = np.empty((min(steps, ts.size), rows, n))
+    norms = np.zeros((ts.size, n))
+    for t0 in range(0, ts.size, steps):
+        chunk = slice(t0, t0 + steps)
+        tw = ts[chunk, None] * evals
+        rhs = np.ones((2, tw.shape[0], 2, n))  # per plane and step: [1, -cos tW] and [1, -sin tW]
+        rhs[:, :, 1] = -np.cos(tw), -np.sin(tw)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            plane = buf[: tw.shape[0], : r1 - r0]
+            for p in range(2):
+                np.matmul(lhs[p, chunk, r0:r1], rhs[p], out=plane)
+                plane *= evecs[r0:r1]
+                for lo, hi, shift, part, q in off:
+                    a, b = max(lo, r0), min(hi, r1)
+                    if q == p and a < b:
+                        plane[:, a - r0 : b - r0] += part[chunk, a - lo : b - lo, None] * evecs[a + shift : b + shift]
+                norms[chunk, r0:r1] += np.einsum("tij,tij->ti", plane, plane)
+    return np.sqrt(np.max(norms, axis=1))

@@ -34,14 +34,19 @@ EPS = np.finfo(float).eps
 HERM_TOL = 1e-10
 
 
+def _max_abs(r: np.ndarray) -> float:
+    """max |r_ij|, taking the moduli in place when ``r`` is real."""
+    return float(np.max(np.abs(r, out=None if np.iscomplexobj(r) else r)))
+
+
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """``m`` as a float array when every entry is real, else complex;
     refuses it when its Hermiticity residual exceeds ``HERM_TOL``."""
     m = np.asarray(m)
     if np.iscomplexobj(m) and not np.any(m.imag):
-        m = m.real
+        m = np.ascontiguousarray(m.real)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    herm = _max_abs(m - m.conj().T)
     if herm > HERM_TOL:
         raise ValueError(f"input not Hermitian: residual {herm:.3e}")
     return m
@@ -62,10 +67,14 @@ def eig_hermitian(m: np.ndarray):
     n = m.shape[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     vh = v.conj().T  # conj() of a real array is itself
-    recon = float(np.max(np.abs((v * w) @ vh - m)))
+    r = (v * w) @ vh
+    r -= m
+    recon = _max_abs(r)
     if recon > 1e-11 * scale:
         raise ArithmeticError(f"eigendecomposition reconstruction residual {recon:.3e}")
-    orth = float(np.max(np.abs(vh @ v - np.eye(n))))
+    r = vh @ v
+    r.flat[:: n + 1] -= 1.0
+    orth = _max_abs(r)
     if orth > CHECK_ULPS * n * EPS:
         raise ArithmeticError(f"eigenvector orthonormality residual {orth:.3e}")
     return w, v

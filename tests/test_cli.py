@@ -207,9 +207,9 @@ def _perturb_propagator(mp, mutate):
 
 def _ground_phase_off(mp):
     # the ground level |g,0> is a sector of its own: a phase error there
-    # leaves U(t) unitary
+    # leaves U(t) unitary (the level axis is the last one of the stack)
     def mutate(u):
-        u.diags[1][1][0][0] *= np.exp(1e-6j)
+        u.diags[1][1][0][..., 0] *= np.exp(1e-6j)
 
     _perturb_propagator(mp, mutate)
 
@@ -217,7 +217,7 @@ def _ground_phase_off(mp):
 def _top_phase_off(mp):
     # the top level |e,d-1> is a sector of its own too
     def mutate(u):
-        u.diags[0][0][0][-1] *= np.exp(1e-6j)
+        u.diags[0][0][0][..., -1] *= np.exp(1e-6j)
 
     _perturb_propagator(mp, mutate)
 
@@ -225,8 +225,8 @@ def _top_phase_off(mp):
 def _off_sector_entry(mp):
     # <e,0| U |e,2>: two sectors that U(t) never couples
     def mutate(u):
-        u.diags[0][0][2] = np.zeros(u.dim - 2, dtype=complex)
-        u.diags[0][0][2][0] = 1e-6
+        u.diags[0][0][2] = np.zeros(u.batch + (u.dim - 2,), dtype=complex)
+        u.diags[0][0][2][..., 0] = 1e-6
 
     _perturb_propagator(mp, mutate)
 
@@ -252,6 +252,46 @@ def test_evolve_residual_catches_errors_of_1e_6(perturb, path, capsys, monkeypat
     assert max(rec["closed_vs_oracle_residual"] for rec in records) > 1e-7
     if perturb in (_ground_phase_off, _top_phase_off):
         assert all(rec["unitarity"] <= 1e-15 for rec in records)
+
+
+@pytest.mark.parametrize("path", ["interaction", "omega_delta"])
+@pytest.mark.parametrize("d, steps", [(3, 1), (3, 7), (3, 50), (96, 3)])
+@pytest.mark.parametrize("chunk", ["default", 3 * 36])
+def test_evolve_stacks_equal_the_per_step_propagators(d, steps, path, chunk, capsys, monkeypatch):
+    # d = 3 fits all 50 steps in one default chunk; a chunk of three d = 3
+    # steps leaves a short last chunk at 7 and 50 steps.  One d = 96 step
+    # exceeds either chunk, so its rows are split (to single rows in the
+    # small one).
+    if chunk != "default":
+        monkeypatch.setattr(jc, "RESIDUAL_CHUNK", chunk)
+    assert 4 * 96 * 96 > jc.RESIDUAL_CHUNK >= 4 * 3 * 3 * (50 if chunk == "default" else 3)
+    if path == "interaction":
+        argv = ["--theta=0.3", "--g=0.7"]
+        p = jc.JCParams(0.3, d, 0.7)
+        h, evolve = 0.7 * jc.hamiltonian(p), jc.propagator
+    else:
+        argv = ["--omega=1", "--delta=1.6"]
+        p = jc.JCParams.from_physical(1.0, 1.6, 1.0, d)
+        h1, h2 = jc.full_hamiltonian(p)
+        h, evolve = h1 + h2, jc.full_propagator
+    code, records = _evolve_records(capsys, f"--dim={d}", f"--t-steps={steps}", "--n0=1", *argv)
+    assert code == 0
+    assert [rec["t"] for rec in records] == np.linspace(0.0, 10.0, steps).tolist()
+    w, v = oracle.eig_hermitian(h.full())
+    start = np.zeros(2 * d)
+    start[1] = 1.0
+    ident = jc.BlockOperator.identity(d)
+    for rec in records:
+        # the per-step reference: one scalar-t propagator, as before stacks
+        u = evolve(p, rec["t"])
+        psi = u.apply(start)
+        assert rec["unitarity"] == jc.block_residual(u.dagger() @ u, ident)
+        assert rec["sigma3"] == float(np.sum(np.abs(psi[:d]) ** 2) - np.sum(np.abs(psi[d:]) ** 2))
+        # the residual against a dense per-step evaluation: the two round
+        # differently, by a few eps per row norm
+        dense = u.full() @ v - v * np.exp(-1j * rec["t"] * w)
+        expected = float(np.sqrt(np.max(np.sum(np.abs(dense) ** 2, axis=1))))
+        assert abs(rec["closed_vs_oracle_residual"] - expected) <= 4 * np.finfo(float).eps * np.sqrt(2 * d)
 
 
 def test_evolve_rejects_lone_omega():
@@ -390,6 +430,11 @@ def test_jc_catches_a_top_level_projector_error_of_1e_6(theta, capsys, monkeypat
         ["evolve", "--theta=-1e200", "--dim=4", "--t-steps=2", "--format=json"],
         ["grassmann", "--theta=-1e200,-1e15,1e200", "--dim=4"],
         ["strings", "--theta=-1e200,1e200", "--dim=4"],
+        # the top of the double range, where R + |theta| itself overflows
+        ["jc", "--theta=1.7e308", "--dim=6"],
+        ["jc", "--theta=-1.7e308", "--dim=6"],
+        ["grassmann", "--theta=-1.7e308,1.7e308", "--dim=6"],
+        ["strings", "--theta=-1.7e308,1.7e308", "--dim=6"],
     ],
 )
 def test_jc_commands_pass_at_extreme_detuning(argv, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjc import fock, grassmann, jc, oracle
@@ -345,6 +345,33 @@ def test_sector_denominator_values():
     assert by_key[("II", 2, 0)] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    log_mag=st.floats(-323.0, 308.2),
+    sign=st.sampled_from([-1.0, 1.0]),
+    chart=st.sampled_from(list(ChartTag)),
+)
+@example(log_mag=-323.3, sign=1.0, chart=ChartTag.I)  # theta = 5e-324, the least subnormal
+def test_half_sums_are_exact_halves_and_never_overflow(log_mag, sign, chart):
+    # h = (R + s theta)/2 is exactly half the directly rounded sum (or
+    # quotient m/(R + |theta|) where it cancels) wherever that is formed
+    # without overflow and h is a normal double, and finite up to the
+    # largest double
+    theta = sign * min(10.0**log_mag, np.finfo(float).max)
+    p = JCParams(theta=theta, dim=5)
+    s = 1.0 if chart is ChartTag.I else -1.0
+    for m, (r, h, den) in zip(jc._row_levels(5), jc.chart_denominators(p, chart)):
+        assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
+        with np.errstate(over="ignore"):
+            total = r + abs(theta)
+        direct = total if s * theta >= 0 else m / total
+        normal = np.isfinite(total) & ((h >= np.finfo(float).tiny) | (h == 0.0))
+        assert np.array_equal(2.0 * h[normal], direct[normal])
+        # a level number 0 has R = |theta|: h is |theta| or 0 exactly, subnormal theta too
+        assert np.all(h[m == 0] == (abs(theta) if s * theta >= 0 else 0.0))
+        assert np.all(den >= 0.0)
+
+
 def test_lattice_black_on_axes():
     rep = jc.singular_sectors(JCParams(theta=0.7, dim=4))
     cells = {tuple(c["level_pair"]): c["color"] for c in rep.lattice()}
@@ -607,6 +634,33 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
     assert jc.block_residual(jc.full_propagator(q, 2.0), u_oracle) <= 1e-12
 
 
+@pytest.mark.parametrize("steps", [1, 2, 9])
+@pytest.mark.parametrize("d", [2, 3, 17])
+def test_propagator_over_times_is_the_stack_of_scalar_ones(d, steps):
+    # one code path: slice i of the stack is bitwise the scalar-t result
+    ts = np.linspace(0.0, 7.5, steps)
+    p = JCParams(theta=-0.35, dim=d, g=0.8)
+    q = JCParams.from_physical(omega=1.2, delta=0.5, g=0.8, dim=d)
+    for evolve, params in ((jc.propagator, p), (jc.full_propagator, q)):
+        stack = evolve(params, ts)
+        assert stack.batch == (steps,)
+        for i, t in enumerate(ts.tolist()):
+            single = evolve(params, t)
+            assert single.batch == ()
+            assert _same_operator(_slice(stack, i), single)
+
+
+def test_eigenbasis_residuals_refuse_mismatched_input():
+    p = JCParams(theta=0.5, dim=3)
+    w, v = oracle.eig_hermitian(jc.hamiltonian(p).full())
+    ts = np.linspace(0.0, 1.0, 4)
+    u = jc.propagator(p, ts)
+    assert jc.eigenbasis_residuals(u, w, v, ts).shape == (4,)
+    for args in ((u, w, v, ts[:3]), (u, w, v, ts[:, None]), (u, w, v.astype(complex), ts), (jc.propagator(p, 1.0), w, v, ts)):
+        with pytest.raises(ValueError, match="expected a stack"):
+            jc.eigenbasis_residuals(*args)
+
+
 def test_full_propagator_needs_frequencies():
     with pytest.raises(ValueError):
         jc.full_propagator(JCParams(theta=0.5, dim=4), 1.0)
@@ -651,13 +705,44 @@ def _random_operator(rng, d, dense):
     return BlockOperator.from_diagonals(d, diags)
 
 
+def _slice(op, i):
+    # slice i of a stack, vector by vector (an unbatched vector is shared)
+    pick = lambda v: v[i] if v.ndim > 1 else v
+    return BlockOperator.from_diagonals(op.dim, [[{k: pick(v) for k, v in b.items()} for b in row] for row in op.diags])
+
+
+def _stack(ops):
+    # the stack of operators of one layout, offsets taken from the first
+    first = ops[0].diags
+    diags = [[{k: np.stack([op.diags[i][j][k] for op in ops]) for k in first[i][j]} for j in range(2)] for i in range(2)]
+    return BlockOperator.from_diagonals(ops[0].dim, diags, (len(ops),))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same_operator(a, b):
+    # equal offsets and bitwise equal level vectors, signed zeros included
+    return all(
+        a.diags[i][j].keys() == b.diags[i][j].keys()
+        and all(_same_bits(a.diags[i][j][k], b.diags[i][j][k]) for k in a.diags[i][j])
+        for i in range(2)
+        for j in range(2)
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(2, 40),
     dense=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
 )
-def test_block_operator_algebra_matches_dense(d, dense, seed):
+# a stack of one with length-1 diagonals times a single operator: numpy's
+# complex product of a (1, 1) and a (1,) array rounds without FMA
+@example(d=2, dense=(False, False), seed=0, batch=1)
+def test_block_operator_algebra_matches_dense(d, dense, seed, batch):
     rng = np.random.default_rng(seed)
     a, b = _random_operator(rng, d, dense[0]), _random_operator(rng, d, dense[1])
     af, bf = a.full(), b.full()
@@ -669,14 +754,36 @@ def test_block_operator_algebra_matches_dense(d, dense, seed):
     # the dense export and import are lossless, signed zeros included
     assert np.array_equal(BlockOperator.from_full(af).full().view(np.uint64), af.view(np.uint64))
     assert a.max_abs() == np.max(np.abs(af))
-    # apply: a vector, a matrix, and the accumulation into a pair of planes
+    # apply: a vector and a matrix
     x = rng.standard_normal((2 * d, 3))
     for y in (x[:, 0], x):
         assert np.all(np.abs(a.apply(y) - af @ y) <= 1e-13 * (np.abs(af) @ np.abs(y)))
-    base = rng.standard_normal((2, 2 * d, 3))
-    re, im = a.apply(x, out=(base[0].copy(), base[1].copy()))
-    bound = 1e-13 * (np.abs(af) @ np.abs(x) + np.abs(base[0] + 1j * base[1]))
-    assert np.all(np.abs(re + 1j * im - (base[0] + 1j * base[1] + af @ x)) <= bound)
+    # stacks: every operation on a stack is the operation on each slice,
+    # bit for bit; a single operator broadcasts against a stack
+    sa = _stack([a] + [a * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
+    sb = _stack([b] + [b * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
+    assert sa.batch == (batch,)
+    results = {
+        "matmul": (sa @ sb, lambda s, t: s @ t),
+        "add": (sa + sb, lambda s, t: s + t),
+        "sub": (sa - sb, lambda s, t: s - t),
+        "scale": (sa * 0.5j, lambda s, t: s * 0.5j),
+        "dagger": (sa.dagger(), lambda s, t: s.dagger()),
+        "with_single": (sa @ b, lambda s, t: s @ b),
+    }
+    for name, (stacked, op) in results.items():
+        assert stacked.batch == (batch,), name
+        for i in range(batch):
+            assert _same_operator(_slice(stacked, i), op(_slice(sa, i), _slice(sb, i))), (name, i)
+    peaks = sa.max_abs()
+    assert peaks.shape == (batch,)
+    assert [_slice(sa, i).max_abs() for i in range(batch)] == peaks.tolist()
+    for y in (x[:, 0], x):
+        applied = sa.apply(y)
+        assert applied.shape == (batch,) + y.shape
+        assert all(_same_bits(applied[i], _slice(sa, i).apply(y)) for i in range(batch))
+    with pytest.raises(ValueError, match="no single dense form"):
+        sa.full()
 
 
 def test_closed_forms_are_linear_in_memory():

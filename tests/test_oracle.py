@@ -65,6 +65,23 @@ def test_eig_real_path_keeps_integer_and_signed_zero_input_real():
     assert oracle.eig_hermitian(m)[1].dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 96])
+def test_zero_imaginary_input_solves_exactly_as_its_real_part(n, rng):
+    # the real path runs on one contiguous copy of the real parts: a
+    # complex input whose imaginary parts are all zero (as the dense export
+    # of a real BlockOperator) gives bitwise the real input's results
+    real = make_input("real", rng, n)
+    m = real.astype(complex)
+    m.imag[rng.random((n, n)) < 0.5] = -0.0
+    w, v = oracle.eig_hermitian(m)
+    w_real, v_real = oracle.eig_hermitian(real)
+    assert v.dtype == np.float64
+    assert np.array_equal(w.view(np.uint64), w_real.view(np.uint64))
+    assert np.array_equal(v.view(np.uint64), v_real.view(np.uint64))
+    evals, evals_real = oracle.eigvals_hermitian(m), oracle.eigvals_hermitian(real)
+    assert np.array_equal(evals.view(np.uint64), evals_real.view(np.uint64))
+
+
 def test_eig_diagonal_input():
     w, v = oracle.eig_hermitian(np.diag([3.0, -1.0, 2.0]).astype(complex))
     assert np.array_equal(w, [-1.0, 2.0, 3.0])
