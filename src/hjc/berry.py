@@ -151,8 +151,11 @@ def residual_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _stack(e00, e01, e10, e11) -> np.ndarray:
-    """[[e00, e01], [e10, e11]] from four (..., dim) entry arrays."""
-    return np.stack((np.stack((e00, e01), axis=-2), np.stack((e10, e11), axis=-2)), axis=-3)
+    """[[e00, e01], [e10, e11]] from four (..., dim) entry arrays of the
+    shape of e00."""
+    out = np.empty(e00.shape[:-1] + (2, 2) + e00.shape[-1:])
+    out[..., 0, 0, :], out[..., 0, 1, :], out[..., 1, 0, :], out[..., 1, 1, :] = e00, e01, e10, e11
+    return out
 
 
 def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,13 +363,18 @@ def _half_angle(pts: Points, chart: ChartTag):
 
     With h and ``same`` from :func:`half_sum` and c = sqrt(h/r): where
     ``same``, a = c and f = c/2h; where r +- z cancels, a = c ||w||/2h and
-    f = c/||w||.  f is inf on the chart's string and at the origin.
+    f = c/||w||.  f is inf on the chart's string and at the origin, where
+    ||w|| and 2h may be zero or so small that the quotient overflows; each
+    branch of f is divided out only where it is taken.
     """
     half, same = half_sum(pts, chart)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = np.sqrt(half / pts.r)
         a = np.where(same, c, c * (0.5 * pts.norm_w / half))
-        return a, np.where(same, 0.5 * c / half, c / pts.norm_w)
+        f = np.empty_like(c)
+        np.divide(0.5 * c, half, out=f, where=same)
+        np.divide(c, pts.norm_w, out=f, where=~same)
+        return a, f
 
 
 def conditionings(pts: Points, chart: ChartTag) -> np.ndarray:

@@ -15,9 +15,12 @@ are byte-identical across runs with the same ``--seed`` (env fallback
 
 Each command's record is declared once, in ``RECORDS``: every field with
 its JSON type, whether it may be null, the ``Tolerances`` field that
-judges it when it is a residual, and its CSV column.  The JSON schemas
-(``SCHEMAS``), the CSV columns (``CSV_COLUMNS``) and rows, and every
-record's ``pass`` are derived from that declaration.
+judges it when it is a residual, and its CSV column.  A command yields its
+records as column chunks (see ``judge``); the JSON schemas (``SCHEMAS``),
+the CSV columns (``CSV_COLUMNS``), every record's ``pass`` and both
+writers (``render_json``, ``render_csv``) are derived from the
+declaration.  Each chunk is judged and written before the next is
+computed.
 """
 
 from __future__ import annotations
@@ -25,66 +28,25 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Optional
+import tempfile
+from typing import Optional
 
 import numpy as np
 
 from . import algebra, berry, grassmann, jc, oracle
 from .config import DEFAULT, Tolerances
-
-SCHEMA_VERSION = 1
+from .report import (
+    BOOL, INT, NUM, SCHEMA_VERSION, Field, Record, Report, csv_chunk, csv_columns, json_chunk, judge, schema, transpose,
+)
 
 # ---------------------------------------------------------------------------
-# Report declarations
+# Report declarations (see :mod:`hjc.report`)
 
-
-class Record:
-    """A JSON object made of declared :class:`Field` s.  ``norm`` gives the
-    size of the record's Hamiltonian, ||H||, from the record itself; the
-    residuals declared ``rel`` are held to their tolerance times it."""
-
-    def __init__(self, *fields: "Field", norm: Optional[Callable] = None):
-        self.fields = fields
-        self.norm = norm
-        self.has_pass = any(f.name == "pass" for f in fields)
-
-
-@dataclasses.dataclass(frozen=True)
-class Field:
-    """One report field.
-
-    ``kind`` is a JSON type name, a tuple of allowed values, ``[item]`` for
-    an array of ``item``, or a :class:`Record`.  ``null`` lets the value be
-    null (a check that does not apply).  A residual names the
-    :class:`~hjc.config.Tolerances` field it must stay within (``tol``),
-    times the enclosing record's ||H|| when ``rel`` is set: a residual of H
-    itself, which a backward-stable product or eigensolver leaves at about
-    eps ||H||.  ``ok`` is a structural verdict on the value.  ``csv`` is the
-    CSV column, or the column prefix of a nested record: True uses the
-    field name (``name_`` as a prefix), False leaves the field out.  With
-    ``rows`` every item of the field becomes one CSV row after the record's
-    own columns; the items of a record are keyed by field name in the
-    column ``csv``.  ``get`` derives a CSV-only column from the enclosing
-    object.
-    """
-
-    name: str
-    kind: object
-    null: bool = False
-    tol: Optional[str] = None
-    rel: bool = False
-    ok: Optional[Callable] = None
-    csv: object = True
-    rows: bool = False
-    get: Optional[Callable] = None
-
-
-NUM, INT, BOOL = "number", "integer", "boolean"
 _CHARTS = tuple(c.value for c in jc.ChartTag)
 _PASS = Field("pass", BOOL)
 # a singular set other than the ground level contradicts the paper
@@ -105,6 +67,13 @@ _JC_CHART = Record(
 )
 _SECTOR = (Field("chart", _CHARTS), Field("row", INT), Field("level", INT))
 
+
+def _berry_norms(cols) -> list:
+    # ||H|| = max(1, r), r = hypot(w, z)
+    w, z = (np.asarray(cols[k]).tolist() for k in ("point.w.coeffs", "point.z"))
+    return [max(1.0, math.hypot(*wi, zi)) for wi, zi in zip(w, z)]
+
+
 RECORDS = {
     "berry": Record(
         Field("index", INT),
@@ -118,7 +87,7 @@ RECORDS = {
                     csv="",
                 ),
                 Field("z", NUM),
-                Field("norm_w", NUM, get=lambda point: float(berry.norms(np.array(point["w"]["coeffs"])))),
+                Field("norm_w", NUM, json=False),
             ),
             csv="",
         ),
@@ -135,8 +104,7 @@ RECORDS = {
             null=True,
         ),
         _PASS,
-        # ||H|| = max(1, r), r = hypot(w, z)
-        norm=lambda rec: max(1.0, math.hypot(*rec["point"]["w"]["coeffs"], rec["point"]["z"])),
+        norm=_berry_norms,
     ),
     "jc": Record(
         Field("theta", NUM),
@@ -163,7 +131,9 @@ RECORDS = {
         ),
         Field("pass", BOOL, csv=False),
         # ||H|| = max(1, max_n R(n)) = max(1, sqrt(d - 1 + theta^2))
-        norm=lambda rec: max(1.0, float(np.max(jc.radius_diag(rec["dim"], rec["theta"], 0)))),
+        norm=lambda cols: [
+            max(1.0, float(np.max(jc.radius_diag(d, theta, 0)))) for d, theta in zip(cols["dim"], cols["theta"])
+        ],
     ),
     "strings": Record(
         Field("theta", NUM),
@@ -203,83 +173,10 @@ RECORDS = {
 }
 
 
-def _schema(kind, null: bool = False) -> dict:
-    """JSON schema of a declared kind; every field of a record is required."""
-    if isinstance(kind, Record):
-        props = {f.name: _schema(f.kind, f.null) for f in kind.fields if f.get is None}
-        out = {"type": "object", "required": list(props), "properties": props}
-    elif isinstance(kind, list):
-        out = {"type": "array", "items": _schema(kind[0])}
-    elif isinstance(kind, tuple):
-        return {"enum": list(kind) + [None] * null}
-    else:
-        out = {"type": kind}
-    if null:
-        out["type"] = [out["type"], "null"]
-    return out
-
-
-def _cells(rec: Record, obj, prefix: str = "") -> list:
-    """(column, value) pairs of ``obj`` in a CSV row; ``obj`` None (a null
-    or absent object) gives empty cells."""
-    out = []
-    for f in rec.fields:
-        if f.csv is False or f.rows:
-            continue
-        v = None if obj is None else f.get(obj) if f.get else obj[f.name]
-        name = prefix + (f.name if f.csv is True else f.csv)
-        if isinstance(f.kind, Record):
-            out += _cells(f.kind, v, name + "_" if f.csv is True else name)
-        else:
-            out.append((name, v))
-    return out
-
-
-def _rows(rec: Record, records: list):
-    """The CSV rows of ``records``, each a list of (column, value) pairs;
-    ``[None]`` gives one row of the column names."""
-    expand = next((f for f in rec.fields if f.rows), None)
-    for r in records:
-        head = _cells(rec, r)
-        if expand is None:
-            yield head
-            continue
-        items = None if r is None else r[expand.name]
-        if isinstance(expand.kind, Record):
-            for f in expand.kind.fields:
-                yield head + [(expand.csv, f.name)] + _cells(f.kind, None if items is None else items[f.name])
-        else:
-            for item in [None] if items is None else items:
-                yield head + _cells(expand.kind[0], item)
-
-
-def _judge(rec: Record, obj: dict, tol: Tolerances, norm: float = 1.0) -> bool:
-    """Whether every non-null residual of ``obj`` is within its tolerance
-    (times ||H|| where declared ``rel``) and every verdict and nested record
-    passes; stores the answer in ``obj["pass"]`` where the record declares
-    one."""
-    if rec.norm is not None:
-        norm = rec.norm(obj)
-    ok = True
-    for f in rec.fields:
-        v = obj.get(f.name)
-        if v is None:
-            continue
-        if f.tol is not None:
-            ok &= bool(v <= getattr(tol, f.tol) * (norm if f.rel else 1.0))
-        if f.ok is not None:
-            ok &= bool(f.ok(v))
-        if isinstance(f.kind, Record):
-            ok &= _judge(f.kind, v, tol, norm)
-    if rec.has_pass:
-        obj["pass"] = ok
-    return ok
-
-
 _SUMMARY = Record(Field("passed", BOOL), Field("records", INT), Field("failures", INT))
 
 SCHEMAS = {
-    command: _schema(
+    command: schema(
         Record(
             Field("schema", (SCHEMA_VERSION,)),
             Field("command", (command,)),
@@ -293,7 +190,7 @@ SCHEMAS = {
 }
 
 # CSV columns per command, documented in the README.
-CSV_COLUMNS = {command: [c for c, _ in next(_rows(rec, [None]))] for command, rec in RECORDS.items()}
+CSV_COLUMNS = {command: list(csv_columns(rec)) for command, rec in RECORDS.items()}
 
 
 class ConfigError(ValueError):
@@ -358,121 +255,118 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (params, records); ``pass`` is
-# added by ``_judge``.
+# Command implementations: each returns (params, column chunks); ``pass``
+# is added by ``judge``.
 
-# Points per array pass of ``hjc berry``: bounds the memory of the batched
-# products, whose intermediates hold 2 KB per octonion point.
+# Points per chunk of ``hjc berry``: bounds the memory of the batched
+# products, whose intermediates hold 2 KB per octonion point and product,
+# and of the chunk's report text.
 BERRY_CHUNK = 1024
 
-
-def _field(rec: Record, name: str) -> Field:
-    return next(f for f in rec.fields if f.name == name)
-
-
-# The berry pass fills one column per residual and conditioning of the
-# record, named by its path in the declaration: "charts.I.unitarity",
-# "cocycle", "projector.idempotency", ...  _BERRY_NESTED holds the
-# declarations of the nested objects by path.
-_BERRY_NESTED = {
-    **{f"charts.{f.name}": f.kind for f in _field(RECORDS["berry"], "charts").kind.fields},
-    "projector": _field(RECORDS["berry"], "projector").kind,
-}
-_BERRY_COLUMNS = {
-    **{f"{path}.{f.name}": f for path, rec in _BERRY_NESTED.items() for f in rec.fields},
-    "cocycle": _field(RECORDS["berry"], "cocycle"),
-}
+_REGULAR, _ORIGIN = (berry.POINT_CLASSES.index(c) for c in (berry.PointClass.REGULAR, berry.PointClass.ORIGIN))
+_CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
 
 
-def _berry_pass(pts: berry.Points, tol: Tolerances, out: dict) -> None:
-    """Classify one chunk of points and write its class codes and every
-    residual and conditioning of the berry record into ``out`` (arrays of
-    the chunk's length, NaN where a check does not apply)."""
-    tag = pts.tag
+def _stacked(fn, *pairs) -> list:
+    """``fn(a, b)`` of every pair, from one call on the pairs stacked along
+    the first axis."""
+    out = fn(np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]))
+    ends = list(itertools.accumulate(len(a) for a, _ in pairs))
+    return [out[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _scatter(n: int, where, values) -> np.ndarray:
+    col = np.full(n, np.nan)
+    col[where] = values
+    return col
+
+
+@functools.cache
+def _units(tag: algebra.AlgebraTag) -> tuple:
+    """The (read-only) coefficients of the identity and of diag(1, 0)."""
+    return berry.Matrix2K.identity(tag).coeffs, berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag)).coeffs
+
+
+def _berry_pass(pts: berry.Points, tol: Tolerances) -> dict:
+    """Classify one chunk of points and evaluate every check of the berry
+    record: the class column, the presence columns of the charts and the
+    projector, and one float column (NaN where null) per residual and
+    conditioning.  The unitaries of both charts form one stack, each
+    product depth is one ``matmul_coeffs`` call, and every residual comes
+    from one ``residual_coeffs`` call."""
+    tag, n = pts.tag, pts.z.shape[0]
     mm = functools.partial(berry.matmul_coeffs, tag)
     codes = berry.classify(pts, tol)
-    out["class"][:] = codes
-    h = berry.hamiltonian_coeffs(pts)
-    ident = berry.Matrix2K.identity(tag).coeffs
-    units = {}
-    for chart in berry.ChartTag:
-        rows = berry.admissible(codes, chart)
-        sub = pts.take(rows)
-        u = berry.chart_coeffs(sub, chart)
-        ud = berry.dagger_coeffs(u)
-        d = berry.eigenvalue_coeffs(sub)
-        out[f"charts.{chart.value}.reconstruction"][rows] = berry.residual_coeffs(mm(mm(u, d), ud), h[rows])
-        out[f"charts.{chart.value}.unitarity"][rows] = berry.residual_coeffs(mm(ud, u), ident)
-        out[f"charts.{chart.value}.conditioning"][rows] = berry.conditionings(sub, chart)
-        units[chart] = rows, u, ud
-    regular = codes == berry.POINT_CLASSES.index(berry.PointClass.REGULAR)
-    rows_i, u_i, _ = units[berry.ChartTag.I]
-    rows_ii, u_ii, _ = units[berry.ChartTag.II]
-    phi = berry.transition_coeffs(pts.take(regular))
-    out["cocycle"][regular] = berry.residual_coeffs(mm(u_i[regular[rows_i]], phi), u_ii[regular[rows_ii]])
-    away = codes != berry.POINT_CLASSES.index(berry.PointClass.ORIGIN)
+    regular, away = codes == _REGULAR, codes != _ORIGIN
+    masks = [berry.admissible(codes, chart) for chart in berry.ChartTag]
+    rows = [np.flatnonzero(m) for m in masks]
+    at = np.concatenate(rows)  # the point of each row of the chart stack
+    u = np.concatenate([berry.chart_coeffs(pts.take(r), chart) for r, chart in zip(rows, berry.ChartTag)])
+    ud = berry.dagger_coeffs(u)
+    k = len(rows[0])
+    u_i, u_ii = u[:k], u[k:]
     proj = berry.projector_coeffs(pts.take(away))
-    out["projector.idempotency"][away] = berry.residual_coeffs(mm(proj, proj), proj)
-    out["projector.hermiticity"][away] = berry.residual_coeffs(berry.dagger_coeffs(proj), proj)
-    p0 = berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag)).coeffs
-    agreement = np.full(proj.shape[0], np.nan)
-    for rows, u, ud in units.values():
-        # every chart row lies away from the origin
-        sel = rows[away]
-        agreement[sel] = np.fmax(agreement[sel], berry.residual_coeffs(mm(mm(u, p0), ud), proj[sel]))
-    out["projector.chart_agreement"][away] = agreement
-
-
-def berry_columns(pts: berry.Points, tol: Tolerances) -> dict:
-    """Class codes and the berry record's residual and conditioning columns
-    for every point, evaluated ``BERRY_CHUNK`` points at a time."""
-    n = pts.z.shape[0]
-    cols = {"class": np.empty(n, dtype=int), **{k: np.full(n, np.nan) for k in _BERRY_COLUMNS}}
-    for start in range(0, n, BERRY_CHUNK):
-        part = slice(start, start + BERRY_CHUNK)
-        _berry_pass(pts.take(part), tol, {k: v[part] for k, v in cols.items()})
+    ident, p0 = _units(tag)
+    udiag, up0, unit, cocycle, idem = _stacked(
+        mm,
+        (u, berry.eigenvalue_coeffs(pts.take(at))),
+        (u, np.broadcast_to(p0, u.shape)),
+        (ud, u),
+        (u_i[regular[masks[0]]], berry.transition_coeffs(pts.take(regular))),
+        (proj, proj),
+    )
+    recon, agree = _stacked(mm, (udiag, ud), (up0, ud))
+    res = _stacked(
+        berry.residual_coeffs,
+        (recon, berry.hamiltonian_coeffs(pts)[at]),
+        (unit, np.broadcast_to(ident, u.shape)),
+        (cocycle, u_ii[regular[masks[1]]]),
+        (idem, proj),
+        (berry.dagger_coeffs(proj), proj),
+        (agree, proj[(np.cumsum(away) - 1)[at]]),  # chart rows lie away from the origin
+    )
+    res = dict(zip(("reconstruction", "unitarity", "cocycle", "idempotency", "hermiticity", "agreement"), res))
+    cols = {
+        "class": _CLASS_NAMES[codes],
+        "cocycle": _scatter(n, regular, res["cocycle"]),
+        "projector": away,
+        "projector.idempotency": _scatter(n, away, res["idempotency"]),
+        "projector.hermiticity": _scatter(n, away, res["hermiticity"]),
+    }
+    agreement = np.full(n, np.nan)
+    for chart, mask, r, part in zip(berry.ChartTag, masks, rows, (slice(0, k), slice(k, None))):
+        cond = berry.conditionings(pts.take(r), chart)
+        cond[cond == np.inf] = np.nan  # no tolerance bounds it: null
+        name = f"charts.{chart.value}"
+        cols[name] = mask
+        cols[name + ".reconstruction"] = _scatter(n, r, res["reconstruction"][part])
+        cols[name + ".unitarity"] = _scatter(n, r, res["unitarity"][part])
+        cols[name + ".conditioning"] = _scatter(n, r, cond)
+        agreement[r] = np.fmax(agreement[r], res["agreement"][part])
+    cols["projector.chart_agreement"] = agreement
     return cols
 
 
-def berry_records(pts: berry.Points, kinds: list, tol: Tolerances) -> list:
-    """The berry records of the points (``pass`` not yet judged)."""
-    cols = berry_columns(pts, tol)
-    classes = [berry.POINT_CLASSES[c].value for c in cols.pop("class").tolist()]
-    # NaN: the check does not apply; an infinite value that no tolerance
-    # bounds (a conditioning) is reported as null too
-    cols = {
-        k: [None if v != v or (v == math.inf and f.tol is None) else v for v in cols[k].tolist()]
-        for k, f in _BERRY_COLUMNS.items()
+def berry_chunk(pts: berry.Points, start: int, grid: int, tol: Tolerances) -> dict:
+    """The columns of the berry records of ``pts``, the points numbered
+    from ``start``, the first ``grid`` points of the sweep being the grid."""
+    index = np.arange(start, start + pts.z.shape[0])
+    return {
+        "index": index,
+        "kind": np.where(index < grid, "grid", "sample").astype(object),
+        "point.w.tag": np.full(len(index), pts.tag.name, dtype=object),
+        "point.w.coeffs": pts.w,
+        "point.z": pts.z,
+        "point.norm_w": pts.norm_w,
+        **_berry_pass(pts, tol),
     }
 
-    def nested(path):
-        # one object per point, null where its first column is
-        names = [f.name for f in _BERRY_NESTED[path].fields]
-        return [
-            None if vals[0] is None else dict(zip(names, vals))
-            for vals in zip(*(cols[f"{path}.{n}"] for n in names))
-        ]
 
-    chart_names = [f.name for f in _field(RECORDS["berry"], "charts").kind.fields]
-    charts = [dict(zip(chart_names, objs)) for objs in zip(*(nested(f"charts.{c}") for c in chart_names))]
-    name = pts.tag.name
-    return [
-        {
-            "index": i,
-            "kind": kind,
-            "point": {"w": {"tag": name, "coeffs": w}, "z": z},
-            "class": cls,
-            "charts": chart,
-            "cocycle": cocycle,
-            "projector": proj,
-        }
-        for i, (w, z, kind, cls, chart, cocycle, proj) in enumerate(
-            zip(pts.w.tolist(), pts.z.tolist(), kinds, classes, charts, cols["cocycle"], nested("projector"))
-        )
-    ]
-
-
-def cmd_berry(args):
+def _berry_chunks(args):
+    """The berry records, ``BERRY_CHUNK`` points at a time: the grid, then
+    the samples, each chunk's samples drawn just before it is checked (one
+    draw of dim + 1 normals per sample, the same stream as drawing w and
+    then z sample by sample)."""
     tag = algebra.AlgebraTag[args.algebra]
     wscales, zvals = args.axes
     rng = np.random.default_rng(args.seed)
@@ -480,17 +374,22 @@ def cmd_berry(args):
     if direction.norm() == 0.0:  # pragma: no cover - measure zero
         direction = algebra.one(tag)
     direction = (direction / direction.norm()).coeffs
-    # one draw per sample of dim + 1 normals, the same stream as drawing w
-    # and then z sample by sample
-    draws = rng.standard_normal((args.samples, tag.dim + 1))
     grid = len(wscales) * len(zvals)
-    pts = berry.Points.of(
-        tag,
-        np.concatenate((np.repeat(wscales, len(zvals))[:, None] * direction, draws[:, :-1])),
-        np.concatenate((np.tile(zvals, len(wscales)), draws[:, -1])),
-    )
-    records = berry_records(pts, ["grid"] * grid + ["sample"] * args.samples, args.tol)
-    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, records
+    total = grid + args.samples
+    for start in range(0, total, BERRY_CHUNK):
+        stop = min(start + BERRY_CHUNK, total)
+        cells = np.arange(start, min(stop, grid))
+        draws = rng.standard_normal((max(stop, grid) - max(start, grid), tag.dim + 1))
+        pts = berry.Points.of(
+            tag,
+            np.concatenate((wscales[cells // len(zvals)][:, None] * direction, draws[:, :-1])),
+            np.concatenate((zvals[cells % len(zvals)], draws[:, -1])),
+        )
+        yield berry_chunk(pts, start, grid, args.tol)
+
+
+def cmd_berry(args):
+    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, _berry_chunks(args)
 
 
 def _jc_chart(p, chart, h, tol):
@@ -533,20 +432,16 @@ def cmd_jc(args):
     record = {
         "theta": args.theta,
         "dim": args.dim,
-        "charts": {name: rec for name, (rec, _) in checked.items()},
+        **{f"charts.{name}.{k}": v for name, (rec, _) in checked.items() for k, v in rec.items()},
         "eigenvalue_max_dev": eig_dev,
-        "projector": {
-            "idempotency": jc.block_residual(proj @ proj, proj),
-            "hermiticity": jc.block_residual(proj.dagger(), proj),
-            "form_agreement": form,
-            "ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj),
-        },
-        "spectral": {
-            "reconstruction": jc.block_residual(plus + minus, h),
-            "commutator": jc.block_residual(lam @ proj, proj @ lam),
-        },
+        "projector.idempotency": jc.block_residual(proj @ proj, proj),
+        "projector.hermiticity": jc.block_residual(proj.dagger(), proj),
+        "projector.form_agreement": form,
+        "projector.ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj),
+        "spectral.reconstruction": jc.block_residual(plus + minus, h),
+        "spectral.commutator": jc.block_residual(lam @ proj, proj @ lam),
     }
-    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [record]
+    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [transpose([record])]
 
 
 def cmd_strings(args):
@@ -573,7 +468,7 @@ def cmd_strings(args):
                 "lattice": report.lattice(),
             }
         )
-    return {"thetas": list(args.thetas), "dim": args.dim}, records
+    return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
 
 
 def cmd_evolve(args):
@@ -598,12 +493,11 @@ def cmd_evolve(args):
         "unitarity": jc.block_residual(u.dagger() @ u, jc.BlockOperator.identity(d)),
         "sigma3": np.sum(psi[:, :d], axis=-1) - np.sum(psi[:, d:], axis=-1),
     }
-    records = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
     params = {
         "theta": p.theta, "g": args.g, "omega": args.omega, "delta": args.delta,
         "dim": d, "t_max": args.t_max, "t_steps": args.t_steps, "n0": args.n0,
     }
-    return params, records
+    return params, [columns]
 
 
 def cmd_grassmann(args):
@@ -635,7 +529,7 @@ def cmd_grassmann(args):
         rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p, tol=tol))
         rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected)
-    return {"thetas": list(args.thetas), "dim": args.dim}, records
+    return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
 
 
 COMMANDS = {
@@ -651,102 +545,18 @@ COMMANDS = {
 # Rendering
 
 
-# float.__repr__ of the values JSON spells differently
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def render_json(report: Report, cols: Optional[dict] = None) -> str:
+    """The JSON text of the next chunk of the report's records (the head
+    of the report first), or without columns its rest; see
+    :func:`hjc.report.json_chunk`."""
+    return json_chunk(RECORDS[report.command], report, cols)
 
 
-def _json_write(x, out: list, nl: str) -> None:
-    """Append the JSON text of ``x`` to ``out`` as ``json.dumps(x, indent=2,
-    sort_keys=True)`` writes it, ``nl`` being the newline and indent of the
-    line ``x`` starts on.  Numpy scalars and arrays are written as their
-    ``item()`` / ``tolist()``.  Floats are written in the loops without a
-    call: they are most of every report."""
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(x):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            out.append(sep)
-            out.append(_encode_str(k))
-            out.append(": ")
-            v = x[k]
-            if type(v) is float:
-                r = float.__repr__(v)
-                out.append(_JSON_FLOATS.get(r, r))
-            else:
-                _json_write(v, out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in x:
-            out.append(sep)
-            if type(v) is float:
-                r = float.__repr__(v)
-                out.append(_JSON_FLOATS.get(r, r))
-            else:
-                _json_write(v, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(x, str):
-        out.append(_encode_str(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, float):
-        r = float.__repr__(x)
-        out.append(_JSON_FLOATS.get(r, r))
-    elif isinstance(x, np.ndarray):
-        _json_write(x.tolist(), out, nl)
-    elif isinstance(x, (np.floating, np.integer)) and isinstance(x.item(), (int, float)):
-        _json_write(x.item(), out, nl)
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def render_json(payload: dict) -> str:
-    out = []
-    _json_write(payload, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (list, tuple)):
-        return ";".join(str(x) for x in v)
-    return str(v)
-
-
-def render_csv(command: str, payload: dict) -> str:
-    lines = [
-        f"# schema: {SCHEMA_VERSION}",
-        f"# command: {command}",
-        f"# seed: {payload['seed']}",
-        "# params: " + " ".join(f"{k}={v}" for k, v in sorted(payload["params"].items())),
-        ",".join(CSV_COLUMNS[command]),
-    ]
-    for row in _rows(RECORDS[command], payload["records"]):
-        lines.append(",".join(_csv_cell(v) for _, v in row))
-    return "\n".join(lines) + "\n"
+def render_csv(report: Report, cols: Optional[dict] = None) -> str:
+    """The CSV text of the next chunk of the report's records (the header
+    lines first), or without columns its empty rest; see
+    :func:`hjc.report.csv_chunk`."""
+    return csv_chunk(RECORDS[report.command], report, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -843,12 +653,36 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError(str(exc)) from exc
 
 
-def _write(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _open_out(path: str):
+    """(file, temporary path, target) of ``--out``: the report is written
+    to stdout, straight to a device or pipe, or to a temporary file beside
+    a regular target file, which replaces the target once the report is
+    complete (mode kept, or new-file mode for a new target)."""
+    if path == "-":
+        return sys.stdout, None, None
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(target, "w"), None, None
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask)
+    return os.fdopen(fd, "w"), tmp, target
+
+
+def _report(args, write) -> int:
+    """Compute, judge and write the report chunk by chunk; the number of
+    failed records."""
+    params, chunks = COMMANDS[args.command](args)
+    report = Report(args.command, args.seed, params)
+    render = render_json if args.fmt == "json" else render_csv
+    for cols in chunks:
+        passed = judge(RECORDS[args.command], cols, args.tol)
+        write(render(report, cols))
+        report.records += len(passed)
+        report.failures += int(np.count_nonzero(~passed))
+    write(render(report))
+    return report.failures
 
 
 def _attach_negative_values(argv: list) -> list:
@@ -881,18 +715,23 @@ def main(argv=None) -> int:
         _validate(args)
     except ConfigError as exc:
         parser.error(str(exc))
-    params, records = COMMANDS[args.command](args)
-    failures = sum(not _judge(RECORDS[args.command], r, args.tol) for r in records)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        "seed": args.seed,
-        "params": params,
-        "records": records,
-        "summary": {"passed": failures == 0, "records": len(records), "failures": failures},
-    }
-    text = render_json(payload) if args.fmt == "json" else render_csv(args.command, payload)
-    _write(args.out, text)
+    try:
+        fh, tmp, target = _open_out(args.out)
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
+    try:
+        failures = _report(args, fh.write)
+        if fh is not sys.stdout:
+            fh.close()
+        if tmp is not None:
+            os.replace(tmp, target)
+    except BaseException:
+        # a report that stops part way never replaces the target
+        if fh is not sys.stdout:
+            fh.close()
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return 0 if failures == 0 else 1
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hjc import cli, jc, oracle
+from hjc import cli, jc, oracle, report
 from hjc.config import DEFAULT
 
 
@@ -305,6 +305,73 @@ def test_out_file(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(target.read_text())
     assert payload["command"] == "jc"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("command", ["berry", "jc"])
+def test_unwritable_out_is_a_usage_error_before_any_computation(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.COMMANDS, command, lambda args: pytest.fail("computed before the output was opened"))
+    for out in (tmp_path / "missing" / "x", tmp_path):  # no such directory; a directory
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--samples=2" if command == "berry" else "--dim=4", "--format=csv", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot write --out" in err and "Traceback" not in err
+    proc = run_cli(command, "--format=csv", "--out", str(tmp_path / "missing" / "x"))
+    assert proc.returncode == 2 and "cannot write --out" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatch):
+    target = tmp_path / "report"
+    target.write_text("the previous report\n")
+    passes = []
+    berry_pass = cli._berry_pass
+
+    def fail_second(pts, tol):
+        passes.append(len(pts.z))
+        if len(passes) == 2:
+            raise FloatingPointError("injected")
+        return berry_pass(pts, tol)
+
+    monkeypatch.setattr(cli, "BERRY_CHUNK", 4)
+    monkeypatch.setattr(cli, "_berry_pass", fail_second)
+    with pytest.raises(FloatingPointError):
+        cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)])
+    assert passes == [4, 4]
+    assert target.read_text() == "the previous report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+    monkeypatch.setattr(cli, "_berry_pass", berry_pass)
+    assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
+    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 1")
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
+BERRY_GRIDS = [
+    "z=-2:2:9,w=0:1:3",  # the default grid
+    "z=-1:1:7,w=1e-13:1e-11:3",  # a near-string band
+    "z=0:0:1,w=0:0:1",  # the origin alone
+]
+
+
+@pytest.mark.parametrize("tag", ["R", "C", "H", "O"])
+@pytest.mark.parametrize("grid", BERRY_GRIDS)
+def test_berry_reports_do_not_depend_on_the_chunk(tag, grid, monkeypatch, capsys):
+    argv = ["berry", f"--algebra={tag}", f"--grid={grid}", "--samples=13", "--seed=3"]
+    outputs = set()
+    for chunk in (1, 7, 1024):
+        monkeypatch.setattr(cli, "BERRY_CHUNK", chunk)
+        codes = [cli.main(argv + [f"--format={fmt}"]) for fmt in ("json", "csv")]
+        outputs.add((tuple(codes), capsys.readouterr().out))
+    assert len(outputs) == 1
+
+
+def test_chunked_draws_equal_one_draw():
+    # the berry samples are drawn chunk by chunk from one generator
+    one = np.random.default_rng(7).standard_normal((100, 9))
+    rng = np.random.default_rng(7)
+    parts = [rng.standard_normal((n, 9)) for n in (1, 7, 0, 64, 28)]
+    assert np.array_equal(np.concatenate(parts), one)
 
 
 def test_csv_formats_for_json_commands(tmp_path):
@@ -612,6 +679,11 @@ def _get(obj, path):
     return obj
 
 
+def _pass_path(path):
+    """The column of the verdict of the record that holds ``path``."""
+    return "".join(p + "." for p in path[:-1]) + "pass"
+
+
 def _residual_paths(rec, obj, path=()):
     """Paths to every non-null declared residual of ``obj``, with its
     declaring field."""
@@ -624,23 +696,25 @@ def _residual_paths(rec, obj, path=()):
 
 
 @pytest.mark.parametrize("command", ["berry", "evolve", "grassmann", "jc"])
-def test_any_residual_above_tolerance_fails_the_record(command, capsys):
-    # the limit is the tolerance, times the record's ||H|| for a residual
-    # of H itself
+def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_of):
+    # the column judge: the limit is the tolerance, times the record's
+    # ||H|| for a residual of H itself
     payload = json.loads(_report(capsys, command, "json"))
     decl = cli.RECORDS[command]
     cases = {path: (rec, f) for rec in payload["records"] for path, f in _residual_paths(decl, rec)}
     assert cases
     assert any(f.rel for _, f in cases.values()) == (command in ("berry", "jc"))
     for path, (rec, f) in cases.items():
-        tol = getattr(cli.DEFAULT, f.tol) * (decl.norm(rec) if f.rel else 1.0)
+        norm = decl.norm(columns_of(decl, [rec]))[0] if f.rel else 1.0
+        tol = getattr(cli.DEFAULT, f.tol) * norm
         for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False)):
             mutated = json.loads(json.dumps(rec))
             _get(mutated, path[:-1])[path[-1]] = float(value)
-            assert cli._judge(decl, mutated, cli.DEFAULT) is verdict, path
-            assert mutated["pass"] is verdict
+            cols = columns_of(decl, [mutated])
+            assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [verdict], path
+            assert cols["pass"].tolist() == [verdict]
             if "pass" in _get(mutated, path[:-1]):  # a jc chart carries its own verdict
-                assert _get(mutated, path[:-1])["pass"] is verdict
+                assert cols[_pass_path(path)].tolist() == [verdict]
 
 
 @pytest.mark.parametrize(
@@ -651,12 +725,15 @@ def test_any_residual_above_tolerance_fails_the_record(command, capsys):
         ("jc", ("charts", "II", "singular_levels"), [1]),  # theta = 0.5: chart II singular at level 0
     ],
 )
-def test_structural_verdicts_fail_the_record(command, path, value, capsys):
+def test_structural_verdicts_fail_the_record(command, path, value, capsys, columns_of):
     rec = json.loads(_report(capsys, command, "json"))["records"][0]
     assert rec["pass"]
+    decl = cli.RECORDS[command]
+    assert cli.judge(decl, columns_of(decl, [rec]), cli.DEFAULT).tolist() == [True]
     _get(rec, path[:-1])[path[-1]] = value
-    assert cli._judge(cli.RECORDS[command], rec, cli.DEFAULT) is False
-    assert rec["pass"] is False and _get(rec, path[:-1])["pass"] is False
+    cols = columns_of(decl, [rec])
+    assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [False]
+    assert cols["pass"].tolist() == [False] and cols[_pass_path(path)].tolist() == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +769,8 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 def test_render_json_writes_the_stdlib_bytes(x):
-    assert cli.render_json(x) == _stdlib_json(x)
+    # the writer of the values the declaration does not describe
+    assert report.json_value(x) + "\n" == _stdlib_json(x)
 
 
 _NUMPY_ARRAYS = hnp.arrays(
@@ -705,9 +783,9 @@ _NUMPY_ARRAYS = hnp.arrays(
 @given(_NUMPY_ARRAYS, _JSON_VALUES)
 def test_render_json_writes_numpy_values_as_their_python_values(a, x):
     scalar = a.reshape(-1)[0] if a.size else a.dtype.type(0)
-    report = {"array": a, "scalar": scalar, "nested": [{"a": a, "x": x}, (scalar,)]}
+    value = {"array": a, "scalar": scalar, "nested": [{"a": a, "x": x}, (scalar,)]}
     plain = {"array": a.tolist(), "scalar": scalar.item(), "nested": [{"a": a.tolist(), "x": x}, [scalar.item()]]}
-    assert cli.render_json(report) == _stdlib_json(plain)
+    assert report.json_value(value) + "\n" == _stdlib_json(plain)
 
 
 @pytest.mark.parametrize(
@@ -716,15 +794,7 @@ def test_render_json_writes_numpy_values_as_their_python_values(a, x):
 )
 def test_render_json_refuses_non_str_keys_and_non_json_types(value):
     with pytest.raises(TypeError):
-        cli.render_json(value)
-
-
-def _payloads(monkeypatch):
-    """Collect every payload ``main`` renders as JSON."""
-    seen = []
-    render = cli.render_json
-    monkeypatch.setattr(cli, "render_json", lambda payload: seen.append(payload) or render(payload))
-    return seen
+        report.json_value(value)
 
 
 _SMALL_RUNS = {
@@ -737,39 +807,43 @@ _SMALL_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
-def test_reports_render_as_the_stdlib_does(command, monkeypatch, capsys):
-    seen = _payloads(monkeypatch)
+def test_reports_render_as_the_stdlib_does(command, capsys):
     assert cli.main(_SMALL_RUNS[command]) == 0
-    (payload,) = seen
-    assert capsys.readouterr().out == _stdlib_json(payload)
+    out = capsys.readouterr().out
+    assert _stdlib_json(json.loads(out)) == out
 
 
 def test_render_json_leaves_no_reference_cycles(monkeypatch, capsys):
     # cyclic garbage is freed only by the collector, so a writer that left
     # it behind would grow the peak memory of a long run of requests
-    seen = _payloads(monkeypatch)
+    seen = []
+    render = cli.render_json
+    monkeypatch.setattr(cli, "render_json", lambda rep, cols=None: seen.append(cols) or render(rep, cols))
     cli.main(_SMALL_RUNS["berry"])
     capsys.readouterr()
+    cols = seen[0]
     gc.collect()
     gc.disable()
     try:
-        cli.render_json(seen[0])
+        cli.render_json(cli.Report("berry", 11, {}), cols)
+        cli.render_json(cli.Report("berry", 11, {}, records=len(cols["index"])))
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_requests_in_one_process_share_no_parser_state(monkeypatch, capsys):
-    seen = _payloads(monkeypatch)
+def test_requests_in_one_process_share_no_parser_state(capsys):
+    def report_of(argv):
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
     assert cli.build_parser() is cli.build_parser()
     with pytest.raises(SystemExit) as exc:
         cli.main(["berry", "--samples", "many"])
     assert exc.value.code == 2
-    assert cli.main(_SMALL_RUNS["jc"]) == 0
-    assert cli.main(["--command", "strings", "--dim", "6"]) == 0
-    assert cli.main(["berry", "--samples", "3"]) == 0
-    assert cli.main(["berry"]) == 0
     capsys.readouterr()
+    seen = [report_of(_SMALL_RUNS["jc"]), report_of(["--command", "strings", "--dim", "6"])]
+    seen += [report_of(["berry", "--samples", "3"]), report_of(["berry"])]
     assert [p["command"] for p in seen] == ["jc", "strings", "berry", "berry"]
     assert [p["params"]["samples"] for p in seen[2:]] == [3, 100]
     assert seen[3]["summary"]["records"] == 27 + 100
