@@ -21,21 +21,20 @@ def main():
     for theta in (float(t) for t in args.thetas.split(",")):
         p = jc.JCParams(theta=theta, dim=args.dim)
         report = jc.singular_sectors(p)
+        cols = report.columns
         print(f"theta = {theta:+.3f}")
         for chart in ("I", "II"):
-            rows = [e for e in report.entries if e.chart.value == chart and e.row == 2]
-            cells = " ".join(
-                f"{e.denominator:8.3f}" + ("*" if e.singular else " ") for e in rows[:6]
-            )
+            rows = (cols["chart"] == chart) & (cols["row"] == 2)
+            den, status = cols["denominator"][rows][:6], cols["status"][rows][:6]
+            cells = " ".join(f"{v:8.3f}" + ("*" if s == "singular" else " ") for v, s in zip(den, status))
             print(f"  chart {chart:>2} row 2: {cells}")
-        sing = [(s.chart.value, s.level) for s in report.singular()]
-        print(f"  singular sectors: {sing}")
+        sing = report.singular()
+        print(f"  singular sectors: {list(zip(sing['chart'].tolist(), sing['level'].tolist()))}")
     print()
     print("level-pair map (rows/cols = field levels; # touches ground):")
-    report = jc.singular_sectors(jc.JCParams(theta=0.5, dim=args.dim))
-    grid = {tuple(c["level_pair"]): c["color"] for c in report.lattice()}
+    # a basis pair |m> (x) |n> touches a string iff m = 0 or n = 0
     for m in range(args.dim):
-        print("  " + " ".join("#" if grid[(m, n)] == "black" else "." for n in range(args.dim)))
+        print("  " + " ".join("#" if m == 0 or n == 0 else "." for n in range(args.dim)))
 
 
 if __name__ == "__main__":

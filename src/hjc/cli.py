@@ -9,7 +9,7 @@ subcommand.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written), 2 usage or configuration error.  Output is JSON
-(``"schema": 1`` envelope) or CSV with ``#``-prefixed header lines; both
+(``"schema": 2`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (env fallback
 ``HJC_SEED``).
 
@@ -141,17 +141,12 @@ RECORDS = {
         Field(
             "sectors",
             [
-                Record(
-                    *_SECTOR,
-                    Field("denominator", NUM),
-                    Field("status", ("regular", "ill_conditioned", "singular", "truncation")),
-                )
+                Record(*_SECTOR, Field("denominator", NUM), Field("status", jc.SECTOR_STATUSES))
             ],
             rows=True,
         ),
         Field("singular", [Record(*_SECTOR)], csv=False),
         Field("ground_only", BOOL, ok=bool, csv=False),
-        Field("lattice", [Record(Field("level_pair", [INT]), Field("color", ("black", "white")))], csv=False),
         Field("pass", BOOL, csv=False),
     ),
     "evolve": Record(
@@ -224,7 +219,13 @@ def _parse_axis(token: str):
 
 
 def parse_grid(spec: str):
-    axes = dict(_parse_axis(tok) for tok in spec.split(",") if tok)
+    axes = {}
+    for name, values in (_parse_axis(tok) for tok in spec.split(",") if tok):
+        if name not in ("z", "w"):
+            raise ConfigError(f"grid {spec!r} has an unknown axis {name!r} (want z= and w=)")
+        if name in axes:
+            raise ConfigError(f"grid {spec!r} gives the axis {name!r} twice")
+        axes[name] = values
     if "z" not in axes or "w" not in axes:
         raise ConfigError(f"grid {spec!r} needs both z= and w= axes")
     if np.any(axes["w"] < 0):
@@ -250,6 +251,8 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     for name in ("algebraic", "strict", "reconstruction", "propagator"):
         v = getattr(args, f"tol_{name}", None)
         if v is not None:
+            if _finite_value(f"tol-{name}", v) < 0.0:
+                raise ConfigError(f"tol-{name} must be non-negative, got {v!r}")
             overrides[name] = v
     return dataclasses.replace(tol, **overrides) if overrides else tol
 
@@ -400,7 +403,7 @@ def _jc_chart(p, chart, h, tol):
     except jc.SingularSectorError as err:
         return {
             "admissible": False,
-            "singular_levels": sorted({s.level for s in err.sectors}),
+            "singular_levels": sorted({level for _, level in err.sectors}),
             "reconstruction": None,
             "unitarity": None,
             "ordering_agreement": None,
@@ -447,13 +450,9 @@ def cmd_jc(args):
 def cmd_strings(args):
     records = []
     for theta in args.thetas:
-        p = jc.JCParams(theta=theta, dim=args.dim)
-        report = jc.singular_sectors(p, args.tol)
-        singular = [
-            {"chart": s.chart.value, "row": s.row, "level": s.level}
-            for s in report.singular()
-        ]
-        found = {(s["chart"], s["row"], s["level"]) for s in singular}
+        report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim), args.tol)
+        singular = report.singular()
+        found = set(zip(*(col.tolist() for col in singular.values())))
         # chart I is singular at the ground level unless theta > 0, chart II
         # unless theta < 0; below |theta| ~ 5e-8 both ground denominators
         # 4 theta^2 fall under the threshold, and nothing else may
@@ -462,10 +461,9 @@ def cmd_strings(args):
             {
                 "theta": theta,
                 "dim": args.dim,
-                "sectors": report.to_records(),
+                "sectors": report.columns,
                 "singular": singular,
                 "ground_only": expected <= found <= {("I", 2, 0), ("II", 2, 0)},
-                "lattice": report.lattice(),
             }
         )
     return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
@@ -517,7 +515,7 @@ def cmd_grassmann(args):
         try:
             left, shifted = grassmann.local_coordinate_forms(p, tol)
         except jc.SingularSectorError as err:
-            rec["singular_levels"] = sorted({s.level for s in err.sectors})
+            rec["singular_levels"] = sorted({level for _, level in err.sectors})
             continue
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p, tol))
         # the upper-left block (1 + Z+Z)^-1 against its closed form

@@ -60,7 +60,7 @@ such a stack.  The dense export and import are unbatched.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,7 +71,7 @@ from .config import DEFAULT, Tolerances
 __all__ = [
     "JCParams",
     "BlockOperator",
-    "SectorStatus",
+    "SECTOR_STATUSES",
     "SectorReport",
     "SingularSectorError",
     "block_diag",
@@ -491,59 +491,49 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
 # Singular sector analysis
 
 
-@dataclass(frozen=True)
-class SectorStatus:
-    """One (chart, block row, level) denominator 2 R (R + s theta) of
-    :func:`chart_denominators` with its verdict.
+# The ``status`` values of a :class:`SectorReport`, indexed by status code
+SECTOR_STATUSES = ("regular", "ill_conditioned", "singular", "truncation")
 
-    The row 1 entry of the top level, 2|theta|(|theta| + s theta), belongs
-    to the one-level truncation sector |e,d-1> and has the status
-    ``truncation``: it always equals the ground entry of row 2, so it never
-    decides whether a chart exists, and it is never ``singular``.
-    """
 
-    chart: ChartTag
-    row: int
-    level: int
-    denominator: float
-    status: str  # "regular" | "ill_conditioned" | "singular" | "truncation"
-
-    @property
-    def singular(self) -> bool:
-        return self.status == "singular"
+def _singular(den: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The singular rule on denominators of shape (..., 2 rows, d levels): a
+    denominator at most ``tol.singular_threshold`` is singular, except that
+    of the top level of row 1.  That one belongs to the one-level truncation
+    sector |e,d-1> and always equals the ground entry of row 2, so it never
+    decides whether a chart exists."""
+    mask = den <= tol.singular_threshold
+    mask[..., 0, -1] = False
+    return mask
 
 
 @dataclass(frozen=True)
 class SectorReport:
+    """Every chart denominator 2 R (R + s theta) of
+    :func:`chart_denominators` with its verdict, as the columns ``chart``
+    ("I" or "II"), ``row``, ``level``, ``denominator`` and ``status``
+    ("regular", "ill_conditioned", "singular" or "truncation"), ordered by
+    chart, then block row, then level."""
+
     theta: float
     dim: int
-    entries: tuple
+    columns: dict
 
-    def singular(self):
-        return tuple(e for e in self.entries if e.singular)
-
-    def lattice(self):
-        """Level-pair grid in the style of the string map: a basis pair is
-        black iff it touches the ground level, where the strings live."""
-        cells = []
-        for m in range(self.dim):
-            for n in range(self.dim):
-                color = "black" if (m == 0 or n == 0) else "white"
-                cells.append({"level_pair": [m, n], "color": color})
-        return cells
-
-    def to_records(self):
-        return [{**asdict(e), "chart": e.chart.value} for e in self.entries]
+    def singular(self) -> dict:
+        """The ``chart``, ``row`` and ``level`` columns of the singular
+        entries."""
+        keep = self.columns["status"] == "singular"
+        return {k: self.columns[k][keep] for k in ("chart", "row", "level")}
 
 
 class SingularSectorError(Exception):
     """A chart operator was requested for a theta whose denominator chain
-    vanishes somewhere (the quantum Dirac string)."""
+    vanishes somewhere (the quantum Dirac string); ``sectors`` holds the
+    (row, level) pairs of the singular denominators."""
 
     def __init__(self, chart: ChartTag, sectors):
         self.chart = chart
         self.sectors = tuple(sectors)
-        where = ", ".join(f"(row {s.row}, level {s.level})" for s in self.sectors) or "?"
+        where = ", ".join(f"(row {row}, level {level})" for row, level in self.sectors) or "?"
         super().__init__(f"chart {chart.value} singular at {where}")
 
 
@@ -553,21 +543,22 @@ def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
     For theta > 0 the singular set is exactly {chart II, row 2, level 0};
     for theta < 0 it is {chart I, row 2, level 0}; at resonance both
     charts are singular at the ground level.  The row 1 entry of the top
-    level is reported as ``truncation`` (see :class:`SectorStatus`).
+    level has the status ``truncation`` (see :func:`_singular`); the others
+    not singular are ``ill_conditioned`` below ``tol.ill_conditioned`` and
+    ``regular`` otherwise.
     """
     d = p.dim
-    entries = []
-    for chart in (ChartTag.I, ChartTag.II):
-        for row, (_, _, den) in enumerate(chart_denominators(p, chart), start=1):
-            for level, v in enumerate(den.tolist()):
-                status = (
-                    "truncation" if (row, level) == (1, d - 1)
-                    else "singular" if v <= tol.singular_threshold
-                    else "ill_conditioned" if v < tol.ill_conditioned
-                    else "regular"
-                )
-                entries.append(SectorStatus(chart, row, level, v, status))
-    return SectorReport(p.theta, d, tuple(entries))
+    den = np.array([[row[2] for row in chart_denominators(p, chart)] for chart in ChartTag])
+    codes = np.where(_singular(den, tol), 2, np.where(den < tol.ill_conditioned, 1, 0))
+    codes[:, 0, -1] = 3
+    columns = {
+        "chart": np.repeat(np.array([c.value for c in ChartTag], dtype=object), 2 * d),
+        "row": np.tile(np.repeat([1, 2], d), 2),
+        "level": np.tile(np.arange(d), 4),
+        "denominator": den.reshape(-1),
+        "status": np.array(SECTOR_STATUSES, dtype=object)[codes.reshape(-1)],
+    }
+    return SectorReport(p.theta, d, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +567,12 @@ def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
 
 def admissible_denominators(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT):
     """The chart's :func:`chart_denominators`; raises
-    :class:`SingularSectorError` naming every singular entry (the
-    top-level entry of row 1 left out: it equals the ground entry of
-    row 2)."""
+    :class:`SingularSectorError` naming every singular entry."""
     rows = chart_denominators(p, chart)
-    bad = [
-        SectorStatus(chart, row, int(n), float(den[n]), "singular")
-        for row, den in ((1, rows[0][2][:-1]), (2, rows[1][2]))
-        for n in np.flatnonzero(den <= tol.singular_threshold)
-    ]
-    if bad:
-        raise SingularSectorError(chart, bad)
+    bad = _singular(np.array((rows[0][2], rows[1][2])), tol)
+    if bad.any():
+        row, level = np.nonzero(bad)
+        raise SingularSectorError(chart, zip((row + 1).tolist(), level.tolist()))
     return rows
 
 

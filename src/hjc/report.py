@@ -5,11 +5,11 @@ A record is declared as a :class:`Record` of :class:`Field` s.  Records
 travel as column chunks: dicts that map the dotted path of every declared
 field that is not a record ("index", "charts.I.unitarity",
 "point.w.coeffs") to a sequence with one value per record.  A list-valued
-field holds one list per record; a list of records holds its items as
-dicts.  Null is None, or NaN in a float array, which has no None.  A
-nullable nested record also has a column at its own path, true where the
-object is present; where it is absent its fields are neither judged nor
-written.
+field holds one list per record; a list of records holds one column dict
+per record, the columns of its items, as the records themselves are held.
+Null is None, or NaN in a float array, which has no None.  A nullable
+nested record also has a column at its own path, true where the object is
+present; where it is absent its fields are neither judged nor written.
 
 :func:`judge` gives every record of a chunk its ``pass`` as array
 comparisons, one per declared residual.  :func:`json_chunk` and
@@ -46,7 +46,7 @@ __all__ = [
     "csv_chunk",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 NUM, INT, BOOL = "number", "integer", "boolean"
 
 
@@ -323,7 +323,7 @@ def _json_column(f: Field, col, nl: str) -> list:
     of the values' lines."""
     item = f.kind[0] if isinstance(f.kind, list) else None
     if isinstance(item, Record):
-        return [_json_array(_json_objects(item, transpose(v), nl + "  ") if v else [], nl) for v in col]
+        return [_json_array(_json_objects(item, v, nl + "  "), nl) for v in col]
     if isinstance(col, np.ndarray):
         texts = _json_floats(True) if f.null and col.dtype.kind == "f" else _JSON_ARRAYS[col.dtype.kind]
     else:
@@ -429,10 +429,7 @@ def _csv_rows(rec: Record, cols: dict, prefix: str = "") -> list:
         parts = [(f.name, _csv_rows(f.kind, cols, f"{prefix}{expand.name}.{f.name}.")) for f in expand.kind.fields]
         return [f"{row},{name},{sub[i]}" for i, row in enumerate(rows) for name, sub in parts]
     item = expand.kind[0]
-    return [
-        f"{row},{sub}" for row, items in zip(rows, cols[prefix + expand.name]) if items
-        for sub in _csv_rows(item, transpose(items))
-    ]
+    return [f"{row},{sub}" for row, items in zip(rows, cols[prefix + expand.name]) for sub in _csv_rows(item, items)]
 
 
 def csv_chunk(rec: Record, report: Report, cols: Optional[dict] = None) -> str:

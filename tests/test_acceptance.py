@@ -177,10 +177,7 @@ def test_05_quantum_decomposition():
             jc.chart_unitary(p, bad)
             ok = False
         except SingularSectorError as err:
-            ok = ok and [(s.row, s.level) for s in err.sectors] == [(2, 0)]
-        lattice = jc.singular_sectors(p).lattice()
-        black = {tuple(c["level_pair"]) for c in lattice if c["color"] == "black"}
-        ok = ok and black == {(m, n) for m in range(d) for n in range(d) if m == 0 or n == 0}
+            ok = ok and err.sectors == ((2, 0),)
     ok = ok and worst_recon <= 1e-10 and worst_unit <= 1e-12
     _verdict(
         5,
@@ -291,7 +288,7 @@ def test_09_grassmann_round_trip():
     try:
         grassmann.local_coordinate(JCParams(theta=-0.5, dim=d))
     except SingularSectorError as err:
-        singular_ok = sorted({s.level for s in err.sectors}) == [0]
+        singular_ok = sorted({level for _, level in err.sectors}) == [0]
     rng = np.random.default_rng(SEED + 9)
     worst_classical = 0.0
     count = 0

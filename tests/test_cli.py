@@ -41,7 +41,7 @@ def test_default_suite_passes_and_validates(command):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, cli.SCHEMAS[command])
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["seed"] == 11
     assert payload["summary"]["passed"] is True
 
@@ -99,6 +99,22 @@ def test_malformed_grid_is_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("z=-1:1:3,w=0:1:2,q=0:1:5", "unknown axis 'q'"),
+        ("z=-1:1:3,z=0:0:1,w=0:1:2", "axis 'z' twice"),
+    ],
+)
+def test_unknown_or_repeated_grid_axis_is_a_usage_error(grid, message, capsys):
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.parse_grid(grid)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["berry", "--samples", "0", f"--grid={grid}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_numerical_failure_exit_code():
     # an impossible tolerance forces the failure path; report still written
     proc = run_cli("jc", "--theta", "0.5", "--dim", "16", "--tol-reconstruction", "1e-30")
@@ -129,14 +145,18 @@ def test_env_seed_fallback():
     assert json.loads(proc.stdout)["seed"] == 77
 
 
+def test_strings_report_stays_small(tmp_path):
+    # the sector columns grow as 4d; no output grows as d^2
+    target = tmp_path / "strings.json"
+    assert cli.main(["strings", "--theta=-1,1", "--dim", "300", "--out", str(target)]) == 0
+    assert target.stat().st_size < 1_000_000
+
+
 def test_strings_ground_only_flag():
     proc = run_cli("strings", "--theta", "0.5,-0.5,0", "--dim", "8", "--seed", "0")
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert all(r["ground_only"] for r in payload["records"])
-    lattice = payload["records"][0]["lattice"]
-    black = {tuple(c["level_pair"]) for c in lattice if c["color"] == "black"}
-    assert black == {(m, n) for m in range(8) for n in range(8) if m == 0 or n == 0}
 
 
 def test_grassmann_singular_theta_reported():
@@ -343,7 +363,7 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
     monkeypatch.setattr(cli, "_berry_pass", berry_pass)
     assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
-    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 1")
+    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 2")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
@@ -584,6 +604,21 @@ def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsy
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", ["algebraic", "strict", "reconstruction", "propagator"])
+def test_non_finite_or_negative_tolerance_is_a_usage_error(name, monkeypatch, capsys):
+    # a bad tolerance is refused before any check runs; zero is allowed
+    _refuse_the_oracle(monkeypatch)
+    for value in ("nan", "inf", "-inf", "-1", "-5e-324"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["jc", "--dim", "4", f"--tol-{name}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"tol-{name} must be" in err
+    monkeypatch.undo()
+    assert cli.main(["jc", "--dim", "4", f"--tol-{name}=0"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["records"]
 
 
 @pytest.mark.parametrize("command", ["berry", "strings"])

@@ -38,7 +38,7 @@ def test_coordinate_explicit_values():
 def test_coordinate_singular_at_ground(theta):
     with pytest.raises(SingularSectorError) as err:
         grassmann.local_coordinate(JCParams(theta=theta, dim=8))
-    assert sorted({s.level for s in err.value.sectors}) == [0]
+    assert sorted({level for _, level in err.value.sectors}) == [0]
 
 
 def test_projector_of_zero_coordinate():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hjc import fock, grassmann, jc, oracle
 from hjc.berry import ChartTag
+from hjc.config import DEFAULT
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
 
 
@@ -266,7 +268,7 @@ def test_chart_singularities(theta, chart, ok):
     with pytest.raises(SingularSectorError) as err:
         jc.chart_unitary(p, chart)
     assert err.value.chart is chart
-    assert [(s.row, s.level) for s in err.value.sectors] == [(2, 0)]
+    assert err.value.sectors == ((2, 0),)
 
 
 @pytest.mark.parametrize("theta,chart", [(0.5, ChartTag.I), (-0.5, ChartTag.II)])
@@ -308,6 +310,66 @@ def test_chart_eigenvalues_against_oracle():
 # singular sector report
 
 
+def sector_keys(cols):
+    """(chart, row, level) of every entry of sector columns."""
+    return list(zip(cols["chart"].tolist(), cols["row"].tolist(), cols["level"].tolist()))
+
+
+def reference_sectors(p, tol=DEFAULT):
+    """The classification of :func:`jc.singular_sectors`, entry by entry:
+    (chart, row, level, denominator, status) in the report's order."""
+    d = p.dim
+    entries = []
+    for chart in (ChartTag.I, ChartTag.II):
+        for row, (_, _, den) in enumerate(jc.chart_denominators(p, chart), start=1):
+            for level, v in enumerate(den.tolist()):
+                status = (
+                    "truncation" if (row, level) == (1, d - 1)
+                    else "singular" if v <= tol.singular_threshold
+                    else "ill_conditioned" if v < tol.ill_conditioned
+                    else "regular"
+                )
+                entries.append((chart.value, row, level, v, status))
+    return entries
+
+
+_EDGE_THETAS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 5e-8, -5e-8, 1.7e308, -1.7e308, np.finfo(float).max]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 64),
+    theta=st.one_of(
+        st.sampled_from(_EDGE_THETAS),
+        st.floats(-6e-8, 6e-8),  # the ground denominator 4 theta^2 crosses the threshold at 5e-8
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    threshold=st.sampled_from([DEFAULT.singular_threshold, 1.0, 40.0]),
+)
+@example(d=2, theta=-0.0, threshold=DEFAULT.singular_threshold)
+@example(d=64, theta=-1.7e308, threshold=40.0)
+def test_sector_columns_match_the_reference(d, theta, threshold):
+    # the array classification equals the per-entry loop, denominators bit
+    # for bit, and admissible_denominators refuses exactly the reference's
+    # singular (row, level) pairs of each chart (a threshold of 1 or 40
+    # makes excited levels singular too, the truncation entry excepted)
+    p, tol = JCParams(theta=theta, dim=d), replace(DEFAULT, singular_threshold=threshold)
+    ref = reference_sectors(p, tol)
+    cols = jc.singular_sectors(p, tol).columns
+    assert list(cols) == ["chart", "row", "level", "denominator", "status"]
+    assert sector_keys(cols) == [e[:3] for e in ref]
+    assert cols["status"].tolist() == [e[4] for e in ref]
+    assert np.array_equal(cols["denominator"].view(np.int64), np.array([e[3] for e in ref]).view(np.int64))
+    for chart in ChartTag:
+        bad = tuple((row, level) for c, row, level, _, status in ref if c == chart.value and status == "singular")
+        if not bad:
+            jc.admissible_denominators(p, chart, tol)
+            continue
+        with pytest.raises(SingularSectorError) as err:
+            jc.admissible_denominators(p, chart, tol)
+        assert err.value.chart is chart and err.value.sectors == bad
+
+
 @pytest.mark.parametrize(
     "theta,expected",
     [
@@ -319,7 +381,7 @@ def test_chart_eigenvalues_against_oracle():
 )
 def test_singular_sets(theta, expected):
     rep = jc.singular_sectors(JCParams(theta=theta, dim=8))
-    got = sorted((s.chart.value, s.row, s.level) for s in rep.singular())
+    got = sorted(sector_keys(rep.singular()))
     assert got == sorted(expected)
 
 
@@ -329,18 +391,20 @@ def test_excited_levels_regular():
     d = 16
     for theta in (0.5, -0.5, 0.0, 1e-300, -1e200):
         rep = jc.singular_sectors(JCParams(theta=theta, dim=d))
-        by_key = {(s.chart, s.row, s.level): s for s in rep.entries}
-        for (chart, row, level), entry in by_key.items():
+        cols = rep.columns
+        keys = sector_keys(cols)
+        den = dict(zip(keys, cols["denominator"].tolist()))
+        for (chart, row, level), status in zip(keys, cols["status"]):
             if (row, level) == (1, d - 1):
-                assert entry.status == "truncation"
-                assert entry.denominator == by_key[(chart, 2, 0)].denominator
+                assert status == "truncation"
+                assert den[(chart, row, level)] == den[(chart, 2, 0)]
             elif level >= 1 or row == 1:
-                assert entry.status == "regular"
+                assert status == "regular"
 
 
 def test_sector_denominator_values():
     rep = jc.singular_sectors(JCParams(theta=1.0, dim=4))
-    by_key = {(s.chart.value, s.row, s.level): s.denominator for s in rep.entries}
+    by_key = dict(zip(sector_keys(rep.columns), rep.columns["denominator"].tolist()))
     assert by_key[("I", 2, 0)] == 4.0  # 2 * 1 * (1 + 1)
     assert by_key[("II", 2, 0)] == 0.0
 
@@ -372,15 +436,6 @@ def test_half_sums_are_exact_halves_and_never_overflow(log_mag, sign, chart):
         assert np.all(den >= 0.0)
 
 
-def test_lattice_black_on_axes():
-    rep = jc.singular_sectors(JCParams(theta=0.7, dim=4))
-    cells = {tuple(c["level_pair"]): c["color"] for c in rep.lattice()}
-    for m in range(4):
-        for n in range(4):
-            expected = "black" if (m == 0 or n == 0) else "white"
-            assert cells[(m, n)] == expected
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     mag=st.floats(0.01, 8.0),
@@ -390,11 +445,7 @@ def test_string_localization_property(mag, sign):
     # every off-resonance theta has exactly one singular pair, at level 0
     theta = sign * mag
     rep = jc.singular_sectors(JCParams(theta=theta, dim=8))
-    sing = rep.singular()
-    assert len(sing) == 1
-    s = sing[0]
-    assert s.level == 0 and s.row == 2
-    assert s.chart is (ChartTag.II if theta > 0 else ChartTag.I)
+    assert sector_keys(rep.singular()) == [("II" if theta > 0 else "I", 2, 0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,10 +461,10 @@ def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
     theta = sign * 10.0 ** log_mag
     p = JCParams(theta=theta, dim=d)
     sing = jc.singular_sectors(p).singular()
-    assert {(s.row, s.level) for s in sing} == {(2, 0)}
-    assert (ChartTag.II if theta > 0 else ChartTag.I) in {s.chart for s in sing}
+    assert set(zip(sing["row"].tolist(), sing["level"].tolist())) == {(2, 0)}
+    assert ("II" if theta > 0 else "I") in sing["chart"].tolist()
     chart = ChartTag.I if theta > 0 else ChartTag.II
-    if all(s.chart is not chart for s in sing):
+    if chart.value not in sing["chart"].tolist():
         v = jc.chart_unitary(p, chart)
         assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
 
