@@ -187,13 +187,6 @@ class AlgebraElement:
             raise ZeroDivisionError("zero element has no inverse")
         return AlgebraElement(self.tag, conj_coeffs(self.coeffs) / n2)
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag.name, "coeffs": [float(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "AlgebraElement":
-        return cls(AlgebraTag[payload["tag"]], np.asarray(payload["coeffs"], dtype=float))
-
     def __repr__(self) -> str:
         body = ", ".join(f"{c:.6g}" for c in self.coeffs)
         return f"{self.tag.name}[{body}]"

@@ -246,9 +246,6 @@ class Matrix2K:
         """Largest entry norm."""
         return float(np.max(norms(self.coeffs)))
 
-    def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.entries]
-
 
 def residual(a: Matrix2K, b: Matrix2K) -> float:
     return (a - b).max_abs()

@@ -15,11 +15,12 @@ are byte-identical across runs with the same ``--seed`` (env fallback
 
 Each command's record is declared once, in ``RECORDS``: every field with
 its JSON type, whether it may be null, the ``Tolerances`` field that
-judges it when it is a residual, and its CSV column.  A command yields its
-records as column chunks (see ``judge``); the JSON schemas (``SCHEMAS``),
-the CSV columns (``CSV_COLUMNS``), every record's ``pass`` and both
-writers (``render_json``, ``render_csv``) are derived from the
-declaration.  Each chunk is judged and written before the next is
+judges it when it is a residual, and its CSV column.  Its ``params`` are
+declared the same way, in ``PARAMS``.  A command yields its records as
+column chunks (see ``judge``); the JSON schemas (``SCHEMAS``, params
+included), the CSV columns (``CSV_COLUMNS``), every record's ``pass`` and
+both writers (``render_json``, ``render_csv``) are derived from the
+declarations.  Each chunk is judged and written before the next is
 computed.
 """
 
@@ -41,13 +42,16 @@ import numpy as np
 from . import algebra, berry, grassmann, jc, oracle
 from .config import DEFAULT, Tolerances
 from .report import (
-    BOOL, INT, NUM, SCHEMA_VERSION, Field, Record, Report, csv_chunk, csv_columns, json_chunk, judge, schema, transpose,
+    BOOL, INT, NUM, SCHEMA_VERSION, STR, SUMMARY, Field, Record, Report, csv_chunk, csv_columns, json_chunk, judge,
+    schema, transpose,
 )
 
 # ---------------------------------------------------------------------------
 # Report declarations (see :mod:`hjc.report`)
 
 _CHARTS = tuple(c.value for c in jc.ChartTag)
+_ALGEBRAS = tuple(algebra.AlgebraTag.__members__)
+_DIM = Field("dim", INT)
 _PASS = Field("pass", BOOL)
 # a singular set other than the ground level contradicts the paper
 _SINGULAR_LEVELS = Field("singular_levels", [INT], ok=lambda levels: levels in ([], [0]))
@@ -83,7 +87,7 @@ RECORDS = {
             Record(
                 Field(
                     "w",
-                    Record(Field("tag", tuple(algebra.AlgebraTag.__members__)), Field("coeffs", [NUM], csv=False)),
+                    Record(Field("tag", _ALGEBRAS), Field("coeffs", [NUM], csv=False)),
                     csv="",
                 ),
                 Field("z", NUM),
@@ -108,7 +112,7 @@ RECORDS = {
     ),
     "jc": Record(
         Field("theta", NUM),
-        Field("dim", INT),
+        _DIM,
         Field("charts", Record(*(Field(c, _JC_CHART) for c in _CHARTS)), csv="chart", rows=True),
         Field("eigenvalue_max_dev", NUM, tol="reconstruction", rel=True, csv=False),
         Field(
@@ -158,7 +162,7 @@ RECORDS = {
     ),
     "grassmann": Record(
         Field("theta", NUM),
-        Field("dim", INT),
+        _DIM,
         _SINGULAR_LEVELS,
         Field("forms_residual", NUM, null=True, tol="strict"),
         Field("roundtrip_residual", NUM, null=True, tol="reconstruction"),
@@ -168,7 +172,18 @@ RECORDS = {
 }
 
 
-_SUMMARY = Record(Field("passed", BOOL), Field("records", INT), Field("failures", INT))
+# The params of each command's report, as its ``cmd_*`` returns them.
+_THETAS = Field("thetas", [NUM])
+PARAMS = {
+    "berry": Record(Field("algebra", _ALGEBRAS), Field("grid", STR), Field("samples", INT)),
+    "jc": Record(Field("theta", NUM), _DIM, Field("g", NUM)),
+    "strings": Record(_THETAS, _DIM),
+    "evolve": Record(
+        Field("theta", NUM), Field("g", NUM), Field("omega", NUM, null=True), Field("delta", NUM, null=True),
+        _DIM, Field("t_max", NUM), Field("t_steps", INT), Field("n0", INT),
+    ),
+    "grassmann": Record(_THETAS, _DIM),
+}
 
 SCHEMAS = {
     command: schema(
@@ -176,9 +191,9 @@ SCHEMAS = {
             Field("schema", (SCHEMA_VERSION,)),
             Field("command", (command,)),
             Field("seed", INT),
-            Field("params", "object"),
+            Field("params", PARAMS[command]),
             Field("records", [rec]),
-            Field("summary", _SUMMARY),
+            Field("summary", SUMMARY),
         )
     )
     for command, rec in RECORDS.items()
@@ -547,7 +562,7 @@ def render_json(report: Report, cols: Optional[dict] = None) -> str:
     """The JSON text of the next chunk of the report's records (the head
     of the report first), or without columns its rest; see
     :func:`hjc.report.json_chunk`."""
-    return json_chunk(RECORDS[report.command], report, cols)
+    return json_chunk(RECORDS[report.command], PARAMS[report.command], report, cols)
 
 
 def render_csv(report: Report, cols: Optional[dict] = None) -> str:

@@ -49,14 +49,11 @@ class LocalCoordinate:
 
     Z has one nonzero diagonal, the first subdiagonal, and ``levels``
     holds it: Z|n> = levels[n] |n+1> with levels[n] = sqrt(n+1)/(R(n+1)+theta)
-    for n = 0 .. d-2.  ``singular_levels`` records the levels where the
-    chart I row 2 denominator 2 R(n) (R(n) + theta) fell below threshold
-    (construction refuses such parameters, so this is empty on returned
-    values)."""
+    for n = 0 .. d-2.  Construction refuses the theta at which a chart I
+    row 2 denominator 2 R(n) (R(n) + theta) falls below threshold."""
 
     levels: np.ndarray
     theta: float
-    singular_levels: tuple = ()
 
     @property
     def dim(self) -> int:

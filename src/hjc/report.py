@@ -7,15 +7,21 @@ field that is not a record ("index", "charts.I.unitarity",
 "point.w.coeffs") to a sequence with one value per record.  A list-valued
 field holds one list per record; a list of records holds one column dict
 per record, the columns of its items, as the records themselves are held.
-Null is None, or NaN in a float array, which has no None.  A nullable
-nested record also has a column at its own path, true where the object is
-present; where it is absent its fields are neither judged nor written.
+Null is None in a list, or NaN in a nullable float array, which has no
+None.  A nullable nested record also has a column at its own path, true
+where the object is present; where it is absent its fields are neither
+judged nor written.
 
 :func:`judge` gives every record of a chunk its ``pass`` as array
 comparisons, one per declared residual.  :func:`json_chunk` and
 :func:`csv_chunk` write a chunk, column by column, as the next piece of a
 report; the pieces together are the bytes that ``json.dumps(report,
-indent=2, sort_keys=True)`` writes, or the CSV rows of the records.
+indent=2, sort_keys=True)`` writes, or the CSV rows of the records.  The
+declared kind of a field, not the type of a value, picks its text: one
+JSON and one CSV rule per kind (``NUM``, ``INT``, ``BOOL``, ``STR``, an
+enum as ``STR``), the same for an ndarray column, a list column and the
+items of a list field.  The envelope's ``params`` (declared per command)
+and :data:`SUMMARY` are written by the same path as the records.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "NUM",
     "INT",
     "BOOL",
+    "STR",
+    "SUMMARY",
     "Record",
     "Field",
     "Report",
@@ -41,13 +49,12 @@ __all__ = [
     "csv_columns",
     "transpose",
     "judge",
-    "json_value",
     "json_chunk",
     "csv_chunk",
 ]
 
 SCHEMA_VERSION = 2
-NUM, INT, BOOL = "number", "integer", "boolean"
+NUM, INT, BOOL, STR = "number", "integer", "boolean", "string"
 
 
 class Record:
@@ -150,8 +157,13 @@ def csv_columns(rec: Record) -> tuple:
 # The judge
 
 
-def _values(col) -> list:
-    return col.tolist() if isinstance(col, np.ndarray) else col
+def _values(col, null: bool = False) -> list:
+    """A column as a list; with ``null``, the NaN of a float array is
+    None."""
+    if not isinstance(col, np.ndarray):
+        return col
+    values = col.tolist()
+    return [None if v != v else v for v in values] if null and col.dtype.kind == "f" else values
 
 
 def transpose(items: list) -> dict:
@@ -169,25 +181,35 @@ def _within(f: Field, col, limit):
     return [v is None or v <= lim for v, lim in zip(col, limits)]
 
 
-def judge(rec: Record, cols: dict, tol: Tolerances, norm=None, prefix: str = "") -> np.ndarray:
+def judge(rec: Record, cols: dict, tol: Tolerances, norm=None, prefix: str = "", checks=None) -> Optional[np.ndarray]:
     """Whether each record of a column chunk passes: every non-null
     residual within its tolerance (times ||H|| where declared ``rel``),
     every verdict true and every present nested record passing.  Stores
     the verdict as the ``pass`` column of every record that declares one.
     ``norm`` and ``prefix`` are the ||H|| column and the path of a nested
-    record."""
+    record.  A nested record that is never null and declares no ``pass``
+    adds its checks to ``checks``, those of the record around it, and
+    returns None: each verdict is one reduction over all its checks."""
     if rec.norm is not None:
         norm = np.asarray(rec.norm(cols), dtype=float)
-    checks = [np.ones(len(next(iter(cols.values()))), dtype=bool)]
+    own = checks is None
+    if own:
+        checks = [np.ones(len(next(iter(cols.values()))), dtype=bool)]
     for f in rec.fields:
         path = prefix + f.name
         if isinstance(f.kind, Record):
-            good = judge(f.kind, cols, tol, norm, path + ".")
-            checks.append(good | ~np.asarray(cols[path], dtype=bool) if f.null else good)
+            if f.null:
+                checks.append(judge(f.kind, cols, tol, norm, path + ".") | ~np.asarray(cols[path], dtype=bool))
+            elif f.kind.has_pass:
+                checks.append(judge(f.kind, cols, tol, norm, path + "."))
+            else:
+                judge(f.kind, cols, tol, norm, path + ".", checks)
         elif f.tol is not None:
             checks.append(_within(f, cols[path], getattr(tol, f.tol) * (norm if f.rel else 1.0)))
         elif f.ok is not None:
             checks.append([bool(f.ok(v)) for v in cols[path]])
+    if not own:
+        return None
     ok = np.logical_and.reduce(checks)
     if rec.has_pass:
         cols[prefix + "pass"] = ok
@@ -210,84 +232,27 @@ class Report:
     failures: int = 0
 
 
-# float.__repr__ of the values JSON spells differently; in a nullable
-# float array NaN is null
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_NULLABLE = {**_JSON_FLOATS, "nan": "null"}
-
-
-def _json_write(x, out: list, nl: str) -> None:
-    """Append the JSON text of ``x`` to ``out`` as ``json.dumps(x, indent=2,
-    sort_keys=True)`` writes it, ``nl`` being the newline and indent of the
-    line ``x`` starts on.  Numpy scalars and arrays are written as their
-    ``item()`` / ``tolist()``."""
-    if isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(x):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            out.append(sep)
-            out.append(_encode_str(k))
-            out.append(": ")
-            _json_write(x[k], out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in x:
-            out.append(sep)
-            _json_write(v, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(x, str):
-        out.append(_encode_str(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, float):
-        r = float.__repr__(x)
-        out.append(_JSON_FLOATS.get(r, r))
-    elif isinstance(x, np.ndarray):
-        _json_write(x.tolist(), out, nl)
-    elif isinstance(x, (np.floating, np.integer)) and isinstance(x.item(), (int, float)):
-        _json_write(x.item(), out, nl)
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-# JSON text of a scalar, by its exact type
-_JSON_SCALARS = {
-    float: lambda v: _JSON_FLOATS.get(r := float.__repr__(v), r),
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    str: _encode_str,
-    type(None): lambda v: "null",
+# The texts of a column's values by declared kind, an enum written as a
+# string; a value is None where it is null.  JSON spells each value as
+# ``json.dumps`` does (a number by its repr); CSV writes null as an empty
+# cell, a number as %.17g and a boolean as true or false.
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+_JSON = {
+    NUM: lambda values: [_JSON_WORDS.get(r, r) for r in map(repr, values)],
+    BOOL: lambda values: list(map({True: "true", False: "false", None: "null"}.__getitem__, values)),
+    STR: lambda values: ["null" if v is None else _encode_str(v) for v in values],
 }
+_JSON[INT] = _JSON[NUM]
+_CSV = {
+    NUM: lambda values: ["" if v is None else format(v, ".17g") for v in values],
+    INT: lambda values: ["" if v is None else str(v) for v in values],
+    BOOL: lambda values: list(map({True: "true", False: "false", None: ""}.__getitem__, values)),
+}
+_CSV[STR] = _CSV[INT]
 
 
-def json_value(x, nl: str = "\n") -> str:
-    """The JSON text of a value the declaration does not describe (the
-    params, the items of a list), as ``json.dumps(x, indent=2,
-    sort_keys=True)`` writes it on a line that starts with ``nl``."""
-    scalar = _JSON_SCALARS.get(type(x))
-    if scalar is not None:
-        return scalar(x)
-    out = []
-    _json_write(x, out, nl)
-    return "".join(out)
+def _texts(table: dict, kind, values: list) -> list:
+    return table[STR if isinstance(kind, tuple) else kind](values)
 
 
 def _json_array(texts: list, nl: str) -> str:
@@ -299,38 +264,15 @@ def _json_array(texts: list, nl: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _json_floats(null: bool):
-    floats = _JSON_NULLABLE if null else _JSON_FLOATS
-    return lambda values: [floats.get(r, r) for r in map(float.__repr__, values)]
-
-
-# JSON text of the values of a numpy array, by dtype kind; an object array
-# holds strings
-_JSON_ARRAYS = {
-    "f": _json_floats(False),
-    "b": lambda values: ["true" if v else "false" for v in values],
-    "i": lambda values: list(map(int.__repr__, values)),
-    "O": lambda values: list(map(_encode_str, values)),
-}
-
-
-def _json_values(values) -> list:
-    return [json_value(v) for v in values]
-
-
 def _json_column(f: Field, col, nl: str) -> list:
     """JSON text of every value of a column, ``nl`` the newline and indent
     of the values' lines."""
-    item = f.kind[0] if isinstance(f.kind, list) else None
+    if not isinstance(f.kind, list):
+        return _texts(_JSON, f.kind, _values(col, f.null))
+    item, inner = f.kind[0], nl + "  "
     if isinstance(item, Record):
-        return [_json_array(_json_objects(item, v, nl + "  "), nl) for v in col]
-    if isinstance(col, np.ndarray):
-        texts = _json_floats(True) if f.null and col.dtype.kind == "f" else _JSON_ARRAYS[col.dtype.kind]
-    else:
-        texts = _json_values
-    if item is None:
-        return texts(_values(col))
-    return [_json_array(texts(v), nl) for v in _values(col)]
+        return [_json_array(_json_objects(item, v, inner), nl) for v in col]
+    return ["null" if v is None else _json_array(_texts(_JSON, item, v), nl) for v in _values(col)]
 
 
 @functools.cache
@@ -362,14 +304,23 @@ def _json_objects(rec: Record, cols: dict, nl: str, prefix: str = "") -> list:
 
 _RECORD_NL = "\n" + 4 * " "  # a record of the "records" array
 
+# the envelope's summary, the same for every command
+SUMMARY = Record(Field("passed", BOOL), Field("records", INT), Field("failures", INT))
 
-def json_chunk(rec: Record, report: Report, cols: Optional[dict] = None) -> str:
+
+def _json_object(rec: Record, obj: dict) -> str:
+    """JSON text of one flat record of the envelope, given as a dict."""
+    return _json_objects(rec, {f.name: [obj[f.name]] for f in rec.fields}, "\n  ")[0]
+
+
+def json_chunk(rec: Record, params: Record, report: Report, cols: Optional[dict] = None) -> str:
     """The JSON text of the next chunk of the report's records, given as
-    columns; the head of the report comes before the first chunk.  Without
-    columns: the rest of the report, after the last chunk."""
+    columns; the head of the report, with its ``params`` declared by
+    ``params``, comes before the first chunk.  Without columns: the rest
+    of the report, after the last chunk."""
     out = []
     if report.records == 0:
-        out += ['{\n  "command": ', _encode_str(report.command), ',\n  "params": ', json_value(report.params, "\n  ")]
+        out += ['{\n  "command": ', _encode_str(report.command), ',\n  "params": ', _json_object(params, report.params)]
         out.append(',\n  "records": ')
     if cols is not None:
         records = _json_objects(rec, cols, _RECORD_NL)
@@ -378,40 +329,18 @@ def json_chunk(rec: Record, report: Report, cols: Optional[dict] = None) -> str:
     summary = {"failures": report.failures, "passed": report.failures == 0, "records": report.records}
     out.append("[]" if report.records == 0 else "\n  ]")
     out.append(f',\n  "schema": {SCHEMA_VERSION},\n  "seed": {report.seed},\n  "summary": ')
-    out.append(json_value(summary, "\n  ") + "\n}\n")
+    out.append(_json_object(SUMMARY, summary) + "\n}\n")
     return "".join(out)
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    if isinstance(v, (list, tuple)):
-        return ";".join(str(x) for x in v)
-    return str(v)
-
-
-# CSV cells of the values of a numpy array, by dtype kind
-_CSV_ARRAYS = {
-    "f": lambda values: list(map("{:.17g}".format, values)),
-    "b": lambda values: ["true" if v else "false" for v in values],
-    "i": lambda values: list(map(str, values)),
-    "O": lambda values: list(map(str, values)),
-}
 
 
 def _csv_column(f: Field, col, present=None) -> list:
     """CSV cells of every value of a column; empty where it is null, or
-    where the nullable record around it is absent (``present`` false)."""
-    if isinstance(col, np.ndarray):
-        cells = _CSV_ARRAYS[col.dtype.kind](col.tolist())
-        if f.null and col.dtype.kind == "f":
-            cells = [c if c != "nan" else "" for c in cells]
+    where the nullable record around it is absent (``present`` false).  A
+    list is the cells of its items joined by ";"."""
+    if isinstance(f.kind, list):
+        cells = ["" if v is None else ";".join(_texts(_CSV, f.kind[0], v)) for v in _values(col)]
     else:
-        cells = [_csv_cell(v) for v in col]
+        cells = _texts(_CSV, f.kind, _values(col, f.null))
     if present is None:
         return cells
     return [c if p else "" for c, p in zip(cells, _values(present))]

@@ -100,12 +100,6 @@ def test_inverse_of_zero():
         al.zero(AlgebraTag.O).inverse()
 
 
-def test_json_roundtrip():
-    x = AlgebraElement(AlgebraTag.H, [1.0, -2.0, 0.5, 3.0])
-    assert np.array_equal(AlgebraElement.from_json(x.to_json()).coeffs, x.coeffs)
-    assert x.to_json() == {"tag": "H", "coeffs": [1.0, -2.0, 0.5, 3.0]}
-
-
 def test_bad_coeff_length():
     with pytest.raises(ValueError):
         AlgebraElement(AlgebraTag.H, [1.0, 2.0])

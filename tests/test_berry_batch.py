@@ -36,7 +36,7 @@ def _berry_point_record(index, kind, point, tol):
     rec = {
         "index": index,
         "kind": kind,
-        "point": {"w": point.w.to_json(), "z": point.z},
+        "point": {"w": {"tag": tag.name, "coeffs": point.w.coeffs.tolist()}, "z": point.z},
         "class": cls.value,
         "charts": {"I": None, "II": None},
         "cocycle": None,
@@ -117,7 +117,8 @@ def _batch(tag, w, z, kinds, tol=DEFAULT):
         return []
     cols = cli.berry_chunk(berry.Points.of(tag, w, z), 0, kinds.count("grid"), tol)
     cli.judge(cli.RECORDS["berry"], cols, tol)
-    text = cli.render_json(cli.Report("berry", 0, {}), cols) + cli.render_json(cli.Report("berry", 0, {}, len(z)))
+    params = {"algebra": tag.name, "grid": "", "samples": len(z)}
+    text = cli.render_json(cli.Report("berry", 0, params), cols) + cli.render_json(cli.Report("berry", 0, params, len(z)))
     return json.loads(text)["records"]
 
 

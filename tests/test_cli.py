@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from hjc import cli, jc, oracle, report
 from hjc.config import DEFAULT
@@ -41,6 +40,8 @@ def test_default_suite_passes_and_validates(command):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     jsonschema.validate(payload, cli.SCHEMAS[command])
+    params = cli.SCHEMAS[command]["properties"]["params"]
+    assert sorted(params["required"]) == sorted(params["properties"]) == sorted(payload["params"])
     assert payload["schema"] == 2
     assert payload["seed"] == 11
     assert payload["summary"]["passed"] is True
@@ -662,7 +663,7 @@ def _expected_cell(v):
     if isinstance(v, float):
         return format(v, ".17g")
     if isinstance(v, list):
-        return ";".join(str(x) for x in v)
+        return ";".join(_expected_cell(x) for x in v)
     return str(v)
 
 
@@ -696,9 +697,23 @@ def _mutate_evolve_sigma3(payload):
     payload["records"][0]["sigma3"] = None
 
 
+def _mutate_grassmann_params_type(payload):
+    payload["params"]["dim"] = "24"
+
+
+def _mutate_strings_params_key(payload):
+    del payload["params"]["thetas"]
+
+
 @pytest.mark.parametrize(
     "command, mutate",
-    [("jc", _mutate_jc_chart_pass), ("berry", _mutate_berry_unitarity), ("evolve", _mutate_evolve_sigma3)],
+    [
+        ("jc", _mutate_jc_chart_pass),
+        ("berry", _mutate_berry_unitarity),
+        ("evolve", _mutate_evolve_sigma3),
+        ("grassmann", _mutate_grassmann_params_type),
+        ("strings", _mutate_strings_params_key),
+    ],
 )
 def test_mutated_reports_fail_the_derived_schema(command, mutate, capsys):
     payload = json.loads(_report(capsys, command, "json"))
@@ -772,7 +787,7 @@ def test_structural_verdicts_fail_the_record(command, path, value, capsys, colum
 
 
 # ---------------------------------------------------------------------------
-# The JSON writer against the stdlib
+# The column writers against the stdlib and the README's CSV cell rules
 
 
 def _stdlib_json(x) -> str:
@@ -783,53 +798,75 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e30
 # keys and strings with escapes, control characters, non-ASCII, astral and
 # lone-surrogate characters, and the empty string
 _TEXT = st.text() | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\U0001f600", "\ud800"])
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_INTS = (
+    st.integers()
     | st.integers(min_value=2**64, max_value=2**200)
     | st.integers(min_value=-(2**200), max_value=-(2**64))
-    | st.floats()
-    | st.sampled_from(_EDGE_FLOATS)
-    | _TEXT
 )
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(_TEXT, kids, max_size=4),
-    max_leaves=30,
-)
+_ENUM = ("grid", "sample", '"\\\n é')
+# every declared kind: (kind, null, the values of an item)
+_KINDS = [
+    (report.NUM, False, _FLOATS),
+    (report.NUM, True, _FLOATS),
+    (report.INT, True, _INTS),
+    (report.BOOL, True, st.booleans()),
+    (_ENUM, True, st.sampled_from(_ENUM)),
+    (report.STR, True, _TEXT),
+    ([report.NUM], True, _FLOATS),
+    ([report.INT], False, _INTS),
+]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_render_json_writes_the_stdlib_bytes(x):
-    # the writer of the values the declaration does not describe
-    assert report.json_value(x) + "\n" == _stdlib_json(x)
+def _as_array(kind, values) -> np.ndarray:
+    """The column of ``values`` as an ndarray: float for NUM (NaN where
+    null), int64, bool or float where the values allow it, else object."""
+    if kind == report.NUM:
+        return np.array([math.nan if v is None else v for v in values], dtype=float)
+    if None not in values:
+        if kind in (report.BOOL, [report.NUM]):
+            return np.array(values, dtype=bool if kind == report.BOOL else float)
+        if kind == report.INT and all(-(2**63) <= v < 2**63 for v in values):
+            return np.array(values, dtype=np.int64)
+    out = np.empty(len(values), dtype=object)
+    for i, v in enumerate(values):
+        out[i] = v
+    return out
 
 
-_NUMPY_ARRAYS = hnp.arrays(
-    hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(),
-    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_NUMPY_ARRAYS, _JSON_VALUES)
-def test_render_json_writes_numpy_values_as_their_python_values(a, x):
-    scalar = a.reshape(-1)[0] if a.size else a.dtype.type(0)
-    value = {"array": a, "scalar": scalar, "nested": [{"a": a, "x": x}, (scalar,)]}
-    plain = {"array": a.tolist(), "scalar": scalar.item(), "nested": [{"a": a.tolist(), "x": x}, [scalar.item()]]}
-    assert report.json_value(value) + "\n" == _stdlib_json(plain)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{1: 0.5}, {"a": {None: 1}}, {"a": [{2.5: 1}]}, {"a": {1, 2}}, {"a": 1j}, {"a": np.bool_(True)}, [object()]],
-)
-def test_render_json_refuses_non_str_keys_and_non_json_types(value):
-    with pytest.raises(TypeError):
-        report.json_value(value)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_column_writers_write_every_kind_as_the_stdlib_and_the_csv_rules(data):
+    # each declared kind as a list column (None where null) and as an
+    # ndarray (NaN where null in a float array), in the records and in the
+    # params: the JSON report is json.dumps' bytes, and the CSV cells
+    # follow the README's rules
+    for kind, null, item in _KINDS:
+        if isinstance(kind, list):
+            size = data.draw(st.integers(0, 3))
+            item = st.lists(item, min_size=size, max_size=size)
+        values = data.draw(st.lists(st.none() | item if null else item, min_size=1, max_size=4))
+        decl = report.Record(report.Field("v", kind, null=null))
+        for col in (values, _as_array(kind, values)):
+            nan_is_null = kind == report.NUM and null and isinstance(col, np.ndarray)
+            expected = [None if nan_is_null and v is not None and math.isnan(v) else v for v in values]
+            rep = report.Report("x", 7, {"v": values[0]})
+            text = report.json_chunk(decl, decl, rep, {"v": col})
+            rep.records, rep.failures = len(values), 1
+            text += report.json_chunk(decl, decl, rep)
+            assert text == _stdlib_json(
+                {
+                    "command": "x",
+                    "params": {"v": values[0]},
+                    "records": [{"v": v} for v in expected],
+                    "schema": report.SCHEMA_VERSION,
+                    "seed": 7,
+                    "summary": {"failures": 1, "passed": False, "records": len(values)},
+                }
+            )
+            head = f"# schema: {report.SCHEMA_VERSION}\n# command: x\n# seed: 7\n# params: v={values[0]}\nv\n"
+            rows = "".join(_expected_cell(v) + "\n" for v in expected)
+            assert report.csv_chunk(decl, report.Report("x", 7, {"v": values[0]}), {"v": col}) == head + rows
 
 
 _SMALL_RUNS = {
@@ -853,15 +890,15 @@ def test_render_json_leaves_no_reference_cycles(monkeypatch, capsys):
     # it behind would grow the peak memory of a long run of requests
     seen = []
     render = cli.render_json
-    monkeypatch.setattr(cli, "render_json", lambda rep, cols=None: seen.append(cols) or render(rep, cols))
+    monkeypatch.setattr(cli, "render_json", lambda rep, cols=None: seen.append((rep.params, cols)) or render(rep, cols))
     cli.main(_SMALL_RUNS["berry"])
     capsys.readouterr()
-    cols = seen[0]
+    params, cols = seen[0]
     gc.collect()
     gc.disable()
     try:
-        cli.render_json(cli.Report("berry", 11, {}), cols)
-        cli.render_json(cli.Report("berry", 11, {}, records=len(cols["index"])))
+        cli.render_json(cli.Report("berry", 11, params), cols)
+        cli.render_json(cli.Report("berry", 11, params, records=len(cols["index"])))
         assert gc.collect() == 0
     finally:
         gc.enable()
