@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hjc import cli, jc, oracle, report
 from hjc.config import DEFAULT
@@ -834,13 +835,10 @@ def _as_array(kind, values) -> np.ndarray:
     return out
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_column_writers_write_every_kind_as_the_stdlib_and_the_csv_rules(data):
-    # each declared kind as a list column (None where null) and as an
-    # ndarray (NaN where null in a float array), in the records and in the
-    # params: the JSON report is json.dumps' bytes, and the CSV cells
-    # follow the README's rules
+def _draw_columns(data):
+    """Each declared kind with a drawn column of its values, as a list
+    (None where null) and as an ndarray (NaN where null in a float array),
+    and the values a reader gets back from each."""
     for kind, null, item in _KINDS:
         if isinstance(kind, list):
             size = data.draw(st.integers(0, 3))
@@ -850,23 +848,61 @@ def test_column_writers_write_every_kind_as_the_stdlib_and_the_csv_rules(data):
         for col in (values, _as_array(kind, values)):
             nan_is_null = kind == report.NUM and null and isinstance(col, np.ndarray)
             expected = [None if nan_is_null and v is not None and math.isnan(v) else v for v in values]
-            rep = report.Report("x", 7, {"v": values[0]})
-            text = report.json_chunk(decl, decl, rep, {"v": col})
-            rep.records, rep.failures = len(values), 1
-            text += report.json_chunk(decl, decl, rep)
-            assert text == _stdlib_json(
-                {
-                    "command": "x",
-                    "params": {"v": values[0]},
-                    "records": [{"v": v} for v in expected],
-                    "schema": report.SCHEMA_VERSION,
-                    "seed": 7,
-                    "summary": {"failures": 1, "passed": False, "records": len(values)},
-                }
-            )
-            head = f"# schema: {report.SCHEMA_VERSION}\n# command: x\n# seed: 7\n# params: v={values[0]}\nv\n"
-            rows = "".join(_expected_cell(v) + "\n" for v in expected)
-            assert report.csv_chunk(decl, report.Report("x", 7, {"v": values[0]}), {"v": col}) == head + rows
+            yield decl, values, col, expected
+
+
+def _json_report(decl: report.Record, params: dict, col) -> str:
+    """The JSON report of one chunk holding the column ``v``."""
+    rep = report.Report("x", 7, params)
+    text = report.json_chunk(decl, decl, rep, {"v": col})
+    rep.records, rep.failures = len(col), 1
+    return text + report.json_chunk(decl, decl, rep)
+
+
+def _stdlib_report(params: dict, values: list) -> str:
+    return _stdlib_json(
+        {
+            "command": "x",
+            "params": params,
+            "records": [{"v": v} for v in values],
+            "schema": report.SCHEMA_VERSION,
+            "seed": 7,
+            "summary": {"failures": 1, "passed": False, "records": len(values)},
+        }
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_render_json_writes_the_stdlib_bytes(data):
+    # each declared kind as a list column and as an ndarray, in the records
+    # and in the params: the JSON report is json.dumps' bytes
+    for decl, values, col, expected in _draw_columns(data):
+        assert _json_report(decl, {"v": values[0]}, col) == _stdlib_report({"v": values[0]}, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_csv_chunk_writes_every_kind_by_the_cell_rules(data):
+    # the same columns as CSV cells, by the README's rules
+    for decl, values, col, expected in _draw_columns(data):
+        head = f"# schema: {report.SCHEMA_VERSION}\n# command: x\n# seed: 7\n# params: v={values[0]}\nv\n"
+        rows = "".join(_expected_cell(v) + "\n" for v in expected)
+        assert report.csv_chunk(decl, report.Report("x", 7, {"v": values[0]}), {"v": col}) == head + rows
+
+
+_NUMPY_DTYPES = hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.unsigned_integer_dtypes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NUMPY_DTYPES.flatmap(lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))))
+def test_render_json_writes_numpy_values_as_their_python_values(a):
+    # an ndarray of any float or integer dtype, 1-D as a number column and
+    # 2-D as a column of number lists, is written as its Python values are
+    kind = report.NUM if a.dtype.kind == "f" else report.INT
+    decl = report.Record(report.Field("v", kind if a.ndim == 1 else [kind]))
+    params = {"v": a.tolist()[0]}
+    assert _json_report(decl, params, a) == _stdlib_report(params, a.tolist())
 
 
 _SMALL_RUNS = {
