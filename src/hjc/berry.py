@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraTag, conj_coeffs, one, product_coeffs, zero
-from .config import DEFAULT, Tolerances
+from .config import STRING_THRESHOLD
 
 __all__ = [
     "ChartTag",
@@ -318,14 +318,15 @@ class ChartDecomposition:
 # Array functions: one formula each
 
 
-def classify(pts: Points, tol: Tolerances = DEFAULT) -> np.ndarray:
+def classify(pts: Points) -> np.ndarray:
     """Class code of every point, an index into :data:`POINT_CLASSES`.
 
-    Membership of the w = 0 axis is thresholded at ``tol.string_threshold``
-    on ||w||; nearby points remain formally regular (use
+    Membership of the w = 0 axis is thresholded at
+    :data:`hjc.config.STRING_THRESHOLD` on ||w||, and the origin at the same
+    threshold on |z|; nearby points remain formally regular (use
     :func:`conditionings` to see how badly a chart behaves there).
     """
-    thr = tol.string_threshold
+    thr = STRING_THRESHOLD
     on_axis = np.where(pts.z < 0.0, _CODE[PointClass.LOWER_STRING], _CODE[PointClass.UPPER_STRING])
     on_axis = np.where(np.abs(pts.z) <= thr, _CODE[PointClass.ORIGIN], on_axis)
     return np.where(pts.norm_w <= thr, on_axis, _CODE[PointClass.REGULAR])
@@ -432,13 +433,13 @@ def projector_coeffs(pts: Points) -> np.ndarray:
 # The scalar API: the one-point case of the array functions
 
 
-def classify_point(p: BasePoint, tol: Tolerances = DEFAULT) -> PointClass:
+def classify_point(p: BasePoint) -> PointClass:
     """Sort a point into regular / string / origin (see :func:`classify`)."""
-    return POINT_CLASSES[classify(p.batch, tol)[0]]
+    return POINT_CLASSES[classify(p.batch)[0]]
 
 
-def _require_chart(pts: Points, chart: ChartTag, tol: Tolerances) -> None:
-    cls = POINT_CLASSES[classify(pts, tol)[0]]
+def _require_chart(pts: Points, chart: ChartTag) -> None:
+    cls = POINT_CLASSES[classify(pts)[0]]
     if cls in _FORBIDDEN[chart]:
         raise DiracStringError(cls, f"chart {chart.value} undefined at {cls.value} point")
 
@@ -455,49 +456,49 @@ def conditioning(p: BasePoint, chart: ChartTag) -> float:
     return float(conditionings(p.batch, chart)[0])
 
 
-def chart_unitary(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> Matrix2K:
+def chart_unitary(p: BasePoint, chart: ChartTag) -> Matrix2K:
     """Diagonalizing unitary of the chart (see :func:`chart_coeffs`).
     Raises :class:`DiracStringError` on the chart's string and at the
     origin."""
-    _require_chart(p.batch, chart, tol)
+    _require_chart(p.batch, chart)
     return Matrix2K._of(p.tag, chart_coeffs(p.batch, chart)[0])
 
 
-def chart_decompose(p: BasePoint, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
+def chart_decompose(p: BasePoint, chart: ChartTag) -> ChartDecomposition:
     """Unitary and eigenvalue factor diag(r, -r) for the chart."""
-    u = chart_unitary(p, chart, tol)
+    u = chart_unitary(p, chart)
     d = Matrix2K._of(p.tag, eigenvalue_coeffs(p.batch)[0])
     return ChartDecomposition(u, d, chart, conditioning(p, chart))
 
 
-def transition_function(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
+def transition_function(p: BasePoint) -> Matrix2K:
     """diag(conj(w)/||w||, w/||w||) relating the two charts; undefined on
     the whole z axis."""
-    cls = classify_point(p, tol)
+    cls = classify_point(p)
     if cls is not PointClass.REGULAR:
         raise DiracStringError(cls, "transition function undefined on the z axis")
     return Matrix2K._of(p.tag, transition_coeffs(p.batch)[0])
 
 
-def projector(p: BasePoint, tol: Tolerances = DEFAULT) -> Matrix2K:
+def projector(p: BasePoint) -> Matrix2K:
     """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]].
 
     Globally defined for r > 0 -- in particular on both strings, where the
     chart unitaries fail.  Refuses the degenerate origin.
     """
-    if p.r <= tol.string_threshold:
+    if p.r <= STRING_THRESHOLD:
         raise DiracStringError(PointClass.ORIGIN, "projector undefined at the origin")
     return Matrix2K._of(p.tag, projector_coeffs(p.batch)[0])
 
 
-def two_step_factors(p: BasePoint, tol: Tolerances = DEFAULT):
+def two_step_factors(p: BasePoint):
     """Split H = L M L* with L = diag(1, w/||w||) and the real middle
     matrix M = [[z, ||w||], [||w||, -z]] common to all four algebras.
 
     The outer factor needs w != 0; the middle matrix is where the strings
     live (see :func:`middle_diagonalize`).
     """
-    cls = classify_point(p, tol)
+    cls = classify_point(p)
     if cls is not PointClass.REGULAR:
         raise DiracStringError(cls, "two-step factors need ||w|| > 0")
     tag = p.tag
@@ -507,9 +508,7 @@ def two_step_factors(p: BasePoint, tol: Tolerances = DEFAULT):
     return left, mid, left.dagger()
 
 
-def middle_diagonalize(
-    norm_w: float, z: float, chart: ChartTag, tol: Tolerances = DEFAULT
-) -> ChartDecomposition:
+def middle_diagonalize(norm_w: float, z: float, chart: ChartTag) -> ChartDecomposition:
     """Real orthogonal diagonalization of [[z, m], [m, -z]], m = ||w||.
 
     This is the matrix that actually carries the Dirac strings: the
@@ -520,7 +519,7 @@ def middle_diagonalize(
     if norm_w < 0.0:
         raise ValueError("norm_w must be non-negative")
     pts = Points.of(AlgebraTag.R, norm_w, z)
-    _require_chart(pts, chart, tol)
+    _require_chart(pts, chart)
     r = float(pts.r[0])
     u = chart_coeffs(pts, chart)[0, :, :, 0]
     return ChartDecomposition(u, np.diag([r, -r]), chart, float(conditionings(pts, chart)[0]))

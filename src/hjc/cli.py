@@ -8,7 +8,8 @@ round trip).  ``--command NAME`` is accepted as an alias for the leading
 subcommand.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
-is still written), 2 usage or configuration error.  Output is JSON
+is still written) or stdout was closed before the report was complete, 2
+usage or configuration error.  Output is JSON
 (``"schema": 2`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (env fallback
 ``HJC_SEED``).
@@ -261,15 +262,14 @@ def parse_float_list(text: str):
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    tol = DEFAULT
     overrides = {}
-    for name in ("algebraic", "strict", "reconstruction", "propagator"):
-        v = getattr(args, f"tol_{name}", None)
+    for name in (f.name for f in dataclasses.fields(Tolerances)):
+        v = getattr(args, f"tol_{name}")
         if v is not None:
             if _finite_value(f"tol-{name}", v) < 0.0:
                 raise ConfigError(f"tol-{name} must be non-negative, got {v!r}")
             overrides[name] = v
-    return dataclasses.replace(tol, **overrides) if overrides else tol
+    return dataclasses.replace(DEFAULT, **overrides) if overrides else DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _units(tag: algebra.AlgebraTag) -> tuple:
     return berry.Matrix2K.identity(tag).coeffs, berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag)).coeffs
 
 
-def _berry_pass(pts: berry.Points, tol: Tolerances) -> dict:
+def _berry_pass(pts: berry.Points) -> dict:
     """Classify one chunk of points and evaluate every check of the berry
     record: the class column, the presence columns of the charts and the
     projector, and one float column (NaN where null) per residual and
@@ -314,7 +314,7 @@ def _berry_pass(pts: berry.Points, tol: Tolerances) -> dict:
     from one ``residual_coeffs`` call."""
     tag, n = pts.tag, pts.z.shape[0]
     mm = functools.partial(berry.matmul_coeffs, tag)
-    codes = berry.classify(pts, tol)
+    codes = berry.classify(pts)
     regular, away = codes == _REGULAR, codes != _ORIGIN
     masks = [berry.admissible(codes, chart) for chart in berry.ChartTag]
     rows = [np.flatnonzero(m) for m in masks]
@@ -365,7 +365,7 @@ def _berry_pass(pts: berry.Points, tol: Tolerances) -> dict:
     return cols
 
 
-def berry_chunk(pts: berry.Points, start: int, grid: int, tol: Tolerances) -> dict:
+def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
     """The columns of the berry records of ``pts``, the points numbered
     from ``start``, the first ``grid`` points of the sweep being the grid."""
     index = np.arange(start, start + pts.z.shape[0])
@@ -376,7 +376,7 @@ def berry_chunk(pts: berry.Points, start: int, grid: int, tol: Tolerances) -> di
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
-        **_berry_pass(pts, tol),
+        **_berry_pass(pts),
     }
 
 
@@ -403,18 +403,18 @@ def _berry_chunks(args):
             np.concatenate((wscales[cells // len(zvals)][:, None] * direction, draws[:, :-1])),
             np.concatenate((zvals[cells % len(zvals)], draws[:, -1])),
         )
-        yield berry_chunk(pts, start, grid, args.tol)
+        yield berry_chunk(pts, start, grid)
 
 
 def cmd_berry(args):
     return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, _berry_chunks(args)
 
 
-def _jc_chart(p, chart, h, tol):
+def _jc_chart(p, chart, h):
     """A chart's record and its unitary, None where the chart is
     inadmissible."""
     try:
-        dec = jc.chart_decompose(p, chart, tol)
+        dec = jc.chart_decompose(p, chart)
     except jc.SingularSectorError as err:
         return {
             "admissible": False,
@@ -429,23 +429,22 @@ def _jc_chart(p, chart, h, tol):
         "singular_levels": [],
         "reconstruction": jc.block_residual((v @ d) @ v.dagger(), h),
         "unitarity": jc.block_residual(v.dagger() @ v, jc.BlockOperator.identity(p.dim)),
-        "ordering_agreement": jc.block_residual(v, jc.chart_unitary(p, chart, normalizer="right", tol=tol)),
+        "ordering_agreement": jc.block_residual(v, jc.chart_unitary(p, chart, normalizer="right")),
     }, v
 
 
 def cmd_jc(args):
     p = jc.JCParams(theta=args.theta, dim=args.dim, g=args.g)
-    tol = args.tol
     h = jc.hamiltonian(p)
-    checked = {c.value: _jc_chart(p, c, h, tol) for c in (jc.ChartTag.I, jc.ChartTag.II)}
+    checked = {c.value: _jc_chart(p, c, h) for c in (jc.ChartTag.I, jc.ChartTag.II)}
     radii = jc.radius_diag(p.dim, p.theta, 0)
     evals = oracle.eigvals_hermitian(h.full())  # ascending
     eig_dev = float(np.max(np.abs(evals - np.sort(np.concatenate([radii, -radii])))))
-    proj = jc.projector(p, tol=tol)
+    proj = jc.projector(p)
     p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
     units = [v for _, v in checked.values() if v is not None]
     form = max((jc.block_residual((v @ p0) @ v.dagger(), proj) for v in units), default=None)
-    plus, minus = jc.spectral_decomposition(p, tol=tol)
+    plus, minus = jc.spectral_decomposition(p)
     lam = jc.block_diag(*jc.row_radii(p))
     record = {
         "theta": args.theta,
@@ -455,7 +454,7 @@ def cmd_jc(args):
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
         "projector.hermiticity": jc.block_residual(proj.dagger(), proj),
         "projector.form_agreement": form,
-        "projector.ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right", tol=tol), proj),
+        "projector.ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right"), proj),
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
         "spectral.commutator": jc.block_residual(lam @ proj, proj @ lam),
     }
@@ -465,7 +464,7 @@ def cmd_jc(args):
 def cmd_strings(args):
     records = []
     for theta in args.thetas:
-        report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim), args.tol)
+        report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim))
         singular = report.singular()
         found = set(zip(*(col.tolist() for col in singular.values())))
         # chart I is singular at the ground level unless theta > 0, chart II
@@ -515,7 +514,6 @@ def cmd_evolve(args):
 
 def cmd_grassmann(args):
     records = []
-    tol = args.tol
     for theta in args.thetas:
         p = jc.JCParams(theta=theta, dim=args.dim)
         rec = {
@@ -528,19 +526,19 @@ def cmd_grassmann(args):
         }
         records.append(rec)
         try:
-            left, shifted = grassmann.local_coordinate_forms(p, tol)
+            left, shifted = grassmann.local_coordinate_forms(p)
         except jc.SingularSectorError as err:
             rec["singular_levels"] = sorted({level for _, level in err.sectors})
             continue
-        proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p, tol))
+        proj = grassmann.projector_from_coordinate(shifted)
         # the upper-left block (1 + Z+Z)^-1 against its closed form
         # (R1 + theta) / 2R1, R1 the row 1 radius (theta > 0 here), from
         # halves so that R1 + theta is never formed
         r1, _ = jc.row_radii(p)
-        upper_left = jc.BlockOperator.from_diagonals(args.dim, ((proj.diags[0][0], {}), ({}, {})))
+        upper_left = jc.BlockOperator(args.dim, ((proj.diags[0][0], {}), ({}, {})))
         expected = jc.block_diag((0.5 * r1 + 0.5 * theta) / r1, np.zeros(args.dim))
         rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
-        rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p, tol=tol))
+        rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p))
         rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected)
     return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
 
@@ -569,7 +567,7 @@ def render_csv(report: Report, cols: Optional[dict] = None) -> str:
     """The CSV text of the next chunk of the report's records (the header
     lines first), or without columns its empty rest; see
     :func:`hjc.report.csv_chunk`."""
-    return csv_chunk(RECORDS[report.command], report, cols)
+    return csv_chunk(RECORDS[report.command], PARAMS[report.command], report, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HJC_SEED, then 0)")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
-    for name in ("algebraic", "strict", "reconstruction", "propagator"):
+    for name in (f.name for f in dataclasses.fields(Tolerances)):
         common.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
 
     parser = argparse.ArgumentParser(
@@ -734,16 +732,23 @@ def main(argv=None) -> int:
         parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     try:
         failures = _report(args, fh.write)
-        if fh is not sys.stdout:
+        if fh is sys.stdout:
+            fh.flush()
+        else:
             fh.close()
         if tmp is not None:
             os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         # a report that stops part way never replaces the target
         if fh is not sys.stdout:
             fh.close()
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if fh is sys.stdout and isinstance(exc, BrokenPipeError):
+            # the reader closed stdout: the interpreter's final flush of what
+            # is left goes to devnull, so no second error is printed
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         raise
     return 0 if failures == 0 else 1
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import SINGULAR_THRESHOLD
 
 __all__ = [
     "annihilation",
@@ -78,19 +78,19 @@ def func_of_number(d: int, f: Callable[[int], float]) -> np.ndarray:
     return np.diag(vals)
 
 
-def pseudo_diag_inverse(op: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def pseudo_diag_inverse(op: np.ndarray) -> np.ndarray:
     """Invert a diagonal operator entrywise, sending (near-)zero entries
     to zero.
 
     The kernel convention makes expressions like a (1/sqrt(N)) meaningful
     on the whole truncated space; entries with magnitude at most
-    ``tol.singular_threshold`` map to 0.
+    :data:`hjc.config.SINGULAR_THRESHOLD` map to 0.
     """
     d = np.diag(op)
     if np.count_nonzero(op - np.diag(d)):
         raise ValueError("pseudo_diag_inverse expects a diagonal operator")
     out = np.zeros_like(d)
-    keep = np.abs(d) > tol.singular_threshold
+    keep = np.abs(d) > SINGULAR_THRESHOLD
     out[keep] = 1.0 / d[keep]
     return np.diag(out)
 

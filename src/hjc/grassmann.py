@@ -17,24 +17,20 @@ the string's shadow in the coordinate chart.  The classical limit of Z is
 the familiar scalar stereographic coordinate (x + iy)/(r + z), undefined
 on the lower string.
 
-Z is one subdiagonal and 1 + Z+Z is diagonal, so Z is kept as its
-subdiagonal level vector and P(Z) is built elementwise as a
-:class:`hjc.jc.BlockOperator`: both cost O(d).
+Z is one subdiagonal and 1 + Z+Z is diagonal, so Z is held as its
+subdiagonal level vector, Z|n> = z[n] |n+1>, and P(Z) is built
+elementwise as a :class:`hjc.jc.BlockOperator`: both cost O(d).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraTag
 from .berry import BasePoint, ChartTag, DiracStringError, PointClass, classify_point, half_sum
-from .config import DEFAULT, Tolerances
 from .jc import BlockOperator, JCParams, admissible_denominators
 
 __all__ = [
-    "LocalCoordinate",
     "local_coordinate",
     "local_coordinate_forms",
     "projector_from_coordinate",
@@ -43,64 +39,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalCoordinate:
-    """Operator coordinate for the projector chart.
-
-    Z has one nonzero diagonal, the first subdiagonal, and ``levels``
-    holds it: Z|n> = levels[n] |n+1> with levels[n] = sqrt(n+1)/(R(n+1)+theta)
-    for n = 0 .. d-2.  Construction refuses the theta at which a chart I
-    row 2 denominator 2 R(n) (R(n) + theta) falls below threshold."""
-
-    levels: np.ndarray
-    theta: float
-
-    @property
-    def dim(self) -> int:
-        return self.levels.shape[0] + 1
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense d x d export of Z."""
-        return np.diag(self.levels, k=-1)
-
-
-def local_coordinate_forms(p: JCParams, tol: Tolerances = DEFAULT):
+def local_coordinate_forms(p: JCParams):
     """Both closed forms of Z, (1/(R(N)+theta)) a+ and
     a+ (1/(R(N+1)+theta)), as subdiagonal level vectors; they agree
     identically.  Raises :class:`hjc.jc.SingularSectorError` where chart I
     is singular, as :func:`hjc.jc.singular_sectors` reports it."""
-    (_, shifted, _), (_, plain, _) = admissible_denominators(p, ChartTag.I, tol)
+    (_, shifted, _), (_, plain, _) = admissible_denominators(p, ChartTag.I)
     sq = 0.5 * np.sqrt(np.arange(1.0, p.dim))  # half the subdiagonal of a+, over the half sums
     return sq / plain[1:], sq / shifted[:-1]
 
 
-def local_coordinate(p: JCParams, tol: Tolerances = DEFAULT) -> LocalCoordinate:
-    """The regular form of Z; raises :class:`hjc.jc.SingularSectorError`
-    where chart I is singular (ground level, theta <= 0)."""
-    _, shifted = local_coordinate_forms(p, tol)
-    return LocalCoordinate(shifted, p.theta)
+def local_coordinate(p: JCParams) -> np.ndarray:
+    """Z's subdiagonal level vector in its regular form,
+    z[n] = sqrt(n+1)/(R(n+1)+theta) for n = 0 .. d-2; raises
+    :class:`hjc.jc.SingularSectorError` where chart I is singular (ground
+    level, theta <= 0)."""
+    return local_coordinate_forms(p)[1]
 
 
 def projector_from_coordinate(z) -> BlockOperator:
-    """Rank-one Grassmannian projector P(Z) of a coordinate, given as a
-    :class:`LocalCoordinate` or its subdiagonal level vector.
+    """Rank-one Grassmannian projector P(Z) of a coordinate, given as its
+    subdiagonal level vector.
 
-    Z is one subdiagonal, so 1 + Z+Z is the diagonal 1 + |levels|^2
-    (1 on the top level) and every block of P(Z) is one level vector.
+    Z is one subdiagonal, so 1 + Z+Z is the diagonal 1 + |z|^2 (1 on the
+    top level) and every block of P(Z) is one level vector.
     """
-    z = np.asarray(z.levels if isinstance(z, LocalCoordinate) else z, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     if z.ndim != 1:
         raise ValueError(f"expected a subdiagonal level vector, got shape {z.shape}")
     a2 = np.abs(z) ** 2
     inner = 1.0 / (1.0 + a2)  # (1 + Z+Z)^-1 below the top level, where it is 1
     res, lower = np.append(inner, 1.0), np.append(0.0, a2 * inner)  # lower: Z (1 + Z+Z)^-1 Z+
-    return BlockOperator.from_diagonals(
-        z.shape[0] + 1, (({0: res}, {1: z.conj() * inner}), ({-1: z * inner}, {0: lower}))
-    )
+    return BlockOperator(z.shape[0] + 1, (({0: res}, {1: z.conj() * inner}), ({-1: z * inner}, {0: lower})))
 
 
-def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT) -> complex:
+def classical_coordinate(x: float, y: float, z: float) -> complex:
     """Scalar limit (x + iy)/(r + z); blows up on the lower string.
 
     Refused exactly where :func:`hjc.berry.classify_point` puts the point
@@ -111,7 +84,7 @@ def classical_coordinate(x: float, y: float, z: float, tol: Tolerances = DEFAULT
     close to the string and over the whole double range.
     """
     point = BasePoint(AlgebraElement(AlgebraTag.C, [x, y]), z)
-    cls = classify_point(point, tol)
+    cls = classify_point(point)
     if cls in (PointClass.LOWER_STRING, PointClass.ORIGIN):
         raise DiracStringError(cls, "classical coordinate undefined where r + z = 0")
     half, same = half_sum(point.batch, ChartTag.I)

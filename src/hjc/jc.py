@@ -45,9 +45,8 @@ of length d - |k| on the k-th diagonal (``numpy.diag(v, k)`` layout).
 Products, sums and adjoints act on these vectors elementwise with a
 shift, so every closed form here costs O(d) time and memory, against the
 O(d^3) of the dense oracle; :meth:`BlockOperator.apply` multiplies a
-real dense (2d, m) array in O(d m).  :meth:`BlockOperator.full` is the only
-dense export; the dense constructor and :meth:`BlockOperator.from_full`
-extract the diagonals losslessly.
+real dense (2d, m) array in O(d m).  An operator is built from its level
+vectors alone, and :meth:`BlockOperator.full` is the only dense export.
 
 Stacks: a level vector may carry leading batch axes, shape
 ``batch + (d - |k|,)``, so one operator holds a stack of operators (the
@@ -55,7 +54,7 @@ batch shapes of its vectors broadcast against each other).  Products,
 sums, adjoints, :meth:`BlockOperator.apply` and
 :meth:`BlockOperator.max_abs` act slice by slice, with the same arithmetic
 as on each slice alone; :func:`propagator` over an array of times returns
-such a stack.  The dense export and import are unbatched.
+such a stack.  The dense export is unbatched.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from .berry import ChartDecomposition, ChartTag
-from .config import DEFAULT, Tolerances
+from .config import ILL_CONDITIONED, SINGULAR_THRESHOLD
 
 __all__ = [
     "JCParams",
@@ -136,13 +135,6 @@ class JCParams:
         return cls(theta=(delta - omega) / (2.0 * g), dim=dim, g=g, omega=omega, delta=delta)
 
 
-def _dense_diagonals(b: np.ndarray) -> dict:
-    """Every diagonal of a dense block holding a nonzero bit (-0.0 included,
-    so the block round-trips bitwise through :meth:`BlockOperator.full`)."""
-    rows, cols = np.nonzero((b != 0) | np.signbit(b.real) | np.signbit(b.imag))
-    return {int(k): np.diagonal(b, k).copy() for k in np.unique(cols - rows)}
-
-
 def _block_product(d: int, batch: tuple, x: dict, y: dict, out: dict) -> None:
     """Accumulate the product of blocks ``x`` and ``y`` into ``out``, whose
     level vectors have the batch shape ``batch``.
@@ -178,35 +170,19 @@ class BlockOperator:
     level diagonals, or a stack of such operators (see the module
     docstring).
 
-    ``BlockOperator(blocks)`` takes a 2x2 layout of dense d x d blocks;
-    :meth:`from_diagonals` takes the level vectors directly.  ``batch`` is
-    the stack shape, () for a single operator.
+    ``diags`` is a 2x2 layout of {offset k: level vector} maps; a vector of
+    shape ``batch + (d - |k|,)`` makes a stack.  The stack shape
+    ``batch`` is broadcast with the vectors' own, so an operator with no
+    stored diagonal keeps it too; () is a single operator.
     """
 
     __slots__ = ("dim", "diags", "batch")
 
-    def __init__(self, blocks):
-        rows = [[np.asarray(b, dtype=complex) for b in row] for row in blocks]
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("expected a 2x2 block layout")
-        d = rows[0][0].shape[0]
-        if any(b.shape != (d, d) for row in rows for b in row):
-            raise ValueError("inconsistent block shapes")
+    def __init__(self, d: int, diags, batch: tuple = ()):
         self.dim = d
-        self.diags = tuple(tuple(_dense_diagonals(b) for b in row) for row in rows)
-        self.batch = ()
-
-    @classmethod
-    def from_diagonals(cls, d: int, diags, batch: tuple = ()) -> "BlockOperator":
-        """Operator from a 2x2 layout of {offset: level vector} maps; a
-        vector of shape ``batch + (d - |k|,)`` makes a stack.  The stack
-        shape is ``batch`` broadcast with the vectors' own, so an operator
-        with no stored diagonal keeps it too."""
-        op = object.__new__(cls)
-        op.dim = d
-        op.diags = tuple(tuple({k: np.asarray(v, dtype=complex) for k, v in b.items()} for b in row) for row in diags)
+        self.diags = tuple(tuple({k: np.asarray(v, dtype=complex) for k, v in b.items()} for b in row) for row in diags)
         shapes = {tuple(batch)}
-        for row in op.diags:
+        for row in self.diags:
             for b in row:
                 for k, v in b.items():
                     s = v.shape
@@ -214,8 +190,7 @@ class BlockOperator:
                         raise ValueError("the level vector on offset k needs length d - |k|")
                     if len(s) > 1:
                         shapes.add(s[:-1])
-        op.batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-        return op
+        self.batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
     @classmethod
     def identity(cls, d: int) -> "BlockOperator":
@@ -259,14 +234,6 @@ class BlockOperator:
                     im[rows] += v.imag * xs
         return re + 1j * im
 
-    @classmethod
-    def from_full(cls, m: np.ndarray) -> "BlockOperator":
-        n = m.shape[0]
-        if m.shape != (n, n) or n % 2:
-            raise ValueError("expected an even-dimensional square matrix")
-        d = n // 2
-        return cls(((m[:d, :d], m[:d, d:]), (m[d:, :d], m[d:, d:])))
-
     def _check_dim(self, other: "BlockOperator") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -274,7 +241,7 @@ class BlockOperator:
     def dagger(self) -> "BlockOperator":
         b = self.diags
         adj = [[{-k: v.conj() for k, v in b[j][i].items()} for j in range(2)] for i in range(2)]
-        return BlockOperator.from_diagonals(self.dim, adj, self.batch)
+        return BlockOperator(self.dim, adj, self.batch)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         self._check_dim(other)
@@ -285,7 +252,7 @@ class BlockOperator:
             for j in range(2):
                 for m in range(2):
                     _block_product(d, batch, a[i][m], b[m][j], out[i][j])
-        return BlockOperator.from_diagonals(d, out, batch)
+        return BlockOperator(d, out, batch)
 
     def _combine(self, other: "BlockOperator", ufunc) -> "BlockOperator":
         self._check_dim(other)
@@ -294,7 +261,7 @@ class BlockOperator:
             for block, y in zip(row_out, row_b):
                 for k, v in y.items():
                     block[k] = ufunc(block.get(k, 0.0), v)
-        return BlockOperator.from_diagonals(self.dim, out, _stack_shape(self.batch, other.batch))
+        return BlockOperator(self.dim, out, _stack_shape(self.batch, other.batch))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._combine(other, np.add)
@@ -305,7 +272,7 @@ class BlockOperator:
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
             scaled = [[{k: v * c for k, v in b.items()} for b in row] for row in self.diags]
-            return BlockOperator.from_diagonals(self.dim, scaled, self.batch)
+            return BlockOperator(self.dim, scaled, self.batch)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -322,13 +289,8 @@ class BlockOperator:
 
 
 def block_diag(b00, b11) -> BlockOperator:
-    """diag(B00, B11) from two level vectors (the main diagonals) or from
-    two dense d x d blocks."""
-    b00, b11 = np.asarray(b00, dtype=complex), np.asarray(b11, dtype=complex)
-    if b00.ndim == 2:
-        z = np.zeros_like(b00)
-        return BlockOperator(((b00, z), (z, b11)))
-    return BlockOperator.from_diagonals(b00.shape[0], (({0: b00}, {}), ({}, {0: b11})))
+    """diag(B00, B11) from the level vectors of their main diagonals."""
+    return BlockOperator(np.shape(b00)[-1], (({0: b00}, {}), ({}, {0: b11})))
 
 
 def block_residual(a: BlockOperator, b: BlockOperator) -> float:
@@ -413,7 +375,7 @@ def _ladder(d: int) -> np.ndarray:
 def _sectors(d: int, upper, lowering, raising, lower) -> BlockOperator:
     """[[diag(upper), diag(lowering, 1)], [diag(raising, -1), diag(lower)]]:
     the layout of every operator that pairs |e,n> with |g,n+1>."""
-    return BlockOperator.from_diagonals(d, (({0: upper}, {1: lowering}), ({-1: raising}, {0: lower})))
+    return BlockOperator(d, (({0: upper}, {1: lowering}), ({-1: raising}, {0: lower})))
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +423,9 @@ def two_step_factors(p: JCParams):
     bitwise; L+ L = diag(1, 1 - |d-1><d-1|) from the truncation.
     """
     d = p.dim
-    left = BlockOperator.from_diagonals(d, (({0: np.ones(d)}, {}), ({}, {-1: np.ones(d - 1)})))
+    left = BlockOperator(d, (({0: np.ones(d)}, {}), ({}, {-1: np.ones(d - 1)})))
     sq, th = _ladder(d + 1), np.full(d, p.theta)
-    mid = BlockOperator.from_diagonals(d, (({0: th}, {0: sq}), ({0: sq}, {0: -th})))
+    mid = BlockOperator(d, (({0: th}, {0: sq}), ({0: sq}, {0: -th})))
     return left, mid, left.dagger()
 
 
@@ -484,7 +446,7 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
         u = ((f * h1, -f * sq), (f * sq, f * h1))
     else:
         u = ((f * sq, -f * h1), (f * h1, f * sq))
-    return BlockOperator.from_diagonals(d, tuple(tuple({0: v} for v in row) for row in u))
+    return BlockOperator(d, tuple(tuple({0: v} for v in row) for row in u))
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +457,13 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
 SECTOR_STATUSES = ("regular", "ill_conditioned", "singular", "truncation")
 
 
-def _singular(den: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _singular(den: np.ndarray) -> np.ndarray:
     """The singular rule on denominators of shape (..., 2 rows, d levels): a
-    denominator at most ``tol.singular_threshold`` is singular, except that
-    of the top level of row 1.  That one belongs to the one-level truncation
-    sector |e,d-1> and always equals the ground entry of row 2, so it never
-    decides whether a chart exists."""
-    mask = den <= tol.singular_threshold
+    denominator at most :data:`hjc.config.SINGULAR_THRESHOLD` is singular,
+    except that of the top level of row 1.  That one belongs to the
+    one-level truncation sector |e,d-1> and always equals the ground entry
+    of row 2, so it never decides whether a chart exists."""
+    mask = den <= SINGULAR_THRESHOLD
     mask[..., 0, -1] = False
     return mask
 
@@ -537,19 +499,19 @@ class SingularSectorError(Exception):
         super().__init__(f"chart {chart.value} singular at {where}")
 
 
-def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
+def singular_sectors(p: JCParams) -> SectorReport:
     """Classify every chart denominator per block row and level.
 
     For theta > 0 the singular set is exactly {chart II, row 2, level 0};
     for theta < 0 it is {chart I, row 2, level 0}; at resonance both
     charts are singular at the ground level.  The row 1 entry of the top
     level has the status ``truncation`` (see :func:`_singular`); the others
-    not singular are ``ill_conditioned`` below ``tol.ill_conditioned`` and
-    ``regular`` otherwise.
+    not singular are ``ill_conditioned`` below
+    :data:`hjc.config.ILL_CONDITIONED` and ``regular`` otherwise.
     """
     d = p.dim
     den = np.array([[row[2] for row in chart_denominators(p, chart)] for chart in ChartTag])
-    codes = np.where(_singular(den, tol), 2, np.where(den < tol.ill_conditioned, 1, 0))
+    codes = np.where(_singular(den), 2, np.where(den < ILL_CONDITIONED, 1, 0))
     codes[:, 0, -1] = 3
     columns = {
         "chart": np.repeat(np.array([c.value for c in ChartTag], dtype=object), 2 * d),
@@ -565,30 +527,30 @@ def singular_sectors(p: JCParams, tol: Tolerances = DEFAULT) -> SectorReport:
 # Chart operators
 
 
-def admissible_denominators(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT):
+def admissible_denominators(p: JCParams, chart: ChartTag):
     """The chart's :func:`chart_denominators`; raises
     :class:`SingularSectorError` naming every singular entry."""
     rows = chart_denominators(p, chart)
-    bad = _singular(np.array((rows[0][2], rows[1][2])), tol)
+    bad = _singular(np.array((rows[0][2], rows[1][2])))
     if bad.any():
         row, level = np.nonzero(bad)
         raise SingularSectorError(chart, zip((row + 1).tolist(), level.tolist()))
     return rows
 
 
-def _chart_pieces(p: JCParams, chart: ChartTag, tol: Tolerances):
+def _chart_pieces(p: JCParams, chart: ChartTag):
     """Twice the normalizer level values (row1, row2) and half the
     unnormalized chart matrix, so that no entry exceeds the double range
     (their products are the chart's entries exactly); raises on vanishing
     denominators."""
-    (r1, h1, _), (r2, h2, _) = admissible_denominators(p, chart, tol)
+    (r1, h1, _), (r2, h2, _) = admissible_denominators(p, chart)
     d = p.dim
     sq = 0.5 * _ladder(d)
     if chart is ChartTag.I:
         core = _sectors(d, h1, -sq, sq, h2)
     else:
         # [[a, -(R1 - theta)], [R(N) - theta, a+]] / 2
-        core = BlockOperator.from_diagonals(d, (({1: sq}, {0: -h1}), ({0: h2}, {-1: sq})))
+        core = BlockOperator(d, (({1: sq}, {0: -h1}), ({0: h2}, {-1: sq})))
     return _normalizer(r1, h1), _normalizer(r2, h2), core
 
 
@@ -600,12 +562,7 @@ def _normalize(chart: ChartTag, normalizer: str, f1, f2, core) -> BlockOperator:
     return core @ block_diag(f2, f1)
 
 
-def chart_unitary(
-    p: JCParams,
-    chart: ChartTag,
-    normalizer: str = "left",
-    tol: Tolerances = DEFAULT,
-) -> BlockOperator:
+def chart_unitary(p: JCParams, chart: ChartTag, normalizer: str = "left") -> BlockOperator:
     """Operator-valued chart unitary V.
 
     ``normalizer`` picks which side the inverse-square-root diagonal
@@ -616,7 +573,7 @@ def chart_unitary(
     """
     if normalizer not in ("left", "right"):
         raise ValueError("normalizer must be 'left' or 'right'")
-    return _normalize(chart, normalizer, *_chart_pieces(p, chart, tol))
+    return _normalize(chart, normalizer, *_chart_pieces(p, chart))
 
 
 def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
@@ -630,11 +587,11 @@ def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
     return block_diag(r2, -r1)
 
 
-def chart_decompose(p: JCParams, chart: ChartTag, tol: Tolerances = DEFAULT) -> ChartDecomposition:
+def chart_decompose(p: JCParams, chart: ChartTag) -> ChartDecomposition:
     """Chart unitary V and diagonal factor D with H = V D V+ exactly on the
     whole truncated space, the one-level sectors |g,0> and |e,d-1>
     included; the conditioning is the largest normalizer."""
-    f1, f2, core = _chart_pieces(p, chart, tol)
+    f1, f2, core = _chart_pieces(p, chart)
     cond = 0.5 * float(max(np.max(f1), np.max(f2)))
     return ChartDecomposition(_normalize(chart, "left", f1, f2, core), chart_diagonal(p, chart), chart, cond)
 
@@ -650,20 +607,20 @@ def transition_operator(d: int) -> BlockOperator:
     """
     if d < 2:
         raise ValueError(f"Fock truncation needs d >= 2, got {d}")
-    return BlockOperator.from_diagonals(d, (({1: np.ones(d - 1)}, {}), ({}, {-1: np.ones(d - 1)})))
+    return BlockOperator(d, (({1: np.ones(d - 1)}, {}), ({}, {-1: np.ones(d - 1)})))
 
 
-def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) -> BlockOperator:
+def projector(p: JCParams, normalizer: str = "left") -> BlockOperator:
     """Globally defined spectral projector
 
         diag(1/2R1, 1/2R(N)) [[R1 + theta, a], [a+, R(N) - theta]]
 
     with the row radii R1, R(N) of :func:`row_radii`, so its top-level
     entry is [theta > 0].  Defined for every theta: a factor 1/2R with
-    2R at most ``tol.singular_threshold`` (at resonance, the ground and
-    the top level) is taken with the kernel convention (the entries it
-    scales vanish anyway).  Agrees with V diag(1, 0) V+ for whichever
-    charts exist.
+    2R at most :data:`hjc.config.SINGULAR_THRESHOLD` (at resonance, the
+    ground and the top level) is taken with the kernel convention (the
+    entries it scales vanish anyway).  Agrees with V diag(1, 0) V+ for
+    whichever charts exist.
     """
     if normalizer not in ("left", "right"):
         raise ValueError("normalizer must be 'left' or 'right'")
@@ -671,19 +628,19 @@ def projector(p: JCParams, normalizer: str = "left", tol: Tolerances = DEFAULT) 
     m1, m2 = _row_levels(d)
     (r1, h1), (r2, h2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
     # 1/R on the halved core: the products are the entries exactly
-    p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * tol.singular_threshold) for r in (r1, r2))
+    p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
     sq = 0.5 * _ladder(d)
     core = _sectors(d, h1, sq, sq, h2)
     norm = block_diag(p1, p2)
     return norm @ core if normalizer == "left" else core @ norm
 
 
-def spectral_decomposition(p: JCParams, tol: Tolerances = DEFAULT):
+def spectral_decomposition(p: JCParams):
     """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) with
     Lambda = diag(R1, R(N)), the row radii of :func:`row_radii`; the parts
     sum back to the Hamiltonian and Lambda commutes with P."""
     lam = block_diag(*row_radii(p))
-    proj = projector(p, tol=tol)
+    proj = projector(p)
     return lam @ proj, lam @ (proj - BlockOperator.identity(p.dim))
 
 
@@ -722,7 +679,7 @@ def full_propagator(p: JCParams, t) -> BlockOperator:
     upper, lower = _free_levels(p)
     t = np.asarray(t, dtype=float)[..., None]
     free = (({0: np.exp(-1j * t * upper)}, {}), ({}, {0: np.exp(-1j * t * lower)}))
-    return BlockOperator.from_diagonals(p.dim, free) @ propagator(p, t[..., 0])
+    return BlockOperator(p.dim, free) @ propagator(p, t[..., 0])
 
 
 def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ declared kind of a field, not the type of a value, picks its text: one
 JSON and one CSV rule per kind (``NUM``, ``INT``, ``BOOL``, ``STR``, an
 enum as ``STR``), the same for an ndarray column, a list column and the
 items of a list field.  The envelope's ``params`` (declared per command)
-and :data:`SUMMARY` are written by the same path as the records.
+and :data:`SUMMARY` are written by the same path as the records; the CSV
+``# params:`` line writes each param by the CSV rule of its kind.
 """
 
 from __future__ import annotations
@@ -361,17 +362,20 @@ def _csv_rows(rec: Record, cols: dict, prefix: str = "") -> list:
     return [f"{row},{sub}" for row, items in zip(rows, cols[prefix + expand.name]) for sub in _csv_rows(item, items)]
 
 
-def csv_chunk(rec: Record, report: Report, cols: Optional[dict] = None) -> str:
+def csv_chunk(rec: Record, params: Record, report: Report, cols: Optional[dict] = None) -> str:
     """The CSV text of the next chunk of the report's records, given as
-    columns; the header lines come before the first chunk.  Without
-    columns: the (empty) rest of the report."""
+    columns; the header lines come before the first chunk, with the
+    report's ``params`` declared by ``params`` as ``name=cell`` pairs in
+    name order, each cell by the rule of its kind.  Without columns: the
+    (empty) rest of the report."""
     head = ""
     if report.records == 0:
+        fields = sorted(params.fields, key=lambda f: f.name)
         lines = [
             f"# schema: {SCHEMA_VERSION}",
             f"# command: {report.command}",
             f"# seed: {report.seed}",
-            "# params: " + " ".join(f"{k}={v}" for k, v in sorted(report.params.items())),
+            "# params: " + " ".join(f"{f.name}={_csv_column(f, [report.params[f.name]])[0]}" for f in fields),
             ",".join(csv_columns(rec)),
         ]
         head = "\n".join(lines) + "\n"

@@ -30,9 +30,9 @@ def _finite(x: float) -> float:
     return float(x) if math.isfinite(x) else None
 
 
-def _berry_point_record(index, kind, point, tol):
+def _berry_point_record(index, kind, point):
     tag = point.tag
-    cls = berry.classify_point(point, tol)
+    cls = berry.classify_point(point)
     rec = {
         "index": index,
         "kind": kind,
@@ -47,7 +47,7 @@ def _berry_point_record(index, kind, point, tol):
     units = {}
     for chart in (berry.ChartTag.I, berry.ChartTag.II):
         try:
-            dec = berry.chart_decompose(point, chart, tol)
+            dec = berry.chart_decompose(point, chart)
         except berry.DiracStringError:
             continue
         u, d = dec.unitary, dec.diagonal
@@ -58,10 +58,10 @@ def _berry_point_record(index, kind, point, tol):
         }
         units[chart] = u
     if cls is berry.PointClass.REGULAR:
-        phi = berry.transition_function(point, tol)
+        phi = berry.transition_function(point)
         rec["cocycle"] = berry.residual(units[berry.ChartTag.I] @ phi, units[berry.ChartTag.II])
     if cls is not berry.PointClass.ORIGIN:
-        proj = berry.projector(point, tol)
+        proj = berry.projector(point)
         rec["projector"] = {
             "idempotency": berry.residual(proj @ proj, proj),
             "hermiticity": berry.residual(proj.dagger(), proj),
@@ -101,22 +101,22 @@ def _judge(decl, obj, tol, norm):
     return ok
 
 
-def _reference(tag, w, z, kinds, tol=DEFAULT):
+def _reference(tag, w, z, kinds):
     records = [
-        _berry_point_record(i, kind, berry.BasePoint(algebra.AlgebraElement(tag, wi), zi), tol)
+        _berry_point_record(i, kind, berry.BasePoint(algebra.AlgebraElement(tag, wi), zi))
         for i, (wi, zi, kind) in enumerate(zip(w, z, kinds))
     ]
     for rec in records:
-        _judge(cli.RECORDS["berry"], rec, tol, _norm(rec))
+        _judge(cli.RECORDS["berry"], rec, DEFAULT, _norm(rec))
     return records
 
 
-def _batch(tag, w, z, kinds, tol=DEFAULT):
+def _batch(tag, w, z, kinds):
     """The records of the points as the berry report writes them."""
     if not len(z):
         return []
-    cols = cli.berry_chunk(berry.Points.of(tag, w, z), 0, kinds.count("grid"), tol)
-    cli.judge(cli.RECORDS["berry"], cols, tol)
+    cols = cli.berry_chunk(berry.Points.of(tag, w, z), 0, kinds.count("grid"))
+    cli.judge(cli.RECORDS["berry"], cols, DEFAULT)
     params = {"algebra": tag.name, "grid": "", "samples": len(z)}
     text = cli.render_json(cli.Report("berry", 0, params), cols) + cli.render_json(cli.Report("berry", 0, params, len(z)))
     return json.loads(text)["records"]
@@ -292,7 +292,7 @@ def test_the_pass_fills_every_declared_column(tag):
     # record that the array pass does not compute would be missing or NaN
     rng = np.random.default_rng(11)
     pts = berry.Points.of(tag, rng.standard_normal((7, tag.dim)), rng.standard_normal(7))
-    cols = cli.berry_chunk(pts, 0, 7, DEFAULT)
+    cols = cli.berry_chunk(pts, 0, 7)
     assert set(cols) == set(_declared(cli.RECORDS["berry"]))
     for col in cols.values():
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hjc import cli, jc, oracle, report
-from hjc.config import DEFAULT
+from hjc.config import DEFAULT, Tolerances
 
 
 def run_cli(*args):
@@ -350,11 +352,11 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     passes = []
     berry_pass = cli._berry_pass
 
-    def fail_second(pts, tol):
+    def fail_second(pts):
         passes.append(len(pts.z))
         if len(passes) == 2:
             raise FloatingPointError("injected")
-        return berry_pass(pts, tol)
+        return berry_pass(pts)
 
     monkeypatch.setattr(cli, "BERRY_CHUNK", 4)
     monkeypatch.setattr(cli, "_berry_pass", fail_second)
@@ -394,6 +396,42 @@ def test_chunked_draws_equal_one_draw():
     rng = np.random.default_rng(7)
     parts = [rng.standard_normal((n, 9)) for n in (1, 7, 0, 64, 28)]
     assert np.array_equal(np.concatenate(parts), one)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the reader goes away after one line of a report far larger than a
+    # pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "hjc", "berry", "--samples", "20000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# schema: 2\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_tolerances_options_and_declared_residuals_name_the_same_fields():
+    # every Tolerances field is a --tol-* option of every command and
+    # judges some declared residual, and nothing else does either
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name, sub in commands.items():
+        assert {a.dest[len("tol_"):] for a in sub._actions if a.dest.startswith("tol_")} == fields, name
+
+    def tols(kind):
+        if isinstance(kind, list):
+            yield from tols(kind[0])
+        elif isinstance(kind, report.Record):
+            for f in kind.fields:
+                if f.tol is not None:
+                    yield f.tol
+                yield from tols(f.kind)
+
+    assert {t for rec in cli.RECORDS.values() for t in tols(rec)} == fields
 
 
 def test_csv_formats_for_json_commands(tmp_path):
@@ -461,8 +499,8 @@ def _shift_chart_diagonal(mp, shift):
 def _shift_spectral(mp, shift):
     orig = jc.spectral_decomposition
 
-    def shifted(p, tol=None):
-        plus, minus = orig(p, tol=tol)
+    def shifted(p):
+        plus, minus = orig(p)
         return plus + shift * jc.BlockOperator.identity(p.dim), minus
 
     mp.setattr(jc, "spectral_decomposition", shifted)
@@ -685,6 +723,17 @@ def test_csv_cells_equal_json_values(command, capsys):
         assert cells == {c: _expected_cell(row.get(c)) for c in cells}
 
 
+@pytest.mark.parametrize("command", sorted(DEFAULT_RUNS))
+def test_csv_params_line_writes_each_param_by_its_cell_rule(command, capsys):
+    # the "# params:" line holds name=cell pairs in name order, each cell
+    # by the rule of the param's declared kind
+    params = json.loads(_report(capsys, command, "json"))["params"]
+    line = next(l for l in _report(capsys, command, "csv").splitlines() if l.startswith("# params: "))
+    assert line == "# params: " + " ".join(f"{k}={_expected_cell(v)}" for k, v in sorted(params.items()))
+    if command == "evolve":
+        assert line == "# params: delta= dim=40 g=1 n0=0 omega= t_max=10 t_steps=50 theta=0.25"
+
+
 def _mutate_jc_chart_pass(payload):
     del payload["records"][0]["charts"]["I"]["pass"]
 
@@ -884,11 +933,12 @@ def test_render_json_writes_the_stdlib_bytes(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_csv_chunk_writes_every_kind_by_the_cell_rules(data):
-    # the same columns as CSV cells, by the README's rules
+    # the same columns as CSV cells, by the README's rules, and the first
+    # value as the param of the "# params:" line
     for decl, values, col, expected in _draw_columns(data):
-        head = f"# schema: {report.SCHEMA_VERSION}\n# command: x\n# seed: 7\n# params: v={values[0]}\nv\n"
+        head = f"# schema: {report.SCHEMA_VERSION}\n# command: x\n# seed: 7\n# params: v={_expected_cell(values[0])}\nv\n"
         rows = "".join(_expected_cell(v) + "\n" for v in expected)
-        assert report.csv_chunk(decl, report.Report("x", 7, {"v": values[0]}), {"v": col}) == head + rows
+        assert report.csv_chunk(decl, decl, report.Report("x", 7, {"v": values[0]}), {"v": col}) == head + rows
 
 
 _NUMPY_DTYPES = hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.unsigned_integer_dtypes()

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hjc import fock, grassmann, jc, oracle
 from hjc.berry import ChartTag
-from hjc.config import DEFAULT
+from hjc.config import ILL_CONDITIONED, SINGULAR_THRESHOLD
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
 
 
@@ -43,11 +43,13 @@ def block(op, i, j):
     return op.full()[i * d : (i + 1) * d, j * d : (j + 1) * d]
 
 
+def max_abs(a, b) -> float:
+    """Largest entry modulus of a - b, dense arrays."""
+    return float(np.max(np.abs(a - b)))
+
+
 def radius_block(p, upper_shift, lower_shift):
-    return jc.block_diag(
-        np.diag(jc.radius_diag(p.dim, p.theta, upper_shift)).astype(complex),
-        np.diag(jc.radius_diag(p.dim, p.theta, lower_shift)).astype(complex),
-    )
+    return jc.block_diag(jc.radius_diag(p.dim, p.theta, upper_shift), jc.radius_diag(p.dim, p.theta, lower_shift))
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +188,12 @@ def test_two_step_resonance_middle():
 def test_two_step_partial_isometries():
     d = 16
     left, _, right = jc.two_step_factors(JCParams(theta=0.5, dim=d))
-    lower_deficiency = np.eye(d, dtype=complex)
-    lower_deficiency[0, 0] = 0.0
-    expected = jc.block_diag(np.eye(d, dtype=complex), lower_deficiency)
-    assert np.array_equal((left @ right).full(), expected.full())
-    top_deficiency = np.eye(d, dtype=complex)
-    top_deficiency[d - 1, d - 1] = 0.0
-    expected = jc.block_diag(np.eye(d, dtype=complex), top_deficiency)
-    assert np.array_equal((right @ left).full(), expected.full())
+    lower_deficiency = np.ones(d)
+    lower_deficiency[0] = 0.0
+    assert np.array_equal((left @ right).full(), np.diag(np.append(np.ones(d), lower_deficiency)))
+    top_deficiency = np.ones(d)
+    top_deficiency[d - 1] = 0.0
+    assert np.array_equal((right @ left).full(), np.diag(np.append(np.ones(d), top_deficiency)))
 
 
 @pytest.mark.parametrize("theta", [0.5, -0.8, 0.0])
@@ -223,8 +223,8 @@ def test_middle_unitary_diagonalizes(theta, chart):
     u = jc.middle_unitary(p, chart)
     assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-12
     _, mid, _ = jc.two_step_factors(p)
-    lam = radius_block(p, 1, 1)
-    lam = jc.block_diag(block(lam, 0, 0), -block(lam, 1, 1))
+    r1 = jc.radius_diag(d, theta, 1)
+    lam = jc.block_diag(r1, -r1)
     assert jc.block_residual((u @ lam) @ u.dagger(), mid) <= 1e-12
 
 
@@ -315,9 +315,10 @@ def sector_keys(cols):
     return list(zip(cols["chart"].tolist(), cols["row"].tolist(), cols["level"].tolist()))
 
 
-def reference_sectors(p, tol=DEFAULT):
-    """The classification of :func:`jc.singular_sectors`, entry by entry:
-    (chart, row, level, denominator, status) in the report's order."""
+def reference_sectors(p, threshold=SINGULAR_THRESHOLD):
+    """The classification of :func:`jc.singular_sectors` with the singular
+    threshold ``threshold``, entry by entry: (chart, row, level,
+    denominator, status) in the report's order."""
     d = p.dim
     entries = []
     for chart in (ChartTag.I, ChartTag.II):
@@ -325,8 +326,8 @@ def reference_sectors(p, tol=DEFAULT):
             for level, v in enumerate(den.tolist()):
                 status = (
                     "truncation" if (row, level) == (1, d - 1)
-                    else "singular" if v <= tol.singular_threshold
-                    else "ill_conditioned" if v < tol.ill_conditioned
+                    else "singular" if v <= threshold
+                    else "ill_conditioned" if v < ILL_CONDITIONED
                     else "regular"
                 )
                 entries.append((chart.value, row, level, v, status))
@@ -344,30 +345,33 @@ _EDGE_THETAS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 5e-8, -5e-8, 1.7e
         st.floats(-6e-8, 6e-8),  # the ground denominator 4 theta^2 crosses the threshold at 5e-8
         st.floats(allow_nan=False, allow_infinity=False),
     ),
-    threshold=st.sampled_from([DEFAULT.singular_threshold, 1.0, 40.0]),
+    threshold=st.sampled_from([SINGULAR_THRESHOLD, 1.0, 40.0]),
 )
-@example(d=2, theta=-0.0, threshold=DEFAULT.singular_threshold)
+@example(d=2, theta=-0.0, threshold=SINGULAR_THRESHOLD)
 @example(d=64, theta=-1.7e308, threshold=40.0)
 def test_sector_columns_match_the_reference(d, theta, threshold):
     # the array classification equals the per-entry loop, denominators bit
     # for bit, and admissible_denominators refuses exactly the reference's
     # singular (row, level) pairs of each chart (a threshold of 1 or 40
-    # makes excited levels singular too, the truncation entry excepted)
-    p, tol = JCParams(theta=theta, dim=d), replace(DEFAULT, singular_threshold=threshold)
-    ref = reference_sectors(p, tol)
-    cols = jc.singular_sectors(p, tol).columns
-    assert list(cols) == ["chart", "row", "level", "denominator", "status"]
-    assert sector_keys(cols) == [e[:3] for e in ref]
-    assert cols["status"].tolist() == [e[4] for e in ref]
-    assert np.array_equal(cols["denominator"].view(np.int64), np.array([e[3] for e in ref]).view(np.int64))
-    for chart in ChartTag:
-        bad = tuple((row, level) for c, row, level, _, status in ref if c == chart.value and status == "singular")
-        if not bad:
-            jc.admissible_denominators(p, chart, tol)
-            continue
-        with pytest.raises(SingularSectorError) as err:
-            jc.admissible_denominators(p, chart, tol)
-        assert err.value.chart is chart and err.value.sectors == bad
+    # makes excited levels singular too, the truncation entry excepted);
+    # the threshold is patched in the body, as Hypothesis refuses the
+    # function-scoped monkeypatch fixture
+    p = JCParams(theta=theta, dim=d)
+    ref = reference_sectors(p, threshold)
+    with mock.patch.object(jc, "SINGULAR_THRESHOLD", threshold):
+        cols = jc.singular_sectors(p).columns
+        assert list(cols) == ["chart", "row", "level", "denominator", "status"]
+        assert sector_keys(cols) == [e[:3] for e in ref]
+        assert cols["status"].tolist() == [e[4] for e in ref]
+        assert np.array_equal(cols["denominator"].view(np.int64), np.array([e[3] for e in ref]).view(np.int64))
+        for chart in ChartTag:
+            bad = tuple((row, level) for c, row, level, _, status in ref if c == chart.value and status == "singular")
+            if not bad:
+                jc.admissible_denominators(p, chart)
+                continue
+            with pytest.raises(SingularSectorError) as err:
+                jc.admissible_denominators(p, chart)
+            assert err.value.chart is chart and err.value.sectors == bad
 
 
 @pytest.mark.parametrize(
@@ -500,11 +504,11 @@ def test_transition_partial_isometry():
     d = 8
     phi = jc.transition_operator(d)
     prod = (phi.dagger() @ phi).full()
-    upper = np.eye(d, dtype=complex)
-    upper[0, 0] = 0.0
-    lower = np.eye(d, dtype=complex)
-    lower[d - 1, d - 1] = 0.0  # truncation artifact at the top
-    assert np.array_equal(prod, jc.block_diag(upper, lower).full())
+    upper = np.ones(d)
+    upper[0] = 0.0
+    lower = np.ones(d)
+    lower[d - 1] = 0.0  # truncation artifact at the top
+    assert np.array_equal(prod, np.diag(np.append(upper, lower)))
 
 
 def test_quantum_cocycle():
@@ -521,15 +525,10 @@ def test_quantum_cocycle():
         keep = den > 1e-14
         f[keep] = 1 / np.sqrt(den[keep])
     assert not f1[d - 1] and not f2[0]
-    core = BlockOperator(
-        (
-            (fock.annihilation(d), np.diag((theta - r1).astype(complex))),
-            (np.diag((r0 - theta).astype(complex)), fock.creation(d)),
-        )
-    )
-    v_ii = jc.block_diag(np.diag(f1).astype(complex), np.diag(f2).astype(complex)) @ core
+    core = np.block([[fock.annihilation(d), np.diag(theta - r1)], [np.diag(r0 - theta), fock.creation(d)]])
+    v_ii = np.append(f1, f2)[:, None] * core
     v_i = jc.chart_unitary(p, ChartTag.I)
-    assert jc.block_residual(v_i @ jc.transition_operator(d), v_ii) <= 1e-12
+    assert max_abs((v_i @ jc.transition_operator(d)).full(), v_ii) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +550,7 @@ def test_projector_chart_form(theta, chart):
     d = 24
     p = JCParams(theta=theta, dim=d)
     v = jc.chart_unitary(p, chart)
-    p0 = jc.block_diag(np.eye(d, dtype=complex), np.zeros((d, d), dtype=complex))
+    p0 = jc.block_diag(np.ones(d), np.zeros(d))
     assert jc.block_residual((v @ p0) @ v.dagger(), jc.projector(p)) <= 1e-12
 
 
@@ -615,7 +614,7 @@ def test_propagator_against_oracle():
     h = (p.g * jc.hamiltonian(p)).full()
     u = jc.propagator(p, 3.7)
     u_oracle = oracle.expm_hermitian(h, 3.7)
-    assert jc.block_residual(u, BlockOperator.from_full(u_oracle)) <= 1e-8
+    assert max_abs(u.full(), u_oracle) <= 1e-8
 
 
 @pytest.mark.parametrize("theta", [0.25, -0.6, 0.0])
@@ -639,7 +638,7 @@ def test_full_propagator_against_oracle():
     t = 4.2
     u = jc.full_propagator(p, t)
     u_oracle = oracle.expm_hermitian((h1 + h2).full(), t)
-    assert jc.block_residual(u, BlockOperator.from_full(u_oracle)) <= 1e-8
+    assert max_abs(u.full(), u_oracle) <= 1e-8
 
 
 @pytest.mark.parametrize("theta", [0.5, -0.5, 3.0, -4.0, 0.0, 1e-6])
@@ -652,8 +651,8 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
     w, v = oracle.eig_hermitian(h.full())
     # |H| and the projector onto the positive eigenspace (P = 0 on the
     # null space at resonance)
-    oracle_abs = BlockOperator.from_full((v * np.abs(w)) @ v.T)
-    oracle_proj = BlockOperator.from_full((v * (w > 1e-9)) @ v.T)
+    oracle_abs = (v * np.abs(w)) @ v.T
+    oracle_proj = (v * (w > 1e-9)) @ v.T
     # the oracle's eigenvectors are good to about eps ||H|| / gap, the gap
     # between the two halves of the spectrum being 2|theta| (1 at resonance)
     proj_tol = 1e-12 / min(1.0, 2 * abs(theta) or 1.0)
@@ -666,23 +665,20 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
         u, lam = dec.unitary, dec.diagonal
         assert jc.block_residual((u @ lam) @ u.dagger(), h) <= 1e-12 * max(1.0, abs(theta))
         assert jc.block_residual(u.dagger() @ u, ident) <= 1e-12
-        assert jc.block_residual((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger(), oracle_proj) <= proj_tol
-    proj = jc.projector(p)
-    assert jc.block_residual(proj, oracle_proj) <= proj_tol
+        assert max_abs(((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger()).full(), oracle_proj) <= proj_tol
+    assert max_abs(jc.projector(p).full(), oracle_proj) <= proj_tol
     plus, minus = jc.spectral_decomposition(p)
-    assert jc.block_residual(plus - minus, oracle_abs) <= 1e-12
-    assert jc.block_residual(jc.block_diag(*jc.row_radii(p)), oracle_abs) <= 1e-12
+    assert max_abs((plus - minus).full(), oracle_abs) <= 1e-12
+    assert max_abs(jc.block_diag(*jc.row_radii(p)).full(), oracle_abs) <= 1e-12
     if theta > 1e-7:
         z = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-        assert jc.block_residual(z, oracle_proj) <= proj_tol
+        assert max_abs(z.full(), oracle_proj) <= proj_tol
     for t in (0.3, 2.0, 7.5):
-        u_oracle = BlockOperator.from_full(oracle.expm_from_eig(w, v, p.g * t))
-        assert jc.block_residual(jc.propagator(p, t), u_oracle) <= 1e-12
+        assert max_abs(jc.propagator(p, t).full(), oracle.expm_from_eig(w, v, p.g * t)) <= 1e-12
     q = JCParams.from_physical(omega=1.1, delta=1.1 + 2 * 0.8 * theta, g=0.8, dim=d)
     h1, h2 = jc.full_hamiltonian(q)
     w, v = oracle.eig_hermitian((h1 + h2).full())
-    u_oracle = BlockOperator.from_full(oracle.expm_from_eig(w, v, 2.0))
-    assert jc.block_residual(jc.full_propagator(q, 2.0), u_oracle) <= 1e-12
+    assert max_abs(jc.full_propagator(q, 2.0).full(), oracle.expm_from_eig(w, v, 2.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [1, 2, 9])
@@ -722,51 +718,61 @@ def test_full_propagator_needs_frequencies():
 
 
 def test_block_operator_shape_guard():
-    with pytest.raises(ValueError):
-        BlockOperator(((np.eye(2), np.eye(3)), (np.eye(2), np.eye(2))))
+    # the level vector on offset k has length d - |k|, after any batch axes
+    for d, k, v in ((3, 0, np.ones(2)), (3, 1, np.ones(3)), (3, -2, np.ones(2)), (3, 0, np.ones((2, 4))), (3, 0, 1.0)):
+        with pytest.raises(ValueError, match=r"needs length d - \|k\|"):
+            BlockOperator(d, (({}, {k: v}), ({}, {})))
+    assert BlockOperator(3, (({}, {-2: np.ones((2, 1))}), ({}, {}))).batch == (2,)
     for x in (np.ones((6, 2)), np.ones(8, dtype=complex)):
         with pytest.raises(ValueError, match="expected a real array of 8 rows"):
             BlockOperator.identity(4).apply(x)
 
 
 def test_block_full_roundtrip(rng):
-    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    op = BlockOperator.from_full(m)
-    assert np.array_equal(op.full(), m)
+    # every level vector lands on its diagonal of its block bit for bit,
+    # signed zeros included, and every other entry is zero
+    for d in (2, 5, 9):
+        op = _random_operator(rng, d)
+        full = op.full()
+        stored = np.zeros(full.shape, dtype=bool)
+        for i, row in enumerate(op.diags):
+            for j, b in enumerate(row):
+                for k, v in b.items():
+                    assert _same_bits(np.diagonal(full[i * d : (i + 1) * d, j * d : (j + 1) * d], k).copy(), v)
+                    n = np.arange(d - abs(k))
+                    stored[i * d + n + max(0, -k), j * d + n + max(0, k)] = True
+        assert not np.any(full[~stored])
 
 
-def _random_operator(rng, d, dense):
-    # dense: every entry random, with exact zeros and -0.0 sprinkled in;
-    # structured: up to three random offsets per block
-    if dense:
-        m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
-        m[rng.random(m.shape) < 0.2] = 0.0
-        m[rng.random(m.shape) < 0.1] = complex(-0.0, -0.0)
-        return BlockOperator.from_full(m)
+def _random_operator(rng, d):
+    # up to three random offsets per block, each with a random level vector
+    # holding some exact zeros and -0.0
     diags = []
     for _ in range(2):
         row = []
         for _ in range(2):
-            offsets = rng.choice(np.arange(1 - d, d), size=rng.integers(0, 4), replace=False)
-            row.append({
-                int(k): rng.standard_normal(d - abs(k)) + 1j * rng.standard_normal(d - abs(k))
-                for k in offsets
-            })
+            block = {}
+            for k in rng.choice(np.arange(1 - d, d), size=rng.integers(0, 4), replace=False).tolist():
+                v = rng.standard_normal(d - abs(k)) + 1j * rng.standard_normal(d - abs(k))
+                v[rng.random(v.shape) < 0.2] = 0.0
+                v[rng.random(v.shape) < 0.1] = complex(-0.0, -0.0)
+                block[k] = v
+            row.append(block)
         diags.append(row)
-    return BlockOperator.from_diagonals(d, diags)
+    return BlockOperator(d, diags)
 
 
 def _slice(op, i):
     # slice i of a stack, vector by vector (an unbatched vector is shared)
     pick = lambda v: v[i] if v.ndim > 1 else v
-    return BlockOperator.from_diagonals(op.dim, [[{k: pick(v) for k, v in b.items()} for b in row] for row in op.diags])
+    return BlockOperator(op.dim, [[{k: pick(v) for k, v in b.items()} for b in row] for row in op.diags])
 
 
 def _stack(ops):
     # the stack of operators of one layout, offsets taken from the first
     first = ops[0].diags
     diags = [[{k: np.stack([op.diags[i][j][k] for op in ops]) for k in first[i][j]} for j in range(2)] for i in range(2)]
-    return BlockOperator.from_diagonals(ops[0].dim, diags, (len(ops),))
+    return BlockOperator(ops[0].dim, diags, (len(ops),))
 
 
 def _same_bits(a, b):
@@ -784,26 +790,19 @@ def _same_operator(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(2, 40),
-    dense=st.tuples(st.booleans(), st.booleans()),
-    seed=st.integers(0, 2**32 - 1),
-    batch=st.integers(1, 4),
-)
+@given(d=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 4))
 # a stack of one with length-1 diagonals times a single operator: numpy's
 # complex product of a (1, 1) and a (1,) array rounds without FMA
-@example(d=2, dense=(False, False), seed=0, batch=1)
-def test_block_operator_algebra_matches_dense(d, dense, seed, batch):
+@example(d=2, seed=0, batch=1)
+def test_block_operator_algebra_matches_dense(d, seed, batch):
     rng = np.random.default_rng(seed)
-    a, b = _random_operator(rng, d, dense[0]), _random_operator(rng, d, dense[1])
+    a, b = _random_operator(rng, d), _random_operator(rng, d)
     af, bf = a.full(), b.full()
     # the product: summation error stays under 1e-13 of |A| |B| entrywise
     assert np.all(np.abs((a @ b).full() - af @ bf) <= 1e-13 * (np.abs(af) @ np.abs(bf)))
     assert np.array_equal((a + b).full(), af + bf)
     assert np.array_equal((a - b).full(), af - bf)
     assert np.array_equal(a.dagger().full(), af.conj().T)
-    # the dense export and import are lossless, signed zeros included
-    assert np.array_equal(BlockOperator.from_full(af).full().view(np.uint64), af.view(np.uint64))
     assert a.max_abs() == np.max(np.abs(af))
     # apply: a vector and a matrix
     x = rng.standard_normal((2 * d, 3))
@@ -814,6 +813,7 @@ def test_block_operator_algebra_matches_dense(d, dense, seed, batch):
     sa = _stack([a] + [a * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
     sb = _stack([b] + [b * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
     assert sa.batch == (batch,)
+    assert _same_bits(_slice(sa, 0).full(), af)
     results = {
         "matmul": (sa @ sb, lambda s, t: s @ t),
         "add": (sa + sb, lambda s, t: s + t),
