@@ -9,10 +9,9 @@ import argparse
 
 import numpy as np
 
-from hjc import algebra as al
 from hjc import berry
 from hjc.algebra import AlgebraTag
-from hjc.berry import BasePoint, ChartTag
+from hjc.berry import ChartTag
 
 
 def main():
@@ -22,18 +21,20 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
+    eps = np.array([10.0**-k for k in range(1, args.decades + 1)])
     print(f"{'K':>2} {'eps':>10} {'cond(I)':>12} {'max|P|':>10} {'unitary ok':>10}")
     for tag in AlgebraTag:
-        u = al.random_element(tag, rng)
-        u = u / u.norm()
-        for k in range(1, args.decades + 1):
-            eps = 10.0**-k
-            p = BasePoint(u * eps, -1.0)
-            cond = berry.conditioning(p, ChartTag.I)
-            proj = berry.projector(p)
-            uni = berry.chart_unitary(p, ChartTag.I)
-            ok = berry.residual(uni.dagger() @ uni, berry.Matrix2K.identity(tag)) < 1e-9
-            print(f"{tag.name:>2} {eps:10.1e} {cond:12.4e} {proj.max_abs():10.6f} {str(ok):>10}")
+        u = rng.standard_normal(tag.dim)
+        u = u / np.linalg.norm(u)
+        pts = berry.Points.of(tag, u * eps[:, None], np.full(eps.shape, -1.0))
+        cond = berry.conditionings(pts, ChartTag.I)
+        proj = np.max(berry.norms(berry.projector_coeffs(pts)), axis=(-2, -1))
+        uni = berry.chart_coeffs(pts, ChartTag.I)
+        ident = np.zeros((2, 2, tag.dim))
+        ident[0, 0, 0] = ident[1, 1, 0] = 1.0
+        ok = berry.residual_coeffs(berry.matmul_coeffs(tag, berry.dagger_coeffs(uni), uni), ident) < 1e-9
+        for row in zip(eps, cond, proj, ok):
+            print(f"{tag.name:>2} {row[0]:10.1e} {row[1]:12.4e} {row[2]:10.6f} {str(row[3]):>10}")
         print()
 
 

@@ -6,23 +6,15 @@ the whole construction built on the detuned Jaynes-Cummings model."""
 # perfbench/tracer.py expects every layer module to be loaded.
 from . import fock  # noqa: F401
 from .algebra import AlgebraElement, AlgebraTag
-from .berry import (
-    BasePoint,
-    ChartDecomposition,
-    ChartTag,
-    DiracStringError,
-    Matrix2K,
-    PointClass,
-)
+from .berry import ChartTag, DiracStringError, Matrix2K, PointClass
 from .config import DEFAULT, Tolerances
-from .jc import BlockOperator, JCParams, SectorReport, SingularSectorError
+from .jc import BlockOperator, ChartDecomposition, JCParams, SectorReport, SingularSectorError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraElement",
     "AlgebraTag",
-    "BasePoint",
     "BlockOperator",
     "ChartDecomposition",
     "ChartTag",

@@ -15,19 +15,18 @@ as an (n, dim) array of w and an (n,) array of z, and returns an
 ``conditionings`` as vectors.  Batched products, adjoints and residual
 norms (``matmul_coeffs``, ``dagger_coeffs``, ``residual_coeffs``) contract
 the same arrays with the algebra's structure-constant tensor, derived from
-the Cayley-Dickson recursion (see :mod:`hjc.algebra`).
+the Cayley-Dickson recursion (see :mod:`hjc.algebra`).  A single point is
+the one-row ``Points.of(tag, w, z)``.
 
-The scalar API -- :class:`BasePoint`, :class:`Matrix2K` and
-``hamiltonian``, ``chart_unitary``, ``chart_decompose``,
-``transition_function``, ``projector``, ``conditioning``,
-``middle_diagonalize`` -- is the n = 1 case of those functions.  A
-:class:`Matrix2K` is one read-only (2, 2, dim) coefficient array:
+A :class:`Matrix2K` is one read-only (2, 2, dim) coefficient array:
 ``coeffs[i, j]`` holds the dim real coefficients of entry (i, j), and
 :meth:`Matrix2K.entry` views one entry as an
-:class:`~hjc.algebra.AlgebraElement`.  Every entry of every matrix built
-here lies in the (commutative, associative) subalgebra generated by a
-single element w, so the fixed left-to-right evaluation order of matrix
-products is immaterial even for octonions.
+:class:`~hjc.algebra.AlgebraElement`.  The berry pass builds its constant
+identity and diag(1, 0) with it, and the traced benchmark run wraps its
+methods by name.  Every entry of every matrix built here lies in the
+(commutative, associative) subalgebra generated by a single element w, so
+the fixed left-to-right evaluation order of matrix products is immaterial
+even for octonions.
 
 Nothing here forms a square or a sum that can overflow or underflow
 before the result does.  Norms are scaled by a power of two (exact)
@@ -42,7 +41,7 @@ whole double range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,8 +56,6 @@ __all__ = [
     "DiracStringError",
     "Matrix2K",
     "Points",
-    "BasePoint",
-    "ChartDecomposition",
     "norms",
     "classify",
     "admissible",
@@ -72,15 +69,6 @@ __all__ = [
     "matmul_coeffs",
     "dagger_coeffs",
     "residual_coeffs",
-    "hamiltonian",
-    "classify_point",
-    "chart_unitary",
-    "chart_decompose",
-    "transition_function",
-    "projector",
-    "two_step_factors",
-    "middle_diagonalize",
-    "conditioning",
 ]
 
 
@@ -247,10 +235,6 @@ class Matrix2K:
         return float(np.max(norms(self.coeffs)))
 
 
-def residual(a: Matrix2K, b: Matrix2K) -> float:
-    return (a - b).max_abs()
-
-
 # ---------------------------------------------------------------------------
 # Base points
 
@@ -278,40 +262,6 @@ class Points:
     def take(self, rows) -> "Points":
         """The points selected by an index, slice or mask."""
         return Points(self.tag, self.w[rows], self.z[rows], self.norm_w[rows], self.r[rows])
-
-
-@dataclass(frozen=True, eq=False)
-class BasePoint:
-    """A point (w, z) of K x R with its radius cached; ``batch`` is the
-    same point as one-row :class:`Points`."""
-
-    w: AlgebraElement
-    z: float
-    norm_w: float = field(init=False)
-    r: float = field(init=False)
-    batch: Points = field(init=False, repr=False)
-
-    def __post_init__(self):
-        batch = Points.of(self.w.tag, self.w.coeffs, float(self.z))
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "norm_w", float(batch.norm_w[0]))
-        object.__setattr__(self, "r", float(batch.r[0]))
-        object.__setattr__(self, "batch", batch)
-
-    @property
-    def tag(self) -> AlgebraTag:
-        return self.w.tag
-
-
-@dataclass(frozen=True)
-class ChartDecomposition:
-    """Unitary + diagonal factor pair together with the chart it came
-    from and the chart's conditioning score at the point."""
-
-    unitary: object
-    diagonal: object
-    chart: ChartTag
-    conditioning: float
 
 
 # ---------------------------------------------------------------------------
@@ -427,99 +377,3 @@ def projector_coeffs(pts: Points) -> np.ndarray:
     wi = pts.w * (0.5 / pts.r)[:, None]
     plus, minus = (_real(_half_angle(pts, chart)[0] ** 2, pts.tag.dim) for chart in ChartTag)
     return _finite(_stack(plus, conj_coeffs(wi), wi, minus))
-
-
-# ---------------------------------------------------------------------------
-# The scalar API: the one-point case of the array functions
-
-
-def classify_point(p: BasePoint) -> PointClass:
-    """Sort a point into regular / string / origin (see :func:`classify`)."""
-    return POINT_CLASSES[classify(p.batch)[0]]
-
-
-def _require_chart(pts: Points, chart: ChartTag) -> None:
-    cls = POINT_CLASSES[classify(pts)[0]]
-    if cls in _FORBIDDEN[chart]:
-        raise DiracStringError(cls, f"chart {chart.value} undefined at {cls.value} point")
-
-
-def hamiltonian(p: BasePoint) -> Matrix2K:
-    """``[[z, conj(w)], [w, -z]]``; Hermitian under the K conjugate
-    transpose.  Defined for every point, including the origin."""
-    return Matrix2K._of(p.tag, hamiltonian_coeffs(p.batch)[0])
-
-
-def conditioning(p: BasePoint, chart: ChartTag) -> float:
-    """Normalization prefactor 1/sqrt(2r(r +- z)) of the chart unitary; see
-    :func:`conditionings`.  Returns ``inf`` on the string."""
-    return float(conditionings(p.batch, chart)[0])
-
-
-def chart_unitary(p: BasePoint, chart: ChartTag) -> Matrix2K:
-    """Diagonalizing unitary of the chart (see :func:`chart_coeffs`).
-    Raises :class:`DiracStringError` on the chart's string and at the
-    origin."""
-    _require_chart(p.batch, chart)
-    return Matrix2K._of(p.tag, chart_coeffs(p.batch, chart)[0])
-
-
-def chart_decompose(p: BasePoint, chart: ChartTag) -> ChartDecomposition:
-    """Unitary and eigenvalue factor diag(r, -r) for the chart."""
-    u = chart_unitary(p, chart)
-    d = Matrix2K._of(p.tag, eigenvalue_coeffs(p.batch)[0])
-    return ChartDecomposition(u, d, chart, conditioning(p, chart))
-
-
-def transition_function(p: BasePoint) -> Matrix2K:
-    """diag(conj(w)/||w||, w/||w||) relating the two charts; undefined on
-    the whole z axis."""
-    cls = classify_point(p)
-    if cls is not PointClass.REGULAR:
-        raise DiracStringError(cls, "transition function undefined on the z axis")
-    return Matrix2K._of(p.tag, transition_coeffs(p.batch)[0])
-
-
-def projector(p: BasePoint) -> Matrix2K:
-    """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]].
-
-    Globally defined for r > 0 -- in particular on both strings, where the
-    chart unitaries fail.  Refuses the degenerate origin.
-    """
-    if p.r <= STRING_THRESHOLD:
-        raise DiracStringError(PointClass.ORIGIN, "projector undefined at the origin")
-    return Matrix2K._of(p.tag, projector_coeffs(p.batch)[0])
-
-
-def two_step_factors(p: BasePoint):
-    """Split H = L M L* with L = diag(1, w/||w||) and the real middle
-    matrix M = [[z, ||w||], [||w||, -z]] common to all four algebras.
-
-    The outer factor needs w != 0; the middle matrix is where the strings
-    live (see :func:`middle_diagonalize`).
-    """
-    cls = classify_point(p)
-    if cls is not PointClass.REGULAR:
-        raise DiracStringError(cls, "two-step factors need ||w|| > 0")
-    tag = p.tag
-    left = Matrix2K.diag(one(tag), p.w / p.norm_w)
-    real = Points.of(tag, _real(np.array(p.norm_w), tag.dim), p.z)
-    mid = Matrix2K._of(tag, hamiltonian_coeffs(real)[0])
-    return left, mid, left.dagger()
-
-
-def middle_diagonalize(norm_w: float, z: float, chart: ChartTag) -> ChartDecomposition:
-    """Real orthogonal diagonalization of [[z, m], [m, -z]], m = ||w||.
-
-    This is the matrix that actually carries the Dirac strings: the
-    chart-I factor needs r + z > 0, chart II needs r - z > 0.  It is the
-    chart unitary of the real point (m, z), so it exists exactly where
-    :func:`chart_unitary` does.  Factors are plain numpy arrays.
-    """
-    if norm_w < 0.0:
-        raise ValueError("norm_w must be non-negative")
-    pts = Points.of(AlgebraTag.R, norm_w, z)
-    _require_chart(pts, chart)
-    r = float(pts.r[0])
-    u = chart_coeffs(pts, chart)[0, :, :, 0]
-    return ChartDecomposition(u, np.diag([r, -r]), chart, float(conditionings(pts, chart)[0]))

@@ -34,6 +34,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from typing import Optional
@@ -668,16 +669,23 @@ def _open_out(path: str):
     """(file, temporary path, target) of ``--out``: the report is written
     to stdout, straight to a device or pipe, or to a temporary file beside
     a regular target file, which replaces the target once the report is
-    complete (mode kept, or new-file mode for a new target)."""
+    complete (mode kept, or new-file mode for a new target).  The given
+    path is what decides: /dev/stdout on a pipe resolves to a
+    /proc/<pid>/fd/pipe:[N] name that cannot be opened, so only a regular
+    file's path is resolved."""
     if path == "-":
         return sys.stdout, None, None
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return open(path, "w"), None, None
     target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        return open(target, "w"), None, None
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
-    os.chmod(tmp, os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask)
+    os.chmod(tmp, mode & 0o7777 if mode is not None else 0o666 & ~umask)
     return os.fdopen(fd, "w"), tmp, target
 
 

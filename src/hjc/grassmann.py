@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraTag
-from .berry import BasePoint, ChartTag, DiracStringError, PointClass, classify_point, half_sum
+from .algebra import AlgebraTag
+from .berry import POINT_CLASSES, ChartTag, DiracStringError, Points, admissible, classify, half_sum
 from .jc import BlockOperator, JCParams, admissible_denominators
 
 __all__ = [
@@ -76,22 +76,24 @@ def projector_from_coordinate(z) -> BlockOperator:
 def classical_coordinate(x: float, y: float, z: float) -> complex:
     """Scalar limit (x + iy)/(r + z); blows up on the lower string.
 
-    Refused exactly where :func:`hjc.berry.classify_point` puts the point
-    on the lower string or at the origin.  r + z is never formed: the
-    quotient is taken against h = (r + |z|)/2 of :func:`hjc.berry.half_sum`,
-    as (x + iy)/2h where r + z = 2h and as (x + iy)/||w|| * 2h/||w|| where
-    r + z = ||w||^2/2h cancels, so the coordinate is finite arbitrarily
-    close to the string and over the whole double range.
+    Refused exactly where :func:`hjc.berry.classify` puts the point on the
+    lower string or at the origin, where chart I is not admissible.  r + z
+    is never formed: the quotient is taken against h = (r + |z|)/2 of
+    :func:`hjc.berry.half_sum`, as (x + iy)/2h where r + z = 2h and as
+    (x + iy)/||w|| * 2h/||w|| where r + z = ||w||^2/2h cancels, so the
+    coordinate is finite arbitrarily close to the string and over the whole
+    double range.
     """
-    point = BasePoint(AlgebraElement(AlgebraTag.C, [x, y]), z)
-    cls = classify_point(point)
-    if cls in (PointClass.LOWER_STRING, PointClass.ORIGIN):
-        raise DiracStringError(cls, "classical coordinate undefined where r + z = 0")
-    half, same = half_sum(point.batch, ChartTag.I)
+    pts = Points.of(AlgebraTag.C, [x, y], z)
+    code = classify(pts)
+    if not admissible(code, ChartTag.I)[0]:
+        raise DiracStringError(POINT_CLASSES[code[0]], "classical coordinate undefined where r + z = 0")
+    half, same = half_sum(pts, ChartTag.I)
     h = float(half[0])
     if same[0]:
         return complex(x, y) / h * 0.5
-    return complex(x, y) / point.norm_w * (h / point.norm_w * 2.0)
+    norm_w = float(pts.norm_w[0])
+    return complex(x, y) / norm_w * (h / norm_w * 2.0)
 
 
 def classical_projector_from_coordinate(zc: complex) -> np.ndarray:

@@ -64,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from .berry import ChartDecomposition, ChartTag
+from .berry import ChartTag
 from .config import ILL_CONDITIONED, SINGULAR_THRESHOLD
 
 __all__ = [
@@ -73,6 +73,7 @@ __all__ = [
     "SECTOR_STATUSES",
     "SectorReport",
     "SingularSectorError",
+    "ChartDecomposition",
     "block_diag",
     "block_residual",
     "radius_diag",
@@ -585,6 +586,17 @@ def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
     if chart is ChartTag.I:
         return block_diag(r1, -r2)
     return block_diag(r2, -r1)
+
+
+@dataclass(frozen=True)
+class ChartDecomposition:
+    """Unitary + diagonal factor pair together with the chart it came
+    from and the chart's conditioning score."""
+
+    unitary: BlockOperator
+    diagonal: BlockOperator
+    chart: ChartTag
+    conditioning: float
 
 
 def chart_decompose(p: JCParams, chart: ChartTag) -> ChartDecomposition:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eig_hermitian", "eigvals_hermitian", "expm_from_eig", "expm_hermitian"]
+__all__ = ["eig_hermitian", "eigvals_hermitian", "expm_from_eig"]
 
 # Tolerance of the self-checks that grow with the dimension n, in units of
 # n * EPS (times ||m||_F, or its square, where a check compares values of
@@ -120,9 +120,3 @@ def expm_from_eig(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         return (v * phases) @ v.conj().T
     right = np.multiply(phases[:, None], v.T, order="C")  # the float view interleaves re/im
     return (v @ right.view(float)).view(complex)
-
-
-def expm_hermitian(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t m) through the eigendecomposition of a Hermitian m."""
-    return expm_from_eig(*eig_hermitian(m), t)
-

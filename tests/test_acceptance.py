@@ -5,6 +5,7 @@ One test per criterion, each printing a single PASS/FAIL line (run with
 here, not configurable.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 from hjc import algebra as al
 from hjc import berry, fock, grassmann, jc, oracle
 from hjc.algebra import AlgebraTag
-from hjc.berry import BasePoint, ChartTag, DiracStringError, Matrix2K
+from hjc.berry import ChartTag, Points
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
 
 SEED = 20260811
@@ -73,44 +74,49 @@ def test_01_composition_algebra_suite():
     )
 
 
+def _residual(a, b) -> float:
+    """Largest entry norm of a - b, one-row (1, 2, 2, dim) arrays."""
+    return float(berry.residual_coeffs(a, b)[0])
+
+
 def test_02_classical_chart_suite():
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
+    admissible = True
     for tag in TAGS:
-        ident = Matrix2K.identity(tag)
-        p0 = Matrix2K.diag(al.one(tag), al.zero(tag))
+        mm = functools.partial(berry.matmul_coeffs, tag)
+        ident = np.eye(2)[:, :, None] * al.one(tag).coeffs
+        p0 = np.diag([1.0, 0.0])[:, :, None] * al.one(tag).coeffs
         for _ in range(100):
-            p = BasePoint(al.random_element(tag, rng), float(rng.standard_normal()))
-            h = berry.hamiltonian(p)
-            proj = berry.projector(p)
+            p = Points.of(tag, rng.standard_normal(tag.dim), float(rng.standard_normal()))
+            code = berry.classify(p)
+            h = berry.hamiltonian_coeffs(p)
+            proj = berry.projector_coeffs(p)
             worst = max(
                 worst,
-                berry.residual(proj @ proj, proj),
-                berry.residual(proj.dagger(), proj),
+                _residual(mm(proj, proj), proj),
+                _residual(berry.dagger_coeffs(proj), proj),
             )
             units = {}
             for chart in ChartTag:
-                dec = berry.chart_decompose(p, chart)
-                u, d = dec.unitary, dec.diagonal
+                admissible = admissible and bool(berry.admissible(code, chart)[0])
+                u, d = berry.chart_coeffs(p, chart), berry.eigenvalue_coeffs(p)
+                ud = berry.dagger_coeffs(u)
                 units[chart] = u
                 worst = max(
                     worst,
-                    berry.residual((u @ d) @ u.dagger(), h),
-                    berry.residual(u.dagger() @ u, ident),
-                    berry.residual((u @ p0) @ u.dagger(), proj),
+                    _residual(mm(mm(u, d), ud), h),
+                    _residual(mm(ud, u), ident),
+                    _residual(mm(mm(u, p0), ud), proj),
                 )
-            phi = berry.transition_function(p)
-            worst = max(worst, berry.residual(units[ChartTag.I] @ phi, units[ChartTag.II]))
-    string_errors = 0
-    try:
-        berry.chart_unitary(BasePoint(al.zero(AlgebraTag.C), -1.0), ChartTag.I)
-    except DiracStringError:
-        string_errors += 1
-    try:
-        berry.chart_unitary(BasePoint(al.zero(AlgebraTag.C), 1.0), ChartTag.II)
-    except DiracStringError:
-        string_errors += 1
-    ok = worst <= 1e-12 and string_errors == 2
+            phi = berry.transition_coeffs(p)
+            worst = max(worst, _residual(mm(units[ChartTag.I], phi), units[ChartTag.II]))
+    # each chart is refused on its own string
+    strings = Points.of(AlgebraTag.C, np.zeros((2, 2)), [-1.0, 1.0])
+    string_refusals = sum(
+        not berry.admissible(berry.classify(strings), chart)[i] for i, chart in enumerate(ChartTag)
+    )
+    ok = worst <= 1e-12 and admissible and string_refusals == 2
     _verdict(2, "classical charts", ok, f"max residual {worst:.2e}")
 
 
@@ -119,13 +125,13 @@ def test_03_string_divergence():
     ok = True
     worst_growth = math.inf
     for tag in TAGS:
-        u = al.random_element(tag, rng)
-        u = u / u.norm()
+        u = rng.standard_normal(tag.dim)
+        u = u / np.linalg.norm(u)
         conds = []
         for eps in (1e-2, 1e-3, 1e-4):
-            p = BasePoint(u * eps, -1.0)
-            conds.append(berry.conditioning(p, ChartTag.I))
-            ok = ok and berry.projector(p).max_abs() <= 1.0
+            p = Points.of(tag, u * eps, -1.0)
+            conds.append(berry.conditionings(p, ChartTag.I)[0])
+            ok = ok and np.max(berry.norms(berry.projector_coeffs(p))) <= 1.0
         growth = min(conds[1] / conds[0], conds[2] / conds[1])
         worst_growth = min(worst_growth, growth)
         ok = ok and conds[1] >= 10.0 * conds[0] and conds[2] >= 10.0 * conds[1]
@@ -298,14 +304,8 @@ def test_09_grassmann_round_trip():
         scalar_form = grassmann.classical_projector_from_coordinate(
             grassmann.classical_coordinate(x, y, z)
         )
-        chart_form = berry.projector(BasePoint(al.AlgebraElement(AlgebraTag.C, [x, y]), z))
-        ref = np.array(
-            [
-                [chart_form.entry(i, j).coeffs[0] + 1j * chart_form.entry(i, j).coeffs[1]
-                 for j in range(2)]
-                for i in range(2)
-            ]
-        )
+        chart_form = berry.projector_coeffs(Points.of(AlgebraTag.C, [x, y], z))[0]
+        ref = chart_form[..., 0] + 1j * chart_form[..., 1]
         worst_classical = max(worst_classical, float(np.max(np.abs(scalar_form - ref))))
     ok = (
         worst_forms <= 1e-13

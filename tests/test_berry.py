@@ -1,3 +1,7 @@
+"""The classical charts, transition function, projector and two-step split,
+each checked on one-row :class:`hjc.berry.Points` through the array
+functions; entries are read from the (1, 2, 2, dim) coefficient arrays."""
+
 import math
 
 import numpy as np
@@ -8,28 +12,79 @@ from hypothesis import strategies as st
 from hjc import algebra as al
 from hjc import berry
 from hjc.algebra import AlgebraTag
-from hjc.berry import BasePoint, ChartTag, DiracStringError, Matrix2K, PointClass
+from hjc.berry import POINT_CLASSES, ChartTag, Matrix2K, PointClass, Points
 from hjc.config import DEFAULT
 
 TAGS = list(AlgebraTag)
 
 
 def cpoint(x, y, z):
-    return BasePoint(al.AlgebraElement(AlgebraTag.C, [x, y]), z)
+    return Points.of(AlgebraTag.C, [x, y], z)
 
 
-def to_complex(m: Matrix2K) -> np.ndarray:
-    # complex representation, valid for tags R and C only
-    out = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            c = m.entry(i, j).coeffs
-            out[i, j] = c[0] + (1j * c[1] if c.size > 1 else 0.0)
-    return out
+def to_complex(m: np.ndarray) -> np.ndarray:
+    # complex representation of (..., 2, 2, dim) coefficients, valid for
+    # tags R and C only
+    return m[..., 0] + (1j * m[..., 1] if m.shape[-1] > 1 else 0.0)
 
 
 def random_regular_point(tag, rng):
-    return BasePoint(al.random_element(tag, rng), float(rng.standard_normal()))
+    return Points.of(tag, rng.standard_normal(tag.dim), float(rng.standard_normal()))
+
+
+def point_class(pts) -> PointClass:
+    return POINT_CLASSES[berry.classify(pts)[0]]
+
+
+def chart_ok(pts, chart) -> bool:
+    return bool(berry.admissible(berry.classify(pts), chart)[0])
+
+
+def identity(tag) -> np.ndarray:
+    return np.eye(2)[:, :, None] * al.one(tag).coeffs
+
+
+def upper_projector(tag) -> np.ndarray:
+    """diag(1, 0)."""
+    return np.diag([1.0, 0.0])[:, :, None] * al.one(tag).coeffs
+
+
+def mul(tag, *factors) -> np.ndarray:
+    """Left-to-right product of stacked 2x2 matrices."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = berry.matmul_coeffs(tag, out, f)
+    return out
+
+
+def conj_by(tag, u, d) -> np.ndarray:
+    """u d u*."""
+    return mul(tag, u, d, berry.dagger_coeffs(u))
+
+
+def residual(a, b) -> float:
+    return float(np.max(berry.residual_coeffs(a, b)))
+
+
+def max_abs(m) -> float:
+    return float(np.max(berry.norms(m)))
+
+
+def two_step_factors(pts):
+    """(L, M) of the split H = L M L* with L = diag(1, w/||w||), the lower
+    entry of the transition function, and the real middle matrix
+    M = [[z, ||w||], [||w||, -z]]: the Hamiltonian of the real point
+    (||w||, z), common to all four algebras."""
+    left = berry.transition_coeffs(pts)
+    left[:, 0, 0] = al.one(pts.tag).coeffs
+    mid = berry.hamiltonian_coeffs(Points.of(pts.tag, pts.norm_w[:, None] * al.one(pts.tag).coeffs, pts.z))
+    return left, mid
+
+
+def middle_point(norm_w, z):
+    """The real point (||w||, z) whose chart unitaries diagonalize the
+    middle matrix [[z, ||w||], [||w||, -z]]."""
+    return Points.of(AlgebraTag.R, norm_w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +92,7 @@ def random_regular_point(tag, rng):
 
 
 def test_hamiltonian_sigma3_case():
-    h = berry.hamiltonian(cpoint(0.0, 0.0, 1.0))
+    h = berry.hamiltonian_coeffs(cpoint(0.0, 0.0, 1.0))[0]
     assert np.array_equal(to_complex(h), np.diag([1.0, -1.0]).astype(complex))
 
 
@@ -48,16 +103,16 @@ def test_hamiltonian_matches_pauli_expansion(rng):
     s3 = np.diag([1.0, -1.0]).astype(complex)
     for _ in range(20):
         x, y, z = rng.standard_normal(3)
-        h = berry.hamiltonian(cpoint(x, y, z))
+        h = berry.hamiltonian_coeffs(cpoint(x, y, z))[0]
         assert np.max(np.abs(to_complex(h) - (x * s1 + y * s2 + z * s3))) == 0.0
 
 
 def test_hamiltonian_quaternion_entries():
     w = al.basis(AlgebraTag.H, 1) + al.basis(AlgebraTag.H, 2)  # i + j
-    h = berry.hamiltonian(BasePoint(w, 0.0))
-    assert np.array_equal(h.entry(0, 1).coeffs, [0.0, -1.0, -1.0, 0.0])
-    assert np.array_equal(h.entry(1, 0).coeffs, [0.0, 1.0, 1.0, 0.0])
-    assert h.entry(0, 0).norm() == 0.0
+    h = berry.hamiltonian_coeffs(Points.of(AlgebraTag.H, w.coeffs, 0.0))[0]
+    assert np.array_equal(h[0, 1], [0.0, -1.0, -1.0, 0.0])
+    assert np.array_equal(h[1, 0], [0.0, 1.0, 1.0, 0.0])
+    assert berry.norms(h[0, 0]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +130,7 @@ def test_hamiltonian_quaternion_entries():
     ],
 )
 def test_classify_point(x, y, z, expected):
-    assert berry.classify_point(cpoint(x, y, z)) is expected
+    assert point_class(cpoint(x, y, z)) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -83,49 +138,51 @@ def test_classify_point(x, y, z, expected):
 
 
 def test_chart_I_north_pole_is_identity():
-    u = berry.chart_unitary(cpoint(0.0, 0.0, 1.0), ChartTag.I)
+    u = berry.chart_coeffs(cpoint(0.0, 0.0, 1.0), ChartTag.I)[0]
     assert np.max(np.abs(to_complex(u) - np.eye(2))) <= 1e-15
 
 
 def test_chart_I_equator_hadamard_like():
-    u = berry.chart_unitary(cpoint(1.0, 0.0, 0.0), ChartTag.I)
+    u = berry.chart_coeffs(cpoint(1.0, 0.0, 0.0), ChartTag.I)[0]
     expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     assert np.max(np.abs(to_complex(u) - expected)) <= 1e-15
 
 
 def test_chart_I_on_lower_string_raises():
-    with pytest.raises(DiracStringError) as err:
-        berry.chart_unitary(cpoint(0.0, 0.0, -1.0), ChartTag.I)
-    assert err.value.point_class is PointClass.LOWER_STRING
+    # chart I is not admissible there
+    p = cpoint(0.0, 0.0, -1.0)
+    assert not chart_ok(p, ChartTag.I)
+    assert point_class(p) is PointClass.LOWER_STRING
 
 
 def test_chart_II_on_upper_string_raises():
-    with pytest.raises(DiracStringError) as err:
-        berry.chart_unitary(cpoint(0.0, 0.0, 1.0), ChartTag.II)
-    assert err.value.point_class is PointClass.UPPER_STRING
+    # chart II is not admissible there
+    p = cpoint(0.0, 0.0, 1.0)
+    assert not chart_ok(p, ChartTag.II)
+    assert point_class(p) is PointClass.UPPER_STRING
 
 
 def test_charts_refuse_origin():
+    p = cpoint(0.0, 0.0, 0.0)
     for chart in ChartTag:
-        with pytest.raises(DiracStringError) as err:
-            berry.chart_unitary(cpoint(0.0, 0.0, 0.0), chart)
-        assert err.value.point_class is PointClass.ORIGIN
+        assert not chart_ok(p, chart)
+    assert point_class(p) is PointClass.ORIGIN
 
 
 def test_chart_decompose_eigenvalues_against_eigh():
     p = cpoint(1.0, 2.0, 2.0)
-    dec = berry.chart_decompose(p, ChartTag.I)
-    evals = np.linalg.eigvalsh(to_complex(berry.hamiltonian(p)))
+    assert chart_ok(p, ChartTag.I)
+    evals = np.linalg.eigvalsh(to_complex(berry.hamiltonian_coeffs(p)[0]))
     assert np.max(np.abs(np.sort(evals) - np.array([-3.0, 3.0]))) <= 1e-12
-    d = to_complex(dec.diagonal)
+    d = to_complex(berry.eigenvalue_coeffs(p)[0])
     assert np.max(np.abs(d - np.diag([3.0, -3.0]))) <= 1e-12
 
 
 def test_chart_decompose_real_axis_point():
-    p = BasePoint(al.zero(AlgebraTag.R), 5.0)
-    dec = berry.chart_decompose(p, ChartTag.I)
-    assert np.array_equal(to_complex(dec.unitary), np.eye(2).astype(complex))
-    assert np.array_equal(to_complex(dec.diagonal), np.diag([5.0, -5.0]).astype(complex))
+    p = Points.of(AlgebraTag.R, 0.0, 5.0)
+    assert chart_ok(p, ChartTag.I)
+    assert np.array_equal(to_complex(berry.chart_coeffs(p, ChartTag.I)[0]), np.eye(2).astype(complex))
+    assert np.array_equal(to_complex(berry.eigenvalue_coeffs(p)[0]), np.diag([5.0, -5.0]).astype(complex))
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -133,21 +190,21 @@ def test_chart_decompose_real_axis_point():
 def test_chart_reconstruction_all_tags(tag, chart, rng):
     for _ in range(10):
         p = random_regular_point(tag, rng)
-        dec = berry.chart_decompose(p, chart)
-        u, d = dec.unitary, dec.diagonal
-        h = berry.hamiltonian(p)
-        assert berry.residual((u @ d) @ u.dagger(), h) <= 1e-12
-        assert berry.residual(u.dagger() @ u, Matrix2K.identity(tag)) <= 1e-12
+        assert chart_ok(p, chart)
+        u, d = berry.chart_coeffs(p, chart), berry.eigenvalue_coeffs(p)
+        h = berry.hamiltonian_coeffs(p)
+        assert residual(conj_by(tag, u, d), h) <= 1e-12
+        assert residual(mul(tag, berry.dagger_coeffs(u), u), identity(tag)) <= 1e-12
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_eigenvector_columns(tag, rng):
     # first chart-I column carries eigenvalue +r, second -r
     p = random_regular_point(tag, rng)
-    u = berry.chart_unitary(p, ChartTag.I)
-    h = berry.hamiltonian(p)
-    d = Matrix2K.diag(al.scalar(tag, p.r), al.scalar(tag, -p.r))
-    assert berry.residual(h @ u, u @ d) <= 1e-12
+    u = berry.chart_coeffs(p, ChartTag.I)
+    h = berry.hamiltonian_coeffs(p)
+    d = np.diag([p.r[0], -p.r[0]])[:, :, None] * al.one(tag).coeffs
+    assert residual(mul(tag, h, u), mul(tag, u, d)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -157,38 +214,38 @@ def test_eigenvector_columns(tag, rng):
 def test_transition_complex_formula(rng):
     for _ in range(10):
         x, y, z = rng.standard_normal(3)
-        phi = to_complex(berry.transition_function(cpoint(x, y, z)))
+        phi = to_complex(berry.transition_coeffs(cpoint(x, y, z))[0])
         n = math.hypot(x, y)
         expected = np.diag([complex(x, -y) / n, complex(x, y) / n])
         assert np.max(np.abs(phi - expected)) <= 1e-15
 
 
 def test_transition_real_positive_is_identity():
-    phi = berry.transition_function(cpoint(2.0, 0.0, 0.7))
-    assert berry.residual(phi, Matrix2K.identity(AlgebraTag.C)) <= 1e-15
+    phi = berry.transition_coeffs(cpoint(2.0, 0.0, 0.7))
+    assert residual(phi, identity(AlgebraTag.C)) <= 1e-15
 
 
 def test_transition_unitary_quaternion(rng):
     p = random_regular_point(AlgebraTag.H, rng)
-    phi = berry.transition_function(p)
-    assert berry.residual(phi.dagger() @ phi, Matrix2K.identity(AlgebraTag.H)) <= 1e-13
+    phi = berry.transition_coeffs(p)
+    assert residual(mul(AlgebraTag.H, berry.dagger_coeffs(phi), phi), identity(AlgebraTag.H)) <= 1e-13
 
 
 def test_transition_undefined_on_axis():
-    with pytest.raises(DiracStringError):
-        berry.transition_function(cpoint(0.0, 0.0, 1.5))
+    # the transition function lives on the regular points, off the z axis
+    assert point_class(cpoint(0.0, 0.0, 1.5)) is not PointClass.REGULAR
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_cocycle(tag, rng):
     for _ in range(10):
         p = random_regular_point(tag, rng)
-        ui = berry.chart_unitary(p, ChartTag.I)
-        uii = berry.chart_unitary(p, ChartTag.II)
-        phi = berry.transition_function(p)
-        assert berry.residual(ui @ phi, uii) <= 1e-12
+        ui = berry.chart_coeffs(p, ChartTag.I)
+        uii = berry.chart_coeffs(p, ChartTag.II)
+        phi = berry.transition_coeffs(p)
+        assert residual(mul(tag, ui, phi), uii) <= 1e-12
         # phi really is U_I+ U_II
-        assert berry.residual(ui.dagger() @ uii, phi) <= 1e-12
+        assert residual(mul(tag, berry.dagger_coeffs(ui), uii), phi) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +253,37 @@ def test_cocycle(tag, rng):
 
 
 def test_projector_poles():
-    north = berry.projector(cpoint(0.0, 0.0, 1.0))
-    south = berry.projector(cpoint(0.0, 0.0, -1.0))
+    north = berry.projector_coeffs(cpoint(0.0, 0.0, 1.0))[0]
+    south = berry.projector_coeffs(cpoint(0.0, 0.0, -1.0))[0]
     assert np.array_equal(to_complex(north), np.diag([1.0, 0.0]).astype(complex))
     assert np.array_equal(to_complex(south), np.diag([0.0, 1.0]).astype(complex))
 
 
 def test_projector_refuses_origin():
-    with pytest.raises(DiracStringError) as err:
-        berry.projector(cpoint(0.0, 0.0, 0.0))
-    assert err.value.point_class is PointClass.ORIGIN
+    # the projector is defined away from the origin only
+    assert point_class(cpoint(0.0, 0.0, 0.0)) is PointClass.ORIGIN
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_projector_properties(tag, rng):
-    p0 = Matrix2K.diag(al.one(tag), al.zero(tag))
+    p0 = upper_projector(tag)
     for _ in range(10):
         p = random_regular_point(tag, rng)
-        proj = berry.projector(p)
-        assert berry.residual(proj @ proj, proj) <= 1e-12
-        assert berry.residual(proj.dagger(), proj) <= 1e-12
+        proj = berry.projector_coeffs(p)
+        assert residual(mul(tag, proj, proj), proj) <= 1e-12
+        assert residual(berry.dagger_coeffs(proj), proj) <= 1e-12
         for chart in ChartTag:
-            u = berry.chart_unitary(p, chart)
-            assert berry.residual((u @ p0) @ u.dagger(), proj) <= 1e-12
+            u = berry.chart_coeffs(p, chart)
+            assert residual(conj_by(tag, u, p0), proj) <= 1e-12
 
 
 def test_projector_finite_on_strings():
     # chart I fails on the lower string, the projector does not
     p = cpoint(0.0, 0.0, -4.0)
-    proj = berry.projector(p)
-    assert berry.residual(proj @ proj, proj) <= 1e-12
-    assert proj.max_abs() <= 1.0 + 1e-15
+    assert point_class(p) is PointClass.LOWER_STRING
+    proj = berry.projector_coeffs(p)
+    assert residual(mul(AlgebraTag.C, proj, proj), proj) <= 1e-12
+    assert max_abs(proj) <= 1.0 + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -234,52 +291,57 @@ def test_projector_finite_on_strings():
 
 
 def test_two_step_complex_real_w():
-    left, mid, right = berry.two_step_factors(cpoint(1.0, 0.0, 0.0))
-    assert np.array_equal(to_complex(left), np.eye(2).astype(complex))
-    assert np.array_equal(to_complex(mid), np.array([[0.0, 1.0], [1.0, 0.0]]).astype(complex))
-    assert np.array_equal(to_complex(right), np.eye(2).astype(complex))
+    left, mid = two_step_factors(cpoint(1.0, 0.0, 0.0))
+    assert np.array_equal(to_complex(left[0]), np.eye(2).astype(complex))
+    assert np.array_equal(to_complex(mid[0]), np.array([[0.0, 1.0], [1.0, 0.0]]).astype(complex))
+    assert np.array_equal(to_complex(berry.dagger_coeffs(left)[0]), np.eye(2).astype(complex))
 
 
 def test_two_step_quaternion_example():
     w = 2.0 * al.basis(AlgebraTag.H, 3)  # 2k
-    _, mid, _ = berry.two_step_factors(BasePoint(w, 3.0))
-    assert mid.entry(0, 0).coeffs[0] == 3.0
-    assert mid.entry(0, 1).coeffs[0] == 2.0
-    assert mid.entry(1, 0).coeffs[0] == 2.0
-    assert mid.entry(1, 1).coeffs[0] == -3.0
-    assert all(np.max(np.abs(mid.entry(i, j).coeffs[1:])) == 0.0 for i in range(2) for j in range(2))
+    _, mid = two_step_factors(Points.of(AlgebraTag.H, w.coeffs, 3.0))
+    mid = mid[0]
+    assert mid[0, 0, 0] == 3.0
+    assert mid[0, 1, 0] == 2.0
+    assert mid[1, 0, 0] == 2.0
+    assert mid[1, 1, 0] == -3.0
+    assert np.max(np.abs(mid[..., 1:])) == 0.0
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_two_step_reconstruction(tag, rng):
     for _ in range(10):
         p = random_regular_point(tag, rng)
-        left, mid, right = berry.two_step_factors(p)
-        assert berry.residual((left @ mid) @ right, berry.hamiltonian(p)) <= 1e-12
+        left, mid = two_step_factors(p)
+        assert residual(conj_by(tag, left, mid), berry.hamiltonian_coeffs(p)) <= 1e-12
+        # chart I splits the same way, U_I = L U_mid L*, with U_mid chart I
+        # of the real point (||w||, z)
+        u_mid = berry.chart_coeffs(middle_point(p.norm_w[0], p.z[0]), ChartTag.I)
+        u_mid = u_mid[..., 0, None] * al.one(tag).coeffs
+        assert residual(conj_by(tag, left, u_mid), berry.chart_coeffs(p, ChartTag.I)) <= 1e-12
 
 
 def test_two_step_needs_nonzero_w():
-    with pytest.raises(DiracStringError):
-        berry.two_step_factors(cpoint(0.0, 0.0, 1.0))
+    # L = diag(1, w/||w||) is the transition function's, defined at regular
+    # points only
+    assert point_class(cpoint(0.0, 0.0, 1.0)) is not PointClass.REGULAR
 
 
 def test_middle_diagonalize_north():
-    dec = berry.middle_diagonalize(0.0, 1.0, ChartTag.I)
-    assert np.array_equal(dec.unitary, np.eye(2))
+    u = berry.chart_coeffs(middle_point(0.0, 1.0), ChartTag.I)[0, :, :, 0]
+    assert np.array_equal(u, np.eye(2))
 
 
 def test_middle_diagonalize_equator():
-    dec = berry.middle_diagonalize(1.0, 0.0, ChartTag.I)
+    u = berry.chart_coeffs(middle_point(1.0, 0.0), ChartTag.I)[0, :, :, 0]
     expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    assert np.max(np.abs(dec.unitary - expected)) <= 1e-15
+    assert np.max(np.abs(u - expected)) <= 1e-15
 
 
 def test_middle_diagonalize_string():
-    with pytest.raises(DiracStringError) as err:
-        berry.middle_diagonalize(0.0, -1.0, ChartTag.I)
-    assert err.value.point_class is PointClass.LOWER_STRING
-    with pytest.raises(DiracStringError):
-        berry.middle_diagonalize(0.0, 1.0, ChartTag.II)
+    assert not chart_ok(middle_point(0.0, -1.0), ChartTag.I)
+    assert point_class(middle_point(0.0, -1.0)) is PointClass.LOWER_STRING
+    assert not chart_ok(middle_point(0.0, 1.0), ChartTag.II)
 
 
 @pytest.mark.parametrize("z", [-1.0, -1e-8, 1e-8, 1.0])
@@ -288,29 +350,22 @@ def test_middle_diagonalize_string():
 def test_middle_diagonalize_admissible_where_chart_unitary_is(chart, norm_w, z):
     # one string criterion for both: near a string, regular points keep
     # their chart even where 2r(r +- z) is far below 1e-14
-    try:
-        berry.chart_unitary(cpoint(norm_w, 0.0, z), chart)
-        chart_ok = True
-    except DiracStringError:
-        chart_ok = False
-    try:
-        u = berry.middle_diagonalize(norm_w, z, chart).unitary
-    except DiracStringError:
-        assert not chart_ok
-        return
-    assert chart_ok
-    assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
+    real = middle_point(norm_w, z)
+    assert chart_ok(real, chart) == chart_ok(cpoint(norm_w, 0.0, z), chart)
+    if chart_ok(real, chart):
+        u = berry.chart_coeffs(real, chart)[0, :, :, 0]
+        assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
 
 
 def test_middle_diagonalize_reconstruction(rng):
     for _ in range(20):
         m = abs(rng.standard_normal())
         z = float(rng.standard_normal())
+        real = middle_point(m, z)
         for chart in ChartTag:
-            dec = berry.middle_diagonalize(m, z, chart)
+            u, r = berry.chart_coeffs(real, chart)[0, :, :, 0], real.r[0]
             mat = np.array([[z, m], [m, -z]])
-            u, d = dec.unitary, dec.diagonal
-            assert np.max(np.abs(u @ d @ u.T - mat)) <= 1e-12
+            assert np.max(np.abs(u @ np.diag([r, -r]) @ u.T - mat)) <= 1e-12
             assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-12
 
 
@@ -330,29 +385,28 @@ def test_complex_case_reduces_to_explicit_formulas(rng):
         uii = np.array([[complex(x, -y), z - r], [r - z, complex(x, y)]]) / math.sqrt(
             2 * r * (r - z)
         )
-        assert np.max(np.abs(to_complex(berry.chart_unitary(p, ChartTag.I)) - ui)) <= 1e-14
-        assert np.max(np.abs(to_complex(berry.chart_unitary(p, ChartTag.II)) - uii)) <= 1e-14
+        assert np.max(np.abs(to_complex(berry.chart_coeffs(p, ChartTag.I)[0]) - ui)) <= 1e-14
+        assert np.max(np.abs(to_complex(berry.chart_coeffs(p, ChartTag.II)[0]) - uii)) <= 1e-14
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_string_divergence_conditioning(tag, rng):
     # approaching the lower string the chart-I normalization prefactor
     # blows up like 1/eps while the projector stays bounded
-    u = al.random_element(tag, rng)
-    u = u / u.norm()
+    u = rng.standard_normal(tag.dim)
+    u = u / np.linalg.norm(u)
     conds = []
     for eps in (1e-2, 1e-3, 1e-4):
-        p = BasePoint(u * eps, -1.0)
-        assert berry.classify_point(p) is PointClass.REGULAR
-        conds.append(berry.conditioning(p, ChartTag.I))
-        proj = berry.projector(p)
-        assert proj.max_abs() <= 1.0
+        p = Points.of(tag, u * eps, -1.0)
+        assert point_class(p) is PointClass.REGULAR
+        conds.append(berry.conditionings(p, ChartTag.I)[0])
+        assert max_abs(berry.projector_coeffs(p)) <= 1.0
     assert conds[1] >= 10.0 * conds[0]
     assert conds[2] >= 10.0 * conds[1]
 
 
 def test_conditioning_infinite_on_string():
-    assert berry.conditioning(cpoint(0.0, 0.0, -1.0), ChartTag.I) == math.inf
+    assert berry.conditionings(cpoint(0.0, 0.0, -1.0), ChartTag.I)[0] == math.inf
 
 
 def test_matrix2k_rejects_mixed_tags():
@@ -402,11 +456,11 @@ def test_matrix2k_rejects_non_finite_and_tag_mismatch():
 def test_chart_near_lower_string_has_no_division_by_zero():
     # r + z = 0 in floating point at ||w|| = 1e-9, z = -1
     p = cpoint(1e-9, 0.0, -1.0)
-    u = berry.chart_unitary(p, ChartTag.I)
-    assert berry.residual(u.dagger() @ u, Matrix2K.identity(AlgebraTag.C)) <= 1e-12
-    assert berry.conditioning(p, ChartTag.I) == pytest.approx(1e9, rel=1e-12)
-    proj = berry.projector(p)
-    assert proj.entry(0, 0).coeffs[0] == pytest.approx(0.25e-18, rel=1e-12)
+    u = berry.chart_coeffs(p, ChartTag.I)
+    assert residual(mul(AlgebraTag.C, berry.dagger_coeffs(u), u), identity(AlgebraTag.C)) <= 1e-12
+    assert berry.conditionings(p, ChartTag.I)[0] == pytest.approx(1e9, rel=1e-12)
+    proj = berry.projector_coeffs(p)
+    assert proj[0, 0, 0, 0] == pytest.approx(0.25e-18, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,21 +475,19 @@ def test_allowed_charts_unitary_over_wide_range(log_w, log_z, sign, tag, seed):
     # every admissible chart is unitary and reconstructs H to eps ||H||,
     # ||H|| = max(1, r), over the double range
     rng = np.random.default_rng(seed)
-    u = al.random_element(tag, rng)
-    w = u * (10.0 ** log_w / u.norm())
-    p = BasePoint(w, sign * 10.0 ** log_z)
-    if berry.classify_point(p) is PointClass.ORIGIN:
+    u = rng.standard_normal(tag.dim)
+    w = u * (10.0 ** log_w / np.linalg.norm(u))
+    p = Points.of(tag, w, sign * 10.0 ** log_z)
+    if point_class(p) is PointClass.ORIGIN:
         return
-    h = berry.hamiltonian(p)
+    h = berry.hamiltonian_coeffs(p)
     for chart in ChartTag:
-        try:
-            dec = berry.chart_decompose(p, chart)
-        except DiracStringError:
-            assert berry.classify_point(p) is not PointClass.REGULAR
+        if not chart_ok(p, chart):
+            assert point_class(p) is not PointClass.REGULAR
             continue
-        v, d = dec.unitary, dec.diagonal
-        assert berry.residual(v.dagger() @ v, Matrix2K.identity(tag)) <= DEFAULT.algebraic
-        assert berry.residual((v @ d) @ v.dagger(), h) <= DEFAULT.algebraic * max(1.0, p.r)
+        v, d = berry.chart_coeffs(p, chart), berry.eigenvalue_coeffs(p)
+        assert residual(mul(tag, berry.dagger_coeffs(v), v), identity(tag)) <= DEFAULT.algebraic
+        assert residual(conj_by(tag, v, d), h) <= DEFAULT.algebraic * max(1.0, p.r[0])
 
 
 @settings(max_examples=150, deadline=None)

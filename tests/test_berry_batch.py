@@ -1,13 +1,14 @@
 """The batched ``hjc berry`` pass against a per-point reference.
 
-``_berry_point_record`` builds one berry record from the scalar API
-(``BasePoint``, ``Matrix2K``, ``chart_decompose`` ...), one point at a time,
-and ``_judge`` gives it its ``pass`` by walking the record.  The report
+``_berry_point_record`` builds one berry record from the array functions
+on a one-row ``Points``, one point at a time, and ``_judge`` gives it its
+``pass`` by walking the record.  The report
 that ``cli.berry_chunk``, ``cli.judge`` and ``cli.render_json`` write from
 one column chunk must parse back to the same records for any batch of
 points.
 """
 
+import functools
 import json
 import math
 import os
@@ -30,47 +31,53 @@ def _finite(x: float) -> float:
     return float(x) if math.isfinite(x) else None
 
 
+def _residual(a, b) -> float:
+    return float(berry.residual_coeffs(a, b)[0])
+
+
 def _berry_point_record(index, kind, point):
+    """The record of the one point of the one-row ``Points`` ``point``."""
     tag = point.tag
-    cls = berry.classify_point(point)
+    code = berry.classify(point)
+    cls = berry.POINT_CLASSES[code[0]]
     rec = {
         "index": index,
         "kind": kind,
-        "point": {"w": {"tag": tag.name, "coeffs": point.w.coeffs.tolist()}, "z": point.z},
+        "point": {"w": {"tag": tag.name, "coeffs": point.w[0].tolist()}, "z": float(point.z[0])},
         "class": cls.value,
         "charts": {"I": None, "II": None},
         "cocycle": None,
         "projector": None,
     }
-    ham = berry.hamiltonian(point)
-    ident = berry.Matrix2K.identity(tag)
+    mm = functools.partial(berry.matmul_coeffs, tag)
+    ham = berry.hamiltonian_coeffs(point)
+    ident = np.eye(2)[:, :, None] * algebra.one(tag).coeffs
     units = {}
     for chart in (berry.ChartTag.I, berry.ChartTag.II):
-        try:
-            dec = berry.chart_decompose(point, chart)
-        except berry.DiracStringError:
+        if not berry.admissible(code, chart)[0]:
             continue
-        u, d = dec.unitary, dec.diagonal
+        u, d = berry.chart_coeffs(point, chart), berry.eigenvalue_coeffs(point)
+        ud = berry.dagger_coeffs(u)
         rec["charts"][chart.value] = {
-            "reconstruction": berry.residual((u @ d) @ u.dagger(), ham),
-            "unitarity": berry.residual(u.dagger() @ u, ident),
-            "conditioning": _finite(dec.conditioning),
+            "reconstruction": _residual(mm(mm(u, d), ud), ham),
+            "unitarity": _residual(mm(ud, u), ident),
+            "conditioning": _finite(float(berry.conditionings(point, chart)[0])),
         }
         units[chart] = u
     if cls is berry.PointClass.REGULAR:
-        phi = berry.transition_function(point)
-        rec["cocycle"] = berry.residual(units[berry.ChartTag.I] @ phi, units[berry.ChartTag.II])
+        phi = berry.transition_coeffs(point)
+        rec["cocycle"] = _residual(mm(units[berry.ChartTag.I], phi), units[berry.ChartTag.II])
     if cls is not berry.PointClass.ORIGIN:
-        proj = berry.projector(point)
+        proj = berry.projector_coeffs(point)
         rec["projector"] = {
-            "idempotency": berry.residual(proj @ proj, proj),
-            "hermiticity": berry.residual(proj.dagger(), proj),
+            "idempotency": _residual(mm(proj, proj), proj),
+            "hermiticity": _residual(berry.dagger_coeffs(proj), proj),
             "chart_agreement": None,
         }
         if units:
-            p0 = berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag))
+            p0 = np.diag([1.0, 0.0])[:, :, None] * algebra.one(tag).coeffs
             rec["projector"]["chart_agreement"] = max(
-                berry.residual((u @ p0) @ u.dagger(), proj) for u in units.values()
+                _residual(mm(mm(u, p0), berry.dagger_coeffs(u)), proj) for u in units.values()
             )
     return rec
 
@@ -103,7 +110,7 @@ def _judge(decl, obj, tol, norm):
 
 def _reference(tag, w, z, kinds):
     records = [
-        _berry_point_record(i, kind, berry.BasePoint(algebra.AlgebraElement(tag, wi), zi))
+        _berry_point_record(i, kind, berry.Points.of(tag, wi, zi))
         for i, (wi, zi, kind) in enumerate(zip(w, z, kinds))
     ]
     for rec in records:
@@ -308,8 +315,7 @@ def test_subnormal_norm_w_raises_no_warning(tag, capsys):
         warnings.simplefilter("error")
         code = cli.main(["berry", f"--algebra={tag.name}", "--grid=z=-1:1:3,w=1e-320:1e-320:1", "--samples=0"])
         records = json.loads(capsys.readouterr().out)["records"]
-        w = algebra.AlgebraElement(tag, np.full(tag.dim, 1e-320))
-        on_string = berry.BasePoint(w, -1.0)
-        assert berry.conditioning(on_string, berry.ChartTag.I) == math.inf
+        on_string = berry.Points.of(tag, np.full(tag.dim, 1e-320), -1.0)
+        assert berry.conditionings(on_string, berry.ChartTag.I)[0] == math.inf
     assert code == 0 and [r["class"] for r in records] == ["lower_string", "origin", "upper_string"]
     assert records[0]["charts"]["I"] is None and records[0]["charts"]["II"]["conditioning"] == 0.5

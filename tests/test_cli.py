@@ -332,6 +332,16 @@ def test_out_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_out_dev_stdout_on_a_pipe_writes_the_stdout_bytes():
+    # /dev/stdout on a pipe resolves to a /proc/<pid>/fd/pipe:[N] name that
+    # cannot be opened; the device is written as it is
+    argv = [sys.executable, "-m", "hjc", "jc", "--dim", "4"]
+    piped = subprocess.run([*argv, "--out", "/dev/stdout"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=300)
+    plain = subprocess.run([*argv, "--out", "-"], stdout=subprocess.PIPE, timeout=300)
+    assert piped.returncode == 0, piped.stderr.decode()
+    assert piped.stdout == plain.stdout and plain.returncode == 0
+
+
 @pytest.mark.parametrize("command", ["berry", "jc"])
 def test_unwritable_out_is_a_usage_error_before_any_computation(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: pytest.fail("computed before the output was opened"))

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjc import algebra as al
 from hjc import berry, grassmann, jc
 from hjc.algebra import AlgebraTag
-from hjc.berry import BasePoint, DiracStringError
+from hjc.berry import DiracStringError, Points
 from hjc.jc import JCParams, SingularSectorError
 
 
@@ -135,21 +134,15 @@ def test_classical_consistency_with_chart_projector(rng):
         count += 1
         zc = grassmann.classical_coordinate(x, y, z)
         scalar_form = grassmann.classical_projector_from_coordinate(zc)
-        point = BasePoint(al.AlgebraElement(AlgebraTag.C, [x, y]), z)
-        chart_form = berry.projector(point)
-        reference = np.empty((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                c = chart_form.entry(i, j).coeffs
-                reference[i, j] = c[0] + 1j * c[1]
+        chart_form = berry.projector_coeffs(Points.of(AlgebraTag.C, [x, y], z))[0]
+        reference = chart_form[..., 0] + 1j * chart_form[..., 1]
         assert np.max(np.abs(scalar_form - reference)) <= 1e-12
 
 
 def test_classical_coordinate_near_lower_string():
     # r + z = 0 in floating point here, yet the point is regular
-    assert berry.classify_point(BasePoint(al.AlgebraElement(AlgebraTag.C, [1e-9, 0.0]), -1.0)) is (
-        berry.PointClass.REGULAR
-    )
+    code = berry.classify(Points.of(AlgebraTag.C, [1e-9, 0.0], -1.0))[0]
+    assert berry.POINT_CLASSES[code] is berry.PointClass.REGULAR
     zc = grassmann.classical_coordinate(1e-9, 0.0, -1.0)
     assert zc == pytest.approx(2e9, rel=1e-12)
 
@@ -177,15 +170,13 @@ def test_classical_projector_at_huge_coordinate():
 def test_classical_coordinate_finite_at_regular_points(log_w, log_z, sign, phase):
     norm_w, z = 10.0**log_w, sign * 10.0**log_z
     x, y = norm_w * math.cos(phase), norm_w * math.sin(phase)
-    point = BasePoint(al.AlgebraElement(AlgebraTag.C, [x, y]), z)
-    if berry.classify_point(point) is not berry.PointClass.REGULAR:
+    point = Points.of(AlgebraTag.C, [x, y], z)
+    if berry.POINT_CLASSES[berry.classify(point)[0]] is not berry.PointClass.REGULAR:
         return
     zc = grassmann.classical_coordinate(x, y, z)
     assert math.isfinite(zc.real) and math.isfinite(zc.imag)
-    chart_form = berry.projector(point)
-    reference = np.array(
-        [[complex(*chart_form.entry(i, j).coeffs) for j in range(2)] for i in range(2)]
-    )
+    chart_form = berry.projector_coeffs(point)[0]
+    reference = chart_form[..., 0] + 1j * chart_form[..., 1]
     assert np.max(np.abs(grassmann.classical_projector_from_coordinate(zc) - reference)) <= 1e-12
 
 
