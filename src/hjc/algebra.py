@@ -102,9 +102,11 @@ def product_coeffs(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each product is one contraction with :func:`structure_constants`: the
     left-multiplication matrix of x (row b holds x k_b) applied to y.  It
     sums the same coefficient products as the recursion, in another order.
+    Every entry of the left-multiplication matrix is one signed coefficient
+    of x, so all of them come exactly from one matrix product.
     """
     n = tag.dim
-    left = (x @ structure_constants(tag).reshape(n, n * n)).reshape(x.shape[:-1] + (n, n))
+    left = np.reshape(np.reshape(x, (-1, n)) @ structure_constants(tag).reshape(n, n * n), x.shape[:-1] + (n, n))
     return (y[..., None, :] @ left)[..., 0, :]
 
 

@@ -18,15 +18,15 @@ the same arrays with the algebra's structure-constant tensor, derived from
 the Cayley-Dickson recursion (see :mod:`hjc.algebra`).  A single point is
 the one-row ``Points.of(tag, w, z)``.
 
-A :class:`Matrix2K` is one read-only (2, 2, dim) coefficient array:
-``coeffs[i, j]`` holds the dim real coefficients of entry (i, j), and
-:meth:`Matrix2K.entry` views one entry as an
-:class:`~hjc.algebra.AlgebraElement`.  The berry pass builds its constant
-identity and diag(1, 0) with it, and the traced benchmark run wraps its
-methods by name.  Every entry of every matrix built here lies in the
-(commutative, associative) subalgebra generated by a single element w, so
-the fixed left-to-right evaluation order of matrix products is immaterial
-even for octonions.
+The charts, the projector and the transition function come from private
+builders that evaluate the formula at every point, defined there or not;
+the public functions refuse a non-finite result.  The berry pass
+(``hjc.cli``) calls the builders on a whole chunk, both charts from one
+:func:`_half_angle` each, and nulls what is not defined.  :class:`Matrix2K` holds one read-only (2, 2, dim)
+array; the traced benchmark run wraps its methods by name.  Every entry of
+every matrix built here lies in the (commutative, associative) subalgebra
+generated by a single element w, so the fixed left-to-right evaluation
+order of matrix products is immaterial even for octonions.
 
 Nothing here forms a square or a sum that can overflow or underflow
 before the result does.  Norms are scaled by a power of two (exact)
@@ -108,6 +108,12 @@ def _finite(coeffs: np.ndarray) -> np.ndarray:
 # Batched 2x2 matrix arithmetic on (..., 2, 2, dim) coefficient arrays
 
 
+def _max_last(a: np.ndarray) -> np.ndarray:
+    """np.max over the last axis, taken down the rows of the transposed
+    copy: numpy reduces a short last axis one vector at a time."""
+    return np.max(np.ascontiguousarray(np.reshape(a, (-1, a.shape[-1])).T), axis=0).reshape(a.shape[:-1])
+
+
 def norms(c: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last axis.
 
@@ -115,7 +121,7 @@ def norms(c: np.ndarray) -> np.ndarray:
     before squaring, which is exact, so no square overflows or underflows
     and in-range results equal the unscaled sqrt(sum c^2) bitwise.
     """
-    _, e = np.frexp(np.max(np.abs(c), axis=-1, keepdims=True))
+    _, e = np.frexp(_max_last(np.abs(c))[..., None])
     s = np.ldexp(c, -e)
     return np.ldexp(np.sqrt(np.sum(s * s, axis=-1)), e[..., 0])
 
@@ -161,11 +167,9 @@ def _real(x: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Matrix2K:
-    """2x2 matrix with entries in a single division algebra.
-
-    Built from a 2x2 layout of :class:`AlgebraElement` values sharing one
-    tag; held as the read-only (2, 2, dim) array ``coeffs``.
-    """
+    """2x2 matrix with entries in a single division algebra, built from a
+    2x2 layout of :class:`AlgebraElement` s of one tag and held as the
+    read-only (2, 2, dim) array ``coeffs``."""
 
     tag: AlgebraTag
     coeffs: np.ndarray
@@ -204,20 +208,7 @@ class Matrix2K:
 
     @classmethod
     def identity(cls, tag: AlgebraTag) -> "Matrix2K":
-        return cls.diag(one(tag), one(tag))
-
-    @classmethod
-    def diag(cls, a: AlgebraElement, b: AlgebraElement) -> "Matrix2K":
-        z = zero(a.tag)
-        return cls(((a, z), (z, b)))
-
-    def __add__(self, other: "Matrix2K") -> "Matrix2K":
-        self._check_tag(other)
-        return Matrix2K._of(self.tag, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Matrix2K") -> "Matrix2K":
-        self._check_tag(other)
-        return Matrix2K._of(self.tag, self.coeffs - other.coeffs)
+        return cls(((one(tag), zero(tag)), (zero(tag), one(tag))))
 
     def __matmul__(self, other: "Matrix2K") -> "Matrix2K":
         self._check_tag(other)
@@ -336,6 +327,32 @@ def conditionings(pts: Points, chart: ChartTag) -> np.ndarray:
     return _half_angle(pts, chart)[1]
 
 
+def _unitaries(pts: Points, halves: dict) -> np.ndarray:
+    """The unitaries of the charts of ``halves`` (chart: its (a, f) from
+    :func:`_half_angle`) at every point, stacked: (charts, n, 2, 2, dim)."""
+    out = np.zeros((len(halves),) + pts.w.shape[:1] + (2, 2, pts.tag.dim))
+    for u, (chart, (a, f)) in zip(out, halves.items()):
+        wf = pts.w * f[:, None]
+        if chart is ChartTag.I:  # [[a, -conj(w) f], [w f, a]]
+            u[:, 0, 0, 0] = u[:, 1, 1, 0] = a
+            u[:, 0, 1], u[:, 1, 0] = -conj_coeffs(wf), wf
+        else:  # [[conj(w) f, -a], [a, w f]]
+            u[:, 0, 1, 0], u[:, 1, 0, 0] = -a, a
+            u[:, 0, 0], u[:, 1, 1] = conj_coeffs(wf), wf
+    return out
+
+
+def _projector(pts: Points, a_i: np.ndarray, a_ii: np.ndarray) -> np.ndarray:
+    """The projector, its diagonal the squares of the charts' a."""
+    wi = pts.w * (0.5 / pts.r)[:, None]
+    return _stack(_real(a_i**2, pts.tag.dim), conj_coeffs(wi), wi, _real(a_ii**2, pts.tag.dim))
+
+
+def _transition(pts: Points) -> np.ndarray:
+    u = pts.w / pts.norm_w[:, None]
+    return _diag(conj_coeffs(u), u)
+
+
 def hamiltonian_coeffs(pts: Points) -> np.ndarray:
     """``[[z, conj(w)], [w, -z]]`` at every point."""
     dim = pts.tag.dim
@@ -355,25 +372,17 @@ def chart_coeffs(pts: Points, chart: ChartTag) -> np.ndarray:
     ``[[conj(w) f, -a], [a, w f]]``, with a and f from the half-angle form:
     the columns are the +r / -r eigenvectors scaled by 1/sqrt(2r(r +- z)).
     """
-    a, f = _half_angle(pts, chart)
-    wf = pts.w * f[:, None]
-    ca = _real(a, pts.tag.dim)
-    if chart is ChartTag.I:
-        return _finite(_stack(ca, -conj_coeffs(wf), wf, ca))
-    return _finite(_stack(conj_coeffs(wf), -ca, ca, wf))
+    return _finite(_unitaries(pts, {chart: _half_angle(pts, chart)})[0])
 
 
 def transition_coeffs(pts: Points) -> np.ndarray:
     """diag(conj(w)/||w||, w/||w||) relating the two charts, at points off
     the z axis."""
-    u = pts.w / pts.norm_w[:, None]
-    return _finite(_diag(conj_coeffs(u), u))
+    return _finite(_transition(pts))
 
 
 def projector_coeffs(pts: Points) -> np.ndarray:
     """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]] at
     points away from the origin, its diagonal the squared chart entries
     (r +- z)/2r."""
-    wi = pts.w * (0.5 / pts.r)[:, None]
-    plus, minus = (_real(_half_angle(pts, chart)[0] ** 2, pts.tag.dim) for chart in ChartTag)
-    return _finite(_stack(plus, conj_coeffs(wi), wi, minus))
+    return _finite(_projector(pts, *(_half_angle(pts, chart)[0] for chart in ChartTag)))

@@ -22,7 +22,8 @@ column chunks (see ``judge``); the JSON schemas (``SCHEMAS``, params
 included), the CSV columns (``CSV_COLUMNS``), every record's ``pass`` and
 both writers (``render_json``, ``render_csv``) are derived from the
 declarations.  Each chunk is judged and written before the next is
-computed.
+computed.  ``berry`` evaluates every check for both charts at every point
+of a chunk, and writes null where a chart is not admissible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import math
 import os
 import re
@@ -235,7 +235,10 @@ def _parse_axis(token: str):
     return name, values
 
 
+@functools.lru_cache(maxsize=16)
 def parse_grid(spec: str):
+    """The (||w|| values, z values) of a grid spec, read-only arrays that
+    each later request with the same spec shares."""
     axes = {}
     for name, values in (_parse_axis(tok) for tok in spec.split(",") if tok):
         if name not in ("z", "w"):
@@ -249,6 +252,8 @@ def parse_grid(spec: str):
         raise ConfigError("w axis holds ||w|| values and must be non-negative")
     if math.hypot(np.max(axes["w"]), np.max(np.abs(axes["z"]))) == math.inf:
         raise ConfigError(f"grid {spec!r} holds points whose radius hypot(w, z) overflows")
+    for values in axes.values():
+        values.flags.writeable = False
     return axes["w"], axes["z"]
 
 
@@ -286,83 +291,51 @@ _REGULAR, _ORIGIN = (berry.POINT_CLASSES.index(c) for c in (berry.PointClass.REG
 _CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
 
 
-def _stacked(fn, *pairs) -> list:
-    """``fn(a, b)`` of every pair, from one call on the pairs stacked along
-    the first axis."""
-    out = fn(np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs]))
-    ends = list(itertools.accumulate(len(a) for a, _ in pairs))
-    return [out[i:j] for i, j in zip([0] + ends, ends)]
-
-
-def _scatter(n: int, where, values) -> np.ndarray:
-    col = np.full(n, np.nan)
-    col[where] = values
-    return col
-
-
-@functools.cache
-def _units(tag: algebra.AlgebraTag) -> tuple:
-    """The (read-only) coefficients of the identity and of diag(1, 0)."""
-    return berry.Matrix2K.identity(tag).coeffs, berry.Matrix2K.diag(algebra.one(tag), algebra.zero(tag)).coeffs
-
-
 def _berry_pass(pts: berry.Points) -> dict:
-    """Classify one chunk of points and evaluate every check of the berry
-    record: the class column, the presence columns of the charts and the
-    projector, and one float column (NaN where null) per residual and
-    conditioning.  The unitaries of both charts form one stack, each
-    product depth is one ``matmul_coeffs`` call, and every residual comes
-    from one ``residual_coeffs`` call."""
+    """The class, the presence of the charts and the projector, and one
+    float column (NaN where null) per residual and conditioning of a chunk
+    of berry points, from one half-angle per chart; a non-finite value
+    raises only where it is reported.  Each product depth is one
+    ``matmul_coeffs`` call and all residual norms are one ``norms`` call."""
     tag, n = pts.tag, pts.z.shape[0]
-    mm = functools.partial(berry.matmul_coeffs, tag)
     codes = berry.classify(pts)
     regular, away = codes == _REGULAR, codes != _ORIGIN
-    masks = [berry.admissible(codes, chart) for chart in berry.ChartTag]
-    rows = [np.flatnonzero(m) for m in masks]
-    at = np.concatenate(rows)  # the point of each row of the chart stack
-    u = np.concatenate([berry.chart_coeffs(pts.take(r), chart) for r, chart in zip(rows, berry.ChartTag)])
-    ud = berry.dagger_coeffs(u)
-    k = len(rows[0])
-    u_i, u_ii = u[:k], u[k:]
-    proj = berry.projector_coeffs(pts.take(away))
-    ident, p0 = _units(tag)
-    udiag, up0, unit, cocycle, idem = _stacked(
-        mm,
-        (u, berry.eigenvalue_coeffs(pts.take(at))),
-        (u, np.broadcast_to(p0, u.shape)),
-        (ud, u),
-        (u_i[regular[masks[0]]], berry.transition_coeffs(pts.take(regular))),
-        (proj, proj),
-    )
-    recon, agree = _stacked(mm, (udiag, ud), (up0, ud))
-    res = _stacked(
-        berry.residual_coeffs,
-        (recon, berry.hamiltonian_coeffs(pts)[at]),
-        (unit, np.broadcast_to(ident, u.shape)),
-        (cocycle, u_ii[regular[masks[1]]]),
-        (idem, proj),
-        (berry.dagger_coeffs(proj), proj),
-        (agree, proj[(np.cumsum(away) - 1)[at]]),  # chart rows lie away from the origin
-    )
-    res = dict(zip(("reconstruction", "unitarity", "cocycle", "idempotency", "hermiticity", "agreement"), res))
+    charts = np.stack([berry.admissible(codes, chart) for chart in berry.ChartTag])
+    with np.errstate(all="ignore"):
+        halves = {chart: berry._half_angle(pts, chart) for chart in berry.ChartTag}
+        u = berry._unitaries(pts, halves)  # (chart, point, 2, 2, dim)
+        ud, proj = berry.dagger_coeffs(u), berry._projector(pts, *(a for a, _ in halves.values()))
+        mm = functools.partial(berry.matmul_coeffs, tag)
+        left, right = (ud, u[:1], proj[None]), (u, berry._transition(pts)[None], proj[None])
+        unit_cocycle_idem = mm(np.concatenate(left), np.concatenate(right))
+        # u diag(r, -r) and u diag(1, 0) are u with its columns scaled
+        recon, agree = mm(np.stack((u * np.stack((pts.r, -pts.r), axis=-1)[:, None, :, None], u * [[1.0], [0.0]])), ud)
+        # reconstruction I, II, unitarity I, II, cocycle, idempotency, hermiticity, agreement I, II
+        diffs = np.concatenate((recon, unit_cocycle_idem, berry.dagger_coeffs(proj)[None], agree))
+        diffs[:2] -= berry.hamiltonian_coeffs(pts)
+        for i in (0, 1):  # the identity
+            diffs[2:4, :, i, i, 0] -= 1.0
+        diffs[4] -= u[1]
+        diffs[5:] -= proj
+        res = berry._max_last(berry.norms(diffs).reshape(9, n, 4))
+    used = np.concatenate((charts, charts, [regular, away, away], charts))
+    if not np.isfinite(res[used]).all():  # a non-finite difference, or a norm past the double range
+        berry._finite(diffs[used])
+    res[~used] = np.nan
     cols = {
         "class": _CLASS_NAMES[codes],
-        "cocycle": _scatter(n, regular, res["cocycle"]),
+        "cocycle": res[4],
         "projector": away,
-        "projector.idempotency": _scatter(n, away, res["idempotency"]),
-        "projector.hermiticity": _scatter(n, away, res["hermiticity"]),
+        "projector.idempotency": res[5],
+        "projector.hermiticity": res[6],
+        "projector.chart_agreement": np.fmax(res[7], res[8]),
     }
-    agreement = np.full(n, np.nan)
-    for chart, mask, r, part in zip(berry.ChartTag, masks, rows, (slice(0, k), slice(k, None))):
-        cond = berry.conditionings(pts.take(r), chart)
-        cond[cond == np.inf] = np.nan  # no tolerance bounds it: null
+    for i, (chart, (_, f)) in enumerate(halves.items()):
         name = f"charts.{chart.value}"
-        cols[name] = mask
-        cols[name + ".reconstruction"] = _scatter(n, r, res["reconstruction"][part])
-        cols[name + ".unitarity"] = _scatter(n, r, res["unitarity"][part])
-        cols[name + ".conditioning"] = _scatter(n, r, cond)
-        agreement[r] = np.fmax(agreement[r], res["agreement"][part])
-    cols["projector.chart_agreement"] = agreement
+        cols[name] = charts[i]
+        cols[name + ".reconstruction"], cols[name + ".unitarity"] = res[i], res[2 + i]
+        # an infinite conditioning is bounded by no tolerance: null
+        cols[name + ".conditioning"] = np.where(charts[i] & (f != np.inf), f, np.nan)
     return cols
 
 
@@ -666,26 +639,29 @@ def _validate(args: argparse.Namespace) -> None:
 
 
 def _open_out(path: str):
-    """(file, temporary path, target) of ``--out``: the report is written
-    to stdout, straight to a device or pipe, or to a temporary file beside
-    a regular target file, which replaces the target once the report is
-    complete (mode kept, or new-file mode for a new target).  The given
-    path is what decides: /dev/stdout on a pipe resolves to a
-    /proc/<pid>/fd/pipe:[N] name that cannot be opened, so only a regular
-    file's path is resolved."""
-    if path == "-":
-        return sys.stdout, None, None
+    """(file, temporary path, target) of ``--out``: stdout for ``-`` or the
+    file that stdout writes to (an appending stdout keeps appending), the
+    path as given for another device or pipe (the /dev/fd name of a pipe
+    resolves to one that cannot be opened), else a temporary file beside the
+    target that replaces it once the report is complete (mode kept, or
+    new-file mode for a new target)."""
     try:
-        mode = os.stat(path).st_mode
+        st = None if path == "-" else os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        st = None
+    try:
+        to_stdout = path == "-" or st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # a stdout without a file descriptor
+        to_stdout = False
+    if to_stdout:
+        return sys.stdout, None, None
+    if st is not None and not stat.S_ISREG(st.st_mode):
         return open(path, "w"), None, None
     target = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=f".{os.path.basename(target)}.", suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
-    os.chmod(tmp, mode & 0o7777 if mode is not None else 0o666 & ~umask)
+    os.chmod(tmp, st.st_mode & 0o7777 if st is not None else 0o666 & ~umask)
     return os.fdopen(fd, "w"), tmp, target
 
 

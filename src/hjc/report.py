@@ -273,33 +273,46 @@ def _json_column(f: Field, col, nl: str) -> list:
     item, inner = f.kind[0], nl + "  "
     if isinstance(item, Record):
         return [_json_array(_json_objects(item, v, inner), nl) for v in col]
+    if isinstance(col, np.ndarray) and col.ndim == 2 and col.shape[1]:  # k items per record, written in one pass
+        k = col.shape[1]
+        array = "[" + inner + ("," + inner).join(["%s"] * k) + nl + "]"
+        return [array % items for items in zip(*[iter(_texts(_JSON, item, col.ravel().tolist()))] * k)]
     return ["null" if v is None else _json_array(_texts(_JSON, item, v), nl) for v in _values(col)]
 
 
 @functools.cache
-def _json_template(rec: Record, nl: str) -> str:
+def _json_layout(rec: Record, nl: str) -> tuple:
     """The %-template of the JSON object of a record that starts on a line
-    ``nl``, one ``%s`` per field."""
-    keys = [_encode_str(f.name).replace("%", "%%") + ": %s" for f in rec.json]
-    return "{" + nl + "  " + ("," + nl + "  ").join(keys) + nl + "}"
+    ``nl``, nested records that are never null written in place, and the
+    (path, field, newline) of each ``%s``: a value or a nullable record."""
+    inner = nl + "  "
+    keys, slots = [], []
+    for f in rec.json:
+        key = _encode_str(f.name).replace("%", "%%") + ": "
+        if isinstance(f.kind, Record) and not f.null:
+            template, inside = _json_layout(f.kind, inner)
+            keys.append(key + template)
+            slots += [(f"{f.name}.{path}", g, line) for path, g, line in inside]
+        else:
+            keys.append(key + "%s")
+            slots.append((f.name, f, inner))
+    return "{" + inner + ("," + inner).join(keys) + nl + "}", tuple(slots)
 
 
 def _json_objects(rec: Record, cols: dict, nl: str, prefix: str = "") -> list:
     """JSON text of the record of every row of the columns, ``nl`` the
     newline and indent of the line each starts on; ``prefix`` is the path
     of a nested record."""
-    inner = nl + "  "
+    template, slots = _json_layout(rec, nl)
     values = []
-    for f in rec.json:
-        path = prefix + f.name
+    for path, f, line in slots:
+        path = prefix + path
         if isinstance(f.kind, Record):
-            texts = _json_objects(f.kind, cols, inner, path + ".")
-            if f.null:
-                texts = [t if present else "null" for t, present in zip(texts, _values(cols[path]))]
+            texts = _json_objects(f.kind, cols, line, path + ".")
+            texts = [t if present else "null" for t, present in zip(texts, _values(cols[path]))]
         else:
-            texts = _json_column(f, cols[path], inner)
+            texts = _json_column(f, cols[path], line)
         values.append(texts)
-    template = _json_template(rec, nl)
     return [template % row for row in zip(*values)]
 
 

@@ -342,6 +342,21 @@ def test_out_dev_stdout_on_a_pipe_writes_the_stdout_bytes():
     assert piped.stdout == plain.stdout and plain.returncode == 0
 
 
+def test_out_dev_stdout_appended_to_a_file_keeps_its_earlier_content(tmp_path):
+    # as `hjc jc --dim 2 --out /dev/stdout >> log.txt`: /dev/stdout is the
+    # regular file itself, which must be appended to, not replaced
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"earlier line\n")
+    argv = [sys.executable, "-m", "hjc", "jc", "--dim", "2"]
+    with open(log, "ab") as stdout:
+        appended = subprocess.run([*argv, "--out", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+    plain = subprocess.run([*argv, "--out", "-"], stdout=subprocess.PIPE, timeout=300)
+    assert appended.returncode == 0, appended.stderr.decode()
+    assert plain.returncode == 0 and plain.stdout.startswith(b'{\n  "command": "jc"')
+    assert log.read_bytes() == b"earlier line\n" + plain.stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
+
+
 @pytest.mark.parametrize("command", ["berry", "jc"])
 def test_unwritable_out_is_a_usage_error_before_any_computation(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: pytest.fail("computed before the output was opened"))
