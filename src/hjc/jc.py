@@ -46,7 +46,11 @@ Products, sums and adjoints act on these vectors elementwise with a
 shift, so every closed form here costs O(d) time and memory, against the
 O(d^3) of the dense oracle; :meth:`BlockOperator.apply` multiplies a
 real dense (2d, m) array in O(d m).  An operator is built from its level
-vectors alone, and :meth:`BlockOperator.full` is the only dense export.
+vectors alone, and :meth:`BlockOperator.full` is the only dense export; it
+is real when the level vectors are (the Hamiltonians, the projector and the
+chart diagonals at real theta and g).  Products, sums and adjoints build
+their result from vectors they made themselves, without checking them
+again.
 
 Stacks: a level vector may carry leading batch axes, shape
 ``batch + (d - |k|,)``, so one operator holds a stack of operators (the
@@ -148,15 +152,23 @@ def _block_product(d: int, batch: tuple, x: dict, y: dict, out: dict) -> None:
     """
     if batch:
         x, y = ({k: v if v.ndim > len(batch) else np.broadcast_to(v, batch + v.shape) for k, v in z.items()} for z in (x, y))
+    # Row i is entry i - sa of x's diagonal p and entry i - sc of the
+    # product's diagonal k; row i + p is entry i - sb of y's diagonal q.  The
+    # rows lo .. hi - 1 have i, i + p and i + p + q in range (conditional
+    # expressions: this loop runs for every pair of diagonals of a product).
     for p, a in x.items():
+        sa = -p if p < 0 else 0
         for q, b in y.items():
             k = p + q
-            lo, hi = max(0, -p, -k), min(d, d - p, d - k)  # rows i, i + p, i + p + q in range
+            sc = -k if k < 0 else 0
+            lo = sa if sa > sc else sc
+            hi = d - (p if p > k else k) if p > 0 or k > 0 else d
             if lo < hi:
-                c = out.setdefault(k, np.zeros(batch + (d - abs(k),), dtype=complex))
-                c[..., lo - max(0, -k) : hi - max(0, -k)] += (
-                    a[..., lo - max(0, -p) : hi - max(0, -p)] * b[..., lo + p - max(0, -q) : hi + p - max(0, -q)]
-                )
+                c = out.get(k)
+                if c is None:
+                    c = out[k] = np.zeros(batch + (d - abs(k),), dtype=complex)
+                sb = (-q if q < 0 else 0) - p
+                c[..., lo - sc : hi - sc] += a[..., lo - sa : hi - sa] * b[..., lo - sb : hi - sb]
 
 
 def _stack_shape(*shapes) -> tuple:
@@ -194,22 +206,36 @@ class BlockOperator:
         self.batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
     @classmethod
+    def _of(cls, d: int, diags, batch: tuple) -> "BlockOperator":
+        """An operator from level vectors that operators made themselves:
+        complex, of the right lengths and of batch shapes that broadcast to
+        ``batch``, so nothing is converted or checked again."""
+        op = object.__new__(cls)
+        op.dim, op.diags, op.batch = d, diags, batch
+        return op
+
+    @classmethod
     def identity(cls, d: int) -> "BlockOperator":
         return block_diag(np.ones(d), np.ones(d))
 
     def full(self) -> np.ndarray:
         """Flatten to a 2d x 2d matrix, atom index major (a single
-        operator only)."""
+        operator only).
+
+        The matrix is float64 when every stored level vector has a zero
+        imaginary part (a test on the O(d) vectors, not on the matrix), and
+        complex otherwise; its values are the same either way."""
         if self.batch:
             raise ValueError(f"a stack of shape {self.batch} has no single dense form")
         d = self.dim
-        out = np.zeros((2 * d, 2 * d), dtype=complex)
+        real = not any(v.imag.any() for row in self.diags for block in row for v in block.values())
+        out = np.zeros((2 * d, 2 * d), dtype=float if real else complex)
         flat = out.reshape(-1)
         for i, row in enumerate(self.diags):
             for j, block in enumerate(row):
                 for k, v in block.items():
                     start = (i * d + max(0, -k)) * 2 * d + j * d + max(0, k)
-                    flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v
+                    flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v.real if real else v
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -241,28 +267,28 @@ class BlockOperator:
 
     def dagger(self) -> "BlockOperator":
         b = self.diags
-        adj = [[{-k: v.conj() for k, v in b[j][i].items()} for j in range(2)] for i in range(2)]
-        return BlockOperator(self.dim, adj, self.batch)
+        adj = tuple(tuple({-k: v.conj() for k, v in b[j][i].items()} for j in range(2)) for i in range(2))
+        return BlockOperator._of(self.dim, adj, self.batch)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         self._check_dim(other)
         d, a, b = self.dim, self.diags, other.diags
         batch = _stack_shape(self.batch, other.batch)
-        out = [[{}, {}], [{}, {}]]
+        out = (({}, {}), ({}, {}))
         for i in range(2):
             for j in range(2):
                 for m in range(2):
                     _block_product(d, batch, a[i][m], b[m][j], out[i][j])
-        return BlockOperator(d, out, batch)
+        return BlockOperator._of(d, out, batch)
 
     def _combine(self, other: "BlockOperator", ufunc) -> "BlockOperator":
         self._check_dim(other)
-        out = [[dict(x) for x in row] for row in self.diags]
+        out = tuple(tuple(dict(x) for x in row) for row in self.diags)
         for row_out, row_b in zip(out, other.diags):
             for block, y in zip(row_out, row_b):
                 for k, v in y.items():
                     block[k] = ufunc(block.get(k, 0.0), v)
-        return BlockOperator(self.dim, out, _stack_shape(self.batch, other.batch))
+        return BlockOperator._of(self.dim, out, _stack_shape(self.batch, other.batch))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._combine(other, np.add)
@@ -272,8 +298,8 @@ class BlockOperator:
 
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
-            scaled = [[{k: v * c for k, v in b.items()} for b in row] for row in self.diags]
-            return BlockOperator(self.dim, scaled, self.batch)
+            scaled = tuple(tuple({k: v * c for k, v in b.items()} for b in row) for row in self.diags)
+            return BlockOperator._of(self.dim, scaled, self.batch)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -285,7 +311,7 @@ class BlockOperator:
         for row in self.diags:
             for b in row:
                 for v in b.values():
-                    np.maximum(out, np.max(np.abs(v), axis=-1, initial=0.0), out=out)
+                    np.maximum(out, np.abs(v).max(axis=-1, initial=0.0), out=out)
         return float(out) if not self.batch else out
 
 
@@ -294,8 +320,18 @@ def block_diag(b00, b11) -> BlockOperator:
     return BlockOperator(np.shape(b00)[-1], (({0: b00}, {}), ({}, {0: b11})))
 
 
-def block_residual(a: BlockOperator, b: BlockOperator) -> float:
-    return (a - b).max_abs()
+def block_residual(a: BlockOperator, b: BlockOperator):
+    """max |a - b| over the entries, as ``(a - b).max_abs()`` gives it (one
+    value per slice for stacks), taken offset by offset over the union of
+    stored diagonals without forming the difference operator."""
+    a._check_dim(b)
+    out = np.zeros(_stack_shape(a.batch, b.batch))
+    for row_a, row_b in zip(a.diags, b.diags):
+        for x, y in zip(row_a, row_b):
+            for k in x.keys() | y.keys():
+                v = x[k] - y[k] if k in x and k in y else x.get(k, y.get(k))
+                np.maximum(out, np.abs(v).max(axis=-1, initial=0.0), out=out)
+    return float(out) if not out.shape else out
 
 
 def radius_diag(d: int, theta: float, shift: int = 0) -> np.ndarray:

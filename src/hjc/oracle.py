@@ -4,13 +4,16 @@ eigendecomposition matrix exponential.
 Nothing here touches the closed-form constructions it is used to check;
 the only dependency is the dense linear algebra in numpy.
 
-A Hermitian input whose entries are all real (every imaginary part
-exactly zero, as for the Jaynes-Cummings Hamiltonian with real theta and
-g) is real symmetric, so :func:`eig_hermitian` solves it in real
-arithmetic and returns a real orthogonal eigenvector matrix; genuinely
-complex input takes the complex path.  The choice follows from the input
-data alone.  :func:`eigvals_hermitian` gives the eigenvalues alone, at
-about half the cost.  :func:`expm_from_eig` is the one place exp(-i t m)
+A Hermitian input whose entries are all real is real symmetric, so
+:func:`eig_hermitian` solves it in real arithmetic and returns a real
+orthogonal eigenvector matrix; genuinely complex input takes the complex
+path.  The choice follows from the input data alone.  The CLI hands the
+oracle the Jaynes-Cummings Hamiltonian (real theta and g) as a float64
+C-contiguous matrix, since ``BlockOperator.full`` exports real operators
+real; a complex input whose imaginary parts are all exactly zero, as other
+callers may pass, is solved on a contiguous copy of its real parts, with
+the same results as the real matrix.  :func:`eigvals_hermitian` gives the
+eigenvalues alone, at about half the cost.  :func:`expm_from_eig` is the one place exp(-i t m)
 is formed from an eigendecomposition.
 
 Both eigensolvers check their own output before returning it and raise

@@ -178,43 +178,59 @@ def _within(f: Field, col, limit):
     if isinstance(col, np.ndarray):
         good = col <= limit
         return good | np.isnan(col) if f.null else good
-    limits = limit.tolist() if isinstance(limit, np.ndarray) else [limit] * len(col)
-    return [v is None or v <= lim for v, lim in zip(col, limits)]
+    if isinstance(limit, np.ndarray):
+        return [v is None or v <= lim for v, lim in zip(col, limit.tolist())]
+    return [v is None or v <= limit for v in col]
 
 
-def judge(rec: Record, cols: dict, tol: Tolerances, norm=None, prefix: str = "", checks=None) -> Optional[np.ndarray]:
-    """Whether each record of a column chunk passes: every non-null
-    residual within its tolerance (times ||H|| where declared ``rel``),
-    every verdict true and every present nested record passing.  Stores
-    the verdict as the ``pass`` column of every record that declares one.
-    ``norm`` and ``prefix`` are the ||H|| column and the path of a nested
-    record.  A nested record that is never null and declares no ``pass``
-    adds its checks to ``checks``, those of the record around it, and
-    returns None: each verdict is one reduction over all its checks."""
+def _all(checks: list, n: int):
+    """The record-wise and of bool columns of ``n`` values: a walk over the
+    records when every column is a list (records built one at a time, as
+    dicts), one numpy reduction when any is an array."""
+    if any(isinstance(c, np.ndarray) for c in checks):
+        return np.logical_and.reduce(checks)
+    return [all(v) for v in zip(*checks)] if checks else [True] * n
+
+
+def _judge(rec: Record, cols: dict, tol: Tolerances, norm, prefix: str, checks=None):
+    """:func:`judge` of the record at path ``prefix``, ``norm`` the ||H||
+    column around it; a list verdict where its checks are lists.  A nested
+    record that is never null and declares no ``pass`` adds its checks to
+    ``checks``, those of the record around it, and returns None."""
     if rec.norm is not None:
         norm = np.asarray(rec.norm(cols), dtype=float)
     own = checks is None
     if own:
-        checks = [np.ones(len(next(iter(cols.values()))), dtype=bool)]
+        checks = []
     for f in rec.fields:
         path = prefix + f.name
         if isinstance(f.kind, Record):
             if f.null:
-                checks.append(judge(f.kind, cols, tol, norm, path + ".") | ~np.asarray(cols[path], dtype=bool))
+                checks.append(_judge(f.kind, cols, tol, norm, path + ".") | ~np.asarray(cols[path], dtype=bool))
             elif f.kind.has_pass:
-                checks.append(judge(f.kind, cols, tol, norm, path + "."))
+                checks.append(_judge(f.kind, cols, tol, norm, path + "."))
             else:
-                judge(f.kind, cols, tol, norm, path + ".", checks)
+                _judge(f.kind, cols, tol, norm, path + ".", checks)
         elif f.tol is not None:
             checks.append(_within(f, cols[path], getattr(tol, f.tol) * (norm if f.rel else 1.0)))
         elif f.ok is not None:
             checks.append([bool(f.ok(v)) for v in cols[path]])
     if not own:
         return None
-    ok = np.logical_and.reduce(checks)
+    ok = _all(checks, len(next(iter(cols.values()))))
     if rec.has_pass:
-        cols[prefix + "pass"] = ok
+        cols[prefix + "pass"] = np.asarray(ok, dtype=bool)
     return ok
+
+
+def judge(rec: Record, cols: dict, tol: Tolerances) -> np.ndarray:
+    """Whether each record of a column chunk passes: every non-null
+    residual within its tolerance (times ||H|| where declared ``rel``),
+    every verdict true and every present nested record passing.  Stores
+    the verdict as the ``pass`` column of every record that declares one.
+    Each verdict is one reduction over all its checks: a walk over the
+    records for a chunk of list columns, numpy for array columns."""
+    return np.asarray(_judge(rec, cols, tol, None, ""), dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -620,6 +620,33 @@ def test_strings_edge_entries_are_truncation_and_the_string_is_ground_only(theta
     assert {(s["row"], s["level"]) for s in rec["singular"]} == {(2, 0)}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jc", "--theta=0.7", "--dim=9"],
+        ["jc", "--theta=-1.3", "--g=0.6", "--dim=9"],
+        ["evolve", "--theta=0.7", "--dim=9", "--t-steps=3"],
+        ["evolve", "--theta=-1.3", "--g=0.6", "--dim=9", "--t-steps=3"],
+        ["evolve", "--omega=1", "--delta=2.4", "--dim=9", "--t-steps=3"],
+    ],
+)
+def test_the_oracle_gets_real_contiguous_hamiltonians(argv, monkeypatch, capsys):
+    # the real Hamiltonians reach the dense oracle as float64 C-contiguous
+    # matrices, so it neither scans imaginary parts nor copies real parts
+    seen = []
+    for name in ("eig_hermitian", "eigvals_hermitian"):
+        solve = getattr(oracle, name)
+
+        def spy(m, solve=solve):
+            seen.append((m.dtype, m.flags.c_contiguous))
+            return solve(m)
+
+        monkeypatch.setattr(oracle, name, spy)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert seen == [(np.float64, True)]
+
+
 def _refuse_the_oracle(monkeypatch):
     # both oracle entries: jc calls eigvals_hermitian, evolve eig_hermitian
     def refuse(m):
@@ -859,6 +886,107 @@ def test_structural_verdicts_fail_the_record(command, path, value, capsys, colum
     cols = columns_of(decl, [rec])
     assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [False]
     assert cols["pass"].tolist() == [False] and cols[_pass_path(path)].tolist() == [False]
+
+
+# A declaration with every kind of check the judge knows: absolute and
+# ||H||-relative residuals, nullable or not, a structural verdict, a nested
+# record with its own pass, a nullable nested record and a nested record
+# whose checks count for the record around it.
+_JUDGED = report.Record(
+    report.Field("h", report.NUM),
+    report.Field("a", report.NUM, tol="algebraic"),
+    report.Field("b", report.NUM, null=True, tol="strict", rel=True),
+    report.Field("levels", [report.INT], ok=lambda levels: levels in ([], [0])),
+    report.Field(
+        "inner",
+        report.Record(
+            report.Field("r", report.NUM, tol="algebraic"),
+            report.Field("n", report.NUM, null=True, tol="reconstruction", rel=True),
+            report.Field("pass", report.BOOL),
+        ),
+    ),
+    report.Field(
+        "opt",
+        report.Record(report.Field("r", report.NUM, tol="algebraic", rel=True), report.Field("v", report.BOOL, ok=bool)),
+        null=True,
+    ),
+    report.Field("merged", report.Record(report.Field("r", report.NUM, null=True, tol="strict"))),
+    report.Field("pass", report.BOOL),
+    norm=lambda cols: [max(1.0, abs(h)) for h in cols["h"]],
+)
+
+
+def _walk(decl, obj, norm):
+    """The plain per-record judge: every non-null residual within its
+    tolerance (times ``norm`` where ``rel``), every verdict true, every
+    present nested record passing; the verdicts of records with a ``pass``
+    are collected by path."""
+    ok, verdicts = True, {}
+    for f in decl.fields:
+        v = obj.get(f.name)
+        if isinstance(f.kind, report.Record):
+            if v is not None:
+                inner, nested = _walk(f.kind, v, norm)
+                ok &= inner
+                verdicts.update({f"{f.name}.{k}": w for k, w in nested.items()})
+        elif v is not None and f.tol is not None:
+            ok &= v <= getattr(DEFAULT, f.tol) * (norm if f.rel else 1.0)
+        elif f.ok is not None:
+            ok &= bool(f.ok(v))
+    if decl.has_pass:
+        verdicts["pass"] = ok
+    return ok, verdicts
+
+
+def _residual(draw, tol):
+    # values on both sides of the limit, exact zeros, NaN and infinity
+    factor = draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 2**-52, 2.0, 1e6, math.nan, math.inf]))
+    return factor * getattr(DEFAULT, tol) * draw(st.sampled_from([1.0, 3.0, 1e3]))
+
+
+@st.composite
+def _judged_records(draw):
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        rec = {
+            "h": draw(st.sampled_from([0.0, 0.5, -3.0, 1e3, -1e6])),
+            "a": _residual(draw, "algebraic"),
+            "b": draw(st.none() | st.just(_residual(draw, "strict"))),
+            "levels": draw(st.sampled_from([[], [0], [1], [0, 1]])),
+            "inner": {"r": _residual(draw, "algebraic"), "n": draw(st.none() | st.just(_residual(draw, "reconstruction")))},
+            "opt": draw(st.none() | st.just({"r": _residual(draw, "algebraic"), "v": draw(st.booleans())})),
+            "merged": {"r": draw(st.none() | st.just(_residual(draw, "strict")))},
+        }
+        records.append(rec)
+    return records
+
+
+# columns_of is a plain function, the same for every example
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_judged_records(), arrays=st.sets(st.sampled_from(["h", "a", "b", "inner.r", "inner.n", "opt", "opt.r", "merged.r"])))
+def test_judge_is_the_plain_per_record_walk(records, arrays, columns_of):
+    # list columns (records built as dicts) and float or bool arrays (records
+    # built as columns), in any mix: in a nullable float array NaN is null
+    cols = columns_of(_JUDGED, records)
+    nullable = {"b", "inner.n", "opt.r", "merged.r"}
+    for path in arrays:
+        if path == "opt":
+            cols[path] = np.array(cols[path], dtype=bool)
+        else:
+            cols[path] = np.array([math.nan if v is None else v for v in cols[path]], dtype=float)
+    expected = []
+    for rec in records:
+        if "b" in arrays and rec["b"] is not None and math.isnan(rec["b"]):
+            rec = dict(rec, b=None)
+        for name, key in (("inner", "n"), ("opt", "r"), ("merged", "r")):
+            value = rec[name] and rec[name][key]
+            if f"{name}.{key}" in arrays and value is not None and math.isnan(value):
+                rec = dict(rec, **{name: dict(rec[name], **{key: None})})
+        expected.append(_walk(_JUDGED, rec, max(1.0, abs(rec["h"])))[1])
+    verdict = cli.judge(_JUDGED, cols, DEFAULT)
+    assert verdict.dtype == bool and verdict.tolist() == [e["pass"] for e in expected]
+    for path in ("pass", "inner.pass"):
+        assert isinstance(cols[path], np.ndarray) and cols[path].tolist() == [e[path] for e in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -744,6 +744,57 @@ def test_block_full_roundtrip(rng):
         assert not np.any(full[~stored])
 
 
+def _dense(op):
+    # complex dense reference, block by block through numpy.diag
+    d = op.dim
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    for i, row in enumerate(op.diags):
+        for j, b in enumerate(row):
+            for k, v in b.items():
+                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += np.diag(v, k)
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.7, -0.7, 1e-9, 3.0, 1e200, -1.7e308])
+@pytest.mark.parametrize("d", [2, 7, 64])
+def test_full_is_real_when_every_level_vector_is(theta, d):
+    # the Hamiltonians, the projector and the chart diagonals at real theta
+    # export as real C-contiguous matrices carrying the complex export's
+    # values; the oracle gives a complex copy of them the same bits
+    p = JCParams(theta=theta, dim=d, g=0.5, omega=1.0, delta=1.0 + theta)
+    h1, h2 = jc.full_hamiltonian(p)
+    ops = [jc.hamiltonian(p), h1, h2, h1 + h2, jc.projector(p), jc.projector(p, normalizer="right")]
+    ops += [jc.chart_diagonal(p, chart) for chart in ChartTag]
+    for op in ops:
+        full = op.full()
+        assert full.dtype == np.float64 and full.flags.c_contiguous
+        ref = _dense(op)
+        assert not np.any(ref.imag) and _same_bits(full, np.ascontiguousarray(ref.real))
+    h = ops[0].full()
+    evals = oracle.eigvals_hermitian(h)
+    assert _same_bits(oracle.eigvals_hermitian(h.astype(complex)), evals)
+    w, v = oracle.eig_hermitian(h)
+    wc, vc = oracle.eig_hermitian(h.astype(complex))
+    assert vc.dtype == np.float64 and _same_bits(wc, w) and _same_bits(vc, v)
+
+
+def test_full_is_complex_when_one_imaginary_part_is_not_zero():
+    p = JCParams(theta=0.7, dim=7)
+    u = jc.propagator(p, 1.3)
+    assert u.full().dtype == np.complex128 and _same_bits(u.full(), _dense(u))
+    # one subnormal imaginary part anywhere keeps the whole export complex
+    h = jc.hamiltonian(p)
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 0, -1), (1, 1, 0)):
+        diags = [[dict(b) for b in row] for row in h.diags]
+        v = diags[i][j][k].copy()
+        v[-1] += 5e-324j
+        diags[i][j][k] = v
+        op = BlockOperator(p.dim, diags)
+        full = op.full()
+        assert full.dtype == np.complex128 and _same_bits(full, _dense(op))
+        assert np.count_nonzero(full.imag) == 1
+
+
 def _random_operator(rng, d):
     # up to three random offsets per block, each with a random level vector
     # holding some exact zeros and -0.0
@@ -760,6 +811,24 @@ def _random_operator(rng, d):
             row.append(block)
         diags.append(row)
     return BlockOperator(d, diags)
+
+
+def _reference_product(x, y):
+    # the product term by term in the operator's accumulation order, each
+    # row r of the product's diagonal k = p + q from its own indices
+    d = x.dim
+    out = [[{}, {}], [{}, {}]]
+    for i in range(2):
+        for j in range(2):
+            for m in range(2):
+                for p, a in x.diags[i][m].items():
+                    for q, b in y.diags[m][j].items():
+                        k = p + q
+                        r = np.array([r for r in range(d) if 0 <= r + p < d and 0 <= r + k < d], dtype=int)
+                        if r.size:
+                            c = out[i][j].setdefault(k, np.zeros(d - abs(k), dtype=complex))
+                            c[r - max(0, -k)] += a[r - max(0, -p)] * b[r + p - max(0, -q)]
+    return BlockOperator(d, out)
 
 
 def _slice(op, i):
@@ -804,6 +873,9 @@ def test_block_operator_algebra_matches_dense(d, seed, batch):
     assert np.array_equal((a - b).full(), af - bf)
     assert np.array_equal(a.dagger().full(), af.conj().T)
     assert a.max_abs() == np.max(np.abs(af))
+    assert _same_operator(a @ b, _reference_product(a, b))
+    # the residual over the union of offsets is the difference's max_abs
+    assert jc.block_residual(a, b) == (a - b).max_abs() == np.max(np.abs(af - bf), initial=0.0)
     # apply: a vector and a matrix
     x = rng.standard_normal((2 * d, 3))
     for y in (x[:, 0], x):
@@ -824,10 +896,20 @@ def test_block_operator_algebra_matches_dense(d, seed, batch):
     }
     for name, (stacked, op) in results.items():
         assert stacked.batch == (batch,), name
+        # an operator that products and sums build themselves is what the
+        # public constructor makes of its level vectors (the batch argument
+        # keeps the stack shape of an operator with no stored diagonal)
+        rebuilt = BlockOperator(d, stacked.diags, stacked.batch)
+        assert rebuilt.batch == stacked.batch and _same_operator(rebuilt, stacked), name
+        assert all(v.dtype == np.complex128 for row in stacked.diags for b in row for v in b.values()), name
         for i in range(batch):
             assert _same_operator(_slice(stacked, i), op(_slice(sa, i), _slice(sb, i))), (name, i)
     peaks = sa.max_abs()
     assert peaks.shape == (batch,)
+    residuals = jc.block_residual(sa, sb)
+    assert _same_bits(residuals, (sa - sb).max_abs())
+    assert residuals.tolist() == [jc.block_residual(_slice(sa, i), _slice(sb, i)) for i in range(batch)]
+    assert _same_bits(jc.block_residual(sa, b), (sa - b).max_abs())
     assert [_slice(sa, i).max_abs() for i in range(batch)] == peaks.tolist()
     for y in (x[:, 0], x):
         applied = sa.apply(y)
