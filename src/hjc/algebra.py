@@ -67,17 +67,20 @@ def conj_coeffs(v: np.ndarray) -> np.ndarray:
 
 
 def _mul_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # One doubling step of (a,b)(c,d) = (ac - conj(d)b, da + b conj(c)),
-    # recursing down to real multiplication.
-    n = x.size
+    """Products x y of coefficient arrays of shape (..., dim), broadcast over
+    the leading axes: one doubling step of (a,b)(c,d) = (ac - conj(d)b,
+    da + b conj(c)) on the halves of the last axis, recursing down to real
+    multiplication.  Each product is computed element by element, so a
+    stack gives bitwise the products of its members."""
+    n = x.shape[-1]
     if n == 1:
         return x * y
     h = n // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
+    a, b = x[..., :h], x[..., h:]
+    c, d = y[..., :h], y[..., h:]
     lo = _mul_coeffs(a, c) - _mul_coeffs(conj_coeffs(d), b)
     hi = _mul_coeffs(d, a) + _mul_coeffs(b, conj_coeffs(c))
-    return np.concatenate((lo, hi))
+    return np.concatenate((lo, hi), axis=-1)
 
 
 @functools.cache
@@ -86,11 +89,12 @@ def structure_constants(tag: AlgebraTag) -> np.ndarray:
     ``k_a k_b = sum_c T[a, b, c] k_c``.
 
     Row (a, b) is the recursive product of the basis elements k_a and k_b,
-    so every entry is 0 or +-1 and the tensor reproduces the recursion
-    exactly on basis pairs.
+    from one call of the recursion on the stacked basis pairs, so every
+    entry is 0 or +-1 and the tensor reproduces the recursion exactly on
+    basis pairs.
     """
     basis_coeffs = np.eye(tag.dim)
-    t = np.array([[_mul_coeffs(x, y) for y in basis_coeffs] for x in basis_coeffs])
+    t = _mul_coeffs(basis_coeffs[:, None, :], basis_coeffs[None, :, :])
     t.flags.writeable = False
     return t
 
@@ -103,8 +107,12 @@ def product_coeffs(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     left-multiplication matrix of x (row b holds x k_b) applied to y.  It
     sums the same coefficient products as the recursion, in another order.
     Every entry of the left-multiplication matrix is one signed coefficient
-    of x, so all of them come exactly from one matrix product.
+    of x, so all of them come exactly from one matrix product.  Over R the
+    tensor is [[[1]]] and the contraction is the one rounded product x y
+    added to a zero sum, which is what is returned, with no matrix product.
     """
+    if tag is AlgebraTag.R:
+        return np.add(x * y, 0.0)  # + 0.0 makes a -0 product +0, as the sum does
     n = tag.dim
     left = np.reshape(np.reshape(x, (-1, n)) @ structure_constants(tag).reshape(n, n * n), x.shape[:-1] + (n, n))
     return (y[..., None, :] @ left)[..., 0, :]

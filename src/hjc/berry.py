@@ -20,10 +20,13 @@ the one-row ``Points.of(tag, w, z)``.
 
 The charts, the projector and the transition function come from private
 builders that evaluate the formula at every point, defined there or not;
-the public functions refuse a non-finite result.  The berry pass
-(``hjc.cli``) calls the builders on a whole chunk, both charts from one
-:func:`_half_angle` each, and nulls what is not defined.  :class:`Matrix2K` holds one read-only (2, 2, dim)
-array; the traced benchmark run wraps its methods by name.  Every entry of
+the public functions refuse a non-finite result.  The half angles of both
+charts come from one evaluation (:func:`_half_angles`).  The berry pass,
+:func:`check_points`, calls the builders on a whole chunk of the sweep and
+returns every check as arrays (:class:`Checks`), NaN where a check is not
+defined; ``hjc berry`` names them as its columns.  :class:`Matrix2K` holds
+one read-only (2, 2, dim) array; the traced benchmark run wraps its
+methods by name.  Every entry of
 every matrix built here lies in the (commutative, associative) subalgebra
 generated by a single element w, so the fixed left-to-right evaluation
 order of matrix products is immaterial even for octonions.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +73,8 @@ __all__ = [
     "matmul_coeffs",
     "dagger_coeffs",
     "residual_coeffs",
+    "Checks",
+    "check_points",
 ]
 
 
@@ -109,9 +115,9 @@ def _finite(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _max_last(a: np.ndarray) -> np.ndarray:
-    """np.max over the last axis, taken down the rows of the transposed
+    """The max over the last axis, taken down the rows of the transposed
     copy: numpy reduces a short last axis one vector at a time."""
-    return np.max(np.ascontiguousarray(np.reshape(a, (-1, a.shape[-1])).T), axis=0).reshape(a.shape[:-1])
+    return np.ascontiguousarray(np.reshape(a, (-1, a.shape[-1])).T).max(axis=0).reshape(a.shape[:-1])
 
 
 def norms(c: np.ndarray) -> np.ndarray:
@@ -123,15 +129,15 @@ def norms(c: np.ndarray) -> np.ndarray:
     """
     _, e = np.frexp(_max_last(np.abs(c))[..., None])
     s = np.ldexp(c, -e)
-    return np.ldexp(np.sqrt(np.sum(s * s, axis=-1)), e[..., 0])
+    return np.ldexp(np.sqrt((s * s).sum(axis=-1)), e[..., 0])
 
 
-def matmul_coeffs(tag: AlgebraTag, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul_coeffs(tag: AlgebraTag, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Matrix products a b of stacked 2x2 matrices, broadcast over the
-    leading axes."""
+    leading axes; written into ``out`` when it is given."""
     # products[..., i, k, j] = a[..., i, k] b[..., k, j]
     products = product_coeffs(tag, a[..., :, :, None, :], b[..., None, :, :, :])
-    return products[..., 0, :, :] + products[..., 1, :, :]
+    return np.add(products[..., 0, :, :], products[..., 1, :, :], out=out)
 
 
 def dagger_coeffs(c: np.ndarray) -> np.ndarray:
@@ -144,18 +150,11 @@ def residual_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(norms(_finite(a - b)), axis=(-2, -1))
 
 
-def _stack(e00, e01, e10, e11) -> np.ndarray:
-    """[[e00, e01], [e10, e11]] from four (..., dim) entry arrays of the
-    shape of e00."""
-    out = np.empty(e00.shape[:-1] + (2, 2) + e00.shape[-1:])
-    out[..., 0, 0, :], out[..., 0, 1, :], out[..., 1, 0, :], out[..., 1, 1, :] = e00, e01, e10, e11
-    return out
-
-
 def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a, b) for (..., dim) entry arrays."""
-    zeros = np.zeros_like(a)
-    return _stack(a, zeros, zeros, b)
+    """diag(a, b) for (..., dim) entry arrays of one shape."""
+    out = np.zeros(a.shape[:-1] + (2, 2) + a.shape[-1:])
+    out[..., 0, 0, :], out[..., 1, 1, :] = a, b
+    return out
 
 
 def _real(x: np.ndarray, dim: int) -> np.ndarray:
@@ -273,16 +272,29 @@ def classify(pts: Points) -> np.ndarray:
     return np.where(pts.norm_w <= thr, on_axis, _CODE[PointClass.REGULAR])
 
 
+# the row of each chart in the chart-stacked arrays below
+_ROW = {chart: i for i, chart in enumerate(ChartTag)}
 _FORBIDDEN = {
     ChartTag.I: (PointClass.LOWER_STRING, PointClass.ORIGIN),
     ChartTag.II: (PointClass.UPPER_STRING, PointClass.ORIGIN),
 }
-_ALLOWED = {chart: np.array([c not in bad for c in POINT_CLASSES]) for chart, bad in _FORBIDDEN.items()}
+# chart x class: whether the chart is defined at a point of the class
+_ALLOWED = np.array([[c not in _FORBIDDEN[chart] for c in POINT_CLASSES] for chart in ChartTag])
 
 
 def admissible(codes: np.ndarray, chart: ChartTag) -> np.ndarray:
     """Mask of the class codes at which ``chart`` is defined."""
-    return _ALLOWED[chart][codes]
+    return _ALLOWED[_ROW[chart]][codes]
+
+
+# the sign of z in each chart's r +- z, by row
+_ORIENT = np.array([[1.0], [-1.0]])
+
+
+def _half_sums(pts: Points):
+    """h = (r + |z|)/2 at every point and the (2, n) mask ``same``, row 0
+    for chart I and row 1 for chart II (see :func:`half_sum`)."""
+    return 0.5 * pts.r + 0.5 * np.abs(pts.z), pts.z * _ORIENT >= 0.0
 
 
 def half_sum(pts: Points, chart: ChartTag):
@@ -292,28 +304,33 @@ def half_sum(pts: Points, chart: ChartTag):
     Elsewhere r +- z cancels and equals ||w||^2 / 2h; callers form it as
     ||w|| (||w|| / 2h) or never form it at all.
     """
-    same = (pts.z >= 0.0) if chart is ChartTag.I else (pts.z <= 0.0)
-    return 0.5 * pts.r + 0.5 * np.abs(pts.z), same
+    half, same = _half_sums(pts)
+    return half, same[_ROW[chart]]
 
 
-def _half_angle(pts: Points, chart: ChartTag):
-    """(a, f) of the chart: a = sqrt((r +- z)/2r), the real diagonal entry of
-    its unitary, and f = 1/sqrt(2r(r +- z)), the factor of w.
+def _half_angles(pts: Points):
+    """(a, f) of both charts, each a (2, n) array with row 0 for chart I and
+    row 1 for chart II: a = sqrt((r +- z)/2r), the real diagonal entry of
+    the chart's unitary, and f = 1/sqrt(2r(r +- z)), the factor of w.
 
     With h and ``same`` from :func:`half_sum` and c = sqrt(h/r): where
     ``same``, a = c and f = c/2h; where r +- z cancels, a = c ||w||/2h and
-    f = c/||w||.  f is inf on the chart's string and at the origin, where
-    ||w|| and 2h may be zero or so small that the quotient overflows; each
-    branch of f is divided out only where it is taken.
+    f = c/||w||.  Both charts share h, c and the four branches, and differ
+    only in ``same``.  f is inf on the chart's string and at the origin,
+    where ||w|| and 2h may be zero or so small that the quotient overflows.
     """
-    half, same = half_sum(pts, chart)
+    half, same = _half_sums(pts)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = np.sqrt(half / pts.r)
         a = np.where(same, c, c * (0.5 * pts.norm_w / half))
-        f = np.empty_like(c)
-        np.divide(0.5 * c, half, out=f, where=same)
-        np.divide(c, pts.norm_w, out=f, where=~same)
+        f = np.where(same, 0.5 * c / half, c / pts.norm_w)
         return a, f
+
+
+def _half_angle(pts: Points, chart: ChartTag):
+    """(a, f) of one chart, the row of :func:`_half_angles`."""
+    a, f = _half_angles(pts)
+    return a[_ROW[chart]], f[_ROW[chart]]
 
 
 def conditionings(pts: Points, chart: ChartTag) -> np.ndarray:
@@ -342,10 +359,14 @@ def _unitaries(pts: Points, halves: dict) -> np.ndarray:
     return out
 
 
-def _projector(pts: Points, a_i: np.ndarray, a_ii: np.ndarray) -> np.ndarray:
-    """The projector, its diagonal the squares of the charts' a."""
+def _projector(pts: Points, a: np.ndarray) -> np.ndarray:
+    """The projector, its diagonal the squares of the charts' a, given as
+    the (2, n) array of :func:`_half_angles`."""
     wi = pts.w * (0.5 / pts.r)[:, None]
-    return _stack(_real(a_i**2, pts.tag.dim), conj_coeffs(wi), wi, _real(a_ii**2, pts.tag.dim))
+    out = np.zeros(pts.w.shape[:1] + (2, 2, pts.tag.dim))
+    out[:, 0, 0, 0], out[:, 1, 1, 0] = a**2
+    out[:, 0, 1], out[:, 1, 0] = conj_coeffs(wi), wi
+    return out
 
 
 def _transition(pts: Points) -> np.ndarray:
@@ -355,8 +376,10 @@ def _transition(pts: Points) -> np.ndarray:
 
 def hamiltonian_coeffs(pts: Points) -> np.ndarray:
     """``[[z, conj(w)], [w, -z]]`` at every point."""
-    dim = pts.tag.dim
-    return _finite(_stack(_real(pts.z, dim), conj_coeffs(pts.w), pts.w, _real(-pts.z, dim)))
+    out = np.zeros(pts.w.shape[:1] + (2, 2, pts.tag.dim))
+    out[:, 0, 0, 0], out[:, 1, 1, 0] = pts.z, -pts.z
+    out[:, 0, 1], out[:, 1, 0] = conj_coeffs(pts.w), pts.w
+    return _finite(out)
 
 
 def eigenvalue_coeffs(pts: Points) -> np.ndarray:
@@ -385,4 +408,85 @@ def projector_coeffs(pts: Points) -> np.ndarray:
     """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]] at
     points away from the origin, its diagonal the squared chart entries
     (r +- z)/2r."""
-    return _finite(_projector(pts, *(_half_angle(pts, chart)[0] for chart in ChartTag)))
+    return _finite(_projector(pts, _half_angles(pts)[0]))
+
+
+class Checks(NamedTuple):
+    """Every check of both charts and the projector at n points, as arrays:
+    (2, n) with row 0 for chart I and row 1 for chart II, or (n,).  A
+    residual is NaN where its check is not defined, a conditioning where it
+    is not defined or infinite."""
+
+    codes: np.ndarray  # class codes, see :func:`classify`
+    admissible: np.ndarray  # (2, n)
+    projector: np.ndarray  # where the projector is defined: off the origin
+    reconstruction: np.ndarray  # (2, n): u diag(r, -r) u^dagger - H
+    unitarity: np.ndarray  # (2, n): u^dagger u - 1
+    conditioning: np.ndarray  # (2, n)
+    cocycle: np.ndarray  # u_I T - u_II, off the z axis
+    idempotency: np.ndarray  # P P - P
+    hermiticity: np.ndarray  # P^dagger - P
+    chart_agreement: np.ndarray  # the larger of u diag(1, 0) u^dagger - P over the admissible charts
+
+
+# The rows of the residual array of :func:`check_points`: reconstruction
+# I, II, unitarity I, II, idempotency, agreement I, II, hermiticity and
+# cocycle; the classes at which each row's check is defined, row by class.
+_OFF_ORIGIN = np.array([c is not PointClass.ORIGIN for c in POINT_CLASSES])
+_REGULAR = np.array([c is PointClass.REGULAR for c in POINT_CLASSES])
+_DEFINED = np.array([*_ALLOWED, *_ALLOWED, _OFF_ORIGIN, *_ALLOWED, _OFF_ORIGIN, _REGULAR])
+# the signs of the eigenvalues r, -r
+_EIGEN_SIGNS = np.array([1.0, -1.0])
+
+
+def check_points(pts: Points) -> Checks:
+    """Every check of the berry sweep at every point of ``pts``.
+
+    Both charts are evaluated at every point, defined there or not, from
+    one :func:`_half_angles`; what is not defined is masked to NaN after.
+    A non-finite difference, or a norm past the double range, raises only
+    where its check is defined, or at a non-finite input.  The products of
+    two 2x2 matrices are two :func:`matmul_coeffs` calls, written into the
+    difference array, so that the left-multiplication matrices of a
+    1024-point octonion chunk stay near 6 MB; the cocycle u_I T (T
+    diagonal) and the agreement u diag(1, 0) u^dagger skip their terms with
+    a zero factor, which moves only the sign of a zero difference.  All
+    residual norms are one :func:`norms` call.
+    """
+    tag, n = pts.tag, pts.z.shape[0]
+    codes = classify(pts)
+    used = _DEFINED.take(codes, axis=1)  # (row, point)
+    with np.errstate(all="ignore"):
+        a, f = _half_angles(pts)
+        u = _unitaries(pts, dict(zip(ChartTag, zip(a, f))))  # (chart, point, 2, 2, dim)
+        ud, proj = dagger_coeffs(u), _projector(pts, a)
+        diffs = np.empty((9, n, 2, 2, tag.dim))
+        # u diag(r, -r) is u with its columns scaled
+        matmul_coeffs(tag, u * (pts.r[:, None] * _EIGEN_SIGNS)[:, None, :, None], ud, out=diffs[:2])
+        matmul_coeffs(tag, np.concatenate((ud, proj[None])), np.concatenate((u, proj[None])), out=diffs[2:5])
+        diffs[5:7] = product_coeffs(tag, u[..., :, :1, :], ud[..., :1, :, :])
+        diffs[7] = dagger_coeffs(proj)
+        t = pts.w / pts.norm_w[:, None]  # T = diag(conj(t), t)
+        diffs[8] = product_coeffs(tag, u[0], np.stack((conj_coeffs(t), t), axis=1)[:, None])
+        diffs[:2] -= hamiltonian_coeffs(pts)
+        diffs[2:4].reshape(2, n, 4, tag.dim)[:, :, ::3, 0] -= 1.0  # the identity's diagonal
+        diffs[4:8] -= proj
+        diffs[8] -= u[1]
+        res = _max_last(norms(diffs).reshape(9, n, 4))
+    if not np.isfinite(res[used]).all():
+        _finite(diffs[used])
+    res[~used] = np.nan
+    charts = used[:2]
+    return Checks(
+        codes=codes,
+        admissible=charts,
+        projector=used[4],
+        reconstruction=res[:2],
+        unitarity=res[2:4],
+        # an infinite conditioning is bounded by no tolerance: null
+        conditioning=np.where(charts & (f != np.inf), f, np.nan),
+        cocycle=res[8],
+        idempotency=res[4],
+        hermiticity=res[7],
+        chart_agreement=np.fmax(res[5], res[6]),
+    )

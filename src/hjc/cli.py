@@ -287,55 +287,27 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 # and of the chunk's report text.
 BERRY_CHUNK = 1024
 
-_REGULAR, _ORIGIN = (berry.POINT_CLASSES.index(c) for c in (berry.PointClass.REGULAR, berry.PointClass.ORIGIN))
 _CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
+_KINDS = np.array(["grid", "sample"], dtype=object)
+_TAG_NAMES = {tag: np.array([tag.name], dtype=object) for tag in algebra.AlgebraTag}
 
 
-def _berry_pass(pts: berry.Points) -> dict:
+def _berry_columns(checks: berry.Checks) -> dict:
     """The class, the presence of the charts and the projector, and one
-    float column (NaN where null) per residual and conditioning of a chunk
-    of berry points, from one half-angle per chart; a non-finite value
-    raises only where it is reported.  Each product depth is one
-    ``matmul_coeffs`` call and all residual norms are one ``norms`` call."""
-    tag, n = pts.tag, pts.z.shape[0]
-    codes = berry.classify(pts)
-    regular, away = codes == _REGULAR, codes != _ORIGIN
-    charts = np.stack([berry.admissible(codes, chart) for chart in berry.ChartTag])
-    with np.errstate(all="ignore"):
-        halves = {chart: berry._half_angle(pts, chart) for chart in berry.ChartTag}
-        u = berry._unitaries(pts, halves)  # (chart, point, 2, 2, dim)
-        ud, proj = berry.dagger_coeffs(u), berry._projector(pts, *(a for a, _ in halves.values()))
-        mm = functools.partial(berry.matmul_coeffs, tag)
-        left, right = (ud, u[:1], proj[None]), (u, berry._transition(pts)[None], proj[None])
-        unit_cocycle_idem = mm(np.concatenate(left), np.concatenate(right))
-        # u diag(r, -r) and u diag(1, 0) are u with its columns scaled
-        recon, agree = mm(np.stack((u * np.stack((pts.r, -pts.r), axis=-1)[:, None, :, None], u * [[1.0], [0.0]])), ud)
-        # reconstruction I, II, unitarity I, II, cocycle, idempotency, hermiticity, agreement I, II
-        diffs = np.concatenate((recon, unit_cocycle_idem, berry.dagger_coeffs(proj)[None], agree))
-        diffs[:2] -= berry.hamiltonian_coeffs(pts)
-        for i in (0, 1):  # the identity
-            diffs[2:4, :, i, i, 0] -= 1.0
-        diffs[4] -= u[1]
-        diffs[5:] -= proj
-        res = berry._max_last(berry.norms(diffs).reshape(9, n, 4))
-    used = np.concatenate((charts, charts, [regular, away, away], charts))
-    if not np.isfinite(res[used]).all():  # a non-finite difference, or a norm past the double range
-        berry._finite(diffs[used])
-    res[~used] = np.nan
+    float column (NaN where null) per residual and conditioning."""
     cols = {
-        "class": _CLASS_NAMES[codes],
-        "cocycle": res[4],
-        "projector": away,
-        "projector.idempotency": res[5],
-        "projector.hermiticity": res[6],
-        "projector.chart_agreement": np.fmax(res[7], res[8]),
+        "class": _CLASS_NAMES[checks.codes],
+        "cocycle": checks.cocycle,
+        "projector": checks.projector,
+        "projector.idempotency": checks.idempotency,
+        "projector.hermiticity": checks.hermiticity,
+        "projector.chart_agreement": checks.chart_agreement,
     }
-    for i, (chart, (_, f)) in enumerate(halves.items()):
+    for i, chart in enumerate(berry.ChartTag):
         name = f"charts.{chart.value}"
-        cols[name] = charts[i]
-        cols[name + ".reconstruction"], cols[name + ".unitarity"] = res[i], res[2 + i]
-        # an infinite conditioning is bounded by no tolerance: null
-        cols[name + ".conditioning"] = np.where(charts[i] & (f != np.inf), f, np.nan)
+        cols[name] = checks.admissible[i]
+        cols[name + ".reconstruction"], cols[name + ".unitarity"] = checks.reconstruction[i], checks.unitarity[i]
+        cols[name + ".conditioning"] = checks.conditioning[i]
     return cols
 
 
@@ -345,12 +317,12 @@ def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
     index = np.arange(start, start + pts.z.shape[0])
     return {
         "index": index,
-        "kind": np.where(index < grid, "grid", "sample").astype(object),
-        "point.w.tag": np.full(len(index), pts.tag.name, dtype=object),
+        "kind": _KINDS.take(index >= grid),  # False, True index "grid", "sample"
+        "point.w.tag": _TAG_NAMES[pts.tag].repeat(len(index)),
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
-        **_berry_pass(pts),
+        **_berry_columns(berry.check_points(pts)),
     }
 
 
@@ -362,10 +334,11 @@ def _berry_chunks(args):
     tag = algebra.AlgebraTag[args.algebra]
     wscales, zvals = args.axes
     rng = np.random.default_rng(args.seed)
-    direction = algebra.random_element(tag, rng)
-    if direction.norm() == 0.0:  # pragma: no cover - measure zero
-        direction = algebra.one(tag)
-    direction = (direction / direction.norm()).coeffs
+    direction = rng.standard_normal(tag.dim)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0.0:  # pragma: no cover - measure zero
+        direction, norm = np.eye(tag.dim)[0], 1.0
+    direction = direction / norm
     grid = len(wscales) * len(zvals)
     total = grid + args.samples
     for start in range(0, total, BERRY_CHUNK):

@@ -177,8 +177,50 @@ def test_structure_constants_equal_recursion_on_basis_pairs(tag):
     assert t.shape == (tag.dim,) * 3
     for a, b in itertools.product(range(tag.dim), repeat=2):
         ref = al._mul_coeffs(al.basis(tag, a).coeffs, al.basis(tag, b).coeffs)
-        assert np.array_equal(t[a, b], ref)
+        # the stacked recursion gives the per-pair one bitwise, signs of zeros included
+        assert t[a, b].tobytes() == ref.tobytes()
         assert np.array_equal((al.basis(tag, a) * al.basis(tag, b)).coeffs, ref)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_the_recursion_on_stacks_is_the_recursion_per_pair(tag, rng):
+    x = rng.standard_normal((3, 1, tag.dim)) * 10.0 ** rng.integers(-300, 300, (3, 1, tag.dim))
+    y = rng.standard_normal((1, 4, tag.dim))
+    x[0, 0, 0], y[0, 1, -1] = -0.0, 0.0
+    got = al._mul_coeffs(x, y)
+    assert got.shape == (3, 4, tag.dim)
+    for i, j in itertools.product(range(3), range(4)):
+        assert got[i, j].tobytes() == al._mul_coeffs(x[i, 0], y[0, j]).tobytes()
+
+
+def _contraction(tag, x, y):
+    """The structure-tensor contraction of ``product_coeffs`` for any tag."""
+    n = tag.dim
+    left = np.reshape(np.reshape(x, (-1, n)) @ al.structure_constants(tag).reshape(n, n * n), x.shape[:-1] + (n, n))
+    return (y[..., None, :] @ left)[..., 0, :]
+
+
+_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-320, 2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_REALS, min_size=6, max_size=6),
+    st.lists(_REALS, min_size=4, max_size=4),
+)
+def test_real_products_are_the_contraction_bitwise_on_broadcast_stacks(xs, ys):
+    x, y = np.reshape(xs, (3, 1, 2, 1)), np.reshape(ys, (1, 2, 2, 1))
+    tag = AlgebraTag.R
+    with np.errstate(all="ignore"):
+        got, want = al.product_coeffs(tag, x, y), _contraction(tag, x, y)
+    assert got.shape == want.shape == (3, 2, 2, 1)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # every non-NaN value, and the sign of every zero, is the contraction's
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("tag", TAGS)

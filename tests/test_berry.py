@@ -512,3 +512,44 @@ def test_norms_near_the_ends_of_the_double_range(scale, tag, rng):
     assert np.all(np.isfinite(got)) and np.all(got > 0.0)
     for norm, row in zip(got, c):
         assert norm == pytest.approx(math.hypot(*row), rel=1e-15, abs=0.0)
+
+
+def _per_chart_half_angle(pts, chart):
+    """The per-chart half angle as it was before both charts shared one
+    evaluation: h, the mask and both branches of f formed for one chart."""
+    same = (pts.z >= 0.0) if chart is ChartTag.I else (pts.z <= 0.0)
+    half = 0.5 * pts.r + 0.5 * np.abs(pts.z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.sqrt(half / pts.r)
+        a = np.where(same, c, c * (0.5 * pts.norm_w / half))
+        f = np.empty_like(c)
+        np.divide(0.5 * c, half, out=f, where=same)
+        np.divide(c, pts.norm_w, out=f, where=~same)
+    return half, same, a, f
+
+
+# ||w|| and z: zeros of both signs, subnormals, and 1e-300 .. 1.7e308
+_WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-14, 1e-300, 1e300, 1.7e308]),
+    st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(TAGS),
+    st.lists(st.tuples(_WIDE, _WIDE, st.sampled_from([-1.0, 1.0])), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_fused_half_angles_are_the_per_chart_ones_bitwise(tag, rows, seed):
+    u = np.random.default_rng(seed).standard_normal((len(rows), tag.dim))
+    w = u / np.linalg.norm(u, axis=1)[:, None] * np.array([norm_w for norm_w, _, _ in rows])[:, None]
+    z = np.array([sign * mag for _, mag, sign in rows])
+    with np.errstate(all="ignore"):
+        pts = Points.of(tag, w, z)
+    a, f = berry._half_angles(pts)
+    for row, chart in enumerate(ChartTag):
+        half, same, ref_a, ref_f = _per_chart_half_angle(pts, chart)
+        assert a[row].tobytes() == ref_a.tobytes() and f[row].tobytes() == ref_f.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(berry._half_angle(pts, chart), (ref_a, ref_f)))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(berry.half_sum(pts, chart), (half, same)))

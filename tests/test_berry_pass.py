@@ -1,11 +1,12 @@
 """The dense berry pass against the chart-by-chart pass it replaced.
 
-``reference_pass`` is that earlier ``cli._berry_pass``, kept here as it
-was: it selects the rows where each chart (the projector, the cocycle) is
-defined, builds every array only there, and scatters the residuals back
-into NaN columns.  ``cli._berry_pass`` evaluates every check of both
-charts at every point and nulls what is not defined.  On any chunk the two
-must give bitwise-equal columns, or raise the same exception.
+``reference_pass`` is that earlier berry pass, kept here as it was: it
+selects the rows where each chart (the projector, the cocycle) is defined,
+builds every array only there, and scatters the residuals back into NaN
+columns.  ``berry.check_points`` evaluates every check of both charts at
+every point and nulls what is not defined; ``dense_pass`` names its
+arrays as the ``hjc berry`` columns.  On any chunk the two must give
+bitwise-equal columns, or raise the same exception.
 """
 
 import functools
@@ -43,7 +44,8 @@ def reference_pass(pts: berry.Points) -> dict:
     tag, n = pts.tag, pts.z.shape[0]
     mm = functools.partial(berry.matmul_coeffs, tag)
     codes = berry.classify(pts)
-    regular, away = codes == cli._REGULAR, codes != cli._ORIGIN
+    regular = codes == berry.POINT_CLASSES.index(berry.PointClass.REGULAR)
+    away = codes != berry.POINT_CLASSES.index(berry.PointClass.ORIGIN)
     masks = [berry.admissible(codes, chart) for chart in berry.ChartTag]
     rows = [np.flatnonzero(m) for m in masks]
     at = np.concatenate(rows)  # the point of each row of the chart stack
@@ -91,6 +93,11 @@ def reference_pass(pts: berry.Points) -> dict:
         agreement[r] = np.fmax(agreement[r], res["agreement"][part])
     cols["projector.chart_agreement"] = agreement
     return cols
+
+
+def dense_pass(pts: berry.Points) -> dict:
+    """The columns of ``berry.check_points``, as ``hjc berry`` names them."""
+    return cli._berry_columns(berry.check_points(pts))
 
 
 def _outcome(fn, pts):
@@ -150,7 +157,7 @@ def chunks(draw):
 def test_the_dense_pass_equals_the_chart_by_chart_pass(chunk):
     tag, w, z = chunk
     pts = berry.Points.of(tag, w, z)
-    _assert_same_outcome(_outcome(cli._berry_pass, pts), _outcome(reference_pass, pts))
+    _assert_same_outcome(_outcome(dense_pass, pts), _outcome(reference_pass, pts))
 
 
 @pytest.mark.parametrize("tag", list(AlgebraTag))
@@ -167,16 +174,19 @@ def test_the_dense_pass_raises_where_the_reference_raises(tag, z, w0, raises):
         pts = berry.Points.of(tag, w, np.array([z, 0.5, -2.0, 0.0]))
         want = _outcome(reference_pass, pts)
     assert isinstance(want, tuple) == raises
-    _assert_same_outcome(_outcome(cli._berry_pass, pts), want)
+    _assert_same_outcome(_outcome(dense_pass, pts), want)
 
 
 @pytest.mark.parametrize("tag", list(AlgebraTag))
 def test_one_chunk_evaluates_each_half_angle_once(tag, monkeypatch):
+    # both charts' half angles come from one fused evaluation per chunk,
+    # and the per-chart selection is never taken
     calls = []
-    half_angle = berry._half_angle
-    monkeypatch.setattr(berry, "_half_angle", lambda pts, chart: calls.append(chart) or half_angle(pts, chart))
+    half_angles = berry._half_angles
+    monkeypatch.setattr(berry, "_half_angles", lambda pts: calls.append(len(pts.z)) or half_angles(pts))
+    monkeypatch.setattr(berry, "_half_angle", lambda pts, chart: pytest.fail(f"chart {chart.value} alone"))
     rng = np.random.default_rng(3)
     w = rng.standard_normal((9, tag.dim))
     w[:3] = 0.0  # a lower string point, the origin and an upper string point
-    cli._berry_pass(berry.Points.of(tag, w, np.r_[-1.0, 0.0, 1.0, rng.standard_normal(6)]))
-    assert sorted(c.value for c in calls) == ["I", "II"]
+    dense_pass(berry.Points.of(tag, w, np.r_[-1.0, 0.0, 1.0, rng.standard_normal(6)]))
+    assert calls == [9]

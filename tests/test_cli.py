@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hjc import cli, jc, oracle, report
+from hjc import berry, cli, jc, oracle, report
 from hjc.config import DEFAULT, Tolerances
 
 
@@ -375,7 +375,7 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     target = tmp_path / "report"
     target.write_text("the previous report\n")
     passes = []
-    berry_pass = cli._berry_pass
+    berry_pass = berry.check_points
 
     def fail_second(pts):
         passes.append(len(pts.z))
@@ -384,13 +384,13 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
         return berry_pass(pts)
 
     monkeypatch.setattr(cli, "BERRY_CHUNK", 4)
-    monkeypatch.setattr(cli, "_berry_pass", fail_second)
+    monkeypatch.setattr(berry, "check_points", fail_second)
     with pytest.raises(FloatingPointError):
         cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)])
     assert passes == [4, 4]
     assert target.read_text() == "the previous report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
-    monkeypatch.setattr(cli, "_berry_pass", berry_pass)
+    monkeypatch.setattr(berry, "check_points", berry_pass)
     assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
     assert target.read_text().startswith("{" if fmt == "json" else "# schema: 2")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
