@@ -4,8 +4,8 @@ Subcommands: ``berry`` (classical chart sweep over a grid plus random
 samples), ``jc`` (quantum chart decomposition checks), ``strings``
 (singular-sector map over a theta sweep), ``evolve`` (closed-form
 propagator against the eigensolver oracle) and ``grassmann`` (coordinate
-round trip).  ``--command NAME`` is accepted as an alias for the leading
-subcommand.
+round trip), each the ``cmd_*`` function named after it.  ``--command
+NAME`` is accepted as an alias for the leading subcommand.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
@@ -16,14 +16,17 @@ are byte-identical across runs with the same ``--seed`` (env fallback
 
 Each command's record is declared once, in ``RECORDS``: every field with
 its JSON type, whether it may be null, the ``Tolerances`` field that
-judges it when it is a residual, and its CSV column.  Its ``params`` are
-declared the same way, in ``PARAMS``.  A command yields its records as
-column chunks (see ``judge``); the JSON schemas (``SCHEMAS``, params
-included), the CSV columns (``CSV_COLUMNS``), every record's ``pass`` and
-both writers (``render_json``, ``render_csv``) are derived from the
-declarations.  Each chunk is judged and written before the next is
-computed.  ``berry`` evaluates every check for both charts at every point
-of a chunk, and writes null where a chart is not admissible.
+judges it when it is a residual, and its CSV column.  Each of its params
+is declared once, in ``PARAMS``, with its option's flag, default and help:
+the parser, the checks of single options and the report's ``params`` come
+from that declaration, the help of a command from its ``cmd_*`` docstring.
+A command yields its records as column chunks (see ``judge``); the JSON
+schemas (``SCHEMAS``, params included), the CSV columns (``CSV_COLUMNS``),
+every record's ``pass`` and both writers (``render_json``,
+``render_csv``) are derived from the declarations.  Each chunk is judged
+and written before the next is computed.  ``berry`` evaluates every check
+for both charts at every point of a chunk, and writes null where a chart
+is not admissible.
 """
 
 from __future__ import annotations
@@ -174,17 +177,38 @@ RECORDS = {
 }
 
 
-# The params of each command's report, as its ``cmd_*`` returns them.
-_THETAS = Field("thetas", [NUM])
+@dataclasses.dataclass(frozen=True)
+class _Param(Field):
+    """A command's param and its option ``--dest`` (``-`` for ``_``; ``dest``
+    is ``flag``, else the name) with argparse's ``default`` and ``help``."""
+
+    default: object = None
+    help: Optional[str] = None
+    flag: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag or self.name
+
+
+# The params of each command's report, each also the declaration of an option.
+_dim = functools.partial(_Param, "dim", INT)
+_thetas = functools.partial(_Param, "thetas", [NUM], flag="theta", help="comma separated detunings")
 PARAMS = {
-    "berry": Record(Field("algebra", _ALGEBRAS), Field("grid", STR), Field("samples", INT)),
-    "jc": Record(Field("theta", NUM), _DIM, Field("g", NUM)),
-    "strings": Record(_THETAS, _DIM),
-    "evolve": Record(
-        Field("theta", NUM), Field("g", NUM), Field("omega", NUM, null=True), Field("delta", NUM, null=True),
-        _DIM, Field("t_max", NUM), Field("t_steps", INT), Field("n0", INT),
+    "berry": Record(
+        _Param("algebra", _ALGEBRAS, default="C"),
+        _Param("grid", STR, default="z=-2:2:9,w=0:1:3", help="axes name=lo:hi:count, comma separated"),
+        _Param("samples", INT, default=100),
     ),
-    "grassmann": Record(_THETAS, _DIM),
+    "jc": Record(_Param("theta", NUM, default=0.5), _dim(default=32), _Param("g", NUM, default=1.0)),
+    "strings": Record(_thetas(default="-1,-0.5,-0.25,0.25,0.5,1"), _dim(default=16)),
+    "evolve": Record(
+        _Param("theta", NUM, help="default 0.25, or derived from omega/delta/g"), _Param("g", NUM, default=1.0),
+        _Param("omega", NUM, null=True), _Param("delta", NUM, null=True), _dim(default=40),
+        _Param("t_max", NUM, default=10.0), _Param("t_steps", INT, default=50),
+        _Param("n0", INT, default=0, help="initial field level (atom starts excited)"),
+    ),
+    "grassmann": Record(_thetas(default="0.25,0.5,1,2"), _dim(default=24)),
 }
 
 SCHEMAS = {
@@ -279,8 +303,8 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (params, column chunks); ``pass``
-# is added by ``judge``.
+# Command implementations: ``cmd_<command>`` returns the command's column
+# chunks, to which ``judge`` adds ``pass``; its docstring opens with its help.
 
 # Points per chunk of ``hjc berry``: bounds the memory of the batched
 # products, whose intermediates hold 2 KB per octonion point and product,
@@ -326,8 +350,10 @@ def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
     }
 
 
-def _berry_chunks(args):
-    """The berry records, ``BERRY_CHUNK`` points at a time: the grid, then
+def cmd_berry(args):
+    """classical chart sweep
+
+    The berry records, ``BERRY_CHUNK`` points at a time: the grid, then
     the samples, each chunk's samples drawn just before it is checked (one
     draw of dim + 1 normals per sample, the same stream as drawing w and
     then z sample by sample)."""
@@ -353,13 +379,9 @@ def _berry_chunks(args):
         yield berry_chunk(pts, start, grid)
 
 
-def cmd_berry(args):
-    return {"algebra": args.algebra, "grid": args.grid, "samples": args.samples}, _berry_chunks(args)
-
-
-def _jc_chart(p, chart, h):
-    """A chart's record and its unitary, None where the chart is
-    inadmissible."""
+def _jc_chart(p, chart, h, ident):
+    """A chart's record and its unitary with its adjoint, None where the
+    chart is inadmissible; ``ident`` is the identity of the space."""
     try:
         dec = jc.chart_decompose(p, chart)
     except jc.SingularSectorError as err:
@@ -370,27 +392,29 @@ def _jc_chart(p, chart, h):
             "unitarity": None,
             "ordering_agreement": None,
         }, None
-    v, d = dec.unitary, dec.diagonal
+    v, d, vh = dec.unitary, dec.diagonal, dec.unitary.dagger()
     return {
         "admissible": True,
         "singular_levels": [],
-        "reconstruction": jc.block_residual((v @ d) @ v.dagger(), h),
-        "unitarity": jc.block_residual(v.dagger() @ v, jc.BlockOperator.identity(p.dim)),
+        "reconstruction": jc.block_residual((v @ d) @ vh, h),
+        "unitarity": jc.block_residual(vh @ v, ident),
         "ordering_agreement": jc.block_residual(v, jc.chart_unitary(p, chart, normalizer="right")),
-    }, v
+    }, (v, vh)
 
 
 def cmd_jc(args):
+    """quantum chart checks"""
     p = jc.JCParams(theta=args.theta, dim=args.dim, g=args.g)
     h = jc.hamiltonian(p)
-    checked = {c.value: _jc_chart(p, c, h) for c in (jc.ChartTag.I, jc.ChartTag.II)}
+    ident = jc.BlockOperator.identity(p.dim)
+    checked = {c.value: _jc_chart(p, c, h, ident) for c in (jc.ChartTag.I, jc.ChartTag.II)}
     radii = jc.radius_diag(p.dim, p.theta, 0)
     evals = oracle.eigvals_hermitian(h.full())  # ascending
     eig_dev = float(np.max(np.abs(evals - np.sort(np.concatenate([radii, -radii])))))
     proj = jc.projector(p)
     p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
-    units = [v for _, v in checked.values() if v is not None]
-    form = max((jc.block_residual((v @ p0) @ v.dagger(), proj) for v in units), default=None)
+    units = [u for _, u in checked.values() if u is not None]
+    form = max((jc.block_residual((v @ p0) @ vh, proj) for v, vh in units), default=None)
     plus, minus = jc.spectral_decomposition(p)
     lam = jc.block_diag(*jc.row_radii(p))
     record = {
@@ -405,10 +429,11 @@ def cmd_jc(args):
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
         "spectral.commutator": jc.block_residual(lam @ proj, proj @ lam),
     }
-    return {"theta": args.theta, "dim": args.dim, "g": args.g}, [transpose([record])]
+    return [transpose([record])]
 
 
 def cmd_strings(args):
+    """singular sector map"""
     records = []
     for theta in args.thetas:
         report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim))
@@ -427,10 +452,11 @@ def cmd_strings(args):
                 "ground_only": expected <= found <= {("I", 2, 0), ("II", 2, 0)},
             }
         )
-    return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
+    return [transpose(records)]
 
 
 def cmd_evolve(args):
+    """propagator vs oracle"""
     # with omega/delta supplied the full split propagator is checked,
     # otherwise the bare interaction one; <sigma3> is identical either way
     # (the free part only rotates number-basis phases)
@@ -452,14 +478,11 @@ def cmd_evolve(args):
         "unitarity": jc.block_residual(u.dagger() @ u, jc.BlockOperator.identity(d)),
         "sigma3": np.sum(psi[:, :d], axis=-1) - np.sum(psi[:, d:], axis=-1),
     }
-    params = {
-        "theta": p.theta, "g": args.g, "omega": args.omega, "delta": args.delta,
-        "dim": d, "t_max": args.t_max, "t_steps": args.t_steps, "n0": args.n0,
-    }
-    return params, [columns]
+    return [columns]
 
 
 def cmd_grassmann(args):
+    """coordinate round trip"""
     records = []
     for theta in args.thetas:
         p = jc.JCParams(theta=theta, dim=args.dim)
@@ -487,16 +510,10 @@ def cmd_grassmann(args):
         rec["forms_residual"] = float(np.max(np.abs(left - shifted)))
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p))
         rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected)
-    return {"thetas": list(args.thetas), "dim": args.dim}, [transpose(records)]
+    return [transpose(records)]
 
 
-COMMANDS = {
-    "berry": cmd_berry,
-    "jc": cmd_jc,
-    "strings": cmd_strings,
-    "evolve": cmd_evolve,
-    "grassmann": cmd_grassmann,
-}
+COMMANDS = {command: globals()[f"cmd_{command}"] for command in PARAMS}
 
 
 # ---------------------------------------------------------------------------
@@ -538,41 +555,22 @@ def build_parser() -> argparse.ArgumentParser:
         "and the detuned Jaynes-Cummings model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("berry", parents=[common], help="classical chart sweep")
-    q.add_argument("--algebra", choices=("R", "C", "H", "O"), default="C")
-    q.add_argument("--grid", default="z=-2:2:9,w=0:1:3", help="axes name=lo:hi:count, comma separated")
-    q.add_argument("--samples", type=int, default=100)
-
-    q = sub.add_parser("jc", parents=[common], help="quantum chart checks")
-    q.add_argument("--theta", type=float, default=0.5)
-    q.add_argument("--dim", type=int, default=32)
-    q.add_argument("--g", type=float, default=1.0)
-
-    q = sub.add_parser("strings", parents=[common], help="singular sector map")
-    q.add_argument("--theta", default="-1,-0.5,-0.25,0.25,0.5,1", help="comma separated detunings")
-    q.add_argument("--dim", type=int, default=16)
-
-    q = sub.add_parser("evolve", parents=[common], help="propagator vs oracle")
-    q.add_argument("--theta", type=float, default=None, help="default 0.25, or derived from omega/delta/g")
-    q.add_argument("--g", type=float, default=1.0)
-    q.add_argument("--omega", type=float, default=None)
-    q.add_argument("--delta", type=float, default=None)
-    q.add_argument("--dim", type=int, default=40)
-    q.add_argument("--t-max", type=float, default=10.0, dest="t_max")
-    q.add_argument("--t-steps", type=int, default=50, dest="t_steps")
-    q.add_argument("--n0", type=int, default=0, help="initial field level (atom starts excited)")
-
-    q = sub.add_parser("grassmann", parents=[common], help="coordinate round trip")
-    q.add_argument("--theta", default="0.25,0.5,1,2", help="comma separated detunings")
-    q.add_argument("--dim", type=int, default=24)
+    for command, fn in COMMANDS.items():
+        q = sub.add_parser(command, parents=[common], help=(fn.__doc__ or "").split("\n")[0])
+        for f in PARAMS[command].fields:
+            q.add_argument(
+                "--" + f.dest.replace("_", "-"), default=f.default, help=f.help,
+                type=float if f.kind == NUM else int if f.kind == INT else None,
+                choices=f.kind if isinstance(f.kind, tuple) else None,
+            )
     return parser
 
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options and complete them in place: ``seed``,
-    ``fmt``, ``tol``, the berry grid ``axes`` (||w|| values, z values), the
-    detuning list ``thetas`` and the evolve ``model``."""
+    ``fmt``, ``tol``, each ``[NUM]`` param (its option's list read), the
+    berry grid ``axes`` (||w|| values, z values) and the evolve ``model``
+    and ``theta``.  Every ``NUM`` option must be finite."""
     if args.seed is None:
         try:
             args.seed = int(os.environ.get("HJC_SEED", "0"))
@@ -580,20 +578,21 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError(f"HJC_SEED must be an integer: {exc}") from exc
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
-    for name in ("theta", "g", "omega", "delta", "t_max"):
-        v = getattr(args, name, None)
-        if isinstance(v, float):
-            _finite_value(name.replace("_", "-"), v)
+    params = PARAMS[args.command].fields
+    for f in params:
+        if f.kind == NUM and getattr(args, f.dest) is not None:
+            _finite_value(f.dest.replace("_", "-"), getattr(args, f.dest))
     args.fmt = args.fmt or ("csv" if args.command == "evolve" else "json")
     args.tol = _tolerances(args)
     if getattr(args, "dim", 2) < 2:
         raise ConfigError("dim must be at least 2")
+    for f in params:
+        if f.kind == [NUM]:
+            setattr(args, f.name, parse_float_list(getattr(args, f.dest)))
     if args.command == "berry":
         if args.samples < 0:
             raise ConfigError("samples must be non-negative")
         args.axes = parse_grid(args.grid)
-    elif args.command in ("strings", "grassmann"):
-        args.thetas = parse_float_list(args.theta)
     elif args.command == "evolve":
         if (args.omega is None) != (args.delta is None):
             raise ConfigError("omega and delta must be supplied together")
@@ -609,6 +608,7 @@ def _validate(args: argparse.Namespace) -> None:
                 args.model = jc.JCParams(theta, args.dim, args.g, args.omega, args.delta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        args.theta = args.model.theta
 
 
 def _open_out(path: str):
@@ -641,10 +641,9 @@ def _open_out(path: str):
 def _report(args, write) -> int:
     """Compute, judge and write the report chunk by chunk; the number of
     failed records."""
-    params, chunks = COMMANDS[args.command](args)
-    report = Report(args.command, args.seed, params)
+    report = Report(args.command, args.seed, {f.name: getattr(args, f.name) for f in PARAMS[args.command].fields})
     render = render_json if args.fmt == "json" else render_csv
-    for cols in chunks:
+    for cols in COMMANDS[args.command](args):
         passed = judge(RECORDS[args.command], cols, args.tol)
         write(render(report, cols))
         report.records += len(passed)

@@ -42,15 +42,16 @@ def _max_abs(r: np.ndarray) -> float:
     return float(np.max(np.abs(r, out=None if np.iscomplexobj(r) else r)))
 
 
+@np.errstate(invalid="ignore")  # inf - inf, left to the test below as NaN
 def _hermitian(m: np.ndarray) -> np.ndarray:
     """``m`` as a float array when every entry is real, else complex;
-    refuses it when its Hermiticity residual exceeds ``HERM_TOL``."""
+    refuses it unless its Hermiticity residual is at most ``HERM_TOL``."""
     m = np.asarray(m)
     if np.iscomplexobj(m) and not np.any(m.imag):
         m = np.ascontiguousarray(m.real)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     herm = _max_abs(m - m.conj().T)
-    if herm > HERM_TOL:
+    if not herm <= HERM_TOL:  # a NaN or infinite entry leaves a NaN residual
         raise ValueError(f"input not Hermitian: residual {herm:.3e}")
     return m
 
@@ -59,11 +60,11 @@ def eig_hermitian(m: np.ndarray):
     """Ascending eigenvalues and unitary eigenvector matrix of a
     Hermitian input.
 
-    Refuses inputs whose Hermiticity residual exceeds ``HERM_TOL``.
-    Self-checks the reconstruction to 1e-11 * max(1, max |m_ij|) and the
-    orthonormality, max |V+ V - I|, to ``CHECK_ULPS`` * n * eps: a lost
-    eigenvector of a null space leaves the reconstruction intact.  The
-    eigenvectors are real exactly when every entry of ``m`` is real.
+    Refuses inputs whose Hermiticity residual is not at most ``HERM_TOL``
+    (NaN included).  Self-checks the reconstruction to 1e-11 * max(1,
+    max |m_ij|) and the orthonormality, max |V+ V - I|, to ``CHECK_ULPS``
+    * n * eps, a NaN failing each: a lost eigenvector of a null space leaves
+    the reconstruction intact.  The eigenvectors are real exactly when m is.
     """
     m = _hermitian(m)
     w, v = np.linalg.eigh(m)
@@ -73,12 +74,12 @@ def eig_hermitian(m: np.ndarray):
     r = (v * w) @ vh
     r -= m
     recon = _max_abs(r)
-    if recon > 1e-11 * scale:
+    if not recon <= 1e-11 * scale:
         raise ArithmeticError(f"eigendecomposition reconstruction residual {recon:.3e}")
     r = vh @ v
     r.flat[:: n + 1] -= 1.0
     orth = _max_abs(r)
-    if orth > CHECK_ULPS * n * EPS:
+    if not orth <= CHECK_ULPS * n * EPS:
         raise ArithmeticError(f"eigenvector orthonormality residual {orth:.3e}")
     return w, v
 
@@ -103,8 +104,7 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     bound = CHECK_ULPS * n * EPS * np.sqrt(fro2)
     trace_dev = abs(float(np.sum(ws)) - float(np.trace(ms).real))
     fro_dev = abs(float(ws @ ws) - fro2)
-    # written so that a NaN fails the check
-    if not (trace_dev <= bound and fro_dev <= bound * np.sqrt(fro2)):
+    if not (trace_dev <= bound and fro_dev <= bound * np.sqrt(fro2)):  # a NaN fails it
         raise ArithmeticError(
             f"eigenvalue self-check failed: trace deviation {trace_dev / k:.3e}, "
             f"squared-norm deviation {fro_dev / (k * k):.3e}"

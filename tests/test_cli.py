@@ -459,6 +459,44 @@ def test_tolerances_options_and_declared_residuals_name_the_same_fields():
     assert {t for rec in cli.RECORDS.values() for t in tols(rec)} == fields
 
 
+def test_params_declare_the_options_and_the_report_params_of_each_command():
+    # every option of a command but the common ones is a declared param,
+    # and every declared param is a key of the report's params
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    common = {"help", "seed", "fmt", "out", *(f"tol_{f.name}" for f in dataclasses.fields(Tolerances))}
+    assert list(commands) == list(cli.PARAMS) == list(cli.COMMANDS)
+    for name, sub in commands.items():
+        assert [a.dest for a in sub._actions if a.dest not in common] == [f.dest for f in cli.PARAMS[name].fields]
+        assert [f.name for f in cli.PARAMS[name].fields] == list(cli.SCHEMAS[name]["properties"]["params"]["properties"])
+
+
+_COMMON_DEFAULTS = {"seed": None, "fmt": None, "out": "-", **{f"tol_{f.name}": None for f in dataclasses.fields(Tolerances)}}
+
+
+@pytest.mark.parametrize(
+    "command, defaults",
+    [
+        ("berry", {"algebra": "C", "grid": "z=-2:2:9,w=0:1:3", "samples": 100}),
+        ("jc", {"theta": 0.5, "dim": 32, "g": 1.0}),
+        ("strings", {"theta": "-1,-0.5,-0.25,0.25,0.5,1", "dim": 16}),
+        (
+            "evolve",
+            {
+                "theta": None, "g": 1.0, "omega": None, "delta": None,
+                "dim": 40, "t_max": 10.0, "t_steps": 50, "n0": 0,
+            },
+        ),
+        ("grassmann", {"theta": "0.25,0.5,1,2", "dim": 24}),
+    ],
+)
+def test_each_command_parses_to_its_pinned_defaults(command, defaults):
+    # the same names, in the same order, with values of the same type
+    parsed = vars(cli.build_parser().parse_args([command]))
+    expected = {"command": command, **_COMMON_DEFAULTS, **defaults}
+    assert list(parsed.items()) == list(expected.items())
+    assert list(map(type, parsed.values())) == list(map(type, expected.values()))
+
+
 def test_csv_formats_for_json_commands(tmp_path):
     for command in ("berry", "jc", "strings", "grassmann"):
         args = DEFAULT_RUNS[command] + ["--format", "csv"]

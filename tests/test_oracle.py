@@ -119,6 +119,27 @@ def test_eig_rejects_non_hermitian():
                 solve(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eig_refuses_non_finite_input(bad, dtype):
+    m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=dtype)
+    for solve in (oracle.eig_hermitian, oracle.eigvals_hermitian):
+        with pytest.raises((ArithmeticError, ValueError)):
+            solve(m)
+
+
+def test_eig_self_check_catches_a_nan_eigenvalue(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_first(a):
+        w, v = eigh(a)
+        return np.concatenate(([np.nan], w[1:])), v
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_first)
+    with pytest.raises(ArithmeticError, match="reconstruction residual"):
+        oracle.eig_hermitian(np.diag([2.0, 1.0]))
+
+
 @pytest.mark.parametrize("kind", INPUT_KINDS)
 def test_eig_self_check_catches_bad_vectors(kind, rng, monkeypatch):
     eigh = np.linalg.eigh
