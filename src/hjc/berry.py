@@ -415,7 +415,9 @@ class Checks(NamedTuple):
     """Every check of both charts and the projector at n points, as arrays:
     (2, n) with row 0 for chart I and row 1 for chart II, or (n,).  A
     residual is NaN where its check is not defined, a conditioning where it
-    is not defined or infinite."""
+    is not defined or infinite.  The residuals are the norms of the eight
+    difference rows of :func:`check_points`; P^dagger - P is not one of
+    them, as :func:`_projector` makes it exactly zero."""
 
     codes: np.ndarray  # class codes, see :func:`classify`
     admissible: np.ndarray  # (2, n)
@@ -425,16 +427,15 @@ class Checks(NamedTuple):
     conditioning: np.ndarray  # (2, n)
     cocycle: np.ndarray  # u_I T - u_II, off the z axis
     idempotency: np.ndarray  # P P - P
-    hermiticity: np.ndarray  # P^dagger - P
     chart_agreement: np.ndarray  # the larger of u diag(1, 0) u^dagger - P over the admissible charts
 
 
-# The rows of the residual array of :func:`check_points`: reconstruction
-# I, II, unitarity I, II, idempotency, agreement I, II, hermiticity and
+# The eight rows of the difference array of :func:`check_points`:
+# reconstruction I, II, unitarity I, II, idempotency, agreement I, II and
 # cocycle; the classes at which each row's check is defined, row by class.
 _OFF_ORIGIN = np.array([c is not PointClass.ORIGIN for c in POINT_CLASSES])
 _REGULAR = np.array([c is PointClass.REGULAR for c in POINT_CLASSES])
-_DEFINED = np.array([*_ALLOWED, *_ALLOWED, _OFF_ORIGIN, *_ALLOWED, _OFF_ORIGIN, _REGULAR])
+_DEFINED = np.array([*_ALLOWED, *_ALLOWED, _OFF_ORIGIN, *_ALLOWED, _REGULAR])
 # the signs of the eigenvalues r, -r
 _EIGEN_SIGNS = np.array([1.0, -1.0])
 
@@ -445,9 +446,10 @@ def check_points(pts: Points) -> Checks:
     Both charts are evaluated at every point, defined there or not, from
     one :func:`_half_angles`; what is not defined is masked to NaN after.
     A non-finite difference, or a norm past the double range, raises only
-    where its check is defined, or at a non-finite input.  The products of
-    two 2x2 matrices are two :func:`matmul_coeffs` calls, written into the
-    difference array, so that the left-multiplication matrices of a
+    where its check is defined, or at a non-finite input.  The eight
+    difference rows (see ``_DEFINED``) fill one array; the products of two
+    2x2 matrices are two :func:`matmul_coeffs` calls written into it, so
+    that the left-multiplication matrices of a
     1024-point octonion chunk stay near 6 MB; the cocycle u_I T (T
     diagonal) and the agreement u diag(1, 0) u^dagger skip their terms with
     a zero factor, which moves only the sign of a zero difference.  All
@@ -460,19 +462,18 @@ def check_points(pts: Points) -> Checks:
         a, f = _half_angles(pts)
         u = _unitaries(pts, dict(zip(ChartTag, zip(a, f))))  # (chart, point, 2, 2, dim)
         ud, proj = dagger_coeffs(u), _projector(pts, a)
-        diffs = np.empty((9, n, 2, 2, tag.dim))
+        diffs = np.empty((8, n, 2, 2, tag.dim))
         # u diag(r, -r) is u with its columns scaled
         matmul_coeffs(tag, u * (pts.r[:, None] * _EIGEN_SIGNS)[:, None, :, None], ud, out=diffs[:2])
         matmul_coeffs(tag, np.concatenate((ud, proj[None])), np.concatenate((u, proj[None])), out=diffs[2:5])
         diffs[5:7] = product_coeffs(tag, u[..., :, :1, :], ud[..., :1, :, :])
-        diffs[7] = dagger_coeffs(proj)
         t = pts.w / pts.norm_w[:, None]  # T = diag(conj(t), t)
-        diffs[8] = product_coeffs(tag, u[0], np.stack((conj_coeffs(t), t), axis=1)[:, None])
+        diffs[7] = product_coeffs(tag, u[0], np.stack((conj_coeffs(t), t), axis=1)[:, None])
         diffs[:2] -= hamiltonian_coeffs(pts)
         diffs[2:4].reshape(2, n, 4, tag.dim)[:, :, ::3, 0] -= 1.0  # the identity's diagonal
-        diffs[4:8] -= proj
-        diffs[8] -= u[1]
-        res = _max_last(norms(diffs).reshape(9, n, 4))
+        diffs[4:7] -= proj
+        diffs[7] -= u[1]
+        res = _max_last(norms(diffs).reshape(8, n, 4))
     if not np.isfinite(res[used]).all():
         _finite(diffs[used])
     res[~used] = np.nan
@@ -485,8 +486,7 @@ def check_points(pts: Points) -> Checks:
         unitarity=res[2:4],
         # an infinite conditioning is bounded by no tolerance: null
         conditioning=np.where(charts & (f != np.inf), f, np.nan),
-        cocycle=res[8],
+        cocycle=res[7],
         idempotency=res[4],
-        hermiticity=res[7],
         chart_agreement=np.fmax(res[5], res[6]),
     )

@@ -10,7 +10,7 @@ NAME`` is accepted as an alias for the leading subcommand.
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
 usage or configuration error.  Output is JSON
-(``"schema": 2`` envelope) or CSV with ``#``-prefixed header lines; both
+(``"schema": 3`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (env fallback
 ``HJC_SEED``).
 
@@ -90,11 +90,7 @@ RECORDS = {
         Field(
             "point",
             Record(
-                Field(
-                    "w",
-                    Record(Field("tag", _ALGEBRAS), Field("coeffs", [NUM], csv=False)),
-                    csv="",
-                ),
+                Field("w", Record(Field("coeffs", [NUM])), csv=False),
                 Field("z", NUM),
                 Field("norm_w", NUM, json=False),
             ),
@@ -107,7 +103,6 @@ RECORDS = {
             "projector",
             Record(
                 Field("idempotency", NUM, tol="algebraic"),
-                Field("hermiticity", NUM, tol="algebraic"),
                 Field("chart_agreement", NUM, null=True, tol="algebraic"),
             ),
             null=True,
@@ -147,14 +142,10 @@ RECORDS = {
     "strings": Record(
         Field("theta", NUM),
         Field("dim", INT, csv=False),
-        Field(
-            "sectors",
-            [
-                Record(*_SECTOR, Field("denominator", NUM), Field("status", jc.SECTOR_STATUSES))
-            ],
-            rows=True,
-        ),
-        Field("singular", [Record(*_SECTOR)], csv=False),
+        # the entries not "regular": the regular ones, closed forms of (theta, dim), are counted and bounded below
+        Field("sectors", [Record(*_SECTOR, Field("denominator", NUM), Field("status", jc.SECTOR_STATUSES))], rows=True),
+        Field("counts", Record(*(Field(status, INT) for status in jc.SECTOR_STATUSES)), csv=False),
+        Field("min_regular_denominator", NUM, null=True, csv=False),
         Field("ground_only", BOOL, ok=bool, csv=False),
         Field("pass", BOOL, csv=False),
     ),
@@ -313,7 +304,6 @@ BERRY_CHUNK = 1024
 
 _CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
 _KINDS = np.array(["grid", "sample"], dtype=object)
-_TAG_NAMES = {tag: np.array([tag.name], dtype=object) for tag in algebra.AlgebraTag}
 
 
 def _berry_columns(checks: berry.Checks) -> dict:
@@ -324,7 +314,6 @@ def _berry_columns(checks: berry.Checks) -> dict:
         "cocycle": checks.cocycle,
         "projector": checks.projector,
         "projector.idempotency": checks.idempotency,
-        "projector.hermiticity": checks.hermiticity,
         "projector.chart_agreement": checks.chart_agreement,
     }
     for i, chart in enumerate(berry.ChartTag):
@@ -342,7 +331,6 @@ def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
     return {
         "index": index,
         "kind": _KINDS.take(index >= grid),  # False, True index "grid", "sample"
-        "point.w.tag": _TAG_NAMES[pts.tag].repeat(len(index)),
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
@@ -415,8 +403,7 @@ def cmd_jc(args):
     p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
     units = [u for _, u in checked.values() if u is not None]
     form = max((jc.block_residual((v @ p0) @ vh, proj) for v, vh in units), default=None)
-    plus, minus = jc.spectral_decomposition(p)
-    lam = jc.block_diag(*jc.row_radii(p))
+    plus, minus = jc.spectral_decomposition(p, proj)  # plus is Lambda P, Lambda = diag(R1, R(N))
     record = {
         "theta": args.theta,
         "dim": args.dim,
@@ -427,7 +414,7 @@ def cmd_jc(args):
         "projector.form_agreement": form,
         "projector.ordering_agreement": jc.block_residual(jc.projector(p, normalizer="right"), proj),
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
-        "spectral.commutator": jc.block_residual(lam @ proj, proj @ lam),
+        "spectral.commutator": jc.block_residual(plus, proj @ jc.block_diag(*jc.row_radii(p))),
     }
     return [transpose([record])]
 
@@ -437,8 +424,11 @@ def cmd_strings(args):
     records = []
     for theta in args.thetas:
         report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim))
-        singular = report.singular()
-        found = set(zip(*(col.tolist() for col in singular.values())))
+        den, codes = report.denominators.reshape(-1), report.codes.reshape(-1)
+        sectors = report.take(np.flatnonzero(codes))  # the entries not regular (status code 0)
+        keys = zip(*(sectors[k].tolist() for k in ("chart", "row", "level", "status")))
+        found = {key[:3] for key in keys if key[3] == "singular"}
+        counts = np.bincount(codes, minlength=len(jc.SECTOR_STATUSES)).tolist()
         # chart I is singular at the ground level unless theta > 0, chart II
         # unless theta < 0; below |theta| ~ 5e-8 both ground denominators
         # 4 theta^2 fall under the threshold, and nothing else may
@@ -447,8 +437,9 @@ def cmd_strings(args):
             {
                 "theta": theta,
                 "dim": args.dim,
-                "sectors": report.columns,
-                "singular": singular,
+                "sectors": sectors,
+                **{f"counts.{name}": n for name, n in zip(jc.SECTOR_STATUSES, counts)},
+                "min_regular_denominator": float(np.min(den, where=codes == 0, initial=np.inf)) if counts[0] else None,
                 "ground_only": expected <= found <= {("I", 2, 0), ("II", 2, 0)},
             }
         )

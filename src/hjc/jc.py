@@ -63,6 +63,7 @@ such a stack.  The dense export is unbatched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -508,20 +509,35 @@ def _singular(den: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SectorReport:
     """Every chart denominator 2 R (R + s theta) of
-    :func:`chart_denominators` with its verdict, as the columns ``chart``
-    ("I" or "II"), ``row``, ``level``, ``denominator`` and ``status``
-    ("regular", "ill_conditioned", "singular" or "truncation"), ordered by
-    chart, then block row, then level."""
+    :func:`chart_denominators` and its status code, an index into
+    :data:`SECTOR_STATUSES`, as arrays of shape (chart, block row, level);
+    ``columns`` holds them all in that order, as :meth:`take` gives them."""
 
     theta: float
-    dim: int
-    columns: dict
+    denominators: np.ndarray
+    codes: np.ndarray
+
+    def take(self, index) -> dict:
+        """The columns ``chart`` ("I" or "II"), ``row``, ``level``,
+        ``denominator`` and ``status`` of the entries at a flat ``index``."""
+        chart, row, level = np.unravel_index(index, self.codes.shape)
+        return {
+            "chart": np.array([c.value for c in ChartTag], dtype=object)[chart],
+            "row": row + 1,
+            "level": level,
+            "denominator": self.denominators.reshape(-1)[index],
+            "status": np.array(SECTOR_STATUSES, dtype=object)[self.codes.reshape(-1)[index]],
+        }
+
+    @functools.cached_property
+    def columns(self) -> dict:
+        return self.take(np.arange(self.codes.size))
 
     def singular(self) -> dict:
         """The ``chart``, ``row`` and ``level`` columns of the singular
         entries."""
-        keep = self.columns["status"] == "singular"
-        return {k: self.columns[k][keep] for k in ("chart", "row", "level")}
+        cols = self.take(np.flatnonzero(self.codes == SECTOR_STATUSES.index("singular")))
+        return {k: cols[k] for k in ("chart", "row", "level")}
 
 
 class SingularSectorError(Exception):
@@ -546,18 +562,10 @@ def singular_sectors(p: JCParams) -> SectorReport:
     not singular are ``ill_conditioned`` below
     :data:`hjc.config.ILL_CONDITIONED` and ``regular`` otherwise.
     """
-    d = p.dim
     den = np.array([[row[2] for row in chart_denominators(p, chart)] for chart in ChartTag])
     codes = np.where(_singular(den), 2, np.where(den < ILL_CONDITIONED, 1, 0))
     codes[:, 0, -1] = 3
-    columns = {
-        "chart": np.repeat(np.array([c.value for c in ChartTag], dtype=object), 2 * d),
-        "row": np.tile(np.repeat([1, 2], d), 2),
-        "level": np.tile(np.arange(d), 4),
-        "denominator": den.reshape(-1),
-        "status": np.array(SECTOR_STATUSES, dtype=object)[codes.reshape(-1)],
-    }
-    return SectorReport(p.theta, d, columns)
+    return SectorReport(p.theta, den, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +691,12 @@ def projector(p: JCParams, normalizer: str = "left") -> BlockOperator:
     return norm @ core if normalizer == "left" else core @ norm
 
 
-def spectral_decomposition(p: JCParams):
-    """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) with
-    Lambda = diag(R1, R(N)), the row radii of :func:`row_radii`; the parts
-    sum back to the Hamiltonian and Lambda commutes with P."""
+def spectral_decomposition(p: JCParams, proj: BlockOperator):
+    """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) of P = ``proj``,
+    the :func:`projector` of ``p``, with Lambda = diag(R1, R(N)), the row
+    radii of :func:`row_radii`; the parts sum back to the Hamiltonian and
+    Lambda commutes with P."""
     lam = block_diag(*row_radii(p))
-    proj = projector(p)
     return lam @ proj, lam @ (proj - BlockOperator.identity(p.dim))
 
 

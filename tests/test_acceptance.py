@@ -222,7 +222,7 @@ def test_07_projector_and_spectral_decomposition():
         worst_form = max(
             worst_form, jc.block_residual((v @ p0) @ v.dagger(), proj)
         )
-        plus, minus = jc.spectral_decomposition(p)
+        plus, minus = jc.spectral_decomposition(p, proj)
         worst_recon = max(
             worst_recon, jc.block_residual(plus + minus, jc.hamiltonian(p))
         )

@@ -553,3 +553,31 @@ def test_the_fused_half_angles_are_the_per_chart_ones_bitwise(tag, rows, seed):
         assert a[row].tobytes() == ref_a.tobytes() and f[row].tobytes() == ref_f.tobytes()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(berry._half_angle(pts, chart), (ref_a, ref_f)))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(berry.half_sum(pts, chart), (half, same)))
+
+
+# one coordinate of w or z: zeros of both signs, subnormals and 1e-300 ..
+# 1.7e308, of either sign
+_COORD = st.builds(
+    lambda mag, sign: sign * mag,
+    st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300, 1.7e308]),
+        st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+    ),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TAGS), st.data())
+def test_the_projector_is_its_own_adjoint_bitwise(tag, data):
+    # hjc berry writes no Hermiticity residual of the projector: P^dagger
+    # is P exactly at every point off the origin whose radius is finite
+    coords = st.lists(_COORD, min_size=tag.dim + 1, max_size=tag.dim + 1)
+    c = np.array(data.draw(st.lists(coords, min_size=1, max_size=12)))
+    with np.errstate(all="ignore"):
+        pts = Points.of(tag, c[:, :-1], c[:, -1])
+    pts = pts.take(np.isfinite(pts.r) & (berry.classify(pts) != POINT_CLASSES.index(PointClass.ORIGIN)))
+    proj = berry.projector_coeffs(pts)
+    # the conjugation turns the diagonal's zero imaginary parts into -0.0;
+    # adding 0.0 makes every zero +0.0 and leaves every other bit as it is
+    assert (berry.dagger_coeffs(proj) + 0.0).tobytes() == (proj + 0.0).tobytes()

@@ -24,7 +24,7 @@ from hjc import algebra, berry, cli
 from hjc.algebra import AlgebraTag
 from hjc.config import DEFAULT
 
-RESIDUALS = {"reconstruction", "unitarity", "cocycle", "idempotency", "hermiticity", "chart_agreement"}
+RESIDUALS = {"reconstruction", "unitarity", "cocycle", "idempotency", "chart_agreement"}
 
 
 def _finite(x: float) -> float:
@@ -43,7 +43,7 @@ def _berry_point_record(index, kind, point):
     rec = {
         "index": index,
         "kind": kind,
-        "point": {"w": {"tag": tag.name, "coeffs": point.w[0].tolist()}, "z": float(point.z[0])},
+        "point": {"w": {"coeffs": point.w[0].tolist()}, "z": float(point.z[0])},
         "class": cls.value,
         "charts": {"I": None, "II": None},
         "cocycle": None,
@@ -71,7 +71,6 @@ def _berry_point_record(index, kind, point):
         proj = berry.projector_coeffs(point)
         rec["projector"] = {
             "idempotency": _residual(mm(proj, proj), proj),
-            "hermiticity": _residual(berry.dagger_coeffs(proj), proj),
             "chart_agreement": None,
         }
         if units:

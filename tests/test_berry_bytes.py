@@ -17,14 +17,14 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("R", "json"): "3e0029e34d6d380564eb26ac93695d86db1161c9f600cdca728bd14dceab8088",
-    ("R", "csv"): "3ff80bbe7e7e4b52a0deffdaf75fc294d78d15a266f0166d30cbfff5ab592855",
-    ("C", "json"): "ff56f64eb9cf64a804e00d2f8f3a2eed56cdfb50d845c3c69e4e33ea11f9baff",
-    ("C", "csv"): "739c1c7b35b27dbdecfb89dfc5ecf1c21ac676b905eae62d46fd8518861d945c",
-    ("H", "json"): "286349337711468ef7d1b30fbbc9be9c649b433bc3271deb36739b9cb7186479",
-    ("H", "csv"): "d80036ffe9f086e14af3bb721e040783094e78212723799071e7a91dbe3b798b",
-    ("O", "json"): "79519fb3802682d65029a512243c0d4e21eab34934325f4f453643841c00c577",
-    ("O", "csv"): "2f246688a198820396e382572e0d88d269b39406dc75eef5358c0be7dd2ffa88",
+    ("R", "json"): "e1a900a2554d1b912a3bfc584c7ddf0253566a90ddc9bfe1bd060356bd1f03dc",
+    ("R", "csv"): "4dfaeb5638f311f76ee929157ce1d7b795b154e66ce292d612917954b2c39e30",
+    ("C", "json"): "e70f446716fb13ad3e2abcb8feea283a16d2680afd5b55738c74fd151880fb28",
+    ("C", "csv"): "965f2619ababa77586a81d40d50e0f0d9ced84ae58c05c804b7bdbe8a22df62e",
+    ("H", "json"): "91a3c86b253bb08d1f9559a893994e83350934200b7ffca79727edaf1177e2ac",
+    ("H", "csv"): "6c20fb2f8e6ddc6780d86b9366620693ce486e69e83a50e1dd4e26bb454b15d8",
+    ("O", "json"): "9f75569ec2f329004d4580200320d7fa6201867311693707ce74e7f2d8ed47a1",
+    ("O", "csv"): "e6bef26205ed0036470cf002f0eb199751ea9162bdca6f7264955d927bfd07be",
 }
 
 

@@ -70,16 +70,14 @@ def reference_pass(pts: berry.Points) -> dict:
         (unit, np.broadcast_to(ident, u.shape)),
         (cocycle, u_ii[regular[masks[1]]]),
         (idem, proj),
-        (berry.dagger_coeffs(proj), proj),
         (agree, proj[(np.cumsum(away) - 1)[at]]),  # chart rows lie away from the origin
     )
-    res = dict(zip(("reconstruction", "unitarity", "cocycle", "idempotency", "hermiticity", "agreement"), res))
+    res = dict(zip(("reconstruction", "unitarity", "cocycle", "idempotency", "agreement"), res))
     cols = {
         "class": cli._CLASS_NAMES[codes],
         "cocycle": _scatter(n, regular, res["cocycle"]),
         "projector": away,
         "projector.idempotency": _scatter(n, away, res["idempotency"]),
-        "projector.hermiticity": _scatter(n, away, res["hermiticity"]),
     }
     agreement = np.full(n, np.nan)
     for chart, mask, r, part in zip(berry.ChartTag, masks, rows, (slice(0, k), slice(k, None))):

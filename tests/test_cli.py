@@ -45,7 +45,7 @@ def test_default_suite_passes_and_validates(command):
     jsonschema.validate(payload, cli.SCHEMAS[command])
     params = cli.SCHEMAS[command]["properties"]["params"]
     assert sorted(params["required"]) == sorted(params["properties"]) == sorted(payload["params"])
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["seed"] == 11
     assert payload["summary"]["passed"] is True
 
@@ -392,7 +392,7 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
     monkeypatch.setattr(berry, "check_points", berry_pass)
     assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
-    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 2")
+    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 3")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
@@ -431,7 +431,7 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"# schema: 2\n"
+    assert proc.stdout.readline() == b"# schema: 3\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -562,8 +562,8 @@ def _shift_chart_diagonal(mp, shift):
 def _shift_spectral(mp, shift):
     orig = jc.spectral_decomposition
 
-    def shifted(p):
-        plus, minus = orig(p)
+    def shifted(p, proj):
+        plus, minus = orig(p, proj)
         return plus + shift * jc.BlockOperator.identity(p.dim), minus
 
     mp.setattr(jc, "spectral_decomposition", shifted)
@@ -639,8 +639,8 @@ def test_grassmann_singular_set_is_the_strings_chart_i_row_2_set(theta, capsys):
     assert cli.main(["grassmann", *argv]) == 0
     rec = json.loads(capsys.readouterr().out)["records"][0]
     assert cli.main(["strings", *argv]) == 0
-    singular = json.loads(capsys.readouterr().out)["records"][0]["singular"]
-    row_2 = [s["level"] for s in singular if (s["chart"], s["row"]) == ("I", 2)]
+    sectors = json.loads(capsys.readouterr().out)["records"][0]["sectors"]
+    row_2 = [s["level"] for s in sectors if (s["chart"], s["row"], s["status"]) == ("I", 2, "singular")]
     assert rec["singular_levels"] == row_2 == ([0] if theta <= 0 else [])
     assert rec["pass"]
 
@@ -655,7 +655,38 @@ def test_strings_edge_entries_are_truncation_and_the_string_is_ground_only(theta
     assert rec["ground_only"] and rec["pass"]
     edge = {(s["chart"], s["row"], s["level"]) for s in rec["sectors"] if s["status"] == "truncation"}
     assert edge == {("I", 1, d - 1), ("II", 1, d - 1)}
-    assert {(s["row"], s["level"]) for s in rec["singular"]} == {(2, 0)}
+    assert {(s["row"], s["level"]) for s in rec["sectors"] if s["status"] == "singular"} == {(2, 0)}
+
+
+# |theta| from 5e-324 to 1.7e308, either sign
+_THETAS = st.builds(
+    lambda mag, sign: sign * mag,
+    st.one_of(
+        st.sampled_from([5e-324, 1e-310, 5e-8, 1.0, 1e300, 1.7e308]),
+        st.floats(-323.3, 308.0).map(lambda e: 10.0**e),
+    ),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(thetas=st.lists(_THETAS, min_size=1, max_size=4), d=st.sampled_from([2, 3, 7, 64, 311]))
+def test_the_strings_record_lists_the_non_regular_rows_of_the_sector_report(thetas, d, capsys):
+    code = cli.main(["strings", "--theta=" + ",".join(map(repr, thetas)), f"--dim={d}"])
+    records = json.loads(capsys.readouterr().out)["records"]
+    for theta, rec in zip(thetas, records):
+        full = jc.singular_sectors(jc.JCParams(theta=theta, dim=d))
+        rows = [dict(zip(full.columns, row)) for row in zip(*(col.tolist() for col in full.columns.values()))]
+        assert rec["sectors"] == [row for row in rows if row["status"] != "regular"]
+        assert rec["counts"] == {s: sum(row["status"] == s for row in rows) for s in jc.SECTOR_STATUSES}
+        assert sum(rec["counts"].values()) == 4 * d
+        regular = [row["denominator"] for row in rows if row["status"] == "regular"]
+        assert rec["min_regular_denominator"] == (min(regular) if regular else None)
+        # the verdict as the full report gave it
+        found = set(zip(*(col.tolist() for col in full.singular().values())))
+        expected = {(c, 2, 0) for c, off in (("I", theta > 0), ("II", theta < 0)) if not off}
+        assert rec["ground_only"] == (expected <= found <= {("I", 2, 0), ("II", 2, 0)}) == rec["pass"]
+    assert code == (0 if all(rec["pass"] for rec in records) else 1)
 
 
 @pytest.mark.parametrize(
@@ -776,7 +807,7 @@ def _expected_rows(command, rec):
     if command == "berry":
         point = rec["point"]
         row = {k: rec[k] for k in ("index", "kind", "class", "cocycle", "pass")}
-        row.update(tag=point["w"]["tag"], z=point["z"], norm_w=float(np.linalg.norm(point["w"]["coeffs"])))
+        row.update(z=point["z"], norm_w=float(np.linalg.norm(point["w"]["coeffs"])))
         parts = {"chart_I": rec["charts"]["I"], "chart_II": rec["charts"]["II"], "projector": rec["projector"]}
         for prefix, obj in parts.items():
             row.update({f"{prefix}_{k}": v for k, v in (obj or {}).items()})

@@ -581,10 +581,10 @@ def test_projector_sector_trace_is_one():
 def test_spectral_decomposition(theta):
     d = 32
     p = JCParams(theta=theta, dim=d)
-    plus, minus = jc.spectral_decomposition(p)
+    proj = jc.projector(p)
+    plus, minus = jc.spectral_decomposition(p, proj)
     assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
     lam = radius_block(p, 1, 0)
-    proj = jc.projector(p)
     assert jc.block_residual(lam @ proj, proj @ lam) <= 1e-12
 
 
@@ -667,7 +667,7 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
         assert jc.block_residual(u.dagger() @ u, ident) <= 1e-12
         assert max_abs(((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger()).full(), oracle_proj) <= proj_tol
     assert max_abs(jc.projector(p).full(), oracle_proj) <= proj_tol
-    plus, minus = jc.spectral_decomposition(p)
+    plus, minus = jc.spectral_decomposition(p, jc.projector(p))
     assert max_abs((plus - minus).full(), oracle_abs) <= 1e-12
     assert max_abs(jc.block_diag(*jc.row_radii(p)).full(), oracle_abs) <= 1e-12
     if theta > 1e-7:
@@ -928,7 +928,7 @@ def test_closed_forms_are_linear_in_memory():
         u = jc.propagator(p, 1.3)
         dec = jc.chart_decompose(p, ChartTag.I)
         proj = jc.projector(p)
-        plus, minus = jc.spectral_decomposition(p)
+        plus, minus = jc.spectral_decomposition(p, proj)
         start = np.zeros(2 * d)
         start[3] = 1.0
         psi = u.apply(start)

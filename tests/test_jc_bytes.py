@@ -22,44 +22,44 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("jc --theta=0.7 --dim=7", "json"): (0, "67633142445033c86dbe3343da3b67de82d2c07645de985c590cdd05ef550a33"),
-    ("jc --theta=0.7 --dim=7", "csv"): (0, "371db6e6cb5258fb3cd18a6ef4f772786ea107abbe8aea5d12d87357b238b614"),
-    ("jc --theta=-0.7 --dim=7", "json"): (0, "da2deb019d522cd530ff12673753c813f0ac9405accc0aebb6a11192c24bdf2c"),
-    ("jc --theta=-0.7 --dim=7", "csv"): (0, "f9f7ad909fb345b3a386786787807c95e0aeee2cf4fb13d66612e00257a0e0a0"),
-    ("jc --theta=1e200 --dim=7", "json"): (0, "e11c51fada4e131ff897fc219df3136608f6e4dc756e935d8a0d8cfcd33e9b95"),
-    ("jc --theta=1e200 --dim=7", "csv"): (0, "a2308e3e0097ed638a287b739835e8dcadd64e2db310439ba2a8c3616b68453f"),
+    ("jc --theta=0.7 --dim=7", "json"): (0, "f68440d58764ccd068a80ef54819c418371691e9023a5bf2b5eea03bfac3f185"),
+    ("jc --theta=0.7 --dim=7", "csv"): (0, "d3c64db4176dd0c862ed8ebf5f8566a0224af5ad91bd4bd84a8a77fe5eee1ab9"),
+    ("jc --theta=-0.7 --dim=7", "json"): (0, "ae76589ffad71f1889a2cb7141ce6fd2967d1c8856a375e5f6139de61731f5e9"),
+    ("jc --theta=-0.7 --dim=7", "csv"): (0, "ab06ef5fcdb184428eea85e1cc0652345504bb22c9281c9ea95051b309d075b7"),
+    ("jc --theta=1e200 --dim=7", "json"): (0, "daa2ea65d5474db2c6823f0a379a7398849360a829b007f3f55f1403042641fc"),
+    ("jc --theta=1e200 --dim=7", "csv"): (0, "ef3b80386ab045fb4eea1d8f4d3f3a35721e9fbeaea18f3c53f318feeee9e12a"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "60c35b2fcdc286c75b85e59636685089a351935c105736264a342ca7714bee93"),
+        0, "4be503cdd3649a78380fbe01a20346dca7d9aa5127413f977e8514a4c5f624a3"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "5f312ec35934265e9a14deb00f722ffc486ff16ac3d8d5238b3ff3387594e580"),
+        0, "9a76e235b1d10c7e63d9caba00e7c16d13d85945cc9a11f461791911abfedcc2"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "9a09aa1259249c17cf0cf341799738be1cd1154cc0c2d3a0263105bf0b4e7596"),
+        0, "0bf226de6f1cdb613e6cef6b0fcc5ae102cf4798398407de051aafa73a224de9"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "305a1141ed1f812c75446a590845e2a277a83636e99f910a886e02620b2bdb3b"),
+        0, "b05958a20c5e613371850f5b6ba4153a4e8144b5aafb2c78536fc1d396f12dd0"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "5d0a6ae9a2eca803286d9ac00b65c0b975850e6b65bcc3d9a012469119abe3af"),
+        0, "d9618af8951eb3f443fa26cdb449baaf3159f532f4babaae68f7ad0e1c2518f0"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "1121bc4f4fc40270ce52e5dce7899753aa7865c743d4bf633b7b9207722e1b0e"),
+        0, "b73194bdb43e37178bc1c172c07ad30909a55707d774e3ba33b7b38c11c8583c"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "9cd74132c5aaa3943d128182cfe053057b81c7db601f2009adfa896868b22215"),
+        0, "008b2c96d6ea451f81e7968f407b5d26a477699e1d30952ecde0dd50d810729e"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "56833aff7c70decc06066afbcd495f35f9d94805e017d97d48a2d8eb1ac7661e"),
+        0, "c4b27fc5047f28e64643297c86fb08788e028684a5c82c67397b78cb8b8b5298"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "4a565178e2a9e4a9782eeecc8b9b909d95173016d7d66d933f9bdd9aa7f773b7"),
+        0, "14405bd82244bcfa432d0b98762a47d775e1ca6c10a96f20892920c4963c32c2"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "daabcd6c778213b446133c57cced2a1152be35963bff03e51e38b8d6fb2ffb1b"),
+        0, "545f85a345888d563428bbde692dc6b119f60e55349129110009b58a11f69550"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        1, "4034b8c467d32670d4bf7510e6d4eca36e0c502335c88bab6130ded5b5f0b6b8"),
+        1, "4762dc3a1d52b837ea8c02c9a6313d1e32852eb88f446baaf93bd52502b8887e"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        1, "4ea93272774258f4a1747c70001b39e67416c2086cb7089f2924e38aaa301a02"),
+        1, "893866649d63948ac9daf111e094f653381fec5ac76006557818b673790f2892"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "fafc22ff5b29cdba094c9fc4f285d45e49495487a686246cdd7e6acfebbb6126"),
+        0, "33bc5c4297baa8352e1d38e235f6dcb72714f41d101e6330689174608e07601c"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "0aa84e8c7b3105ca68b33aa38a8f94d2880045a9d2cc2221a2bf89c5f4033f96"),
+        0, "e672f48f274a21499eb7e547eb40cc9834ff4772a7b330a18f5cd69a3657af98"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "d590436271d6f4308d019eb891a7640427f38117a7b9575b741f444d7925876c"),
+        0, "2fa447641f7781840507622f5b7b76f532cde3c8e98189e34019c6e16d2dac2a"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "55335f8cc70919d0f07d810123340d38d612dc558564aa62b87fa91e00c1b9d9"),
+        0, "03a775e02451c097360c3264ec766cc0859c39240582c2c12074b4b0418118ca"),
 }
 
 
