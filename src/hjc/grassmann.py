@@ -17,9 +17,13 @@ the string's shadow in the coordinate chart.  The classical limit of Z is
 the familiar scalar stereographic coordinate (x + iy)/(r + z), undefined
 on the lower string.
 
-Z is one subdiagonal and 1 + Z+Z is diagonal, so Z is held as its
-subdiagonal level vector, Z|n> = z[n] |n+1>, and P(Z) is built
-elementwise as a :class:`hjc.jc.BlockOperator`: both cost O(d).
+The two forms of Z are the ordering identity of the shift a+ and agree
+level by level, so :func:`local_coordinate` builds only the regular one,
+a+ (1/(R(N+1)+theta)); the identity itself is checked against dense Fock
+matrices by the tests of :func:`hjc.fock.shift_identity_check`.  Z is one
+subdiagonal and 1 + Z+Z is diagonal, so Z is held as its subdiagonal level
+vector, Z|n> = z[n] |n+1>, and P(Z) is built elementwise as a
+:class:`hjc.jc.BlockOperator`: both cost O(d).
 """
 
 from __future__ import annotations
@@ -32,29 +36,19 @@ from .jc import BlockOperator, JCParams, admissible_denominators
 
 __all__ = [
     "local_coordinate",
-    "local_coordinate_forms",
     "projector_from_coordinate",
     "classical_coordinate",
     "classical_projector_from_coordinate",
 ]
 
 
-def local_coordinate_forms(p: JCParams):
-    """Both closed forms of Z, (1/(R(N)+theta)) a+ and
-    a+ (1/(R(N+1)+theta)), as subdiagonal level vectors; they agree
-    identically.  Raises :class:`hjc.jc.SingularSectorError` where chart I
-    is singular, as :func:`hjc.jc.singular_sectors` reports it."""
-    (_, shifted, _), (_, plain, _) = admissible_denominators(p, ChartTag.I)
-    sq = 0.5 * np.sqrt(np.arange(1.0, p.dim))  # half the subdiagonal of a+, over the half sums
-    return sq / plain[1:], sq / shifted[:-1]
-
-
 def local_coordinate(p: JCParams) -> np.ndarray:
-    """Z's subdiagonal level vector in its regular form,
+    """Z's subdiagonal level vector in its regular form a+ (1/(R(N+1)+theta)),
     z[n] = sqrt(n+1)/(R(n+1)+theta) for n = 0 .. d-2; raises
     :class:`hjc.jc.SingularSectorError` where chart I is singular (ground
-    level, theta <= 0)."""
-    return local_coordinate_forms(p)[1]
+    level, theta <= 0), as :func:`hjc.jc.singular_sectors` reports it."""
+    (_, shifted, _), _ = admissible_denominators(p, ChartTag.I)
+    return 0.5 * np.sqrt(np.arange(1.0, p.dim)) / shifted[:-1]  # half the subdiagonal of a+, over the half sums
 
 
 def projector_from_coordinate(z) -> BlockOperator:

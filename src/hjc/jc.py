@@ -563,7 +563,8 @@ def singular_sectors(p: JCParams) -> SectorReport:
     :data:`hjc.config.ILL_CONDITIONED` and ``regular`` otherwise.
     """
     den = np.array([[row[2] for row in chart_denominators(p, chart)] for chart in ChartTag])
-    codes = np.where(_singular(den), 2, np.where(den < ILL_CONDITIONED, 1, 0))
+    codes = (den < ILL_CONDITIONED).view(np.int8)  # 1 ill-conditioned, 0 regular
+    codes[_singular(den)] = 2
     codes[:, 0, -1] = 3
     return SectorReport(p.theta, den, codes)
 
@@ -583,11 +584,17 @@ def admissible_denominators(p: JCParams, chart: ChartTag):
     return rows
 
 
-def _chart_pieces(p: JCParams, chart: ChartTag):
-    """Twice the normalizer level values (row1, row2) and half the
-    unnormalized chart matrix, so that no entry exceeds the double range
-    (their products are the chart's entries exactly); raises on vanishing
-    denominators."""
+def chart_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
+    """Operator-valued chart unitary V: the normalizer
+    diag(1/(sqrt(2R) sqrt(2h))) of the row radii, on the left of the
+    unnormalized chart matrix, held at twice and half their values so that
+    no entry exceeds the double range (the products are V's entries
+    exactly).  The normalizer on the right (its two rows swapped for chart
+    II) gives the same level values by the ordering identity
+    (R(N) + theta)^-1 a+ = a+ (R(N+1) + theta)^-1, so only this form is
+    built.  Raises :class:`SingularSectorError` for the theta sign whose
+    ground-level denominator vanishes.
+    """
     (r1, h1, _), (r2, h2, _) = admissible_denominators(p, chart)
     d = p.dim
     sq = 0.5 * _ladder(d)
@@ -596,29 +603,7 @@ def _chart_pieces(p: JCParams, chart: ChartTag):
     else:
         # [[a, -(R1 - theta)], [R(N) - theta, a+]] / 2
         core = BlockOperator(d, (({1: sq}, {0: -h1}), ({0: h2}, {-1: sq})))
-    return _normalizer(r1, h1), _normalizer(r2, h2), core
-
-
-def _normalize(chart: ChartTag, normalizer: str, f1, f2, core) -> BlockOperator:
-    if normalizer == "left":
-        return block_diag(f1, f2) @ core
-    if chart is ChartTag.I:
-        return core @ block_diag(f1, f2)
-    return core @ block_diag(f2, f1)
-
-
-def chart_unitary(p: JCParams, chart: ChartTag, normalizer: str = "left") -> BlockOperator:
-    """Operator-valued chart unitary V.
-
-    ``normalizer`` picks which side the inverse-square-root diagonal
-    factor multiplies from; the two sides agree identically (for chart II
-    the right-side factor carries the row arguments swapped).  Raises
-    :class:`SingularSectorError` for the theta sign whose ground-level
-    denominator vanishes.
-    """
-    if normalizer not in ("left", "right"):
-        raise ValueError("normalizer must be 'left' or 'right'")
-    return _normalize(chart, normalizer, *_chart_pieces(p, chart))
+    return block_diag(_normalizer(r1, h1), _normalizer(r2, h2)) @ core
 
 
 def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
@@ -634,22 +619,17 @@ def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
 
 @dataclass(frozen=True)
 class ChartDecomposition:
-    """Unitary + diagonal factor pair together with the chart it came
-    from and the chart's conditioning score."""
+    """Unitary and diagonal factor of a chart."""
 
     unitary: BlockOperator
     diagonal: BlockOperator
-    chart: ChartTag
-    conditioning: float
 
 
 def chart_decompose(p: JCParams, chart: ChartTag) -> ChartDecomposition:
     """Chart unitary V and diagonal factor D with H = V D V+ exactly on the
     whole truncated space, the one-level sectors |g,0> and |e,d-1>
-    included; the conditioning is the largest normalizer."""
-    f1, f2, core = _chart_pieces(p, chart)
-    cond = 0.5 * float(max(np.max(f1), np.max(f2)))
-    return ChartDecomposition(_normalize(chart, "left", f1, f2, core), chart_diagonal(p, chart), chart, cond)
+    included."""
+    return ChartDecomposition(chart_unitary(p, chart), chart_diagonal(p, chart))
 
 
 def transition_operator(d: int) -> BlockOperator:
@@ -666,7 +646,7 @@ def transition_operator(d: int) -> BlockOperator:
     return BlockOperator(d, (({1: np.ones(d - 1)}, {}), ({}, {-1: np.ones(d - 1)})))
 
 
-def projector(p: JCParams, normalizer: str = "left") -> BlockOperator:
+def projector(p: JCParams) -> BlockOperator:
     """Globally defined spectral projector
 
         diag(1/2R1, 1/2R(N)) [[R1 + theta, a], [a+, R(N) - theta]]
@@ -676,19 +656,18 @@ def projector(p: JCParams, normalizer: str = "left") -> BlockOperator:
     2R at most :data:`hjc.config.SINGULAR_THRESHOLD` (at resonance, the
     ground and the top level) is taken with the kernel convention (the
     entries it scales vanish anyway).  Agrees with V diag(1, 0) V+ for
-    whichever charts exist.
+    whichever charts exist.  It is Hermitian by construction, both
+    off-diagonal blocks carrying sqrt(n)/2R(n) at level n from the same
+    level values, and the form with diag(1/2R1, 1/2R(N)) on the right is
+    the same operator, so only this form is built.
     """
-    if normalizer not in ("left", "right"):
-        raise ValueError("normalizer must be 'left' or 'right'")
     d, th = p.dim, p.theta
     m1, m2 = _row_levels(d)
     (r1, h1), (r2, h2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
     # 1/R on the halved core: the products are the entries exactly
     p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
     sq = 0.5 * _ladder(d)
-    core = _sectors(d, h1, sq, sq, h2)
-    norm = block_diag(p1, p2)
-    return norm @ core if normalizer == "left" else core @ norm
+    return block_diag(p1, p2) @ _sectors(d, h1, sq, sq, h2)
 
 
 def spectral_decomposition(p: JCParams, proj: BlockOperator):

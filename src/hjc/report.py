@@ -54,7 +54,7 @@ __all__ = [
     "csv_chunk",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 NUM, INT, BOOL, STR = "number", "integer", "boolean", "string"
 
 

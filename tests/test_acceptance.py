@@ -284,9 +284,12 @@ def test_09_grassmann_round_trip():
     worst_forms = worst_trip = 0.0
     for theta in (0.25, 0.5, 1.0, 2.0):
         p = JCParams(theta=theta, dim=d)
-        left, shifted = grassmann.local_coordinate_forms(p)
-        worst_forms = max(worst_forms, float(np.max(np.abs(left - shifted))))
-        proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
+        # the coordinate against the dense form (1/(R(N)+theta)) a+, the
+        # other side of the ordering identity from the one it is built by
+        z = grassmann.local_coordinate(p)
+        left = np.diag(1.0 / (jc.radius_diag(d, theta, 0) + theta)) @ fock.creation(d)
+        worst_forms = max(worst_forms, float(np.max(np.abs(np.diag(z, k=-1) - left))))
+        proj = grassmann.projector_from_coordinate(z)
         worst_trip = max(worst_trip, jc.block_residual(proj, jc.projector(p)))
     singular_ok = False
     try:

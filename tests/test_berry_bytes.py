@@ -17,14 +17,14 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("R", "json"): "e1a900a2554d1b912a3bfc584c7ddf0253566a90ddc9bfe1bd060356bd1f03dc",
-    ("R", "csv"): "4dfaeb5638f311f76ee929157ce1d7b795b154e66ce292d612917954b2c39e30",
-    ("C", "json"): "e70f446716fb13ad3e2abcb8feea283a16d2680afd5b55738c74fd151880fb28",
-    ("C", "csv"): "965f2619ababa77586a81d40d50e0f0d9ced84ae58c05c804b7bdbe8a22df62e",
-    ("H", "json"): "91a3c86b253bb08d1f9559a893994e83350934200b7ffca79727edaf1177e2ac",
-    ("H", "csv"): "6c20fb2f8e6ddc6780d86b9366620693ce486e69e83a50e1dd4e26bb454b15d8",
-    ("O", "json"): "9f75569ec2f329004d4580200320d7fa6201867311693707ce74e7f2d8ed47a1",
-    ("O", "csv"): "e6bef26205ed0036470cf002f0eb199751ea9162bdca6f7264955d927bfd07be",
+    ("R", "json"): "1fb76a0a1570183a026abbb5d5f0cfed8f0f14f30b1cec97134efac04ceb9f9e",
+    ("R", "csv"): "ac82448f21d421d7a6e8dd3ddbb578c14ddfe95da98117777a262c9d4355e63c",
+    ("C", "json"): "f0e1dbefadd6c8e8fc40ce99034792c4adca9cd71a3afb656a71238bef467801",
+    ("C", "csv"): "7beca6ae0fe77e93af7146dc79b6e705a77b7481fe5acf40f66b6d37cddd2481",
+    ("H", "json"): "7eb45eebae29756b67f3c31f461da7add5ef5a40e35bf07d8f1bc13198fe725f",
+    ("H", "csv"): "237a479d1753b3ddda4613cf487fee1ebc2d27a39479502938185c09132a028a",
+    ("O", "json"): "4e4170c6e0fe85715e46e01ed00535584ff38c28479cc05c54fd45cdfd2351c6",
+    ("O", "csv"): "96390eb41e5d8b8e1db1e394103467df66335112e71083b93871acb763908d29",
 }
 
 

@@ -45,7 +45,7 @@ def test_default_suite_passes_and_validates(command):
     jsonschema.validate(payload, cli.SCHEMAS[command])
     params = cli.SCHEMAS[command]["properties"]["params"]
     assert sorted(params["required"]) == sorted(params["properties"]) == sorted(payload["params"])
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["seed"] == 11
     assert payload["summary"]["passed"] is True
 
@@ -392,7 +392,7 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
     monkeypatch.setattr(berry, "check_points", berry_pass)
     assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
-    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 3")
+    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 4")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
@@ -431,7 +431,7 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"# schema: 3\n"
+    assert proc.stdout.readline() == b"# schema: 4\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -767,7 +767,7 @@ def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsy
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("name", ["algebraic", "strict", "reconstruction", "propagator"])
+@pytest.mark.parametrize("name", ["algebraic", "reconstruction", "propagator"])
 def test_non_finite_or_negative_tolerance_is_a_usage_error(name, monkeypatch, capsys):
     # a bad tolerance is refused before any check runs; zero is allowed
     _refuse_the_oracle(monkeypatch)
@@ -780,6 +780,13 @@ def test_non_finite_or_negative_tolerance_is_a_usage_error(name, monkeypatch, ca
     monkeypatch.undo()
     assert cli.main(["jc", "--dim", "4", f"--tol-{name}=0"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["records"]
+
+
+def test_tol_strict_is_gone():
+    # it judged only identities that hold by construction, no longer reported
+    proc = run_cli("jc", "--dim", "4", "--tol-strict", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --tol-strict" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["berry", "strings"])
@@ -964,7 +971,7 @@ def test_structural_verdicts_fail_the_record(command, path, value, capsys, colum
 _JUDGED = report.Record(
     report.Field("h", report.NUM),
     report.Field("a", report.NUM, tol="algebraic"),
-    report.Field("b", report.NUM, null=True, tol="strict", rel=True),
+    report.Field("b", report.NUM, null=True, tol="propagator", rel=True),
     report.Field("levels", [report.INT], ok=lambda levels: levels in ([], [0])),
     report.Field(
         "inner",
@@ -979,7 +986,7 @@ _JUDGED = report.Record(
         report.Record(report.Field("r", report.NUM, tol="algebraic", rel=True), report.Field("v", report.BOOL, ok=bool)),
         null=True,
     ),
-    report.Field("merged", report.Record(report.Field("r", report.NUM, null=True, tol="strict"))),
+    report.Field("merged", report.Record(report.Field("r", report.NUM, null=True, tol="propagator"))),
     report.Field("pass", report.BOOL),
     norm=lambda cols: [max(1.0, abs(h)) for h in cols["h"]],
 )
@@ -1020,11 +1027,11 @@ def _judged_records(draw):
         rec = {
             "h": draw(st.sampled_from([0.0, 0.5, -3.0, 1e3, -1e6])),
             "a": _residual(draw, "algebraic"),
-            "b": draw(st.none() | st.just(_residual(draw, "strict"))),
+            "b": draw(st.none() | st.just(_residual(draw, "propagator"))),
             "levels": draw(st.sampled_from([[], [0], [1], [0, 1]])),
             "inner": {"r": _residual(draw, "algebraic"), "n": draw(st.none() | st.just(_residual(draw, "reconstruction")))},
             "opt": draw(st.none() | st.just({"r": _residual(draw, "algebraic"), "v": draw(st.booleans())})),
-            "merged": {"r": draw(st.none() | st.just(_residual(draw, "strict")))},
+            "merged": {"r": draw(st.none() | st.just(_residual(draw, "propagator")))},
         }
         records.append(rec)
     return records

@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjc import berry, grassmann, jc
+from hjc import berry, fock, grassmann, jc
 from hjc.algebra import AlgebraTag
 from hjc.berry import DiracStringError, Points
 from hjc.jc import JCParams, SingularSectorError
 
 
-def test_forms_agree_exactly():
+def test_coordinate_is_both_dense_closed_forms():
+    # Z = (1/(R(N)+theta)) a+ = a+ (1/(R(N+1)+theta)), each formed densely
+    d = 24
+    ad = fock.creation(d)
     for theta in (0.25, 0.5, 1.0, 2.0):
-        left, shifted = grassmann.local_coordinate_forms(JCParams(theta=theta, dim=24))
-        assert np.max(np.abs(left - shifted)) == 0.0
+        z = np.diag(grassmann.local_coordinate(JCParams(theta=theta, dim=d)), k=-1)
+        left = np.diag(1.0 / (jc.radius_diag(d, theta, 0) + theta)) @ ad
+        right = ad @ np.diag(1.0 / (jc.radius_diag(d, theta, 1) + theta))
+        assert max(np.max(np.abs(z - left)), np.max(np.abs(z - right))) <= 1e-15
 
 
 def test_coordinate_is_subdiagonal():
@@ -64,13 +69,11 @@ def test_coordinate_and_projector_are_linear_in_memory():
     p = JCParams(theta=0.5, dim=d)
     tracemalloc.start()
     try:
-        left, shifted = grassmann.local_coordinate_forms(p)
         proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert np.array_equal(left, shifted)
     assert jc.block_residual(proj @ proj, proj) <= 1e-12
     assert jc.block_residual(proj, jc.projector(p)) <= 1e-10
 

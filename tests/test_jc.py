@@ -241,12 +241,23 @@ def test_middle_unitary_denominator_floor():
 
 @pytest.mark.parametrize("theta,chart", [(0.5, ChartTag.I), (-0.5, ChartTag.II), (2.0, ChartTag.I)])
 def test_chart_unitarity_and_orderings(theta, chart):
+    # V carries its normalizer 1/sqrt(2R(R + s theta)) on the left; the dense
+    # form with it on the right (its rows swapped for chart II) is the same
+    # operator by the ordering identity
+    # (R(N) + s theta)^-1 a+ = a+ (R(N+1) + s theta)^-1
     d = 24
     p = JCParams(theta=theta, dim=d)
     v = jc.chart_unitary(p, chart)
     assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
-    other = jc.chart_unitary(p, chart, normalizer="right")
-    assert jc.block_residual(v, other) <= 1e-13
+    s = 1.0 if chart is ChartTag.I else -1.0
+    r1, r0 = jc.row_radii(p)
+    f1, f0 = (1.0 / np.sqrt(2.0 * r * (r + s * theta)) for r in (r1, r0))
+    a, ad = fock.annihilation(d), fock.creation(d)
+    if chart is ChartTag.I:
+        core, columns = np.block([[np.diag(r1 + theta), -a], [ad, np.diag(r0 + theta)]]), np.append(f1, f0)
+    else:
+        core, columns = np.block([[a, np.diag(theta - r1)], [np.diag(r0 - theta), ad]]), np.append(f0, f1)
+    assert max_abs(v.full(), core * columns) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -541,8 +552,14 @@ def test_projector_properties(theta):
     p = JCParams(theta=theta, dim=d)
     proj = jc.projector(p)
     assert jc.block_residual(proj @ proj, proj) <= 1e-12
-    assert jc.block_residual(proj.dagger(), proj) <= 1e-12
-    assert jc.block_residual(jc.projector(p, normalizer="right"), proj) <= 1e-13
+    assert jc.block_residual(proj.dagger(), proj) == 0.0
+    # the dense form with diag(1/2R1, 1/2R(N)) on the right (kernel
+    # convention where R vanishes) is the same operator
+    r1, r0 = jc.row_radii(p)
+    radii = np.append(r1, r0)
+    half_inverse = np.divide(0.5, radii, out=np.zeros(2 * d), where=radii > 0.0)
+    core = np.block([[np.diag(r1 + theta), fock.annihilation(d)], [fock.creation(d), np.diag(r0 - theta)]])
+    assert max_abs(proj.full(), core * half_inverse) <= 1e-13
 
 
 @pytest.mark.parametrize("theta,chart", [(1.0, ChartTag.I), (-1.0, ChartTag.II)])
@@ -763,7 +780,7 @@ def test_full_is_real_when_every_level_vector_is(theta, d):
     # values; the oracle gives a complex copy of them the same bits
     p = JCParams(theta=theta, dim=d, g=0.5, omega=1.0, delta=1.0 + theta)
     h1, h2 = jc.full_hamiltonian(p)
-    ops = [jc.hamiltonian(p), h1, h2, h1 + h2, jc.projector(p), jc.projector(p, normalizer="right")]
+    ops = [jc.hamiltonian(p), h1, h2, h1 + h2, jc.projector(p)]
     ops += [jc.chart_diagonal(p, chart) for chart in ChartTag]
     for op in ops:
         full = op.full()

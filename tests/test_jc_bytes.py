@@ -22,44 +22,44 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("jc --theta=0.7 --dim=7", "json"): (0, "f68440d58764ccd068a80ef54819c418371691e9023a5bf2b5eea03bfac3f185"),
-    ("jc --theta=0.7 --dim=7", "csv"): (0, "d3c64db4176dd0c862ed8ebf5f8566a0224af5ad91bd4bd84a8a77fe5eee1ab9"),
-    ("jc --theta=-0.7 --dim=7", "json"): (0, "ae76589ffad71f1889a2cb7141ce6fd2967d1c8856a375e5f6139de61731f5e9"),
-    ("jc --theta=-0.7 --dim=7", "csv"): (0, "ab06ef5fcdb184428eea85e1cc0652345504bb22c9281c9ea95051b309d075b7"),
-    ("jc --theta=1e200 --dim=7", "json"): (0, "daa2ea65d5474db2c6823f0a379a7398849360a829b007f3f55f1403042641fc"),
-    ("jc --theta=1e200 --dim=7", "csv"): (0, "ef3b80386ab045fb4eea1d8f4d3f3a35721e9fbeaea18f3c53f318feeee9e12a"),
+    ("jc --theta=0.7 --dim=7", "json"): (0, "b7073ef7d1ae6d5fb5768f9bfd72eafd3c02f1de4c1ef4aeec5fdcac12abe6e3"),
+    ("jc --theta=0.7 --dim=7", "csv"): (0, "dbe6f6c46163c50523866acff7ecdd424885d0381af6be23adb867f895205dc9"),
+    ("jc --theta=-0.7 --dim=7", "json"): (0, "a3081db322c11aed77a143be5d782895f13e9d7e513c604c3f22791a495d1425"),
+    ("jc --theta=-0.7 --dim=7", "csv"): (0, "d3dec75c90e9064b1ff5bc195851ac335f119a53d82d769a19baf6b757ddd47a"),
+    ("jc --theta=1e200 --dim=7", "json"): (0, "0131e2d3b2ac2c1247274b6575d383746a83485d5a8d588bba4d1191ded0044f"),
+    ("jc --theta=1e200 --dim=7", "csv"): (0, "dfa69ec4fd26db307f6cf3e65e030211ad2eddfa3b0f3065da5ced0bf9167a24"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "4be503cdd3649a78380fbe01a20346dca7d9aa5127413f977e8514a4c5f624a3"),
+        0, "3a46abddc771077656faaac801a1d18222d5e8c02063cbcc00b3c37021a1681e"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "9a76e235b1d10c7e63d9caba00e7c16d13d85945cc9a11f461791911abfedcc2"),
+        0, "f490420f05329e7917332d0fa247150915f9c21a00878cee4d76134c48804d98"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "0bf226de6f1cdb613e6cef6b0fcc5ae102cf4798398407de051aafa73a224de9"),
+        0, "a6d17e8097e29502995a1dcb6be8ce9d104e9e73cc8f8bb14db641e235d71ea3"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "b05958a20c5e613371850f5b6ba4153a4e8144b5aafb2c78536fc1d396f12dd0"),
+        0, "f29e30911e7fe3739ba4855367b198c7124facc8a2807cd1afca14b86f4e3b7b"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "d9618af8951eb3f443fa26cdb449baaf3159f532f4babaae68f7ad0e1c2518f0"),
+        0, "818351243c464cb921735f3b364bf2498e7fbcb60c697ce057a88ad3b9f9736c"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "b73194bdb43e37178bc1c172c07ad30909a55707d774e3ba33b7b38c11c8583c"),
+        0, "45dd348e22b44413f8f79d0f41c4c275145341bec4d579bf33932b0663fb5b67"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "008b2c96d6ea451f81e7968f407b5d26a477699e1d30952ecde0dd50d810729e"),
+        0, "f8ac322268c7d1a53b0e5b708fae3dc3db27cf63ec067ec28865eea12fcf4037"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "c4b27fc5047f28e64643297c86fb08788e028684a5c82c67397b78cb8b8b5298"),
+        0, "befb13fb36acdaac8ebe188fc41551c73c252687c924662db3c6690982797020"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "14405bd82244bcfa432d0b98762a47d775e1ca6c10a96f20892920c4963c32c2"),
+        0, "da600c1f451da1c6f28381c89f4208906b231d232283b542d9bad1eeb2fe6642"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "545f85a345888d563428bbde692dc6b119f60e55349129110009b58a11f69550"),
+        0, "19fa741bda185f04f92d6997dc7c4f937d4884bb4135c54fd28dc5a350a3003a"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        1, "4762dc3a1d52b837ea8c02c9a6313d1e32852eb88f446baaf93bd52502b8887e"),
+        1, "cfee01f314ff167f348423f28f5e796ff9855cd9ebbe75c7c7611b21ad3890da"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        1, "893866649d63948ac9daf111e094f653381fec5ac76006557818b673790f2892"),
+        1, "9929105c44a05474029d2a11dc03a8fbb9709d8efb2b4f92ffbbad42395f762b"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "33bc5c4297baa8352e1d38e235f6dcb72714f41d101e6330689174608e07601c"),
+        0, "99af9fc6bb4650742927996cc36c9b58c57d5dc2cf73cfeb738d359c13735e4c"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "e672f48f274a21499eb7e547eb40cc9834ff4772a7b330a18f5cd69a3657af98"),
+        0, "70a6c24d542300a9d4e12315b8eceaa7a140b2dd1c4ad07d75e1ac5a47fba813"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "2fa447641f7781840507622f5b7b76f532cde3c8e98189e34019c6e16d2dac2a"),
+        0, "d32c6b7515b85e9ded46500a80d0e7bd147b95c74ed461ac2ae68158eb143311"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "03a775e02451c097360c3264ec766cc0859c39240582c2c12074b4b0418118ca"),
+        0, "12f911a472c4a539b6309af55b3eb0f237d56e337fea59280ad26f16f226b911"),
 }
 
 
