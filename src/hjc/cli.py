@@ -124,9 +124,9 @@ RECORDS = {
         ),
         Field("spectral", Record(Field("reconstruction", NUM, tol="reconstruction", rel=True)), csv=False),
         Field("pass", BOOL, csv=False),
-        # ||H|| = max(1, max_n R(n)) = max(1, sqrt(d - 1 + theta^2))
+        # ||H|| = max(1, max_n R(n)) = max(1, R(d - 1)), the last radius of row 2
         norm=lambda cols: [
-            max(1.0, float(np.max(jc.radius_diag(d, theta, 0)))) for d, theta in zip(cols["dim"], cols["theta"])
+            max(1.0, float(jc.row_radii(jc.JCParams(t, d))[1][-1])) for d, t in zip(cols["dim"], cols["theta"])
         ],
     ),
     "strings": Record(
@@ -383,7 +383,7 @@ def cmd_jc(args):
     h = jc.hamiltonian(p)
     ident = jc.BlockOperator.identity(p.dim)
     checked = {c.value: _jc_chart(p, c, h, ident) for c in (jc.ChartTag.I, jc.ChartTag.II)}
-    radii = jc.radius_diag(p.dim, p.theta, 0)
+    radii = jc.row_radii(p)[1]  # R(n), n = 0 .. d - 1
     evals = oracle.eigvals_hermitian(h.full())  # ascending
     eig_dev = float(np.max(np.abs(evals - np.sort(np.concatenate([radii, -radii])))))
     proj = jc.projector(p)
@@ -436,14 +436,9 @@ def cmd_evolve(args):
     # otherwise the bare interaction one; <sigma3> is identical either way
     # (the free part only rotates number-basis phases)
     p, d = args.model, args.dim
-    if args.omega is not None:
-        h1, h2 = jc.full_hamiltonian(p)
-        h, evolve = h1 + h2, jc.full_propagator
-    else:
-        h, evolve = args.g * jc.hamiltonian(p), jc.propagator
-    evals, evecs = oracle.eig_hermitian(h.full())
+    evals, evecs = oracle.eig_hermitian(args.hamiltonian.full())
     ts = np.linspace(0.0, args.t_max, args.t_steps)
-    u = evolve(p, ts)
+    u = (jc.propagator if args.omega is None else jc.full_propagator)(p, ts)
     start = np.zeros(2 * d)
     start[args.n0] = 1.0  # |excited, n0>
     psi = np.abs(u.apply(start)) ** 2
@@ -461,13 +456,8 @@ def cmd_grassmann(args):
     records = []
     for theta in args.thetas:
         p = jc.JCParams(theta=theta, dim=args.dim)
-        rec = {
-            "theta": theta,
-            "dim": args.dim,
-            "singular_levels": [],
-            "roundtrip_residual": None,
-            "intermediate_identity_residual": None,
-        }
+        rec = {"theta": theta, "dim": args.dim, "singular_levels": []}
+        rec |= dict.fromkeys(("roundtrip_residual", "intermediate_identity_residual"))  # null where chart I is singular
         records.append(rec)
         try:
             z = grassmann.local_coordinate(p)
@@ -542,8 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options and complete them in place: ``seed``,
     ``fmt``, ``tol``, each ``[NUM]`` param (its option's list read), the
-    berry grid ``axes`` (||w|| values, z values) and the evolve ``model``
-    and ``theta``.  Every ``NUM`` option must be finite."""
+    berry grid ``axes`` (||w|| values, z values) and the evolve ``model``,
+    ``theta`` and ``hamiltonian``.  Every ``NUM`` option and entry of it
+    must be finite."""
     if args.seed is None:
         try:
             args.seed = int(os.environ.get("HJC_SEED", "0"))
@@ -582,6 +573,14 @@ def _validate(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         args.theta = args.model.theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.omega is not None:
+                h1, h2 = jc.full_hamiltonian(args.model)
+                args.hamiltonian = h1 + h2
+            else:
+                args.hamiltonian = args.g * jc.hamiltonian(args.model)
+            if not math.isfinite(args.hamiltonian.max_abs()):
+                raise ConfigError(f"the model Hamiltonian at theta={args.theta!r} has entries beyond the double range")
 
 
 def _open_out(path: str):

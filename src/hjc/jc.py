@@ -27,11 +27,11 @@ only at the ground level n = 0 (chart I for theta < 0, chart II for
 theta > 0, both at resonance), which is the quantum remnant of the
 classical Dirac string: it lives purely in states containing the ground
 level.  The top level's denominator always equals the ground one, so it
-never decides which chart exists.  The sums R +- theta are carried as
-half sums formed from halves, evaluated as m / (2 (R -+ theta)), m the
-level number, on the side where they would cancel, and R as
-hypot(sqrt(m), theta), so no other level turns singular and nothing
-overflows up to the largest |theta| (:func:`_radius_sum`).
+never decides which chart exists.  R = hypot(sqrt(m), theta), m the level
+number, and the half sums (R +- theta)/2 are formed once per block row,
+by :func:`_radius`: from halves, and as m / (2 (R -+ theta)) where the
+sum would cancel, so no other level turns singular and nothing overflows
+up to the largest |theta|.
 
 Flattening convention: the atom index is major, so a block operator maps
 component vectors (upper, lower) of length d each, and flattened index
@@ -81,7 +81,6 @@ __all__ = [
     "ChartDecomposition",
     "block_diag",
     "block_residual",
-    "radius_diag",
     "row_radii",
     "chart_denominators",
     "admissible_denominators",
@@ -335,38 +334,30 @@ def block_residual(a: BlockOperator, b: BlockOperator):
     return float(out) if not out.shape else out
 
 
-def radius_diag(d: int, theta: float, shift: int = 0) -> np.ndarray:
-    """Level values of R(N + shift) = sqrt(N + shift + theta^2), as
-    hypot(sqrt(N + shift), theta): theta^2 is never formed, and the
-    n + shift = 0 entry is |theta| exactly."""
-    return np.hypot(np.sqrt(np.arange(d, dtype=float) + shift), theta)
-
-
-def _row_levels(d: int):
-    """Level numbers m of the two block rows, the eigenvalues of a a+
-    (n + 1 below the top level, 0 at it) and of a+ a (n)."""
-    n = np.arange(d, dtype=float)
-    return np.append(n[1:], 0.0), n
-
-
-def _radius_sum(m: np.ndarray, theta: float, sign: float):
-    """R = sqrt(m + theta^2) and the half sum h = (R + sign * theta) / 2
-    for level numbers m.
-
-    With h0 = (R + |theta|)/2, h is h0 itself where sign * theta >= 0 and
-    (m/4) / h0 = m / (2 (R + |theta|)) where the sum cancels, so it vanishes
-    only at m = 0 and keeps full relative accuracy for every |theta|.  Above
-    |theta| = 2**1022, where R + |theta| can exceed the double range, h0 is
-    summed from the halves R/2 and |theta|/2 (both normal there, so the
-    halving is exact); below it, (R + |theta|)/2 is exact even for a
-    subnormal theta.  So nothing overflows up to the largest double, and h
-    is exactly half the rounded sum R + sign * theta (or quotient
-    m / (R + |theta|)) wherever h is a normal double.
-    """
+def _radius(m: np.ndarray, theta: float, *signs: float):
+    """R = hypot(sqrt(m), theta) on the level numbers m of one block row
+    and, per sign s, the half sum (R + s theta)/2: the one place either is
+    formed.  The half sum is h0 = (R + |theta|)/2, from the halves above
+    |theta| = 2**1022 so that it never overflows, where s theta >= 0, else
+    (m/4) / h0 = m / (2 (R + |theta|)), formed in place and zero only at
+    m = 0: exactly half the rounded sum or quotient where it is normal."""
     r = np.hypot(np.sqrt(m), theta)
     a = abs(theta)
     h0 = 0.5 * r + 0.5 * a if a > 2.0**1022 else 0.5 * (r + a)
-    return r, (h0 if sign * theta >= 0.0 else (0.25 * m) / h0)
+    return (r, *(h0 if s * theta >= 0.0 else np.divide(q := 0.25 * m, h0, out=q) for s in signs))
+
+
+def _rows(p: JCParams, *signs: float):
+    """:func:`_radius` of each block row, on the eigenvalues of a a+ (n + 1, 0 at the top level) and of a+ a (n)."""
+    n = np.arange(p.dim, dtype=float)
+    yield _radius(np.append(n[1:], 0.0), p.theta, *signs)
+    yield _radius(n, p.theta, *signs)
+
+
+def _denominator(r: np.ndarray, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """2 R (R + s theta) as 2 (R (2h)), into ``out`` if given; inf beyond the double range."""
+    with np.errstate(over="ignore"):
+        return np.multiply(np.multiply(np.multiply(h, 2.0, out=out), r, out=out), 2.0, out=out)
 
 
 def _normalizer(r: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -380,28 +371,16 @@ def row_radii(p: JCParams):
     """Level values of the radius sqrt(H^2) in each block row:
     sqrt(a a+ + theta^2), which is R(N+1) below the top level and |theta|
     at it, and sqrt(a+ a + theta^2) = R(N)."""
-    return tuple(np.hypot(np.sqrt(m), p.theta) for m in _row_levels(p.dim))
+    return tuple(r for r, in _rows(p))
 
 
 def chart_denominators(p: JCParams, chart: ChartTag):
-    """Per block row of a chart, the level values of the radius R of
-    :func:`row_radii`, of the half sum h = (R + s theta)/2 and of the
-    denominator 2 R (R + s theta), with s = +1 for chart I and -1 for
-    chart II.
-
-    The denominator is formed as 2 (R (2h)).  Where the sum cancels,
-    R (2h) = m R / (R + |theta|) <= m for level number m, so only the other
-    side can exceed the double range, and there it reads inf (never
-    singular).  h itself never overflows, and the chart normalizer
-    1/(sqrt(2R) sqrt(2h)) is finite either way (:func:`_normalizer`).
-    """
-    s = 1.0 if chart is ChartTag.I else -1.0
-    rows = []
-    for m in _row_levels(p.dim):
-        r, h = _radius_sum(m, p.theta, s)
-        with np.errstate(over="ignore"):
-            rows.append((r, h, 2.0 * (r * (2.0 * h))))
-    return rows
+    """Per block row of a chart, the level values of the radius R, of the
+    half sum h = (R + s theta)/2 and of the denominator 2 R (R + s theta),
+    s = +1 for chart I and -1 for chart II.  Where the sum cancels,
+    R (2h) = m R / (R + |theta|) <= m, so only the other side can exceed the
+    double range, and there the denominator reads inf (never singular)."""
+    return [(r, h, _denominator(r, h)) for r, h in _rows(p, 1.0 if chart is ChartTag.I else -1.0)]
 
 
 def _ladder(d: int) -> np.ndarray:
@@ -478,7 +457,7 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     """
     d = p.dim
     sq = 0.5 * _ladder(d + 1)
-    r1, h1 = _radius_sum(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
+    r1, h1 = _radius(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
     f = _normalizer(r1, h1)  # twice the normalizer, on the halved entries
     if chart is ChartTag.I:
         u = ((f * h1, -f * sq), (f * sq, f * h1))
@@ -513,7 +492,6 @@ class SectorReport:
     :data:`SECTOR_STATUSES`, as arrays of shape (chart, block row, level);
     ``columns`` holds them all in that order, as :meth:`take` gives them."""
 
-    theta: float
     denominators: np.ndarray
     codes: np.ndarray
 
@@ -562,11 +540,17 @@ def singular_sectors(p: JCParams) -> SectorReport:
     not singular are ``ill_conditioned`` below
     :data:`hjc.config.ILL_CONDITIONED` and ``regular`` otherwise.
     """
-    den = np.array([[row[2] for row in chart_denominators(p, chart)] for chart in ChartTag])
+    den = np.empty((2, 2, p.dim))  # (chart, block row, level)
+    rows = _rows(p, 1.0, -1.0)
+    for row in range(2):
+        r, h1, h2 = next(rows)
+        _denominator(r, h1, out=den[0, row])
+        _denominator(r, h2, out=den[1, row])
+        del r, h1, h2  # the next row is evaluated without this one's vectors
     codes = (den < ILL_CONDITIONED).view(np.int8)  # 1 ill-conditioned, 0 regular
     codes[_singular(den)] = 2
     codes[:, 0, -1] = 3
-    return SectorReport(p.theta, den, codes)
+    return SectorReport(den, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +596,7 @@ def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
     the top level, |theta| at it).  Together the two carry the truncated
     spectrum {+-R(n) : n = 0 .. d-1} exactly, +-theta included."""
     r1, r2 = row_radii(p)
-    if chart is ChartTag.I:
-        return block_diag(r1, -r2)
-    return block_diag(r2, -r1)
+    return block_diag(r1, -r2) if chart is ChartTag.I else block_diag(r2, -r1)
 
 
 @dataclass(frozen=True)
@@ -661,9 +643,8 @@ def projector(p: JCParams) -> BlockOperator:
     level values, and the form with diag(1/2R1, 1/2R(N)) on the right is
     the same operator, so only this form is built.
     """
-    d, th = p.dim, p.theta
-    m1, m2 = _row_levels(d)
-    (r1, h1), (r2, h2) = _radius_sum(m1, th, 1.0), _radius_sum(m2, th, -1.0)
+    d = p.dim
+    (r1, h1, _), (r2, _, h2) = _rows(p, 1.0, -1.0)  # (R1 + theta)/2 and (R(N) - theta)/2
     # 1/R on the halved core: the products are the entries exactly
     p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
     sq = 0.5 * _ladder(d)

@@ -268,8 +268,25 @@ _CSV = {
 _CSV[STR] = _CSV[INT]
 
 
+# The exact types of a list column's values per declared kind, None being
+# null: a bool is no number, and a numpy scalar or a str prints as its repr.
+_TYPES = {NUM: {float, int}, INT: {int}, BOOL: {bool}, STR: {str}}
+
+
 def _texts(table: dict, kind, values: list) -> list:
     return table[STR if isinstance(kind, tuple) else kind](values)
+
+
+def _checked(f: Field, col):
+    """The column, once the types of a list column's values are checked:
+    TypeError naming the field (an ndarray column keeps its own path)."""
+    item = f.kind[0] if isinstance(f.kind, list) else f.kind
+    if not isinstance(col, np.ndarray) and not isinstance(item, Record):
+        values = [x for v in col if v is not None for x in v] if isinstance(f.kind, list) else col
+        bad = set(map(type, values)) - _TYPES[STR if isinstance(item, tuple) else item] - {type(None)}
+        if bad:
+            raise TypeError(f"field {f.name!r} of kind {f.kind!r} holds {', '.join(sorted(t.__name__ for t in bad))}")
+    return col
 
 
 def _json_array(texts: list, nl: str) -> str:
@@ -284,6 +301,7 @@ def _json_array(texts: list, nl: str) -> str:
 def _json_column(f: Field, col, nl: str) -> list:
     """JSON text of every value of a column, ``nl`` the newline and indent
     of the values' lines."""
+    col = _checked(f, col)
     if not isinstance(f.kind, list):
         return _texts(_JSON, f.kind, _values(col, f.null))
     item, inner = f.kind[0], nl + "  "
@@ -367,6 +385,7 @@ def _csv_column(f: Field, col, present=None) -> list:
     """CSV cells of every value of a column; empty where it is null, or
     where the nullable record around it is absent (``present`` false).  A
     list is the cells of its items joined by ";"."""
+    col = _checked(f, col)
     if isinstance(f.kind, list):
         cells = ["" if v is None else ";".join(_texts(_CSV, f.kind[0], v)) for v in _values(col)]
     else:

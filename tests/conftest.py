@@ -12,6 +12,18 @@ def rng():
     return np.random.default_rng(20260811)
 
 
+def _radius(d, theta, shift=0):
+    """R(n + shift) = sqrt(n + shift + theta^2) for n = 0 .. d - 1: the
+    tests' one reference for the radius of the JC model, formed without
+    ``hjc.jc``."""
+    return np.hypot(np.sqrt(np.arange(d, dtype=float) + shift), theta)
+
+
+@pytest.fixture(scope="session")
+def radius():
+    return _radius
+
+
 @pytest.fixture(autouse=True, scope="session")
 def child_processes_import_this_hjc():
     # CLI tests run ``python -m hjc.cli`` in child processes; point them at

@@ -198,15 +198,15 @@ def test_05_quantum_decomposition():
     )
 
 
-def test_06_spectral_law():
+def test_06_spectral_law(radius):
     d, theta = 16, 0.3
     evals, _ = oracle.eig_hermitian(jc.hamiltonian(JCParams(theta=theta, dim=d)).full())
-    pattern = np.sort(np.concatenate([jc.radius_diag(d, theta, 0), -jc.radius_diag(d, theta, 0)]))
+    pattern = np.sort(np.concatenate([radius(d, theta), -radius(d, theta)]))
     dev = float(np.max(np.abs(np.sort(evals) - pattern)))
     _verdict(6, "spectral law", dev <= 1e-10, f"max deviation {dev:.2e}")
 
 
-def test_07_projector_and_spectral_decomposition():
+def test_07_projector_and_spectral_decomposition(radius):
     d = 24
     worst_pp = worst_form = worst_comm = worst_recon = 0.0
     p0 = jc.block_diag(np.ones(d), np.zeros(d))
@@ -226,7 +226,7 @@ def test_07_projector_and_spectral_decomposition():
         worst_recon = max(
             worst_recon, jc.block_residual(plus + minus, jc.hamiltonian(p))
         )
-        lam = jc.block_diag(jc.radius_diag(d, theta, 1), jc.radius_diag(d, theta, 0))
+        lam = jc.block_diag(radius(d, theta, 1), radius(d, theta))
         worst_comm = max(worst_comm, jc.block_residual(lam @ proj, proj @ lam))
     ok = (
         worst_pp <= 1e-12
@@ -279,7 +279,7 @@ def test_08_propagator():
     )
 
 
-def test_09_grassmann_round_trip():
+def test_09_grassmann_round_trip(radius):
     d = 24
     worst_forms = worst_trip = 0.0
     for theta in (0.25, 0.5, 1.0, 2.0):
@@ -287,7 +287,7 @@ def test_09_grassmann_round_trip():
         # the coordinate against the dense form (1/(R(N)+theta)) a+, the
         # other side of the ordering identity from the one it is built by
         z = grassmann.local_coordinate(p)
-        left = np.diag(1.0 / (jc.radius_diag(d, theta, 0) + theta)) @ fock.creation(d)
+        left = np.diag(1.0 / (radius(d, theta) + theta)) @ fock.creation(d)
         worst_forms = max(worst_forms, float(np.max(np.abs(np.diag(z, k=-1) - left))))
         proj = grassmann.projector_from_coordinate(z)
         worst_trip = max(worst_trip, jc.block_residual(proj, jc.projector(p)))

@@ -543,13 +543,13 @@ def _jc_record(capsys, theta, dim=8):
 
 
 @pytest.mark.parametrize("theta", [1e8, -1e8])
-def test_jc_passes_at_large_theta(theta, capsys):
+def test_jc_passes_at_large_theta(theta, capsys, radius):
     # eigh is off by ~eps ||H|| ~ 1e-8 here, far above the absolute 1e-10
     code, rec = _jc_record(capsys, theta)
     assert code == 0 and rec["pass"]
     # the record reports the residual itself, not the scaled one
     p = jc.JCParams(theta=theta, dim=8)
-    radii = jc.radius_diag(8, theta, 0)
+    radii = radius(8, theta)
     evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
     assert rec["eigenvalue_max_dev"] == np.max(np.abs(np.sort(evals) - np.sort(np.concatenate([radii, -radii]))))
 
@@ -577,9 +577,9 @@ def _shift_eigenvalues(mp, shift):
 
 @pytest.mark.parametrize("theta", [0.5, 1e8, -1e8])
 @pytest.mark.parametrize("perturb", [_shift_chart_diagonal, _shift_spectral, _shift_eigenvalues])
-def test_jc_scaled_checks_still_catch_errors(theta, perturb, capsys, monkeypatch):
+def test_jc_scaled_checks_still_catch_errors(theta, perturb, capsys, monkeypatch, radius):
     # a closed form off by 1e-6 * max R(n) fails, however large theta is
-    scale = max(1.0, float(np.max(jc.radius_diag(8, theta, 0))))
+    scale = max(1.0, float(np.max(radius(8, theta))))
     perturb(monkeypatch, 1e-6 * scale)
     code, rec = _jc_record(capsys, theta)
     assert code == 1 and not rec["pass"]
@@ -757,6 +757,12 @@ def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
         ["evolve", "--omega", "nan", "--delta", "1", "--dim", "4"],
         ["evolve", "--omega", "1", "--delta", "-inf", "--dim", "4"],
         ["evolve", "--t-max", "inf", "--dim", "4"],
+        # the model Hamiltonian leaves the double range: theta = (delta - omega)/2g
+        # overflows, g theta overflows, or omega (d - 1/2) overflows
+        ["evolve", "--omega=1e308", "--delta=-1e308", "--g=1", "--dim=3"],
+        ["evolve", "--omega=1", "--delta=1e308", "--g=1e-10"],
+        ["evolve", "--theta=1e10", "--g=1e300", "--dim=3"],
+        ["evolve", "--omega=1e307", "--delta=1e307", "--g=1", "--dim=40"],
     ],
 )
 def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsys):
@@ -1182,6 +1188,21 @@ def test_render_json_writes_numpy_values_as_their_python_values(a):
     decl = report.Record(report.Field("v", kind if a.ndim == 1 else [kind]))
     params = {"v": a.tolist()[0]}
     assert _json_report(decl, params, a) == _stdlib_report(params, a.tolist())
+
+
+@pytest.mark.parametrize("writer", [report.json_chunk, report.csv_chunk])
+@pytest.mark.parametrize("kind", [report.NUM, report.INT, [report.NUM], [report.INT]])
+@pytest.mark.parametrize("value", [np.float64(0.5), "0.5", True, np.int64(3)])
+def test_a_list_column_of_another_type_is_refused(writer, kind, value):
+    # neither writer spells a numpy scalar, a string or a bool as a number,
+    # in a record column or in a param
+    decl = report.Record(report.Field("v", kind))
+    params = report.Record(report.Field("k", kind))
+    ok, bad = ([1], [value]) if isinstance(kind, list) else (1, value)
+    with pytest.raises(TypeError, match="'v'"):
+        writer(decl, params, report.Report("x", 7, {"k": ok}), {"v": [ok, bad]})
+    with pytest.raises(TypeError, match="'k'"):
+        writer(decl, params, report.Report("x", 7, {"k": bad}), {"v": [ok]})
 
 
 _SMALL_RUNS = {

@@ -12,14 +12,14 @@ from hjc.berry import DiracStringError, Points
 from hjc.jc import JCParams, SingularSectorError
 
 
-def test_coordinate_is_both_dense_closed_forms():
+def test_coordinate_is_both_dense_closed_forms(radius):
     # Z = (1/(R(N)+theta)) a+ = a+ (1/(R(N+1)+theta)), each formed densely
     d = 24
     ad = fock.creation(d)
     for theta in (0.25, 0.5, 1.0, 2.0):
         z = np.diag(grassmann.local_coordinate(JCParams(theta=theta, dim=d)), k=-1)
-        left = np.diag(1.0 / (jc.radius_diag(d, theta, 0) + theta)) @ ad
-        right = ad @ np.diag(1.0 / (jc.radius_diag(d, theta, 1) + theta))
+        left = np.diag(1.0 / (radius(d, theta) + theta)) @ ad
+        right = ad @ np.diag(1.0 / (radius(d, theta, 1) + theta))
         assert max(np.max(np.abs(z - left)), np.max(np.abs(z - right))) <= 1e-15
 
 
@@ -92,13 +92,13 @@ def test_roundtrip_projector_is_projector():
     assert jc.block_residual(proj.dagger(), proj) <= 1e-12
 
 
-def test_resolvent_block_closed_form():
+def test_resolvent_block_closed_form(radius):
     # (1 + Z+Z)^-1 is the diagonal (R1 + theta)/(2 R1) with the row 1 radius
     # R1: R(N+1) below the top level, |theta| at it, where Z+Z vanishes
     theta, d = 1.0, 24
     p = JCParams(theta=theta, dim=d)
     proj = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
-    r1 = np.append(jc.radius_diag(d, theta, 1)[:-1], theta)
+    r1 = np.append(radius(d, theta, 1)[:-1], theta)
     assert np.array_equal(jc.row_radii(p)[0], r1)
     expected = np.diag(((r1 + theta) / (2 * r1)).astype(complex))
     assert expected[d - 1, d - 1] == 1.0

@@ -48,10 +48,6 @@ def max_abs(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def radius_block(p, upper_shift, lower_shift):
-    return jc.block_diag(jc.radius_diag(p.dim, p.theta, upper_shift), jc.radius_diag(p.dim, p.theta, lower_shift))
-
-
 # ---------------------------------------------------------------------------
 # params and Hamiltonians
 
@@ -166,10 +162,10 @@ def test_invariant_sectors_exact():
     assert np.max(np.abs(h[~touched])) == 0.0
 
 
-def test_eigenvalue_multiset():
+def test_eigenvalue_multiset(radius):
     d, theta = 16, 0.3
     evals, _ = oracle.eig_hermitian(jc.hamiltonian(JCParams(theta=theta, dim=d)).full())
-    pattern = np.sort(np.concatenate([jc.radius_diag(d, theta, 0), -jc.radius_diag(d, theta, 0)]))
+    pattern = np.sort(np.concatenate([radius(d, theta), -radius(d, theta)]))
     assert np.max(np.abs(np.sort(evals) - pattern)) <= 1e-10
 
 
@@ -216,21 +212,21 @@ def test_two_step_reconstruction_defect(theta):
 
 @pytest.mark.parametrize("theta", [0.5, -0.5, 1.0, 0.0])
 @pytest.mark.parametrize("chart", list(ChartTag))
-def test_middle_unitary_diagonalizes(theta, chart):
+def test_middle_unitary_diagonalizes(theta, chart, radius):
     # denominators carry R(N+1) only, so both charts exist for every theta
     d = 16
     p = JCParams(theta=theta, dim=d)
     u = jc.middle_unitary(p, chart)
     assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-12
     _, mid, _ = jc.two_step_factors(p)
-    r1 = jc.radius_diag(d, theta, 1)
+    r1 = radius(d, theta, 1)
     lam = jc.block_diag(r1, -r1)
     assert jc.block_residual((u @ lam) @ u.dagger(), mid) <= 1e-12
 
 
-def test_middle_unitary_denominator_floor():
+def test_middle_unitary_denominator_floor(radius):
     p = JCParams(theta=1.0, dim=8)
-    r1 = jc.radius_diag(8, 1.0, 1)
+    r1 = radius(8, 1.0, 1)
     dens = 2.0 * r1 * (r1 + 1.0)
     assert dens.min() >= 4.0  # n = 0 gives 2 * 1 * 2
 
@@ -291,25 +287,25 @@ def test_chart_reconstruction(theta, chart):
     assert jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p)) <= 1e-10
 
 
-def test_chart_diagonal_layout():
+def test_chart_diagonal_layout(radius):
     # row 1 carries R(N+1) below the top level and |theta| at it
     p = JCParams(theta=0.5, dim=6)
-    r1 = np.append(jc.radius_diag(6, 0.5, 1)[:-1], 0.5)
+    r1 = np.append(radius(6, 0.5, 1)[:-1], 0.5)
     d1 = jc.chart_diagonal(p, ChartTag.I)
     assert np.array_equal(np.diag(block(d1, 0, 0)), r1)
-    assert np.array_equal(np.diag(block(d1, 1, 1)), -jc.radius_diag(6, 0.5, 0))
+    assert np.array_equal(np.diag(block(d1, 1, 1)), -radius(6, 0.5))
     d2 = jc.chart_diagonal(p, ChartTag.II)
-    assert np.array_equal(np.diag(block(d2, 0, 0)), jc.radius_diag(6, 0.5, 0))
+    assert np.array_equal(np.diag(block(d2, 0, 0)), radius(6, 0.5))
     assert np.array_equal(np.diag(block(d2, 1, 1)), -r1)
 
 
-def test_chart_eigenvalues_against_oracle():
+def test_chart_eigenvalues_against_oracle(radius):
     # the diagonal factor carries the truncated spectrum {+-R(n)}, the
     # one-level sectors' -theta (ground) and +theta (top level) included
     d = 16
     for theta in (0.3, -0.3, 0.0, 2.5):
         p = JCParams(theta=theta, dim=d)
-        r = jc.radius_diag(d, theta, 0)
+        r = radius(d, theta)
         evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
         for chart in ChartTag:
             lam_vals = np.sort(np.diag(jc.chart_diagonal(p, chart).full()).real)
@@ -424,6 +420,35 @@ def test_sector_denominator_values():
     assert by_key[("II", 2, 0)] == 0.0
 
 
+def test_singular_sectors_evaluates_each_row_once(monkeypatch):
+    # both charts' denominators of a block row come from one radius evaluation
+    calls = []
+    evaluate = jc._radius
+
+    def counted(m, theta, *signs):
+        calls.append((m.shape, signs))
+        return evaluate(m, theta, *signs)
+
+    monkeypatch.setattr(jc, "_radius", counted)
+    jc.singular_sectors(JCParams(theta=0.5, dim=7))
+    assert calls == [((7,), (1.0, -1.0))] * 2
+
+
+# 1e-160: the ground denominators 4 theta^2 are subnormal and show any change of rounding
+_WIDE_THETAS = [0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e-8, -1e-8, 0.5, -0.5, 1e200, -1e200, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("d", [2, 7, 300])
+@pytest.mark.parametrize("theta", _WIDE_THETAS)
+def test_sector_denominators_are_the_chart_denominators(theta, d):
+    # the one-pass denominators equal those of chart_denominators bit for bit
+    p = JCParams(theta=theta, dim=d)
+    den = jc.singular_sectors(p).denominators
+    for chart, rows in zip(den, (jc.chart_denominators(p, c) for c in ChartTag)):
+        for got, (_, _, expected) in zip(chart, rows):
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     log_mag=st.floats(-323.0, 308.2),
@@ -431,7 +456,7 @@ def test_sector_denominator_values():
     chart=st.sampled_from(list(ChartTag)),
 )
 @example(log_mag=-323.3, sign=1.0, chart=ChartTag.I)  # theta = 5e-324, the least subnormal
-def test_half_sums_are_exact_halves_and_never_overflow(log_mag, sign, chart):
+def test_half_sums_are_exact_halves_and_never_overflow(log_mag, sign, chart, radius):
     # h = (R + s theta)/2 is exactly half the directly rounded sum (or
     # quotient m/(R + |theta|) where it cancels) wherever that is formed
     # without overflow and h is a normal double, and finite up to the
@@ -439,7 +464,10 @@ def test_half_sums_are_exact_halves_and_never_overflow(log_mag, sign, chart):
     theta = sign * min(10.0**log_mag, np.finfo(float).max)
     p = JCParams(theta=theta, dim=5)
     s = 1.0 if chart is ChartTag.I else -1.0
-    for m, (r, h, den) in zip(jc._row_levels(5), jc.chart_denominators(p, chart)):
+    # the level numbers of the rows: a a+ (n + 1 below the top level, 0 at it) and a+ a (n)
+    levels = (np.array([1.0, 2.0, 3.0, 4.0, 0.0]), np.arange(5.0))
+    for m, (r, h, den) in zip(levels, jc.chart_denominators(p, chart)):
+        assert np.array_equal(r, np.append(radius(5, theta, 1)[:-1], abs(theta)) if m[0] else radius(5, theta))
         assert np.all(np.isfinite(h)) and np.all(h >= 0.0)
         with np.errstate(over="ignore"):
             total = r + abs(theta)
@@ -522,15 +550,15 @@ def test_transition_partial_isometry():
     assert np.array_equal(prod, np.diag(np.append(upper, lower)))
 
 
-def test_quantum_cocycle():
+def test_quantum_cocycle(radius):
     # V_II = V_I Phi on the whole truncated space; for theta > 0 the
     # chart-II object is assembled here with the kernel convention on its
     # singular normalizers, the ground one of row 2 and the top-level one
     # of row 1, which zeroes the two columns Phi annihilates
     d, theta = 24, 0.5
     p = JCParams(theta=theta, dim=d)
-    r1 = np.append(jc.radius_diag(d, theta, 1)[:-1], theta)
-    r0 = jc.radius_diag(d, theta, 0)
+    r1 = np.append(radius(d, theta, 1)[:-1], theta)
+    r0 = radius(d, theta)
     f1, f2 = np.zeros(d), np.zeros(d)
     for f, den in ((f1, 2 * r1 * (r1 - theta)), (f2, 2 * r0 * (r0 - theta))):
         keep = den > 1e-14
@@ -595,13 +623,13 @@ def test_projector_sector_trace_is_one():
 
 
 @pytest.mark.parametrize("theta", [0.5, -0.5, 0.0])
-def test_spectral_decomposition(theta):
+def test_spectral_decomposition(theta, radius):
     d = 32
     p = JCParams(theta=theta, dim=d)
     proj = jc.projector(p)
     plus, minus = jc.spectral_decomposition(p, proj)
     assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
-    lam = radius_block(p, 1, 0)
+    lam = jc.block_diag(radius(d, theta, 1), radius(d, theta))
     assert jc.block_residual(lam @ proj, proj @ lam) <= 1e-12
 
 
