@@ -125,9 +125,7 @@ RECORDS = {
         Field("spectral", Record(Field("reconstruction", NUM, tol="reconstruction", rel=True)), csv=False),
         Field("pass", BOOL, csv=False),
         # ||H|| = max(1, max_n R(n)) = max(1, R(d - 1)), the last radius of row 2
-        norm=lambda cols: [
-            max(1.0, float(jc.row_radii(jc.JCParams(t, d))[1][-1])) for d, t in zip(cols["dim"], cols["theta"])
-        ],
+        norm=lambda cols: [max(1.0, float(np.hypot(np.sqrt(d - 1.0), t))) for d, t in zip(cols["dim"], cols["theta"])],
     ),
     "strings": Record(
         Field("theta", NUM),
@@ -364,7 +362,7 @@ def _jc_chart(p, chart, h, ident):
     except jc.SingularSectorError as err:
         return {
             "admissible": False,
-            "singular_levels": sorted({level for _, level in err.sectors}),
+            "singular_levels": err.levels,
             "reconstruction": None,
             "unitarity": None,
         }, None
@@ -410,8 +408,7 @@ def cmd_strings(args):
         report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim))
         den, codes = report.denominators.reshape(-1), report.codes.reshape(-1)
         sectors = report.take(np.flatnonzero(codes))  # the entries not regular (status code 0)
-        keys = zip(*(sectors[k].tolist() for k in ("chart", "row", "level", "status")))
-        found = {key[:3] for key in keys if key[3] == "singular"}
+        found = set(zip(*(col.tolist() for col in report.singular().values())))
         counts = np.bincount(codes, minlength=len(jc.SECTOR_STATUSES)).tolist()
         # chart I is singular at the ground level unless theta > 0, chart II
         # unless theta < 0; below |theta| ~ 5e-8 both ground denominators
@@ -462,7 +459,7 @@ def cmd_grassmann(args):
         try:
             z = grassmann.local_coordinate(p)
         except jc.SingularSectorError as err:
-            rec["singular_levels"] = sorted({level for _, level in err.sectors})
+            rec["singular_levels"] = err.levels
             continue
         proj = grassmann.projector_from_coordinate(z)
         # the upper-left block (1 + Z+Z)^-1 against its closed form

@@ -56,9 +56,10 @@ def projector_from_coordinate(z) -> BlockOperator:
     subdiagonal level vector.
 
     Z is one subdiagonal, so 1 + Z+Z is the diagonal 1 + |z|^2 (1 on the
-    top level) and every block of P(Z) is one level vector.
+    top level) and every block of P(Z) is one level vector, real where z
+    is.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
     if z.ndim != 1:
         raise ValueError(f"expected a subdiagonal level vector, got shape {z.shape}")
     a2 = np.abs(z) ** 2

@@ -46,11 +46,13 @@ Products, sums and adjoints act on these vectors elementwise with a
 shift, so every closed form here costs O(d) time and memory, against the
 O(d^3) of the dense oracle; :meth:`BlockOperator.apply` multiplies a
 real dense (2d, m) array in O(d m).  An operator is built from its level
-vectors alone, and :meth:`BlockOperator.full` is the only dense export; it
-is real when the level vectors are (the Hamiltonians, the projector and the
-chart diagonals at real theta and g).  Products, sums and adjoints build
-their result from vectors they made themselves, without checking them
-again.
+vectors alone, each float64 or complex128 by its type, never its values:
+its ``dtype`` is float64 when every vector is real (the Hamiltonians, the
+projector, the chart unitaries and diagonals at real theta and g) and
+complex128 otherwise, and :meth:`BlockOperator.full`, the only dense
+export, and :meth:`BlockOperator.apply` return it.  Products, sums and
+adjoints build their result from vectors they made themselves, without
+checking them again.
 
 Stacks: a level vector may carry leading batch axes, shape
 ``batch + (d - |k|,)``, so one operator holds a stack of operators (the
@@ -140,9 +142,9 @@ class JCParams:
         return cls(theta=(delta - omega) / (2.0 * g), dim=dim, g=g, omega=omega, delta=delta)
 
 
-def _block_product(d: int, batch: tuple, x: dict, y: dict, out: dict) -> None:
+def _block_product(d: int, batch: tuple, dtype, x: dict, y: dict, out: dict) -> None:
     """Accumulate the product of blocks ``x`` and ``y`` into ``out``, whose
-    level vectors have the batch shape ``batch``.
+    level vectors have the batch shape ``batch`` and the dtype ``dtype``.
 
     Offsets add: row i of the product's diagonal p + q is row i of x's
     diagonal p times row i + p of y's diagonal q.  Both factors are
@@ -166,7 +168,7 @@ def _block_product(d: int, batch: tuple, x: dict, y: dict, out: dict) -> None:
             if lo < hi:
                 c = out.get(k)
                 if c is None:
-                    c = out[k] = np.zeros(batch + (d - abs(k),), dtype=complex)
+                    c = out[k] = np.zeros(batch + (d - abs(k),), dtype=dtype)
                 sb = (-q if q < 0 else 0) - p
                 c[..., lo - sc : hi - sc] += a[..., lo - sa : hi - sa] * b[..., lo - sb : hi - sb]
 
@@ -186,15 +188,17 @@ class BlockOperator:
     ``diags`` is a 2x2 layout of {offset k: level vector} maps; a vector of
     shape ``batch + (d - |k|,)`` makes a stack.  The stack shape
     ``batch`` is broadcast with the vectors' own, so an operator with no
-    stored diagonal keeps it too; () is a single operator.
+    stored diagonal keeps it too; () is a single operator.  ``dtype`` is
+    the vectors' common type (float64 for none).
     """
 
-    __slots__ = ("dim", "diags", "batch")
+    __slots__ = ("dim", "diags", "batch", "dtype")
 
     def __init__(self, d: int, diags, batch: tuple = ()):
         self.dim = d
-        self.diags = tuple(tuple({k: np.asarray(v, dtype=complex) for k, v in b.items()} for b in row) for row in diags)
-        shapes = {tuple(batch)}
+        level = lambda v: np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+        self.diags = tuple(tuple({k: level(v) for k, v in b.items()} for b in row) for row in diags)
+        shapes, self.dtype = {tuple(batch)}, np.dtype(float)
         for row in self.diags:
             for b in row:
                 for k, v in b.items():
@@ -203,15 +207,17 @@ class BlockOperator:
                         raise ValueError("the level vector on offset k needs length d - |k|")
                     if len(s) > 1:
                         shapes.add(s[:-1])
+                    self.dtype = np.promote_types(self.dtype, v.dtype)
         self.batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
     @classmethod
-    def _of(cls, d: int, diags, batch: tuple) -> "BlockOperator":
-        """An operator from level vectors that operators made themselves:
-        complex, of the right lengths and of batch shapes that broadcast to
-        ``batch``, so nothing is converted or checked again."""
+    def _of(cls, d: int, diags, batch: tuple, dtype) -> "BlockOperator":
+        """An operator from level vectors that operators made themselves, of
+        the right lengths, of batch shapes that broadcast to ``batch`` and of
+        the common type ``dtype``, the :func:`numpy.result_type` of the
+        operands' (and a scalar's) types: nothing is converted or checked."""
         op = object.__new__(cls)
-        op.dim, op.diags, op.batch = d, diags, batch
+        op.dim, op.diags, op.batch, op.dtype = d, diags, batch, dtype
         return op
 
     @classmethod
@@ -219,47 +225,38 @@ class BlockOperator:
         return block_diag(np.ones(d), np.ones(d))
 
     def full(self) -> np.ndarray:
-        """Flatten to a 2d x 2d matrix, atom index major (a single
-        operator only).
-
-        The matrix is float64 when every stored level vector has a zero
-        imaginary part (a test on the O(d) vectors, not on the matrix), and
-        complex otherwise; its values are the same either way."""
+        """Flatten to a 2d x 2d matrix of the operator's dtype, atom index
+        major (a single operator only)."""
         if self.batch:
             raise ValueError(f"a stack of shape {self.batch} has no single dense form")
         d = self.dim
-        real = not any(v.imag.any() for row in self.diags for block in row for v in block.values())
-        out = np.zeros((2 * d, 2 * d), dtype=float if real else complex)
+        out = np.zeros((2 * d, 2 * d), dtype=self.dtype)
         flat = out.reshape(-1)
         for i, row in enumerate(self.diags):
             for j, block in enumerate(row):
                 for k, v in block.items():
                     start = (i * d + max(0, -k)) * 2 * d + j * d + max(0, k)
-                    flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v.real if real else v
+                    flat[start : start + v.size * (2 * d + 1) : 2 * d + 1] = v
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The complex product with a real dense array ``x`` of 2d rows (a
-        vector or a (2d, m) matrix) in O(d m), shaped ``batch + x.shape``:
-        every stored diagonal scales a shifted slice of the rows of ``x``.
-        The real and imaginary parts are formed apart, in real arithmetic.
-        """
+        """The product with a real dense array ``x`` of 2d rows (a vector or
+        a (2d, m) matrix) in O(d m), shaped ``batch + x.shape`` and of the
+        operator's dtype: every stored diagonal scales a shifted slice of
+        the rows of ``x``."""
         d = self.dim
         x = np.asarray(x)
         if x.shape[:1] != (2 * d,) or np.iscomplexobj(x):
             raise ValueError(f"expected a real array of {2 * d} rows, got {x.dtype} {x.shape}")
-        re, im = np.zeros(self.batch + x.shape), np.zeros(self.batch + x.shape)
+        out = np.zeros(self.batch + x.shape, dtype=self.dtype)
         stack, tail = (slice(None),) * len(self.batch), (1,) * (x.ndim - 1)
         for i, row in enumerate(self.diags):
             for j, block in enumerate(row):
                 for k, v in block.items():
                     lo, hi = max(0, -k), d - max(0, k)  # rows n with n + k in range
                     xs = x[j * d + lo + k : j * d + hi + k]
-                    v = v.reshape(v.shape + tail)
-                    rows = stack + (slice(i * d + lo, i * d + hi),)
-                    re[rows] += v.real * xs
-                    im[rows] += v.imag * xs
-        return re + 1j * im
+                    out[stack + (slice(i * d + lo, i * d + hi),)] += v.reshape(v.shape + tail) * xs
+        return out
 
     def _check_dim(self, other: "BlockOperator") -> None:
         if self.dim != other.dim:
@@ -268,18 +265,18 @@ class BlockOperator:
     def dagger(self) -> "BlockOperator":
         b = self.diags
         adj = tuple(tuple({-k: v.conj() for k, v in b[j][i].items()} for j in range(2)) for i in range(2))
-        return BlockOperator._of(self.dim, adj, self.batch)
+        return BlockOperator._of(self.dim, adj, self.batch, self.dtype)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         self._check_dim(other)
         d, a, b = self.dim, self.diags, other.diags
-        batch = _stack_shape(self.batch, other.batch)
+        batch, dtype = _stack_shape(self.batch, other.batch), np.result_type(self.dtype, other.dtype)
         out = (({}, {}), ({}, {}))
         for i in range(2):
             for j in range(2):
                 for m in range(2):
-                    _block_product(d, batch, a[i][m], b[m][j], out[i][j])
-        return BlockOperator._of(d, out, batch)
+                    _block_product(d, batch, dtype, a[i][m], b[m][j], out[i][j])
+        return BlockOperator._of(d, out, batch, dtype)
 
     def _combine(self, other: "BlockOperator", ufunc) -> "BlockOperator":
         self._check_dim(other)
@@ -288,7 +285,7 @@ class BlockOperator:
             for block, y in zip(row_out, row_b):
                 for k, v in y.items():
                     block[k] = ufunc(block.get(k, 0.0), v)
-        return BlockOperator._of(self.dim, out, _stack_shape(self.batch, other.batch))
+        return BlockOperator._of(self.dim, out, _stack_shape(self.batch, other.batch), np.result_type(self.dtype, other.dtype))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._combine(other, np.add)
@@ -299,7 +296,7 @@ class BlockOperator:
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
             scaled = tuple(tuple({k: v * c for k, v in b.items()} for b in row) for row in self.diags)
-            return BlockOperator._of(self.dim, scaled, self.batch)
+            return BlockOperator._of(self.dim, scaled, self.batch, np.result_type(self.dtype, type(c)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -521,11 +518,13 @@ class SectorReport:
 class SingularSectorError(Exception):
     """A chart operator was requested for a theta whose denominator chain
     vanishes somewhere (the quantum Dirac string); ``sectors`` holds the
-    (row, level) pairs of the singular denominators."""
+    (row, level) pairs of the singular denominators, ``levels`` their
+    sorted distinct levels."""
 
     def __init__(self, chart: ChartTag, sectors):
         self.chart = chart
         self.sectors = tuple(sectors)
+        self.levels = sorted({level for _, level in self.sectors})
         where = ", ".join(f"(row {row}, level {level})" for row, level in self.sectors) or "?"
         super().__init__(f"chart {chart.value} singular at {where}")
 

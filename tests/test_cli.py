@@ -951,6 +951,16 @@ def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_
                 assert cols[_pass_path(path)].tolist() == [verdict]
 
 
+@pytest.mark.parametrize("d", [2, 7, 300])
+@pytest.mark.parametrize("theta", [0.0, 5e-324, -5e-324, 0.5, -0.5, 1e200, -1e200, 1.7e308, -1.7e308])
+def test_jc_norm_is_the_last_row_radius_bit_for_bit(theta, d):
+    # ||H|| = max(1, R(d - 1)), formed from (theta, dim) alone, is the last
+    # row 2 radius of the closed forms
+    norm = cli.RECORDS["jc"].norm({"theta": np.array([theta]), "dim": np.array([d])})
+    radius = jc.row_radii(jc.JCParams(theta, d))[1][-1]
+    assert np.array_equal(np.array(norm).view(np.uint64), np.array([max(1.0, radius)]).view(np.uint64))
+
+
 @pytest.mark.parametrize(
     "command, path, value",
     [

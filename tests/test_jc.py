@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -275,7 +276,7 @@ def test_chart_singularities(theta, chart, ok):
     with pytest.raises(SingularSectorError) as err:
         jc.chart_unitary(p, chart)
     assert err.value.chart is chart
-    assert err.value.sectors == ((2, 0),)
+    assert err.value.sectors == ((2, 0),) and err.value.levels == [0]
 
 
 @pytest.mark.parametrize("theta,chart", [(0.5, ChartTag.I), (-0.5, ChartTag.II)])
@@ -379,6 +380,7 @@ def test_sector_columns_match_the_reference(d, theta, threshold):
             with pytest.raises(SingularSectorError) as err:
                 jc.admissible_denominators(p, chart)
             assert err.value.chart is chart and err.value.sectors == bad
+            assert err.value.levels == sorted({level for _, level in bad})
 
 
 @pytest.mark.parametrize(
@@ -831,7 +833,7 @@ def test_full_is_complex_when_one_imaginary_part_is_not_zero():
     h = jc.hamiltonian(p)
     for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 0, -1), (1, 1, 0)):
         diags = [[dict(b) for b in row] for row in h.diags]
-        v = diags[i][j][k].copy()
+        v = diags[i][j][k].astype(complex)
         v[-1] += 5e-324j
         diags[i][j][k] = v
         op = BlockOperator(p.dim, diags)
@@ -840,18 +842,40 @@ def test_full_is_complex_when_one_imaginary_part_is_not_zero():
         assert np.count_nonzero(full.imag) == 1
 
 
-def _random_operator(rng, d):
+@pytest.mark.parametrize("theta", [0.7, -0.7, 0.0, 5e-324, 1e200, -1.7e308])
+def test_closed_forms_at_real_theta_store_float64_level_vectors(theta):
+    # the dtype follows the level vectors: the Hamiltonian, the projector,
+    # the chart unitaries and diagonals and the Grassmann projector are real
+    # at real theta and g, the propagator is complex
+    p = JCParams(theta=theta, dim=7, g=0.5)
+    ops = [jc.hamiltonian(p), jc.projector(p)] + [jc.chart_diagonal(p, chart) for chart in ChartTag]
+    builds = [functools.partial(jc.chart_unitary, p, chart) for chart in ChartTag]
+    for build in builds + [lambda: grassmann.projector_from_coordinate(grassmann.local_coordinate(p))]:
+        try:
+            ops.append(build())
+        except SingularSectorError:  # only where a chart is singular
+            pass
+    assert len(ops) == 4 + (abs(theta) > 1e-7) + (theta > 1e-7)
+    for op in ops:
+        assert op.dtype == np.float64 and all(v.dtype == np.float64 for v in _vectors(op))
+    for op in (jc.propagator(p, 1.3), jc.propagator(p, np.linspace(0.0, 2.0, 3))):
+        assert op.dtype == np.complex128 and all(v.dtype == np.complex128 for v in _vectors(op))
+    z = np.linspace(0.5, 2.0, 6)
+    assert grassmann.projector_from_coordinate(z * 1j).dtype == np.complex128
+
+
+def _random_operator(rng, d, real=False):
     # up to three random offsets per block, each with a random level vector
-    # holding some exact zeros and -0.0
+    # holding some exact zeros and -0.0; real level vectors where ``real``
     diags = []
     for _ in range(2):
         row = []
         for _ in range(2):
             block = {}
             for k in rng.choice(np.arange(1 - d, d), size=rng.integers(0, 4), replace=False).tolist():
-                v = rng.standard_normal(d - abs(k)) + 1j * rng.standard_normal(d - abs(k))
+                v = rng.standard_normal(d - abs(k)) + (0.0 if real else 1j * rng.standard_normal(d - abs(k)))
                 v[rng.random(v.shape) < 0.2] = 0.0
-                v[rng.random(v.shape) < 0.1] = complex(-0.0, -0.0)
+                v[rng.random(v.shape) < 0.1] = -0.0 if real else complex(-0.0, -0.0)
                 block[k] = v
             row.append(block)
         diags.append(row)
@@ -859,8 +883,9 @@ def _random_operator(rng, d):
 
 
 def _reference_product(x, y):
-    # the product term by term in the operator's accumulation order, each
-    # row r of the product's diagonal k = p + q from its own indices
+    # the product term by term in the operator's accumulation order and
+    # dtype, each row r of the product's diagonal k = p + q from its own
+    # indices
     d = x.dim
     out = [[{}, {}], [{}, {}]]
     for i in range(2):
@@ -871,7 +896,7 @@ def _reference_product(x, y):
                         k = p + q
                         r = np.array([r for r in range(d) if 0 <= r + p < d and 0 <= r + k < d], dtype=int)
                         if r.size:
-                            c = out[i][j].setdefault(k, np.zeros(d - abs(k), dtype=complex))
+                            c = out[i][j].setdefault(k, np.zeros(d - abs(k), dtype=np.result_type(x.dtype, y.dtype)))
                             c[r - max(0, -k)] += a[r - max(0, -p)] * b[r + p - max(0, -q)]
     return BlockOperator(d, out)
 
@@ -893,6 +918,27 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _vectors(op):
+    # every stored level vector of an operator
+    return [v for row in op.diags for b in row for v in b.values()]
+
+
+def _complex_copy(op):
+    # the operator with every level vector cast to complex128
+    return BlockOperator(op.dim, [[{k: v.astype(complex) for k, v in b.items()} for b in row] for row in op.diags], op.batch)
+
+
+def _equal_operator(a, b):
+    # equal offsets and equal level vector values (a real vector equals its
+    # complex copy; signed zeros compare equal)
+    return all(
+        a.diags[i][j].keys() == b.diags[i][j].keys()
+        and all(np.array_equal(a.diags[i][j][k], b.diags[i][j][k]) for k in a.diags[i][j])
+        for i in range(2)
+        for j in range(2)
+    )
+
+
 def _same_operator(a, b):
     # equal offsets and bitwise equal level vectors, signed zeros included
     return all(
@@ -904,14 +950,25 @@ def _same_operator(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 4))
+@given(
+    d=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
+    real=st.tuples(st.booleans(), st.booleans()),
+)
 # a stack of one with length-1 diagonals times a single operator: numpy's
 # complex product of a (1, 1) and a (1,) array rounds without FMA
-@example(d=2, seed=0, batch=1)
-def test_block_operator_algebra_matches_dense(d, seed, batch):
+@example(d=2, seed=0, batch=1, real=(False, False))
+@example(d=2, seed=0, batch=1, real=(True, False))
+@example(d=5, seed=1, batch=3, real=(True, True))
+def test_block_operator_algebra_matches_dense(d, seed, batch, real):
     rng = np.random.default_rng(seed)
-    a, b = _random_operator(rng, d), _random_operator(rng, d)
+    a, b = (_random_operator(rng, d, r) for r in real)
+    # float64 unless a level vector is complex (an operator may store none)
+    for op, r in zip((a, b), real):
+        assert op.dtype == (np.float64 if r or not _vectors(op) else np.complex128)
     af, bf = a.full(), b.full()
+    assert (af.dtype, bf.dtype) == (a.dtype, b.dtype)
     # the product: summation error stays under 1e-13 of |A| |B| entrywise
     assert np.all(np.abs((a @ b).full() - af @ bf) <= 1e-13 * (np.abs(af) @ np.abs(bf)))
     assert np.array_equal((a + b).full(), af + bf)
@@ -927,8 +984,9 @@ def test_block_operator_algebra_matches_dense(d, seed, batch):
         assert np.all(np.abs(a.apply(y) - af @ y) <= 1e-13 * (np.abs(af) @ np.abs(y)))
     # stacks: every operation on a stack is the operation on each slice,
     # bit for bit; a single operator broadcasts against a stack
-    sa = _stack([a] + [a * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
-    sb = _stack([b] + [b * complex(*rng.standard_normal(2)) for _ in range(batch - 1)])
+    scalar = lambda r: rng.standard_normal() if r else complex(*rng.standard_normal(2))
+    sa = _stack([a] + [a * scalar(real[0]) for _ in range(batch - 1)])
+    sb = _stack([b] + [b * scalar(real[1]) for _ in range(batch - 1)])
     assert sa.batch == (batch,)
     assert _same_bits(_slice(sa, 0).full(), af)
     results = {
@@ -946,7 +1004,7 @@ def test_block_operator_algebra_matches_dense(d, seed, batch):
         # keeps the stack shape of an operator with no stored diagonal)
         rebuilt = BlockOperator(d, stacked.diags, stacked.batch)
         assert rebuilt.batch == stacked.batch and _same_operator(rebuilt, stacked), name
-        assert all(v.dtype == np.complex128 for row in stacked.diags for b in row for v in b.values()), name
+        assert {v.dtype for v in _vectors(stacked)} <= {np.dtype(float), stacked.dtype}, name
         for i in range(batch):
             assert _same_operator(_slice(stacked, i), op(_slice(sa, i), _slice(sb, i))), (name, i)
     peaks = sa.max_abs()
@@ -962,6 +1020,30 @@ def test_block_operator_algebra_matches_dense(d, seed, batch):
         assert all(_same_bits(applied[i], _slice(sa, i).apply(y)) for i in range(batch))
     with pytest.raises(ValueError, match="no single dense form"):
         sa.full()
+    # every operation on real operators, alone, with a complex one or as
+    # stacks, gives the values of the same operation on their complex
+    # copies, in the operands' common dtype
+    for s, t in ((a, b), (sa, sb), (sa, b)):
+        sc, tc = _complex_copy(s), _complex_copy(t)
+        common = np.result_type(s.dtype, t.dtype)
+        pairs = {
+            "matmul": (s @ t, sc @ tc, common),
+            "add": (s + t, sc + tc, common),
+            "sub": (s - t, sc - tc, common),
+            "scale": (s * 0.5, sc * 0.5, s.dtype),
+            "scale_complex": (s * 0.5j, sc * 0.5j, np.dtype(complex)),
+            "dagger": (s.dagger(), sc.dagger(), s.dtype),
+        }
+        for name, (got, ref, dtype) in pairs.items():
+            assert got.dtype == dtype and got.batch == ref.batch and _equal_operator(got, ref), name
+            assert {v.dtype for v in _vectors(got)} <= {np.dtype(float), dtype}, name
+        assert np.array_equal(s.max_abs(), sc.max_abs())
+        assert np.array_equal(jc.block_residual(s, t), jc.block_residual(sc, tc))
+        for y in (x[:, 0], x):
+            applied = s.apply(y)
+            assert applied.dtype == s.dtype and np.array_equal(applied, sc.apply(y))
+        if not s.batch:
+            assert s.full().dtype == s.dtype and np.array_equal(s.full(), sc.full())
 
 
 def test_closed_forms_are_linear_in_memory():
