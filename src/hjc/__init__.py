@@ -6,7 +6,7 @@ the whole construction built on the detuned Jaynes-Cummings model."""
 # perfbench/tracer.py expects every layer module to be loaded.
 from . import fock  # noqa: F401
 from .algebra import AlgebraElement, AlgebraTag
-from .berry import ChartTag, DiracStringError, Matrix2K, PointClass
+from .berry import ChartTag, Matrix2K, PointClass
 from .config import DEFAULT, Tolerances
 from .jc import BlockOperator, ChartDecomposition, JCParams, SectorReport, SingularSectorError
 
@@ -19,7 +19,6 @@ __all__ = [
     "ChartDecomposition",
     "ChartTag",
     "DEFAULT",
-    "DiracStringError",
     "JCParams",
     "Matrix2K",
     "PointClass",

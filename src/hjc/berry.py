@@ -34,9 +34,9 @@ order of matrix products is immaterial even for octonions.
 Nothing here forms a square or a sum that can overflow or underflow
 before the result does.  Norms are scaled by a power of two (exact)
 before squaring.  The sums r + z and r - z vanish on the lower and upper
-string; of them only h = (r + |z|)/2 is ever formed, from the halves (see
-:func:`half_sum`).  Chart entries are written in half-angle form:
-sqrt(h/r) on the side where r +- z does not cancel, and
+string; of them only h = (r + |z|)/2 is ever formed, from the halves, in
+one place (:func:`_half_sums`).  Chart entries are written in half-angle
+form: sqrt(h/r) on the side where r +- z does not cancel, and
 ||w|| / sqrt(2r (r + |z|)) = sqrt(h/r) ||w|| / 2h on the side where it
 does, so charts stay unitary arbitrarily close to a string and over the
 whole double range.
@@ -57,13 +57,11 @@ __all__ = [
     "ChartTag",
     "PointClass",
     "POINT_CLASSES",
-    "DiracStringError",
     "Matrix2K",
     "Points",
     "norms",
     "classify",
     "admissible",
-    "half_sum",
     "conditionings",
     "hamiltonian_coeffs",
     "chart_coeffs",
@@ -93,15 +91,6 @@ class PointClass(Enum):
 # the class codes returned by :func:`classify` index this tuple
 POINT_CLASSES = tuple(PointClass)
 _CODE = {c: i for i, c in enumerate(POINT_CLASSES)}
-
-
-class DiracStringError(Exception):
-    """A chart (or other point-local operation) was requested where it is
-    not defined; carries the classification of the offending point."""
-
-    def __init__(self, point_class: PointClass, message: str = ""):
-        self.point_class = point_class
-        super().__init__(message or f"operation undefined at {point_class.value} point")
 
 
 def _finite(coeffs: np.ndarray) -> np.ndarray:
@@ -292,20 +281,13 @@ _ORIENT = np.array([[1.0], [-1.0]])
 
 
 def _half_sums(pts: Points):
-    """h = (r + |z|)/2 at every point and the (2, n) mask ``same``, row 0
-    for chart I and row 1 for chart II (see :func:`half_sum`)."""
+    """h = (r + |z|)/2 at every point, formed from the halves so that it
+    cannot overflow, and the (2, n) mask ``same``, row 0 for chart I and
+    row 1 for chart II, where the chart's r +- z (+ for chart I, - for
+    chart II) equals r + |z| = 2h.  Elsewhere r +- z cancels and equals
+    ||w||^2 / 2h; callers form it as ||w|| (||w|| / 2h) or never form it
+    at all."""
     return 0.5 * pts.r + 0.5 * np.abs(pts.z), pts.z * _ORIENT >= 0.0
-
-
-def half_sum(pts: Points, chart: ChartTag):
-    """(h, same) of the chart at every point: h = (r + |z|)/2, formed from
-    the halves so that it cannot overflow, and the mask ``same`` where the
-    chart's r +- z (+ for chart I, - for chart II) equals r + |z| = 2h.
-    Elsewhere r +- z cancels and equals ||w||^2 / 2h; callers form it as
-    ||w|| (||w|| / 2h) or never form it at all.
-    """
-    half, same = _half_sums(pts)
-    return half, same[_ROW[chart]]
 
 
 def _half_angles(pts: Points):
@@ -313,7 +295,7 @@ def _half_angles(pts: Points):
     row 1 for chart II: a = sqrt((r +- z)/2r), the real diagonal entry of
     the chart's unitary, and f = 1/sqrt(2r(r +- z)), the factor of w.
 
-    With h and ``same`` from :func:`half_sum` and c = sqrt(h/r): where
+    With h and ``same`` from :func:`_half_sums` and c = sqrt(h/r): where
     ``same``, a = c and f = c/2h; where r +- z cancels, a = c ||w||/2h and
     f = c/||w||.  Both charts share h, c and the four branches, and differ
     only in ``same``.  f is inf on the chart's string and at the origin,

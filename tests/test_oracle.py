@@ -3,20 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import expm_from_eig, kron_jc_hamiltonian
 
-from hjc import fock, oracle
-
-
-def kron_jc_hamiltonian(theta, d, phase=0.0):
-    # a coupling phase exp(i phase) makes the matrix genuinely complex
-    sp = np.array([[0, 1], [0, 0]], dtype=complex)
-    s3 = np.diag([1.0, -1.0]).astype(complex)
-    c = np.exp(1j * phase)
-    return (
-        c * np.kron(sp, fock.annihilation(d))
-        + np.conj(c) * np.kron(sp.T, fock.creation(d))
-        + theta * np.kron(s3, np.eye(d))
-    )
+from hjc import oracle
 
 
 def random_hermitian(rng, n, complex_part):
@@ -51,7 +40,7 @@ def test_eig_paths_match_complex_reference(kind, n, rng):
     assert v.dtype == (np.float64 if kind != "complex" or n == 1 else np.complex128)
     for t in (0.0, 0.3, -2.1):
         u_ref = (v_ref * np.exp(-1j * t * w_ref)) @ v_ref.conj().T
-        u = oracle.expm_from_eig(w, v, t)
+        u = expm_from_eig(w, v, t)
         assert u.dtype == np.complex128 and u.shape == (n, n)
         assert np.max(np.abs(u - u_ref)) <= 1e-12
 
@@ -212,38 +201,6 @@ def test_eigvals_self_check_over_the_double_range(scale):
     m = kron_jc_hamiltonian(0.3, 8).real
     w = oracle.eigvals_hermitian(m * scale)
     assert np.max(np.abs(w / scale - np.linalg.eigvalsh(m))) <= 1e-14
-
-
-# a real JC matrix (real path) and one with a complex coupling phase (complex path)
-PHASES = [0.0, 0.9]
-
-
-def expm(m, t):
-    """exp(-i t m) through the oracle's eigendecomposition."""
-    return oracle.expm_from_eig(*oracle.eig_hermitian(m), t)
-
-
-def test_expm_at_zero():
-    for phase in PHASES:
-        m = kron_jc_hamiltonian(0.5, 4, phase)
-        assert np.max(np.abs(expm(m, 0.0) - np.eye(8))) <= 1e-14
-
-
-def test_expm_group_law():
-    for phase in PHASES:
-        m = kron_jc_hamiltonian(0.4, 6, phase)
-        lhs = expm(m, 1.1) @ expm(m, 2.3)
-        rhs = expm(m, 3.4)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-11
-
-
-def test_expm_unitary():
-    for phase in PHASES:
-        m = kron_jc_hamiltonian(0.7, 8, phase)
-        # real input takes the real path, complex input the complex one
-        assert oracle.eig_hermitian(m)[1].dtype == (np.float64 if phase == 0.0 else np.complex128)
-        u = expm(m, 5.0)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-11
 
 
 def test_oracle_module_is_independent():
