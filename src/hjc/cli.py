@@ -20,7 +20,8 @@ judges it when it is a residual, and its CSV column.  Each of its params
 is declared once, in ``PARAMS``, with its option's flag, default and help:
 the parser, the checks of single options and the report's ``params`` come
 from that declaration, the help of a command from its ``cmd_*`` docstring.
-A command yields its records as column chunks (see ``judge``); the JSON
+A command yields its records as column chunks (see ``judge``), with the
+||H|| column its record names as ``norm`` (``berry``, ``jc``); the JSON
 schemas (``SCHEMAS``, params included), the CSV columns (``CSV_COLUMNS``),
 every record's ``pass`` and both writers (``render_json``,
 ``render_csv``) are derived from the declarations.  Each chunk is judged
@@ -74,12 +75,7 @@ _JC_CHART = Record(
     _PASS,
 )
 _SECTOR = (Field("chart", _CHARTS), Field("row", INT), Field("level", INT))
-
-
-def _berry_norms(cols) -> list:
-    # ||H|| = max(1, r), r = hypot(w, z)
-    w, z = (np.asarray(cols[k]).tolist() for k in ("point.w.coeffs", "point.z"))
-    return [max(1.0, math.hypot(*wi, zi)) for wi, zi in zip(w, z)]
+_NORM = "hamiltonian_norm"  # the chunk column of every record's ||H||, undeclared
 
 
 RECORDS = {
@@ -107,7 +103,7 @@ RECORDS = {
             null=True,
         ),
         _PASS,
-        norm=_berry_norms,
+        norm=_NORM,
     ),
     "jc": Record(
         Field("theta", NUM),
@@ -124,8 +120,7 @@ RECORDS = {
         ),
         Field("spectral", Record(Field("reconstruction", NUM, tol="reconstruction", rel=True)), csv=False),
         Field("pass", BOOL, csv=False),
-        # ||H|| = max(1, max_n R(n)) = max(1, R(d - 1)), the last radius of row 2
-        norm=lambda cols: [max(1.0, float(np.hypot(np.sqrt(d - 1.0), t))) for d, t in zip(cols["dim"], cols["theta"])],
+        norm=_NORM,
     ),
     "strings": Record(
         Field("theta", NUM),
@@ -313,7 +308,8 @@ def _berry_columns(checks: berry.Checks) -> dict:
 
 def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
     """The columns of the berry records of ``pts``, the points numbered
-    from ``start``, the first ``grid`` points of the sweep being the grid."""
+    from ``start``, the first ``grid`` points of the sweep being the grid,
+    and their ||H|| = max(1, r)."""
     index = np.arange(start, start + pts.z.shape[0])
     return {
         "index": index,
@@ -321,6 +317,7 @@ def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
+        _NORM: np.maximum(1.0, pts.r),
         **_berry_columns(berry.check_points(pts)),
     }
 
@@ -397,6 +394,7 @@ def cmd_jc(args):
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
         "projector.form_agreement": form,
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
+        _NORM: max(1.0, float(radii[-1])),  # max_n R(n) = R(d - 1)
     }
     return [transpose([record])]
 
@@ -435,7 +433,7 @@ def cmd_evolve(args):
     p, d = args.model, args.dim
     evals, evecs = oracle.eig_hermitian(args.hamiltonian.full())
     ts = np.linspace(0.0, args.t_max, args.t_steps)
-    u = (jc.propagator if args.omega is None else jc.full_propagator)(p, ts)
+    u = jc.propagator(p, ts) if args.omega is None else jc.full_propagator(p, args.omega, ts)
     start = np.zeros(2 * d)
     start[args.n0] = 1.0  # |excited, n0>
     psi = np.abs(u.apply(start)) ** 2
@@ -462,14 +460,14 @@ def cmd_grassmann(args):
             rec["singular_levels"] = err.levels
             continue
         proj = grassmann.projector_from_coordinate(z)
-        # the upper-left block (1 + Z+Z)^-1 against its closed form
-        # (R1 + theta) / 2R1, R1 the row 1 radius (theta > 0 here), from
-        # halves so that R1 + theta is never formed
+        # the upper-left block (1 + Z+Z)^-1, P0 P P0 with P0 = diag(1, 0),
+        # against its closed form (R1 + theta) / 2R1, R1 the row 1 radius
+        # (theta > 0 here), from halves so that R1 + theta is never formed
         r1, _ = jc.row_radii(p)
-        upper_left = jc.BlockOperator(args.dim, ((proj.diags[0][0], {}), ({}, {})))
+        p0 = jc.block_diag(np.ones(args.dim), np.zeros(args.dim))
         expected = jc.block_diag((0.5 * r1 + 0.5 * theta) / r1, np.zeros(args.dim))
+        rec["intermediate_identity_residual"] = jc.block_residual(p0 @ proj @ p0, expected)
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p))
-        rec["intermediate_identity_residual"] = jc.block_residual(upper_left, expected)
     return [transpose(records)]
 
 
@@ -530,8 +528,9 @@ def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options and complete them in place: ``seed``,
     ``fmt``, ``tol``, each ``[NUM]`` param (its option's list read), the
     berry grid ``axes`` (||w|| values, z values) and the evolve ``model``,
-    ``theta`` and ``hamiltonian``.  Every ``NUM`` option and entry of it
-    must be finite."""
+    ``theta`` and ``hamiltonian``; with ``--omega`` and ``--delta``, theta is
+    (delta - omega)/2g, and a ``--theta`` given too must agree with it.
+    Every ``NUM`` option and entry of it must be finite."""
     if args.seed is None:
         try:
             args.seed = int(os.environ.get("HJC_SEED", "0"))
@@ -561,21 +560,21 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError("t-steps must be positive")
         if not 0 <= args.n0 < args.dim:
             raise ConfigError(f"initial level n0={args.n0} outside 0..{args.dim - 1}")
-        try:
-            if args.theta is None and args.omega is not None:
-                args.model = jc.JCParams.from_physical(args.omega, args.delta, args.g, args.dim)
-            else:
-                theta = 0.25 if args.theta is None else args.theta
-                args.model = jc.JCParams(theta, args.dim, args.g, args.omega, args.delta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        args.theta = args.model.theta
+        omega, delta, g = args.omega, args.delta, args.g
+        if omega is not None and g == 0.0:
+            raise ConfigError("coupling g = 0 leaves the detuning ratio undefined")
+        implied = 0.25 if omega is None else (delta - omega) / (2.0 * g)  # 0.25 is the default
+        if args.theta is None:
+            args.theta = implied
+        elif omega is not None and abs(args.theta - implied) > 1e-9 * max(1.0, abs(implied)):
+            raise ConfigError(f"theta = {args.theta} inconsistent with (delta-omega)/2g = {implied}")
+        args.model = jc.JCParams(args.theta, args.dim, g)
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.omega is not None:
-                h1, h2 = jc.full_hamiltonian(args.model)
+            if omega is not None:
+                h1, h2 = jc.full_hamiltonian(args.model, omega)
                 args.hamiltonian = h1 + h2
             else:
-                args.hamiltonian = args.g * jc.hamiltonian(args.model)
+                args.hamiltonian = g * jc.hamiltonian(args.model)
             if not math.isfinite(args.hamiltonian.max_abs()):
                 raise ConfigError(f"the model Hamiltonian at theta={args.theta!r} has entries beyond the double range")
 

@@ -110,36 +110,19 @@ RESIDUAL_CHUNK = 2**15
 
 @dataclass(frozen=True)
 class JCParams:
-    """Model parameters.
-
-    ``theta`` is the detuning ratio (Delta - omega)/2g; ``g`` the coupling;
-    ``omega`` and ``delta`` are only needed for the full (unscaled)
-    Hamiltonian and propagator.  ``dim`` is the Fock truncation.
+    """Model parameters: the detuning ratio ``theta`` = (Delta - omega)/2g,
+    the Fock truncation ``dim`` and the coupling ``g``.  The free frequency
+    omega enters only the full (unscaled) model, as an argument of
+    :func:`full_hamiltonian` and :func:`full_propagator`.
     """
 
     theta: float
     dim: int
     g: float = 1.0
-    omega: Optional[float] = None
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"need dim >= 2, got {self.dim}")
-        if self.omega is not None and self.delta is not None:
-            if self.g == 0.0:
-                raise ValueError("coupling g = 0 leaves the detuning ratio undefined")
-            implied = (self.delta - self.omega) / (2.0 * self.g)
-            if abs(self.theta - implied) > 1e-9 * max(1.0, abs(implied)):
-                raise ValueError(
-                    f"theta = {self.theta} inconsistent with (delta-omega)/2g = {implied}"
-                )
-
-    @classmethod
-    def from_physical(cls, omega: float, delta: float, g: float, dim: int) -> "JCParams":
-        if g == 0.0:
-            raise ValueError("coupling g = 0 leaves the detuning ratio undefined")
-        return cls(theta=(delta - omega) / (2.0 * g), dim=dim, g=g, omega=omega, delta=delta)
 
 
 def _block_product(d: int, batch: tuple, dtype, x: dict, y: dict, out: dict) -> None:
@@ -403,21 +386,19 @@ def hamiltonian(p: JCParams) -> BlockOperator:
     return _sectors(d, np.full(d, p.theta), sq, sq, np.full(d, -p.theta))
 
 
-def full_hamiltonian(p: JCParams):
+def full_hamiltonian(p: JCParams, omega: float):
     """Split the full model Hamiltonian into commuting parts (H1, H2).
 
     H1 = omega (1 (x) N) + (omega/2) (sigma3 (x) 1) is block diagonal;
-    H2 = g * [[theta, a], [a+, -theta]].  Requires omega, delta, g.
+    H2 = g * [[theta, a], [a+, -theta]].
     """
-    return block_diag(*_free_levels(p)), p.g * hamiltonian(p)
+    return block_diag(*_free_levels(p.dim, omega)), p.g * hamiltonian(p)
 
 
-def _free_levels(p: JCParams):
+def _free_levels(d: int, omega: float):
     """Level energies of H1 in the excited and the ground block."""
-    if p.omega is None or p.delta is None:
-        raise ValueError("the full model needs omega and delta")
-    n = np.arange(p.dim, dtype=float)
-    return p.omega * n + p.omega / 2.0, p.omega * n - p.omega / 2.0
+    n = np.arange(d, dtype=float)
+    return omega * n + omega / 2.0, omega * n - omega / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +668,12 @@ def propagator(p: JCParams, t) -> BlockOperator:
     )
 
 
-def full_propagator(p: JCParams, t) -> BlockOperator:
-    """exp(-i t H_full) as the product of the diagonal free part and the
+def full_propagator(p: JCParams, omega: float, t) -> BlockOperator:
+    """exp(-i t H_full), H_full the :func:`full_hamiltonian` at free
+    frequency ``omega``, as the product of the diagonal free part and the
     closed-form interaction propagator (the two parts commute); over an
     array of times, the stack as for :func:`propagator`."""
-    upper, lower = _free_levels(p)
+    upper, lower = _free_levels(p.dim, omega)
     t = np.asarray(t, dtype=float)[..., None]
     free = (({0: np.exp(-1j * t * upper)}, {}), ({}, {0: np.exp(-1j * t * lower)}))
     return BlockOperator(p.dim, free) @ propagator(p, t[..., 0])

@@ -10,10 +10,12 @@ per record, the columns of its items, as the records themselves are held.
 Null is None in a list, or NaN in a nullable float array, which has no
 None.  A nullable nested record also has a column at its own path, true
 where the object is present; where it is absent its fields are neither
-judged nor written.
+judged nor written.  The ||H|| column a :class:`Record` names as its
+``norm`` is declared by no field, and no writer reads it.
 
 :func:`judge` gives every record of a chunk its ``pass`` as array
-comparisons, one per declared residual.  :func:`json_chunk` and
+comparisons, one per declared residual read as a float array (None is
+NaN, which passes only in a nullable field).  :func:`json_chunk` and
 :func:`csv_chunk` write a chunk, column by column, as the next piece of a
 report; the pieces together are the bytes that ``json.dumps(report,
 indent=2, sort_keys=True)`` writes, or the CSV rows of the records.  The
@@ -59,12 +61,12 @@ NUM, INT, BOOL, STR = "number", "integer", "boolean", "string"
 
 
 class Record:
-    """A JSON object made of declared :class:`Field` s.  ``norm`` gives the
-    size of every record's Hamiltonian, ||H||, from a column chunk of the
-    records; the residuals declared ``rel`` are held to their tolerance
-    times it."""
+    """A JSON object made of declared :class:`Field` s.  ``norm`` names the
+    column of a chunk that holds the size of every record's Hamiltonian,
+    ||H||, which the command computes beside the declared columns; the
+    residuals declared ``rel`` are held to their tolerance times it."""
 
-    def __init__(self, *fields: "Field", norm: Optional[Callable] = None):
+    def __init__(self, *fields: "Field", norm: Optional[str] = None):
         self.fields = fields
         self.norm = norm
         self.has_pass = any(f.name == "pass" for f in fields)
@@ -172,33 +174,22 @@ def transpose(items: list) -> dict:
     return {k: [item[k] for item in items] for k in items[0]}
 
 
-def _within(f: Field, col, limit):
-    """Whether each value of a residual column is null or at most its
-    limit."""
-    if isinstance(col, np.ndarray):
-        good = col <= limit
-        return good | np.isnan(col) if f.null else good
-    if isinstance(limit, np.ndarray):
-        return [v is None or v <= lim for v, lim in zip(col, limit.tolist())]
-    return [v is None or v <= limit for v in col]
-
-
-def _all(checks: list, n: int):
-    """The record-wise and of bool columns of ``n`` values: a walk over the
-    records when every column is a list (records built one at a time, as
-    dicts), one numpy reduction when any is an array."""
-    if any(isinstance(c, np.ndarray) for c in checks):
-        return np.logical_and.reduce(checks)
-    return [all(v) for v in zip(*checks)] if checks else [True] * n
+def _within(f: Field, col, limit) -> np.ndarray:
+    """Whether each value of a residual column is at most its limit, the
+    column read as a float array (None is NaN): NaN passes only in a
+    field declared ``null``."""
+    col = np.asarray(col, dtype=float)
+    good = col <= limit
+    return good | np.isnan(col) if f.null else good
 
 
 def _judge(rec: Record, cols: dict, tol: Tolerances, norm, prefix: str, checks=None):
     """:func:`judge` of the record at path ``prefix``, ``norm`` the ||H||
-    column around it; a list verdict where its checks are lists.  A nested
-    record that is never null and declares no ``pass`` adds its checks to
-    ``checks``, those of the record around it, and returns None."""
+    column around it.  A nested record that is never null and declares no
+    ``pass`` adds its checks to ``checks``, those of the record around it,
+    and returns None."""
     if rec.norm is not None:
-        norm = np.asarray(rec.norm(cols), dtype=float)
+        norm = np.asarray(cols[rec.norm], dtype=float)
     own = checks is None
     if own:
         checks = []
@@ -217,20 +208,20 @@ def _judge(rec: Record, cols: dict, tol: Tolerances, norm, prefix: str, checks=N
             checks.append([bool(f.ok(v)) for v in cols[path]])
     if not own:
         return None
-    ok = _all(checks, len(next(iter(cols.values()))))
+    ok = np.logical_and.reduce(checks)
     if rec.has_pass:
-        cols[prefix + "pass"] = np.asarray(ok, dtype=bool)
+        cols[prefix + "pass"] = ok
     return ok
 
 
 def judge(rec: Record, cols: dict, tol: Tolerances) -> np.ndarray:
-    """Whether each record of a column chunk passes: every non-null
-    residual within its tolerance (times ||H|| where declared ``rel``),
-    every verdict true and every present nested record passing.  Stores
-    the verdict as the ``pass`` column of every record that declares one.
-    Each verdict is one reduction over all its checks: a walk over the
-    records for a chunk of list columns, numpy for array columns."""
-    return np.asarray(_judge(rec, cols, tol, None, ""), dtype=bool)
+    """Whether each record of a column chunk passes: every residual within
+    its tolerance (times the ||H|| column named by ``norm`` where declared
+    ``rel``) or null where the field may be, every verdict true and every
+    present nested record passing.  Stores the verdict as the ``pass``
+    column of every record that declares one.  Each verdict is one numpy
+    reduction over all its checks."""
+    return _judge(rec, cols, tol, None, "")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from references import classical_coordinate, classical_projector_from_coordinate, expm_from_eig
 
 from hjc import algebra as al
-from hjc import berry, fock, grassmann, jc, oracle
+from hjc import berry, cli, fock, grassmann, jc, oracle
 from hjc.algebra import AlgebraTag
 from hjc.berry import ChartTag, Points
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
@@ -246,9 +246,12 @@ def test_07_projector_and_spectral_decomposition(radius):
 
 def test_08_propagator():
     d = 40
-    p = JCParams.from_physical(omega=1.0, delta=1.5, g=1.0, dim=d)
+    # the model hjc evolve derives from omega, delta and g
+    args = cli.build_parser().parse_args(["evolve", "--omega=1", "--delta=1.5", "--g=1", f"--dim={d}"])
+    cli._validate(args)
+    p = args.model
     assert p.theta == 0.25
-    h1, h2 = jc.full_hamiltonian(p)
+    h1, h2 = jc.full_hamiltonian(p, args.omega)
     comm = jc.block_residual(h1 @ h2, h2 @ h1)
     hjc_full = (p.g * jc.hamiltonian(p)).full()
     evals, evecs = oracle.eig_hermitian(hjc_full)
@@ -262,7 +265,7 @@ def test_08_propagator():
         worst_unit = max(
             worst_unit, jc.block_residual(u.dagger() @ u, ident)
         )
-        uf = jc.full_propagator(p, float(t))
+        uf = jc.full_propagator(p, args.omega, float(t))
         uf_oracle = expm_from_eig(evals_f, evecs_f, t)
         worst_full = max(worst_full, _max_abs(uf.full(), uf_oracle))
     ok = (

@@ -256,7 +256,13 @@ def test_reconstruction_is_judged_relative_to_the_hamiltonian(capsys, columns_of
     assert code == 0 and rec["pass"]
     assert max(rec["charts"][c]["reconstruction"] for c in ("I", "II")) > DEFAULT.algebraic
     rec["charts"]["II"]["reconstruction"] = 1.01e-12 * math.hypot(0.7, 1e4)
-    assert cli.judge(cli.RECORDS["berry"], columns_of(cli.RECORDS["berry"], [rec]), DEFAULT).tolist() == [False]
+    decl = cli.RECORDS["berry"]
+    cols = columns_of(decl, [rec])
+    # ||H|| = r, the column the berry chunk of this point carries
+    point = berry.Points.of(AlgebraTag.H, rec["point"]["w"]["coeffs"], rec["point"]["z"])
+    cols[decl.norm] = cli.berry_chunk(point, 0, 1)[decl.norm]
+    assert cols[decl.norm].tolist() == pytest.approx([math.hypot(0.7, 1e4)], rel=1e-15)
+    assert cli.judge(decl, cols, DEFAULT).tolist() == [False]
 
 
 def test_charts_hold_at_the_top_of_the_double_range(capsys):
@@ -299,7 +305,7 @@ def test_the_pass_fills_every_declared_column(tag):
     rng = np.random.default_rng(11)
     pts = berry.Points.of(tag, rng.standard_normal((7, tag.dim)), rng.standard_normal(7))
     cols = cli.berry_chunk(pts, 0, 7)
-    assert set(cols) == set(_declared(cli.RECORDS["berry"]))
+    assert set(cols) == set(_declared(cli.RECORDS["berry"])) | {cli.RECORDS["berry"].norm}
     for col in cols.values():
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
             assert np.isfinite(col).all()

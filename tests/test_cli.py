@@ -202,10 +202,10 @@ def test_evolve_residual_bounds_the_dense_entrywise_error(d, theta, path, capsys
         p = jc.JCParams(theta, d)
         h, evolve = jc.hamiltonian(p), jc.propagator
     else:
-        argv = ["--omega=1", f"--delta={1 + 2 * theta!r}"]  # theta = (delta - omega) / 2g
-        p = jc.JCParams.from_physical(1.0, 1 + 2 * theta, 1.0, d)
-        h1, h2 = jc.full_hamiltonian(p)
-        h, evolve = h1 + h2, jc.full_propagator
+        argv = ["--omega=1", f"--delta={1 + 2 * theta!r}"]  # theta = (delta - omega) / 2g, exactly
+        p = jc.JCParams(theta, d)
+        h1, h2 = jc.full_hamiltonian(p, 1.0)
+        h, evolve = h1 + h2, lambda p, t: jc.full_propagator(p, 1.0, t)
     code, records = _evolve_records(capsys, f"--dim={d}", *argv)
     assert code == 0
     w, v = oracle.eig_hermitian(h.full())
@@ -296,9 +296,9 @@ def test_evolve_stacks_equal_the_per_step_propagators(d, steps, path, chunk, cap
         h, evolve = 0.7 * jc.hamiltonian(p), jc.propagator
     else:
         argv = ["--omega=1", "--delta=1.6"]
-        p = jc.JCParams.from_physical(1.0, 1.6, 1.0, d)
-        h1, h2 = jc.full_hamiltonian(p)
-        h, evolve = h1 + h2, jc.full_propagator
+        p = jc.JCParams((1.6 - 1.0) / 2.0, d)  # theta = (delta - omega) / 2g
+        h1, h2 = jc.full_hamiltonian(p, 1.0)
+        h, evolve = h1 + h2, lambda p, t: jc.full_propagator(p, 1.0, t)
     code, records = _evolve_records(capsys, f"--dim={d}", f"--t-steps={steps}", "--n0=1", *argv)
     assert code == 0
     assert [rec["t"] for rec in records] == np.linspace(0.0, 10.0, steps).tolist()
@@ -322,6 +322,7 @@ def test_evolve_stacks_equal_the_per_step_propagators(d, steps, path, chunk, cap
 def test_evolve_rejects_lone_omega():
     proc = run_cli("evolve", "--omega", "1.0", "--dim", "8")
     assert proc.returncode == 2
+    assert "omega and delta must be supplied together" in proc.stderr
 
 
 def test_out_file(tmp_path):
@@ -740,6 +741,16 @@ def test_bad_evolve_inputs_exit_before_the_oracle(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    assert _EVOLVE_USAGE[" ".join(argv)] in capsys.readouterr().err
+
+
+# the usage message of each evolve argv above
+_EVOLVE_USAGE = {
+    "evolve --dim 8 --n0 8": "initial level n0=8 outside 0..7",
+    "evolve --dim 8 --n0 -1": "initial level n0=-1 outside 0..7",
+    "evolve --omega 1 --delta 2 --g 0": "coupling g = 0 leaves the detuning ratio undefined",
+    "evolve --theta 0.3 --omega 1 --delta 2": "theta = 0.3 inconsistent with (delta-omega)/2g = 0.5",
+}
 
 
 @pytest.mark.parametrize(
@@ -930,36 +941,54 @@ def _residual_paths(rec, obj, path=()):
             yield from _residual_paths(f.kind, v, path + (f.name,))
 
 
+def _norms(command) -> list:
+    """The ||H|| column of a command's default run, as the command yields
+    it beside its records; empty for a record that names no norm."""
+    args = cli.build_parser().parse_args(DEFAULT_RUNS[command])
+    cli._validate(args)
+    name = cli.RECORDS[command].norm
+    return [v for cols in cli.COMMANDS[command](args) for v in np.asarray(cols[name]).tolist()] if name else []
+
+
 @pytest.mark.parametrize("command", ["berry", "evolve", "grassmann", "jc"])
 def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_of):
     # the column judge: the limit is the tolerance, times the record's
-    # ||H|| for a residual of H itself
+    # ||H|| for a residual of H itself; null passes only in a nullable
+    # field, given as None in a list column or as NaN in a float array
     payload = json.loads(_report(capsys, command, "json"))
     decl = cli.RECORDS[command]
-    cases = {path: (rec, f) for rec in payload["records"] for path, f in _residual_paths(decl, rec)}
+    norms = _norms(command)
+    cases = {path: (i, f) for i, rec in enumerate(payload["records"]) for path, f in _residual_paths(decl, rec)}
     assert cases
     assert any(f.rel for _, f in cases.values()) == (command in ("berry", "jc"))
-    for path, (rec, f) in cases.items():
-        norm = decl.norm(columns_of(decl, [rec]))[0] if f.rel else 1.0
+    assert len(norms) == (len(payload["records"]) if decl.norm else 0)
+    for path, (i, f) in cases.items():
+        norm = norms[i] if f.rel else 1.0
         tol = getattr(cli.DEFAULT, f.tol) * norm
-        for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False)):
-            mutated = json.loads(json.dumps(rec))
-            _get(mutated, path[:-1])[path[-1]] = float(value)
-            cols = columns_of(decl, [mutated])
-            assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [verdict], path
-            assert cols["pass"].tolist() == [verdict]
-            if "pass" in _get(mutated, path[:-1]):  # a jc chart carries its own verdict
-                assert cols[_pass_path(path)].tolist() == [verdict]
+        for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False), (None, f.null)):
+            mutated = json.loads(json.dumps(payload["records"][i]))
+            _get(mutated, path[:-1])[path[-1]] = None if value is None else float(value)
+            for as_array in (False, True):
+                cols = columns_of(decl, [mutated])
+                if decl.norm:
+                    cols[decl.norm] = norms[i : i + 1]
+                if as_array:
+                    key = ".".join(path)
+                    cols[key] = np.array([math.nan if v is None else v for v in cols[key]], dtype=float)
+                assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [verdict], (path, value, as_array)
+                assert cols["pass"].tolist() == [verdict]
+                if "pass" in _get(mutated, path[:-1]):  # a jc chart carries its own verdict
+                    assert cols[_pass_path(path)].tolist() == [verdict]
 
 
 @pytest.mark.parametrize("d", [2, 7, 300])
 @pytest.mark.parametrize("theta", [0.0, 5e-324, -5e-324, 0.5, -0.5, 1e200, -1e200, 1.7e308, -1.7e308])
-def test_jc_norm_is_the_last_row_radius_bit_for_bit(theta, d):
-    # ||H|| = max(1, R(d - 1)), formed from (theta, dim) alone, is the last
-    # row 2 radius of the closed forms
-    norm = cli.RECORDS["jc"].norm({"theta": np.array([theta]), "dim": np.array([d])})
-    radius = jc.row_radii(jc.JCParams(theta, d))[1][-1]
-    assert np.array_equal(np.array(norm).view(np.uint64), np.array([max(1.0, radius)]).view(np.uint64))
+def test_jc_norm_is_the_last_row_radius_bit_for_bit(theta, d, radius):
+    # the ||H|| column of hjc jc is max(1, R(d - 1)), the last row 2 radius,
+    # bit for bit as the tests' reference radius forms it
+    (cols,) = cli.cmd_jc(argparse.Namespace(theta=theta, dim=d, g=1.0))
+    norm = cols[cli.RECORDS["jc"].norm]
+    assert np.array_equal(np.array(norm).view(np.uint64), np.array([max(1.0, radius(d, theta)[-1])]).view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -974,9 +1003,10 @@ def test_structural_verdicts_fail_the_record(command, path, value, capsys, colum
     rec = json.loads(_report(capsys, command, "json"))["records"][0]
     assert rec["pass"]
     decl = cli.RECORDS[command]
-    assert cli.judge(decl, columns_of(decl, [rec]), cli.DEFAULT).tolist() == [True]
+    norm = {decl.norm: _norms(command)[:1]} if decl.norm else {}
+    assert cli.judge(decl, columns_of(decl, [rec]) | norm, cli.DEFAULT).tolist() == [True]
     _get(rec, path[:-1])[path[-1]] = value
-    cols = columns_of(decl, [rec])
+    cols = columns_of(decl, [rec]) | norm
     assert cli.judge(decl, cols, cli.DEFAULT).tolist() == [False]
     assert cols["pass"].tolist() == [False] and cols[_pass_path(path)].tolist() == [False]
 
@@ -1005,15 +1035,15 @@ _JUDGED = report.Record(
     ),
     report.Field("merged", report.Record(report.Field("r", report.NUM, null=True, tol="propagator"))),
     report.Field("pass", report.BOOL),
-    norm=lambda cols: [max(1.0, abs(h)) for h in cols["h"]],
+    norm="norm",
 )
 
 
 def _walk(decl, obj, norm):
-    """The plain per-record judge: every non-null residual within its
-    tolerance (times ``norm`` where ``rel``), every verdict true, every
-    present nested record passing; the verdicts of records with a ``pass``
-    are collected by path."""
+    """The plain per-record judge: every residual within its tolerance
+    (times ``norm`` where ``rel``) or null where it may be, every verdict
+    true, every present nested record passing; the verdicts of records
+    with a ``pass`` are collected by path."""
     ok, verdicts = True, {}
     for f in decl.fields:
         v = obj.get(f.name)
@@ -1022,8 +1052,10 @@ def _walk(decl, obj, norm):
                 inner, nested = _walk(f.kind, v, norm)
                 ok &= inner
                 verdicts.update({f"{f.name}.{k}": w for k, w in nested.items()})
-        elif v is not None and f.tol is not None:
-            ok &= v <= getattr(DEFAULT, f.tol) * (norm if f.rel else 1.0)
+        elif f.tol is not None:
+            # read as a float, None as NaN: null passes only where the field may be null
+            v = math.nan if v is None else v
+            ok &= (f.null and math.isnan(v)) or v <= getattr(DEFAULT, f.tol) * (norm if f.rel else 1.0)
         elif f.ok is not None:
             ok &= bool(f.ok(v))
     if decl.has_pass:
@@ -1064,31 +1096,30 @@ _NAN_OPT_R = {
     "opt": {"r": math.nan, "v": True},
     "merged": {"r": None},
 }
+# None in a residual that may not be null: the record fails, in a list
+# column as in a float array (NaN)
+_NONE_A = dict(_NAN_OPT_R, a=None, opt=None)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=_judged_records(), arrays=st.sets(st.sampled_from(["h", "a", "b", "inner.r", "inner.n", "opt", "opt.r", "merged.r"])))
 # a NaN residual of a present nullable record is no null: it fails the record
 @example(records=[_NAN_OPT_R, dict(_NAN_OPT_R, opt=None)], arrays={"h", "a", "opt.r"})
+@example(records=[_NONE_A, _NAN_OPT_R], arrays=set())
+@example(records=[_NONE_A, _NAN_OPT_R], arrays={"a"})
 def test_judge_is_the_plain_per_record_walk(records, arrays, columns_of):
     # list columns (records built as dicts) and float or bool arrays (records
-    # built as columns), in any mix: in a float array NaN is null where the
-    # field is declared null; opt.r is null only where opt is
+    # built as columns), in any mix, get one verdict: None and NaN are null,
+    # which passes only where the field is declared null; opt.r is null
+    # only where opt is.  ||H|| is the chunk's "norm" column, max(1, |h|)
     cols = columns_of(_JUDGED, records)
+    cols["norm"] = [max(1.0, abs(rec["h"])) for rec in records]
     for path in arrays:
         if path == "opt":
             cols[path] = np.array(cols[path], dtype=bool)
         else:
             cols[path] = np.array([math.nan if v is None else v for v in cols[path]], dtype=float)
-    expected = []
-    for rec in records:
-        if "b" in arrays and rec["b"] is not None and math.isnan(rec["b"]):
-            rec = dict(rec, b=None)
-        for name, key in (("inner", "n"), ("merged", "r")):
-            value = rec[name] and rec[name][key]
-            if f"{name}.{key}" in arrays and value is not None and math.isnan(value):
-                rec = dict(rec, **{name: dict(rec[name], **{key: None})})
-        expected.append(_walk(_JUDGED, rec, max(1.0, abs(rec["h"])))[1])
+    expected = [_walk(_JUDGED, rec, max(1.0, abs(rec["h"])))[1] for rec in records]
     verdict = cli.judge(_JUDGED, cols, DEFAULT)
     assert verdict.dtype == bool and verdict.tolist() == [e["pass"] for e in expected]
     for path in ("pass", "inner.pass"):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import expm_from_eig
 
-from hjc import fock, grassmann, jc, oracle
+from hjc import cli, fock, grassmann, jc, oracle
 from hjc.berry import ChartTag
 from hjc.config import ILL_CONDITIONED, SINGULAR_THRESHOLD
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
@@ -59,17 +59,6 @@ def test_params_guard_dim():
         JCParams(theta=0.5, dim=1)
 
 
-def test_params_consistency_check():
-    JCParams(theta=0.25, dim=4, g=1.0, omega=1.0, delta=1.5)
-    with pytest.raises(ValueError, match="inconsistent"):
-        JCParams(theta=0.3, dim=4, g=1.0, omega=1.0, delta=1.5)
-
-
-def test_params_from_physical_rejects_zero_coupling():
-    with pytest.raises(ValueError, match="g = 0"):
-        JCParams.from_physical(omega=1.0, delta=1.2, g=0.0, dim=8)
-
-
 def test_hamiltonian_d2_flattened():
     h = jc.hamiltonian(JCParams(theta=1.0, dim=2)).full()
     expected = np.array(
@@ -106,15 +95,18 @@ def test_hamiltonian_matches_kron_assembly(rng):
 
 
 def test_full_hamiltonian_commuting_split():
-    p = JCParams.from_physical(omega=1.3, delta=2.1, g=0.7, dim=12)
-    h1, h2 = jc.full_hamiltonian(p)
+    p = JCParams(theta=(2.1 - 1.3) / (2 * 0.7), dim=12, g=0.7)
+    h1, h2 = jc.full_hamiltonian(p, 1.3)
     assert jc.block_residual(h1 @ h2, h2 @ h1) <= 1e-13
 
 
 def test_full_hamiltonian_resonance():
-    p = JCParams.from_physical(omega=1.0, delta=1.0, g=0.5, dim=6)
+    # the model hjc evolve derives from omega = delta
+    args = cli.build_parser().parse_args(["evolve", "--omega=1", "--delta=1", "--g=0.5", "--dim=6"])
+    cli._validate(args)
+    p = args.model
     assert p.theta == 0.0
-    _, h2 = jc.full_hamiltonian(p)
+    _, h2 = jc.full_hamiltonian(p, args.omega)
     expected = 0.5 * (
         np.kron(np.array([[0, 1], [0, 0]]), fock.annihilation(6))
         + np.kron(np.array([[0, 0], [1, 0]]), fock.creation(6))
@@ -126,21 +118,16 @@ def test_full_hamiltonian_reconstructs_kron():
     # dyadic parameters: the two assembly paths agree bit for bit
     omega, g = 1.0, 0.5
     delta = omega + 2 * g * 0.25
-    p = JCParams.from_physical(omega=omega, delta=delta, g=g, dim=16)
-    h1, h2 = jc.full_hamiltonian(p)
+    p = JCParams(theta=(delta - omega) / (2 * g), dim=16, g=g)
+    h1, h2 = jc.full_hamiltonian(p, omega)
     assert np.array_equal((h1 + h2).full(), kron_full_hamiltonian(omega, delta, g, 16))
     # generic parameters: agree to the float-association floor
     omega, g = 1.1, 0.4
     delta = omega + 2 * g * 0.35
-    p = JCParams.from_physical(omega=omega, delta=delta, g=g, dim=16)
-    h1, h2 = jc.full_hamiltonian(p)
+    p = JCParams(theta=(delta - omega) / (2 * g), dim=16, g=g)
+    h1, h2 = jc.full_hamiltonian(p, omega)
     diff = np.max(np.abs((h1 + h2).full() - kron_full_hamiltonian(omega, delta, g, 16)))
     assert diff <= 1e-14
-
-
-def test_full_hamiltonian_needs_frequencies():
-    with pytest.raises(ValueError):
-        jc.full_hamiltonian(JCParams(theta=0.5, dim=4))
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +668,10 @@ def test_propagator_group_law():
 
 
 def test_full_propagator_against_oracle():
-    p = JCParams.from_physical(omega=1.0, delta=1.5, g=1.0, dim=32)
-    h1, h2 = jc.full_hamiltonian(p)
+    p = JCParams(theta=0.25, dim=32)  # omega = 1, delta = 1.5, g = 1
+    h1, h2 = jc.full_hamiltonian(p, 1.0)
     t = 4.2
-    u = jc.full_propagator(p, t)
+    u = jc.full_propagator(p, 1.0, t)
     u_oracle = expm_from_eig(*oracle.eig_hermitian((h1 + h2).full()), t)
     assert max_abs(u.full(), u_oracle) <= 1e-8
 
@@ -723,10 +710,9 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
         assert max_abs(z.full(), oracle_proj) <= proj_tol
     for t in (0.3, 2.0, 7.5):
         assert max_abs(jc.propagator(p, t).full(), expm_from_eig(w, v, p.g * t)) <= 1e-12
-    q = JCParams.from_physical(omega=1.1, delta=1.1 + 2 * 0.8 * theta, g=0.8, dim=d)
-    h1, h2 = jc.full_hamiltonian(q)
+    h1, h2 = jc.full_hamiltonian(p, 1.1)
     w, v = oracle.eig_hermitian((h1 + h2).full())
-    assert max_abs(jc.full_propagator(q, 2.0).full(), expm_from_eig(w, v, 2.0)) <= 1e-12
+    assert max_abs(jc.full_propagator(p, 1.1, 2.0).full(), expm_from_eig(w, v, 2.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [1, 2, 9])
@@ -735,12 +721,11 @@ def test_propagator_over_times_is_the_stack_of_scalar_ones(d, steps):
     # one code path: slice i of the stack is bitwise the scalar-t result
     ts = np.linspace(0.0, 7.5, steps)
     p = JCParams(theta=-0.35, dim=d, g=0.8)
-    q = JCParams.from_physical(omega=1.2, delta=0.5, g=0.8, dim=d)
-    for evolve, params in ((jc.propagator, p), (jc.full_propagator, q)):
-        stack = evolve(params, ts)
+    for evolve in (jc.propagator, functools.partial(jc.full_propagator, omega=1.2)):
+        stack = evolve(p, t=ts)
         assert stack.batch == (steps,)
         for i, t in enumerate(ts.tolist()):
-            single = evolve(params, t)
+            single = evolve(p, t=t)
             assert single.batch == ()
             assert _same_operator(_slice(stack, i), single)
 
@@ -754,11 +739,6 @@ def test_eigenbasis_residuals_refuse_mismatched_input():
     for args in ((u, w, v, ts[:3]), (u, w, v, ts[:, None]), (u, w, v.astype(complex), ts), (jc.propagator(p, 1.0), w, v, ts)):
         with pytest.raises(ValueError, match="expected a stack"):
             jc.eigenbasis_residuals(*args)
-
-
-def test_full_propagator_needs_frequencies():
-    with pytest.raises(ValueError):
-        jc.full_propagator(JCParams(theta=0.5, dim=4), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +789,8 @@ def test_full_is_real_when_every_level_vector_is(theta, d):
     # the Hamiltonians, the projector and the chart diagonals at real theta
     # export as real C-contiguous matrices carrying the complex export's
     # values; the oracle gives a complex copy of them the same bits
-    p = JCParams(theta=theta, dim=d, g=0.5, omega=1.0, delta=1.0 + theta)
-    h1, h2 = jc.full_hamiltonian(p)
+    p = JCParams(theta=theta, dim=d, g=0.5)
+    h1, h2 = jc.full_hamiltonian(p, 1.0)
     ops = [jc.hamiltonian(p), h1, h2, h1 + h2, jc.projector(p)]
     ops += [jc.chart_diagonal(p, chart) for chart in ChartTag]
     for op in ops:
