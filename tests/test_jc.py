@@ -59,6 +59,25 @@ def test_params_guard_dim():
         JCParams(theta=0.5, dim=1)
 
 
+def _evolve_args(*argv):
+    args = cli.build_parser().parse_args(["evolve", *argv])
+    cli._validate(args)
+    return args
+
+
+def test_params_consistency_check():
+    # theta, omega and delta are checked against each other once, where
+    # the command line builds the model
+    assert _evolve_args("--theta", "0.25", "--omega", "1", "--delta", "1.5", "--dim", "8").model == JCParams(0.25, 8, 1.0)
+    with pytest.raises(cli.ConfigError, match="inconsistent"):
+        _evolve_args("--theta", "0.3", "--omega", "1", "--delta", "1.5")
+
+
+def test_params_from_physical_rejects_zero_coupling():
+    with pytest.raises(cli.ConfigError, match="g = 0"):
+        _evolve_args("--omega", "1", "--delta", "1.2", "--g", "0", "--dim", "8")
+
+
 def test_hamiltonian_d2_flattened():
     h = jc.hamiltonian(JCParams(theta=1.0, dim=2)).full()
     expected = np.array(
@@ -92,6 +111,11 @@ def test_hamiltonian_matches_kron_assembly(rng):
         theta = float(rng.standard_normal())
         h = jc.hamiltonian(JCParams(theta=theta, dim=7)).full()
         assert np.max(np.abs(h - kron_hamiltonian(theta, 7))) == 0.0
+
+
+def test_full_hamiltonian_needs_frequencies():
+    with pytest.raises(TypeError):
+        jc.full_hamiltonian(JCParams(theta=0.5, dim=4))
 
 
 def test_full_hamiltonian_commuting_split():
@@ -739,6 +763,12 @@ def test_eigenbasis_residuals_refuse_mismatched_input():
     for args in ((u, w, v, ts[:3]), (u, w, v, ts[:, None]), (u, w, v.astype(complex), ts), (jc.propagator(p, 1.0), w, v, ts)):
         with pytest.raises(ValueError, match="expected a stack"):
             jc.eigenbasis_residuals(*args)
+
+
+def test_full_propagator_needs_frequencies():
+    # without omega the one number given is read as omega and t is missing
+    with pytest.raises(TypeError):
+        jc.full_propagator(JCParams(theta=0.5, dim=4), 1.0)
 
 
 # ---------------------------------------------------------------------------
