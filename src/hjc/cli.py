@@ -9,7 +9,9 @@ NAME`` is accepted as an alias for the leading subcommand.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
-usage or configuration error.  Output is JSON
+usage or configuration error.  A phase of ``evolve`` beyond the double
+range (extreme detuning or frequency) is NaN, not a warning, so its
+records fail.  Output is JSON
 (``"schema": 4`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (env fallback
 ``HJC_SEED``).
@@ -402,16 +404,16 @@ def cmd_jc(args):
 def cmd_strings(args):
     """singular sector map"""
     records = []
-    for theta in args.thetas:
+    # the ground sector |g,0> is the classical point w = 0, z = theta
+    ground = berry.classify(berry.Points.of(algebra.AlgebraTag.C, np.zeros((len(args.thetas), 2)), args.thetas))
+    for theta, code in zip(args.thetas, ground):
         report = jc.singular_sectors(jc.JCParams(theta=theta, dim=args.dim))
         den, codes = report.denominators.reshape(-1), report.codes.reshape(-1)
         sectors = report.take(np.flatnonzero(codes))  # the entries not regular (status code 0)
-        found = set(zip(*(col.tolist() for col in report.singular().values())))
+        singular = sectors["status"] == "singular"
+        found = set(zip(*(sectors[k][singular].tolist() for k in ("chart", "row", "level"))))
         counts = np.bincount(codes, minlength=len(jc.SECTOR_STATUSES)).tolist()
-        # chart I is singular at the ground level unless theta > 0, chart II
-        # unless theta < 0; below |theta| ~ 5e-8 both ground denominators
-        # 4 theta^2 fall under the threshold, and nothing else may
-        expected = {(c, 2, 0) for c, off in (("I", theta > 0), ("II", theta < 0)) if not off}
+        expected = {(c.value, 2, 0) for c in berry.ChartTag if not berry.admissible(code, c)}
         records.append(
             {
                 "theta": theta,

@@ -65,7 +65,6 @@ such a stack.  The dense export is unbatched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -468,7 +467,7 @@ class SectorReport:
     """Every chart denominator 2 R (R + s theta) of
     :func:`chart_denominators` and its status code, an index into
     :data:`SECTOR_STATUSES`, as arrays of shape (chart, block row, level);
-    ``columns`` holds them all in that order, as :meth:`take` gives them."""
+    :meth:`take` gives the entries at a flat index of them as columns."""
 
     denominators: np.ndarray
     codes: np.ndarray
@@ -484,16 +483,6 @@ class SectorReport:
             "denominator": self.denominators.reshape(-1)[index],
             "status": np.array(SECTOR_STATUSES, dtype=object)[self.codes.reshape(-1)[index]],
         }
-
-    @functools.cached_property
-    def columns(self) -> dict:
-        return self.take(np.arange(self.codes.size))
-
-    def singular(self) -> dict:
-        """The ``chart``, ``row`` and ``level`` columns of the singular
-        entries."""
-        cols = self.take(np.flatnonzero(self.codes == SECTOR_STATUSES.index("singular")))
-        return {k: cols[k] for k in ("chart", "row", "level")}
 
 
 class SingularSectorError(Exception):
@@ -653,18 +642,22 @@ def propagator(p: JCParams, t) -> BlockOperator:
     with the row radii R1, R(N) of :func:`row_radii`, so the top-level
     entry is exp(-i g t theta).  Where a radius vanishes (at resonance)
     the ratio sin(tg R)/R is taken in the limit, tg.  A 1-D array of times
-    gives the stack of their propagators, batch shape ``t.shape``.
+    gives the stack of their propagators, batch shape ``t.shape``.  A
+    phase tg R beyond the double range has a NaN sine and cosine, without
+    a warning: its entries are NaN, and a check of them fails.
     """
     tg = p.g * np.asarray(t, dtype=float)[..., None]
     r1, r0 = row_radii(p)
-    s1, s0 = (np.divide(np.sin(tg * r), r, out=tg * np.ones_like(r), where=r != 0.0) for r in (r1, r0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (c1, s1), (c0, s0) = ((np.cos(tg * r), np.sin(tg * r)) for r in (r1, r0))
+    s1, s0 = (np.divide(s, r, out=tg * np.ones_like(r), where=r != 0.0) for s, r in ((s1, r1), (s0, r0)))
     sq = _ladder(p.dim)
     return _sectors(
         p.dim,
-        np.cos(tg * r1) - 1j * p.theta * s1,
+        c1 - 1j * p.theta * s1,
         -1j * (s1[..., :-1] * sq),
         -1j * (s0[..., 1:] * sq),
-        np.cos(tg * r0) + 1j * p.theta * s0,
+        c0 + 1j * p.theta * s0,
     )
 
 
@@ -672,10 +665,12 @@ def full_propagator(p: JCParams, omega: float, t) -> BlockOperator:
     """exp(-i t H_full), H_full the :func:`full_hamiltonian` at free
     frequency ``omega``, as the product of the diagonal free part and the
     closed-form interaction propagator (the two parts commute); over an
-    array of times, the stack as for :func:`propagator`."""
+    array of times, the stack as for :func:`propagator`.  A free phase
+    t omega (n +- 1/2) beyond the double range is NaN, as there."""
     upper, lower = _free_levels(p.dim, omega)
     t = np.asarray(t, dtype=float)[..., None]
-    free = (({0: np.exp(-1j * t * upper)}, {}), ({}, {0: np.exp(-1j * t * lower)}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        free = (({0: np.exp(-1j * t * upper)}, {}), ({}, {0: np.exp(-1j * t * lower)}))
     return BlockOperator(p.dim, free) @ propagator(p, t[..., 0])
 
 
@@ -697,7 +692,9 @@ def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray,
     product of [part of conj(u0), 1] and [1, -phase]: both terms are exact,
     so it is the one rounding of the difference, and BLAS writes it faster
     than a broadcast subtraction.  A real or imaginary part of another
-    stored diagonal that is zero throughout is skipped.
+    stored diagonal that is zero throughout is skipped.  An oracle phase
+    t W beyond the double range is NaN, without a warning, and so is the
+    residual of its step.
     """
     ts, evecs = np.asarray(ts, dtype=float), np.asarray(evecs)
     if ts.ndim != 1 or u.batch != ts.shape or np.iscomplexobj(evecs):
@@ -722,9 +719,10 @@ def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray,
     norms = np.zeros((ts.size, n))
     for t0 in range(0, ts.size, steps):
         chunk = slice(t0, t0 + steps)
-        tw = ts[chunk, None] * evals
-        rhs = np.ones((2, tw.shape[0], 2, n))  # per plane and step: [1, -cos tW] and [1, -sin tW]
-        rhs[:, :, 1] = -np.cos(tw), -np.sin(tw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tw = ts[chunk, None] * evals
+            rhs = np.ones((2, tw.shape[0], 2, n))  # per plane and step: [1, -cos tW] and [1, -sin tW]
+            rhs[:, :, 1] = -np.cos(tw), -np.sin(tw)
         for r0 in range(0, n, rows):
             r1 = min(r0 + rows, n)
             plane = buf[: tw.shape[0], : r1 - r0]

@@ -120,12 +120,33 @@ def test_unknown_or_repeated_grid_axis_is_a_usage_error(grid, message, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_numerical_failure_exit_code():
-    # an impossible tolerance forces the failure path; report still written
-    proc = run_cli("jc", "--theta", "0.5", "--dim", "16", "--tol-reconstruction", "1e-30")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an impossible tolerance forces the failure path; report still written
+        ["jc", "--theta", "0.5", "--dim", "16", "--tol-reconstruction", "1e-30"],
+        # a phase t g R or t omega (n +- 1/2) beyond the double range is NaN,
+        # not a warning: the report is complete and fails
+        ["evolve", "--theta=1.7e308", "--dim=6", "--format=csv"],
+        ["evolve", "--theta=-1.7e308", "--dim=6", "--format=csv"],
+        ["evolve", "--omega=1e307", "--delta=1e307", "--dim=6", "--format=csv"],
+    ],
+)
+def test_numerical_failure_exit_code(argv):
+    proc = run_cli(*argv)
     assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["summary"]["passed"] is False
+    if argv[0] == "jc":
+        payload = json.loads(proc.stdout)
+        assert payload["summary"]["passed"] is False
+    else:
+        lines = proc.stdout.splitlines()
+        assert lines[4] == ",".join(cli.CSV_COLUMNS["evolve"]) and len(lines) == 5 + 50  # t_steps records
+    # warnings as errors leave the run as it was
+    strict = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hjc.cli", *argv], capture_output=True, text=True, timeout=300
+    )
+    assert strict.returncode == 1 and "Traceback" not in strict.stderr
+    assert strict.stdout == proc.stdout
 
 
 def test_command_flag_alias():
@@ -647,7 +668,14 @@ def test_grassmann_singular_set_is_the_strings_chart_i_row_2_set(theta, capsys):
     assert rec["pass"]
 
 
-@pytest.mark.parametrize("theta", [0.0, 1e-200, 1e-8, -1e-8, 0.5, -3.0, 1e15, -1e200])
+# the band 1e-14 < |theta| < 5e-8 and its edges: berry puts (0, theta) on one
+# half-axis, so it expects one ground sector, while both quantum ground
+# denominators 4 theta^2 are under the threshold; at |theta| <= 1e-14 berry
+# puts it at the origin and expects both
+_BAND = [s * t for t in (5e-8, 1e-10, 1e-14, 1e-15, 5e-324) for s in (-1.0, 1.0)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-200, 1e-8, -1e-8, 0.5, -3.0, 1e15, -1e200, *_BAND])
 @pytest.mark.parametrize("d", [2, 5])
 def test_strings_edge_entries_are_truncation_and_the_string_is_ground_only(theta, d, capsys):
     # below |theta| ~ 5e-8 both charts' ground denominators 4 theta^2 are
@@ -658,6 +686,17 @@ def test_strings_edge_entries_are_truncation_and_the_string_is_ground_only(theta
     edge = {(s["chart"], s["row"], s["level"]) for s in rec["sectors"] if s["status"] == "truncation"}
     assert edge == {("I", 1, d - 1), ("II", 1, d - 1)}
     assert {(s["row"], s["level"]) for s in rec["sectors"] if s["status"] == "singular"} == {(2, 0)}
+
+
+def test_strings_expects_the_ground_sectors_of_the_charts_berry_rules_out(monkeypatch, capsys):
+    # the expected set is read from berry's class of (w = 0, z = theta): a
+    # berry that puts every point at the origin expects both ground
+    # sectors, and theta = 1 has only chart II's
+    origin = berry.POINT_CLASSES.index(berry.PointClass.ORIGIN)
+    monkeypatch.setattr(berry, "classify", lambda pts: np.full(pts.z.shape, origin))
+    assert cli.main(["strings", "--theta=1", "--dim=4"]) == 1
+    rec = json.loads(capsys.readouterr().out)["records"][0]
+    assert not rec["ground_only"] and not rec["pass"]
 
 
 # |theta| from 5e-324 to 1.7e308, either sign
@@ -678,14 +717,15 @@ def test_the_strings_record_lists_the_non_regular_rows_of_the_sector_report(thet
     records = json.loads(capsys.readouterr().out)["records"]
     for theta, rec in zip(thetas, records):
         full = jc.singular_sectors(jc.JCParams(theta=theta, dim=d))
-        rows = [dict(zip(full.columns, row)) for row in zip(*(col.tolist() for col in full.columns.values()))]
+        cols = full.take(np.arange(full.codes.size))
+        rows = [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
         assert rec["sectors"] == [row for row in rows if row["status"] != "regular"]
         assert rec["counts"] == {s: sum(row["status"] == s for row in rows) for s in jc.SECTOR_STATUSES}
         assert sum(rec["counts"].values()) == 4 * d
         regular = [row["denominator"] for row in rows if row["status"] == "regular"]
         assert rec["min_regular_denominator"] == (min(regular) if regular else None)
         # the verdict as the full report gave it
-        found = set(zip(*(col.tolist() for col in full.singular().values())))
+        found = {(row["chart"], row["row"], row["level"]) for row in rows if row["status"] == "singular"}
         expected = {(c, 2, 0) for c, off in (("I", theta > 0), ("II", theta < 0)) if not off}
         assert rec["ground_only"] == (expected <= found <= {("I", 2, 0), ("II", 2, 0)}) == rec["pass"]
     assert code == (0 if all(rec["pass"] for rec in records) else 1)

@@ -335,6 +335,15 @@ def sector_keys(cols):
     return list(zip(cols["chart"].tolist(), cols["row"].tolist(), cols["level"].tolist()))
 
 
+def sector_columns(rep, status=None):
+    """The columns :meth:`SectorReport.take` gives for every entry, or for
+    the entries of one ``status``."""
+    codes = rep.codes.reshape(-1)
+    if status is None:
+        return rep.take(np.arange(codes.size))
+    return rep.take(np.flatnonzero(codes == jc.SECTOR_STATUSES.index(status)))
+
+
 def reference_sectors(p, threshold=SINGULAR_THRESHOLD):
     """The classification of :func:`jc.singular_sectors` with the singular
     threshold ``threshold``, entry by entry: (chart, row, level,
@@ -379,7 +388,7 @@ def test_sector_columns_match_the_reference(d, theta, threshold):
     p = JCParams(theta=theta, dim=d)
     ref = reference_sectors(p, threshold)
     with mock.patch.object(jc, "SINGULAR_THRESHOLD", threshold):
-        cols = jc.singular_sectors(p).columns
+        cols = sector_columns(jc.singular_sectors(p))
         assert list(cols) == ["chart", "row", "level", "denominator", "status"]
         assert sector_keys(cols) == [e[:3] for e in ref]
         assert cols["status"].tolist() == [e[4] for e in ref]
@@ -406,7 +415,7 @@ def test_sector_columns_match_the_reference(d, theta, threshold):
 )
 def test_singular_sets(theta, expected):
     rep = jc.singular_sectors(JCParams(theta=theta, dim=8))
-    got = sorted(sector_keys(rep.singular()))
+    got = sorted(sector_keys(sector_columns(rep, "singular")))
     assert got == sorted(expected)
 
 
@@ -416,7 +425,7 @@ def test_excited_levels_regular():
     d = 16
     for theta in (0.5, -0.5, 0.0, 1e-300, -1e200):
         rep = jc.singular_sectors(JCParams(theta=theta, dim=d))
-        cols = rep.columns
+        cols = sector_columns(rep)
         keys = sector_keys(cols)
         den = dict(zip(keys, cols["denominator"].tolist()))
         for (chart, row, level), status in zip(keys, cols["status"]):
@@ -429,7 +438,8 @@ def test_excited_levels_regular():
 
 def test_sector_denominator_values():
     rep = jc.singular_sectors(JCParams(theta=1.0, dim=4))
-    by_key = dict(zip(sector_keys(rep.columns), rep.columns["denominator"].tolist()))
+    cols = sector_columns(rep)
+    by_key = dict(zip(sector_keys(cols), cols["denominator"].tolist()))
     assert by_key[("I", 2, 0)] == 4.0  # 2 * 1 * (1 + 1)
     assert by_key[("II", 2, 0)] == 0.0
 
@@ -502,7 +512,7 @@ def test_string_localization_property(mag, sign):
     # every off-resonance theta has exactly one singular pair, at level 0
     theta = sign * mag
     rep = jc.singular_sectors(JCParams(theta=theta, dim=8))
-    assert sector_keys(rep.singular()) == [("II" if theta > 0 else "I", 2, 0)]
+    assert sector_keys(sector_columns(rep, "singular")) == [("II" if theta > 0 else "I", 2, 0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -517,7 +527,7 @@ def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
     # ground denominators 4 theta^2 fall under the singular threshold.
     theta = sign * 10.0 ** log_mag
     p = JCParams(theta=theta, dim=d)
-    sing = jc.singular_sectors(p).singular()
+    sing = sector_columns(jc.singular_sectors(p), "singular")
     assert set(zip(sing["row"].tolist(), sing["level"].tolist())) == {(2, 0)}
     assert ("II" if theta > 0 else "I") in sing["chart"].tolist()
     chart = ChartTag.I if theta > 0 else ChartTag.II

@@ -27,7 +27,8 @@ CORPUS = {
     "jc": [[f"--theta={theta!r}", f"--dim={d}"] for theta in THETAS for d in DIMS],
     "strings": [[THETA_LIST, f"--dim={d}"] for d in DIMS],
     "grassmann": [[THETA_LIST, f"--dim={d}"] for d in DIMS],
-    # |theta| = 1.7e308 overflows in jc.propagator, an open defect of evolve
+    # at |theta| = 1.7e308 the phases t g R are NaN and every step past t = 0
+    # fails, an open defect of evolve
     "evolve": [
         [f"--theta={theta!r}", f"--dim={d}", "--t-steps=3", "--format=json"]
         for theta in THETAS
