@@ -4,8 +4,9 @@ Subcommands: ``berry`` (classical chart sweep over a grid plus random
 samples), ``jc`` (quantum chart decomposition checks), ``strings``
 (singular-sector map over a theta sweep), ``evolve`` (closed-form
 propagator against the eigensolver oracle) and ``grassmann`` (coordinate
-round trip), each the ``cmd_*`` function named after it.  ``--command
-NAME`` is accepted as an alias for the leading subcommand.
+round trip), each the ``cmd_*`` function named after it.  Every input is
+an option: the subcommand's own, declared in ``PARAMS``, and the common
+flags; nothing is read from the environment.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
@@ -13,8 +14,7 @@ usage or configuration error.  A phase of ``evolve`` beyond the double
 range (extreme detuning or frequency) is NaN, not a warning, so its
 records fail.  Output is JSON
 (``"schema": 4`` envelope) or CSV with ``#``-prefixed header lines; both
-are byte-identical across runs with the same ``--seed`` (env fallback
-``HJC_SEED``).
+are byte-identical across runs with the same ``--seed`` (default 0).
 
 Each command's record is declared once, in ``RECORDS``: every field with
 its JSON type, whether it may be null, the ``Tolerances`` field that
@@ -463,11 +463,11 @@ def cmd_grassmann(args):
             continue
         proj = grassmann.projector_from_coordinate(z)
         # the upper-left block (1 + Z+Z)^-1, P0 P P0 with P0 = diag(1, 0),
-        # against its closed form (R1 + theta) / 2R1, R1 the row 1 radius
-        # (theta > 0 here), from halves so that R1 + theta is never formed
-        r1, _ = jc.row_radii(p)
+        # against its closed form (R1 + theta) / 2R1 = h1 / R1, R1 and h1 the
+        # row 1 radius and chart I half sum
+        (r1, h1, _), _ = jc.chart_denominators(p, jc.ChartTag.I)
         p0 = jc.block_diag(np.ones(args.dim), np.zeros(args.dim))
-        expected = jc.block_diag((0.5 * r1 + 0.5 * theta) / r1, np.zeros(args.dim))
+        expected = jc.block_diag(h1 / r1, np.zeros(args.dim))
         rec["intermediate_identity_residual"] = jc.block_residual(p0 @ proj @ p0, expected)
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p))
     return [transpose(records)]
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``hjc`` argument parser, built once per process: ``parse_args``
     returns a fresh namespace each call and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: HJC_SEED, then 0)")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
     for name in (f.name for f in dataclasses.fields(Tolerances)):
@@ -527,17 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check the parsed options and complete them in place: ``seed``,
-    ``fmt``, ``tol``, each ``[NUM]`` param (its option's list read), the
-    berry grid ``axes`` (||w|| values, z values) and the evolve ``model``,
-    ``theta`` and ``hamiltonian``; with ``--omega`` and ``--delta``, theta is
-    (delta - omega)/2g, and a ``--theta`` given too must agree with it.
-    Every ``NUM`` option and entry of it must be finite."""
-    if args.seed is None:
-        try:
-            args.seed = int(os.environ.get("HJC_SEED", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"HJC_SEED must be an integer: {exc}") from exc
+    """Check the parsed options and complete them in place: ``fmt``,
+    ``tol``, each ``[NUM]`` param (its option's list read), the berry grid
+    ``axes`` (||w|| values, z values) and the evolve ``model``, ``theta``
+    and ``hamiltonian``; evolve takes ``--theta`` (default 0.25)
+    or ``--omega`` and ``--delta``, from which theta is (delta - omega)/2g,
+    not both.  Every ``NUM`` option and entry of it must be finite."""
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
     params = PARAMS[args.command].fields
@@ -562,14 +557,15 @@ def _validate(args: argparse.Namespace) -> None:
             raise ConfigError("t-steps must be positive")
         if not 0 <= args.n0 < args.dim:
             raise ConfigError(f"initial level n0={args.n0} outside 0..{args.dim - 1}")
-        omega, delta, g = args.omega, args.delta, args.g
-        if omega is not None and g == 0.0:
-            raise ConfigError("coupling g = 0 leaves the detuning ratio undefined")
-        implied = 0.25 if omega is None else (delta - omega) / (2.0 * g)  # 0.25 is the default
-        if args.theta is None:
-            args.theta = implied
-        elif omega is not None and abs(args.theta - implied) > 1e-9 * max(1.0, abs(implied)):
-            raise ConfigError(f"theta = {args.theta} inconsistent with (delta-omega)/2g = {implied}")
+        omega, g = args.omega, args.g
+        if omega is not None:
+            if args.theta is not None:
+                raise ConfigError("give theta or omega and delta, not both")
+            if g == 0.0:
+                raise ConfigError("coupling g = 0 leaves the detuning ratio undefined")
+            args.theta = (args.delta - omega) / (2.0 * g)
+        elif args.theta is None:
+            args.theta = 0.25
         args.model = jc.JCParams(args.theta, args.dim, g)
         with np.errstate(over="ignore", invalid="ignore"):
             if omega is not None:
@@ -639,15 +635,8 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    argv = _attach_negative_values(list(sys.argv[1:] if argv is None else argv))
-    if "--command" in argv:
-        i = argv.index("--command")
-        if i + 1 >= len(argv):
-            build_parser().error("--command needs a name")
-        name = argv[i + 1]
-        argv = [name] + argv[:i] + argv[i + 2 :]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         _validate(args)
     except ConfigError as exc:

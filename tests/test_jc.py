@@ -66,11 +66,13 @@ def _evolve_args(*argv):
 
 
 def test_params_consistency_check():
-    # theta, omega and delta are checked against each other once, where
-    # the command line builds the model
-    assert _evolve_args("--theta", "0.25", "--omega", "1", "--delta", "1.5", "--dim", "8").model == JCParams(0.25, 8, 1.0)
-    with pytest.raises(cli.ConfigError, match="inconsistent"):
-        _evolve_args("--theta", "0.3", "--omega", "1", "--delta", "1.5")
+    # the model takes theta or (delta - omega)/2g, never both: a theta given
+    # with omega and delta is refused, whether or not the two agree
+    assert _evolve_args("--omega", "1", "--delta", "1.5", "--dim", "8").model == JCParams(0.25, 8, 1.0)
+    for theta in ("0.25", "0.3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", "--theta", theta, "--omega", "1", "--delta", "1.5", "--dim", "8"])
+        assert exc.value.code == 2
 
 
 def test_params_from_physical_rejects_zero_coupling():
