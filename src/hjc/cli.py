@@ -13,7 +13,7 @@ is still written) or stdout was closed before the report was complete, 2
 usage or configuration error.  A phase of ``evolve`` beyond the double
 range (extreme detuning or frequency) is NaN, not a warning, so its
 records fail.  Output is JSON
-(``"schema": 4`` envelope) or CSV with ``#``-prefixed header lines; both
+(``"schema": 5`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (default 0).
 
 Each command's record is declared once, in ``RECORDS``: every field with
@@ -59,7 +59,6 @@ from .report import (
 
 _CHARTS = tuple(c.value for c in jc.ChartTag)
 _ALGEBRAS = tuple(algebra.AlgebraTag.__members__)
-_DIM = Field("dim", INT)
 _PASS = Field("pass", BOOL)
 # a singular set other than the ground level contradicts the paper
 _SINGULAR_LEVELS = Field("singular_levels", [INT], ok=lambda levels: levels in ([], [0]))
@@ -109,7 +108,6 @@ RECORDS = {
     ),
     "jc": Record(
         Field("theta", NUM),
-        _DIM,
         Field("charts", Record(*(Field(c, _JC_CHART) for c in _CHARTS)), csv="chart", rows=True),
         Field("eigenvalue_max_dev", NUM, tol="reconstruction", rel=True, csv=False),
         Field(
@@ -126,7 +124,6 @@ RECORDS = {
     ),
     "strings": Record(
         Field("theta", NUM),
-        Field("dim", INT, csv=False),
         # the entries not "regular": the regular ones, closed forms of (theta, dim), are counted and bounded below
         Field("sectors", [Record(*_SECTOR, Field("denominator", NUM), Field("status", jc.SECTOR_STATUSES))], rows=True),
         Field("counts", Record(*(Field(status, INT) for status in jc.SECTOR_STATUSES)), csv=False),
@@ -143,7 +140,6 @@ RECORDS = {
     ),
     "grassmann": Record(
         Field("theta", NUM),
-        _DIM,
         _SINGULAR_LEVELS,
         Field("roundtrip_residual", NUM, null=True, tol="reconstruction"),
         Field("intermediate_identity_residual", NUM, null=True, tol="algebraic"),
@@ -175,7 +171,7 @@ PARAMS = {
         _Param("grid", STR, default="z=-2:2:9,w=0:1:3", help="axes name=lo:hi:count, comma separated"),
         _Param("samples", INT, default=100),
     ),
-    "jc": Record(_Param("theta", NUM, default=0.5), _dim(default=32), _Param("g", NUM, default=1.0)),
+    "jc": Record(_Param("theta", NUM, default=0.5), _dim(default=32)),
     "strings": Record(_thetas(default="-1,-0.5,-0.25,0.25,0.5,1"), _dim(default=16)),
     "evolve": Record(
         _Param("theta", NUM, help="default 0.25, or derived from omega/delta/g"), _Param("g", NUM, default=1.0),
@@ -376,7 +372,7 @@ def _jc_chart(p, chart, h, ident):
 
 def cmd_jc(args):
     """quantum chart checks"""
-    p = jc.JCParams(theta=args.theta, dim=args.dim, g=args.g)
+    p = jc.JCParams(theta=args.theta, dim=args.dim)
     h = jc.hamiltonian(p)
     ident = jc.BlockOperator.identity(p.dim)
     checked = {c.value: _jc_chart(p, c, h, ident) for c in (jc.ChartTag.I, jc.ChartTag.II)}
@@ -390,7 +386,6 @@ def cmd_jc(args):
     plus, minus = jc.spectral_decomposition(p, proj)
     record = {
         "theta": args.theta,
-        "dim": args.dim,
         **{f"charts.{name}.{k}": v for name, (rec, _) in checked.items() for k, v in rec.items()},
         "eigenvalue_max_dev": eig_dev,
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
@@ -417,7 +412,6 @@ def cmd_strings(args):
         records.append(
             {
                 "theta": theta,
-                "dim": args.dim,
                 "sectors": sectors,
                 **{f"counts.{name}": n for name, n in zip(jc.SECTOR_STATUSES, counts)},
                 "min_regular_denominator": float(np.min(den, where=codes == 0, initial=np.inf)) if counts[0] else None,
@@ -453,7 +447,7 @@ def cmd_grassmann(args):
     records = []
     for theta in args.thetas:
         p = jc.JCParams(theta=theta, dim=args.dim)
-        rec = {"theta": theta, "dim": args.dim, "singular_levels": []}
+        rec = {"theta": theta, "singular_levels": []}
         rec |= dict.fromkeys(("roundtrip_residual", "intermediate_identity_residual"))  # null where chart I is singular
         records.append(rec)
         try:

@@ -56,7 +56,7 @@ __all__ = [
     "csv_chunk",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 NUM, INT, BOOL, STR = "number", "integer", "boolean", "string"
 
 

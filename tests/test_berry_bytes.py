@@ -17,14 +17,14 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("R", "json"): "1fb76a0a1570183a026abbb5d5f0cfed8f0f14f30b1cec97134efac04ceb9f9e",
-    ("R", "csv"): "ac82448f21d421d7a6e8dd3ddbb578c14ddfe95da98117777a262c9d4355e63c",
-    ("C", "json"): "f0e1dbefadd6c8e8fc40ce99034792c4adca9cd71a3afb656a71238bef467801",
-    ("C", "csv"): "7beca6ae0fe77e93af7146dc79b6e705a77b7481fe5acf40f66b6d37cddd2481",
-    ("H", "json"): "7eb45eebae29756b67f3c31f461da7add5ef5a40e35bf07d8f1bc13198fe725f",
-    ("H", "csv"): "237a479d1753b3ddda4613cf487fee1ebc2d27a39479502938185c09132a028a",
-    ("O", "json"): "4e4170c6e0fe85715e46e01ed00535584ff38c28479cc05c54fd45cdfd2351c6",
-    ("O", "csv"): "96390eb41e5d8b8e1db1e394103467df66335112e71083b93871acb763908d29",
+    ("R", "json"): "f27abb4fabe2fb5d6a7cea3717e67eca2e45847bf4f2238806ef97e42f489667",
+    ("R", "csv"): "c2eb92384962168e818452d28c352be77cce51e3fb9b0521211857ea8387b73f",
+    ("C", "json"): "f1197c52ba91c6701bc7bb41314b4d1618f8ca5bdbf7affe5443d2a3070f8545",
+    ("C", "csv"): "1a2ed81d5441dde823a52fbd1d05278d818b3a8c3436cbed9b9e429eb03035f3",
+    ("H", "json"): "262c5ebab423ea269e8a403e395f3d4331e69234a628002f9b290ac246ef6c87",
+    ("H", "csv"): "3d83fd6bee2ce9b4e99078f42a79152954da42dec2c7c36e4cc2ac50bd6d1b19",
+    ("O", "json"): "d682dc9b098c78a16b8446fb0f0c66835b766dd8c5d18748bec2fbbc002ce002",
+    ("O", "csv"): "be7dd1c5c526e8e33197456cb873ea3e62ed402b527fbfa80542a8ddc51b4f0d",
 }
 
 

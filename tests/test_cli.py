@@ -38,6 +38,11 @@ DEFAULT_RUNS = {
 }
 
 
+def test_the_schema_is_5():
+    # the one pin of the schema number: every other test reads the constant
+    assert report.SCHEMA_VERSION == 5
+
+
 @pytest.mark.parametrize("command", sorted(DEFAULT_RUNS))
 def test_default_suite_passes_and_validates(command):
     proc = run_cli(*DEFAULT_RUNS[command])
@@ -46,7 +51,7 @@ def test_default_suite_passes_and_validates(command):
     jsonschema.validate(payload, cli.SCHEMAS[command])
     params = cli.SCHEMAS[command]["properties"]["params"]
     assert sorted(params["required"]) == sorted(params["properties"]) == sorted(payload["params"])
-    assert payload["schema"] == 4
+    assert payload["schema"] == report.SCHEMA_VERSION
     assert payload["seed"] == 11
     assert payload["summary"]["passed"] is True
 
@@ -417,7 +422,7 @@ def test_a_failing_chunk_leaves_the_out_file_untouched(fmt, tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
     monkeypatch.setattr(berry, "check_points", berry_pass)
     assert cli.main(["berry", "--samples=10", f"--format={fmt}", "--out", str(target)]) == 0
-    assert target.read_text().startswith("{" if fmt == "json" else "# schema: 4")
+    assert target.read_text().startswith("{" if fmt == "json" else f"# schema: {report.SCHEMA_VERSION}")
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
@@ -456,7 +461,7 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"# schema: 4\n"
+    assert proc.stdout.readline() == f"# schema: {report.SCHEMA_VERSION}\n".encode()
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -502,7 +507,7 @@ _COMMON_DEFAULTS = {"seed": 0, "fmt": None, "out": "-", **{f"tol_{f.name}": None
     "command, defaults",
     [
         ("berry", {"algebra": "C", "grid": "z=-2:2:9,w=0:1:3", "samples": 100}),
-        ("jc", {"theta": 0.5, "dim": 32, "g": 1.0}),
+        ("jc", {"theta": 0.5, "dim": 32}),
         ("strings", {"theta": "-1,-0.5,-0.25,0.25,0.5,1", "dim": 16}),
         (
             "evolve",
@@ -749,7 +754,7 @@ def test_the_strings_record_lists_the_non_regular_rows_of_the_sector_report(thet
     "argv",
     [
         ["jc", "--theta=0.7", "--dim=9"],
-        ["jc", "--theta=-1.3", "--g=0.6", "--dim=9"],
+        ["jc", "--theta=-1.3", "--dim=9"],
         ["evolve", "--theta=0.7", "--dim=9", "--t-steps=3"],
         ["evolve", "--theta=-1.3", "--g=0.6", "--dim=9", "--t-steps=3"],
         ["evolve", "--omega=1", "--delta=2.4", "--dim=9", "--t-steps=3"],
@@ -819,7 +824,6 @@ _EVOLVE_USAGE = {
         ["berry", "--grid", "z=1.7e308:1.7e308:1,w=1.7e308:1.7e308:1"],  # r overflows
         ["berry", "--seed", "-1"],
         ["jc", "--theta", "nan", "--dim", "4"],
-        ["jc", "--g", "inf", "--dim", "4"],
         ["strings", "--theta=nan,1", "--dim", "4"],
         ["grassmann", "--theta=0.5,-inf", "--dim", "4"],
         ["evolve", "--theta", "inf", "--dim", "4"],
@@ -864,6 +868,18 @@ def test_tol_strict_is_gone():
     assert "unrecognized arguments: --tol-strict" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["5", "inf"])
+def test_jc_g_is_gone(value):
+    # the scaled JC Hamiltonian depends on theta alone (g only rescales
+    # time), so jc takes no coupling, finite or not
+    assert [f.name for f in cli.PARAMS["jc"].fields] == ["theta", "dim"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hjc", "jc", "--g", value, "--dim", "4"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"unrecognized arguments: --g {value}" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["berry", "strings"])
 def test_bad_env_seed_is_a_usage_error(command, monkeypatch, capsys):
     # no environment variable is read, so a malformed one changes nothing
@@ -882,7 +898,7 @@ def _report(capsys, command, fmt):
 def _expected_rows(command, rec):
     """The README's CSV layout, read off one JSON record."""
     if command == "jc":
-        return [{"theta": rec["theta"], "dim": rec["dim"], "chart": c, **rec["charts"][c]} for c in ("I", "II")]
+        return [{"theta": rec["theta"], "chart": c, **rec["charts"][c]} for c in ("I", "II")]
     if command == "strings":
         return [{"theta": rec["theta"], **s} for s in rec["sectors"]]
     if command == "berry":
@@ -934,6 +950,20 @@ def test_csv_params_line_writes_each_param_by_its_cell_rule(command, capsys):
     assert line == "# params: " + " ".join(f"{k}={_expected_cell(v)}" for k, v in sorted(params.items()))
     if command == "evolve":
         assert line == "# params: delta= dim=40 g=1 n0=0 omega= t_max=10 t_steps=50 theta=0.25"
+
+
+@pytest.mark.parametrize("command", ["jc", "strings", "grassmann"])
+def test_records_do_not_repeat_the_dim_param(command, capsys):
+    # dim is stated once, in the report's params, and in no record: not in
+    # the JSON records, their schema or the CSV columns
+    payload = json.loads(_report(capsys, command, "json"))
+    assert "dim" in payload["params"]
+    assert payload["records"] and all("dim" not in rec for rec in payload["records"])
+    assert "dim" not in cli.SCHEMAS[command]["properties"]["records"]["items"]["properties"]
+    lines = _report(capsys, command, "csv").splitlines()
+    assert f"dim={payload['params']['dim']}" in next(l for l in lines if l.startswith("# params: ")).split()
+    header = next(l for l in lines if not l.startswith("#"))
+    assert "dim" not in header.split(",") and "dim" not in cli.CSV_COLUMNS[command]
 
 
 def _mutate_jc_chart_pass(payload):

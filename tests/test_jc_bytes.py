@@ -22,44 +22,44 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("jc --theta=0.7 --dim=7", "json"): (0, "b7073ef7d1ae6d5fb5768f9bfd72eafd3c02f1de4c1ef4aeec5fdcac12abe6e3"),
-    ("jc --theta=0.7 --dim=7", "csv"): (0, "dbe6f6c46163c50523866acff7ecdd424885d0381af6be23adb867f895205dc9"),
-    ("jc --theta=-0.7 --dim=7", "json"): (0, "a3081db322c11aed77a143be5d782895f13e9d7e513c604c3f22791a495d1425"),
-    ("jc --theta=-0.7 --dim=7", "csv"): (0, "d3dec75c90e9064b1ff5bc195851ac335f119a53d82d769a19baf6b757ddd47a"),
-    ("jc --theta=1e200 --dim=7", "json"): (0, "0131e2d3b2ac2c1247274b6575d383746a83485d5a8d588bba4d1191ded0044f"),
-    ("jc --theta=1e200 --dim=7", "csv"): (0, "dfa69ec4fd26db307f6cf3e65e030211ad2eddfa3b0f3065da5ced0bf9167a24"),
+    ("jc --theta=0.7 --dim=7", "json"): (0, "2d2af92bd25d335932631e026793be776e60cf21caac100ca5e853f643671cd0"),
+    ("jc --theta=0.7 --dim=7", "csv"): (0, "a93106c1329c158fa14e76b77a08211e9c4ca27f18e85560baa4bfbe10dede74"),
+    ("jc --theta=-0.7 --dim=7", "json"): (0, "086cf389c4352a4dce1e93a5ab36f30a8b7614c0b09a5568d6559f251c5af8b9"),
+    ("jc --theta=-0.7 --dim=7", "csv"): (0, "76e008dc6f75806b4d3ba4d3ce7774c06db68031690871f9a6485a86d2cd4e9e"),
+    ("jc --theta=1e200 --dim=7", "json"): (0, "657e81a4198e17fc6511ac0d8b25488f24ceb5cdd9617e3641f7f9124c79212c"),
+    ("jc --theta=1e200 --dim=7", "csv"): (0, "147a52d972e6f2b778d88db87c162241bceae7af584487dd14855e40f7829cb1"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "3a46abddc771077656faaac801a1d18222d5e8c02063cbcc00b3c37021a1681e"),
+        0, "f6bc5d78c8fea9b02af1165e0a7f7e3bd9af8ec73bb5b976e70a4e7c7ccd6abb"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "f490420f05329e7917332d0fa247150915f9c21a00878cee4d76134c48804d98"),
+        0, "db8729792ef1e2ad5a338983b7fc4ebaeddd618c53e976da48279dceb6fad5c2"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "a6d17e8097e29502995a1dcb6be8ce9d104e9e73cc8f8bb14db641e235d71ea3"),
+        0, "0e640f83698b6f5644eb9a08e22dab17597caa7e813eede4797e5804acec6ccd"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "f29e30911e7fe3739ba4855367b198c7124facc8a2807cd1afca14b86f4e3b7b"),
+        0, "390bce13a1390c9c19611027e0038160795f8cf12a83ff5af1b299cc57c1991c"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "818351243c464cb921735f3b364bf2498e7fbcb60c697ce057a88ad3b9f9736c"),
+        0, "d26af5b11de7260cc4e39fca221c4b400e8a696f9d82190442cc7a42234309e4"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "45dd348e22b44413f8f79d0f41c4c275145341bec4d579bf33932b0663fb5b67"),
+        0, "5638e414e07da643308ef0cb790fef0c77e09a4918c1f3be4c503260149b49e2"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "f8ac322268c7d1a53b0e5b708fae3dc3db27cf63ec067ec28865eea12fcf4037"),
+        0, "8bf5887543e0b7098634a1ad492b121fe82ef2f40e09d33eea0b8577d989ab0e"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "befb13fb36acdaac8ebe188fc41551c73c252687c924662db3c6690982797020"),
+        0, "e4282bf6ec9dd4cfebee4dda96ce14fef70b8039b7e886e7f12e8d2f895eb252"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "da600c1f451da1c6f28381c89f4208906b231d232283b542d9bad1eeb2fe6642"),
+        0, "8b83a636bae8ca253f86ad8b0d2653ab85ba613a89e623e0271a590775ece799"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "19fa741bda185f04f92d6997dc7c4f937d4884bb4135c54fd28dc5a350a3003a"),
+        0, "b61223feeb3abbbd7d000a78daddbb93b6dd1a2a0c5234348db6b092cbda5afe"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        1, "cfee01f314ff167f348423f28f5e796ff9855cd9ebbe75c7c7611b21ad3890da"),
+        1, "7a22444a5a7616620dd94d75ae7c3ea205de5f0440db38e90e6324e2fe098154"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        1, "9929105c44a05474029d2a11dc03a8fbb9709d8efb2b4f92ffbbad42395f762b"),
+        1, "fb526557c72f2ff3e0605b20afe028fcb6c105dc1030060fb02ae33e4d607e2d"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "99af9fc6bb4650742927996cc36c9b58c57d5dc2cf73cfeb738d359c13735e4c"),
+        0, "852d2cd8147542de93ebf93ea2d9e3a66285700782f8fd5a874148f2b5ad0ee1"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "70a6c24d542300a9d4e12315b8eceaa7a140b2dd1c4ad07d75e1ac5a47fba813"),
+        0, "aafd72c7eda6ca0447660d475d758557e9399f101e7e1389e9754fdc4d66051b"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "d32c6b7515b85e9ded46500a80d0e7bd147b95c74ed461ac2ae68158eb143311"),
+        0, "0dcb5f6d6a4877b059698ca0ad8f719626950c96538a31c692fae4931f18a35e"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "12f911a472c4a539b6309af55b3eb0f237d56e337fea59280ad26f16f226b911"),
+        0, "22d1d0e26bbf2e7e34af7ca2eb712125aa7feeee00a05d1fed467f2547665f2a"),
 }
 
 
