@@ -113,9 +113,17 @@ def product_coeffs(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     if tag is AlgebraTag.R:
         return np.add(x * y, 0.0)  # + 0.0 makes a -0 product +0, as the sum does
-    n = tag.dim
-    left = np.reshape(np.reshape(x, (-1, n)) @ structure_constants(tag).reshape(n, n * n), x.shape[:-1] + (n, n))
+    t = _flat_structure_constants(tag)
+    n = t.shape[0]
+    left = (x.reshape(-1, n) @ t).reshape(x.shape[:-1] + (n, n))
     return (y[..., None, :] @ left)[..., 0, :]
+
+
+@functools.cache
+def _flat_structure_constants(tag: AlgebraTag) -> np.ndarray:
+    """:func:`structure_constants` as a (dim, dim * dim) matrix: a row of
+    coefficients times it is the left-multiplication matrix, row-major."""
+    return structure_constants(tag).reshape(tag.dim, tag.dim**2)
 
 
 @dataclass(frozen=True, eq=False)

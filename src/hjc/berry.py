@@ -106,7 +106,7 @@ def _finite(coeffs: np.ndarray) -> np.ndarray:
 def _max_last(a: np.ndarray) -> np.ndarray:
     """The max over the last axis, taken down the rows of the transposed
     copy: numpy reduces a short last axis one vector at a time."""
-    return np.ascontiguousarray(np.reshape(a, (-1, a.shape[-1])).T).max(axis=0).reshape(a.shape[:-1])
+    return np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T).max(axis=0).reshape(a.shape[:-1])
 
 
 def norms(c: np.ndarray) -> np.ndarray:
@@ -118,7 +118,8 @@ def norms(c: np.ndarray) -> np.ndarray:
     """
     _, e = np.frexp(_max_last(np.abs(c))[..., None])
     s = np.ldexp(c, -e)
-    return np.ldexp(np.sqrt((s * s).sum(axis=-1)), e[..., 0])
+    s *= s
+    return np.ldexp(np.sqrt(s.sum(axis=-1)), e[..., 0])
 
 
 def matmul_coeffs(tag: AlgebraTag, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -326,28 +327,37 @@ def conditionings(pts: Points, chart: ChartTag) -> np.ndarray:
     return _half_angle(pts, chart)[1]
 
 
-def _unitaries(pts: Points, halves: dict) -> np.ndarray:
+def _zeros(pts: Points, *lead: int) -> np.ndarray:
+    """Zero 2x2 matrices at every point, (*lead, n, 2, 2, dim)."""
+    n, dim = pts.w.shape
+    return np.zeros(lead + (n, 2, 2, dim))
+
+
+def _unitaries(pts: Points, halves: dict, out: np.ndarray) -> np.ndarray:
     """The unitaries of the charts of ``halves`` (chart: its (a, f) from
-    :func:`_half_angle`) at every point, stacked: (charts, n, 2, 2, dim)."""
-    out = np.zeros((len(halves),) + pts.w.shape[:1] + (2, 2, pts.tag.dim))
+    :func:`_half_angle`) at every point, written into ``out``, stacked
+    zeros of :func:`_zeros` (charts, n, 2, 2, dim)."""
     for u, (chart, (a, f)) in zip(out, halves.items()):
         wf = pts.w * f[:, None]
         if chart is ChartTag.I:  # [[a, -conj(w) f], [w f, a]]
             u[:, 0, 0, 0] = u[:, 1, 1, 0] = a
-            u[:, 0, 1], u[:, 1, 0] = -conj_coeffs(wf), wf
+            u[:, 0, 1], u[:, 1, 0] = wf, wf
+            u[:, 0, 1, 0] = -wf[:, 0]  # -conj(w f)
         else:  # [[conj(w) f, -a], [a, w f]]
             u[:, 0, 1, 0], u[:, 1, 0, 0] = -a, a
-            u[:, 0, 0], u[:, 1, 1] = conj_coeffs(wf), wf
+            u[:, 0, 0], u[:, 1, 1] = wf, wf
+            u[:, 0, 0, 1:] = -wf[:, 1:]  # conj(w f)
     return out
 
 
-def _projector(pts: Points, a: np.ndarray) -> np.ndarray:
+def _projector(pts: Points, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The projector, its diagonal the squares of the charts' a, given as
-    the (2, n) array of :func:`_half_angles`."""
+    the (2, n) array of :func:`_half_angles`, written into ``out``, zeros
+    of :func:`_zeros` (n, 2, 2, dim)."""
     wi = pts.w * (0.5 / pts.r)[:, None]
-    out = np.zeros(pts.w.shape[:1] + (2, 2, pts.tag.dim))
     out[:, 0, 0, 0], out[:, 1, 1, 0] = a**2
-    out[:, 0, 1], out[:, 1, 0] = conj_coeffs(wi), wi
+    out[:, 0, 1], out[:, 1, 0] = wi, wi
+    out[:, 0, 1, 1:] = -wi[:, 1:]  # conj(w / 2r)
     return out
 
 
@@ -377,7 +387,7 @@ def chart_coeffs(pts: Points, chart: ChartTag) -> np.ndarray:
     ``[[conj(w) f, -a], [a, w f]]``, with a and f from the half-angle form:
     the columns are the +r / -r eigenvectors scaled by 1/sqrt(2r(r +- z)).
     """
-    return _finite(_unitaries(pts, {chart: _half_angle(pts, chart)})[0])
+    return _finite(_unitaries(pts, {chart: _half_angle(pts, chart)}, _zeros(pts, 1))[0])
 
 
 def transition_coeffs(pts: Points) -> np.ndarray:
@@ -390,7 +400,7 @@ def projector_coeffs(pts: Points) -> np.ndarray:
     """Rank-one spectral projector (1/2r) [[r+z, conj(w)], [w, r-z]] at
     points away from the origin, its diagonal the squared chart entries
     (r +- z)/2r."""
-    return _finite(_projector(pts, _half_angles(pts)[0]))
+    return _finite(_projector(pts, _half_angles(pts)[0], _zeros(pts)))
 
 
 class Checks(NamedTuple):
@@ -430,29 +440,46 @@ def check_points(pts: Points) -> Checks:
     A non-finite difference, or a norm past the double range, raises only
     where its check is defined, or at a non-finite input.  The eight
     difference rows (see ``_DEFINED``) fill one array; the products of two
-    2x2 matrices are two :func:`matmul_coeffs` calls written into it, so
-    that the left-multiplication matrices of a
-    1024-point octonion chunk stay near 6 MB; the cocycle u_I T (T
-    diagonal) and the agreement u diag(1, 0) u^dagger skip their terms with
-    a zero factor, which moves only the sign of a zero difference.  All
+    2x2 matrices are two :func:`matmul_coeffs` calls written into it, and
+    the cocycle u_I T (T diagonal) and the agreement u diag(1, 0) u^dagger,
+    which skip their terms with a zero factor (that moves only the sign of
+    a zero difference), are one :func:`product_coeffs` call, so that the
+    left-multiplication matrices of a 1024-point octonion chunk stay near
+    6 MB.  The factors of all products are written into two stacks; all
     residual norms are one :func:`norms` call.
     """
-    tag, n = pts.tag, pts.z.shape[0]
+    tag, (n, dim) = pts.tag, pts.w.shape
     codes = classify(pts)
     used = _DEFINED.take(codes, axis=1)  # (row, point)
     with np.errstate(all="ignore"):
         a, f = _half_angles(pts)
-        u = _unitaries(pts, dict(zip(ChartTag, zip(a, f))))  # (chart, point, 2, 2, dim)
-        ud, proj = dagger_coeffs(u), _projector(pts, a)
-        diffs = np.empty((8, n, 2, 2, tag.dim))
-        # u diag(r, -r) is u with its columns scaled
-        matmul_coeffs(tag, u * (pts.r[:, None] * _EIGEN_SIGNS)[:, None, :, None], ud, out=diffs[:2])
-        matmul_coeffs(tag, np.concatenate((ud, proj[None])), np.concatenate((u, proj[None])), out=diffs[2:5])
-        diffs[5:7] = product_coeffs(tag, u[..., :, :1, :], ud[..., :1, :, :])
-        t = pts.w / pts.norm_w[:, None]  # T = diag(conj(t), t)
-        diffs[7] = product_coeffs(tag, u[0], np.stack((conj_coeffs(t), t), axis=1)[:, None])
+        # the factors of the first five rows, (u diag(r, -r)) u^dagger,
+        # u^dagger u and P P: u^dagger as dagger_coeffs forms it, and
+        # u diag(r, -r) u with its columns scaled
+        left, right = np.empty((5, n, 2, 2, dim)), _zeros(pts, 5)
+        ud, u, proj = right[:2], right[2:4], _projector(pts, a, right[4])
+        _unitaries(pts, dict(zip(ChartTag, zip(a, f))), u)
+        ud[...] = u.swapaxes(-3, -2)
+        ud[..., 1:] = -ud[..., 1:]
+        np.multiply(u, (pts.r[:, None] * _EIGEN_SIGNS)[:, None, :, None], out=left[:2])
+        left[2:4], left[4] = ud, proj
+        diffs = np.empty((8, n, 2, 2, dim))
+        matmul_coeffs(tag, left[:2], right[:2], out=diffs[:2])
+        matmul_coeffs(tag, left[2:], right[2:], out=diffs[2:5])
+        # the agreement, column 0 of u times row 0 of u^dagger, and the
+        # cocycle, u_I times T = diag(conj(w), w) / ||w|| entrywise: factors
+        # written out in full over the spent left stack and over the rows
+        # their products fill, which are assigned only after the call
+        x, y = left[:3], diffs[5:]
+        x[:2], x[2] = u[..., :, :1, :], u[0]
+        y[:2] = ud[..., :1, :, :]
+        np.divide(pts.w, pts.norm_w[:, None], out=y[2, :, 0, 1])
+        y[2, :, 0, 0] = y[2, :, 0, 1]
+        y[2, :, 0, 0, 1:] = -y[2, :, 0, 1, 1:]
+        y[2, :, 1] = y[2, :, 0]
+        diffs[5:] = product_coeffs(tag, x, y)
         diffs[:2] -= hamiltonian_coeffs(pts)
-        diffs[2:4].reshape(2, n, 4, tag.dim)[:, :, ::3, 0] -= 1.0  # the identity's diagonal
+        diffs[2:4].reshape(2, n, 4, dim)[:, :, ::3, 0] -= 1.0  # the identity's diagonal
         diffs[4:7] -= proj
         diffs[7] -= u[1]
         res = _max_last(norms(diffs).reshape(8, n, 4))

@@ -200,6 +200,10 @@ SCHEMAS = {
 CSV_COLUMNS = {command: list(csv_columns(rec)) for command, rec in RECORDS.items()}
 
 
+# the --tol-* options, one per Tolerances field
+_TOLERANCES = tuple(f.name for f in dataclasses.fields(Tolerances))
+
+
 class ConfigError(ValueError):
     pass
 
@@ -264,7 +268,7 @@ def parse_float_list(text: str):
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     overrides = {}
-    for name in (f.name for f in dataclasses.fields(Tolerances)):
+    for name in _TOLERANCES:
         v = getattr(args, f"tol_{name}")
         if v is not None:
             if _finite_value(f"tol-{name}", v) < 0.0:
@@ -284,6 +288,7 @@ BERRY_CHUNK = 1024
 
 _CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
 _KINDS = np.array(["grid", "sample"], dtype=object)
+_CHART_PATHS = tuple(f"charts.{c.value}" for c in berry.ChartTag)  # chart rows of berry.Checks
 
 
 def _berry_columns(checks: berry.Checks) -> dict:
@@ -296,8 +301,7 @@ def _berry_columns(checks: berry.Checks) -> dict:
         "projector.idempotency": checks.idempotency,
         "projector.chart_agreement": checks.chart_agreement,
     }
-    for i, chart in enumerate(berry.ChartTag):
-        name = f"charts.{chart.value}"
+    for i, name in enumerate(_CHART_PATHS):
         cols[name] = checks.admissible[i]
         cols[name + ".reconstruction"], cols[name + ".unitarity"] = checks.reconstruction[i], checks.unitarity[i]
         cols[name + ".conditioning"] = checks.conditioning[i]
@@ -331,7 +335,7 @@ def cmd_berry(args):
     wscales, zvals = args.axes
     rng = np.random.default_rng(args.seed)
     direction = rng.standard_normal(tag.dim)
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(direction.dot(direction))  # np.linalg.norm's sum and root
     if norm == 0.0:  # pragma: no cover - measure zero
         direction, norm = np.eye(tag.dim)[0], 1.0
     direction = direction / norm
@@ -458,8 +462,10 @@ def cmd_grassmann(args):
         proj = grassmann.projector_from_coordinate(z)
         # the upper-left block (1 + Z+Z)^-1, P0 P P0 with P0 = diag(1, 0),
         # against its closed form (R1 + theta) / 2R1 = h1 / R1, R1 and h1 the
-        # row 1 radius and chart I half sum
-        (r1, h1, _), _ = jc.chart_denominators(p, jc.ChartTag.I)
+        # row 1 radius and chart I half sum: the first row of jc._rows alone,
+        # not the chart's denominators and row 2, which would stay alive
+        # through jc.projector below
+        r1, h1 = next(jc._rows(p, 1.0))
         p0 = jc.block_diag(np.ones(args.dim), np.zeros(args.dim))
         expected = jc.block_diag(h1 / r1, np.zeros(args.dim))
         rec["intermediate_identity_residual"] = jc.block_residual(p0 @ proj @ p0, expected)
@@ -500,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
-    for name in (f.name for f in dataclasses.fields(Tolerances)):
+    for name in _TOLERANCES:
         common.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
 
     parser = argparse.ArgumentParser(
@@ -607,7 +613,7 @@ def _report(args, write) -> int:
         passed = judge(RECORDS[args.command], cols, args.tol)
         write(render(report, cols))
         report.records += len(passed)
-        report.failures += int(np.count_nonzero(~passed))
+        report.failures += len(passed) - int(np.count_nonzero(passed))
     write(render(report))
     return report.failures
 
@@ -621,7 +627,7 @@ def _attach_negative_values(argv: list) -> list:
     """
     out = []
     for tok in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[^-]", tok):
+        if out and re.match(r"-[^-]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

@@ -24,13 +24,17 @@ JSON and one CSV rule per kind (``NUM``, ``INT``, ``BOOL``, ``STR``, an
 enum as ``STR``), the same for an ndarray column, a list column and the
 items of a list field.  The envelope's ``params`` (declared per command)
 and :data:`SUMMARY` are written by the same path as the records; the CSV
-``# params:`` line writes each param by the CSV rule of its kind.
+``# params:`` line writes each param by the CSV rule of its kind.  The JSON
+writer of each field is built once per declaration, and a chunk's records
+are one %-template filled in one pass: the template of a row writes each
+nullable nested record as the object or as null, as the row holds it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Optional
 
@@ -242,11 +246,21 @@ class Report:
 
 # The texts of a column's values by declared kind, an enum written as a
 # string; a value is None where it is null.  JSON spells each value as
-# ``json.dumps`` does (a number by its repr); CSV writes null as an empty
-# cell, a number as %.17g and a boolean as true or false.
+# ``json.dumps`` does (a number by its repr, a non-finite one or null by its
+# word, looked up only in a column that holds one); CSV writes null as an
+# empty cell, a number as %.17g and a boolean as true or false.
 _JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+_NULL_WORDS = {**_JSON_WORDS, "nan": "null"}  # a nullable float array, where NaN is null
+
+
+def _json_numbers(values, words: dict = _JSON_WORDS) -> list:
+    """The repr of each number, or its word in ``words``."""
+    texts = list(map(repr, values))
+    return texts if words.keys().isdisjoint(texts) else list(map(words.get, texts, texts))
+
+
 _JSON = {
-    NUM: lambda values: [_JSON_WORDS.get(r, r) for r in map(repr, values)],
+    NUM: _json_numbers,
     BOOL: lambda values: list(map({True: "true", False: "false", None: "null"}.__getitem__, values)),
     STR: lambda values: ["null" if v is None else _encode_str(v) for v in values],
 }
@@ -261,7 +275,8 @@ _CSV[STR] = _CSV[INT]
 
 # The exact types of a list column's values per declared kind, None being
 # null: a bool is no number, and a numpy scalar or a str prints as its repr.
-_TYPES = {NUM: {float, int}, INT: {int}, BOOL: {bool}, STR: {str}}
+_NONE = type(None)
+_TYPES = {NUM: {float, int, _NONE}, INT: {int, _NONE}, BOOL: {bool, _NONE}, STR: {str, _NONE}}
 
 
 def _texts(table: dict, kind, values: list) -> list:
@@ -274,7 +289,7 @@ def _checked(f: Field, col):
     item = f.kind[0] if isinstance(f.kind, list) else f.kind
     if not isinstance(col, np.ndarray) and not isinstance(item, Record):
         values = [x for v in col if v is not None for x in v] if isinstance(f.kind, list) else col
-        bad = set(map(type, values)) - _TYPES[STR if isinstance(item, tuple) else item] - {type(None)}
+        bad = set(map(type, values)) - _TYPES[STR if isinstance(item, tuple) else item]
         if bad:
             raise TypeError(f"field {f.name!r} of kind {f.kind!r} holds {', '.join(sorted(t.__name__ for t in bad))}")
     return col
@@ -289,56 +304,129 @@ def _json_array(texts: list, nl: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _json_column(f: Field, col, nl: str) -> list:
-    """JSON text of every value of a column, ``nl`` the newline and indent
-    of the values' lines."""
-    col = _checked(f, col)
-    if not isinstance(f.kind, list):
-        return _texts(_JSON, f.kind, _values(col, f.null))
-    item, inner = f.kind[0], nl + "  "
+def _json_writer(f: Field, line: str) -> Callable:
+    """The writer of a column of ``f`` whose values start on a line
+    ``line``: ``write(col, out)`` appends the JSON text of every value to
+    ``out`` and returns None, or, for a 2-D array of k > 0 items per
+    record, appends the text of every item as k columns and returns k."""
+    kind = f.kind
+    if not isinstance(kind, list):
+        if kind in (NUM, INT):
+
+            def write(col, out):
+                if not isinstance(col, np.ndarray):
+                    out.append(_json_numbers(_checked(f, col)))
+                elif f.null and col.dtype.kind == "f":
+                    out.append(_json_numbers(col.tolist(), _NULL_WORDS))
+                else:
+                    out.append(_json_numbers(col.tolist()))
+
+        else:
+            rule = _JSON[STR if isinstance(kind, tuple) else kind]
+
+            def write(col, out):
+                out.append(rule(_values(_checked(f, col), f.null)))
+
+        return write
+    item, inner = kind[0], line + "  "
     if isinstance(item, Record):
-        return [_json_array(_json_objects(item, v, inner), nl) for v in col]
-    if isinstance(col, np.ndarray) and col.ndim == 2 and col.shape[1]:  # k items per record, written in one pass
-        k = col.shape[1]
-        array = "[" + inner + ("," + inner).join(["%s"] * k) + nl + "]"
-        return [array % items for items in zip(*[iter(_texts(_JSON, item, col.ravel().tolist()))] * k)]
-    return ["null" if v is None else _json_array(_texts(_JSON, item, v), nl) for v in _values(col)]
+
+        def write(col, out):
+            objects = [_json_objects(item, v, inner) for v in col]
+            out.append(["[" + inner + text + line + "]" if text else "[]" for text in objects])
+
+        return write
+    rule = _JSON[STR if isinstance(item, tuple) else item]
+
+    def write(col, out):
+        if isinstance(col, np.ndarray) and col.ndim == 2 and col.shape[1]:
+            k = col.shape[1]
+            texts = rule(col.ravel().tolist())
+            out += [texts[j::k] for j in range(k)]
+            return k
+        out.append(["null" if v is None else _json_array(rule(v), line) for v in _values(_checked(f, col))])
+
+    return write
 
 
 @functools.cache
 def _json_layout(rec: Record, nl: str) -> tuple:
+    """(slots, nullable) of the JSON object of a record that starts on a
+    line ``nl``, in the order of its text, nested records written in
+    place: the (path, writer) of each field that is not a record, and the
+    path of each nullable nested record, one around another first."""
+    slots, nullable = [], []
+
+    def walk(rec, nl, prefix):
+        for f in rec.json:
+            path = prefix + f.name
+            if isinstance(f.kind, Record):
+                if f.null:
+                    nullable.append(path)
+                walk(f.kind, nl + "  ", path + ".")
+            else:
+                slots.append((path, _json_writer(f, nl + "  ")))
+
+    walk(rec, nl, "")
+    return tuple(slots), tuple(nullable)
+
+
+def _json_template(rec: Record, nl: str, widths: tuple, present: tuple) -> str:
     """The %-template of the JSON object of a record that starts on a line
-    ``nl``, nested records that are never null written in place, and the
-    (path, field, newline) of each ``%s``: a value or a nullable record."""
-    inner = nl + "  "
-    keys, slots = [], []
-    for f in rec.json:
-        key = _encode_str(f.name).replace("%", "%%") + ": "
-        if isinstance(f.kind, Record) and not f.null:
-            template, inside = _json_layout(f.kind, inner)
-            keys.append(key + template)
-            slots += [(f"{f.name}.{path}", g, line) for path, g, line in inside]
-        else:
-            keys.append(key + "%s")
-            slots.append((f.name, f, inner))
-    return "{" + inner + ("," + inner).join(keys) + nl + "}", tuple(slots)
+    ``nl``, with one ``%s`` per text a row of :func:`_json_layout`'s slots
+    gives: ``widths`` holds each slot's item count, or None for one text.
+    ``present`` holds whether each nullable nested record is present; an
+    absent one is null and swallows its texts with ``%.0s``."""
+    present, widths = iter(present), iter(widths)
+
+    def obj(rec, nl):  # (template, number of texts)
+        inner = nl + "  "
+        items, count = [], 0
+        for f in rec.json:
+            if isinstance(f.kind, Record):
+                shown = not f.null or next(present)
+                text, n = obj(f.kind, inner)
+                if not shown:
+                    text = "null" + "%.0s" * n
+            else:
+                k = next(widths)
+                text, n = ("%s", 1) if k is None else (_json_array(["%s"] * k, inner), k)
+            items.append(_encode_str(f.name).replace("%", "%%") + ": " + text)
+            count += n
+        return "{" + inner + ("," + inner).join(items) + nl + "}", count
+
+    return obj(rec, nl)[0]
 
 
-def _json_objects(rec: Record, cols: dict, nl: str, prefix: str = "") -> list:
-    """JSON text of the record of every row of the columns, ``nl`` the
-    newline and indent of the line each starts on; ``prefix`` is the path
-    of a nested record."""
-    template, slots = _json_layout(rec, nl)
-    values = []
-    for path, f, line in slots:
-        path = prefix + path
-        if isinstance(f.kind, Record):
-            texts = _json_objects(f.kind, cols, line, path + ".")
-            texts = [t if present else "null" for t, present in zip(texts, _values(cols[path]))]
-        else:
-            texts = _json_column(f, cols[path], line)
-        values.append(texts)
-    return [template % row for row in zip(*values)]
+class _Templates(dict):
+    """The :func:`_json_template` s of a record, a line and the slot
+    widths by ``present``, each built the first time a row needs it."""
+
+    def __init__(self, *layout):
+        super().__init__()
+        self.layout = layout
+
+    def __missing__(self, present: tuple) -> str:
+        template = self[present] = _json_template(*self.layout, present)
+        return template
+
+
+_json_templates = functools.cache(_Templates)
+
+
+def _json_objects(rec: Record, cols: dict, nl: str) -> str:
+    """JSON text of the record of every row of the columns, joined by
+    commas, ``nl`` the newline and indent of the line each starts on; ""
+    for no row.  Each row takes the template of the nullable nested
+    records it holds, and the chunk's templates are filled in one pass."""
+    slots, nullable = _json_layout(rec, nl)
+    texts = []
+    widths = tuple([write(cols[path], texts) for path, write in slots])
+    if not texts:
+        return ""
+    present = zip(*[_values(cols[path]) for path in nullable]) if nullable else repeat((), len(texts[0]))
+    template = ("," + nl).join(map(_json_templates(rec, nl, widths).__getitem__, present))
+    return template % tuple(chain.from_iterable(zip(*texts)))
 
 
 _RECORD_NL = "\n" + 4 * " "  # a record of the "records" array
@@ -349,7 +437,7 @@ SUMMARY = Record(Field("passed", BOOL), Field("records", INT), Field("failures",
 
 def _json_object(rec: Record, obj: dict) -> str:
     """JSON text of one flat record of the envelope, given as a dict."""
-    return _json_objects(rec, {f.name: [obj[f.name]] for f in rec.fields}, "\n  ")[0]
+    return _json_objects(rec, {f.name: [obj[f.name]] for f in rec.fields}, "\n  ")
 
 
 def json_chunk(rec: Record, params: Record, report: Report, cols: Optional[dict] = None) -> str:
@@ -362,8 +450,7 @@ def json_chunk(rec: Record, params: Record, report: Report, cols: Optional[dict]
         out += ['{\n  "command": ', _encode_str(report.command), ',\n  "params": ', _json_object(params, report.params)]
         out.append(',\n  "records": ')
     if cols is not None:
-        records = _json_objects(rec, cols, _RECORD_NL)
-        out.append(("[" if report.records == 0 else ",") + _RECORD_NL + ("," + _RECORD_NL).join(records))
+        out.append(("[" if report.records == 0 else ",") + _RECORD_NL + _json_objects(rec, cols, _RECORD_NL))
         return "".join(out)
     summary = {"failures": report.failures, "passed": report.failures == 0, "records": report.records}
     out.append("[]" if report.records == 0 else "\n  ]")

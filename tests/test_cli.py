@@ -1331,6 +1331,93 @@ def test_render_json_writes_numpy_values_as_their_python_values(a):
     assert _json_report(decl, params, a) == _stdlib_report(params, a.tolist())
 
 
+# Every splice of the JSON writer in one declaration: a nullable NUM
+# column, a 2-D list column, a nested record that is never null (its own
+# nested record too) and a nullable one, present or absent row by row.
+_NESTED = report.Record(
+    report.Field("x", report.NUM, null=True),
+    report.Field("coeffs", [report.NUM]),
+    report.Field(
+        "inner",
+        report.Record(
+            report.Field("a", report.NUM),
+            report.Field("tag", _ENUM),
+            report.Field("deep", report.Record(report.Field("b", report.INT))),
+        ),
+    ),
+    report.Field(
+        "opt", report.Record(report.Field("r", report.NUM, null=True), report.Field("ok", report.BOOL)), null=True
+    ),
+    report.Field("pass", report.BOOL),
+)
+# NaN, both infinities, both zeros, subnormals and the edges of the normal range
+_SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def _nested_rows(draw):
+    floats = _SPECIAL_FLOATS | st.floats()
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    return [
+        {
+            "x": draw(floats),
+            "coeffs": draw(st.lists(floats, min_size=k, max_size=k)),
+            "inner": {"a": draw(floats), "tag": draw(st.sampled_from(_ENUM)), "deep": {"b": draw(_INTS)}},
+            "opt": draw(st.none() | st.fixed_dictionaries({"r": floats, "ok": st.booleans()})),
+            "pass": draw(st.booleans()),
+        }
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_nested_rows(), arrays=st.booleans())
+def test_render_json_splices_nested_records_as_the_stdlib_does(rows, arrays):
+    # the columns as float, bool and 2-D arrays (NaN is null in a nullable
+    # float array) or as lists (None is null, NaN a number); an absent opt
+    # holds values in its columns that are not written
+    cols = {
+        "x": [row["x"] for row in rows],
+        "coeffs": [row["coeffs"] for row in rows],
+        "inner.a": [row["inner"]["a"] for row in rows],
+        "inner.tag": [row["inner"]["tag"] for row in rows],
+        "inner.deep.b": [row["inner"]["deep"]["b"] for row in rows],
+        "opt": [row["opt"] is not None for row in rows],
+        "opt.r": [math.nan if row["opt"] is None else row["opt"]["r"] for row in rows],
+        "opt.ok": [row["opt"] is not None and row["opt"]["ok"] for row in rows],
+        "pass": [row["pass"] for row in rows],
+    }
+    if arrays:
+        for path in ("x", "inner.a", "opt.r"):
+            cols[path] = np.array(cols[path], dtype=float)
+        cols["coeffs"] = np.array(cols["coeffs"], dtype=float)  # (rows, k), k = 0 included
+        cols["opt"], cols["opt.ok"], cols["pass"] = (np.array(cols[p], dtype=bool) for p in ("opt", "opt.ok", "pass"))
+
+    def null(v):  # a nullable float read back: NaN is null in a float array
+        return None if arrays and math.isnan(v) else v
+
+    expected = [
+        {**row, "x": null(row["x"]), "opt": row["opt"] and {**row["opt"], "r": null(row["opt"]["r"])}} for row in rows
+    ]
+    params = report.Record(report.Field("v", report.INT))
+    rep = report.Report("x", 7, {"v": 3})
+    text = report.json_chunk(_NESTED, params, rep, cols)
+    rep.records, rep.failures = len(rows), 1
+    text += report.json_chunk(_NESTED, params, rep)
+    assert text == _stdlib_json(
+        {
+            "command": "x",
+            "params": {"v": 3},
+            "records": expected,
+            "schema": report.SCHEMA_VERSION,
+            "seed": 7,
+            "summary": {"failures": 1, "passed": False, "records": len(rows)},
+        }
+    )
+
+
 @pytest.mark.parametrize("writer", [report.json_chunk, report.csv_chunk])
 @pytest.mark.parametrize("kind", [report.NUM, report.INT, [report.NUM], [report.INT]])
 @pytest.mark.parametrize("value", [np.float64(0.5), "0.5", True, np.int64(3)])
@@ -1355,9 +1442,18 @@ _SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+# berry at every algebra on the string and origin grid and on the top of
+# the range, where the charts and the projector are null
+_STDLIB_RUNS = _SMALL_RUNS | {
+    f"berry-{tag}-{name}": ["berry", f"--algebra={tag}", f"--grid={grid}", "--samples=5", "--seed=11"]
+    for tag in "RCHO"
+    for name, grid in (("strings", "z=-1:1:5,w=0:1:3"), ("top", "z=-1e300:1e300:5,w=0:1e300:3"))
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STDLIB_RUNS))
 def test_reports_render_as_the_stdlib_does(command, capsys):
-    assert cli.main(_SMALL_RUNS[command]) == 0
+    assert cli.main(_STDLIB_RUNS[command]) == 0
     out = capsys.readouterr().out
     assert _stdlib_json(json.loads(out)) == out
 
