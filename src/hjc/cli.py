@@ -13,7 +13,7 @@ is still written) or stdout was closed before the report was complete, 2
 usage or configuration error.  A phase of ``evolve`` beyond the double
 range (extreme detuning or frequency) is NaN, not a warning, so its
 records fail.  Output is JSON
-(``"schema": 5`` envelope) or CSV with ``#``-prefixed header lines; both
+(``"schema": 6`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (default 0).
 
 Each command's record is declared once, in ``RECORDS``: every field with
@@ -69,7 +69,6 @@ _CHART_CHECK = Record(
     Field("conditioning", NUM, null=True),
 )
 _JC_CHART = Record(
-    Field("admissible", BOOL),
     Field("reconstruction", NUM, null=True, tol="reconstruction", rel=True),
     Field("unitarity", NUM, null=True, tol="algebraic"),
     _SINGULAR_LEVELS,
@@ -81,8 +80,6 @@ _NORM = "hamiltonian_norm"  # the chunk column of every record's ||H||, undeclar
 
 RECORDS = {
     "berry": Record(
-        Field("index", INT),
-        Field("kind", ("grid", "sample")),
         Field(
             "point",
             Record(
@@ -107,7 +104,6 @@ RECORDS = {
         norm=_NORM,
     ),
     "jc": Record(
-        Field("theta", NUM),
         Field("charts", Record(*(Field(c, _JC_CHART) for c in _CHARTS)), csv="chart", rows=True),
         Field("eigenvalue_max_dev", NUM, tol="reconstruction", rel=True, csv=False),
         Field(
@@ -124,9 +120,8 @@ RECORDS = {
     ),
     "strings": Record(
         Field("theta", NUM),
-        # the entries not "regular": the regular ones, closed forms of (theta, dim), are counted and bounded below
+        # the entries not "regular": the other 4 dim - len(sectors), closed forms of (theta, dim), are bounded below
         Field("sectors", [Record(*_SECTOR, Field("denominator", NUM), Field("status", jc.SECTOR_STATUSES))], rows=True),
-        Field("counts", Record(*(Field(status, INT) for status in jc.SECTOR_STATUSES)), csv=False),
         Field("min_regular_denominator", NUM, null=True, csv=False),
         Field("ground_only", BOOL, ok=bool, csv=False),
         Field("pass", BOOL, csv=False),
@@ -287,7 +282,6 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 BERRY_CHUNK = 1024
 
 _CLASS_NAMES = np.array([c.value for c in berry.POINT_CLASSES], dtype=object)
-_KINDS = np.array(["grid", "sample"], dtype=object)
 _CHART_PATHS = tuple(f"charts.{c.value}" for c in berry.ChartTag)  # chart rows of berry.Checks
 
 
@@ -308,14 +302,10 @@ def _berry_columns(checks: berry.Checks) -> dict:
     return cols
 
 
-def berry_chunk(pts: berry.Points, start: int, grid: int) -> dict:
-    """The columns of the berry records of ``pts``, the points numbered
-    from ``start``, the first ``grid`` points of the sweep being the grid,
-    and their ||H|| = max(1, r)."""
-    index = np.arange(start, start + pts.z.shape[0])
+def berry_chunk(pts: berry.Points) -> dict:
+    """The columns of the berry records of ``pts`` and their ||H|| =
+    max(1, r)."""
     return {
-        "index": index,
-        "kind": _KINDS.take(index >= grid),  # False, True index "grid", "sample"
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
@@ -350,7 +340,7 @@ def cmd_berry(args):
             np.concatenate((wscales[cells // len(zvals)][:, None] * direction, draws[:, :-1])),
             np.concatenate((zvals[cells % len(zvals)], draws[:, -1])),
         )
-        yield berry_chunk(pts, start, grid)
+        yield berry_chunk(pts)
 
 
 def _jc_chart(p, chart, h, ident):
@@ -359,15 +349,9 @@ def _jc_chart(p, chart, h, ident):
     try:
         dec = jc.chart_decompose(p, chart)
     except jc.SingularSectorError as err:
-        return {
-            "admissible": False,
-            "singular_levels": err.levels,
-            "reconstruction": None,
-            "unitarity": None,
-        }, None
+        return {"singular_levels": err.levels, "reconstruction": None, "unitarity": None}, None
     v, d, vh = dec.unitary, dec.diagonal, dec.unitary.dagger()
     return {
-        "admissible": True,
         "singular_levels": [],
         "reconstruction": jc.block_residual((v @ d) @ vh, h),
         "unitarity": jc.block_residual(vh @ v, ident),
@@ -389,7 +373,6 @@ def cmd_jc(args):
     form = max((jc.block_residual((v @ p0) @ vh, proj) for v, vh in units), default=None)
     plus, minus = jc.spectral_decomposition(p, proj)
     record = {
-        "theta": args.theta,
         **{f"charts.{name}.{k}": v for name, (rec, _) in checked.items() for k, v in rec.items()},
         "eigenvalue_max_dev": eig_dev,
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
@@ -411,14 +394,12 @@ def cmd_strings(args):
         sectors = report.take(np.flatnonzero(codes))  # the entries not regular (status code 0)
         singular = sectors["status"] == "singular"
         found = set(zip(*(sectors[k][singular].tolist() for k in ("chart", "row", "level"))))
-        counts = np.bincount(codes, minlength=len(jc.SECTOR_STATUSES)).tolist()
         expected = {(c.value, 2, 0) for c in berry.ChartTag if not berry.admissible(code, c)}
         records.append(
             {
                 "theta": theta,
                 "sectors": sectors,
-                **{f"counts.{name}": n for name, n in zip(jc.SECTOR_STATUSES, counts)},
-                "min_regular_denominator": float(np.min(den, where=codes == 0, initial=np.inf)) if counts[0] else None,
+                "min_regular_denominator": None if codes.all() else float(np.min(den, where=codes == 0, initial=np.inf)),
                 "ground_only": expected <= found <= {("I", 2, 0), ("II", 2, 0)},
             }
         )

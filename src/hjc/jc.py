@@ -100,11 +100,13 @@ __all__ = [
     "eigenbasis_residuals",
 ]
 
-# Elements of one chunk (steps x rows x 2d) of :func:`eigenbasis_residuals`:
-# 256 KB of doubles, so a chunk and the rows of V it reads stay in a core's
-# L2 cache.  Smaller chunks pay more per-call overhead; larger ones spill
-# (on a 2 MB L2, 2**15 was fastest from d = 48 to 320).
-RESIDUAL_CHUNK = 2**15
+# Elements of the (2, rows, 2d) buffer of :func:`eigenbasis_residuals`: 512
+# KB of doubles, so the buffer and the rows of V it reads stay in a core's
+# L2 cache across the steps.  Smaller chunks pay more per-call overhead;
+# larger ones spill (on a 2 MB L2, 10 and 50 steps, d = 48 to 320: 2**16
+# was fastest or within 5% of it, 2**13 up to 80% slower and 2**18 up to
+# 40% slower at d = 300).
+RESIDUAL_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -684,23 +686,23 @@ def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray,
     checks a closed-form propagator against an independent solver.  With U
     holding at most two entries per row the cost is O(d^2) per step.
 
-    The difference is formed conjugated, conj(U) V - V exp(itW), one real
-    plane at a time, in chunks of (steps, rows, 2d) of at most
-    ``RESIDUAL_CHUNK`` elements; rows are split only when one step exceeds
+    The difference is formed conjugated, conj(U) V - V exp(itW), both real
+    planes at once in a (2, rows, 2d) buffer of at most ``RESIDUAL_CHUNK``
+    elements: a chunk of V's rows stays in cache while every step reads
     it.  U's main diagonal u0 enters with the oracle phases as
     (Re u0 - cos tW) V and (-Im u0 - sin tW) V.  Each difference is the
-    product of [part of conj(u0), 1] and [1, -phase]: both terms are exact,
-    so it is the one rounding of the difference, and BLAS writes it faster
-    than a broadcast subtraction.  A real or imaginary part of another
-    stored diagonal that is zero throughout is skipped.  An oracle phase
-    t W beyond the double range is NaN, without a warning, and so is the
-    residual of its step.
+    product of [part of conj(u0), 1] and [1, -phase], one matmul per step
+    for both planes: both terms are exact, so it is the one rounding of
+    the difference, and BLAS writes it faster than a broadcast subtraction.
+    A real or imaginary part of another stored diagonal that is zero
+    throughout is skipped.  An oracle phase t W beyond the double range is
+    NaN, without a warning, and so is the residual of its step.
     """
     ts, evecs = np.asarray(ts, dtype=float), np.asarray(evecs)
     if ts.ndim != 1 or u.batch != ts.shape or np.iscomplexobj(evecs):
         raise ValueError(f"expected a stack of shape {ts.shape} over 1-D times and real V, got {u.batch}, {evecs.dtype}")
     d, n = u.dim, 2 * u.dim
-    lhs = np.zeros((2,) + u.batch + (n, 2))  # per plane, step and row: [part of conj(u0), 1]
+    lhs = np.zeros(u.batch + (2, n, 2))  # per step, plane and row: [part of conj(u0), 1]
     lhs[..., 1] = 1.0
     off = []  # (first row, end row, row shift into V, part, plane) of the other diagonals
     for i, row in enumerate(u.diags):
@@ -709,29 +711,31 @@ def eigenbasis_residuals(u: BlockOperator, evals: np.ndarray, evecs: np.ndarray,
                 v = np.broadcast_to(v.conj(), u.batch + v.shape[-1:])
                 lo = i * d + max(0, -k)
                 if i == j and k == 0:
-                    lhs[:, ..., lo : lo + d, 0] = v.real, v.imag
+                    lhs[:, 0, lo : lo + d, 0], lhs[:, 1, lo : lo + d, 0] = v.real, v.imag
                     continue
                 parts = enumerate((v.real, v.imag))
                 off += [(lo, lo + v.shape[-1], (j - i) * d + k, part, p) for p, part in parts if np.any(part)]
-    rows = min(n, max(1, RESIDUAL_CHUNK // n))
-    steps = max(1, RESIDUAL_CHUNK // (rows * n))
-    buf = np.empty((min(steps, ts.size), rows, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tw = ts[:, None] * evals
+        rhs = np.ones(ts.shape + (2, 2, n))  # per step and plane: [1, -cos tW] and [1, -sin tW]
+        rhs[:, 0, 1], rhs[:, 1, 1] = -np.cos(tw), -np.sin(tw)
+    rows = min(n, max(1, RESIDUAL_CHUNK // (2 * n)))
+    buf = np.empty((2, rows, n))
     norms = np.zeros((ts.size, n))
-    for t0 in range(0, ts.size, steps):
-        chunk = slice(t0, t0 + steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tw = ts[chunk, None] * evals
-            rhs = np.ones((2, tw.shape[0], 2, n))  # per plane and step: [1, -cos tW] and [1, -sin tW]
-            rhs[:, :, 1] = -np.cos(tw), -np.sin(tw)
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            plane = buf[: tw.shape[0], : r1 - r0]
-            for p in range(2):
-                np.matmul(lhs[p, chunk, r0:r1], rhs[p], out=plane)
-                plane *= evecs[r0:r1]
-                for lo, hi, shift, part, q in off:
-                    a, b = max(lo, r0), min(hi, r1)
-                    if q == p and a < b:
-                        plane[:, a - r0 : b - r0] += part[chunk, a - lo : b - lo, None] * evecs[a + shift : b + shift]
-                norms[chunk, r0:r1] += np.einsum("tij,tij->ti", plane, plane)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        planes, vr = buf[:, : r1 - r0], evecs[r0:r1]
+        terms = []  # (first row, end row in the chunk, part, rows of V, plane) of the diagonals it meets
+        for lo, hi, shift, part, q in off:
+            a, b = max(lo, r0), min(hi, r1)
+            if a < b:
+                terms.append((a - r0, b - r0, part[:, a - lo : b - lo, None], evecs[a + shift : b + shift], q))
+        for t in range(ts.size):
+            np.matmul(lhs[t, :, r0:r1], rhs[t], out=planes)
+            planes *= vr
+            for a, b, part, vs, q in terms:
+                planes[q, a:b] += part[t] * vs
+            sq = np.einsum("pij,pij->pi", planes, planes)
+            norms[t, r0:r1] += sq[0]
+            norms[t, r0:r1] += sq[1]
     return np.sqrt(np.max(norms, axis=1))

@@ -3,7 +3,7 @@ columns, the pass verdict of every record and the JSON and CSV writers.
 
 A record is declared as a :class:`Record` of :class:`Field` s.  Records
 travel as column chunks: dicts that map the dotted path of every declared
-field that is not a record ("index", "charts.I.unitarity",
+field that is not a record ("class", "charts.I.unitarity",
 "point.w.coeffs") to a sequence with one value per record.  A list-valued
 field holds one list per record; a list of records holds one column dict
 per record, the columns of its items, as the records themselves are held.
@@ -60,7 +60,7 @@ __all__ = [
     "csv_chunk",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 NUM, INT, BOOL, STR = "number", "integer", "boolean", "string"
 
 
@@ -475,17 +475,19 @@ def _csv_column(f: Field, col, present=None) -> list:
 
 def _csv_rows(rec: Record, cols: dict, prefix: str = "") -> list:
     """The CSV rows of the records of a column chunk; ``prefix`` is the
-    path of a nested record."""
+    path of a nested record.  A record with no column of its own still
+    writes one row per item of its ``rows`` field, the item's cells first."""
     cells = [_csv_column(f, cols[path], present and cols[present]) for path, _, f, present in _csv_leaves(rec, prefix)]
-    rows = [",".join(row) for row in zip(*cells)]
     expand = rec.rows
     if expand is None:
-        return rows
+        return [",".join(row) for row in zip(*cells)]
     if isinstance(expand.kind, Record):
         parts = [(f.name, _csv_rows(f.kind, cols, f"{prefix}{expand.name}.{f.name}.")) for f in expand.kind.fields]
-        return [f"{row},{name},{sub[i]}" for i, row in enumerate(rows) for name, sub in parts]
-    item = expand.kind[0]
-    return [f"{row},{sub}" for row, items in zip(rows, cols[prefix + expand.name]) for sub in _csv_rows(item, items)]
+        items = zip(*[[f"{name},{sub}" for sub in subs] for name, subs in parts])
+    else:
+        items = map(_csv_rows, repeat(expand.kind[0]), cols[prefix + expand.name])
+    heads = (",".join(row) + "," for row in zip(*cells)) if cells else repeat("")
+    return [head + sub for head, subs in zip(heads, items) for sub in subs]
 
 
 def csv_chunk(rec: Record, params: Record, report: Report, cols: Optional[dict] = None) -> str:

@@ -35,14 +35,12 @@ def _residual(a, b) -> float:
     return float(berry.residual_coeffs(a, b)[0])
 
 
-def _berry_point_record(index, kind, point):
+def _berry_point_record(point):
     """The record of the one point of the one-row ``Points`` ``point``."""
     tag = point.tag
     code = berry.classify(point)
     cls = berry.POINT_CLASSES[code[0]]
     rec = {
-        "index": index,
-        "kind": kind,
         "point": {"w": {"coeffs": point.w[0].tolist()}, "z": float(point.z[0])},
         "class": cls.value,
         "charts": {"I": None, "II": None},
@@ -107,21 +105,19 @@ def _judge(decl, obj, tol, norm):
     return ok
 
 
-def _reference(tag, w, z, kinds):
-    records = [
-        _berry_point_record(i, kind, berry.Points.of(tag, wi, zi))
-        for i, (wi, zi, kind) in enumerate(zip(w, z, kinds))
-    ]
+def _reference(tag, w, z):
+    """The records of the points, in their order."""
+    records = [_berry_point_record(berry.Points.of(tag, wi, zi)) for wi, zi in zip(w, z)]
     for rec in records:
         _judge(cli.RECORDS["berry"], rec, DEFAULT, _norm(rec))
     return records
 
 
-def _batch(tag, w, z, kinds):
+def _batch(tag, w, z):
     """The records of the points as the berry report writes them."""
     if not len(z):
         return []
-    cols = cli.berry_chunk(berry.Points.of(tag, w, z), 0, kinds.count("grid"))
+    cols = cli.berry_chunk(berry.Points.of(tag, w, z))
     cli.judge(cli.RECORDS["berry"], cols, DEFAULT)
     params = {"algebra": tag.name, "grid": "", "samples": len(z)}
     text = cli.render_json(cli.Report("berry", 0, params), cols) + cli.render_json(cli.Report("berry", 0, params, len(z)))
@@ -180,9 +176,8 @@ def point_batches(draw):
 @given(point_batches())
 def test_batch_records_equal_the_per_point_reference(batch):
     tag, w, z = batch
-    kinds = ["grid"] * len(z)
-    ref = _reference(tag, w, z, kinds)
-    got = _batch(tag, w, z, kinds)
+    ref = _reference(tag, w, z)
+    got = _batch(tag, w, z)
     assert len(got) == len(ref)
     for have, want in zip(got, ref):
         assert json.loads(json.dumps(have)) == have  # plain JSON values only
@@ -210,7 +205,12 @@ def test_string_grids_leave_chart_selections_empty(tag, grid, empty, capsys):
         assert all(v is None for v in values) == (key in empty), key
     w = np.array([r["point"]["w"]["coeffs"] for r in records])
     z = np.array([r["point"]["z"] for r in records])
-    for have, want in zip(records, _reference(AlgebraTag[tag], w, z, ["grid"] * len(z))):
+    # without samples every position is below w_count * z_count: all grid
+    # points, z running fastest
+    wscales, zvals = cli.parse_grid(grid)
+    assert z.tolist() == np.tile(zvals, len(wscales)).tolist()
+    assert np.linalg.norm(w, axis=1) == pytest.approx(np.repeat(wscales, len(zvals)), rel=1e-15)
+    for have, want in zip(records, _reference(AlgebraTag[tag], w, z)):
         _assert_same_record(have, want)
 
 
@@ -260,7 +260,7 @@ def test_reconstruction_is_judged_relative_to_the_hamiltonian(capsys, columns_of
     cols = columns_of(decl, [rec])
     # ||H|| = r, the column the berry chunk of this point carries
     point = berry.Points.of(AlgebraTag.H, rec["point"]["w"]["coeffs"], rec["point"]["z"])
-    cols[decl.norm] = cli.berry_chunk(point, 0, 1)[decl.norm]
+    cols[decl.norm] = cli.berry_chunk(point)[decl.norm]
     assert cols[decl.norm].tolist() == pytest.approx([math.hypot(0.7, 1e4)], rel=1e-15)
     assert cli.judge(decl, cols, DEFAULT).tolist() == [False]
 
@@ -304,7 +304,7 @@ def test_the_pass_fills_every_declared_column(tag):
     # record that the array pass does not compute would be missing or NaN
     rng = np.random.default_rng(11)
     pts = berry.Points.of(tag, rng.standard_normal((7, tag.dim)), rng.standard_normal(7))
-    cols = cli.berry_chunk(pts, 0, 7)
+    cols = cli.berry_chunk(pts)
     assert set(cols) == set(_declared(cli.RECORDS["berry"])) | {cli.RECORDS["berry"].norm}
     for col in cols.values():
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":

@@ -17,14 +17,14 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("R", "json"): "f27abb4fabe2fb5d6a7cea3717e67eca2e45847bf4f2238806ef97e42f489667",
-    ("R", "csv"): "c2eb92384962168e818452d28c352be77cce51e3fb9b0521211857ea8387b73f",
-    ("C", "json"): "f1197c52ba91c6701bc7bb41314b4d1618f8ca5bdbf7affe5443d2a3070f8545",
-    ("C", "csv"): "1a2ed81d5441dde823a52fbd1d05278d818b3a8c3436cbed9b9e429eb03035f3",
-    ("H", "json"): "262c5ebab423ea269e8a403e395f3d4331e69234a628002f9b290ac246ef6c87",
-    ("H", "csv"): "3d83fd6bee2ce9b4e99078f42a79152954da42dec2c7c36e4cc2ac50bd6d1b19",
-    ("O", "json"): "d682dc9b098c78a16b8446fb0f0c66835b766dd8c5d18748bec2fbbc002ce002",
-    ("O", "csv"): "be7dd1c5c526e8e33197456cb873ea3e62ed402b527fbfa80542a8ddc51b4f0d",
+    ("R", "json"): "31d3da0f16c058e0f1049084da45cc8c899710fad4e00665b1968bb72f818751",
+    ("R", "csv"): "6f1af77e930d425b1e7e158f25995a1170971b09e688ab7d82ae09cb526d60e8",
+    ("C", "json"): "3029f197c7597b17c319f0e311a2615b448b9f050ad86b25127507b56689a9b6",
+    ("C", "csv"): "b12d0530874486291378cea75d81c8c05b8f1c2b02160105c370d43f6ac6c523",
+    ("H", "json"): "063a16cfa8608e40a8100afc33b48236b1ec3670c42efa47fbcacf7a39333c61",
+    ("H", "csv"): "d7f3c4dc037d876f41e568a5ac849fd3b5cf20df8d241e0bb77e42a70b6ccd36",
+    ("O", "json"): "34ed399f596079e1d57cc6647f62713faac9ea4b1cf50f2648df5b2dfea6d806",
+    ("O", "csv"): "07e9f684e1f229a93902211013e0ac6023be0f1d2366605b8ce58b59f60a5291",
 }
 
 

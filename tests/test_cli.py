@@ -38,9 +38,9 @@ DEFAULT_RUNS = {
 }
 
 
-def test_the_schema_is_5():
+def test_the_schema_is_6():
     # the one pin of the schema number: every other test reads the constant
-    assert report.SCHEMA_VERSION == 5
+    assert report.SCHEMA_VERSION == 6
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_RUNS))
@@ -90,6 +90,28 @@ def test_berry_grid_class_column():
         "upper_string",
         "upper_string",
     ]
+
+
+@pytest.mark.parametrize("tag", ["R", "O"])
+@pytest.mark.parametrize("samples", [0, 4])
+def test_berry_records_are_the_grid_then_the_samples(tag, samples, capsys):
+    # a record's position is its point's index in the sweep: the positions
+    # below w_count * z_count are the grid, ||w|| outer and z inner, and
+    # the rest are the samples, as drawn after the grid direction
+    grid = "z=-1:1:3,w=0:2:2"
+    assert cli.main(["berry", f"--algebra={tag}", f"--grid={grid}", f"--samples={samples}", "--seed=5"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    w = np.array([r["point"]["w"]["coeffs"] for r in records])
+    z = np.array([r["point"]["z"] for r in records])
+    wscales, zvals = cli.parse_grid(grid)
+    cells = len(wscales) * len(zvals)
+    assert len(records) == cells + samples
+    assert z[:cells].tolist() == np.tile(zvals, len(wscales)).tolist()
+    assert np.linalg.norm(w[:cells], axis=1) == pytest.approx(np.repeat(wscales, len(zvals)), rel=1e-15)
+    rng = np.random.default_rng(5)
+    rng.standard_normal(w.shape[1])  # the grid direction
+    draws = rng.standard_normal((samples, w.shape[1] + 1))
+    assert w[cells:].tolist() == draws[:, :-1].tolist() and z[cells:].tolist() == draws[:, -1].tolist()
 
 
 def test_berry_octonion_sample_suite():
@@ -309,15 +331,15 @@ def test_evolve_residual_catches_errors_of_1e_6(perturb, path, capsys, monkeypat
 
 @pytest.mark.parametrize("path", ["interaction", "omega_delta"])
 @pytest.mark.parametrize("d, steps", [(3, 1), (3, 7), (3, 50), (96, 3)])
-@pytest.mark.parametrize("chunk", ["default", 3 * 36])
+@pytest.mark.parametrize("chunk", ["default", 2 * 6 * 4])
 def test_evolve_stacks_equal_the_per_step_propagators(d, steps, path, chunk, capsys, monkeypatch):
-    # d = 3 fits all 50 steps in one default chunk; a chunk of three d = 3
-    # steps leaves a short last chunk at 7 and 50 steps.  One d = 96 step
-    # exceeds either chunk, so its rows are split (to single rows in the
-    # small one).
+    # the default chunk holds both planes of all six d = 3 rows; a chunk
+    # of four d = 3 rows leaves a short last chunk of two.  Both planes of
+    # the d = 96 rows exceed either chunk, so they are split (to single
+    # rows in the small one).
     if chunk != "default":
         monkeypatch.setattr(jc, "RESIDUAL_CHUNK", chunk)
-    assert 4 * 96 * 96 > jc.RESIDUAL_CHUNK >= 4 * 3 * 3 * (50 if chunk == "default" else 3)
+    assert 2 * 192 * 192 > jc.RESIDUAL_CHUNK >= 2 * 6 * (6 if chunk == "default" else 4)
     if path == "interaction":
         argv = ["--theta=0.3", "--g=0.7"]
         p = jc.JCParams(0.3, d, 0.7)
@@ -527,6 +549,15 @@ def test_each_command_parses_to_its_pinned_defaults(command, defaults):
     assert list(map(type, parsed.values())) == list(map(type, expected.values()))
 
 
+def test_jc_csv_writes_one_row_per_chart(capsys):
+    # the jc record has no CSV column of its own: each row starts with its
+    # chart, without a leading comma
+    assert cli.main(["jc", "--dim=4", "--format=csv"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "chart,reconstruction,unitarity,singular_levels,pass"
+    assert [l.split(",")[0] for l in lines[1:]] == ["I", "II"]
+
+
 def test_csv_formats_for_json_commands(tmp_path):
     for command in ("berry", "jc", "strings", "grassmann"):
         args = DEFAULT_RUNS[command] + ["--format", "csv"]
@@ -582,6 +613,17 @@ def test_jc_passes_at_large_theta(theta, capsys, radius):
     radii = radius(8, theta)
     evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
     assert rec["eigenvalue_max_dev"] == np.max(np.abs(np.sort(evals) - np.sort(np.concatenate([radii, -radii]))))
+
+
+@pytest.mark.parametrize("theta", [0.0, 5e-324, -0.5, 0.5, 3.0, -1e200, 1.7e308])
+def test_a_jc_chart_is_admissible_exactly_where_both_its_residuals_are_present(theta, capsys):
+    # admissible means an empty singular set: both residuals are then
+    # computed, and both are null otherwise
+    code, rec = _jc_record(capsys, theta)
+    assert code == 0
+    for chart in rec["charts"].values():
+        present = [chart[k] is not None for k in ("reconstruction", "unitarity")]
+        assert present == [chart["singular_levels"] == []] * 2
 
 
 def _shift_chart_diagonal(mp, shift):
@@ -739,8 +781,12 @@ def test_the_strings_record_lists_the_non_regular_rows_of_the_sector_report(thet
         cols = full.take(np.arange(full.codes.size))
         rows = [dict(zip(cols, row)) for row in zip(*(col.tolist() for col in cols.values()))]
         assert rec["sectors"] == [row for row in rows if row["status"] != "regular"]
-        assert rec["counts"] == {s: sum(row["status"] == s for row in rows) for s in jc.SECTOR_STATUSES}
-        assert sum(rec["counts"].values()) == 4 * d
+        # the tally of each status: the listed sectors against the status
+        # codes, and the 4 d - len(sectors) entries left out are regular
+        tally = np.bincount(full.codes.reshape(-1), minlength=len(jc.SECTOR_STATUSES))
+        listed = [sum(s["status"] == status for s in rec["sectors"]) for status in jc.SECTOR_STATUSES[1:]]
+        assert listed == tally[1:].tolist()
+        assert 4 * d - len(rec["sectors"]) == tally[0] == sum(row["status"] == "regular" for row in rows)
         regular = [row["denominator"] for row in rows if row["status"] == "regular"]
         assert rec["min_regular_denominator"] == (min(regular) if regular else None)
         # the verdict as the full report gave it
@@ -898,12 +944,12 @@ def _report(capsys, command, fmt):
 def _expected_rows(command, rec):
     """The README's CSV layout, read off one JSON record."""
     if command == "jc":
-        return [{"theta": rec["theta"], "chart": c, **rec["charts"][c]} for c in ("I", "II")]
+        return [{"chart": c, **rec["charts"][c]} for c in ("I", "II")]
     if command == "strings":
         return [{"theta": rec["theta"], **s} for s in rec["sectors"]]
     if command == "berry":
         point = rec["point"]
-        row = {k: rec[k] for k in ("index", "kind", "class", "cocycle", "pass")}
+        row = {k: rec[k] for k in ("class", "cocycle", "pass")}
         row.update(z=point["z"], norm_w=float(np.linalg.norm(point["w"]["coeffs"])))
         parts = {"chart_I": rec["charts"]["I"], "chart_II": rec["charts"]["II"], "projector": rec["projector"]}
         for prefix, obj in parts.items():
@@ -1471,7 +1517,7 @@ def test_render_json_leaves_no_reference_cycles(monkeypatch, capsys):
     gc.disable()
     try:
         cli.render_json(cli.Report("berry", 11, params), cols)
-        cli.render_json(cli.Report("berry", 11, params, records=len(cols["index"])))
+        cli.render_json(cli.Report("berry", 11, params, records=len(cols["class"])))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -22,44 +22,44 @@ from hjc import cli
 
 RECORDED_WITH = "2.4.6"
 DIGESTS = {
-    ("jc --theta=0.7 --dim=7", "json"): (0, "2d2af92bd25d335932631e026793be776e60cf21caac100ca5e853f643671cd0"),
-    ("jc --theta=0.7 --dim=7", "csv"): (0, "a93106c1329c158fa14e76b77a08211e9c4ca27f18e85560baa4bfbe10dede74"),
-    ("jc --theta=-0.7 --dim=7", "json"): (0, "086cf389c4352a4dce1e93a5ab36f30a8b7614c0b09a5568d6559f251c5af8b9"),
-    ("jc --theta=-0.7 --dim=7", "csv"): (0, "76e008dc6f75806b4d3ba4d3ce7774c06db68031690871f9a6485a86d2cd4e9e"),
-    ("jc --theta=1e200 --dim=7", "json"): (0, "657e81a4198e17fc6511ac0d8b25488f24ceb5cdd9617e3641f7f9124c79212c"),
-    ("jc --theta=1e200 --dim=7", "csv"): (0, "147a52d972e6f2b778d88db87c162241bceae7af584487dd14855e40f7829cb1"),
+    ("jc --theta=0.7 --dim=7", "json"): (0, "57ce0e8ee18633dac67b63166c5b98cd436f5e2e5b42cc71a395af5e5f7a8d0c"),
+    ("jc --theta=0.7 --dim=7", "csv"): (0, "3caf4574f5ea3a225def7270c6acbf356bb8abcba31a6e4b7fb765aacd7cac35"),
+    ("jc --theta=-0.7 --dim=7", "json"): (0, "ea685cb87d23ac60b87b55bcc528d571fa8fcf03655b687ee46d0c0b326ffc91"),
+    ("jc --theta=-0.7 --dim=7", "csv"): (0, "8ece30313c2358abefa90023ee12f854726236c8752fa2f1e03846384b5bbbbb"),
+    ("jc --theta=1e200 --dim=7", "json"): (0, "df26e9496ddd276387c74cbee23c69af9151e9ed85b9b88000a7b8e77cef5435"),
+    ("jc --theta=1e200 --dim=7", "csv"): (0, "b85ae8a5c4fccaf363e6a37f70404f1366cbecc9d2c15b59b4753f2fafeaba81"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "f6bc5d78c8fea9b02af1165e0a7f7e3bd9af8ec73bb5b976e70a4e7c7ccd6abb"),
+        0, "91d507c553568e4b69e08893836914b10c7cb8bbaf99c646593e858c6a31c47d"),
     ("evolve --theta=0.7 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "db8729792ef1e2ad5a338983b7fc4ebaeddd618c53e976da48279dceb6fad5c2"),
+        0, "4642ad7144870f0481b42685308d4eddb8b747122dfddbb79a38c025f6c8ed64"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "0e640f83698b6f5644eb9a08e22dab17597caa7e813eede4797e5804acec6ccd"),
+        0, "2595f876d5c42150e64e321c079cc6994c8a810e92db0d57f92ab2afb4a2a9fa"),
     ("evolve --theta=-0.7 --g=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "390bce13a1390c9c19611027e0038160795f8cf12a83ff5af1b299cc57c1991c"),
+        0, "38834d4f195c144ab8a86004043b3ddeadbbf5ec3863c595a0437e5e361af2a9"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "d26af5b11de7260cc4e39fca221c4b400e8a696f9d82190442cc7a42234309e4"),
+        0, "ec8083426ac39cf41432bf932b40cee439698279dbb2dc608420a5deb80a0e89"),
     ("evolve --theta=1e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "5638e414e07da643308ef0cb790fef0c77e09a4918c1f3be4c503260149b49e2"),
+        0, "df8ea4eb599b21a80dedd68e6931e99b92e84986c9fb3d7bf47f8edc5473ccc7"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "8bf5887543e0b7098634a1ad492b121fe82ef2f40e09d33eea0b8577d989ab0e"),
+        0, "19e727ac97faccbdc147592b3806883347ce959f0fb153768fb84f17f2ca48c1"),
     ("evolve --omega=1 --delta=2.4 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "e4282bf6ec9dd4cfebee4dda96ce14fef70b8039b7e886e7f12e8d2f895eb252"),
+        0, "9112f9d25f6a00782e29db2f19d97cc802eb9a877e588ae22792eacd107f9084"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "json"): (
-        0, "8b83a636bae8ca253f86ad8b0d2653ab85ba613a89e623e0271a590775ece799"),
+        0, "c6042eb0005dfbbe600642779476461eec803d7d77281ccc03b91b45b1868079"),
     ("evolve --omega=2 --delta=0.6 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        0, "b61223feeb3abbbd7d000a78daddbb93b6dd1a2a0c5234348db6b092cbda5afe"),
+        0, "1a4e779b9cee806292716fec052cd8ce44fd184b8a0e00e0ccc217261978f357"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "json"): (
-        1, "7a22444a5a7616620dd94d75ae7c3ea205de5f0440db38e90e6324e2fe098154"),
+        1, "da7eef74c62d50743e0335159ff98d9905cf9cc98185fcf56ba7341ab6e6a0a4"),
     ("evolve --omega=1 --delta=2e200 --dim=7 --t-steps=5 --n0=2", "csv"): (
-        1, "fb526557c72f2ff3e0605b20afe028fcb6c105dc1030060fb02ae33e4d607e2d"),
+        1, "aeaf621624f2421f24ec58cac3466cdd55b4f8ae5318430a5d52d7f505065f73"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "852d2cd8147542de93ebf93ea2d9e3a66285700782f8fd5a874148f2b5ad0ee1"),
+        0, "d24473a8d54bbe31092241db6775a3a859e80aaf4eef8b1158cda7933f601096"),
     ("grassmann --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "aafd72c7eda6ca0447660d475d758557e9399f101e7e1389e9754fdc4d66051b"),
+        0, "238f28c9dda7d75905e00cbddc15ec93a05c4df3997b3cefb9df0a2266579686"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "json"): (
-        0, "0dcb5f6d6a4877b059698ca0ad8f719626950c96538a31c692fae4931f18a35e"),
+        0, "6a847dc30cfb99c00ad0f649d1a54e37e6dfaa0521a710d761ec8d39cb9beb4b"),
     ("strings --theta=-0.7,0.7,1e200 --dim=7", "csv"): (
-        0, "22d1d0e26bbf2e7e34af7ca2eb712125aa7feeee00a05d1fed467f2547665f2a"),
+        0, "5c6c3289030c5b6b33b7532a24bbb65f8898ac3abe33c52ea33958a30e8eb4f9"),
 }
 
 
