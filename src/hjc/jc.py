@@ -12,6 +12,15 @@ sqrt(H^2): each chart has an operator-valued unitary, a diagonal factor
 built from the radius, a transition operator, a globally defined
 projector and a closed-form propagator.
 
+Coupling: H = [[theta, W+], [W, -theta]] with the coupling W = a+ (and
+W = sqrt(N+1) for the two-step middle matrix), stated once, in
+:func:`_jc` (:func:`_middle`).  H^2 = theta^2 + diag(W+ W, W W+) is
+diagonal, so with the row radii R = sqrt(H^2) and sigma_z = diag(1, -1)
+every closed form is one formula over (theta, W): the projector
+(1 + R^-1 H)/2, the propagator cos(gtR) - i sin(gtR) R^-1 H and the chart
+unitary N (R + s H sigma_z)/2, s = +1 for chart I and -1 for chart II, N
+twice the normalizer diag(2 R (R + s theta))^-1/2 (:func:`chart_unitary`).
+
 Truncation: on C^2 (x) F_d the square H^2 = diag(a a+ + theta^2,
 a+ a + theta^2) holds exactly, so the radius of block row 1 is
 R(N+1) = sqrt(N + 1 + theta^2) below the top level and |theta| at it
@@ -66,7 +75,7 @@ such a stack.  The dense export is unbatched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -315,6 +324,41 @@ def block_residual(a: BlockOperator, b: BlockOperator):
     return float(out) if not out.shape else out
 
 
+# ---------------------------------------------------------------------------
+# The coupling and the row radii
+
+
+@dataclass(frozen=True)
+class _Coupling:
+    """The coupling W of H = [[theta, W+], [W, -theta]] on C^2 (x) F_d: a
+    real, non-negative diagonal on the offset ``k`` of the lower-left block
+    (W+ holds it on offset -k of the upper-right one).  ``levels(0)`` and
+    ``levels(1)`` are the diagonals of W+ W and W W+, made afresh on each
+    call: :func:`_rows` evaluates the radius of the upper and the lower block
+    row on them (H^2 = theta^2 + diag(W+ W, W W+)), and W's level vector
+    ``w`` is the square root of W W+ on W's rows."""
+
+    dim: int
+    k: int
+    levels: Callable[[int], np.ndarray]
+
+    @property
+    def w(self) -> np.ndarray:
+        return np.sqrt(self.levels(1)[max(0, -self.k) : self.dim - max(0, self.k)])
+
+
+def _jc(d: int) -> _Coupling:
+    """The Jaynes-Cummings coupling W = a+ on offset -1: W+ W = a a+ = N + 1,
+    0 at the top level, which a+ annihilates, and W W+ = a+ a = N."""
+    return _Coupling(d, -1, lambda row: np.arange(d, dtype=float) if row else np.append(np.arange(1.0, d), 0.0))
+
+
+def _middle(d: int) -> _Coupling:
+    """The coupling W = sqrt(N + 1) of the two-step middle matrix M, on
+    offset 0: W+ W = W W+ = N + 1 up to the top level."""
+    return _Coupling(d, 0, lambda row: np.arange(1.0, d + 1))
+
+
 def _radius(m: np.ndarray, theta: float, *signs: float):
     """R = hypot(sqrt(m), theta) on the level numbers m of one block row
     and, per sign s, the half sum (R + s theta)/2: the one place either is
@@ -328,11 +372,12 @@ def _radius(m: np.ndarray, theta: float, *signs: float):
     return (r, *(h0 if s * theta >= 0.0 else np.divide(q := 0.25 * m, h0, out=q) for s in signs))
 
 
-def _rows(p: JCParams, *signs: float):
-    """:func:`_radius` of each block row, on the eigenvalues of a a+ (n + 1, 0 at the top level) and of a+ a (n)."""
-    n = np.arange(p.dim, dtype=float)
-    yield _radius(np.append(n[1:], 0.0), p.theta, *signs)
-    yield _radius(n, p.theta, *signs)
+def _rows(p: JCParams, *signs: float, coupling: Optional[_Coupling] = None):
+    """:func:`_radius` of each block row, on the levels of W+ W and W W+ of
+    ``coupling`` (the Jaynes-Cummings one of :func:`_jc` by default)."""
+    c = _jc(p.dim) if coupling is None else coupling
+    for row in range(2):
+        yield _radius(c.levels(row), p.theta, *signs)
 
 
 def _denominator(r: np.ndarray, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -364,16 +409,38 @@ def chart_denominators(p: JCParams, chart: ChartTag):
     return [(r, h, _denominator(r, h)) for r, h in _rows(p, 1.0 if chart is ChartTag.I else -1.0)]
 
 
-def _ladder(d: int) -> np.ndarray:
-    """sqrt(1), ..., sqrt(d-1): the superdiagonal of a and the subdiagonal
-    of its exact adjoint a+, which annihilates the top level."""
-    return np.sqrt(np.arange(1.0, d))
+# ---------------------------------------------------------------------------
+# Closed forms over the coupling
 
 
-def _sectors(d: int, upper, lowering, raising, lower) -> BlockOperator:
-    """[[diag(upper), diag(lowering, 1)], [diag(raising, -1), diag(lower)]]:
-    the layout of every operator that pairs |e,n> with |g,n+1>."""
-    return BlockOperator(d, (({0: upper}, {1: lowering}), ({-1: raising}, {0: lower})))
+def _form(c: _Coupling, upper, lower, up, lo) -> BlockOperator:
+    """[[diag(upper), up W+], [lo W, diag(lower)]] for the coupling ``c``:
+    ``up`` and ``lo`` are scalars or the level values of the block rows
+    they scale (batch axes leading)."""
+    d, k, w = c.dim, c.k, c.w
+
+    def on(v, k):  # v on the rows of the diagonal at offset k
+        return v[..., max(0, -k) : d - max(0, k)] if np.ndim(v) else v
+
+    return BlockOperator(d, (({0: upper}, {-k: on(up, -k) * w}), ({k: on(lo, k) * w}, {0: lower})))
+
+
+def _chart(c: _Coupling, rows, chart: ChartTag) -> BlockOperator:
+    """The chart unitary N (R + s H sigma_z) / 2 of the coupling ``c``, s =
+    +1 for chart I and -1 for chart II, from the radius R and the half sum
+    h = (R + s theta)/2 that lead each block row of ``rows``: the core
+    (R + s H sigma_z)/2 = [[h1, -s W+/2], [s W/2, h2]] and N, twice the
+    normalizer 1/(sqrt(2R) sqrt(2h)) of :func:`_normalizer`, so that no
+    entry exceeds the double range (the products are the entries exactly).
+    Chart II swaps its column blocks and negates the new second one, which
+    keeps V_I Phi = V_II for the transition operator Phi."""
+    (r1, h1, *_), (r2, h2, *_) = rows
+    s = 1.0 if chart is ChartTag.I else -1.0
+    core = _form(c, h1, h2, -0.5 * s, 0.5 * s)
+    if chart is ChartTag.II:
+        swapped = tuple((b, {k: -v for k, v in a.items()}) for a, b in core.diags)
+        core = BlockOperator._of(c.dim, swapped, core.batch, core.dtype)
+    return block_diag(_normalizer(r1, h1), _normalizer(r2, h2)) @ core
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +448,9 @@ def _sectors(d: int, upper, lowering, raising, lower) -> BlockOperator:
 
 
 def hamiltonian(p: JCParams) -> BlockOperator:
-    """The scaled interaction Hamiltonian [[theta, a], [a+, -theta]]."""
-    d = p.dim
-    sq = _ladder(d)
-    return _sectors(d, np.full(d, p.theta), sq, sq, np.full(d, -p.theta))
+    """The scaled interaction Hamiltonian [[theta, W+], [W, -theta]] of the
+    coupling W = a+, i.e. [[theta, a], [a+, -theta]]."""
+    return _form(_jc(p.dim), np.full(p.dim, p.theta), np.full(p.dim, -p.theta), 1.0, 1.0)
 
 
 def full_hamiltonian(p: JCParams, omega: float):
@@ -420,13 +486,13 @@ def two_step_factors(p: JCParams):
     """
     d = p.dim
     left = BlockOperator(d, (({0: np.ones(d)}, {}), ({}, {-1: np.ones(d - 1)})))
-    sq, th = _ladder(d + 1), np.full(d, p.theta)
-    mid = BlockOperator(d, (({0: th}, {0: sq}), ({0: sq}, {0: -th})))
+    mid = _form(_middle(d), np.full(d, p.theta), np.full(d, -p.theta), 1.0, 1.0)
     return left, mid, left.dagger()
 
 
 def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Diagonalizing unitary of the middle matrix M.
+    """Diagonalizing unitary of the middle matrix M: the chart unitary of
+    its coupling W = sqrt(N+1) (see :func:`_chart`).
 
     Both charts use R(N+1) throughout, so for every theta the denominators
     2 R(n+1) (R(n+1) +- theta) are at least n + 1 and both charts exist.
@@ -434,15 +500,8 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     is diagonal per level, and M keeps sqrt(N+1) up to the top level, so
     its radius is the untruncated R(N+1)).
     """
-    d = p.dim
-    sq = 0.5 * _ladder(d + 1)
-    r1, h1 = _radius(np.arange(1.0, d + 1), p.theta, 1.0 if chart is ChartTag.I else -1.0)
-    f = _normalizer(r1, h1)  # twice the normalizer, on the halved entries
-    if chart is ChartTag.I:
-        u = ((f * h1, -f * sq), (f * sq, f * h1))
-    else:
-        u = ((f * sq, -f * h1), (f * h1, f * sq))
-    return BlockOperator(d, tuple(tuple({0: v} for v in row) for row in u))
+    c = _middle(p.dim)
+    return _chart(c, _rows(p, 1.0 if chart is ChartTag.I else -1.0, coupling=c), chart)
 
 
 # ---------------------------------------------------------------------------
@@ -540,25 +599,17 @@ def admissible_denominators(p: JCParams, chart: ChartTag):
 
 
 def chart_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Operator-valued chart unitary V: the normalizer
-    diag(1/(sqrt(2R) sqrt(2h))) of the row radii, on the left of the
-    unnormalized chart matrix, held at twice and half their values so that
-    no entry exceeds the double range (the products are V's entries
-    exactly).  The normalizer on the right (its two rows swapped for chart
-    II) gives the same level values by the ordering identity
-    (R(N) + theta)^-1 a+ = a+ (R(N+1) + theta)^-1, so only this form is
-    built.  Raises :class:`SingularSectorError` for the theta sign whose
+    """Operator-valued chart unitary V = N (R + s H sigma_z)/2 of
+    :func:`_chart`: the normalizer diag(1/(sqrt(2R) sqrt(2h))) of the row
+    radii on the left of the unnormalized chart matrix, held at twice and
+    half their values so that no entry exceeds the double range (the
+    products are V's entries exactly).  The normalizer on the right (its
+    two rows swapped for chart II) gives the same level values by the
+    ordering identity (R(N) + theta)^-1 a+ = a+ (R(N+1) + theta)^-1, so
+    only this form is built.  Raises :class:`SingularSectorError` for the theta sign whose
     ground-level denominator vanishes.
     """
-    (r1, h1, _), (r2, h2, _) = admissible_denominators(p, chart)
-    d = p.dim
-    sq = 0.5 * _ladder(d)
-    if chart is ChartTag.I:
-        core = _sectors(d, h1, -sq, sq, h2)
-    else:
-        # [[a, -(R1 - theta)], [R(N) - theta, a+]] / 2
-        core = BlockOperator(d, (({1: sq}, {0: -h1}), ({0: h2}, {-1: sq})))
-    return block_diag(_normalizer(r1, h1), _normalizer(r2, h2)) @ core
+    return _chart(_jc(p.dim), admissible_denominators(p, chart), chart)
 
 
 def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
@@ -600,7 +651,7 @@ def transition_operator(d: int) -> BlockOperator:
 
 
 def projector(p: JCParams) -> BlockOperator:
-    """Globally defined spectral projector
+    """Globally defined spectral projector (1 + R^-1 H)/2,
 
         diag(1/2R1, 1/2R(N)) [[R1 + theta, a], [a+, R(N) - theta]]
 
@@ -618,8 +669,7 @@ def projector(p: JCParams) -> BlockOperator:
     (r1, h1, _), (r2, _, h2) = _rows(p, 1.0, -1.0)  # (R1 + theta)/2 and (R(N) - theta)/2
     # 1/R on the halved core: the products are the entries exactly
     p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
-    sq = 0.5 * _ladder(d)
-    return block_diag(p1, p2) @ _sectors(d, h1, sq, sq, h2)
+    return block_diag(p1, p2) @ _form(_jc(d), h1, h2, 0.5, 0.5)
 
 
 def spectral_decomposition(p: JCParams, proj: BlockOperator):
@@ -636,7 +686,8 @@ def spectral_decomposition(p: JCParams, proj: BlockOperator):
 
 
 def propagator(p: JCParams, t) -> BlockOperator:
-    """Closed form of exp(-i g t H) built from level functions:
+    """Closed form of exp(-i g t H) = cos(tg R) - i sin(tg R) R^-1 H built
+    from level functions:
 
         [[cos(tg R1) - i theta sin(tg R1)/R1,   -i sin(tg R1)/R1 a],
          [-i sin(tg R(N))/R(N) a+,   cos(tg R(N)) + i theta sin(tg R(N))/R(N)]]
@@ -645,22 +696,17 @@ def propagator(p: JCParams, t) -> BlockOperator:
     entry is exp(-i g t theta).  Where a radius vanishes (at resonance)
     the ratio sin(tg R)/R is taken in the limit, tg.  A 1-D array of times
     gives the stack of their propagators, batch shape ``t.shape``.  A
-    phase tg R beyond the double range has a NaN sine and cosine, without
-    a warning: its entries are NaN, and a check of them fails.
+    phase tg R beyond the double range has a NaN sine and cosine, and a tg
+    beyond it an infinite limit, without a warning: its entries are NaN,
+    and a check of them fails.
     """
-    tg = p.g * np.asarray(t, dtype=float)[..., None]
-    r1, r0 = row_radii(p)
+    c = _jc(p.dim)
+    r1, r0 = (r for r, in _rows(p, coupling=c))
     with np.errstate(over="ignore", invalid="ignore"):
+        tg = p.g * np.asarray(t, dtype=float)[..., None]
         (c1, s1), (c0, s0) = ((np.cos(tg * r), np.sin(tg * r)) for r in (r1, r0))
-    s1, s0 = (np.divide(s, r, out=tg * np.ones_like(r), where=r != 0.0) for s, r in ((s1, r1), (s0, r0)))
-    sq = _ladder(p.dim)
-    return _sectors(
-        p.dim,
-        c1 - 1j * p.theta * s1,
-        -1j * (s1[..., :-1] * sq),
-        -1j * (s0[..., 1:] * sq),
-        c0 + 1j * p.theta * s0,
-    )
+        s1, s0 = (np.divide(s, r, out=tg * np.ones_like(r), where=r != 0.0) for s, r in ((s1, r1), (s0, r0)))
+        return _form(c, c1 - 1j * p.theta * s1, c0 + 1j * p.theta * s0, -1j * s1, -1j * s0)
 
 
 def full_propagator(p: JCParams, omega: float, t) -> BlockOperator:

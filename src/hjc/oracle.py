@@ -64,22 +64,39 @@ def eig_hermitian(m: np.ndarray):
     max |m_ij|) and the orthonormality, max |V+ V - I|, to ``CHECK_ULPS``
     * n * eps, a NaN failing each: a lost eigenvector of a null space leaves
     the reconstruction intact.  The eigenvectors are real exactly when m is.
+
+    An input whose largest row sum of |m_ij|, a bound on every eigenvalue
+    and on every sum of the self-check, is beyond the double range is
+    solved and checked scaled by the power of two 2**-e that brings its
+    largest entry into [1/2, 1) (exact for every entry above 2**(e - 1022)),
+    and the eigenvalues are scaled back, +-inf beyond the double range.
+    Any other input is solved as it is, so its eigenpairs are numpy's bits.
     """
     m = _hermitian(m)
+    a = np.abs(m)
+    top = float(np.max(a))
+    bound = 1e-11 * max(1.0, top)
+    with np.errstate(over="ignore"):
+        e = int(np.frexp(top)[1]) if np.isinf(np.max(np.sum(a, axis=1))) else 0
+    del a
+    if e:
+        m, bound = m * 2.0**-e, bound * 2.0**-e
     w, v = np.linalg.eigh(m)
     n = m.shape[0]
-    scale = max(1.0, float(np.max(np.abs(m))))
     vh = v.conj().T  # conj() of a real array is itself
     r = (v * w) @ vh
     r -= m
     recon = _max_abs(r)
-    if not recon <= 1e-11 * scale:
-        raise ArithmeticError(f"eigendecomposition reconstruction residual {recon:.3e}")
+    if not recon <= bound:
+        raise ArithmeticError(f"eigendecomposition reconstruction residual {recon:.3e}" + (f" at scale 2**{-e}" if e else ""))
     r = vh @ v
     r.flat[:: n + 1] -= 1.0
     orth = _max_abs(r)
     if not orth <= CHECK_ULPS * n * EPS:
         raise ArithmeticError(f"eigenvector orthonormality residual {orth:.3e}")
+    if e:
+        with np.errstate(over="ignore"):
+            w = np.ldexp(w, e)
     return w, v
 
 

@@ -176,6 +176,27 @@ def test_numerical_failure_exit_code(argv):
     assert strict.stdout == proc.stdout
 
 
+# theta = 1: every oracle phase t W is NaN, t = 0 included (0 * inf), so
+# every step fails; theta = 0: the eigenvalues stay finite, and only the
+# step t = 0 is resolved
+@pytest.mark.parametrize("theta,failures", [("1", 7), ("0", 6)])
+@pytest.mark.parametrize("strict", [False, True])
+def test_evolve_at_a_coupling_near_the_double_range_fails_with_a_complete_report(theta, failures, strict):
+    # g H at g = 1e308: the oracle solves it scaled by a power of two and
+    # returns eigenvalues beyond the double range as +-inf, and the phases
+    # g t R (and g t itself at resonance) overflow to NaN; no traceback,
+    # with warnings as errors too
+    argv = ["evolve", f"--theta={theta}", "--g=1e308", "--dim=4", "--t-steps=7", "--format=json"]
+    proc = subprocess.run(
+        [sys.executable, *(["-W", "error"] if strict else []), "-m", "hjc.cli", *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, cli.SCHEMAS["evolve"])
+    assert len(payload["records"]) == 7 and payload["summary"]["failures"] == failures
+
+
 def test_command_flag_alias():
     # the subcommand is spelt one way: as the first argument
     proc = run_cli("--command", "strings", "--seed", "2", "--dim", "8")

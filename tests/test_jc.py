@@ -446,8 +446,7 @@ def test_sector_denominator_values():
     assert by_key[("II", 2, 0)] == 0.0
 
 
-def test_singular_sectors_evaluates_each_row_once(monkeypatch):
-    # both charts' denominators of a block row come from one radius evaluation
+def _count_radius_calls(monkeypatch):
     calls = []
     evaluate = jc._radius
 
@@ -456,8 +455,122 @@ def test_singular_sectors_evaluates_each_row_once(monkeypatch):
         return evaluate(m, theta, *signs)
 
     monkeypatch.setattr(jc, "_radius", counted)
+    return calls
+
+
+def test_singular_sectors_evaluates_each_row_once(monkeypatch):
+    # both charts' denominators of a block row come from one radius evaluation
+    calls = _count_radius_calls(monkeypatch)
     jc.singular_sectors(JCParams(theta=0.5, dim=7))
     assert calls == [((7,), (1.0, -1.0))] * 2
+
+
+@pytest.mark.parametrize(
+    "theta,build,signs",
+    [
+        (0.5, functools.partial(jc.chart_unitary, chart=ChartTag.I), (1.0,)),
+        (-0.5, functools.partial(jc.chart_unitary, chart=ChartTag.II), (-1.0,)),
+        (0.5, functools.partial(jc.middle_unitary, chart=ChartTag.I), (1.0,)),
+        (0.5, functools.partial(jc.middle_unitary, chart=ChartTag.II), (-1.0,)),
+        (0.5, jc.projector, (1.0, -1.0)),
+        (0.5, lambda p: jc.propagator(p, np.linspace(0.0, 1.0, 3)), ()),
+    ],
+)
+def test_closed_forms_evaluate_each_row_once(theta, build, signs, monkeypatch):
+    # each closed form reads its radii and half sums from one evaluation
+    # per block row, as singular_sectors does
+    calls = _count_radius_calls(monkeypatch)
+    build(JCParams(theta=theta, dim=7))
+    assert calls == [((7,), signs)] * 2
+
+
+# ---------------------------------------------------------------------------
+# every closed form's level vectors, as the layouts stated per operator give them
+
+
+@np.errstate(all="ignore")  # a singular chart's normalizer, a phase beyond the double range
+def _explicit_layouts(p, ts):
+    """The level vectors of the Hamiltonian, the middle matrix M, the chart
+    and middle unitaries (None where the chart is singular), the projector
+    and the propagator stack over ``ts``, each written out with the JC
+    coupling sqrt(n) on offsets +-1 (sqrt(n + 1) on offset 0 for M)."""
+    d, th = p.dim, p.theta
+    sq, sq1 = np.sqrt(np.arange(1.0, d)), np.sqrt(np.arange(1.0, d + 1))
+    levels = (np.append(np.arange(1.0, d), 0.0), np.arange(float(d)))  # of a a+ and a+ a
+
+    def normalizer(r, h):
+        return 0.5 / (np.sqrt(0.5 * r) * np.sqrt(0.5 * h))
+
+    out = {
+        "hamiltonian": (({0: np.full(d, th)}, {1: sq}), ({-1: sq}, {0: np.full(d, -th)})),
+        "middle matrix": (({0: np.full(d, th)}, {0: sq1}), ({0: sq1}, {0: np.full(d, -th)})),
+    }
+    for chart, s in ((ChartTag.I, 1.0), (ChartTag.II, -1.0)):
+        (r1, h1), (r2, h2) = (jc._radius(m, th, s) for m in levels)
+        f1, f2 = normalizer(r1, h1), normalizer(r2, h2)
+        if chart is ChartTag.I:
+            v = (({0: f1 * h1}, {1: f1[:-1] * -(0.5 * sq)}), ({-1: f2[1:] * (0.5 * sq)}, {0: f2 * h2}))
+        else:
+            v = (({1: f1[:-1] * (0.5 * sq)}, {0: f1 * -h1}), ({0: f2 * h2}, {-1: f2[1:] * (0.5 * sq)}))
+        try:
+            jc.admissible_denominators(p, chart)
+        except SingularSectorError:
+            v = None
+        out[f"chart {chart.value}"] = v
+        r, h = jc._radius(np.arange(1.0, d + 1), th, s)
+        f, half = normalizer(r, h), 0.5 * sq1
+        if chart is ChartTag.I:
+            u = (({0: f * h}, {0: -f * half}), ({0: f * half}, {0: f * h}))
+        else:
+            u = (({0: f * half}, {0: -f * h}), ({0: f * h}, {0: f * half}))
+        out[f"middle {chart.value}"] = u
+    (r1, h1), (r2, h2) = jc._radius(levels[0], th, 1.0), jc._radius(levels[1], th, -1.0)
+    p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
+    out["projector"] = (({0: p1 * h1}, {1: p1[:-1] * (0.5 * sq)}), ({-1: p2[1:] * (0.5 * sq)}, {0: p2 * h2}))
+    tg = p.g * ts[:, None]
+    (c1, s1), (c0, s0) = ((np.cos(tg * r), np.sin(tg * r)) for r in (r1, r2))
+    s1, s0 = (np.divide(s, r, out=tg * np.ones_like(r), where=r != 0.0) for s, r in ((s1, r1), (s0, r2)))
+    out["propagator"] = (
+        ({0: c1 - 1j * th * s1}, {1: -1j * (s1[..., :-1] * sq)}),
+        ({-1: -1j * (s0[..., 1:] * sq)}, {0: c0 + 1j * th * s0}),
+    )
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 7, 300])
+@pytest.mark.parametrize("theta", [0.0, 5e-324, -5e-324, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 1e200, -1e200, 1.7e308, -1.7e308])
+def test_closed_forms_keep_their_level_vectors(theta, d):
+    # every closed form over (theta, W) gives the level vectors of its layout
+    # written out per operator: each offset, dtype and value to the ulp, NaN
+    # where a phase leaves the double range
+    p = JCParams(theta=theta, dim=d, g=0.7)
+    ts = np.linspace(0.0, 3.0, 5)
+    built = {
+        "hamiltonian": jc.hamiltonian(p),
+        "middle matrix": jc.two_step_factors(p)[1],
+        "projector": jc.projector(p),
+        "propagator": jc.propagator(p, ts),
+    }
+    for chart in ChartTag:
+        built[f"middle {chart.value}"] = jc.middle_unitary(p, chart)
+        try:
+            built[f"chart {chart.value}"] = jc.chart_unitary(p, chart)
+        except SingularSectorError:
+            built[f"chart {chart.value}"] = None
+    expected = _explicit_layouts(p, ts)
+    assert built.keys() == expected.keys()
+    for name, layout in expected.items():
+        op = built[name]
+        if layout is None:
+            assert op is None, name
+            continue
+        vectors = [v for row in layout for b in row for v in b.values()]
+        assert op.dtype == np.result_type(*vectors), name
+        for got_row, want_row in zip(op.diags, layout):
+            for got, want in zip(got_row, want_row):
+                assert got.keys() == want.keys(), name
+                for k, v in want.items():
+                    assert got[k].dtype == v.dtype and np.array_equal(got[k], v, equal_nan=True), name
 
 
 # 1e-160: the ground denominators 4 theta^2 are subnormal and show any change of rounding

@@ -203,6 +203,49 @@ def test_eigvals_self_check_over_the_double_range(scale):
     assert np.max(np.abs(w / scale - np.linalg.eigvalsh(m))) <= 1e-14
 
 
+def _row_sum(m):
+    with np.errstate(over="ignore"):
+        return np.max(np.sum(np.abs(m), axis=1))
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_eig_input_whose_row_sums_overflow_reconstructs_to_its_relative_bound(kind, rng):
+    # every row sum of |m| beyond the double range, every eigenvalue within
+    # it: solved on m scaled by a power of two, checked to the same bound
+    m = make_input(kind, rng, 40)
+    m = m * (1e308 / _row_sum(m)) * 2.5  # ||m||_2 is under a third of the row sums here
+    assert np.isinf(_row_sum(m))
+    w, v = oracle.eig_hermitian(m)
+    assert np.all(np.isfinite(w))
+    assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-11 * np.max(np.abs(m))
+
+
+def test_eig_eigenvalues_beyond_the_double_range_read_inf():
+    # g H at g = 1e308, theta = 1, d = 4: the radii 2 g of the top sector
+    # exceed the double range; numpy alone gives inf and a NaN reconstruction
+    m = 1e308 * kron_jc_hamiltonian(1.0, 4).real
+    w, v = oracle.eig_hermitian(m)
+    assert np.all(np.isfinite(v)) and np.array_equal(np.isinf(w), [True] + [False] * 6 + [True])
+    expected = 1e308 * np.array([np.sqrt(2.0), np.sqrt(3.0), 1.0])
+    assert np.allclose(np.sort(np.abs(w[1:-1])), np.sort(np.repeat(expected, 2)), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+@pytest.mark.parametrize("row_sum", [1.0, 1e200, 1.7e308, 1e-300])
+def test_eig_input_with_finite_row_sums_is_numpys_eigh(kind, row_sum, rng):
+    # no scaling while every row sum of |m| is finite, however large or
+    # small the entries: the eigenpairs are eigh's bits
+    m = make_input(kind, rng, 9)
+    m = m * (row_sum / _row_sum(m))
+    if np.iscomplexobj(m) and not np.any(m.imag):
+        m = np.ascontiguousarray(m.real)
+    assert np.isfinite(_row_sum(m))
+    w, v = oracle.eig_hermitian(m)
+    w0, v0 = np.linalg.eigh(m)
+    assert np.array_equal(w.view(np.uint64), w0.view(np.uint64))
+    assert v.dtype == v0.dtype and np.array_equal(v.view(np.uint64), v0.view(np.uint64))
+
+
 def test_oracle_module_is_independent():
     # the verification path must not import the closed-form constructions
     import hjc.oracle as mod
