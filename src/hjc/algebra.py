@@ -113,17 +113,10 @@ def product_coeffs(tag: AlgebraTag, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     if tag is AlgebraTag.R:
         return np.add(x * y, 0.0)  # + 0.0 makes a -0 product +0, as the sum does
-    t = _flat_structure_constants(tag)
-    n = t.shape[0]
+    n = tag.dim
+    t = structure_constants(tag).reshape(n, n * n)  # a row of x times it is x's left-multiplication matrix, row-major
     left = (x.reshape(-1, n) @ t).reshape(x.shape[:-1] + (n, n))
     return (y[..., None, :] @ left)[..., 0, :]
-
-
-@functools.cache
-def _flat_structure_constants(tag: AlgebraTag) -> np.ndarray:
-    """:func:`structure_constants` as a (dim, dim * dim) matrix: a row of
-    coefficients times it is the left-multiplication matrix, row-major."""
-    return structure_constants(tag).reshape(tag.dim, tag.dim**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,5 +226,5 @@ def basis(tag: AlgebraTag, j: int) -> AlgebraElement:
     return AlgebraElement(tag, c)
 
 
-def random_element(tag: AlgebraTag, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    return AlgebraElement(tag, scale * rng.standard_normal(tag.dim))
+def random_element(tag: AlgebraTag, rng: np.random.Generator) -> AlgebraElement:
+    return AlgebraElement(tag, rng.standard_normal(tag.dim))

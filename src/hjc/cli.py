@@ -303,13 +303,12 @@ def _berry_columns(checks: berry.Checks) -> dict:
 
 
 def berry_chunk(pts: berry.Points) -> dict:
-    """The columns of the berry records of ``pts`` and their ||H|| =
-    max(1, r)."""
+    """The columns of the berry records of ``pts`` and their ||H|| = r."""
     return {
         "point.w.coeffs": pts.w,
         "point.z": pts.z,
         "point.norm_w": pts.norm_w,
-        _NORM: np.maximum(1.0, pts.r),
+        _NORM: pts.r,
         **_berry_columns(berry.check_points(pts)),
     }
 
@@ -378,7 +377,7 @@ def cmd_jc(args):
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
         "projector.form_agreement": form,
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
-        _NORM: max(1.0, float(radii[-1])),  # max_n R(n) = R(d - 1)
+        _NORM: float(radii[-1]),  # max_n R(n) = R(d - 1)
     }
     return [transpose([record])]
 
@@ -436,20 +435,14 @@ def cmd_grassmann(args):
         rec |= dict.fromkeys(("roundtrip_residual", "intermediate_identity_residual"))  # null where chart I is singular
         records.append(rec)
         try:
-            z = grassmann.local_coordinate(p)
+            z, m = grassmann.local_coordinate(p)
         except jc.SingularSectorError as err:
             rec["singular_levels"] = err.levels
             continue
         proj = grassmann.projector_from_coordinate(z)
-        # the upper-left block (1 + Z+Z)^-1, P0 P P0 with P0 = diag(1, 0),
-        # against its closed form (R1 + theta) / 2R1 = h1 / R1, R1 and h1 the
-        # row 1 radius and chart I half sum: the first row of jc._rows alone,
-        # not the chart's denominators and row 2, which would stay alive
-        # through jc.projector below
-        r1, h1 = next(jc._rows(p, 1.0))
+        # the upper-left block (1 + Z+Z)^-1, P0 P P0 with P0 = diag(1, 0)
         p0 = jc.block_diag(np.ones(args.dim), np.zeros(args.dim))
-        expected = jc.block_diag(h1 / r1, np.zeros(args.dim))
-        rec["intermediate_identity_residual"] = jc.block_residual(p0 @ proj @ p0, expected)
+        rec["intermediate_identity_residual"] = jc.block_residual(p0 @ proj @ p0, jc.block_diag(m, np.zeros(args.dim)))
         rec["roundtrip_residual"] = jc.block_residual(proj, jc.projector(p))
     return [transpose(records)]
 

@@ -22,8 +22,8 @@ class Tolerances:
     ``--tol-*`` option each.
 
     ``algebraic`` covers unitarity/idempotency/cocycle style identities,
-    ``reconstruction`` the chart reconstructions of a Hamiltonian (``hjc
-    jc`` multiplies it by max(1, max R(n)), the size of H), and
+    ``reconstruction`` the chart reconstructions of a Hamiltonian (the
+    judge of ``hjc jc`` multiplies it by max(1, ||H||)), and
     ``propagator`` the closed-form evolution against the eigendecomposition
     oracle.  Identities that the closed forms satisfy by construction (the
     ordering identity of the shifts, the Hermiticity of the projector) are

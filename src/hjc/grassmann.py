@@ -21,10 +21,12 @@ hold them against :func:`hjc.berry.projector_coeffs`.
 
 The two forms of Z are the ordering identity of the shift a+ and agree
 level by level, so :func:`local_coordinate` builds only the regular one,
-a+ (1/(R(N+1)+theta)); the identity itself is checked against dense Fock
-matrices by the tests of :func:`hjc.fock.shift_identity_check`.  Z is one
-subdiagonal and 1 + Z+Z is diagonal, so Z is held as its subdiagonal level
-vector, Z|n> = z[n] |n+1>, and P(Z) is built elementwise as a
+a+ (1/(R(N+1)+theta)), with the closed form of the diagonal of
+(1 + Z+Z)^-1, the upper-left block of P(Z); the identity itself is
+checked against dense Fock matrices by the tests of
+:func:`hjc.fock.shift_identity_check`.  Z is one subdiagonal and 1 + Z+Z
+is diagonal, so Z is held as its subdiagonal level vector,
+Z|n> = z[n] |n+1>, and P(Z) is built elementwise as a
 :class:`hjc.jc.BlockOperator`: both cost O(d).
 """
 
@@ -38,13 +40,17 @@ from .jc import BlockOperator, JCParams, admissible_denominators
 __all__ = ["local_coordinate", "projector_from_coordinate"]
 
 
-def local_coordinate(p: JCParams) -> np.ndarray:
-    """Z's subdiagonal level vector in its regular form a+ (1/(R(N+1)+theta)),
-    z[n] = sqrt(n+1)/(R(n+1)+theta) for n = 0 .. d-2; raises
+def local_coordinate(p: JCParams):
+    """(z, m): Z's subdiagonal level vector in its regular form
+    a+ (1/(R(N+1)+theta)), z[n] = sqrt(n+1)/(R(n+1)+theta) for n = 0 .. d-2,
+    and the diagonal m = h1/R1 = (R1 + theta)/2R1 of (1 + Z+Z)^-1, R1 the
+    row 1 radius (|theta| at the top level, where m is 1) and h1 the chart I
+    half sum, both from the one chart I evaluation that gives z.  Raises
     :class:`hjc.jc.SingularSectorError` where chart I is singular (ground
     level, theta <= 0), as :func:`hjc.jc.singular_sectors` reports it."""
-    (_, shifted, _), _ = admissible_denominators(p, ChartTag.I)
-    return 0.5 * np.sqrt(np.arange(1.0, p.dim)) / shifted[:-1]  # half the subdiagonal of a+, over the half sums
+    (r1, shifted, _), _ = admissible_denominators(p, ChartTag.I)
+    z = 0.5 * np.sqrt(np.arange(1.0, p.dim)) / shifted[:-1]  # half the subdiagonal of a+, over the half sums
+    return z, shifted / r1
 
 
 def projector_from_coordinate(z) -> BlockOperator:

@@ -393,6 +393,10 @@ def _normalizer(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     return 0.5 / (np.sqrt(0.5 * r) * np.sqrt(0.5 * h))
 
 
+# The sign s of each chart's half sum (R + s theta)/2 and core (R + s H sigma_z)/2
+_SIGN = {ChartTag.I: 1.0, ChartTag.II: -1.0}
+
+
 def row_radii(p: JCParams):
     """Level values of the radius sqrt(H^2) in each block row:
     sqrt(a a+ + theta^2), which is R(N+1) below the top level and |theta|
@@ -406,7 +410,7 @@ def chart_denominators(p: JCParams, chart: ChartTag):
     s = +1 for chart I and -1 for chart II.  Where the sum cancels,
     R (2h) = m R / (R + |theta|) <= m, so only the other side can exceed the
     double range, and there the denominator reads inf (never singular)."""
-    return [(r, h, _denominator(r, h)) for r, h in _rows(p, 1.0 if chart is ChartTag.I else -1.0)]
+    return [(r, h, _denominator(r, h)) for r, h in _rows(p, _SIGN[chart])]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,7 @@ def _chart(c: _Coupling, rows, chart: ChartTag) -> BlockOperator:
     Chart II swaps its column blocks and negates the new second one, which
     keeps V_I Phi = V_II for the transition operator Phi."""
     (r1, h1, *_), (r2, h2, *_) = rows
-    s = 1.0 if chart is ChartTag.I else -1.0
+    s = _SIGN[chart]
     core = _form(c, h1, h2, -0.5 * s, 0.5 * s)
     if chart is ChartTag.II:
         swapped = tuple((b, {k: -v for k, v in a.items()}) for a, b in core.diags)
@@ -501,7 +505,7 @@ def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
     its radius is the untruncated R(N+1)).
     """
     c = _middle(p.dim)
-    return _chart(c, _rows(p, 1.0 if chart is ChartTag.I else -1.0, coupling=c), chart)
+    return _chart(c, _rows(p, _SIGN[chart], coupling=c), chart)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Null is None in a list, or NaN in a nullable float array, which has no
 None.  A nullable nested record also has a column at its own path, true
 where the object is present; where it is absent its fields are neither
 judged nor written.  The ||H|| column a :class:`Record` names as its
-``norm`` is declared by no field, and no writer reads it.
+``norm`` is declared by no field, and no writer reads it; the judge
+floors it at 1.
 
 :func:`judge` gives every record of a chunk its ``pass`` as array
 comparisons, one per declared residual read as a float array (None is
@@ -68,7 +69,8 @@ class Record:
     """A JSON object made of declared :class:`Field` s.  ``norm`` names the
     column of a chunk that holds the size of every record's Hamiltonian,
     ||H||, which the command computes beside the declared columns; the
-    residuals declared ``rel`` are held to their tolerance times it."""
+    residuals declared ``rel`` are held to their tolerance times
+    max(1, ||H||), the floor :func:`judge` applies."""
 
     def __init__(self, *fields: "Field", norm: Optional[str] = None):
         self.fields = fields
@@ -86,15 +88,15 @@ class Field:
     an array of ``item``, or a :class:`Record`.  ``null`` lets the value be
     null (a check that does not apply).  A residual names the
     :class:`~hjc.config.Tolerances` field it must stay within (``tol``),
-    times the enclosing record's ||H|| when ``rel`` is set: a residual of H
-    itself, which a backward-stable product or eigensolver leaves at about
-    eps ||H||.  ``ok`` is a structural verdict on the value.  ``csv`` is the
-    CSV column, or the column prefix of a nested record: True uses the
-    field name (``name_`` as a prefix), False leaves the field out.  With
-    ``rows`` every item of the field becomes one CSV row after the record's
-    own columns; the items of a record are keyed by field name in the
-    column ``csv``.  ``json`` False keeps a CSV-only column out of the JSON
-    record.
+    times max(1, ||H||) of the enclosing record when ``rel`` is set: a
+    residual of H itself, which a backward-stable product or eigensolver
+    leaves at about eps ||H||.  ``ok`` is a structural verdict on the
+    value.  ``csv`` is the CSV column, or the column prefix of a nested
+    record: True uses the field name (``name_`` as a prefix), False leaves
+    the field out.  With ``rows`` every item of the field becomes one CSV
+    row after the record's own columns; the items of a record are keyed by
+    field name in the column ``csv``.  ``json`` False keeps a CSV-only
+    column out of the JSON record.
     """
 
     name: str
@@ -188,12 +190,12 @@ def _within(f: Field, col, limit) -> np.ndarray:
 
 
 def _judge(rec: Record, cols: dict, tol: Tolerances, norm, prefix: str, checks=None):
-    """:func:`judge` of the record at path ``prefix``, ``norm`` the ||H||
-    column around it.  A nested record that is never null and declares no
-    ``pass`` adds its checks to ``checks``, those of the record around it,
-    and returns None."""
+    """:func:`judge` of the record at path ``prefix``, ``norm`` the
+    max(1, ||H||) column around it.  A nested record that is never null
+    and declares no ``pass`` adds its checks to ``checks``, those of the
+    record around it, and returns None."""
     if rec.norm is not None:
-        norm = np.asarray(cols[rec.norm], dtype=float)
+        norm = np.maximum(1.0, np.asarray(cols[rec.norm], dtype=float))
     own = checks is None
     if own:
         checks = []
@@ -220,12 +222,14 @@ def _judge(rec: Record, cols: dict, tol: Tolerances, norm, prefix: str, checks=N
 
 def judge(rec: Record, cols: dict, tol: Tolerances) -> np.ndarray:
     """Whether each record of a column chunk passes: every residual within
-    its tolerance (times the ||H|| column named by ``norm`` where declared
-    ``rel``) or null where the field may be, every verdict true and every
-    present nested record passing.  Stores the verdict as the ``pass``
-    column of every record that declares one.  Each verdict is one numpy
-    reduction over all its checks."""
-    return _judge(rec, cols, tol, None, "")
+    its tolerance (times max(1, ||H||), ||H|| the column named by ``norm``,
+    where declared ``rel``) or null where the field may be, every verdict
+    true and every present nested record passing.  Stores the verdict as
+    the ``pass`` column of every record that declares one.  Each verdict is
+    one numpy reduction over all its checks.  A limit beyond the double
+    range is inf, without a warning: it bounds nothing."""
+    with np.errstate(over="ignore"):  # the one product the judge forms is a limit, tol x max(1, ||H||)
+        return _judge(rec, cols, tol, None, "")
 
 
 # ---------------------------------------------------------------------------

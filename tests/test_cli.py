@@ -1105,8 +1105,8 @@ def _norms(command) -> list:
 
 @pytest.mark.parametrize("command", ["berry", "evolve", "grassmann", "jc"])
 def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_of):
-    # the column judge: the limit is the tolerance, times the record's
-    # ||H|| for a residual of H itself; null passes only in a nullable
+    # the column judge: the limit is the tolerance, times max(1, ||H||) of
+    # the record for a residual of H itself; null passes only in a nullable
     # field, given as None in a list column or as NaN in a float array
     payload = json.loads(_report(capsys, command, "json"))
     decl = cli.RECORDS[command]
@@ -1116,7 +1116,7 @@ def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_
     assert any(f.rel for _, f in cases.values()) == (command in ("berry", "jc"))
     assert len(norms) == (len(payload["records"]) if decl.norm else 0)
     for path, (i, f) in cases.items():
-        norm = norms[i] if f.rel else 1.0
+        norm = max(1.0, norms[i]) if f.rel else 1.0
         tol = getattr(cli.DEFAULT, f.tol) * norm
         for value, verdict in ((tol, True), (np.nextafter(tol, np.inf), False), (None, f.null)):
             mutated = json.loads(json.dumps(payload["records"][i]))
@@ -1137,11 +1137,11 @@ def test_any_residual_above_tolerance_fails_the_record(command, capsys, columns_
 @pytest.mark.parametrize("d", [2, 7, 300])
 @pytest.mark.parametrize("theta", [0.0, 5e-324, -5e-324, 0.5, -0.5, 1e200, -1e200, 1.7e308, -1.7e308])
 def test_jc_norm_is_the_last_row_radius_bit_for_bit(theta, d, radius):
-    # the ||H|| column of hjc jc is max(1, R(d - 1)), the last row 2 radius,
-    # bit for bit as the tests' reference radius forms it
+    # the ||H|| column of hjc jc is R(d - 1), the last row 2 radius, bit
+    # for bit as the tests' reference radius forms it; the judge floors it
     (cols,) = cli.cmd_jc(argparse.Namespace(theta=theta, dim=d, g=1.0))
     norm = cols[cli.RECORDS["jc"].norm]
-    assert np.array_equal(np.array(norm).view(np.uint64), np.array([max(1.0, radius(d, theta)[-1])]).view(np.uint64))
+    assert np.array_equal(np.array(norm).view(np.uint64), radius(d, theta)[-1:].view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -1264,9 +1264,10 @@ def test_judge_is_the_plain_per_record_walk(records, arrays, columns_of):
     # list columns (records built as dicts) and float or bool arrays (records
     # built as columns), in any mix, get one verdict: None and NaN are null,
     # which passes only where the field is declared null; opt.r is null
-    # only where opt is.  ||H|| is the chunk's "norm" column, max(1, |h|)
+    # only where opt is.  ||H|| is the chunk's "norm" column, |h|, which the
+    # judge floors at 1
     cols = columns_of(_JUDGED, records)
-    cols["norm"] = [max(1.0, abs(rec["h"])) for rec in records]
+    cols["norm"] = [abs(rec["h"]) for rec in records]
     for path in arrays:
         if path == "opt":
             cols[path] = np.array(cols[path], dtype=bool)
@@ -1277,6 +1278,30 @@ def test_judge_is_the_plain_per_record_walk(records, arrays, columns_of):
     assert verdict.dtype == bool and verdict.tolist() == [e["pass"] for e in expected]
     for path in ("pass", "inner.pass"):
         assert isinstance(cols[path], np.ndarray) and cols[path].tolist() == [e[path] for e in expected]
+
+
+@pytest.mark.parametrize("norm", [0.25, 4.0])
+def test_judge_holds_a_relative_residual_to_the_tolerance_times_max_1_norm(norm):
+    # the judge floors ||H|| at 1: a residual of H is held to tol where the
+    # norm column reads 0.25 and to 4 tol where it reads 4
+    decl = report.Record(
+        report.Field("r", report.NUM, tol="reconstruction", rel=True), report.Field("pass", report.BOOL), norm="norm"
+    )
+    limit = DEFAULT.reconstruction * max(1.0, norm)
+    for value, verdict in ((limit, True), (np.nextafter(limit, np.inf), False)):
+        for norms in ([norm], np.array([norm])):
+            assert cli.judge(decl, {"r": np.array([value]), "norm": norms}, DEFAULT).tolist() == [verdict]
+
+
+@pytest.mark.parametrize("argv", [["berry", "--tol-algebraic=1.7e308"], ["jc", "--tol-reconstruction=1e300", "--theta=1e10"]])
+def test_a_relative_limit_beyond_the_double_range_bounds_nothing(argv):
+    # tol x max(1, ||H||) overflows to an infinite limit, without a warning
+    # even when warnings are errors
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hjc.cli", *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    jsonschema.validate(json.loads(proc.stdout), cli.SCHEMAS[argv[0]])
 
 
 # ---------------------------------------------------------------------------

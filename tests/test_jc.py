@@ -484,6 +484,18 @@ def test_closed_forms_evaluate_each_row_once(theta, build, signs, monkeypatch):
     assert calls == [((7,), signs)] * 2
 
 
+@pytest.mark.parametrize("thetas", [(0.5,), (-0.5,), (0.0, 2.0, -1.0, 0.25)])
+def test_grassmann_command_evaluates_the_rows_once_per_build(thetas, monkeypatch):
+    # per admissible theta: chart I's two rows give the coordinate and the
+    # closed form of (1 + Z+Z)^-1, the projector's two rows the round trip;
+    # per singular theta: chart I's two rows alone
+    calls = _count_radius_calls(monkeypatch)
+    args = cli.build_parser().parse_args(["grassmann", "--theta=" + ",".join(map(str, thetas)), "--dim=7"])
+    cli._validate(args)
+    list(cli.cmd_grassmann(args))
+    assert len(calls) == sum(4 if theta > 0 else 2 for theta in thetas)
+
+
 # ---------------------------------------------------------------------------
 # every closed form's level vectors, as the layouts stated per operator give them
 
@@ -855,7 +867,7 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
     assert max_abs((plus - minus).full(), oracle_abs) <= 1e-12
     assert max_abs(jc.block_diag(*jc.row_radii(p)).full(), oracle_abs) <= 1e-12
     if theta > 1e-7:
-        z = grassmann.projector_from_coordinate(grassmann.local_coordinate(p))
+        z = grassmann.projector_from_coordinate(grassmann.local_coordinate(p)[0])
         assert max_abs(z.full(), oracle_proj) <= proj_tol
     for t in (0.3, 2.0, 7.5):
         assert max_abs(jc.propagator(p, t).full(), expm_from_eig(w, v, p.g * t)) <= 1e-12
@@ -986,7 +998,7 @@ def test_closed_forms_at_real_theta_store_float64_level_vectors(theta):
     p = JCParams(theta=theta, dim=7, g=0.5)
     ops = [jc.hamiltonian(p), jc.projector(p)] + [jc.chart_diagonal(p, chart) for chart in ChartTag]
     builds = [functools.partial(jc.chart_unitary, p, chart) for chart in ChartTag]
-    for build in builds + [lambda: grassmann.projector_from_coordinate(grassmann.local_coordinate(p))]:
+    for build in builds + [lambda: grassmann.projector_from_coordinate(grassmann.local_coordinate(p)[0])]:
         try:
             ops.append(build())
         except SingularSectorError:  # only where a chart is singular
