@@ -10,9 +10,10 @@ flags; nothing is read from the environment.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
-usage or configuration error.  A phase of ``evolve`` beyond the double
-range (extreme detuning or frequency) is NaN, not a warning, so its
-records fail.  Output is JSON
+usage or configuration error, or a request too large to allocate (numpy's
+one-line message, no traceback; an ``--out`` file is left as it was).  A
+phase of ``evolve`` beyond the double range (extreme detuning or
+frequency) is NaN, not a warning, so its records fail.  Output is JSON
 (``"schema": 6`` envelope) or CSV with ``#``-prefixed header lines; both
 are byte-identical across runs with the same ``--seed`` (default 0).
 
@@ -346,10 +347,10 @@ def _jc_chart(p, chart, h, ident):
     """A chart's record and its unitary with its adjoint, None where the
     chart is inadmissible; ``ident`` is the identity of the space."""
     try:
-        dec = jc.chart_decompose(p, chart)
+        v, d = jc.chart_decompose(p, chart)
     except jc.SingularSectorError as err:
         return {"singular_levels": err.levels, "reconstruction": None, "unitarity": None}, None
-    v, d, vh = dec.unitary, dec.diagonal, dec.unitary.dagger()
+    vh = v.dagger()
     return {
         "singular_levels": [],
         "reconstruction": jc.block_residual((v @ d) @ vh, h),
@@ -638,6 +639,8 @@ def main(argv=None) -> int:
             # is left goes to devnull, so no second error is printed
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
+        if isinstance(exc, MemoryError):  # a request too large for this machine
+            parser.error(str(exc) or "out of memory")
         raise
     return 0 if failures == 0 else 1
 

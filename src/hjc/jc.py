@@ -12,14 +12,16 @@ sqrt(H^2): each chart has an operator-valued unitary, a diagonal factor
 built from the radius, a transition operator, a globally defined
 projector and a closed-form propagator.
 
-Coupling: H = [[theta, W+], [W, -theta]] with the coupling W = a+ (and
-W = sqrt(N+1) for the two-step middle matrix), stated once, in
-:func:`_jc` (:func:`_middle`).  H^2 = theta^2 + diag(W+ W, W W+) is
+Coupling: H = [[theta, W+], [W, -theta]] with the coupling W = a+,
+stated once, in :func:`_jc`.  H^2 = theta^2 + diag(W+ W, W W+) is
 diagonal, so with the row radii R = sqrt(H^2) and sigma_z = diag(1, -1)
 every closed form is one formula over (theta, W): the projector
 (1 + R^-1 H)/2, the propagator cos(gtR) - i sin(gtR) R^-1 H and the chart
 unitary N (R + s H sigma_z)/2, s = +1 for chart I and -1 for chart II, N
-twice the normalizer diag(2 R (R + s theta))^-1/2 (:func:`chart_unitary`).
+twice the normalizer diag(2 R (R + s theta))^-1/2 (:func:`chart_decompose`).
+The two-step middle matrix [[theta, sqrt(N+1)], [sqrt(N+1), -theta]] is,
+level by level, Berry's Hamiltonian at |w|^2 = n + 1, z = theta, whose
+charts :mod:`hjc.berry` builds; the tests hold both against each other.
 
 Truncation: on C^2 (x) F_d the square H^2 = diag(a a+ + theta^2,
 a+ a + theta^2) holds exactly, so the radius of block row 1 is
@@ -88,7 +90,6 @@ __all__ = [
     "SECTOR_STATUSES",
     "SectorReport",
     "SingularSectorError",
-    "ChartDecomposition",
     "block_diag",
     "block_residual",
     "row_radii",
@@ -96,9 +97,6 @@ __all__ = [
     "admissible_denominators",
     "hamiltonian",
     "full_hamiltonian",
-    "two_step_factors",
-    "middle_unitary",
-    "chart_unitary",
     "chart_decompose",
     "singular_sectors",
     "transition_operator",
@@ -353,12 +351,6 @@ def _jc(d: int) -> _Coupling:
     return _Coupling(d, -1, lambda row: np.arange(d, dtype=float) if row else np.append(np.arange(1.0, d), 0.0))
 
 
-def _middle(d: int) -> _Coupling:
-    """The coupling W = sqrt(N + 1) of the two-step middle matrix M, on
-    offset 0: W+ W = W W+ = N + 1 up to the top level."""
-    return _Coupling(d, 0, lambda row: np.arange(1.0, d + 1))
-
-
 def _radius(m: np.ndarray, theta: float, *signs: float):
     """R = hypot(sqrt(m), theta) on the level numbers m of one block row
     and, per sign s, the half sum (R + s theta)/2: the one place either is
@@ -372,10 +364,10 @@ def _radius(m: np.ndarray, theta: float, *signs: float):
     return (r, *(h0 if s * theta >= 0.0 else np.divide(q := 0.25 * m, h0, out=q) for s in signs))
 
 
-def _rows(p: JCParams, *signs: float, coupling: Optional[_Coupling] = None):
+def _rows(p: JCParams, *signs: float):
     """:func:`_radius` of each block row, on the levels of W+ W and W W+ of
-    ``coupling`` (the Jaynes-Cummings one of :func:`_jc` by default)."""
-    c = _jc(p.dim) if coupling is None else coupling
+    the coupling of :func:`_jc`."""
+    c = _jc(p.dim)
     for row in range(2):
         yield _radius(c.levels(row), p.theta, *signs)
 
@@ -473,42 +465,6 @@ def _free_levels(d: int, omega: float):
 
 
 # ---------------------------------------------------------------------------
-# Two-step factorization and middle matrix
-
-
-def two_step_factors(p: JCParams):
-    """Operator analogue (L, M, L+) of the classical two-step split.
-
-    L = diag(1, a+ (1/sqrt(N+1))) with the lower entry realized as the
-    exact unit raising shift, M = [[theta, sqrt(N+1)], [sqrt(N+1), -theta]].
-
-    L M L+ reproduces the Hamiltonian everywhere except the lower-right
-    ground entry, where it gives -theta (1 - |0><0|) instead of -theta:
-    the product misses the one-dimensional ground sector exactly, which is
-    the algebraic seed of the quantum string.  L L+ = diag(1, 1 - |0><0|)
-    bitwise; L+ L = diag(1, 1 - |d-1><d-1|) from the truncation.
-    """
-    d = p.dim
-    left = BlockOperator(d, (({0: np.ones(d)}, {}), ({}, {-1: np.ones(d - 1)})))
-    mid = _form(_middle(d), np.full(d, p.theta), np.full(d, -p.theta), 1.0, 1.0)
-    return left, mid, left.dagger()
-
-
-def middle_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Diagonalizing unitary of the middle matrix M: the chart unitary of
-    its coupling W = sqrt(N+1) (see :func:`_chart`).
-
-    Both charts use R(N+1) throughout, so for every theta the denominators
-    2 R(n+1) (R(n+1) +- theta) are at least n + 1 and both charts exist.
-    M = U diag(R(N+1), -R(N+1)) U+ exactly on the full space (everything
-    is diagonal per level, and M keeps sqrt(N+1) up to the top level, so
-    its radius is the untruncated R(N+1)).
-    """
-    c = _middle(p.dim)
-    return _chart(c, _rows(p, _SIGN[chart], coupling=c), chart)
-
-
-# ---------------------------------------------------------------------------
 # Singular sector analysis
 
 
@@ -602,42 +558,29 @@ def admissible_denominators(p: JCParams, chart: ChartTag):
     return rows
 
 
-def chart_unitary(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Operator-valued chart unitary V = N (R + s H sigma_z)/2 of
-    :func:`_chart`: the normalizer diag(1/(sqrt(2R) sqrt(2h))) of the row
-    radii on the left of the unnormalized chart matrix, held at twice and
-    half their values so that no entry exceeds the double range (the
-    products are V's entries exactly).  The normalizer on the right (its
-    two rows swapped for chart II) gives the same level values by the
-    ordering identity (R(N) + theta)^-1 a+ = a+ (R(N+1) + theta)^-1, so
-    only this form is built.  Raises :class:`SingularSectorError` for the theta sign whose
-    ground-level denominator vanishes.
+def chart_decompose(p: JCParams, chart: ChartTag):
+    """The chart unitary V and the diagonal factor D, with H = V D V+
+    exactly on the whole truncated space, the one-level sectors |g,0> and
+    |e,d-1> included, both from one evaluation of the chart's rows.
+
+    V = N (R + s H sigma_z)/2 of :func:`_chart`: the normalizer
+    diag(1/(sqrt(2R) sqrt(2h))) of the row radii on the left of the
+    unnormalized chart matrix, held at twice and half their values so that
+    no entry exceeds the double range (the products are V's entries
+    exactly).  The normalizer on the right (its two rows swapped for chart
+    II) gives the same level values by the ordering identity
+    (R(N) + theta)^-1 a+ = a+ (R(N+1) + theta)^-1, so only this form is
+    built.  D = diag(R1, -R(N)) for chart I and diag(R(N), -R1) for chart
+    II, R1 the row 1 radius of :func:`row_radii` (R(N+1) below the top
+    level, |theta| at it): together the two carry the truncated spectrum
+    {+-R(n) : n = 0 .. d-1} exactly, +-theta included.  Raises
+    :class:`SingularSectorError` for the theta sign whose ground-level
+    denominator vanishes.
     """
-    return _chart(_jc(p.dim), admissible_denominators(p, chart), chart)
-
-
-def chart_diagonal(p: JCParams, chart: ChartTag) -> BlockOperator:
-    """Eigenvalue factor: diag(R1, -R(N)) for chart I and diag(R(N), -R1)
-    for chart II, R1 the row 1 radius of :func:`row_radii` (R(N+1) below
-    the top level, |theta| at it).  Together the two carry the truncated
-    spectrum {+-R(n) : n = 0 .. d-1} exactly, +-theta included."""
-    r1, r2 = row_radii(p)
-    return block_diag(r1, -r2) if chart is ChartTag.I else block_diag(r2, -r1)
-
-
-@dataclass(frozen=True)
-class ChartDecomposition:
-    """Unitary and diagonal factor of a chart."""
-
-    unitary: BlockOperator
-    diagonal: BlockOperator
-
-
-def chart_decompose(p: JCParams, chart: ChartTag) -> ChartDecomposition:
-    """Chart unitary V and diagonal factor D with H = V D V+ exactly on the
-    whole truncated space, the one-level sectors |g,0> and |e,d-1>
-    included."""
-    return ChartDecomposition(chart_unitary(p, chart), chart_diagonal(p, chart))
+    rows = admissible_denominators(p, chart)
+    (r1, *_), (r2, *_) = rows
+    diagonal = block_diag(r1, -r2) if chart is ChartTag.I else block_diag(r2, -r1)
+    return _chart(_jc(p.dim), rows, chart), diagonal
 
 
 def transition_operator(d: int) -> BlockOperator:
@@ -705,7 +648,7 @@ def propagator(p: JCParams, t) -> BlockOperator:
     and a check of them fails.
     """
     c = _jc(p.dim)
-    r1, r0 = (r for r, in _rows(p, coupling=c))
+    r1, r0 = (r for r, in _rows(p))
     with np.errstate(over="ignore", invalid="ignore"):
         tg = p.g * np.asarray(t, dtype=float)[..., None]
         (c1, s1), (c0, s0) = ((np.cos(tg * r), np.sin(tg * r)) for r in (r1, r0))

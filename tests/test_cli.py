@@ -430,6 +430,38 @@ def test_out_dev_stdout_appended_to_a_file_keeps_its_earlier_content(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["log.txt"]
 
 
+# numpy's message for the dense oracle matrix of d = 20000
+_NO_MEMORY = "Unable to allocate 11.9 GiB for an array with shape (40000, 40000) and data type float64"
+_TOO_LARGE = {"jc": ["jc", "--dim=20000"], "evolve": ["evolve", "--dim=20000", "--t-steps=2", "--format=csv"]}
+
+
+@pytest.mark.parametrize("command", list(_TOO_LARGE))
+def test_a_request_too_large_to_allocate_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    # the dense export refuses the allocation here without trying it
+    def refuse(op):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(jc.BlockOperator, "full", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_TOO_LARGE[command])
+    assert exc.value.code == 2 and _NO_MEMORY in capsys.readouterr().err
+    # as a command: no traceback, and an existing --out file keeps its bytes
+    target = tmp_path / "report"
+    target.write_bytes(b"the previous report\n")
+    script = (
+        "import sys; from hjc import cli, jc\n"
+        "def refuse(op): raise MemoryError(sys.argv[1])\n"
+        "jc.BlockOperator.full = refuse\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+    argv = [sys.executable, "-c", script, _NO_MEMORY, *_TOO_LARGE[command], "--out", str(target)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert _NO_MEMORY in proc.stderr and "Traceback" not in proc.stderr
+    assert target.read_bytes() == b"the previous report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
 @pytest.mark.parametrize("command", ["berry", "jc"])
 def test_unwritable_out_is_a_usage_error_before_any_computation(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: pytest.fail("computed before the output was opened"))
@@ -648,8 +680,13 @@ def test_a_jc_chart_is_admissible_exactly_where_both_its_residuals_are_present(t
 
 
 def _shift_chart_diagonal(mp, shift):
-    orig = jc.chart_diagonal
-    mp.setattr(jc, "chart_diagonal", lambda p, chart: orig(p, chart) + shift * jc.BlockOperator.identity(p.dim))
+    orig = jc.chart_decompose
+
+    def shifted(p, chart):
+        v, d = orig(p, chart)
+        return v, d + shift * jc.BlockOperator.identity(p.dim)
+
+    mp.setattr(jc, "chart_decompose", shifted)
 
 
 def _shift_spectral(mp, shift):

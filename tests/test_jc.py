@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import expm_from_eig
 
-from hjc import cli, fock, grassmann, jc, oracle
+from hjc import berry, cli, fock, grassmann, jc, oracle
+from hjc.algebra import AlgebraTag
 from hjc.berry import ChartTag
 from hjc.config import ILL_CONDITIONED, SINGULAR_THRESHOLD
 from hjc.jc import BlockOperator, JCParams, SingularSectorError
@@ -185,65 +186,99 @@ def test_eigenvalue_multiset(radius):
 
 
 # ---------------------------------------------------------------------------
-# two-step factorization
+# two-step factorization, written out densely over hjc.fock
 
 
-def test_two_step_resonance_middle():
-    _, mid, _ = jc.two_step_factors(JCParams(theta=0.0, dim=3))
-    sq = np.diag(np.sqrt([1.0, 2.0, 3.0])).astype(complex)
-    assert np.max(np.abs(block(mid, 0, 1) - sq)) == 0.0
-    assert np.max(np.abs(block(mid, 1, 0) - sq)) == 0.0
-    assert np.max(np.abs(block(mid, 0, 0))) == 0.0
+def two_step_factors(theta, d):
+    """Dense (L, M) of the operator analogue of the classical two-step
+    split: L = diag(1, a+ (1/sqrt(N+1))), the lower entry the exact unit
+    raising shift, and the real middle matrix
+    M = [[theta, sqrt(N+1)], [sqrt(N+1), -theta]]."""
+    zero = np.zeros((d, d))
+    left = np.block([[np.eye(d), zero], [zero, fock.unit_raising(d)]])
+    w = np.diag(np.sqrt(np.arange(1.0, d + 1)))
+    return left, np.block([[theta * np.eye(d), w], [w, -theta * np.eye(d)]])
 
 
 def test_two_step_partial_isometries():
+    # L L+ = diag(1, 1 - |0><0|) and L+ L = diag(1, 1 - |d-1><d-1|), exactly
     d = 16
-    left, _, right = jc.two_step_factors(JCParams(theta=0.5, dim=d))
+    left, _ = two_step_factors(0.5, d)
     lower_deficiency = np.ones(d)
     lower_deficiency[0] = 0.0
-    assert np.array_equal((left @ right).full(), np.diag(np.append(np.ones(d), lower_deficiency)))
+    assert np.array_equal(left @ left.conj().T, np.diag(np.append(np.ones(d), lower_deficiency)))
     top_deficiency = np.ones(d)
     top_deficiency[d - 1] = 0.0
-    assert np.array_equal((right @ left).full(), np.diag(np.append(np.ones(d), top_deficiency)))
+    assert np.array_equal(left.conj().T @ left, np.diag(np.append(np.ones(d), top_deficiency)))
 
 
 @pytest.mark.parametrize("theta", [0.5, -0.8, 0.0])
 def test_two_step_reconstruction_defect(theta):
     # L M L+ equals H everywhere except the ground entry of the lower
     # block, which comes out -theta(1 - |0><0|): the defect is exactly
-    # theta |0><0|, the seed of the quantum string.
+    # theta |g,0><g,0|, the seed of the quantum string
     d = 16
-    p = JCParams(theta=theta, dim=d)
-    left, mid, right = jc.two_step_factors(p)
-    diff = ((left @ mid) @ right - jc.hamiltonian(p)).full()
-    assert abs(diff[d, d] - theta) <= 1e-15
-    diff[d, d] = 0.0
-    assert np.max(np.abs(diff)) <= 1e-13
+    left, mid = two_step_factors(theta, d)
+    diff = left @ mid @ left.conj().T - jc.hamiltonian(JCParams(theta=theta, dim=d)).full()
+    defect = np.zeros((2 * d, 2 * d))
+    defect[d, d] = theta
+    assert np.array_equal(diff, defect)
 
 
 # ---------------------------------------------------------------------------
-# middle unitaries
+# the middle matrix's charts are Berry's
+
+
+def middle_chart_levels(theta, d, chart):
+    """Per level n, the 2x2 block of the middle matrix's chart unitary
+    N (R + s M sigma_z)/2 on its coupling W = sqrt(N+1), written out as the
+    JC chart formula is: R = R(n+1), the half sum h = (R + s theta)/2 from
+    the halves, or (n+1)/(4 h0) with h0 = (R + |theta|)/2 where R + s theta
+    cancels, and N = 0.5/(sqrt(R/2) sqrt(h/2)).  Shape (d, 2, 2)."""
+    m = np.arange(1.0, d + 1)
+    r, a = np.hypot(np.sqrt(m), theta), abs(theta)
+    h0 = 0.5 * r + 0.5 * a if a > 2.0**1022 else 0.5 * (r + a)
+    s = 1.0 if chart is ChartTag.I else -1.0
+    h = h0 if s * theta >= 0.0 else 0.25 * m / h0
+    f = 0.5 / (np.sqrt(0.5 * r) * np.sqrt(0.5 * h))
+    diag, off = f * h, f * (0.5 * np.sqrt(m))
+    if chart is ChartTag.I:
+        return np.stack([np.stack([diag, -off], -1), np.stack([off, diag], -1)], -2)
+    return np.stack([np.stack([off, -diag], -1), np.stack([diag, off], -1)], -2)
+
+
+def berry_middle_chart(theta, d, chart):
+    """berry.chart_coeffs over C at w = sqrt(n+1), z = theta, n = 0 .. d-1:
+    real 2x2 blocks, shape (d, 2, 2)."""
+    w = np.stack([np.sqrt(np.arange(1.0, d + 1)), np.zeros(d)], -1)
+    u = berry.chart_coeffs(berry.Points.of(AlgebraTag.C, w, np.full(d, theta)), chart)
+    assert not np.any(u[..., 1])
+    return u[..., 0]
+
+
+@pytest.mark.parametrize("d", [2, 7, 300])
+@pytest.mark.parametrize("theta", [0.0, 5e-324, -5e-324, 1e-8, -1e-8, 0.5, -0.5, 3.0, -3.0, 1e200, -1e200, 1.7e308, -1.7e308])
+@pytest.mark.parametrize("chart", list(ChartTag))
+def test_middle_chart_is_berrys_chart(chart, theta, d):
+    # each level's block of the middle unitary is Berry's chart at
+    # |w|^2 = n + 1, z = theta; the largest gap is 8 eps, at |theta| =
+    # 1.7e308, where the cancelling half sum (n+1)/(4 h0) is subnormal
+    gap = np.max(np.abs(berry_middle_chart(theta, d, chart) - middle_chart_levels(theta, d, chart)))
+    assert gap <= 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("theta", [0.5, -0.5, 1.0, 0.0])
 @pytest.mark.parametrize("chart", list(ChartTag))
-def test_middle_unitary_diagonalizes(theta, chart, radius):
-    # denominators carry R(N+1) only, so both charts exist for every theta
+def test_middle_chart_diagonalizes(theta, chart, radius):
+    # Berry's chart, assembled level by level, diagonalizes the dense middle
+    # matrix with diag(R(N+1), -R(N+1)): both charts exist for every theta
     d = 16
-    p = JCParams(theta=theta, dim=d)
-    u = jc.middle_unitary(p, chart)
-    assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-12
-    _, mid, _ = jc.two_step_factors(p)
+    u = berry_middle_chart(theta, d, chart)
+    dense = np.block([[np.diag(u[:, i, j]) for j in range(2)] for i in range(2)])
     r1 = radius(d, theta, 1)
-    lam = jc.block_diag(r1, -r1)
-    assert jc.block_residual((u @ lam) @ u.dagger(), mid) <= 1e-12
-
-
-def test_middle_unitary_denominator_floor(radius):
-    p = JCParams(theta=1.0, dim=8)
-    r1 = radius(8, 1.0, 1)
-    dens = 2.0 * r1 * (r1 + 1.0)
-    assert dens.min() >= 4.0  # n = 0 gives 2 * 1 * 2
+    _, mid = two_step_factors(theta, d)
+    assert max_abs(dense.T @ dense, np.eye(2 * d)) <= 1e-12
+    assert max_abs((dense * np.append(r1, -r1)) @ dense.T, mid) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +293,7 @@ def test_chart_unitarity_and_orderings(theta, chart):
     # (R(N) + s theta)^-1 a+ = a+ (R(N+1) + s theta)^-1
     d = 24
     p = JCParams(theta=theta, dim=d)
-    v = jc.chart_unitary(p, chart)
+    v, _ = jc.chart_decompose(p, chart)
     assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
     s = 1.0 if chart is ChartTag.I else -1.0
     r1, r0 = jc.row_radii(p)
@@ -285,10 +320,10 @@ def test_chart_unitarity_and_orderings(theta, chart):
 def test_chart_singularities(theta, chart, ok):
     p = JCParams(theta=theta, dim=12)
     if ok:
-        jc.chart_unitary(p, chart)
+        jc.chart_decompose(p, chart)
         return
     with pytest.raises(SingularSectorError) as err:
-        jc.chart_unitary(p, chart)
+        jc.chart_decompose(p, chart)
     assert err.value.chart is chart
     assert err.value.sectors == ((2, 0),) and err.value.levels == [0]
 
@@ -297,35 +332,33 @@ def test_chart_singularities(theta, chart, ok):
 def test_chart_reconstruction(theta, chart):
     d = 32
     p = JCParams(theta=theta, dim=d)
-    dec = jc.chart_decompose(p, chart)
-    v, lam = dec.unitary, dec.diagonal
+    v, lam = jc.chart_decompose(p, chart)
     assert jc.block_residual((v @ lam) @ v.dagger(), jc.hamiltonian(p)) <= 1e-10
 
 
 def test_chart_diagonal_layout(radius):
     # row 1 carries R(N+1) below the top level and |theta| at it
-    p = JCParams(theta=0.5, dim=6)
     r1 = np.append(radius(6, 0.5, 1)[:-1], 0.5)
-    d1 = jc.chart_diagonal(p, ChartTag.I)
+    _, d1 = jc.chart_decompose(JCParams(theta=0.5, dim=6), ChartTag.I)
     assert np.array_equal(np.diag(block(d1, 0, 0)), r1)
     assert np.array_equal(np.diag(block(d1, 1, 1)), -radius(6, 0.5))
-    d2 = jc.chart_diagonal(p, ChartTag.II)
+    _, d2 = jc.chart_decompose(JCParams(theta=-0.5, dim=6), ChartTag.II)
     assert np.array_equal(np.diag(block(d2, 0, 0)), radius(6, 0.5))
     assert np.array_equal(np.diag(block(d2, 1, 1)), -r1)
 
 
 def test_chart_eigenvalues_against_oracle(radius):
-    # the diagonal factor carries the truncated spectrum {+-R(n)}, the
-    # one-level sectors' -theta (ground) and +theta (top level) included
+    # the diagonal factor of the admissible chart carries the truncated
+    # spectrum {+-R(n)}, the one-level sectors' -theta (ground) and +theta
+    # (top level) included
     d = 16
-    for theta in (0.3, -0.3, 0.0, 2.5):
+    for theta, chart in ((0.3, ChartTag.I), (-0.3, ChartTag.II), (2.5, ChartTag.I), (-2.5, ChartTag.II)):
         p = JCParams(theta=theta, dim=d)
         r = radius(d, theta)
         evals = oracle.eigvals_hermitian(jc.hamiltonian(p).full())
-        for chart in ChartTag:
-            lam_vals = np.sort(np.diag(jc.chart_diagonal(p, chart).full()).real)
-            assert np.array_equal(lam_vals, np.sort(np.concatenate([r, -r])))
-            assert np.max(np.abs(lam_vals - evals)) <= 1e-13
+        lam_vals = np.sort(np.diag(jc.chart_decompose(p, chart)[1].full()))
+        assert np.array_equal(lam_vals, np.sort(np.concatenate([r, -r])))
+        assert np.max(np.abs(lam_vals - evals)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +501,8 @@ def test_singular_sectors_evaluates_each_row_once(monkeypatch):
 @pytest.mark.parametrize(
     "theta,build,signs",
     [
-        (0.5, functools.partial(jc.chart_unitary, chart=ChartTag.I), (1.0,)),
-        (-0.5, functools.partial(jc.chart_unitary, chart=ChartTag.II), (-1.0,)),
-        (0.5, functools.partial(jc.middle_unitary, chart=ChartTag.I), (1.0,)),
-        (0.5, functools.partial(jc.middle_unitary, chart=ChartTag.II), (-1.0,)),
+        (0.5, functools.partial(jc.chart_decompose, chart=ChartTag.I), (1.0,)),
+        (-0.5, functools.partial(jc.chart_decompose, chart=ChartTag.II), (-1.0,)),
         (0.5, jc.projector, (1.0, -1.0)),
         (0.5, lambda p: jc.propagator(p, np.linspace(0.0, 1.0, 3)), ()),
     ],
@@ -502,12 +533,12 @@ def test_grassmann_command_evaluates_the_rows_once_per_build(thetas, monkeypatch
 
 @np.errstate(all="ignore")  # a singular chart's normalizer, a phase beyond the double range
 def _explicit_layouts(p, ts):
-    """The level vectors of the Hamiltonian, the middle matrix M, the chart
-    and middle unitaries (None where the chart is singular), the projector
-    and the propagator stack over ``ts``, each written out with the JC
-    coupling sqrt(n) on offsets +-1 (sqrt(n + 1) on offset 0 for M)."""
+    """The level vectors of the Hamiltonian, the chart unitaries and
+    diagonal factors (None where the chart is singular), the projector and
+    the propagator stack over ``ts``, each written out with the JC coupling
+    sqrt(n) on offsets +-1."""
     d, th = p.dim, p.theta
-    sq, sq1 = np.sqrt(np.arange(1.0, d)), np.sqrt(np.arange(1.0, d + 1))
+    sq = np.sqrt(np.arange(1.0, d))
     levels = (np.append(np.arange(1.0, d), 0.0), np.arange(float(d)))  # of a a+ and a+ a
 
     def normalizer(r, h):
@@ -515,27 +546,21 @@ def _explicit_layouts(p, ts):
 
     out = {
         "hamiltonian": (({0: np.full(d, th)}, {1: sq}), ({-1: sq}, {0: np.full(d, -th)})),
-        "middle matrix": (({0: np.full(d, th)}, {0: sq1}), ({0: sq1}, {0: np.full(d, -th)})),
     }
     for chart, s in ((ChartTag.I, 1.0), (ChartTag.II, -1.0)):
         (r1, h1), (r2, h2) = (jc._radius(m, th, s) for m in levels)
         f1, f2 = normalizer(r1, h1), normalizer(r2, h2)
         if chart is ChartTag.I:
             v = (({0: f1 * h1}, {1: f1[:-1] * -(0.5 * sq)}), ({-1: f2[1:] * (0.5 * sq)}, {0: f2 * h2}))
+            lam = (({0: r1}, {}), ({}, {0: -r2}))
         else:
             v = (({1: f1[:-1] * (0.5 * sq)}, {0: f1 * -h1}), ({0: f2 * h2}, {-1: f2[1:] * (0.5 * sq)}))
+            lam = (({0: r2}, {}), ({}, {0: -r1}))
         try:
             jc.admissible_denominators(p, chart)
         except SingularSectorError:
-            v = None
-        out[f"chart {chart.value}"] = v
-        r, h = jc._radius(np.arange(1.0, d + 1), th, s)
-        f, half = normalizer(r, h), 0.5 * sq1
-        if chart is ChartTag.I:
-            u = (({0: f * h}, {0: -f * half}), ({0: f * half}, {0: f * h}))
-        else:
-            u = (({0: f * half}, {0: -f * h}), ({0: f * h}, {0: f * half}))
-        out[f"middle {chart.value}"] = u
+            v = lam = None
+        out[f"chart {chart.value}"], out[f"diagonal {chart.value}"] = v, lam
     (r1, h1), (r2, h2) = jc._radius(levels[0], th, 1.0), jc._radius(levels[1], th, -1.0)
     p1, p2 = (np.divide(1.0, r, out=np.zeros(d), where=r > 0.5 * SINGULAR_THRESHOLD) for r in (r1, r2))
     out["projector"] = (({0: p1 * h1}, {1: p1[:-1] * (0.5 * sq)}), ({-1: p2[1:] * (0.5 * sq)}, {0: p2 * h2}))
@@ -559,16 +584,14 @@ def test_closed_forms_keep_their_level_vectors(theta, d):
     ts = np.linspace(0.0, 3.0, 5)
     built = {
         "hamiltonian": jc.hamiltonian(p),
-        "middle matrix": jc.two_step_factors(p)[1],
         "projector": jc.projector(p),
         "propagator": jc.propagator(p, ts),
     }
     for chart in ChartTag:
-        built[f"middle {chart.value}"] = jc.middle_unitary(p, chart)
         try:
-            built[f"chart {chart.value}"] = jc.chart_unitary(p, chart)
+            built[f"chart {chart.value}"], built[f"diagonal {chart.value}"] = jc.chart_decompose(p, chart)
         except SingularSectorError:
-            built[f"chart {chart.value}"] = None
+            built[f"chart {chart.value}"] = built[f"diagonal {chart.value}"] = None
     expected = _explicit_layouts(p, ts)
     assert built.keys() == expected.keys()
     for name, layout in expected.items():
@@ -659,7 +682,7 @@ def test_singular_set_is_ground_sector_over_wide_range(log_mag, sign, d):
     assert ("II" if theta > 0 else "I") in sing["chart"].tolist()
     chart = ChartTag.I if theta > 0 else ChartTag.II
     if chart.value not in sing["chart"].tolist():
-        v = jc.chart_unitary(p, chart)
+        v, _ = jc.chart_decompose(p, chart)
         assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
 
 
@@ -717,7 +740,7 @@ def test_quantum_cocycle(radius):
     assert not f1[d - 1] and not f2[0]
     core = np.block([[fock.annihilation(d), np.diag(theta - r1)], [np.diag(r0 - theta), fock.creation(d)]])
     v_ii = np.append(f1, f2)[:, None] * core
-    v_i = jc.chart_unitary(p, ChartTag.I)
+    v_i, _ = jc.chart_decompose(p, ChartTag.I)
     assert max_abs((v_i @ jc.transition_operator(d)).full(), v_ii) <= 1e-12
 
 
@@ -745,7 +768,7 @@ def test_projector_properties(theta):
 def test_projector_chart_form(theta, chart):
     d = 24
     p = JCParams(theta=theta, dim=d)
-    v = jc.chart_unitary(p, chart)
+    v, _ = jc.chart_decompose(p, chart)
     p0 = jc.block_diag(np.ones(d), np.zeros(d))
     assert jc.block_residual((v @ p0) @ v.dagger(), jc.projector(p)) <= 1e-12
 
@@ -855,10 +878,9 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
     ident = BlockOperator.identity(d)
     for chart in ChartTag:
         try:
-            dec = jc.chart_decompose(p, chart)
+            u, lam = jc.chart_decompose(p, chart)
         except SingularSectorError:
             continue
-        u, lam = dec.unitary, dec.diagonal
         assert jc.block_residual((u @ lam) @ u.dagger(), h) <= 1e-12 * max(1.0, abs(theta))
         assert jc.block_residual(u.dagger() @ u, ident) <= 1e-12
         assert max_abs(((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger()).full(), oracle_proj) <= proj_tol
@@ -953,13 +975,17 @@ def _dense(op):
 @pytest.mark.parametrize("theta", [0.7, -0.7, 1e-9, 3.0, 1e200, -1.7e308])
 @pytest.mark.parametrize("d", [2, 7, 64])
 def test_full_is_real_when_every_level_vector_is(theta, d):
-    # the Hamiltonians, the projector and the chart diagonals at real theta
-    # export as real C-contiguous matrices carrying the complex export's
-    # values; the oracle gives a complex copy of them the same bits
+    # the Hamiltonians, the projector and the chart unitaries and diagonals
+    # at real theta export as real C-contiguous matrices carrying the complex
+    # export's values; the oracle gives a complex copy of them the same bits
     p = JCParams(theta=theta, dim=d, g=0.5)
     h1, h2 = jc.full_hamiltonian(p, 1.0)
     ops = [jc.hamiltonian(p), h1, h2, h1 + h2, jc.projector(p)]
-    ops += [jc.chart_diagonal(p, chart) for chart in ChartTag]
+    for chart in ChartTag:
+        try:
+            ops.extend(jc.chart_decompose(p, chart))
+        except SingularSectorError:  # only where a chart is singular
+            pass
     for op in ops:
         full = op.full()
         assert full.dtype == np.float64 and full.flags.c_contiguous
@@ -996,14 +1022,15 @@ def test_closed_forms_at_real_theta_store_float64_level_vectors(theta):
     # the chart unitaries and diagonals and the Grassmann projector are real
     # at real theta and g, the propagator is complex
     p = JCParams(theta=theta, dim=7, g=0.5)
-    ops = [jc.hamiltonian(p), jc.projector(p)] + [jc.chart_diagonal(p, chart) for chart in ChartTag]
-    builds = [functools.partial(jc.chart_unitary, p, chart) for chart in ChartTag]
-    for build in builds + [lambda: grassmann.projector_from_coordinate(grassmann.local_coordinate(p)[0])]:
+    ops = [jc.hamiltonian(p), jc.projector(p)]
+    builds = [functools.partial(jc.chart_decompose, p, chart) for chart in ChartTag]
+    builds.append(lambda: (grassmann.projector_from_coordinate(grassmann.local_coordinate(p)[0]),))
+    for build in builds:
         try:
-            ops.append(build())
+            ops.extend(build())
         except SingularSectorError:  # only where a chart is singular
             pass
-    assert len(ops) == 4 + (abs(theta) > 1e-7) + (theta > 1e-7)
+    assert len(ops) == 2 + 2 * (abs(theta) > 1e-7) + (theta > 1e-7)
     for op in ops:
         assert op.dtype == np.float64 and all(v.dtype == np.float64 for v in _vectors(op))
     for op in (jc.propagator(p, 1.3), jc.propagator(p, np.linspace(0.0, 2.0, 3))):
@@ -1201,7 +1228,7 @@ def test_closed_forms_are_linear_in_memory():
     tracemalloc.start()
     try:
         u = jc.propagator(p, 1.3)
-        dec = jc.chart_decompose(p, ChartTag.I)
+        v, _ = jc.chart_decompose(p, ChartTag.I)
         proj = jc.projector(p)
         plus, minus = jc.spectral_decomposition(p, proj)
         start = np.zeros(2 * d)
@@ -1212,7 +1239,7 @@ def test_closed_forms_are_linear_in_memory():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert jc.block_residual(u.dagger() @ u, BlockOperator.identity(d)) <= 1e-10
-    assert jc.block_residual(dec.unitary.dagger() @ dec.unitary, BlockOperator.identity(d)) <= 1e-12
+    assert jc.block_residual(v.dagger() @ v, BlockOperator.identity(d)) <= 1e-12
     assert jc.block_residual(proj @ proj, proj) <= 1e-12
     assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
     assert np.array_equal(psi[[3, d + 4]], [u.diags[0][0][0][3], u.diags[1][0][-1][3]])
