@@ -10,8 +10,10 @@ flags; nothing is read from the environment.
 
 Exit codes: 0 all checks passed, 1 a numerical check failed (the report
 is still written) or stdout was closed before the report was complete, 2
-usage or configuration error, or a request too large to allocate (numpy's
-one-line message, no traceback; an ``--out`` file is left as it was).  A
+usage or configuration error, a size (an integer option or a grid axis
+count) above ``_MAX_SIZE``, refused before any array exists, or a request
+too large to allocate (numpy's one-line message, no traceback; an
+``--out`` file is left as it was).  A
 phase of ``evolve`` beyond the double range (extreme detuning or
 frequency) is NaN, not a warning, so its records fail.  Output is JSON
 (``"schema": 6`` envelope) or CSV with ``#``-prefixed header lines; both
@@ -23,6 +25,8 @@ judges it when it is a residual, and its CSV column.  Each of its params
 is declared once, in ``PARAMS``, with its option's flag, default and help:
 the parser, the checks of single options and the report's ``params`` come
 from that declaration, the help of a command from its ``cmd_*`` docstring.
+A command's ``--tol-*`` options are those of the tolerances its record
+declaration names (``Record.tols``), and no others.
 A command yields its records as column chunks (see ``judge``), with the
 ||H|| column its record names as ``norm`` (``berry``, ``jc``); the JSON
 schemas (``SCHEMAS``, params included), the CSV columns (``CSV_COLUMNS``),
@@ -196,12 +200,15 @@ SCHEMAS = {
 CSV_COLUMNS = {command: list(csv_columns(rec)) for command, rec in RECORDS.items()}
 
 
-# the --tol-* options, one per Tolerances field
-_TOLERANCES = tuple(f.name for f in dataclasses.fields(Tolerances))
-
-
 class ConfigError(ValueError):
     pass
+
+
+# The largest size an option or a grid axis may give: at dim = 2**28 the
+# dense 2 dim x 2 dim complex matrix of the oracle holds 2**62 bytes, within
+# numpy's limit of 2**63 - 1, so each array a request forms from sizes up to
+# this one is either allocated or refused as out of memory.
+_MAX_SIZE = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +228,8 @@ def _parse_axis(token: str):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise ConfigError(f"bad grid token {token!r} (want name=lo:hi:count)") from exc
-    if count <= 0:
-        raise ConfigError(f"empty grid axis {token!r}")
+    if not 0 < count <= _MAX_SIZE:
+        raise ConfigError(f"grid axis {token!r} must count 1 to {_MAX_SIZE} points")
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(_finite_value("grid bound", lo), _finite_value("grid bound", hi), count)
     if not np.isfinite(values).all():
@@ -263,14 +270,12 @@ def parse_float_list(text: str):
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    overrides = {}
-    for name in _TOLERANCES:
-        v = getattr(args, f"tol_{name}")
-        if v is not None:
-            if _finite_value(f"tol-{name}", v) < 0.0:
-                raise ConfigError(f"tol-{name} must be non-negative, got {v!r}")
-            overrides[name] = v
-    return dataclasses.replace(DEFAULT, **overrides) if overrides else DEFAULT
+    """The defaults, with the ``--tol-*`` options of the command given."""
+    given = {name: v for name in RECORDS[args.command].tols if (v := getattr(args, f"tol_{name}")) is not None}
+    for name, v in given.items():
+        if _finite_value(f"tol-{name}", v) < 0.0:
+            raise ConfigError(f"tol-{name} must be non-negative, got {v!r}")
+    return dataclasses.replace(DEFAULT, **given) if given else DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +369,21 @@ def cmd_jc(args):
     h = jc.hamiltonian(p)
     ident = jc.BlockOperator.identity(p.dim)
     checked = {c.value: _jc_chart(p, c, h, ident) for c in (jc.ChartTag.I, jc.ChartTag.II)}
-    radii = jc.row_radii(p)[1]  # R(n), n = 0 .. d - 1
+    radii = jc.row_radii(p)  # radii[1] is R(n), n = 0 .. d - 1
     evals = oracle.eigvals_hermitian(h.full())  # ascending
-    eig_dev = float(np.max(np.abs(evals - np.sort(np.concatenate([radii, -radii])))))
+    eig_dev = float(np.max(np.abs(evals - np.sort(np.concatenate([radii[1], -radii[1]])))))
     proj = jc.projector(p)
     p0 = jc.block_diag(np.ones(p.dim), np.zeros(p.dim))
     units = [u for _, u in checked.values() if u is not None]
     form = max((jc.block_residual((v @ p0) @ vh, proj) for v, vh in units), default=None)
-    plus, minus = jc.spectral_decomposition(p, proj)
+    plus, minus = jc.spectral_decomposition(radii, proj)
     record = {
         **{f"charts.{name}.{k}": v for name, (rec, _) in checked.items() for k, v in rec.items()},
         "eigenvalue_max_dev": eig_dev,
         "projector.idempotency": jc.block_residual(proj @ proj, proj),
         "projector.form_agreement": form,
         "spectral.reconstruction": jc.block_residual(plus + minus, h),
-        _NORM: float(radii[-1]),  # max_n R(n) = R(d - 1)
+        _NORM: float(radii[1][-1]),  # max_n R(n) = R(d - 1)
     }
     return [transpose([record])]
 
@@ -481,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--format", choices=("json", "csv"), default=None, dest="fmt")
     common.add_argument("--out", default="-", help="output path, '-' for stdout")
-    for name in _TOLERANCES:
-        common.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
 
     parser = argparse.ArgumentParser(
         prog="hjc",
@@ -492,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, fn in COMMANDS.items():
         q = sub.add_parser(command, parents=[common], help=(fn.__doc__ or "").split("\n")[0])
+        for name in RECORDS[command].tols:  # the tolerances that judge the command's records
+            q.add_argument(f"--tol-{name}", type=float, default=None, dest=f"tol_{name}")
         for f in PARAMS[command].fields:
             q.add_argument(
                 "--" + f.dest.replace("_", "-"), default=f.default, help=f.help,
@@ -514,6 +519,8 @@ def _validate(args: argparse.Namespace) -> None:
     for f in params:
         if f.kind == NUM and getattr(args, f.dest) is not None:
             _finite_value(f.dest.replace("_", "-"), getattr(args, f.dest))
+        if f.kind == INT and getattr(args, f.dest) > _MAX_SIZE:
+            raise ConfigError(f"{f.dest.replace('_', '-')} must be at most {_MAX_SIZE}")
     args.fmt = args.fmt or ("csv" if args.command == "evolve" else "json")
     args.tol = _tolerances(args)
     if getattr(args, "dim", 2) < 2:
@@ -614,8 +621,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(list(sys.argv[1:] if argv is None else argv)))
     try:
         _validate(args)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    except (ConfigError, MemoryError) as exc:  # the evolve Hamiltonian and a berry grid are built here
+        parser.error(str(exc) or "out of memory")
     try:
         fh, tmp, target = _open_out(args.out)
     except OSError as exc:

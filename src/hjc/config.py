@@ -18,8 +18,9 @@ ILL_CONDITIONED = 1e-6
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The tolerances a report's residuals are judged against, one
-    ``--tol-*`` option each.
+    """The tolerances a report's residuals are judged against.  A command
+    takes the ``--tol-*`` option of each one that its record declaration
+    names (:attr:`hjc.report.Record.tols`), and only those.
 
     ``algebraic`` covers unitarity/idempotency/cocycle style identities,
     ``reconstruction`` the chart reconstructions of a Hamiltonian (the

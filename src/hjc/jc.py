@@ -619,13 +619,13 @@ def projector(p: JCParams) -> BlockOperator:
     return block_diag(p1, p2) @ _form(_jc(d), h1, h2, 0.5, 0.5)
 
 
-def spectral_decomposition(p: JCParams, proj: BlockOperator):
+def spectral_decomposition(radii, proj: BlockOperator):
     """Operator-eigenvalue split (Lambda P, -Lambda (1 - P)) of P = ``proj``,
-    the :func:`projector` of ``p``, with Lambda = diag(R1, R(N)), the row
-    radii of :func:`row_radii`; the parts sum back to the Hamiltonian and
-    Lambda commutes with P."""
-    lam = block_diag(*row_radii(p))
-    return lam @ proj, lam @ (proj - BlockOperator.identity(p.dim))
+    the :func:`projector` of a model, with Lambda = diag(R1, R(N)) from
+    ``radii``, the model's :func:`row_radii`; the parts sum back to the
+    Hamiltonian and Lambda commutes with P."""
+    lam = block_diag(*radii)
+    return lam @ proj, lam @ (proj - BlockOperator.identity(proj.dim))
 
 
 # ---------------------------------------------------------------------------

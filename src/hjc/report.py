@@ -70,11 +70,16 @@ class Record:
     column of a chunk that holds the size of every record's Hamiltonian,
     ||H||, which the command computes beside the declared columns; the
     residuals declared ``rel`` are held to their tolerance times
-    max(1, ||H||), the floor :func:`judge` applies."""
+    max(1, ||H||), the floor :func:`judge` applies.  ``tols`` holds, in
+    name order, the :class:`~hjc.config.Tolerances` fields that the
+    record's residuals name, those of its nested records and of the items
+    of its list fields included: the only tolerances that judge it."""
 
     def __init__(self, *fields: "Field", norm: Optional[str] = None):
         self.fields = fields
         self.norm = norm
+        inner = [f.kind[0] if isinstance(f.kind, list) else f.kind for f in fields]
+        self.tols = tuple(sorted({f.tol for f in fields if f.tol}.union(*(k.tols for k in inner if isinstance(k, Record)))))
         self.has_pass = any(f.name == "pass" for f in fields)
         self.json = sorted((f for f in fields if f.json), key=lambda f: f.name)
         self.rows = next((f for f in fields if f.rows), None)

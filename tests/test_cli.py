@@ -6,6 +6,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -462,6 +463,48 @@ def test_a_request_too_large_to_allocate_is_a_usage_error(command, tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
+@pytest.mark.parametrize("command", ["berry", "evolve"])
+def test_a_request_too_large_to_validate_is_a_usage_error(command, monkeypatch, capsys):
+    # the berry grid and the evolve Hamiltonian are built while the options
+    # are checked, before --out is opened
+    def refuse(*args):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(cli, "parse_grid", refuse)
+    monkeypatch.setattr(jc, "hamiltonian", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and _NO_MEMORY in err
+
+
+# sizes beyond numpy's array limits, each refused before an array exists
+_OVERSIZE = [
+    "jc --dim=99999999999999999999",
+    "evolve --dim=99999999999999999999",
+    "grassmann --dim=99999999999999999999",
+    "strings --dim=9223372036854775807",
+    "evolve --dim 3 --t-steps=99999999999999999999",
+    "berry --grid=z=0:1:99999999999999999999,w=0:1:1 --samples 0",
+]
+
+
+@pytest.mark.parametrize("argv", _OVERSIZE)
+def test_a_size_beyond_numpys_array_limits_is_a_usage_error(argv, capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and str(cli._MAX_SIZE) in err
+    assert peak < 2**20
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "hjc", *argv.split()], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["berry", "jc"])
 def test_unwritable_out_is_a_usage_error_before_any_computation(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: pytest.fail("computed before the output was opened"))
@@ -545,53 +588,55 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
 
 
 def test_tolerances_options_and_declared_residuals_name_the_same_fields():
-    # every Tolerances field is a --tol-* option of every command and
-    # judges some declared residual, and nothing else does either
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    # each command takes the --tol-* options of the tolerances that judge
+    # its records, and every Tolerances field judges some declared residual
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     for name, sub in commands.items():
-        assert {a.dest[len("tol_"):] for a in sub._actions if a.dest.startswith("tol_")} == fields, name
-
-    def tols(kind):
-        if isinstance(kind, list):
-            yield from tols(kind[0])
-        elif isinstance(kind, report.Record):
-            for f in kind.fields:
-                if f.tol is not None:
-                    yield f.tol
-                yield from tols(f.kind)
-
-    assert {t for rec in cli.RECORDS.values() for t in tols(rec)} == fields
+        assert [a.dest for a in sub._actions if a.dest.startswith("tol_")] == [f"tol_{t}" for t in cli.RECORDS[name].tols]
+    assert {t for rec in cli.RECORDS.values() for t in rec.tols} == {f.name for f in dataclasses.fields(Tolerances)}
+    assert {name: rec.tols for name, rec in cli.RECORDS.items()} == {
+        "berry": ("algebraic",),
+        "jc": ("algebraic", "reconstruction"),
+        "strings": (),
+        "evolve": ("propagator",),
+        "grassmann": ("algebraic", "reconstruction"),
+    }
+    # the walk reaches the fields of nested records and of list items
+    inner = report.Record(report.Field("a", report.NUM, tol="reconstruction"))
+    item = report.Record(report.Field("c", report.NUM, tol="propagator"))
+    rec = report.Record(report.Field("r", report.Record(report.Field("n", inner))), report.Field("l", [item]))
+    assert rec.tols == ("propagator", "reconstruction")
 
 
 def test_params_declare_the_options_and_the_report_params_of_each_command():
-    # every option of a command but the common ones is a declared param,
-    # and every declared param is a key of the report's params
+    # every option of a command but the common ones and its --tol-* options
+    # is a declared param, and every declared param is a key of the report's params
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    common = {"help", "seed", "fmt", "out", *(f"tol_{f.name}" for f in dataclasses.fields(Tolerances))}
+    common = {"help", "seed", "fmt", "out"}
     assert list(commands) == list(cli.PARAMS) == list(cli.COMMANDS)
     for name, sub in commands.items():
-        assert [a.dest for a in sub._actions if a.dest not in common] == [f.dest for f in cli.PARAMS[name].fields]
+        tols = {f"tol_{t}" for t in cli.RECORDS[name].tols}
+        assert [a.dest for a in sub._actions if a.dest not in common | tols] == [f.dest for f in cli.PARAMS[name].fields]
         assert [f.name for f in cli.PARAMS[name].fields] == list(cli.SCHEMAS[name]["properties"]["params"]["properties"])
 
 
-_COMMON_DEFAULTS = {"seed": 0, "fmt": None, "out": "-", **{f"tol_{f.name}": None for f in dataclasses.fields(Tolerances)}}
+_COMMON_DEFAULTS = {"seed": 0, "fmt": None, "out": "-"}
 
 
 @pytest.mark.parametrize(
     "command, defaults",
     [
-        ("berry", {"algebra": "C", "grid": "z=-2:2:9,w=0:1:3", "samples": 100}),
-        ("jc", {"theta": 0.5, "dim": 32}),
+        ("berry", {"tol_algebraic": None, "algebra": "C", "grid": "z=-2:2:9,w=0:1:3", "samples": 100}),
+        ("jc", {"tol_algebraic": None, "tol_reconstruction": None, "theta": 0.5, "dim": 32}),
         ("strings", {"theta": "-1,-0.5,-0.25,0.25,0.5,1", "dim": 16}),
         (
             "evolve",
             {
-                "theta": None, "g": 1.0, "omega": None, "delta": None,
+                "tol_propagator": None, "theta": None, "g": 1.0, "omega": None, "delta": None,
                 "dim": 40, "t_max": 10.0, "t_steps": 50, "n0": 0,
             },
         ),
-        ("grassmann", {"theta": "0.25,0.5,1,2", "dim": 24}),
+        ("grassmann", {"tol_algebraic": None, "tol_reconstruction": None, "theta": "0.25,0.5,1,2", "dim": 24}),
     ],
 )
 def test_each_command_parses_to_its_pinned_defaults(command, defaults):
@@ -692,9 +737,9 @@ def _shift_chart_diagonal(mp, shift):
 def _shift_spectral(mp, shift):
     orig = jc.spectral_decomposition
 
-    def shifted(p, proj):
-        plus, minus = orig(p, proj)
-        return plus + shift * jc.BlockOperator.identity(p.dim), minus
+    def shifted(radii, proj):
+        plus, minus = orig(radii, proj)
+        return plus + shift * jc.BlockOperator.identity(proj.dim), minus
 
     mp.setattr(jc, "spectral_decomposition", shifted)
 
@@ -953,16 +998,38 @@ def test_non_finite_or_malformed_input_is_a_usage_error(argv, monkeypatch, capsy
 @pytest.mark.parametrize("name", ["algebraic", "reconstruction", "propagator"])
 def test_non_finite_or_negative_tolerance_is_a_usage_error(name, monkeypatch, capsys):
     # a bad tolerance is refused before any check runs; zero is allowed
+    argv = ["evolve", "--t-steps=3", "--format=json"] if name == "propagator" else ["jc"]
     _refuse_the_oracle(monkeypatch)
     for value in ("nan", "inf", "-inf", "-1", "-5e-324"):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["jc", "--dim", "4", f"--tol-{name}={value}"])
+            cli.main([*argv, "--dim", "4", f"--tol-{name}={value}"])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"tol-{name} must be" in err
     monkeypatch.undo()
-    assert cli.main(["jc", "--dim", "4", f"--tol-{name}=0"]) in (0, 1)
+    assert cli.main([*argv, "--dim", "4", f"--tol-{name}=0"]) in (0, 1)
     assert json.loads(capsys.readouterr().out)["records"]
+
+
+# each (command, tolerance) whose tolerance judges none of the command's records
+_UNDECLARED_TOLS = [
+    ("berry", "reconstruction"), ("berry", "propagator"),
+    ("jc", "propagator"),
+    ("strings", "algebraic"), ("strings", "reconstruction"), ("strings", "propagator"),
+    ("evolve", "algebraic"), ("evolve", "reconstruction"),
+    ("grassmann", "propagator"),
+]
+
+
+@pytest.mark.parametrize("command, name", _UNDECLARED_TOLS)
+def test_a_tolerance_that_judges_none_of_the_records_is_no_option(command, name, capsys):
+    argv = [command, f"--tol-{name}=1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and f"unrecognized arguments: --tol-{name}=1" in err
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "hjc", *argv], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_tol_strict_is_gone():

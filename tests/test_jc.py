@@ -527,6 +527,17 @@ def test_grassmann_command_evaluates_the_rows_once_per_build(thetas, monkeypatch
     assert len(calls) == sum(4 if theta > 0 else 2 for theta in thetas)
 
 
+@pytest.mark.parametrize("theta", [0.5, 0.0, -0.5])
+def test_jc_command_evaluates_the_rows_four_times(theta, monkeypatch):
+    # the row radii, which the spectral split reads too, the projector and
+    # each chart: two rows each, whether or not a chart is admissible
+    calls = _count_radius_calls(monkeypatch)
+    args = cli.build_parser().parse_args(["jc", f"--theta={theta}", "--dim=48"])
+    cli._validate(args)
+    list(cli.cmd_jc(args))
+    assert len(calls) == 8
+
+
 # ---------------------------------------------------------------------------
 # every closed form's level vectors, as the layouts stated per operator give them
 
@@ -801,7 +812,7 @@ def test_spectral_decomposition(theta, radius):
     d = 32
     p = JCParams(theta=theta, dim=d)
     proj = jc.projector(p)
-    plus, minus = jc.spectral_decomposition(p, proj)
+    plus, minus = jc.spectral_decomposition(jc.row_radii(p), proj)
     assert jc.block_residual(plus + minus, jc.hamiltonian(p)) <= 1e-10
     lam = jc.block_diag(radius(d, theta, 1), radius(d, theta))
     assert jc.block_residual(lam @ proj, proj @ lam) <= 1e-12
@@ -885,7 +896,7 @@ def test_closed_forms_against_the_dense_oracle(d, theta):
         assert jc.block_residual(u.dagger() @ u, ident) <= 1e-12
         assert max_abs(((u @ jc.block_diag(np.ones(d), np.zeros(d))) @ u.dagger()).full(), oracle_proj) <= proj_tol
     assert max_abs(jc.projector(p).full(), oracle_proj) <= proj_tol
-    plus, minus = jc.spectral_decomposition(p, jc.projector(p))
+    plus, minus = jc.spectral_decomposition(jc.row_radii(p), jc.projector(p))
     assert max_abs((plus - minus).full(), oracle_abs) <= 1e-12
     assert max_abs(jc.block_diag(*jc.row_radii(p)).full(), oracle_abs) <= 1e-12
     if theta > 1e-7:
@@ -1230,7 +1241,7 @@ def test_closed_forms_are_linear_in_memory():
         u = jc.propagator(p, 1.3)
         v, _ = jc.chart_decompose(p, ChartTag.I)
         proj = jc.projector(p)
-        plus, minus = jc.spectral_decomposition(p, proj)
+        plus, minus = jc.spectral_decomposition(jc.row_radii(p), proj)
         start = np.zeros(2 * d)
         start[3] = 1.0
         psi = u.apply(start)
